@@ -15,6 +15,7 @@ from .learner import (
     TrainerConfig,
     TrainState,
     predict,
+    predict_all,
     train,
     w_gradient,
     w_step,

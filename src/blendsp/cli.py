@@ -27,8 +27,8 @@ from .fileio import (
     write_model,
     write_weights,
 )
-from .inference import MessageState, belief_vec, residual_rows, sweep_vec
-from .learner import TrainerConfig, predict, train
+from .inference import MessageState, sweep_until_consistent, theta_rows
+from .learner import TrainerConfig, predict_all, train
 from .model import CountingNumbers
 from .objective import duality_report
 
@@ -244,24 +244,22 @@ def _cmd_infer(args) -> int:
     counting = _counting_for(args, parsed)
     w = _load_weights(args.weights, parsed)
     print(f"seed={args.seed}")
-    labels = {}
-    for sample in parsed.samples:
-        result = predict(
-            parsed.graph,
-            sample,
-            w,
-            args.eps_infer,
-            counting,
-            max_sweeps=args.max_sweeps,
-        )
-        labels[sample.id] = result.labels
-        print(
-            f"sample={sample.id} residual={result.residual:.6g} sweeps={result.sweeps}"
-        )
+    results = predict_all(
+        parsed.graph, parsed.samples, w, args.eps_infer, counting, max_sweeps=args.max_sweeps
+    )
+    for sample, result in zip(parsed.samples, results):
+        print(f"sample={sample.id} residual={result.residual:.6g} sweeps={result.sweeps}")
+    _print_capped(sum(r.capped for r in results), len(results), args.max_sweeps)
     with open(args.out, "w") as fh:
-        write_labels(labels, fh)
+        write_labels({s.id: r.labels for s, r in zip(parsed.samples, results)}, fh)
     print(f"wrote {args.out}")
     return EXIT_OK
+
+
+def _print_capped(capped: int, samples: int, max_sweeps: int) -> None:
+    """Say how many samples stopped at the sweep cap still inconsistent."""
+    if capped:
+        print(f"capped={capped} samples={samples} max_sweeps={max_sweeps}")
 
 
 def _cmd_eval(args) -> int:
@@ -284,15 +282,14 @@ def _cmd_gap(args) -> int:
     w = _load_weights(args.weights, parsed)
     print(f"seed={args.seed}")
     layout = parsed.graph.layout()
-    states = [MessageState(parsed.graph) for _ in parsed.samples]
-    for sample, state in zip(parsed.samples, states):
-        theta = sample.compiled().theta_vec(w, include_loss=True)[None, :]
-        lam = state.vec[None, :]
-        for _ in range(args.max_sweeps):
-            sweep_vec(layout, lam, theta, args.eps, counting.values)
-            bvec = belief_vec(layout, lam, theta, args.eps, counting.values)
-            if residual_rows(layout, bvec)[0] <= args.residual_tol:
-                break
+    lam = np.zeros((len(parsed.samples), layout.message_total))
+    thetas = theta_rows(layout, parsed.samples, w, include_loss=True)
+    _, residual, sweeps = sweep_until_consistent(
+        layout, lam, thetas, args.eps, counting.values, args.max_sweeps, args.residual_tol
+    )
+    capped = (sweeps == args.max_sweeps) & (residual > args.residual_tol)
+    _print_capped(int(capped.sum()), len(parsed.samples), args.max_sweeps)
+    states = [MessageState.from_view(parsed.graph, row) for row in lam]
     report = duality_report(
         parsed.graph,
         parsed.samples,

@@ -16,7 +16,7 @@ The module-level helpers operate on batches: message matrices of shape
 (num_samples, message_total) against potential matrices (num_samples,
 total).  Samples never interact, so batching is purely an efficiency device;
 single-sample operations use the same code path with a batch of one, which
-keeps results bitwise independent of how work is grouped or threaded.
+keeps results bitwise independent of how samples are grouped into batches.
 """
 
 from __future__ import annotations
@@ -295,6 +295,52 @@ def residual_rows(layout: GraphLayout, bvec: np.ndarray) -> np.ndarray:
 
 def residual_vec(layout: GraphLayout, bvec: np.ndarray) -> float:
     return float(residual_rows(layout, bvec[None, :])[0])
+
+
+def theta_rows(layout: GraphLayout, samples, w: np.ndarray, include_loss: bool) -> np.ndarray:
+    """Potential vectors of the samples stacked as rows, (len(samples), total)."""
+    if not samples:
+        return np.zeros((0, layout.total))
+    return np.stack([s.compiled().theta_vec(w, include_loss) for s in samples])
+
+
+def sweep_until_consistent(
+    layout: GraphLayout,
+    lam: np.ndarray,
+    theta: np.ndarray,
+    eps: float,
+    cvals: np.ndarray,
+    max_sweeps: int,
+    tol: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sweep each row of ``lam`` in place until its residual is at most
+    ``tol`` or it has had ``max_sweeps`` sweeps; return the final belief rows,
+    per-row residuals and per-row sweep counts.
+
+    Rows still active are swept together, gathered when some have stopped.
+    Per-row arithmetic does not depend on the batch, so each row ends bitwise
+    equal to a batch-of-one run.
+    """
+    b = belief_vec(layout, lam, theta, eps, cvals)
+    residual = residual_rows(layout, b)
+    sweeps = np.zeros(lam.shape[0], dtype=np.int64)
+    for _ in range(max_sweeps):
+        rows = np.flatnonzero(residual > tol)
+        if rows.size == 0:
+            break
+        if rows.size == lam.shape[0]:
+            sweep_vec(layout, lam, theta, eps, cvals)
+            b = belief_vec(layout, lam, theta, eps, cvals)
+            residual = residual_rows(layout, b)
+        else:
+            sub_lam, sub_theta = lam[rows], theta[rows]
+            sweep_vec(layout, sub_lam, sub_theta, eps, cvals)
+            lam[rows] = sub_lam
+            sub_b = belief_vec(layout, sub_lam, sub_theta, eps, cvals)
+            b[rows] = sub_b
+            residual[rows] = residual_rows(layout, sub_b)
+        sweeps[rows] += 1
+    return b, residual, sweeps
 
 
 # ---------------------------------------------------------------------------

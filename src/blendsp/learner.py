@@ -8,17 +8,18 @@ and nonnegative counting numbers, with every step monotonically decreasing
 the primal.
 
 Samples are independent: the trainer stores all message vectors as rows of
-one matrix and sweeps them together, optionally splitting the rows into
-contiguous blocks handled by a thread pool.  Per-row arithmetic is identical
-no matter how rows are grouped, and gradient contributions are reduced in
-sample-id order, so training results are bitwise independent of the worker
-count.
+one matrix and sweeps them together in one set of numpy calls, and
+prediction runs every sample through the same batched engine.  Per-row
+arithmetic is identical no matter how rows are grouped, and gradient
+contributions are reduced in sample-id order, so results are bitwise
+independent of the batch.  ``worker_count`` is accepted for compatibility and
+does not change the result: a thread pool over row blocks was measured no
+faster, because a sweep costs nearly the same at any batch size.
 """
 
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,8 +30,10 @@ from .inference import (
     counting_values,
     residual_rows,
     segmented_lse,
+    sweep_until_consistent,
     sweep_vec,
     theta_hat_vec,
+    theta_rows,
 )
 from .model import CountingNumbers, RegionGraph, Sample, feature_count
 from .objective import (
@@ -50,6 +53,7 @@ __all__ = [
     "w_step",
     "train",
     "predict",
+    "predict_all",
 ]
 
 logger = logging.getLogger(__name__)
@@ -70,7 +74,7 @@ class TrainerConfig:
     backtrack: float = 0.5
     sufficient_decrease: float = 1e-4
     max_backtracks: int = 50
-    worker_count: int = 1
+    worker_count: int = 1  # accepted; results and run time do not depend on it
     seed: int = 0
 
     def counting(self, graph: RegionGraph) -> CountingNumbers:
@@ -131,6 +135,7 @@ class PredictResult:
     labels: np.ndarray
     residual: float
     sweeps: int
+    capped: bool  # stopped at max_sweeps with the residual above its tolerance
 
 
 def w_gradient(
@@ -224,38 +229,6 @@ def w_step(
     )
 
 
-class _Batch:
-    """Row-chunked views over the stacked per-sample message matrix."""
-
-    def __init__(self, n: int, layout, workers: int):
-        self.n = n
-        self.layout = layout
-        self.lam = np.zeros((n, layout.message_total))
-        chunk_count = max(1, min(workers, n))
-        bounds = np.linspace(0, n, chunk_count + 1, dtype=int)
-        self.chunks = [
-            (int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a
-        ]
-        self.pool = ThreadPoolExecutor(max_workers=chunk_count) if chunk_count > 1 else None
-
-    def run(self, fn, *arrays):
-        """Apply fn to matching row-chunks of lam and the given matrices."""
-        if self.pool is None:
-            for a, b in self.chunks:
-                fn(self.lam[a:b], *(m[a:b] for m in arrays))
-        else:
-            futures = [
-                self.pool.submit(fn, self.lam[a:b], *(m[a:b] for m in arrays))
-                for a, b in self.chunks
-            ]
-            for f in futures:
-                f.result()
-
-    def close(self):
-        if self.pool is not None:
-            self.pool.shutdown()
-
-
 def train(
     graph: RegionGraph,
     samples: list[Sample],
@@ -292,33 +265,9 @@ def train(
     )
     t_slot = t_regions[layout.segment]
 
-    batch = _Batch(n, layout, config.worker_count)
-    state = TrainState(
-        w=w, states=[MessageState.from_view(graph, batch.lam[i]) for i in range(n)]
-    )
-
-    def stack_thetas(weights):
-        if not n:
-            return np.zeros((0, layout.total))
-        return np.stack([cs.theta_vec(weights, include_loss=True) for cs in compiled])
-
-    thetas = stack_thetas(state.w)
-
-    def run_sweeps(count):
-        def job(lam_rows, theta_rows):
-            for _ in range(count):
-                sweep_vec(layout, lam_rows, theta_rows, eps, cvals)
-
-        batch.run(job, thetas)
-
-    def belief_pass():
-        out = np.zeros((n, layout.total))
-
-        def job(lam_rows, theta_rows, out_rows):
-            out_rows[:] = belief_vec(layout, lam_rows, theta_rows, eps, cvals)
-
-        batch.run(job, thetas, out)
-        return out
+    lam = np.zeros((n, layout.message_total))
+    state = TrainState(w=w, states=[MessageState.from_view(graph, row) for row in lam])
+    thetas = theta_rows(layout, samples, state.w, include_loss=True)
 
     def expectations(bmat):
         expect = np.zeros(num_features)
@@ -326,90 +275,84 @@ def train(
             expect += cs.feature_expectation(bmat[i], num_features)
         return expect
 
-    try:
-        prev_primal = None
-        for it in range(1, config.max_outer_iters + 1):
-            state.iteration = it
-            run_sweeps(config.sweeps_per_step)
-            lam_part = theta_hat_vec(layout, np.zeros((n, layout.total)), batch.lam)
+    prev_primal = None
+    for it in range(1, config.max_outer_iters + 1):
+        state.iteration = it
+        for _ in range(config.sweeps_per_step):
+            sweep_vec(layout, lam, thetas, eps, cvals)
+        lam_part = theta_hat_vec(layout, np.zeros((n, layout.total)), lam)
 
-            bmat = belief_pass()
-            g_pre = expectations(bmat) - empirical + C * state.w
+        bmat = belief_vec(layout, lam, thetas, eps, cvals)
+        g_pre = expectations(bmat) - empirical + C * state.w
 
-            step = _line_search(
-                layout, compiled, lam_part, t_regions, state.w, g_pre, C, config
-            )
-            state.stalled = step.stalled
-            eta = step.eta
-            if not step.stalled:
-                state.w = step.w
-                thetas = stack_thetas(state.w)
+        step = _line_search(
+            layout, compiled, lam_part, t_regions, state.w, g_pre, C, config
+        )
+        state.stalled = step.stalled
+        eta = step.eta
+        if not step.stalled:
+            state.w = step.w
+            thetas = theta_rows(layout, samples, state.w, include_loss=True)
 
-            # post-step diagnostics; the moment mismatch doubles as the gradient
-            bmat = belief_pass()
-            residual = float(residual_rows(layout, bmat).max()) if n else 0.0
-            th = thetas + lam_part
-            lse = segmented_lse(layout, th, t_regions)
-            per_sample = [
-                float(lse[i].sum() - th[i, cs.true_slots].sum())
-                for i, cs in enumerate(compiled)
-            ]
-            reg = 0.5 * C * float(state.w @ state.w)
-            primal = sum(per_sample) + reg
-            z = expectations(bmat) - empirical
-            dual = entropy_loss_value(bmat, loss_mat, t_slot) - moment_penalty(z, C)
-            g_post = z + C * state.w
-            grad_norm = float(np.linalg.norm(g_post))
-            certified = (
-                residual <= CERTIFY_RESIDUAL and eps > 0 and bool((cvals > 0).all())
-            )
-            state.report = ObjectiveReport(
-                primal=primal,
-                dual=dual,
-                gap=primal - dual,
-                marginal_residual=residual,
-                certified=certified,
-                per_sample_loss=per_sample,
-                regularizer=reg,
-            )
-            state.history.append(primal)
-            if log_fn is not None:
-                log_fn(
-                    IterationRecord(
-                        iteration=it,
-                        primal=primal,
-                        dual=dual,
-                        gap=primal - dual,
-                        residual=residual,
-                        grad_norm=grad_norm,
-                        eta=eta,
-                    )
+        # post-step diagnostics; the moment mismatch doubles as the gradient
+        bmat = belief_vec(layout, lam, thetas, eps, cvals)
+        residual = float(residual_rows(layout, bmat).max()) if n else 0.0
+        th = thetas + lam_part
+        lse = segmented_lse(layout, th, t_regions)
+        per_sample = [
+            float(lse[i].sum() - th[i, cs.true_slots].sum())
+            for i, cs in enumerate(compiled)
+        ]
+        reg = 0.5 * C * float(state.w @ state.w)
+        primal = sum(per_sample) + reg
+        z = expectations(bmat) - empirical
+        dual = entropy_loss_value(bmat, loss_mat, t_slot) - moment_penalty(z, C)
+        g_post = z + C * state.w
+        grad_norm = float(np.linalg.norm(g_post))
+        certified = (
+            residual <= CERTIFY_RESIDUAL and eps > 0 and bool((cvals > 0).all())
+        )
+        state.report = ObjectiveReport(
+            primal=primal,
+            dual=dual,
+            gap=primal - dual,
+            marginal_residual=residual,
+            certified=certified,
+            per_sample_loss=per_sample,
+            regularizer=reg,
+        )
+        state.history.append(primal)
+        if log_fn is not None:
+            log_fn(
+                IterationRecord(
+                    iteration=it,
+                    primal=primal,
+                    dual=dual,
+                    gap=primal - dual,
+                    residual=residual,
+                    grad_norm=grad_norm,
+                    eta=eta,
                 )
-
-            rel = (
-                0.0
-                if prev_primal is None
-                else (prev_primal - primal) / max(1.0, abs(prev_primal))
             )
-            prev_primal = primal
-            if (
-                abs(rel) < config.primal_rel_tol
-                and residual < config.residual_tol
-                and grad_norm < config.grad_norm_tol
-            ):
-                state.converged = True
-                break
 
-            # a stalled weight step with inconsistent beliefs: keep sweeping,
-            # the inference block cannot increase the objective
-            if step.stalled and residual > config.residual_tol:
-                extra = 0
-                while residual > config.residual_tol and extra < 50:
-                    run_sweeps(1)
-                    extra += 1
-                    residual = float(residual_rows(layout, belief_pass()).max())
-    finally:
-        batch.close()
+        rel = (
+            0.0
+            if prev_primal is None
+            else (prev_primal - primal) / max(1.0, abs(prev_primal))
+        )
+        prev_primal = primal
+        if (
+            abs(rel) < config.primal_rel_tol
+            and residual < config.residual_tol
+            and grad_norm < config.grad_norm_tol
+        ):
+            state.converged = True
+            break
+
+        # a stalled weight step with inconsistent beliefs: up to 50 more
+        # sweeps, the inference block cannot increase the objective
+        if step.stalled and residual > config.residual_tol:
+            sweep_until_consistent(layout, lam, thetas, eps, cvals, 50, config.residual_tol)
     return state
 
 
@@ -433,7 +376,21 @@ def predict(
     max_sweeps: int = 100,
     residual_tol: float = 1e-8,
 ) -> PredictResult:
-    """Loss-free inference sweeps followed by per-variable decoding.
+    """Loss-free inference sweeps followed by per-variable decoding; a batch
+    of one through ``predict_all``."""
+    return predict_all(graph, [sample], w, eps_infer, counting, max_sweeps, residual_tol)[0]
+
+
+def predict_all(
+    graph: RegionGraph,
+    samples: list[Sample],
+    w: np.ndarray,
+    eps_infer: float,
+    counting=None,
+    max_sweeps: int = 100,
+    residual_tol: float = 1e-8,
+) -> list[PredictResult]:
+    """Loss-free inference on every sample at once, then per-variable decoding.
 
     Each variable takes the argmax (ties to the lowest label) of its marginal
     under the belief of its smallest containing region.  The returned
@@ -443,26 +400,25 @@ def predict(
     w = np.asarray(w, dtype=float)
     layout = graph.layout()
     cvals = counting_values(counting, graph)
-    theta = sample.compiled().theta_vec(w, include_loss=False)[None, :]
-    lam = np.zeros((1, layout.message_total))
-    bvec = belief_vec(layout, lam, theta, eps_infer, cvals)
-    residual = float(residual_rows(layout, bvec)[0])
-    sweeps = 0
-    while sweeps < max_sweeps and residual > residual_tol:
-        sweep_vec(layout, lam, theta, eps_infer, cvals)
-        sweeps += 1
-        bvec = belief_vec(layout, lam, theta, eps_infer, cvals)
-        residual = float(residual_rows(layout, bvec)[0])
-    b = bvec[0]
-    owners = _smallest_containing_region(graph)
-    labels = np.zeros(graph.variable_count, dtype=np.int64)
-    for v in range(graph.variable_count):
-        reg = graph.regions[owners[v]]
-        table = b[layout.region_slices[reg.id]]
+    theta = theta_rows(layout, samples, w, include_loss=False)
+    lam = np.zeros((len(samples), layout.message_total))
+    b, residual, sweeps = sweep_until_consistent(
+        layout, lam, theta, eps_infer, cvals, max_sweeps, residual_tol
+    )
+    decoders = []
+    for v, owner in enumerate(_smallest_containing_region(graph)):
+        reg = graph.regions[owner]
         pos = reg.variables.index(v)
         stride = int(reg.strides()[pos])
         card = reg.cardinalities[pos]
         digits = (np.arange(reg.label_count, dtype=np.int64) // stride) % card
-        marg = np.bincount(digits, weights=table, minlength=card)
-        labels[v] = int(np.argmax(marg))
-    return PredictResult(labels=labels, residual=residual, sweeps=sweeps)
+        decoders.append((layout.region_slices[owner], digits, card))
+    capped = (sweeps == max_sweeps) & (residual > residual_tol)
+    results = []
+    for i in range(len(samples)):
+        labels = np.zeros(graph.variable_count, dtype=np.int64)
+        for v, (region_slice, digits, card) in enumerate(decoders):
+            marg = np.bincount(digits, weights=b[i, region_slice], minlength=card)
+            labels[v] = int(np.argmax(marg))
+        results.append(PredictResult(labels, float(residual[i]), int(sweeps[i]), bool(capped[i])))
+    return results

@@ -224,23 +224,15 @@ class GraphLayout:
         cat = lambda xs: np.concatenate(xs) if xs else np.zeros(0, dtype=np.int64)
         self.in_target = cat(in_tgt)
         self.in_source = cat(in_src)
-        # message slots are contiguous in edge order, so the source of an
-        # outgoing subtraction is the slot position itself
+        # message slots are contiguous in edge order, so an outgoing
+        # subtraction reads the message vector itself, slot by slot
         self.out_target = cat(out_tgt)
-        self.out_source = np.arange(self.message_total, dtype=np.int64)
 
     def region_slice(self, r: int) -> slice:
         return self.region_slices[r]
 
     def edge_slice(self, e: int) -> slice:
         return self.edge_slices[e]
-
-    def scatter_messages(self, messages: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Add incoming-child minus outgoing-parent messages onto a table vector."""
-        if self.message_total:
-            np.add.at(out, self.in_target, messages[self.in_source])
-            np.subtract.at(out, self.out_target, messages[self.out_source])
-        return out
 
 
 @dataclass(frozen=True)

@@ -158,6 +158,25 @@ def test_gap_with_fresh_messages_uncertified(tmp_path, capsys):
         assert np.isfinite(value)
 
 
+def test_infer_and_gap_say_when_the_sweep_cap_is_hit(tmp_path, capsys):
+    out = gen(tmp_path, "corpus")
+    weights = tmp_path / "w.bsw"
+    main(["train", "--model", str(out / "train.bsp"), "--max-iters", "3", "--out", str(weights)])
+    capsys.readouterr()
+    infer = ["infer", "--model", str(out / "test.bsp"), "--weights", str(weights)]
+    assert main([*infer, "--max-sweeps", "2", "--out", str(tmp_path / "p.labels")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [l.split()[2] for l in lines if l.startswith("sample=")] == ["sweeps=2"] * 2
+    assert "capped=2 samples=2 max_sweeps=2" in lines
+
+    gap = ["gap", "--model", str(out / "train.bsp"), "--weights", str(weights)]
+    assert main([*gap, "--max-sweeps", "0"]) == 0
+    assert "capped=3 samples=3 max_sweeps=0" in capsys.readouterr().out.splitlines()
+    # samples that converge before the cap print no capped line
+    assert main([*gap, "--residual-tol", "1e-3"]) == 0
+    assert "capped=" not in capsys.readouterr().out
+
+
 def test_train_exit_two_on_iteration_budget(tmp_path, capsys):
     out = gen(tmp_path, "corpus")
     code = main(

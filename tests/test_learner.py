@@ -8,8 +8,10 @@ from blendsp import (
     RegionGraph,
     Sample,
     TrainerConfig,
+    compute_beliefs,
     exact_map,
     inference_sweep,
+    marginal_residual,
     predict,
     primal_objective,
     train,
@@ -196,6 +198,22 @@ def test_train_threads_bitwise_identical():
         weights.append(st.w.copy())
     assert np.array_equal(weights[0], weights[1])
     assert np.array_equal(weights[0], weights[2])
+
+
+def test_stalled_step_recovery_sweeps_reach_residual_tol():
+    ds = make_denoise_dataset(
+        DenoiseSpec(width=3, height=3, num_train=3, num_test=0, flip_prob=0.2, seed=8, tying="full")
+    )
+    # a first trial step this long cannot decrease the primal, and no backtrack is allowed
+    cfg = TrainerConfig(eps=1.0, C=0.5, max_outer_iters=1, eta0=1e6, max_backtracks=0)
+    w0 = np.random.default_rng(8).normal(size=ds.num_features)
+    records = []
+    st = train(ds.graph, ds.train, cfg, ds.num_features, w0, log_fn=records.append)
+    assert st.stalled and records[0].eta == 0.0
+    assert records[0].residual > cfg.residual_tol
+    for sample, state in zip(ds.train, st.states):
+        beliefs = compute_beliefs(ds.graph, sample, state, st.w, 1.0, ones(ds.graph))
+        assert marginal_residual(ds.graph, beliefs) <= cfg.residual_tol
 
 
 def test_train_warm_start_accepted():
