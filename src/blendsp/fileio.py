@@ -91,6 +91,15 @@ def _float(tok: str, no: int, what: str) -> float:
         raise ParseError(no, f"expected real {what}, got {tok!r}") from None
 
 
+def _check_finite(tables: list[tuple[int, str, np.ndarray]]) -> None:
+    """Raise at the first (line, kind, values) table holding nan or inf; one
+    vectorized test over all tables decides whether to look."""
+    if tables and not np.isfinite(np.concatenate([vals for _, _, vals in tables])).all():
+        for no, kind, vals in tables:
+            if not np.isfinite(vals).all():
+                raise ParseError(no, f"{kind} values must be finite")
+
+
 def parse_model(stream) -> ParsedModel:
     """Parse and validate a model file; raises ParseError or ModelError."""
     lines = _lines(stream)
@@ -102,6 +111,7 @@ def parse_model(stream) -> ParsedModel:
     global_feats: list[tuple[int, int, np.ndarray, int]] = []
     counts: dict[int, float] = {}
     sample_rows: list[dict] = []
+    tables: list[tuple[int, str, np.ndarray]] = []
     current_sample: dict | None = None
     section = None
     section_rank = -1
@@ -145,6 +155,7 @@ def parse_model(stream) -> ParsedModel:
             r = _int(toks[1], no, "region id")
             vals = np.array([_float(t, no, "feature value") for t in toks[2:]])
             global_feats.append((k, r, vals, no))
+            tables.append((no, "feature", vals))
             max_feat = max(max_feat, k)
         elif section == "COUNTS":
             if len(toks) != 2:
@@ -153,6 +164,7 @@ def parse_model(stream) -> ParsedModel:
             if r in counts:
                 raise ParseError(no, f"duplicate counting number for region {r}")
             counts[r] = _float(toks[1], no, "counting number")
+            tables.append((no, "counting number", np.array([counts[r]])))
         elif section == "SAMPLES":
             if toks[0] == "SAMPLE":
                 if len(toks) != 2:
@@ -176,6 +188,7 @@ def parse_model(stream) -> ParsedModel:
                 current_sample["loss"][r] = np.array(
                     [_float(t, no, "loss value") for t in toks[2:]]
                 )
+                tables.append((no, "loss", current_sample["loss"][r]))
             elif toks[0] == "FEAT":
                 if len(toks) < 4:
                     raise ParseError(no, "feat line needs: FEAT feature region values...")
@@ -183,6 +196,7 @@ def parse_model(stream) -> ParsedModel:
                 r = _int(toks[2], no, "region id")
                 vals = np.array([_float(t, no, "feature value") for t in toks[3:]])
                 current_sample["feat"].append((k, r, vals, no))
+                tables.append((no, "feature", vals))
                 max_feat = max(max_feat, k)
             elif toks[0] == "TRUTH":
                 if current_sample["truth"] is not None:
@@ -194,6 +208,7 @@ def parse_model(stream) -> ParsedModel:
             else:
                 raise ParseError(no, f"unknown sample line {toks[0]!r}")
 
+    _check_finite(tables)
     n_regions = len(region_rows)
     if n_regions == 0:
         raise ParseError(lines[-1][0], "model has no regions")

@@ -169,7 +169,6 @@ class GraphLayout:
     """
 
     def __init__(self, graph: RegionGraph):
-        self.graph = graph
         sizes = graph.label_counts()
         self.sizes = sizes
         self.offsets = np.concatenate(([0], np.cumsum(sizes)))
@@ -227,6 +226,13 @@ class GraphLayout:
         # message slots are contiguous in edge order, so an outgoing
         # subtraction reads the message vector itself, slot by slot
         self.out_target = cat(out_tgt)
+        # bincount bins of theta_hat's weights: every table slot once, then
+        # the incoming and the outgoing messages, in the order they are summed
+        self.hat_bins = np.concatenate(
+            (np.arange(self.total, dtype=np.int64), self.in_target, self.out_target)
+        )
+        # the level schedule of the last sweep order used (inference.sweep_plan)
+        self.plan_cache = None
 
     def region_slice(self, r: int) -> slice:
         return self.region_slices[r]
@@ -303,6 +309,18 @@ class Sample:
                     raise ModelError(
                         f"sample {sample_id}: feature table ({k}, {r}) has wrong size"
                     )
+        tables = list(self.loss.values())
+        tables += [t for fk in self.features.values() for t in fk.values()]
+        if tables and not np.isfinite(np.concatenate(tables)).all():
+            for r, t in self.loss.items():
+                if not np.isfinite(t).all():
+                    raise ModelError(f"sample {sample_id}: loss table for region {r} is not finite")
+            for r, fk in self.features.items():
+                for k, t in fk.items():
+                    if not np.isfinite(t).all():
+                        raise ModelError(
+                            f"sample {sample_id}: feature table ({k}, {r}) is not finite"
+                        )
         self._compiled = None
 
     @property
@@ -468,14 +486,6 @@ def validate_model(
                 report.errors.append(
                     f"sample {sample.id}: loss of the true label must be zero (region {r})"
                 )
-        emp = sample.empirical_features()
-        recomputed = np.zeros_like(emp)
-        for r, fk in sample.features.items():
-            y = int(sample.true_labels[r])
-            for k, t in fk.items():
-                recomputed[k] += t[y]
-        if not np.allclose(emp, recomputed, rtol=0, atol=1e-12):
-            report.errors.append(f"sample {sample.id}: empirical feature sums inconsistent")
     if counting is not None:
         if len(counting.values) != graph.region_count:
             report.errors.append("counting numbers length mismatch")

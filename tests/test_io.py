@@ -85,6 +85,22 @@ def test_semantic_error_delegated_to_validation():
         parse_model(text)
 
 
+@pytest.mark.parametrize(
+    "old, new, line",
+    [
+        ("0 0 0.5 -0.5", "0 0 0.5 nan", 6),  # FEATURES
+        ("COUNTS\n0 1.0", "COUNTS\n0 inf", 8),
+        ("LOSS 0 0 1", "LOSS 0 0 inf", 11),
+        ("LOSS 0 0 1", "LOSS 0 0 1\nFEAT 1 0 -inf 2", 12),
+        ("LOSS 0 0 1", "LOSS 0 nan 1", 11),  # nan at the true label
+    ],
+)
+def test_non_finite_table_names_its_line(old, new, line):
+    text = MINIMAL.replace(old, new)
+    with pytest.raises(ParseError, match=f"line {line}: .* must be finite"):
+        parse_model(text)
+
+
 def test_model_roundtrip_structural_equality():
     parsed = parse_model(MINIMAL)
     text = write_to_text(parsed)

@@ -83,6 +83,14 @@ def test_nonzero_loss_at_true_label_rejected():
     assert any("true label" in e for e in report.errors)
 
 
+def test_non_finite_tables_rejected():
+    graph = RegionGraph([Region(0, (0,), (2,))], [], 1)
+    with pytest.raises(ModelError, match="loss table for region 0 is not finite"):
+        Sample(graph, 0, loss={0: np.array([0.0, np.inf])}, true_labels={0: 0})
+    with pytest.raises(ModelError, match=r"feature table \(3, 0\) is not finite"):
+        Sample(graph, 0, features={0: {3: np.array([np.nan, 1.0])}}, true_labels={0: 0})
+
+
 def test_overlapping_true_labels_must_agree():
     graph = chain_graph(2)
     # singleton truths say (0, 0) but the pairwise truth says (1, 1)

@@ -1,0 +1,178 @@
+"""The level-scheduled sweep against the per-region sequential sweep.
+
+A level updates regions whose block updates neither read nor write each
+other's message slots, so a level-by-level sweep must equal, bit for bit, a
+loop of ``lambda_update_vec`` over the same order.  The bincount scatters are
+checked here against the ``np.add.at`` forms they replaced.
+"""
+
+import logging
+
+import numpy as np
+
+from blendsp import CountingNumbers
+from blendsp.datagen import build_grid_graph
+from blendsp.inference import (
+    belief_vec,
+    conflict_levels,
+    lambda_update_vec,
+    residual_rows,
+    sweep_plan,
+    sweep_vec,
+    theta_hat_vec,
+)
+
+from test_deep_graphs import three_level_model
+from util import chain_graph, loopy_graph, tree_graph
+
+
+def sequential_sweep(layout, lam, theta, eps, cvals, order=None):
+    """The reference: one region update at a time, in order."""
+    for r in layout.regions_with_parents if order is None else order:
+        lambda_update_vec(layout, lam, theta, r, eps, cvals)
+
+
+def graphs(rng):
+    out = []
+    for _ in range(4):
+        out.append(tree_graph(rng, int(rng.integers(2, 9))))
+        n = int(rng.integers(3, 7))
+        out.append(loopy_graph(rng, n, int(rng.integers(1, n * (n - 1) // 2 + 1))))
+        cards = [int(c) for c in rng.integers(2, 5, 3)]
+        out.append(three_level_model(rng, cards)[0])
+    return out
+
+
+def counting_sets(rng, graph):
+    n = graph.region_count
+    partly_zero = np.where(rng.random(n) < 0.4, 0.0, rng.uniform(0.1, 2.0, n))
+    return {
+        "ones": np.ones(n),
+        "bethe": CountingNumbers.bethe(graph).values,
+        "positive": rng.uniform(0.1, 2.0, n),
+        "partly_zero": partly_zero,
+    }
+
+
+def test_level_sweep_matches_sequential_sweep_bitwise():
+    rng = np.random.default_rng(5)
+    checked = 0
+    for graph in graphs(rng):
+        layout = graph.layout()
+        for name, cvals in counting_sets(rng, graph).items():
+            for eps in (0.0, 1.0):
+                for batch in (0, 1, 4):
+                    theta = 3.0 * rng.normal(size=(batch, layout.total))
+                    start = rng.normal(size=(batch, layout.message_total))
+                    for order in (None, rng.permutation(graph.region_count).tolist()):
+                        got, want = start.copy(), start.copy()
+                        for _ in range(3):
+                            sweep_vec(layout, got, theta, eps, cvals, order)
+                            sequential_sweep(layout, want, theta, eps, cvals, order)
+                        assert np.array_equal(got, want), (name, eps, batch, order)
+                        checked += 1
+    assert checked == 12 * 4 * 2 * 3 * 2
+
+
+def test_levels_hold_no_conflicting_regions_and_keep_their_order():
+    rng = np.random.default_rng(6)
+    for graph in graphs(rng):
+        layout = graph.layout()
+        order = rng.permutation(graph.region_count).tolist()
+        levels = conflict_levels(layout, order)
+        placed = [r for level in levels for r in level]
+        assert sorted(placed) == sorted(r for r in order if graph.parents[r])
+        level_of = {r: i for i, level in enumerate(levels) for r in level}
+        for i, a in enumerate(order):
+            for b in order[i + 1:]:
+                if a not in level_of or b not in level_of:
+                    continue
+                near = (
+                    a in graph.parents[b]
+                    or b in graph.parents[a]
+                    or set(graph.parents[a]) & set(graph.parents[b])
+                )
+                if near:
+                    assert level_of[a] < level_of[b]
+
+
+def test_repeated_regions_in_an_order_run_sequentially():
+    rng = np.random.default_rng(7)
+    graph = three_level_model(rng, [2, 3, 2])[0]
+    layout = graph.layout()
+    order = [1, 0, 1, 3, 1, 4, 3]
+    theta = rng.normal(size=(2, layout.total))
+    got = rng.normal(size=(2, layout.message_total))
+    want = got.copy()
+    sweep_vec(layout, got, theta, 1.0, np.ones(graph.region_count), order)
+    sequential_sweep(layout, want, theta, 1.0, np.ones(graph.region_count), order)
+    assert np.array_equal(got, want)
+
+
+def test_zero_denominator_warns_and_leaves_its_messages(caplog):
+    graph = chain_graph(3)  # singletons 0..2, pairs 3=(0,1) and 4=(1,2)
+    layout = graph.layout()
+    cvals = np.array([-1.0, 1.0, 1.0, 1.0, 1.0])  # c_0 + c_3 = 0
+    rng = np.random.default_rng(8)
+    theta = rng.normal(size=(2, layout.total))
+    start = rng.normal(size=(2, layout.message_total))
+    got, want = start.copy(), start.copy()
+    with caplog.at_level(logging.WARNING, logger="blendsp.inference"):
+        sweep_vec(layout, got, theta, 1.0, cvals)
+    warned = [rec.getMessage() for rec in caplog.records]
+    assert warned == [
+        "region 0: c_r + sum of parent counting numbers is zero; update skipped"
+    ]
+    sequential_sweep(layout, want, theta, 1.0, cvals)
+    assert np.array_equal(got, want)
+    skipped = layout.edge_slice(graph.edges.index((3, 0)))
+    assert np.array_equal(got[:, skipped], start[:, skipped])
+    assert not np.array_equal(got, start)
+
+
+def test_graph_without_edges_sweeps_to_a_no_op():
+    graph = tree_graph(np.random.default_rng(9), 1)
+    layout = graph.layout()
+    lam = np.zeros((3, 0))
+    sweep_vec(layout, lam, np.ones((3, layout.total)), 1.0, np.ones(1))
+    assert conflict_levels(layout, layout.regions_with_parents) == []
+
+
+def test_denoise_grid_plans_width_plus_height_minus_one_levels():
+    layout = build_grid_graph(10, 10).layout()
+    assert layout.plan_cache is None  # built on the first sweep, not with the layout
+    plan = sweep_plan(layout)
+    assert len(plan.levels) == 19
+    assert sweep_plan(layout) is plan
+
+
+def add_at_theta_hat(layout, theta, lam):
+    out = theta.copy()
+    rows = np.arange(out.shape[0])[:, None]
+    np.add.at(out, (rows, layout.in_target[None, :]), lam[:, layout.in_source])
+    np.subtract.at(out, (rows, layout.out_target[None, :]), lam)
+    return out
+
+
+def add_at_residual(layout, bvec):
+    agg = np.zeros((bvec.shape[0], layout.message_total))
+    rows = np.arange(bvec.shape[0])[:, None]
+    np.add.at(agg, (rows, layout.in_source[None, :]), bvec[:, layout.in_target])
+    return np.abs(agg - bvec[:, layout.out_target]).max(axis=1)
+
+
+def test_bincount_scatters_match_add_at_references():
+    rng = np.random.default_rng(10)
+    for graph in graphs(rng):
+        layout = graph.layout()
+        cvals = np.ones(graph.region_count)
+        for batch in (1, 3):
+            theta = rng.normal(size=(batch, layout.total))
+            lam = rng.normal(size=(batch, layout.message_total))
+            hat = theta_hat_vec(layout, theta, lam)
+            assert np.array_equal(hat, add_at_theta_hat(layout, theta, lam))
+            assert np.array_equal(
+                theta_hat_vec(layout, theta[0], lam[0]), add_at_theta_hat(layout, theta, lam)[0]
+            )
+            b = belief_vec(layout, lam, theta, 1.0, cvals)
+            assert np.array_equal(residual_rows(layout, b), add_at_residual(layout, b))
