@@ -73,12 +73,23 @@ def _build_parser() -> _Parser:
     t.add_argument("--C", type=float, default=1.0)
     t.add_argument("--c-scheme", choices=("ones", "bethe", "file"), default="ones")
     t.add_argument("--c-file", type=Path, default=None)
-    t.add_argument("--sweeps-per-step", type=int, default=1)
+    t.add_argument(
+        "--sweeps-per-step",
+        type=int,
+        default=None,
+        help="fixed sweeps per weight step; default: sweep each sample until its "
+        "residual <= 0.1*||g||, at most 10",
+    )
     t.add_argument("--max-iters", type=int, default=1000)
     t.add_argument("--tol", type=float, default=1e-8, help="relative primal decrease")
     t.add_argument("--residual-tol", type=float, default=1e-6)
     t.add_argument("--grad-tol", type=float, default=1e-6)
-    t.add_argument("--threads", type=int, default=1)
+    t.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="deprecated and ignored: output is identical for every value",
+    )
     t.add_argument("--seed", type=int, default=0)
     t.add_argument("--out", type=Path, required=True, help="weights file")
     t.add_argument("--log", type=Path, default=None, help="per-iteration progress log")

@@ -105,13 +105,16 @@ def segmented_lse(layout: GraphLayout, vec: np.ndarray, t_regions: np.ndarray) -
     """
     starts = layout.starts
     seg = layout.segment
-    mx = np.maximum.reduceat(vec, starts, axis=-1)
-    mn = np.minimum.reduceat(vec, starts, axis=-1)
-    m = np.where(t_regions >= 0, mx, mn)
+    m = np.maximum.reduceat(vec, starts, axis=-1)
+    use_min = t_regions < 0
+    if use_min.any():
+        m = np.where(use_min, np.minimum.reduceat(vec, starts, axis=-1), m)
     t_slot = t_regions[seg]
     safe_t = np.where(t_slot != 0, t_slot, 1.0)
-    x = (vec - m[..., seg]) / safe_t
-    e = np.exp(x)
+    e = m.take(seg, axis=-1)
+    np.subtract(vec, e, out=e)
+    e /= safe_t
+    np.exp(e, out=e)
     if (t_slot == 0).any():
         e = np.where(t_slot == 0, 0.0, e)
     z = np.add.reduceat(e, starts, axis=-1)
@@ -132,10 +135,10 @@ def segmented_gibbs(
     """
     starts = layout.starts
     seg = layout.segment
-    mx = np.maximum.reduceat(vec, starts, axis=-1)
-    mn = np.minimum.reduceat(vec, starts, axis=-1)
+    m = np.maximum.reduceat(vec, starts, axis=-1)
     use_min = np.where(t_regions == 0, coeff < 0, t_regions < 0)
-    m = np.where(use_min, mn, mx)
+    if use_min.any():
+        m = np.where(use_min, np.minimum.reduceat(vec, starts, axis=-1), m)
     t_slot = t_regions[seg]
     zero_slot = t_slot == 0
     safe_t = np.where(zero_slot, 1.0, t_slot)

@@ -1,20 +1,26 @@
 """Blended learning and inference: message sweeps interleaved with weight steps.
 
-One outer iteration runs a configurable number of per-sample inference sweeps
-followed by a single gradient step on the weights with Armijo backtracking on
-the primal (messages frozen).  The weights may move while beliefs are still
-marginally inconsistent; convexity guarantees the blend converges for eps >= 0
-and nonnegative counting numbers, with every step monotonically decreasing
-the primal.
+One outer iteration runs an inference block on every sample followed by a
+single gradient step on the weights with Armijo backtracking on the primal
+(messages frozen).  By default the inference block is one sweep, then more
+sweeps on each sample until its marginal residual is at most KAPPA times the
+previous step's gradient norm (and at least ``residual_tol``), up to
+KAPPA_CAP sweeps: a weight step is worth little while the beliefs it rests on
+are far from consistent, and sweeps are wasted once they are more consistent
+than the weights are optimal.  ``sweeps_per_step = N`` runs exactly N sweeps
+instead.  The weights may move while beliefs are still marginally
+inconsistent; both blocks are exact block descents, so convexity guarantees
+the blend converges for eps >= 0 and nonnegative counting numbers, with every
+step monotonically decreasing the primal.
 
 Samples are independent: the trainer stores all message vectors as rows of
 one matrix and sweeps them together in one set of numpy calls, and
 prediction runs every sample through the same batched engine.  Per-row
 arithmetic is identical no matter how rows are grouped, and gradient
 contributions are reduced in sample-id order, so results are bitwise
-independent of the batch.  ``worker_count`` is accepted for compatibility and
-does not change the result: a thread pool over row blocks was measured no
-faster, because a sweep costs nearly the same at any batch size.
+independent of the batch.  ``worker_count`` is deprecated and ignored: a
+thread pool over row blocks was measured no faster, because a sweep costs
+nearly the same at any batch size.
 """
 
 from __future__ import annotations
@@ -58,6 +64,11 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
+# The default inference block sweeps each sample until its residual is at
+# most KAPPA times the previous step's gradient norm, KAPPA_CAP sweeps at most.
+KAPPA = 0.1
+KAPPA_CAP = 10
+
 
 @dataclass
 class TrainerConfig:
@@ -65,7 +76,7 @@ class TrainerConfig:
     C: float = 1.0
     c_scheme: str = "ones"  # ones | bethe | file
     c_values: np.ndarray | None = None
-    sweeps_per_step: int = 1
+    sweeps_per_step: int | None = None  # None: sweep until consistent (KAPPA)
     max_outer_iters: int = 1000
     primal_rel_tol: float = 1e-8
     residual_tol: float = 1e-6
@@ -74,7 +85,7 @@ class TrainerConfig:
     backtrack: float = 0.5
     sufficient_decrease: float = 1e-4
     max_backtracks: int = 50
-    worker_count: int = 1  # accepted; results and run time do not depend on it
+    worker_count: int = 1  # deprecated and ignored; results do not depend on it
     seed: int = 0
 
     def counting(self, graph: RegionGraph) -> CountingNumbers:
@@ -103,6 +114,7 @@ class IterationRecord:
     residual: float
     grad_norm: float
     eta: float
+    sweeps: int  # the most sweeps any sample had before the step; not logged
 
     def format_line(self) -> str:
         return (
@@ -168,32 +180,69 @@ def w_gradient(
     return g + C * w
 
 
-def _frozen_objective(layout, compiled, lam_part, t_regions, w, C):
-    """Primal at frozen messages; lam_part is the scattered message matrix."""
-    total = 0.5 * C * float(w @ w)
-    if not compiled:
-        return total
-    th = np.stack([cs.theta_vec(w, include_loss=True) for cs in compiled]) + lam_part
-    lse = segmented_lse(layout, th, t_regions)
-    total += float(lse.sum())
-    total -= float(sum(th[i, cs.true_slots].sum() for i, cs in enumerate(compiled)))
-    return total
+class _ThetaStack:
+    """The theta rows (loss included) of a list of samples as one affine map
+    of the weights: every row is built by one bincount over stacked (sample,
+    slot) bins, each bin summed in ``CompiledSample.theta_vec``'s order."""
+
+    def __init__(self, compiled, total: int):
+        self.shape = (len(compiled), total)
+        cat = lambda xs, d: np.concatenate(xs) if xs else np.zeros(0, dtype=d)
+        self.bins = cat([i * total + cs.feat_rows for i, cs in enumerate(compiled)], np.int64)
+        self.cols = cat([cs.feat_cols for cs in compiled], np.int64)
+        self.vals = cat([cs.feat_vals for cs in compiled], float)
+        self.loss = (
+            np.stack([cs.loss_vec for cs in compiled]) if compiled else np.zeros(self.shape)
+        )
+        self.true_slots = (
+            np.stack([cs.true_slots for cs in compiled])
+            if compiled
+            else np.zeros((0, 0), dtype=np.int64)
+        )
+
+    def rows(self, w: np.ndarray) -> np.ndarray:
+        n, total = self.shape
+        weights = w.take(self.cols)
+        weights *= self.vals
+        # bincount without entries returns integers; the loss is added in place
+        # to save one (samples, slots) temporary per line-search trial
+        out = np.bincount(self.bins, weights, n * total).astype(float, copy=False)
+        out = out.reshape(n, total)
+        out += self.loss
+        return out
+
+    def true_sums(self, th: np.ndarray) -> np.ndarray:
+        """Per row, the sum of ``th`` at the sample's true labels."""
+        return np.take_along_axis(th, self.true_slots, axis=1).sum(axis=1)
 
 
-def _line_search(layout, compiled, lam_part, t_regions, w, gradient, C, cfg):
+def _line_search(layout, stack, lam_part, t_regions, w, thetas, gradient, C, cfg):
+    """Backtracking search at frozen messages from ``w``, whose theta rows
+    are ``thetas``.  Returns the step and the theta rows, message-
+    parameterized potentials and region log-partitions at the step's w."""
     g = np.asarray(gradient, dtype=float)
     if not np.isfinite(g).all():
         raise ValueError("gradient must be finite")
-    f0 = _frozen_objective(layout, compiled, lam_part, t_regions, w, C)
+
+    def objective(w_at, thetas_at):
+        th = thetas_at + lam_part
+        lse = segmented_lse(layout, th, t_regions)
+        total = 0.5 * C * float(w_at @ w_at)
+        total += float(lse.sum())
+        total -= sum(stack.true_sums(th).tolist())
+        return total, (thetas_at, th, lse)
+
+    f0, at_w = objective(w, thetas)
     gg = float(g @ g)
     eta = cfg.eta0
     for _ in range(cfg.max_backtracks + 1):
         w_try = w - eta * g
-        f_try = _frozen_objective(layout, compiled, lam_part, t_regions, w_try, C)
+        f_try, at_try = objective(w_try, stack.rows(w_try))
         if np.isfinite(f_try) and f_try <= f0 - cfg.sufficient_decrease * eta * gg:
-            return StepResult(w=w_try, eta=eta, stalled=False, objective=f_try)
+            return StepResult(w=w_try, eta=eta, stalled=False, objective=f_try), at_try
+        del at_try  # free the rejected trial's rows before the next trial
         eta *= cfg.backtrack
-    return StepResult(w=w.copy(), eta=0.0, stalled=True, objective=f0)
+    return StepResult(w=w.copy(), eta=0.0, stalled=True, objective=f0), at_w
 
 
 def w_step(
@@ -217,16 +266,18 @@ def w_step(
     cfg = config or TrainerConfig(eps=eps, C=C)
     layout = graph.layout()
     cvals = counting_values(counting, graph)
-    compiled = [s.compiled() for s in samples]
+    stack = _ThetaStack([s.compiled() for s in samples], layout.total)
     lam = (
         np.stack([st.vec for st in states])
         if states
         else np.zeros((0, layout.message_total))
     )
     lam_part = theta_hat_vec(layout, np.zeros((len(samples), layout.total)), lam)
-    return _line_search(
-        layout, compiled, lam_part, eps * cvals, np.asarray(w, dtype=float), gradient, C, cfg
+    w = np.asarray(w, dtype=float)
+    step, _ = _line_search(
+        layout, stack, lam_part, eps * cvals, w, stack.rows(w), gradient, C, cfg
     )
+    return step
 
 
 def train(
@@ -239,6 +290,8 @@ def train(
 ) -> TrainState:
     """Run the blended loop until the primal, residual and gradient criteria
     are all met, or the iteration budget runs out."""
+    if config.sweeps_per_step is not None and config.sweeps_per_step < 0:
+        raise ValueError("sweeps per step must be at least 0")
     if num_features is None:
         num_features = feature_count(samples)
     samples = sorted(samples, key=lambda s: s.id)
@@ -258,16 +311,12 @@ def train(
     empirical = np.zeros(num_features)
     for s in samples:
         empirical += s.empirical_features(num_features)
-    loss_mat = (
-        np.stack([cs.loss_vec for cs in compiled])
-        if n
-        else np.zeros((0, layout.total))
-    )
     t_slot = t_regions[layout.segment]
+    stack = _ThetaStack(compiled, layout.total)
+    thetas = stack.rows(w)
 
     lam = np.zeros((n, layout.message_total))
     state = TrainState(w=w, states=[MessageState.from_view(graph, row) for row in lam])
-    thetas = theta_rows(layout, samples, state.w, include_loss=True)
 
     def expectations(bmat):
         expect = np.zeros(num_features)
@@ -276,37 +325,40 @@ def train(
         return expect
 
     prev_primal = None
+    grad_norm = np.inf
     for it in range(1, config.max_outer_iters + 1):
         state.iteration = it
-        for _ in range(config.sweeps_per_step):
+        if config.sweeps_per_step is None:
             sweep_vec(layout, lam, thetas, eps, cvals)
+            tol = max(config.residual_tol, KAPPA * grad_norm)
+            bmat, _, extra = sweep_until_consistent(
+                layout, lam, thetas, eps, cvals, KAPPA_CAP - 1, tol
+            )
+            sweeps = 1 + int(extra.max(initial=0))
+        else:
+            for _ in range(config.sweeps_per_step):
+                sweep_vec(layout, lam, thetas, eps, cvals)
+            bmat = belief_vec(layout, lam, thetas, eps, cvals)
+            sweeps = config.sweeps_per_step
         lam_part = theta_hat_vec(layout, np.zeros((n, layout.total)), lam)
-
-        bmat = belief_vec(layout, lam, thetas, eps, cvals)
         g_pre = expectations(bmat) - empirical + C * state.w
 
-        step = _line_search(
-            layout, compiled, lam_part, t_regions, state.w, g_pre, C, config
+        step, (thetas, th, lse) = _line_search(
+            layout, stack, lam_part, t_regions, state.w, thetas, g_pre, C, config
         )
         state.stalled = step.stalled
         eta = step.eta
-        if not step.stalled:
-            state.w = step.w
-            thetas = theta_rows(layout, samples, state.w, include_loss=True)
+        state.w = step.w
 
         # post-step diagnostics; the moment mismatch doubles as the gradient
+        per_sample = (lse.sum(axis=1) - stack.true_sums(th)).tolist()
+        del th, lse  # large; freed before the belief pass allocates its own
         bmat = belief_vec(layout, lam, thetas, eps, cvals)
         residual = float(residual_rows(layout, bmat).max()) if n else 0.0
-        th = thetas + lam_part
-        lse = segmented_lse(layout, th, t_regions)
-        per_sample = [
-            float(lse[i].sum() - th[i, cs.true_slots].sum())
-            for i, cs in enumerate(compiled)
-        ]
         reg = 0.5 * C * float(state.w @ state.w)
         primal = sum(per_sample) + reg
         z = expectations(bmat) - empirical
-        dual = entropy_loss_value(bmat, loss_mat, t_slot) - moment_penalty(z, C)
+        dual = entropy_loss_value(bmat, stack.loss, t_slot) - moment_penalty(z, C)
         g_post = z + C * state.w
         grad_norm = float(np.linalg.norm(g_post))
         certified = (
@@ -332,6 +384,7 @@ def train(
                     residual=residual,
                     grad_norm=grad_norm,
                     eta=eta,
+                    sweeps=sweeps,
                 )
             )
 

@@ -191,6 +191,14 @@ def test_train_exit_two_on_iteration_budget(tmp_path, capsys):
     assert "converged=no" in capsys.readouterr().out
 
 
+def test_train_negative_sweeps_per_step_is_usage_error(tmp_path, capsys):
+    out = gen(tmp_path, "corpus")
+    argv = ["train", "--model", str(out / "train.bsp"), "--out", str(tmp_path / "w.bsw")]
+    assert main([*argv, "--sweeps-per-step", "-1"]) == 1
+    assert "sweeps per step must be at least 0" in capsys.readouterr().err
+    assert not (tmp_path / "w.bsw").exists()
+
+
 def test_train_eps_zero_notes_uncertified(tmp_path, capsys):
     out = gen(tmp_path, "corpus")
     code = main(

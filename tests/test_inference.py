@@ -17,6 +17,8 @@ from blendsp import (
     mu_message,
     primal_objective,
 )
+from blendsp.inference import segmented_gibbs, segmented_lse
+from blendsp.numerics import ARGMAX_TOL
 
 from util import (
     brute_force_lse,
@@ -278,3 +280,40 @@ def test_message_tables_shape_and_canonicalization():
         table = state.table(r, p)
         assert table.shape == (graph.regions[r].label_count,)
         assert abs(table.mean()) <= 1e-12  # mean-centered after updates
+
+
+def reference_segmented(layout, vec, t_regions, coeff):
+    """segmented_lse and segmented_gibbs centring every region on both its
+    max and its min, then picking one."""
+    starts, seg = layout.starts, layout.segment
+    mx = np.maximum.reduceat(vec, starts, axis=-1)
+    mn = np.minimum.reduceat(vec, starts, axis=-1)
+    t_slot = t_regions[seg]
+    safe_t = np.where(t_slot != 0, t_slot, 1.0)
+    m = np.where(t_regions >= 0, mx, mn)
+    e = np.where(t_slot == 0, 0.0, np.exp((vec - m[..., seg]) / safe_t))
+    z = np.add.reduceat(e, starts, axis=-1)
+    lse = m.copy()
+    nz = t_regions != 0
+    lse[..., nz] += t_regions[nz] * np.log(z[..., nz])
+    use_min = np.where(t_regions == 0, coeff < 0, t_regions < 0)
+    m = np.where(use_min, mn, mx)
+    m_slot = m[..., seg]
+    e = np.exp(np.where(t_slot == 0, 0.0, (vec - m_slot) / safe_t))
+    tie = np.where(use_min[seg], vec <= m_slot + ARGMAX_TOL, vec >= m_slot - ARGMAX_TOL)
+    e = np.where(t_slot == 0, tie.astype(float), e)
+    return lse, e / np.add.reduceat(e, starts, axis=-1)[..., seg]
+
+
+def test_segmented_lse_and_gibbs_match_reference_bitwise():
+    rng = np.random.default_rng(40)
+    graph = loopy_graph(rng, 6, 9)
+    layout = graph.layout()
+    vec = rng.normal(size=(3, layout.total)) * 4.0
+    r = graph.region_count
+    for coeff in (np.ones(r), np.zeros(r), rng.uniform(0.1, 2.0, r), rng.normal(size=r)):
+        for eps in (0.0, 0.5, 1.0):
+            t = eps * coeff
+            lse, gibbs = reference_segmented(layout, vec, t, coeff)
+            assert np.array_equal(segmented_lse(layout, vec, t), lse)
+            assert np.array_equal(segmented_gibbs(layout, vec, t, coeff), gibbs)

@@ -18,10 +18,13 @@ from blendsp import (
     w_gradient,
     w_step,
 )
+from blendsp import learner
 from blendsp.datagen import DenoiseSpec, make_denoise_dataset
+from blendsp.inference import segmented_lse, theta_hat_vec, theta_rows
 from blendsp.numerics import gibbs_normalize
 
-from util import chain_graph, ones, random_model, random_sample, tree_graph
+from test_deep_graphs import three_level_model
+from util import chain_graph, loopy_graph, ones, random_model, random_sample, tree_graph
 
 
 def test_gradient_zero_when_moments_always_match():
@@ -300,3 +303,136 @@ def test_noiseless_corpus_trains_to_zero_test_error():
     ]
     wrong, _ = pixel_error(preds, [ds.base_image.ravel()] * 3)
     assert wrong == 0
+
+
+def small_corpora(rng):
+    """(graph, samples) pairs: a random tree, a loopy graph and a 3-level graph."""
+    graph = tree_graph(rng, int(rng.integers(3, 7)))
+    out = [(graph, [random_sample(rng, graph, 3, i) for i in range(3)])]
+    n = int(rng.integers(4, 6))
+    graph = loopy_graph(rng, n, int(rng.integers(n, n * (n - 1) // 2 + 1)))
+    out.append((graph, [random_sample(rng, graph, 3, i) for i in range(3)]))
+    cards = [int(c) for c in rng.integers(2, 4, 3)]
+    models = [three_level_model(np.random.default_rng(seed), cards) for seed in range(3)]
+    graph = models[0][0]
+    samples = [Sample(graph, i, s.loss, s.features, s.true_labels) for i, (_, s) in enumerate(models)]
+    out.append((graph, samples))
+    return out
+
+
+def test_adaptive_default_descends_to_the_fixed_sweep_optimum():
+    rng = np.random.default_rng(30)
+    for graph, samples in small_corpora(rng) + small_corpora(rng):
+        finals = []
+        for sps in (None, 1):
+            cfg = TrainerConfig(
+                eps=1.0, C=0.5, sweeps_per_step=sps, max_outer_iters=3000,
+                residual_tol=1e-9, grad_norm_tol=1e-7,
+            )
+            records = []
+            st = train(graph, samples, cfg, log_fn=records.append)
+            assert st.converged
+            hist = np.array(st.history)
+            assert ((hist[1:] - hist[:-1]) <= 1e-10).all()
+            if sps is None:
+                assert all(1 <= r.sweeps <= learner.KAPPA_CAP for r in records)
+            finals.append(st.report.primal)
+        assert finals[0] == pytest.approx(finals[1], rel=1e-9)
+
+
+def test_adaptive_first_step_equals_one_sweep_bitwise():
+    # no gradient norm is known before the first step, so no extra sweep runs
+    rng = np.random.default_rng(31)
+    for graph, samples in small_corpora(rng):
+        weights = []
+        for sps in (None, 1):
+            records = []
+            cfg = TrainerConfig(eps=1.0, C=0.5, sweeps_per_step=sps, max_outer_iters=1)
+            st = train(graph, samples, cfg, log_fn=records.append)
+            assert records[0].sweeps == 1
+            weights.append(st.w)
+        assert np.array_equal(weights[0], weights[1])
+
+
+def test_fixed_sweeps_per_step_ignores_the_rule(monkeypatch):
+    ds = make_denoise_dataset(
+        DenoiseSpec(width=4, height=4, num_train=3, num_test=0, flip_prob=0.2, seed=16, tying="full")
+    )
+    cfg = TrainerConfig(eps=1.0, C=0.3, sweeps_per_step=2, max_outer_iters=40)
+    runs = []
+    for kappa in (learner.KAPPA, 0.0):
+        monkeypatch.setattr(learner, "KAPPA", kappa)
+        records = []
+        st = train(ds.graph, ds.train, cfg, num_features=ds.num_features, log_fn=records.append)
+        assert all(r.sweeps == 2 for r in records)
+        runs.append((st.w, [r.format_line() for r in records]))
+    assert np.array_equal(runs[0][0], runs[1][0])
+    assert runs[0][1] == runs[1][1]
+
+
+def test_adaptive_default_takes_fewer_weight_steps_on_denoising():
+    ds = make_denoise_dataset(
+        DenoiseSpec(width=6, height=6, num_train=4, num_test=0, flip_prob=0.2, seed=17, tying="full")
+    )
+    states, records = [], []
+    for sps in (None, 1):
+        cfg = TrainerConfig(eps=1.0, C=0.3, sweeps_per_step=sps, residual_tol=1e-8)
+        recs = []
+        states.append(train(ds.graph, ds.train, cfg, num_features=ds.num_features, log_fn=recs.append))
+        records.append(recs)
+    adaptive, fixed = states
+    assert adaptive.converged and fixed.converged
+    assert adaptive.iteration < fixed.iteration
+    assert max(r.sweeps for r in records[0]) > 1
+    assert adaptive.report.primal == pytest.approx(fixed.report.primal, rel=1e-9)
+
+
+def reference_line_search(graph, samples, states, w, g, eps, C, cfg):
+    """The line search rebuilding every theta per sample on each trial."""
+    layout = graph.layout()
+    compiled = [s.compiled() for s in samples]
+    lam = np.stack([st.vec for st in states])
+    lam_part = theta_hat_vec(layout, np.zeros((len(samples), layout.total)), lam)
+    t_regions = eps * np.ones(graph.region_count)
+
+    def f(w):
+        total = 0.5 * C * float(w @ w)
+        th = np.stack([cs.theta_vec(w, include_loss=True) for cs in compiled]) + lam_part
+        total += float(segmented_lse(layout, th, t_regions).sum())
+        total -= float(sum(th[i, cs.true_slots].sum() for i, cs in enumerate(compiled)))
+        return total
+
+    f0, gg, eta = f(w), float(g @ g), cfg.eta0
+    for _ in range(cfg.max_backtracks + 1):
+        f_try = f(w - eta * g)
+        if np.isfinite(f_try) and f_try <= f0 - cfg.sufficient_decrease * eta * gg:
+            return w - eta * g, eta, f_try
+        eta *= cfg.backtrack
+    return w, 0.0, f0
+
+
+def test_stacked_theta_and_line_search_match_per_sample_reference():
+    rng = np.random.default_rng(32)
+    for graph, samples in small_corpora(rng) + small_corpora(rng):
+        samples[0].features.clear()  # a sample with no feature tables
+        samples[0]._compiled = None
+        layout = graph.layout()
+        k = 4
+        w = rng.normal(size=k)
+        stack = learner._ThetaStack([s.compiled() for s in samples], layout.total)
+        th = stack.rows(w)
+        assert np.array_equal(th, theta_rows(layout, samples, w, include_loss=True))
+        sums = [th[i, s.compiled().true_slots].sum() for i, s in enumerate(samples)]
+        assert np.array_equal(stack.true_sums(th), sums)
+
+        states = [MessageState(graph) for _ in samples]
+        for sample, state in zip(samples, states):
+            for _ in range(int(rng.integers(0, 3))):
+                inference_sweep(graph, sample, state, w, 1.0, ones(graph))
+        g = w_gradient(graph, samples, states, w, 1.0, ones(graph), 0.5, k)
+        for eta0 in (1.0, 1e6):
+            cfg = TrainerConfig(eps=1.0, C=0.5, eta0=eta0, max_backtracks=5)
+            step = w_step(graph, samples, states, w, g, 1.0, ones(graph), 0.5, cfg)
+            w_ref, eta_ref, f_ref = reference_line_search(graph, samples, states, w, g, 1.0, 0.5, cfg)
+            assert np.array_equal(step.w, w_ref)
+            assert step.eta == eta_ref and step.objective == f_ref
