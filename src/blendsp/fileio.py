@@ -355,6 +355,8 @@ def parse_weights(stream) -> tuple[np.ndarray, dict[str, str]]:
         if k in entries:
             raise ParseError(no, f"duplicate weight for feature {k}")
         entries[k] = _float(toks[1], no, "weight")
+        if not np.isfinite(entries[k]):
+            raise ParseError(no, "weight values must be finite")
     if sorted(entries) != list(range(len(entries))):
         raise ParseError(lines[-1][0], "feature ids must be dense and sorted")
     w = np.array([entries[k] for k in range(len(entries))])

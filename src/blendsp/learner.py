@@ -42,12 +42,7 @@ from .inference import (
     theta_rows,
 )
 from .model import CountingNumbers, RegionGraph, Sample, feature_count
-from .objective import (
-    CERTIFY_RESIDUAL,
-    ObjectiveReport,
-    entropy_loss_value,
-    moment_penalty,
-)
+from .objective import ObjectiveReport, certifies, entropy_loss_value, moment_penalty
 
 __all__ = [
     "TrainerConfig",
@@ -361,15 +356,12 @@ def train(
         dual = entropy_loss_value(bmat, stack.loss, t_slot) - moment_penalty(z, C)
         g_post = z + C * state.w
         grad_norm = float(np.linalg.norm(g_post))
-        certified = (
-            residual <= CERTIFY_RESIDUAL and eps > 0 and bool((cvals > 0).all())
-        )
         state.report = ObjectiveReport(
             primal=primal,
             dual=dual,
             gap=primal - dual,
             marginal_residual=residual,
-            certified=certified,
+            certified=certifies(residual, primal - dual, eps, cvals),
             per_sample_loss=per_sample,
             regularizer=reg,
         )

@@ -47,6 +47,15 @@ CERTIFY_RESIDUAL = 1e-6
 HARD_MOMENT_TOL = 1e-6
 
 
+def certifies(residual: float, gap: float, eps: float, cvals: np.ndarray) -> bool:
+    """Whether a gap certifies convergence: it is finite, the beliefs are
+    consistent (a NaN residual never is), and eps and every counting number
+    are positive."""
+    return bool(
+        residual <= CERTIFY_RESIDUAL and math.isfinite(gap) and eps > 0 and (cvals > 0).all()
+    )
+
+
 @dataclass
 class ObjectiveReport:
     primal: float
@@ -224,27 +233,27 @@ def duality_report(
     layout = graph.layout()
     cvals = counting_values(counting, graph)
     beliefs = []
-    residual = 0.0
+    residuals = []
     per_sample = []
     for sample, state in zip(samples, states):
         compiled = sample.compiled()
         theta = compiled.theta_vec(w, include_loss=True)
         bvec = belief_vec(layout, state.vec[None, :], theta[None, :], eps, cvals)[0]
         beliefs.append([bvec[layout.region_slices[r]] for r in range(graph.region_count)])
-        residual = max(residual, residual_vec(layout, bvec))
+        residuals.append(residual_vec(layout, bvec))
         th = theta_hat_vec(layout, theta, state.vec)
         lse = segmented_lse(layout, th, eps * cvals)
         per_sample.append(float(lse.sum() - th[compiled.true_slots].sum()))
     reg = 0.5 * C * float(w @ w)
     primal = sum(per_sample) + reg
     dual = dual_objective(graph, samples, beliefs, eps, counting, C, num_features)
-    certified = residual <= CERTIFY_RESIDUAL and eps > 0 and bool((cvals > 0).all())
+    residual = float(np.max(residuals, initial=0.0))  # NaN-propagating
     return ObjectiveReport(
         primal=primal,
         dual=dual,
         gap=primal - dual,
         marginal_residual=residual,
-        certified=certified,
+        certified=certifies(residual, primal - dual, eps, cvals),
         per_sample_loss=per_sample,
         regularizer=reg,
     )

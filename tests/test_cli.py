@@ -247,6 +247,25 @@ def test_weights_model_mismatch_is_error(tmp_path, capsys):
     assert "feature count mismatch" in capsys.readouterr().err
 
 
+def test_infer_and_gap_reject_a_nan_weight(tmp_path, capsys):
+    out = gen(tmp_path, "corpus")
+    weights = tmp_path / "w.bsw"
+    main(["train", "--model", str(out / "train.bsp"), "--max-iters", "3", "--out", str(weights)])
+    lines = weights.read_text().splitlines()
+    lines[2] = lines[2].split()[0] + " nan"
+    weights.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    infer = ["infer", "--model", str(out / "test.bsp"), "--out", str(tmp_path / "p.labels")]
+    assert main([*infer, "--weights", str(weights)]) == 1
+    captured = capsys.readouterr()
+    assert "line 3: weight values must be finite" in captured.err
+    assert "residual=" not in captured.out
+    assert main(["gap", "--model", str(out / "train.bsp"), "--weights", str(weights)]) == 1
+    captured = capsys.readouterr()
+    assert "line 3: weight values must be finite" in captured.err
+    assert "certified=" not in captured.out
+
+
 def test_eval_mismatched_ids_is_error(tmp_path, capsys):
     p = tmp_path / "p.labels"
     t = tmp_path / "t.labels"

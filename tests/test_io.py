@@ -166,6 +166,12 @@ def test_weights_require_dense_sorted_ids():
         parse_weights("BLENDSP-W 1\n0 1.0\n2 2.0\n")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+def test_non_finite_weight_names_its_line(value):
+    with pytest.raises(ParseError, match="line 3: weight values must be finite"):
+        parse_weights(f"BLENDSP-W 1\n0 1.0\n1 {value}\n2 2.0\n")
+
+
 def test_labels_roundtrip():
     labels = {0: np.array([1, 0, 1]), 2: np.array([0, 0, 0])}
     buf = io.StringIO()

@@ -21,6 +21,8 @@ from blendsp import (
     region_loss,
 )
 
+from blendsp.objective import certifies
+
 from util import brute_force_lse, chain_graph, loopy_graph, ones, random_model, random_sample
 
 
@@ -232,6 +234,34 @@ def test_duality_report_eps_zero_never_certified():
         inference_sweep(graph, sample, state, np.zeros(3), 0.0, ones(graph))
     report = duality_report(graph, [sample], [state], np.zeros(3), 0.0, ones(graph), 1.0, 3)
     assert not report.certified
+
+
+@pytest.mark.parametrize("nan_sample", [0, 1, 2])
+def test_duality_report_carries_a_nan_residual_and_never_certifies_it(nan_sample):
+    rng = np.random.default_rng(13)
+    graph, _ = random_model(rng)
+    samples = [random_sample(rng, graph, 3, sample_id=i) for i in range(3)]
+    w = rng.uniform(-0.5, 0.5, 3)
+    states = []
+    for sample in samples:
+        state = MessageState(graph)
+        for _ in range(400):
+            inference_sweep(graph, sample, state, w, 1.0, ones(graph))
+        states.append(state)
+    assert duality_report(graph, samples, states, w, 1.0, ones(graph), 1.0, 3).certified
+    states[nan_sample].vec[0] = np.nan
+    report = duality_report(graph, samples, states, w, 1.0, ones(graph), 1.0, 3)
+    assert math.isnan(report.marginal_residual)
+    assert math.isnan(report.gap)
+    assert not report.certified
+
+
+def test_certificate_needs_a_finite_gap_and_residual():
+    cvals = np.ones(3)
+    assert certifies(1e-7, -1e-9, 1.0, cvals)
+    assert not certifies(math.nan, 0.0, 1.0, cvals)
+    for gap in (math.nan, math.inf, -math.inf):
+        assert not certifies(0.0, gap, 1.0, cvals)
 
 
 def test_single_region_gap_vanishes_at_weight_optimum():

@@ -2,13 +2,17 @@
 
 A level updates regions whose block updates neither read nor write each
 other's message slots, so a level-by-level sweep must equal, bit for bit, a
-loop of ``lambda_update_vec`` over the same order.  The bincount scatters are
-checked here against the ``np.add.at`` forms they replaced.
+loop of ``lambda_update_vec`` over the same order: the plan's own
+``sequence`` for the default colour-class order, the given order otherwise.
+The bincount scatters are checked here against the ``np.add.at`` forms they
+replaced.
 """
 
 import logging
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blendsp import CountingNumbers
 from blendsp.datagen import build_grid_graph
@@ -27,14 +31,23 @@ from util import chain_graph, loopy_graph, tree_graph
 
 
 def sequential_sweep(layout, lam, theta, eps, cvals, order=None):
-    """The reference: one region update at a time, in order."""
-    for r in layout.regions_with_parents if order is None else order:
+    """The reference: one region update at a time, in order (default: the
+    default plan's sequence)."""
+    for r in sweep_plan(layout).sequence if order is None else order:
         lambda_update_vec(layout, lam, theta, r, eps, cvals)
 
 
-def graphs(rng):
+def conflicting(graph, a, b):
+    return bool(
+        a in graph.parents[b]
+        or b in graph.parents[a]
+        or set(graph.parents[a]) & set(graph.parents[b])
+    )
+
+
+def graphs(rng, rounds=4):
     out = []
-    for _ in range(4):
+    for _ in range(rounds):
         out.append(tree_graph(rng, int(rng.integers(2, 9))))
         n = int(rng.integers(3, 7))
         out.append(loopy_graph(rng, n, int(rng.integers(1, n * (n - 1) // 2 + 1))))
@@ -51,6 +64,8 @@ def counting_sets(rng, graph):
         "bethe": CountingNumbers.bethe(graph).values,
         "positive": rng.uniform(0.1, 2.0, n),
         "partly_zero": partly_zero,
+        # negative parents take the grouped minimum in the log-sum-exp
+        "mixed_sign": rng.choice([-1.0, 1.0], n) * rng.uniform(0.1, 2.0, n),
     }
 
 
@@ -64,14 +79,16 @@ def test_level_sweep_matches_sequential_sweep_bitwise():
                 for batch in (0, 1, 4):
                     theta = 3.0 * rng.normal(size=(batch, layout.total))
                     start = rng.normal(size=(batch, layout.message_total))
-                    for order in (None, rng.permutation(graph.region_count).tolist()):
+                    id_order = layout.regions_with_parents
+                    random_order = rng.permutation(graph.region_count).tolist()
+                    for order in (None, id_order, random_order):
                         got, want = start.copy(), start.copy()
                         for _ in range(3):
                             sweep_vec(layout, got, theta, eps, cvals, order)
                             sequential_sweep(layout, want, theta, eps, cvals, order)
                         assert np.array_equal(got, want), (name, eps, batch, order)
                         checked += 1
-    assert checked == 12 * 4 * 2 * 3 * 2
+    assert checked == 12 * 5 * 2 * 3 * 3
 
 
 def test_levels_hold_no_conflicting_regions_and_keep_their_order():
@@ -87,13 +104,30 @@ def test_levels_hold_no_conflicting_regions_and_keep_their_order():
             for b in order[i + 1:]:
                 if a not in level_of or b not in level_of:
                     continue
-                near = (
-                    a in graph.parents[b]
-                    or b in graph.parents[a]
-                    or set(graph.parents[a]) & set(graph.parents[b])
-                )
-                if near:
+                if conflicting(graph, a, b):
                     assert level_of[a] < level_of[b]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_default_levels_colour_the_conflict_relation_first_fit(seed):
+    rng = np.random.default_rng(seed)
+    for graph in graphs(rng, rounds=1):
+        layout = graph.layout()
+        levels = conflict_levels(layout)
+        placed = [r for level in levels for r in level]
+        assert sorted(placed) == layout.regions_with_parents  # each exactly once
+        assert sweep_plan(layout).sequence == placed
+        level_of = {r: i for i, level in enumerate(levels) for r in level}
+        for a in placed:
+            near = {level_of[b] for b in placed if b != a and conflicting(graph, a, b)}
+            assert level_of[a] not in near  # a proper colouring
+            # first fit: every lower level holds a conflicting region with a
+            # smaller id, which is why the region could not go there
+            for lv in range(level_of[a]):
+                assert any(
+                    level_of[b] == lv and b < a and conflicting(graph, a, b) for b in placed
+                )
 
 
 def test_repeated_regions_in_an_order_run_sequentially():
@@ -138,12 +172,41 @@ def test_graph_without_edges_sweeps_to_a_no_op():
     assert conflict_levels(layout, layout.regions_with_parents) == []
 
 
+def test_denoise_grids_plan_two_colour_classes():
+    for size in (10, 40):
+        layout = build_grid_graph(size, size).layout()
+        assert layout.plan_cache is None  # built on the first sweep, not with the layout
+        plan = sweep_plan(layout)
+        assert len(plan.levels) == 2
+        assert sweep_plan(layout) is plan
+
+
 def test_denoise_grid_plans_width_plus_height_minus_one_levels():
-    layout = build_grid_graph(10, 10).layout()
-    assert layout.plan_cache is None  # built on the first sweep, not with the layout
-    plan = sweep_plan(layout)
-    assert len(plan.levels) == 19
-    assert sweep_plan(layout) is plan
+    # an explicit id order keeps its anti-diagonal wavefront
+    for size in (10, 40):
+        layout = build_grid_graph(size, size).layout()
+        assert len(sweep_plan(layout, layout.regions_with_parents).levels) == 2 * size - 1
+
+
+def sweep_to_consistency(layout, theta, cvals, order):
+    lam = np.zeros((theta.shape[0], layout.message_total))
+    for _ in range(5000):
+        sweep_vec(layout, lam, theta, 1.0, cvals, order)
+        b = belief_vec(layout, lam, theta, 1.0, cvals)
+        if residual_rows(layout, b).max() <= 1e-10:
+            return b
+    raise AssertionError("no consistency within 5000 sweeps")
+
+
+def test_default_and_id_orders_reach_the_same_beliefs_on_convex_models():
+    rng = np.random.default_rng(11)
+    for graph in graphs(rng):
+        layout = graph.layout()
+        theta = rng.normal(size=(2, layout.total))
+        for cvals in (np.ones(graph.region_count), rng.uniform(0.5, 2.0, graph.region_count)):
+            by_colour = sweep_to_consistency(layout, theta, cvals, None)
+            by_id = sweep_to_consistency(layout, theta, cvals, layout.regions_with_parents)
+            assert np.abs(by_colour - by_id).max() <= 1e-8
 
 
 def add_at_theta_hat(layout, theta, lam):
