@@ -20,6 +20,7 @@ from .fileio import (
     ParseError,
     ParsedModel,
     parse_bitmap,
+    parse_counts,
     parse_labels,
     parse_model,
     parse_weights,
@@ -27,10 +28,10 @@ from .fileio import (
     write_model,
     write_weights,
 )
-from .inference import MessageState, sweep_until_consistent, theta_rows
+from .inference import sweep_until_consistent
 from .learner import TrainerConfig, predict_all, train
-from .model import CountingNumbers
-from .objective import duality_report
+from .model import CountingNumbers, ThetaStack
+from .objective import BatchObjective
 
 __all__ = ["main"]
 
@@ -122,34 +123,18 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _read_counts(path: Path, region_count: int) -> np.ndarray:
-    values = {}
-    for no, raw in enumerate(path.read_text().splitlines(), start=1):
-        text = raw.split("#", 1)[0].strip()
-        if not text:
-            continue
-        toks = text.split()
-        if len(toks) != 2:
-            raise ParseError(no, "count line needs: region value")
-        values[int(toks[0])] = float(toks[1])
-    if sorted(values) != list(range(region_count)):
-        raise ModelError("counting file must cover exactly the model's regions")
-    return np.array([values[r] for r in range(region_count)])
-
-
-def _counting_for(args, parsed: ParsedModel) -> CountingNumbers:
-    if args.c_scheme == "ones":
-        return CountingNumbers.ones(parsed.graph)
-    if args.c_scheme == "bethe":
-        return CountingNumbers.bethe(parsed.graph)
-    if args.c_file is None:
-        raise ModelError("--c-scheme file requires --c-file")
-    return CountingNumbers.from_values(_read_counts(args.c_file, parsed.graph.region_count))
-
-
-def _load_model(path: Path) -> ParsedModel:
-    with open(path) as fh:
-        return parse_model(fh)
+def _load_model(args) -> tuple[ParsedModel, CountingNumbers]:
+    """The model file and the counting numbers that ``--c-scheme`` selects
+    (with ``file``, read from ``--c-file``: COUNTS lines, see FORMAT.md)."""
+    with open(args.model) as fh:
+        parsed = parse_model(fh)
+    values = None
+    if args.c_scheme == "file":
+        if args.c_file is None:
+            raise ModelError("--c-scheme file requires --c-file")
+        with open(args.c_file) as fh:
+            values = parse_counts(fh, parsed.graph.region_count)
+    return parsed, CountingNumbers.from_scheme(parsed.graph, args.c_scheme, values)
 
 
 def _load_weights(path: Path, parsed: ParsedModel) -> np.ndarray:
@@ -203,8 +188,7 @@ def _cmd_gen_denoise(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    parsed = _load_model(args.model)
-    counting = _counting_for(args, parsed)
+    parsed, counting = _load_model(args)
     config = TrainerConfig(
         eps=args.eps,
         C=args.C,
@@ -251,8 +235,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_infer(args) -> int:
-    parsed = _load_model(args.model)
-    counting = _counting_for(args, parsed)
+    parsed, counting = _load_model(args)
     w = _load_weights(args.weights, parsed)
     print(f"seed={args.seed}")
     results = predict_all(
@@ -288,30 +271,22 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_gap(args) -> int:
-    parsed = _load_model(args.model)
-    counting = _counting_for(args, parsed)
+    parsed, counting = _load_model(args)
     w = _load_weights(args.weights, parsed)
     print(f"seed={args.seed}")
     layout = parsed.graph.layout()
+    stack = ThetaStack(parsed.samples, layout.total)
+    objective = BatchObjective(
+        layout, stack, args.eps, counting.values, args.C, parsed.num_features
+    )
     lam = np.zeros((len(parsed.samples), layout.message_total))
-    thetas = theta_rows(layout, parsed.samples, w, include_loss=True)
-    _, residual, sweeps = sweep_until_consistent(
+    thetas = stack.rows(w)
+    b, residual, _ = sweep_until_consistent(
         layout, lam, thetas, args.eps, counting.values, args.max_sweeps, args.residual_tol
     )
-    capped = (sweeps == args.max_sweeps) & (residual > args.residual_tol)
+    capped = ~(residual <= args.residual_tol)  # at the cap, or NaN
     _print_capped(int(capped.sum()), len(parsed.samples), args.max_sweeps)
-    states = [MessageState.from_view(parsed.graph, row) for row in lam]
-    report = duality_report(
-        parsed.graph,
-        parsed.samples,
-        states,
-        w,
-        args.eps,
-        counting,
-        args.C,
-        parsed.num_features,
-    )
-    print(report.to_text())
+    print(objective.report(lam, thetas, w, bmat=b)[0].to_text())
     return EXIT_OK
 
 

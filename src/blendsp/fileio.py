@@ -32,6 +32,7 @@ __all__ = [
     "ParseError",
     "ParsedModel",
     "parse_model",
+    "parse_counts",
     "write_model",
     "parse_weights",
     "write_weights",
@@ -100,6 +101,40 @@ def _check_finite(tables: list[tuple[int, str, np.ndarray]]) -> None:
                 raise ParseError(no, f"{kind} values must be finite")
 
 
+def _count_line(no: int, toks: list[str], counts: dict, tables: list) -> None:
+    """One COUNTS line, 'region value', into ``counts``."""
+    if len(toks) != 2:
+        raise ParseError(no, "count line needs: region value")
+    r = _int(toks[0], no, "region id")
+    if r in counts:
+        raise ParseError(no, f"duplicate counting number for region {r}")
+    counts[r] = _float(toks[1], no, "counting number")
+    tables.append((no, "counting number", np.array([counts[r]])))
+
+
+def _count_values(counts: dict, n_regions: int, last_no: int) -> np.ndarray:
+    """The counting numbers in region order; every region exactly once."""
+    missing = set(range(n_regions)) - set(counts)
+    if missing:
+        raise ParseError(last_no, f"COUNTS misses regions {sorted(missing)}")
+    unknown = set(counts) - set(range(n_regions))
+    if unknown:
+        raise ParseError(last_no, f"COUNTS references unknown regions {sorted(unknown)}")
+    return np.array([counts[r] for r in range(n_regions)])
+
+
+def parse_counts(stream, region_count: int) -> np.ndarray:
+    """Counting-number file: the lines of a model's COUNTS section, one
+    'region value' line per region, each value finite."""
+    lines = _lines(stream)
+    counts: dict[int, float] = {}
+    tables: list[tuple[int, str, np.ndarray]] = []
+    for no, toks in lines:
+        _count_line(no, toks, counts, tables)
+    _check_finite(tables)
+    return _count_values(counts, region_count, lines[-1][0] if lines else 1)
+
+
 def parse_model(stream) -> ParsedModel:
     """Parse and validate a model file; raises ParseError or ModelError."""
     lines = _lines(stream)
@@ -158,13 +193,7 @@ def parse_model(stream) -> ParsedModel:
             tables.append((no, "feature", vals))
             max_feat = max(max_feat, k)
         elif section == "COUNTS":
-            if len(toks) != 2:
-                raise ParseError(no, "count line needs: region value")
-            r = _int(toks[0], no, "region id")
-            if r in counts:
-                raise ParseError(no, f"duplicate counting number for region {r}")
-            counts[r] = _float(toks[1], no, "counting number")
-            tables.append((no, "counting number", np.array([counts[r]])))
+            _count_line(no, toks, counts, tables)
         elif section == "SAMPLES":
             if toks[0] == "SAMPLE":
                 if len(toks) != 2:
@@ -273,13 +302,7 @@ def parse_model(stream) -> ParsedModel:
 
     counting = None
     if counts:
-        missing = set(range(n_regions)) - set(counts)
-        if missing:
-            raise ParseError(lines[-1][0], f"COUNTS misses regions {sorted(missing)}")
-        unknown = set(counts) - set(range(n_regions))
-        if unknown:
-            raise ParseError(lines[-1][0], f"COUNTS references unknown regions {sorted(unknown)}")
-        counting = CountingNumbers.from_values([counts[r] for r in range(n_regions)])
+        counting = CountingNumbers.from_values(_count_values(counts, n_regions, lines[-1][0]))
 
     report = validate_model(graph, samples, counting)
     if not report.ok:

@@ -545,17 +545,6 @@ def residual_rows(layout: GraphLayout, bvec: np.ndarray) -> np.ndarray:
     return np.abs(agg - bvec[:, layout.out_target]).max(axis=1)
 
 
-def residual_vec(layout: GraphLayout, bvec: np.ndarray) -> float:
-    return float(residual_rows(layout, bvec[None, :])[0])
-
-
-def theta_rows(layout: GraphLayout, samples, w: np.ndarray, include_loss: bool) -> np.ndarray:
-    """Potential vectors of the samples stacked as rows, (len(samples), total)."""
-    if not samples:
-        return np.zeros((0, layout.total))
-    return np.stack([s.compiled().theta_vec(w, include_loss) for s in samples])
-
-
 def sweep_until_consistent(
     layout: GraphLayout,
     lam: np.ndarray,
@@ -689,4 +678,4 @@ def marginal_residual(graph: RegionGraph, beliefs: list[np.ndarray]) -> float:
     )
     if bvec.size != layout.total:
         raise ValueError("beliefs do not match the graph layout")
-    return residual_vec(layout, bvec)
+    return float(residual_rows(layout, bvec[None, :])[0])

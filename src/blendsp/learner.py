@@ -34,15 +34,13 @@ from .inference import (
     MessageState,
     belief_vec,
     counting_values,
-    residual_rows,
     segmented_lse,
     sweep_until_consistent,
     sweep_vec,
     theta_hat_vec,
-    theta_rows,
 )
-from .model import CountingNumbers, RegionGraph, Sample, feature_count
-from .objective import ObjectiveReport, certifies, entropy_loss_value, moment_penalty
+from .model import CountingNumbers, RegionGraph, Sample, ThetaStack, feature_count
+from .objective import BatchObjective, ObjectiveReport, report_at
 
 __all__ = [
     "TrainerConfig",
@@ -84,17 +82,7 @@ class TrainerConfig:
     seed: int = 0
 
     def counting(self, graph: RegionGraph) -> CountingNumbers:
-        if self.c_scheme == "ones":
-            return CountingNumbers.ones(graph)
-        if self.c_scheme == "bethe":
-            return CountingNumbers.bethe(graph)
-        if self.c_scheme == "file":
-            if self.c_values is None:
-                raise ValueError("c_scheme 'file' requires c_values")
-            if len(self.c_values) != graph.region_count:
-                raise ValueError("c_values length does not match the region count")
-            return CountingNumbers.from_values(self.c_values)
-        raise ValueError(f"unknown counting scheme {self.c_scheme!r}")
+        return CountingNumbers.from_scheme(graph, self.c_scheme, self.c_values)
 
     def convex_mode(self, counting: CountingNumbers) -> bool:
         return self.eps >= 0 and bool((counting.values >= 0).all())
@@ -158,57 +146,11 @@ def w_gradient(
     """Gradient of the primal in the weights at frozen messages.
 
     Per feature: belief-weighted feature expectation minus the empirical
-    value, summed over samples in id order, plus C * w.
+    value, each summed over samples in list order, plus C * w.
     """
     w = np.asarray(w, dtype=float)
-    if num_features is None:
-        num_features = max(feature_count(samples), len(w))
-    layout = graph.layout()
-    cvals = counting_values(counting, graph)
-    g = np.zeros(num_features)
-    for sample, state in zip(samples, states):
-        compiled = sample.compiled()
-        theta = compiled.theta_vec(w, include_loss=True)
-        bvec = belief_vec(layout, state.vec[None, :], theta[None, :], eps, cvals)[0]
-        g += compiled.feature_expectation(bvec, num_features)
-        g -= sample.empirical_features(num_features)
-    return g + C * w
-
-
-class _ThetaStack:
-    """The theta rows (loss included) of a list of samples as one affine map
-    of the weights: every row is built by one bincount over stacked (sample,
-    slot) bins, each bin summed in ``CompiledSample.theta_vec``'s order."""
-
-    def __init__(self, compiled, total: int):
-        self.shape = (len(compiled), total)
-        cat = lambda xs, d: np.concatenate(xs) if xs else np.zeros(0, dtype=d)
-        self.bins = cat([i * total + cs.feat_rows for i, cs in enumerate(compiled)], np.int64)
-        self.cols = cat([cs.feat_cols for cs in compiled], np.int64)
-        self.vals = cat([cs.feat_vals for cs in compiled], float)
-        self.loss = (
-            np.stack([cs.loss_vec for cs in compiled]) if compiled else np.zeros(self.shape)
-        )
-        self.true_slots = (
-            np.stack([cs.true_slots for cs in compiled])
-            if compiled
-            else np.zeros((0, 0), dtype=np.int64)
-        )
-
-    def rows(self, w: np.ndarray) -> np.ndarray:
-        n, total = self.shape
-        weights = w.take(self.cols)
-        weights *= self.vals
-        # bincount without entries returns integers; the loss is added in place
-        # to save one (samples, slots) temporary per line-search trial
-        out = np.bincount(self.bins, weights, n * total).astype(float, copy=False)
-        out = out.reshape(n, total)
-        out += self.loss
-        return out
-
-    def true_sums(self, th: np.ndarray) -> np.ndarray:
-        """Per row, the sum of ``th`` at the sample's true labels."""
-        return np.take_along_axis(th, self.true_slots, axis=1).sum(axis=1)
+    _, z = report_at(graph, samples, states, w, eps, counting, C, num_features)
+    return z + C * w
 
 
 def _line_search(layout, stack, lam_part, t_regions, w, thetas, gradient, C, cfg):
@@ -261,12 +203,8 @@ def w_step(
     cfg = config or TrainerConfig(eps=eps, C=C)
     layout = graph.layout()
     cvals = counting_values(counting, graph)
-    stack = _ThetaStack([s.compiled() for s in samples], layout.total)
-    lam = (
-        np.stack([st.vec for st in states])
-        if states
-        else np.zeros((0, layout.message_total))
-    )
+    stack = ThetaStack(samples, layout.total)
+    lam = np.stack([st.vec for st in states]) if states else np.zeros((0, layout.message_total))
     lam_part = theta_hat_vec(layout, np.zeros((len(samples), layout.total)), lam)
     w = np.asarray(w, dtype=float)
     step, _ = _line_search(
@@ -302,22 +240,12 @@ def train(
             "gap certification are not guaranteed"
         )
     w = np.zeros(num_features) if w0 is None else np.asarray(w0, dtype=float).copy()
-    compiled = [s.compiled() for s in samples]
-    empirical = np.zeros(num_features)
-    for s in samples:
-        empirical += s.empirical_features(num_features)
-    t_slot = t_regions[layout.segment]
-    stack = _ThetaStack(compiled, layout.total)
+    stack = ThetaStack(samples, layout.total)
+    objective = BatchObjective(layout, stack, eps, cvals, C, num_features)
     thetas = stack.rows(w)
 
     lam = np.zeros((n, layout.message_total))
     state = TrainState(w=w, states=[MessageState.from_view(graph, row) for row in lam])
-
-    def expectations(bmat):
-        expect = np.zeros(num_features)
-        for i, cs in enumerate(compiled):
-            expect += cs.feature_expectation(bmat[i], num_features)
-        return expect
 
     prev_primal = None
     grad_norm = np.inf
@@ -336,49 +264,26 @@ def train(
             bmat = belief_vec(layout, lam, thetas, eps, cvals)
             sweeps = config.sweeps_per_step
         lam_part = theta_hat_vec(layout, np.zeros((n, layout.total)), lam)
-        g_pre = expectations(bmat) - empirical + C * state.w
+        g_pre = stack.expectations(bmat, num_features) - objective.empirical + C * state.w
 
         step, (thetas, th, lse) = _line_search(
             layout, stack, lam_part, t_regions, state.w, thetas, g_pre, C, config
         )
         state.stalled = step.stalled
-        eta = step.eta
         state.w = step.w
 
         # post-step diagnostics; the moment mismatch doubles as the gradient
-        per_sample = (lse.sum(axis=1) - stack.true_sums(th)).tolist()
+        losses = stack.losses(th, lse)
         del th, lse  # large; freed before the belief pass allocates its own
-        bmat = belief_vec(layout, lam, thetas, eps, cvals)
-        residual = float(residual_rows(layout, bmat).max()) if n else 0.0
-        reg = 0.5 * C * float(state.w @ state.w)
-        primal = sum(per_sample) + reg
-        z = expectations(bmat) - empirical
-        dual = entropy_loss_value(bmat, stack.loss, t_slot) - moment_penalty(z, C)
-        g_post = z + C * state.w
-        grad_norm = float(np.linalg.norm(g_post))
-        state.report = ObjectiveReport(
-            primal=primal,
-            dual=dual,
-            gap=primal - dual,
-            marginal_residual=residual,
-            certified=certifies(residual, primal - dual, eps, cvals),
-            per_sample_loss=per_sample,
-            regularizer=reg,
-        )
+        report, z = objective.report(lam, thetas, state.w, losses)
+        state.report = report
+        primal, residual = report.primal, report.marginal_residual
+        grad_norm = float(np.linalg.norm(z + C * state.w))
         state.history.append(primal)
         if log_fn is not None:
-            log_fn(
-                IterationRecord(
-                    iteration=it,
-                    primal=primal,
-                    dual=dual,
-                    gap=primal - dual,
-                    residual=residual,
-                    grad_norm=grad_norm,
-                    eta=eta,
-                    sweeps=sweeps,
-                )
-            )
+            log_fn(IterationRecord(
+                it, primal, report.dual, report.gap, residual, grad_norm, step.eta, sweeps
+            ))
 
         rel = (
             0.0
@@ -445,7 +350,7 @@ def predict_all(
     w = np.asarray(w, dtype=float)
     layout = graph.layout()
     cvals = counting_values(counting, graph)
-    theta = theta_rows(layout, samples, w, include_loss=False)
+    theta = ThetaStack(samples, layout.total, include_loss=False).rows(w)
     lam = np.zeros((len(samples), layout.message_total))
     b, residual, sweeps = sweep_until_consistent(
         layout, lam, theta, eps_infer, cvals, max_sweeps, residual_tol
@@ -458,7 +363,7 @@ def predict_all(
         card = reg.cardinalities[pos]
         digits = (np.arange(reg.label_count, dtype=np.int64) // stride) % card
         decoders.append((layout.region_slices[owner], digits, card))
-    capped = (sweeps == max_sweeps) & (residual > residual_tol)
+    capped = ~(residual <= residual_tol)  # at the cap, or NaN
     results = []
     for i in range(len(samples)):
         labels = np.zeros(graph.variable_count, dtype=np.int64)

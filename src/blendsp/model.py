@@ -9,6 +9,7 @@ immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -234,9 +235,6 @@ class GraphLayout:
         # the level schedule of the last sweep order used (inference.sweep_plan)
         self.plan_cache = None
 
-    def region_slice(self, r: int) -> slice:
-        return self.region_slices[r]
-
     def edge_slice(self, e: int) -> slice:
         return self.edge_slices[e]
 
@@ -260,6 +258,25 @@ class CountingNumbers:
     @classmethod
     def from_values(cls, values, scheme: str = "file") -> "CountingNumbers":
         return cls(np.asarray(values, dtype=float), scheme)
+
+    @classmethod
+    def from_scheme(cls, graph: RegionGraph, scheme: str, values=None) -> "CountingNumbers":
+        """The counting numbers of ``ones``, ``bethe`` or ``file`` (then
+        ``values``: one finite number per region)."""
+        if scheme == "ones":
+            return cls.ones(graph)
+        if scheme == "bethe":
+            return cls.bethe(graph)
+        if scheme != "file":
+            raise ValueError(f"unknown counting scheme {scheme!r}")
+        if values is None:
+            raise ValueError("counting scheme 'file' requires values")
+        values = np.asarray(values, dtype=float)
+        if values.shape != (graph.region_count,):
+            raise ModelError("counting numbers must cover exactly the model's regions")
+        if not np.isfinite(values).all():
+            raise ModelError("counting numbers must be finite")
+        return cls(values, "file")
 
     def fractional_cover(self, graph: RegionGraph) -> bool:
         """True iff every variable i has sum of c_r over regions containing i >= 1."""
@@ -373,7 +390,7 @@ class CompiledSample:
         self.layout = layout
         self.loss_vec = np.zeros(layout.total)
         for r, t in sample.loss.items():
-            self.loss_vec[layout.region_slice(r)] = t
+            self.loss_vec[layout.region_slices[r]] = t
         rows, cols, vals = [], [], []
         for r, fk in sorted(sample.features.items()):
             base = layout.offsets[r]
@@ -404,15 +421,71 @@ class CompiledSample:
             )
         return out
 
-    def feature_expectation(self, belief_vec: np.ndarray, num_features: int) -> np.ndarray:
-        """Belief-weighted feature sums per feature id."""
-        if not self.feat_rows.size:
-            return np.zeros(num_features)
-        return np.bincount(
-            self.feat_cols,
-            weights=self.feat_vals * belief_vec[self.feat_rows],
-            minlength=num_features,
-        )
+
+class ThetaStack:
+    """The theta rows of a list of samples as one affine map of the weights:
+    every row is built by one bincount over stacked (sample, slot) bins, each
+    bin summed in ``CompiledSample.theta_vec``'s order, so each row is bitwise
+    equal to the sample's own ``theta_vec``.  Sums over samples (feature
+    expectations, empirical features) are added sample by sample in list
+    order."""
+
+    def __init__(self, samples, total: int, include_loss: bool = True):
+        compiled = [s.compiled() for s in samples]
+        self.samples = samples
+        self.shape = (len(compiled), total)
+        cat = lambda xs, d: np.concatenate(xs) if xs else np.zeros(0, dtype=d)
+        self.bins = cat([i * total + cs.feat_rows for i, cs in enumerate(compiled)], np.int64)
+        self.cols = cat([cs.feat_cols for cs in compiled], np.int64)
+        self.vals = cat([cs.feat_vals for cs in compiled], float)
+        loss = [cs.loss_vec for cs in compiled] if include_loss else None
+        self.loss = None if loss is None else np.array(loss, dtype=float).reshape(self.shape)
+
+    @functools.cached_property
+    def true_slots(self) -> np.ndarray:
+        if not self.samples:
+            return np.zeros((0, 0), dtype=np.int64)
+        return np.stack([s.compiled().true_slots for s in self.samples])
+
+    def rows(self, w: np.ndarray) -> np.ndarray:
+        n, total = self.shape
+        weights = w.take(self.cols)
+        weights *= self.vals
+        # bincount without entries returns integers; the loss is added in place
+        # to save one (samples, slots) temporary per line-search trial
+        out = np.bincount(self.bins, weights, n * total).astype(float, copy=False)
+        out = out.reshape(n, total)
+        if self.loss is not None:
+            out += self.loss
+        return out
+
+    def true_sums(self, th: np.ndarray) -> np.ndarray:
+        """Per row, the sum of ``th`` at the sample's true labels."""
+        return np.take_along_axis(th, self.true_slots, axis=1).sum(axis=1)
+
+    def losses(self, th: np.ndarray, lse: np.ndarray) -> list[float]:
+        """Per sample, the soft-max loss: region log-partitions ``lse`` of the
+        potentials ``th`` minus ``th`` at the true labels."""
+        return (lse.sum(axis=1) - self.true_sums(th)).tolist()
+
+    def expectations(self, bmat: np.ndarray, num_features: int) -> np.ndarray:
+        """Belief-weighted feature sums of the belief rows ``bmat``, summed
+        over samples."""
+        # per-sample temporaries: one bincount over all samples' entries was
+        # bitwise equal, but its large temporaries made the heap top be
+        # trimmed and re-faulted every train iteration (15x the minor faults)
+        out = np.zeros(num_features)
+        for i, s in enumerate(self.samples):
+            cs = s.compiled()
+            out += np.bincount(cs.feat_cols, cs.feat_vals * bmat[i, cs.feat_rows], num_features)
+        return out
+
+    def empirical(self, num_features: int) -> np.ndarray:
+        """Feature values at the true labels, summed over samples."""
+        out = np.zeros(num_features)
+        for s in self.samples:
+            out += s.empirical_features(num_features)
+        return out
 
 
 def feature_count(samples) -> int:

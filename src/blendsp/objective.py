@@ -7,6 +7,16 @@ moment-mismatch penalty; its value is a lower bound on the primal only at
 beliefs that agree on their marginals, so reports carry a certification flag
 tied to the marginal residual.
 
+One method, ``BatchObjective.report``, computes primal, dual, gap, residual
+and certificate for a whole batch: from the message matrix, the stacked theta
+rows (``model.ThetaStack``), the per-sample losses at frozen messages and the
+belief rows.  ``train`` (after every weight step), the ``gap`` command,
+``duality_report``, ``primal_objective`` and ``w_gradient`` all go through it
+with the same arithmetic: potentials thetas + theta_hat(0, lam), moment
+mismatch z = sum_i E_i - sum_i emp_i and gradient z + C * w.  The same
+messages and weights therefore give the same report, bit for bit, whichever
+of them computes it.
+
 The exact_* functions enumerate the full joint label space (guarded to 2^20
 joint labels) and serve as independent oracles for everything else.
 """
@@ -22,17 +32,17 @@ from .inference import (
     MessageState,
     belief_vec,
     counting_values,
-    residual_vec,
+    residual_rows,
     segmented_lse,
     theta_hat_vec,
 )
-from .model import RegionGraph, Sample, feature_count, theta_table
+from .model import GraphLayout, RegionGraph, Sample, ThetaStack, feature_count, theta_table
 from .numerics import eps_log_sum_exp, gibbs_normalize
 
 __all__ = [
     "ObjectiveReport",
     "region_loss",
-    "sample_loss",
+    "BatchObjective",
     "primal_objective",
     "moment_mismatch",
     "dual_objective",
@@ -79,16 +89,8 @@ class ObjectiveReport:
         return "\n".join(lines)
 
 
-def entropy_loss_value(bmat: np.ndarray, loss_mat: np.ndarray, t_slot: np.ndarray) -> float:
-    """Weighted-entropy plus expected-loss part of the dual, over belief rows."""
-    logb = np.where(bmat > 0, np.log(np.where(bmat > 0, bmat, 1.0)), 0.0)
-    return float(-(bmat * logb * t_slot).sum() + (bmat * loss_mat).sum())
-
-
 def moment_penalty(z: np.ndarray, C: float) -> float:
     """Quadratic penalty for C > 0; hard constraints for C = 0 (inf outside)."""
-    if C < 0:
-        raise ValueError("C must be nonnegative")
     if C == 0.0:
         if z.size and float(np.abs(z).max()) > HARD_MOMENT_TOL:
             return math.inf
@@ -120,22 +122,97 @@ def region_loss(
     return eps_log_sum_exp(table, eps * cvals[region]) - float(table[y])
 
 
-def sample_loss(
+class BatchObjective:
+    """The objective of one batch of samples at fixed eps, counting numbers
+    and C: the one path that computes primal, dual, gap, residual and
+    certificate.  A C below 0 (or NaN) is rejected here, before any sweep of
+    ``train`` or ``gap``."""
+
+    def __init__(
+        self,
+        layout: GraphLayout,
+        stack: ThetaStack,
+        eps: float,
+        cvals: np.ndarray,
+        C: float,
+        num_features: int,
+    ):
+        if not C >= 0:
+            raise ValueError("C must be nonnegative")
+        self.layout, self.stack = layout, stack
+        self.eps, self.cvals, self.C = eps, cvals, C
+        self.empirical = stack.empirical(num_features)
+        self.t_slot = (eps * cvals)[layout.segment]
+
+    def dual(self, bmat: np.ndarray) -> tuple[float, np.ndarray]:
+        """The dual at the belief rows ``bmat``, and the moment mismatch z it
+        penalizes: summed feature expectations minus summed empirical
+        features."""
+        z = self.stack.expectations(bmat, self.empirical.size) - self.empirical
+        logb = np.where(bmat > 0, np.log(np.where(bmat > 0, bmat, 1.0)), 0.0)
+        value = float(-(bmat * logb * self.t_slot).sum() + (bmat * self.stack.loss).sum())
+        return value - moment_penalty(z, self.C), z
+
+    def report(
+        self,
+        lam: np.ndarray,
+        thetas: np.ndarray,
+        w: np.ndarray,
+        losses: list[float] | None = None,
+        bmat: np.ndarray | None = None,
+    ) -> tuple[ObjectiveReport, np.ndarray]:
+        """The report at the message rows ``lam`` and the weights ``w``, whose
+        stacked theta rows (loss included) are ``thetas``, and the moment
+        mismatch z: the primal's gradient in the weights is z + C * w.
+
+        The per-sample losses at frozen messages and the belief rows are
+        computed here unless given (``train`` passes its line search's
+        losses, ``gap`` the engine's beliefs).
+        """
+        layout, eps, cvals = self.layout, self.eps, self.cvals
+        n = lam.shape[0]
+        if losses is None:
+            th = thetas + theta_hat_vec(layout, np.zeros((n, layout.total)), lam)
+            losses = self.stack.losses(th, segmented_lse(layout, th, eps * cvals))
+            del th  # large; freed before the belief pass allocates its own
+        if bmat is None:
+            bmat = belief_vec(layout, lam, thetas, eps, cvals)
+        residual = float(residual_rows(layout, bmat).max()) if n else 0.0
+        reg = 0.5 * self.C * float(w @ w)
+        primal = sum(losses) + reg
+        dual, z = self.dual(bmat)
+        report = ObjectiveReport(
+            primal=primal,
+            dual=dual,
+            gap=primal - dual,
+            marginal_residual=residual,
+            certified=certifies(residual, primal - dual, eps, cvals),
+            per_sample_loss=losses,
+            regularizer=reg,
+        )
+        return report, z
+
+
+def report_at(
     graph: RegionGraph,
-    sample: Sample,
-    state: MessageState,
+    samples: list[Sample],
+    states: list[MessageState],
     w: np.ndarray,
     eps: float,
     counting=None,
-) -> float:
-    """Sum of region losses for one sample."""
+    C: float = 0.0,
+    num_features: int | None = None,
+) -> tuple[ObjectiveReport, np.ndarray]:
+    """``BatchObjective.report`` at the messages of ``states``."""
+    w = np.asarray(w, dtype=float)
+    if num_features is None:
+        num_features = max(feature_count(samples), len(w))
     layout = graph.layout()
+    stack = ThetaStack(samples, layout.total)
     cvals = counting_values(counting, graph)
-    compiled = sample.compiled()
-    theta = compiled.theta_vec(np.asarray(w, dtype=float), include_loss=True)
-    th = theta_hat_vec(layout, theta, state.vec)
-    lse = segmented_lse(layout, th, eps * cvals)
-    return float(lse.sum() - th[compiled.true_slots].sum())
+    objective = BatchObjective(layout, stack, eps, cvals, C, num_features)
+    lam = np.stack([st.vec for st in states]) if states else np.zeros((0, layout.message_total))
+    return objective.report(lam, stack.rows(w), w)
 
 
 def primal_objective(
@@ -148,24 +225,20 @@ def primal_objective(
     C: float = 0.0,
 ) -> float:
     """Sum of per-sample region losses plus (C/2) * ||w||^2."""
-    w = np.asarray(w, dtype=float)
-    total = 0.0
-    for sample, state in zip(samples, states):
-        total += sample_loss(graph, sample, state, w, eps, counting)
-    return total + 0.5 * C * float(w @ w)
+    return report_at(graph, samples, states, w, eps, counting, C)[0].primal
 
 
-def _belief_matrix(graph: RegionGraph, beliefs: list[list[np.ndarray]]) -> np.ndarray:
+def _at_beliefs(graph: RegionGraph, samples: list[Sample], beliefs, num_features):
+    """The theta stack of ``samples``, the belief rows of per-region
+    ``beliefs`` tables and the feature count."""
     layout = graph.layout()
-    if not beliefs:
-        return np.zeros((0, layout.total))
-    rows = []
-    for btables in beliefs:
-        row = np.concatenate([np.asarray(t, dtype=float) for t in btables])
-        if row.size != layout.total:
-            raise ValueError("beliefs do not match the graph layout")
-        rows.append(row)
-    return np.stack(rows)
+    rows = [np.concatenate([np.asarray(t, dtype=float) for t in tables]) for tables in beliefs]
+    if any(row.size != layout.total for row in rows):
+        raise ValueError("beliefs do not match the graph layout")
+    bmat = np.stack(rows) if rows else np.zeros((0, layout.total))
+    if num_features is None:
+        num_features = feature_count(samples)
+    return ThetaStack(samples, layout.total), bmat, num_features
 
 
 def moment_mismatch(
@@ -174,16 +247,10 @@ def moment_mismatch(
     beliefs: list[list[np.ndarray]],
     num_features: int | None = None,
 ) -> np.ndarray:
-    """Belief-weighted feature expectations minus empirical features, summed
-    over samples in id order."""
-    if num_features is None:
-        num_features = feature_count(samples)
-    bmat = _belief_matrix(graph, beliefs)
-    z = np.zeros(num_features)
-    for i, sample in enumerate(samples):
-        z += sample.compiled().feature_expectation(bmat[i], num_features)
-        z -= sample.empirical_features(num_features)
-    return z
+    """Belief-weighted feature expectations minus empirical features, each
+    summed over samples in list order."""
+    stack, bmat, num_features = _at_beliefs(graph, samples, beliefs, num_features)
+    return stack.expectations(bmat, num_features) - stack.empirical(num_features)
 
 
 def dual_objective(
@@ -200,17 +267,9 @@ def dual_objective(
     With C = 0 the moment constraints are hard: the value is finite only when
     every mismatch is within tolerance, and -inf otherwise.
     """
-    layout = graph.layout()
+    stack, bmat, num_features = _at_beliefs(graph, samples, beliefs, num_features)
     cvals = counting_values(counting, graph)
-    t_slot = (eps * cvals)[layout.segment]
-    bmat = _belief_matrix(graph, beliefs)
-    loss_mat = (
-        np.stack([s.compiled().loss_vec for s in samples])
-        if samples
-        else np.zeros((0, layout.total))
-    )
-    z = moment_mismatch(graph, samples, beliefs, num_features)
-    return entropy_loss_value(bmat, loss_mat, t_slot) - moment_penalty(z, C)
+    return BatchObjective(graph.layout(), stack, eps, cvals, C, num_features).dual(bmat)[0]
 
 
 def duality_report(
@@ -229,34 +288,7 @@ def duality_report(
     consistent and eps and all counting numbers are positive; the report is
     marked uncertified otherwise.
     """
-    w = np.asarray(w, dtype=float)
-    layout = graph.layout()
-    cvals = counting_values(counting, graph)
-    beliefs = []
-    residuals = []
-    per_sample = []
-    for sample, state in zip(samples, states):
-        compiled = sample.compiled()
-        theta = compiled.theta_vec(w, include_loss=True)
-        bvec = belief_vec(layout, state.vec[None, :], theta[None, :], eps, cvals)[0]
-        beliefs.append([bvec[layout.region_slices[r]] for r in range(graph.region_count)])
-        residuals.append(residual_vec(layout, bvec))
-        th = theta_hat_vec(layout, theta, state.vec)
-        lse = segmented_lse(layout, th, eps * cvals)
-        per_sample.append(float(lse.sum() - th[compiled.true_slots].sum()))
-    reg = 0.5 * C * float(w @ w)
-    primal = sum(per_sample) + reg
-    dual = dual_objective(graph, samples, beliefs, eps, counting, C, num_features)
-    residual = float(np.max(residuals, initial=0.0))  # NaN-propagating
-    return ObjectiveReport(
-        primal=primal,
-        dual=dual,
-        gap=primal - dual,
-        marginal_residual=residual,
-        certified=certifies(residual, primal - dual, eps, cvals),
-        per_sample_loss=per_sample,
-        regularizer=reg,
-    )
+    return report_at(graph, samples, states, w, eps, counting, C, num_features)[0]
 
 
 # ---------------------------------------------------------------------------

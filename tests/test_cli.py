@@ -1,7 +1,9 @@
 import hashlib
 
 import numpy as np
+import pytest
 
+from blendsp import cli, learner
 from blendsp.cli import main
 from blendsp.fileio import parse_labels, parse_model, parse_weights
 
@@ -386,3 +388,82 @@ def test_train_zero_sample_model_writes_zero_weights(tmp_path, capsys):
     assert code == 0
     w, _ = parse_weights(weights.read_text())
     np.testing.assert_array_equal(w, [0.0])
+
+
+def zero_weights(tmp_path, out):
+    path = tmp_path / "zero.bsw"
+    parsed = parse_model((out / "train.bsp").read_text())
+    path.write_text("BLENDSP-W 1\n" + "".join(f"{k} 0\n" for k in range(parsed.num_features)))
+    return path
+
+
+@pytest.mark.parametrize(
+    "bad, line, message",
+    [
+        ("1 nan", 2, "counting number values must be finite"),
+        ("1 inf", 2, "counting number values must be finite"),
+        ("x 1.0", 2, "expected integer region id"),
+        ("0 2.0", 2, "duplicate counting number for region 0"),
+    ],
+)
+@pytest.mark.parametrize("command", ["train", "infer", "gap"])
+def test_bad_counting_file_names_its_line(tmp_path, capsys, bad, line, message, command):
+    out = gen(tmp_path, "corpus")
+    regions = parse_model((out / "train.bsp").read_text()).graph.region_count
+    rows = [f"{r} 1.0" for r in range(regions)]
+    rows[line - 1] = bad
+    cfile = tmp_path / "counts.txt"
+    cfile.write_text("\n".join(rows) + "\n")
+    model = out / ("test.bsp" if command == "infer" else "train.bsp")
+    argv = [command, "--model", str(model), "--c-scheme", "file", "--c-file", str(cfile)]
+    labels = tmp_path / "p.labels"
+    if command != "gap":
+        argv += ["--out", str(tmp_path / "w.bsw") if command == "train" else str(labels)]
+    if command != "train":
+        argv += ["--weights", str(zero_weights(tmp_path, out))]
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert f"error: line {line}: {message}" in captured.err
+    assert "primal=" not in captured.out and "residual=" not in captured.out
+    assert not labels.exists()
+
+
+def test_negative_C_is_rejected_before_any_sweep(tmp_path, capsys, monkeypatch):
+    out = gen(tmp_path, "corpus")
+    weights = zero_weights(tmp_path, out)
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("swept with C < 0")
+
+    monkeypatch.setattr(learner, "sweep_vec", no_sweep)
+    monkeypatch.setattr(cli, "sweep_until_consistent", no_sweep)
+    for C in ("-1", "nan"):
+        train = ["train", "--model", str(out / "train.bsp"), "--C", C, "--out", str(tmp_path / "w")]
+        assert main(train) == 1
+        assert "C must be nonnegative" in capsys.readouterr().err
+        gap = ["gap", "--model", str(out / "train.bsp"), "--weights", str(weights), "--C", C]
+        assert main(gap) == 1
+        captured = capsys.readouterr()
+        assert "C must be nonnegative" in captured.err
+        assert "capped=" not in captured.out and "primal=" not in captured.out
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_overflowing_weights_report_nan_rows_as_capped(tmp_path, capsys):
+    out = gen(tmp_path, "corpus")
+    parsed = parse_model((out / "test.bsp").read_text())
+    weights = tmp_path / "huge.bsw"
+    weights.write_text(
+        "BLENDSP-W 1\n" + "".join(f"{k} 1e308\n" for k in range(parsed.num_features))
+    )
+    labels = tmp_path / "p.labels"
+    argv = ["infer", "--model", str(out / "test.bsp"), "--weights", str(weights)]
+    assert main([*argv, "--out", str(labels)]) == 0
+    text = capsys.readouterr().out
+    assert "residual=nan" in text
+    assert "capped=2 samples=2 max_sweeps=200" in text
+    assert main(["gap", "--model", str(out / "train.bsp"), "--weights", str(weights)]) == 0
+    text = capsys.readouterr().out
+    assert "capped=3 samples=3 max_sweeps=200" in text
+    assert "marginal_residual=nan" in text and "certified=false" in text

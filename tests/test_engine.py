@@ -12,9 +12,9 @@ from blendsp.inference import (
     residual_rows,
     sweep_until_consistent,
     sweep_vec,
-    theta_rows,
 )
 from blendsp.learner import predict_all
+from blendsp.model import ThetaStack
 
 from test_deep_graphs import three_level_model
 from util import loopy_graph, random_sample, tree_graph
@@ -65,7 +65,7 @@ def test_engine_matches_per_sample_reference_loop():
         w = rng.uniform(-2, 2, 4)
         bethe = CountingNumbers.bethe(graph).values
         for eps, cvals in ((1.0, np.ones(graph.region_count)), (0.5, bethe)):
-            theta = theta_rows(layout, samples, w, include_loss=True)
+            theta = ThetaStack(samples, layout.total).rows(w)
             for max_sweeps, tol in ((0, 1e-8), (3, 1e-8), (300, 1e-7)):
                 lam = np.zeros((len(samples), layout.message_total))
                 b, residual, sweeps = sweep_until_consistent(

@@ -11,6 +11,7 @@ from blendsp.fileio import (
     ParseError,
     ParsedModel,
     parse_bitmap,
+    parse_counts,
     parse_labels,
     parse_model,
     parse_weights,
@@ -99,6 +100,21 @@ def test_non_finite_table_names_its_line(old, new, line):
     text = MINIMAL.replace(old, new)
     with pytest.raises(ParseError, match=f"line {line}: .* must be finite"):
         parse_model(text)
+
+
+def test_counting_file_is_the_counts_grammar():
+    text = "# counting numbers\n1 0.5\n\n0 2  # region 0\n2 -1e-3\n"
+    np.testing.assert_array_equal(parse_counts(text, 3), [2.0, 0.5, -1e-3])
+    for bad, message in (
+        ("0 1\n1 1\n2 1\n3 1\n", "line 4: COUNTS references unknown regions \\[3\\]"),
+        ("0 1\n2 1\n", "line 2: COUNTS misses regions \\[1\\]"),
+        ("", "line 1: COUNTS misses regions"),
+        ("0 1\n1 1 1\n2 1\n", "line 2: count line needs: region value"),
+        ("0 1\n1 1\n2 1.5e\n", "line 3: expected real counting number"),
+        ("0 1\n1 -inf\n2 1\n", "line 2: counting number values must be finite"),
+    ):
+        with pytest.raises(ParseError, match=message):
+            parse_counts(bad, 3)
 
 
 def test_model_roundtrip_structural_equality():

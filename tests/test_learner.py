@@ -9,6 +9,7 @@ from blendsp import (
     Sample,
     TrainerConfig,
     compute_beliefs,
+    duality_report,
     exact_map,
     inference_sweep,
     marginal_residual,
@@ -20,7 +21,8 @@ from blendsp import (
 )
 from blendsp import learner
 from blendsp.datagen import DenoiseSpec, make_denoise_dataset
-from blendsp.inference import segmented_lse, theta_hat_vec, theta_rows
+from blendsp.inference import segmented_lse, theta_hat_vec
+from blendsp.model import ThetaStack
 from blendsp.numerics import gibbs_normalize
 
 from test_deep_graphs import three_level_model
@@ -419,11 +421,21 @@ def test_stacked_theta_and_line_search_match_per_sample_reference():
         layout = graph.layout()
         k = 4
         w = rng.normal(size=k)
-        stack = learner._ThetaStack([s.compiled() for s in samples], layout.total)
+        stack = ThetaStack(samples, layout.total)
         th = stack.rows(w)
-        assert np.array_equal(th, theta_rows(layout, samples, w, include_loss=True))
+        ref = np.stack([s.compiled().theta_vec(w, include_loss=True) for s in samples])
+        assert np.array_equal(th, ref)
         sums = [th[i, s.compiled().true_slots].sum() for i, s in enumerate(samples)]
         assert np.array_equal(stack.true_sums(th), sums)
+        free = ThetaStack(samples, layout.total, include_loss=False).rows(w)
+        assert np.array_equal(free, [s.compiled().theta_vec(w, include_loss=False) for s in samples])
+        many = samples * 3
+        bmat = rng.uniform(size=(len(many), layout.total))
+        expect = np.zeros(k)
+        for i, s in enumerate(many):
+            cs = s.compiled()
+            expect += np.bincount(cs.feat_cols, cs.feat_vals * bmat[i, cs.feat_rows], k)
+        assert np.array_equal(ThetaStack(many, layout.total).expectations(bmat, k), expect)
 
         states = [MessageState(graph) for _ in samples]
         for sample, state in zip(samples, states):
@@ -436,3 +448,25 @@ def test_stacked_theta_and_line_search_match_per_sample_reference():
             w_ref, eta_ref, f_ref = reference_line_search(graph, samples, states, w, g, 1.0, 0.5, cfg)
             assert np.array_equal(step.w, w_ref)
             assert step.eta == eta_ref and step.objective == f_ref
+
+
+def test_library_report_and_gradient_reproduce_train_bitwise():
+    # one objective path: at train's final messages and weights, the library
+    # report prints train's report and the gradient has the logged norm
+    rng = np.random.default_rng(34)
+    for graph, samples in small_corpora(rng) + small_corpora(rng):
+        values = rng.uniform(0.5, 2.0, graph.region_count)
+        for scheme, c_values in (("ones", None), ("file", values)):
+            counting = CountingNumbers.from_scheme(graph, scheme, c_values)
+            cfg = TrainerConfig(
+                eps=1.0, C=0.5, c_scheme=scheme, c_values=c_values, max_outer_iters=3000,
+                residual_tol=1e-9, grad_norm_tol=1e-7,
+            )
+            records = []
+            state = train(graph, samples, cfg, log_fn=records.append)
+            assert state.converged
+            report = duality_report(graph, samples, state.states, state.w, 1.0, counting, 0.5)
+            assert report.to_text() == state.report.to_text()
+            g = w_gradient(graph, samples, state.states, state.w, 1.0, counting, 0.5)
+            assert np.linalg.norm(g) == records[-1].grad_norm
+

@@ -11,7 +11,32 @@ from blendsp import (
     validate_model,
 )
 
+from blendsp.learner import TrainerConfig
+
 from util import chain_graph, loopy_graph, random_sample
+
+
+def test_counting_scheme_resolver():
+    graph = chain_graph(3)
+    assert CountingNumbers.from_scheme(graph, "ones").values.tolist() == [1.0] * 5
+    assert CountingNumbers.from_scheme(graph, "bethe").values.tolist() == [0.0, -1.0, 0.0, 1.0, 1.0]
+    values = [0.5, 1.0, 2.0, 1.0, 1.0]
+    assert CountingNumbers.from_scheme(graph, "file", values).values.tolist() == values
+    assert TrainerConfig(c_scheme="file", c_values=values).counting(graph).values.tolist() == values
+    for bad, message in (
+        ([1.0] * 4, "cover exactly"),
+        ([[1.0] * 5], "cover exactly"),
+        ([1.0, 1.0, float("nan"), 1.0, 1.0], "finite"),
+        ([1.0, float("inf"), 1.0, 1.0, 1.0], "finite"),
+    ):
+        with pytest.raises(ModelError, match=message):
+            CountingNumbers.from_scheme(graph, "file", bad)
+        with pytest.raises(ModelError, match=message):
+            TrainerConfig(c_scheme="file", c_values=bad).counting(graph)
+    with pytest.raises(ValueError, match="requires values"):
+        CountingNumbers.from_scheme(graph, "file")
+    with pytest.raises(ValueError, match="unknown counting scheme"):
+        CountingNumbers.from_scheme(graph, "twos")
 
 
 def minimal_model():
