@@ -8,6 +8,7 @@ or input error, 2 non-convergence within the iteration budget.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import sys
 from pathlib import Path
 
@@ -38,6 +39,17 @@ __all__ = ["main"]
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NOT_CONVERGED = 2
+
+# glibc's mallopt parameters (malloc.h) and the values main sets them to
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+HEAP_TRIM_BYTES = 256 * 2**20
+HEAP_MMAP_BYTES = 32 * 2**20
+
+C_SCHEME_HELP = (
+    "counting numbers: ones, bethe, or file (from --c-file); default: the "
+    "model's COUNTS section, or ones when it has none"
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,7 +84,7 @@ def _build_parser() -> _Parser:
     t.add_argument("--model", type=Path, required=True)
     t.add_argument("--eps", type=float, default=1.0)
     t.add_argument("--C", type=float, default=1.0)
-    t.add_argument("--c-scheme", choices=("ones", "bethe", "file"), default="ones")
+    t.add_argument("--c-scheme", choices=("ones", "bethe", "file"), help=C_SCHEME_HELP)
     t.add_argument("--c-file", type=Path, default=None)
     t.add_argument(
         "--sweeps-per-step",
@@ -99,7 +111,7 @@ def _build_parser() -> _Parser:
     i.add_argument("--model", type=Path, required=True)
     i.add_argument("--weights", type=Path, required=True)
     i.add_argument("--eps-infer", type=float, default=1.0)
-    i.add_argument("--c-scheme", choices=("ones", "bethe", "file"), default="ones")
+    i.add_argument("--c-scheme", choices=("ones", "bethe", "file"), help=C_SCHEME_HELP)
     i.add_argument("--c-file", type=Path, default=None)
     i.add_argument("--max-sweeps", type=int, default=200)
     i.add_argument("--seed", type=int, default=0)
@@ -115,7 +127,7 @@ def _build_parser() -> _Parser:
     d.add_argument("--weights", type=Path, required=True)
     d.add_argument("--eps", type=float, default=1.0)
     d.add_argument("--C", type=float, default=1.0)
-    d.add_argument("--c-scheme", choices=("ones", "bethe", "file"), default="ones")
+    d.add_argument("--c-scheme", choices=("ones", "bethe", "file"), help=C_SCHEME_HELP)
     d.add_argument("--c-file", type=Path, default=None)
     d.add_argument("--max-sweeps", type=int, default=200)
     d.add_argument("--residual-tol", type=float, default=1e-8)
@@ -125,9 +137,13 @@ def _build_parser() -> _Parser:
 
 def _load_model(args) -> tuple[ParsedModel, CountingNumbers]:
     """The model file and the counting numbers that ``--c-scheme`` selects
-    (with ``file``, read from ``--c-file``: COUNTS lines, see FORMAT.md)."""
+    (with ``file``, read from ``--c-file``: COUNTS lines, see FORMAT.md).
+    Without ``--c-scheme``, the model's own COUNTS section, or ``ones`` when
+    it has none."""
     with open(args.model) as fh:
         parsed = parse_model(fh)
+    if args.c_scheme is None:
+        return parsed, parsed.counting or CountingNumbers.ones(parsed.graph)
     values = None
     if args.c_scheme == "file":
         if args.c_file is None:
@@ -224,7 +240,7 @@ def _cmd_train(args) -> int:
         write_weights(
             state.w,
             fh,
-            {"eps": repr(args.eps), "C": repr(args.C), "scheme": args.c_scheme},
+            {"eps": repr(args.eps), "C": repr(args.C), "scheme": counting.scheme},
         )
     if state.report is not None:
         print(state.report.to_text())
@@ -281,16 +297,34 @@ def _cmd_gap(args) -> int:
     )
     lam = np.zeros((len(parsed.samples), layout.message_total))
     thetas = stack.rows(w)
-    b, residual, _ = sweep_until_consistent(
+    b, residual, _, lam_part = sweep_until_consistent(
         layout, lam, thetas, args.eps, counting.values, args.max_sweeps, args.residual_tol
     )
     capped = ~(residual <= args.residual_tol)  # at the cap, or NaN
     _print_capped(int(capped.sum()), len(parsed.samples), args.max_sweeps)
-    print(objective.report(lam, thetas, w, bmat=b)[0].to_text())
+    print(objective.report(lam, thetas, w, thetas + lam_part, bmat=b)[0].to_text())
     return EXIT_OK
 
 
+def _pin_heap() -> None:
+    """Keep freed memory mapped for reuse: allocations up to HEAP_MMAP_BYTES
+    come from the heap instead of their own mappings, and the heap top is not
+    returned to the system until HEAP_TRIM_BYTES of it are free.  Every train
+    iteration allocates and frees the same (samples x slots) arrays.  Under
+    glibc's default, adaptive thresholds, whether they were unmapped or
+    trimmed, and faulted in again on the next iteration, depended on which
+    of them happened to outlive a call.  A no-op where the C library has no
+    ``mallopt``."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt(M_MMAP_THRESHOLD, HEAP_MMAP_BYTES)
+    mallopt(M_TRIM_THRESHOLD, HEAP_TRIM_BYTES)
+
+
 def main(argv=None) -> int:
+    _pin_heap()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

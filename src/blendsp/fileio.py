@@ -302,7 +302,8 @@ def parse_model(stream) -> ParsedModel:
 
     counting = None
     if counts:
-        counting = CountingNumbers.from_values(_count_values(counts, n_regions, lines[-1][0]))
+        values = _count_values(counts, n_regions, lines[-1][0])
+        counting = CountingNumbers.from_values(values, "model")
 
     report = validate_model(graph, samples, counting)
     if not report.ok:

@@ -34,6 +34,15 @@ tables.  The plan is built on the first sweep and cached on the layout
 (``sweep_plan``); ``lambda_update_vec`` remains the per-region update and the
 reference the schedule is tested against.
 
+The potentials of theta rows at messages lam are, everywhere in the package,
+``theta + message_potentials(layout, lam)``: the message part (incoming minus
+outgoing messages per table slot) is scattered on its own and then added to
+theta in one step.  The beliefs, the line search's trials and the objective
+report all read potentials rounded that one way, and a caller that already
+holds a message state's potentials passes them on instead of scattering the
+state again: ``sweep_until_consistent`` returns the message part of its final
+rows, and ``belief_vec`` takes precomputed potentials.
+
 The module-level helpers operate on batches: message matrices of shape
 (num_samples, message_total) against potential matrices (num_samples,
 total).  Samples never interact, so batching is purely an efficiency device;
@@ -137,11 +146,20 @@ def segmented_gibbs(
 
     ``coeff`` carries the counting numbers so that zero-temperature regions
     tie-break toward the max (coeff >= 0) or the min (coeff < 0), matching
-    the limit of exp(v / (eps * coeff)) as eps approaches zero.
+    the limit of exp(v / (eps * coeff)) as eps approaches zero.  When every
+    temperature is positive (no zero temperature, no region centred on its
+    minimum) the result is built in one buffer, with the same arithmetic.
     """
     starts = layout.starts
     seg = layout.segment
     m = np.maximum.reduceat(vec, starts, axis=-1)
+    if (t_regions > 0).all():
+        e = m.take(seg, axis=-1)
+        np.subtract(vec, e, out=e)
+        e /= t_regions[seg]
+        np.exp(e, out=e)
+        e /= np.add.reduceat(e, starts, axis=-1).take(seg, axis=-1)
+        return e
     use_min = np.where(t_regions == 0, coeff < 0, t_regions < 0)
     if use_min.any():
         m = np.where(use_min, np.minimum.reduceat(vec, starts, axis=-1), m)
@@ -160,25 +178,24 @@ def segmented_gibbs(
     return e / z[..., seg]
 
 
-def theta_hat_vec(layout: GraphLayout, theta: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Message-parameterized potentials: theta + incoming - outgoing messages.
+def message_potentials(layout: GraphLayout, lam: np.ndarray) -> np.ndarray:
+    """The message part of the potentials: incoming minus outgoing messages
+    per table slot, shaped like the theta rows of ``lam``'s message rows.
+    The message-parameterized potentials are ``theta + message_potentials``.
 
-    One bincount per row over ``layout.hat_bins``: each slot starts from its
-    theta, then adds its incoming and negated outgoing messages in edge order.
+    One bincount per row over ``layout.message_bins``: each slot adds its
+    incoming and then its negated outgoing messages, in edge order.
     """
-    if layout.message_total == 0:
-        return theta.copy()
-
-    def row(th, lm):
-        weights = np.concatenate((th, lm[layout.in_source], -lm))
-        return np.bincount(layout.hat_bins, weights, layout.total)
-
-    if theta.ndim == 1:
-        return row(theta, lam)
-    out = np.empty_like(theta)
-    for i in range(theta.shape[0]):
-        out[i] = row(theta[i], lam[i])
-    return out
+    rows = lam if lam.ndim == 2 else lam[None, :]
+    out = np.zeros((rows.shape[0], layout.total))
+    if layout.message_total:
+        n_in = layout.in_source.size
+        weights = np.empty(n_in + layout.message_total)
+        for i, lm in enumerate(rows):
+            np.take(lm, layout.in_source, out=weights[:n_in])
+            np.negative(lm, out=weights[n_in:])
+            out[i] = np.bincount(layout.message_bins, weights, layout.total)
+    return out if lam.ndim == 2 else out[0]
 
 
 def _group_lse(expo: np.ndarray, edge: int, layout: GraphLayout, t: float) -> np.ndarray:
@@ -497,8 +514,11 @@ def belief_vec(
     theta: np.ndarray,
     eps: float,
     cvals: np.ndarray,
+    potentials: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Concatenated belief table rows at temperatures eps * c_r.
+    """Concatenated belief table rows at temperatures eps * c_r, from the
+    ``potentials`` theta + message_potentials(layout, lam), which are
+    computed here unless given.
 
     Regions with c_r = 0 that have parents are degenerate under the direct
     formula (their parameterized potential vanishes at the fixed point); they
@@ -506,8 +526,9 @@ def belief_vec(
     parent c), which is the continuous limit and agrees with the parents'
     marginals at convergence.
     """
-    theta_hat = theta_hat_vec(layout, theta, lam)
-    b = segmented_gibbs(layout, theta_hat, eps * cvals, cvals)
+    if potentials is None:
+        potentials = theta + message_potentials(layout, lam)
+    b = segmented_gibbs(layout, potentials, eps * cvals, cvals)
     for r in layout.regions_with_parents:
         if cvals[r] != 0.0:
             continue
@@ -545,6 +566,12 @@ def residual_rows(layout: GraphLayout, bvec: np.ndarray) -> np.ndarray:
     return np.abs(agg - bvec[:, layout.out_target]).max(axis=1)
 
 
+def _beliefs(layout, lam, theta, eps, cvals):
+    """The belief rows of ``lam`` and the message part of their potentials."""
+    part = message_potentials(layout, lam)
+    return belief_vec(layout, lam, theta, eps, cvals, theta + part), part
+
+
 def sweep_until_consistent(
     layout: GraphLayout,
     lam: np.ndarray,
@@ -553,16 +580,17 @@ def sweep_until_consistent(
     cvals: np.ndarray,
     max_sweeps: int,
     tol: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Sweep each row of ``lam`` in place until its residual is at most
     ``tol`` or it has had ``max_sweeps`` sweeps; return the final belief rows,
-    per-row residuals and per-row sweep counts.
+    per-row residuals, per-row sweep counts and the message part of the final
+    rows' potentials (``message_potentials`` of the final ``lam``).
 
     Rows still active are swept together, gathered when some have stopped.
     Per-row arithmetic does not depend on the batch, so each row ends bitwise
     equal to a batch-of-one run.
     """
-    b = belief_vec(layout, lam, theta, eps, cvals)
+    b, part = _beliefs(layout, lam, theta, eps, cvals)
     residual = residual_rows(layout, b)
     sweeps = np.zeros(lam.shape[0], dtype=np.int64)
     for _ in range(max_sweeps):
@@ -571,17 +599,17 @@ def sweep_until_consistent(
             break
         if rows.size == lam.shape[0]:
             sweep_vec(layout, lam, theta, eps, cvals)
-            b = belief_vec(layout, lam, theta, eps, cvals)
+            b, part = _beliefs(layout, lam, theta, eps, cvals)
             residual = residual_rows(layout, b)
         else:
             sub_lam, sub_theta = lam[rows], theta[rows]
             sweep_vec(layout, sub_lam, sub_theta, eps, cvals)
             lam[rows] = sub_lam
-            sub_b = belief_vec(layout, sub_lam, sub_theta, eps, cvals)
-            b[rows] = sub_b
+            sub_b, sub_part = _beliefs(layout, sub_lam, sub_theta, eps, cvals)
+            b[rows], part[rows] = sub_b, sub_part
             residual[rows] = residual_rows(layout, sub_b)
         sweeps[rows] += 1
-    return b, residual, sweeps
+    return b, residual, sweeps, part
 
 
 # ---------------------------------------------------------------------------

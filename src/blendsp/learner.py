@@ -34,10 +34,10 @@ from .inference import (
     MessageState,
     belief_vec,
     counting_values,
+    message_potentials,
     segmented_lse,
     sweep_until_consistent,
     sweep_vec,
-    theta_hat_vec,
 )
 from .model import CountingNumbers, RegionGraph, Sample, ThetaStack, feature_count
 from .objective import BatchObjective, ObjectiveReport, report_at
@@ -205,7 +205,7 @@ def w_step(
     cvals = counting_values(counting, graph)
     stack = ThetaStack(samples, layout.total)
     lam = np.stack([st.vec for st in states]) if states else np.zeros((0, layout.message_total))
-    lam_part = theta_hat_vec(layout, np.zeros((len(samples), layout.total)), lam)
+    lam_part = message_potentials(layout, lam)
     w = np.asarray(w, dtype=float)
     step, _ = _line_search(
         layout, stack, lam_part, eps * cvals, w, stack.rows(w), gradient, C, cfg
@@ -254,16 +254,16 @@ def train(
         if config.sweeps_per_step is None:
             sweep_vec(layout, lam, thetas, eps, cvals)
             tol = max(config.residual_tol, KAPPA * grad_norm)
-            bmat, _, extra = sweep_until_consistent(
+            bmat, _, extra, lam_part = sweep_until_consistent(
                 layout, lam, thetas, eps, cvals, KAPPA_CAP - 1, tol
             )
             sweeps = 1 + int(extra.max(initial=0))
         else:
             for _ in range(config.sweeps_per_step):
                 sweep_vec(layout, lam, thetas, eps, cvals)
-            bmat = belief_vec(layout, lam, thetas, eps, cvals)
+            lam_part = message_potentials(layout, lam)
+            bmat = belief_vec(layout, lam, thetas, eps, cvals, thetas + lam_part)
             sweeps = config.sweeps_per_step
-        lam_part = theta_hat_vec(layout, np.zeros((n, layout.total)), lam)
         g_pre = stack.expectations(bmat, num_features) - objective.empirical + C * state.w
 
         step, (thetas, th, lse) = _line_search(
@@ -272,10 +272,9 @@ def train(
         state.stalled = step.stalled
         state.w = step.w
 
-        # post-step diagnostics; the moment mismatch doubles as the gradient
-        losses = stack.losses(th, lse)
-        del th, lse  # large; freed before the belief pass allocates its own
-        report, z = objective.report(lam, thetas, state.w, losses)
+        # post-step diagnostics at the accepted trial's potentials; the
+        # moment mismatch doubles as the gradient
+        report, z = objective.report(lam, thetas, state.w, th, lse)
         state.report = report
         primal, residual = report.primal, report.marginal_residual
         grad_norm = float(np.linalg.norm(z + C * state.w))
@@ -352,7 +351,7 @@ def predict_all(
     cvals = counting_values(counting, graph)
     theta = ThetaStack(samples, layout.total, include_loss=False).rows(w)
     lam = np.zeros((len(samples), layout.message_total))
-    b, residual, sweeps = sweep_until_consistent(
+    b, residual, sweeps, _ = sweep_until_consistent(
         layout, lam, theta, eps_infer, cvals, max_sweeps, residual_tol
     )
     decoders = []

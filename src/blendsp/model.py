@@ -227,11 +227,9 @@ class GraphLayout:
         # message slots are contiguous in edge order, so an outgoing
         # subtraction reads the message vector itself, slot by slot
         self.out_target = cat(out_tgt)
-        # bincount bins of theta_hat's weights: every table slot once, then
-        # the incoming and the outgoing messages, in the order they are summed
-        self.hat_bins = np.concatenate(
-            (np.arange(self.total, dtype=np.int64), self.in_target, self.out_target)
-        )
+        # bincount bins of the message potentials' weights: the incoming and
+        # the outgoing messages, in the order they are summed
+        self.message_bins = np.concatenate((self.in_target, self.out_target))
         # the level schedule of the last sweep order used (inference.sweep_plan)
         self.plan_cache = None
 

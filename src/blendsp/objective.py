@@ -9,13 +9,17 @@ tied to the marginal residual.
 
 One method, ``BatchObjective.report``, computes primal, dual, gap, residual
 and certificate for a whole batch: from the message matrix, the stacked theta
-rows (``model.ThetaStack``), the per-sample losses at frozen messages and the
-belief rows.  ``train`` (after every weight step), the ``gap`` command,
-``duality_report``, ``primal_objective`` and ``w_gradient`` all go through it
-with the same arithmetic: potentials thetas + theta_hat(0, lam), moment
-mismatch z = sum_i E_i - sum_i emp_i and gradient z + C * w.  The same
+rows (``model.ThetaStack``) and the potentials thetas +
+message_potentials(lam) (``inference``), which feed both the per-sample
+losses and the belief rows, so the primal and the dual of one report rest on
+the same rounding of the potentials.  ``train`` (after every weight step),
+the ``gap`` command, ``duality_report``, ``primal_objective`` and
+``w_gradient`` all go through it with the same arithmetic: those potentials,
+moment mismatch z = sum_i E_i - sum_i emp_i and gradient z + C * w.  The same
 messages and weights therefore give the same report, bit for bit, whichever
-of them computes it.
+of them computes it; ``train`` and ``gap`` hand in the potentials (and
+``gap`` the beliefs) they already hold instead of scattering the messages
+again.
 
 The exact_* functions enumerate the full joint label space (guarded to 2^20
 joint labels) and serve as independent oracles for everything else.
@@ -32,9 +36,9 @@ from .inference import (
     MessageState,
     belief_vec,
     counting_values,
+    message_potentials,
     residual_rows,
     segmented_lse,
-    theta_hat_vec,
 )
 from .model import GraphLayout, RegionGraph, Sample, ThetaStack, feature_count, theta_table
 from .numerics import eps_log_sum_exp, gibbs_normalize
@@ -116,7 +120,7 @@ def region_loss(
     cvals = counting_values(counting, graph)
     compiled = sample.compiled()
     theta = compiled.theta_vec(np.asarray(w, dtype=float), include_loss=True)
-    th = theta_hat_vec(layout, theta, state.vec)
+    th = theta + message_potentials(layout, state.vec)
     table = th[layout.region_slices[region]]
     y = int(sample.true_labels[region])
     return eps_log_sum_exp(table, eps * cvals[region]) - float(table[y])
@@ -158,25 +162,29 @@ class BatchObjective:
         lam: np.ndarray,
         thetas: np.ndarray,
         w: np.ndarray,
-        losses: list[float] | None = None,
+        potentials: np.ndarray | None = None,
+        lse: np.ndarray | None = None,
         bmat: np.ndarray | None = None,
     ) -> tuple[ObjectiveReport, np.ndarray]:
         """The report at the message rows ``lam`` and the weights ``w``, whose
         stacked theta rows (loss included) are ``thetas``, and the moment
         mismatch z: the primal's gradient in the weights is z + C * w.
 
-        The per-sample losses at frozen messages and the belief rows are
-        computed here unless given (``train`` passes its line search's
-        losses, ``gap`` the engine's beliefs).
+        The potentials thetas + message_potentials(lam), their region
+        log-partitions ``lse`` and the belief rows (from those potentials)
+        are computed here unless given: ``train`` passes its accepted
+        line-search trial's potentials and log-partitions, ``gap`` the
+        engine's potentials and beliefs.
         """
         layout, eps, cvals = self.layout, self.eps, self.cvals
         n = lam.shape[0]
-        if losses is None:
-            th = thetas + theta_hat_vec(layout, np.zeros((n, layout.total)), lam)
-            losses = self.stack.losses(th, segmented_lse(layout, th, eps * cvals))
-            del th  # large; freed before the belief pass allocates its own
+        if potentials is None:
+            potentials = thetas + message_potentials(layout, lam)
+        if lse is None:
+            lse = segmented_lse(layout, potentials, eps * cvals)
+        losses = self.stack.losses(potentials, lse)
         if bmat is None:
-            bmat = belief_vec(layout, lam, thetas, eps, cvals)
+            bmat = belief_vec(layout, lam, thetas, eps, cvals, potentials)
         residual = float(residual_rows(layout, bmat).max()) if n else 0.0
         reg = 0.5 * self.C * float(w @ w)
         primal = sum(losses) + reg

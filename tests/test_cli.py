@@ -1,11 +1,13 @@
 import hashlib
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from blendsp import cli, learner
+from blendsp import CountingNumbers, cli, learner
 from blendsp.cli import main
-from blendsp.fileio import parse_labels, parse_model, parse_weights
+from blendsp.fileio import parse_labels, parse_model, parse_weights, write_model
 
 
 def sha(path):
@@ -360,6 +362,69 @@ def test_train_with_counting_file(tmp_path, capsys):
     )
     assert code == 0
     assert "certified=true" in capsys.readouterr().out
+
+
+def primal_line(text):
+    return next(line for line in text.splitlines() if line.startswith("primal="))
+
+
+def test_model_counts_section_is_the_default_counting(tmp_path, capsys):
+    out = gen(tmp_path, "corpus")
+    parsed = parse_model((out / "train.bsp").read_text())
+    regions = parsed.graph.region_count
+    counted = tmp_path / "counted.bsp"
+    with open(counted, "w") as fh:
+        write_model(replace(parsed, counting=CountingNumbers.from_values([0.5] * regions)), fh)
+    cfile = tmp_path / "counts.txt"
+    cfile.write_text("".join(f"{r} 0.5\n" for r in range(regions)))
+    capsys.readouterr()
+
+    def train(model, *flags):
+        weights = tmp_path / "w.bsw"
+        argv = ["train", "--model", str(model), "--max-iters", "50", *flags]
+        assert main([*argv, "--out", str(weights)]) in (0, 2)
+        return primal_line(capsys.readouterr().out), parse_weights(weights.read_text())[1]
+
+    from_section, meta = train(counted)
+    assert meta["scheme"] == "model"
+    from_file, _ = train(out / "train.bsp", "--c-scheme", "file", "--c-file", str(cfile))
+    assert from_section == from_file
+    # no section: ones; an explicit scheme wins over the section
+    ones_default, meta = train(out / "train.bsp")
+    assert meta["scheme"] == "ones"
+    assert ones_default != from_section
+    assert train(counted, "--c-scheme", "ones")[0] == ones_default
+
+
+def test_c_scheme_help_names_the_counts_default(capsys):
+    for command in ("train", "infer", "gap"):
+        assert main([command, "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "default: the model's COUNTS section, or ones when it has none" in text
+
+
+def test_main_sets_the_heap_policy_through_mallopt(tmp_path, monkeypatch):
+    calls = []
+    libc = SimpleNamespace(mallopt=lambda param, value: calls.append((param, value)) or 1)
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
+    gen(tmp_path, "corpus")
+    assert calls == [
+        (cli.M_MMAP_THRESHOLD, cli.HEAP_MMAP_BYTES),
+        (cli.M_TRIM_THRESHOLD, cli.HEAP_TRIM_BYTES),
+    ]
+
+
+@pytest.mark.parametrize("libc", ["unloadable", "no mallopt"])
+def test_main_runs_without_mallopt(tmp_path, monkeypatch, libc):
+    def cdll(name):
+        if libc == "unloadable":
+            raise OSError("no C library")
+        return SimpleNamespace()
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    out = gen(tmp_path, "corpus")
+    argv = ["train", "--model", str(out / "train.bsp"), "--max-iters", "3"]
+    assert main([*argv, "--out", str(tmp_path / "w.bsw")]) == 2
 
 
 def test_train_counting_file_wrong_coverage_is_error(tmp_path, capsys):

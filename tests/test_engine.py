@@ -9,6 +9,7 @@ import numpy as np
 from blendsp import CountingNumbers, Sample, predict
 from blendsp.inference import (
     belief_vec,
+    message_potentials,
     residual_rows,
     sweep_until_consistent,
     sweep_vec,
@@ -68,9 +69,10 @@ def test_engine_matches_per_sample_reference_loop():
             theta = ThetaStack(samples, layout.total).rows(w)
             for max_sweeps, tol in ((0, 1e-8), (3, 1e-8), (300, 1e-7)):
                 lam = np.zeros((len(samples), layout.message_total))
-                b, residual, sweeps = sweep_until_consistent(
+                b, residual, sweeps, part = sweep_until_consistent(
                     layout, lam, theta, eps, cvals, max_sweeps, tol
                 )
+                assert part.tobytes() == message_potentials(layout, lam).tobytes()
                 for i in range(len(samples)):
                     ref_lam, ref_b, ref_res, ref_sweeps = reference_loop(
                         layout, theta[i], eps, cvals, max_sweeps, tol
@@ -108,9 +110,9 @@ def test_engine_empty_batch():
     layout = graph.layout()
     lam = np.zeros((0, layout.message_total))
     theta = np.zeros((0, layout.total))
-    b, residual, sweeps = sweep_until_consistent(
+    b, residual, sweeps, part = sweep_until_consistent(
         layout, lam, theta, 1.0, np.ones(graph.region_count), 10, 1e-8
     )
-    assert b.shape == (0, layout.total)
+    assert b.shape == part.shape == (0, layout.total)
     assert residual.shape == sweeps.shape == (0,)
     assert predict_all(graph, [], np.zeros(3), 1.0) == []

@@ -317,3 +317,28 @@ def test_segmented_lse_and_gibbs_match_reference_bitwise():
             lse, gibbs = reference_segmented(layout, vec, t, coeff)
             assert np.array_equal(segmented_lse(layout, vec, t), lse)
             assert np.array_equal(segmented_gibbs(layout, vec, t, coeff), gibbs)
+
+    # every temperature positive takes segmented_gibbs's one-buffer path, a
+    # zero temperature or a negative counting number anywhere the general one
+    positive = rng.uniform(0.1, 2.0, r)
+    one_zero = positive.copy()
+    one_zero[r // 2] = 0.0
+    one_negative = positive.copy()
+    one_negative[r // 2] = -0.7
+    wide = rng.normal(size=(2, layout.total)) * 300.0  # exps underflow
+    cases = [
+        (vec, positive, 1.0, True),
+        (vec[0], positive, 1.0, True),  # one row
+        (wide, positive, 0.25, True),
+        (vec, one_zero, 1.0, False),  # zero temperature
+        (wide, one_zero, 1.0, False),
+        (vec, one_negative, 1.0, False),  # minimum-centred region
+        (vec[1], one_negative, 0.5, False),
+        (vec, positive, 0.0, False),  # zero temperature everywhere
+    ]
+    for v, coeff, eps, one_buffer in cases:
+        t = eps * coeff
+        assert bool((t > 0).all()) == one_buffer
+        lse, gibbs = reference_segmented(layout, v, t, coeff)
+        assert segmented_lse(layout, v, t).tobytes() == lse.tobytes()
+        assert segmented_gibbs(layout, v, t, coeff).tobytes() == gibbs.tobytes()

@@ -19,9 +19,9 @@ from blendsp import (
     w_gradient,
     w_step,
 )
-from blendsp import learner
+from blendsp import inference, learner, objective
 from blendsp.datagen import DenoiseSpec, make_denoise_dataset
-from blendsp.inference import segmented_lse, theta_hat_vec
+from blendsp.inference import message_potentials, segmented_lse
 from blendsp.model import ThetaStack
 from blendsp.numerics import gibbs_normalize
 
@@ -389,12 +389,38 @@ def test_adaptive_default_takes_fewer_weight_steps_on_denoising():
     assert adaptive.report.primal == pytest.approx(fixed.report.primal, rel=1e-9)
 
 
+def test_train_scatters_messages_once_per_iteration(monkeypatch):
+    # where the KAPPA rule never fires, the engine's belief pass is the only
+    # scatter of the message potentials: the line search and the post-step
+    # report reuse it
+    ds = make_denoise_dataset(
+        DenoiseSpec(width=3, height=3, num_train=2, num_test=1, flip_prob=0.2, seed=1)
+    )
+    calls = []
+    scatter = inference.message_potentials
+
+    def counted(*args):
+        calls.append(1)
+        return scatter(*args)
+
+    for module in (inference, learner, objective):
+        monkeypatch.setattr(module, "message_potentials", counted)
+    records = []
+    state = train(
+        ds.graph, ds.train, TrainerConfig(C=0.3), num_features=ds.num_features,
+        log_fn=records.append,
+    )
+    assert state.converged and state.iteration > 10
+    assert all(r.sweeps == 1 for r in records)  # the rule never fired
+    assert len(calls) == state.iteration
+
+
 def reference_line_search(graph, samples, states, w, g, eps, C, cfg):
     """The line search rebuilding every theta per sample on each trial."""
     layout = graph.layout()
     compiled = [s.compiled() for s in samples]
     lam = np.stack([st.vec for st in states])
-    lam_part = theta_hat_vec(layout, np.zeros((len(samples), layout.total)), lam)
+    lam_part = message_potentials(layout, lam)
     t_regions = eps * np.ones(graph.region_count)
 
     def f(w):

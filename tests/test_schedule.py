@@ -20,10 +20,11 @@ from blendsp.inference import (
     belief_vec,
     conflict_levels,
     lambda_update_vec,
+    message_potentials,
     residual_rows,
+    segmented_gibbs,
     sweep_plan,
     sweep_vec,
-    theta_hat_vec,
 )
 
 from test_deep_graphs import three_level_model
@@ -209,8 +210,8 @@ def test_default_and_id_orders_reach_the_same_beliefs_on_convex_models():
             assert np.abs(by_colour - by_id).max() <= 1e-8
 
 
-def add_at_theta_hat(layout, theta, lam):
-    out = theta.copy()
+def add_at_message_part(layout, lam):
+    out = np.zeros((lam.shape[0], layout.total))
     rows = np.arange(out.shape[0])[:, None]
     np.add.at(out, (rows, layout.in_target[None, :]), lam[:, layout.in_source])
     np.subtract.at(out, (rows, layout.out_target[None, :]), lam)
@@ -232,10 +233,27 @@ def test_bincount_scatters_match_add_at_references():
         for batch in (1, 3):
             theta = rng.normal(size=(batch, layout.total))
             lam = rng.normal(size=(batch, layout.message_total))
-            hat = theta_hat_vec(layout, theta, lam)
-            assert np.array_equal(hat, add_at_theta_hat(layout, theta, lam))
+            reference = theta + add_at_message_part(layout, lam)
+            assert np.array_equal(theta + message_potentials(layout, lam), reference)
             assert np.array_equal(
-                theta_hat_vec(layout, theta[0], lam[0]), add_at_theta_hat(layout, theta, lam)[0]
+                theta[0] + message_potentials(layout, lam[0]), reference[0]
             )
             b = belief_vec(layout, lam, theta, 1.0, cvals)
             assert np.array_equal(residual_rows(layout, b), add_at_residual(layout, b))
+
+
+def test_beliefs_are_gibbs_of_theta_plus_message_potentials():
+    # one potentials convention: theta + message_potentials(lam), bytewise,
+    # whether belief_vec scatters the messages itself or is handed them
+    rng = np.random.default_rng(12)
+    for graph in graphs(rng):
+        layout = graph.layout()
+        for cvals in (np.ones(graph.region_count), rng.uniform(0.2, 2.0, graph.region_count)):
+            for eps in (1.0, 0.3):
+                theta = rng.normal(size=(3, layout.total))
+                lam = rng.normal(size=(3, layout.message_total))
+                potentials = theta + message_potentials(layout, lam)
+                want = segmented_gibbs(layout, potentials, eps * cvals, cvals).tobytes()
+                assert belief_vec(layout, lam, theta, eps, cvals).tobytes() == want
+                given = belief_vec(layout, lam, theta, eps, cvals, potentials)
+                assert given.tobytes() == want
