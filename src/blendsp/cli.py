@@ -47,8 +47,8 @@ HEAP_TRIM_BYTES = 256 * 2**20
 HEAP_MMAP_BYTES = 32 * 2**20
 
 C_SCHEME_HELP = (
-    "counting numbers: ones, bethe, or file (from --c-file); default: the "
-    "model's COUNTS section, or ones when it has none"
+    "counting numbers: ones, bethe, or file (from --c-file; a --c-file alone "
+    "selects file); default: the model's COUNTS section, or ones when it has none"
 )
 
 
@@ -138,19 +138,22 @@ def _build_parser() -> _Parser:
 def _load_model(args) -> tuple[ParsedModel, CountingNumbers]:
     """The model file and the counting numbers that ``--c-scheme`` selects
     (with ``file``, read from ``--c-file``: COUNTS lines, see FORMAT.md).
-    Without ``--c-scheme``, the model's own COUNTS section, or ``ones`` when
-    it has none."""
+    A ``--c-file`` alone selects ``file``; without either, the model's own
+    COUNTS section, or ``ones`` when it has none."""
+    scheme = args.c_scheme or ("file" if args.c_file is not None else None)
+    if scheme == "file" and args.c_file is None:
+        raise ModelError("--c-scheme file requires --c-file")
+    if scheme != "file" and args.c_file is not None:
+        raise ModelError(f"--c-file requires --c-scheme file, not {scheme}")
     with open(args.model) as fh:
         parsed = parse_model(fh)
-    if args.c_scheme is None:
+    if scheme is None:
         return parsed, parsed.counting or CountingNumbers.ones(parsed.graph)
     values = None
-    if args.c_scheme == "file":
-        if args.c_file is None:
-            raise ModelError("--c-scheme file requires --c-file")
+    if scheme == "file":
         with open(args.c_file) as fh:
             values = parse_counts(fh, parsed.graph.region_count)
-    return parsed, CountingNumbers.from_scheme(parsed.graph, args.c_scheme, values)
+    return parsed, CountingNumbers.from_scheme(parsed.graph, scheme, values)
 
 
 def _load_weights(path: Path, parsed: ParsedModel) -> np.ndarray:

@@ -146,36 +146,31 @@ def segmented_gibbs(
 
     ``coeff`` carries the counting numbers so that zero-temperature regions
     tie-break toward the max (coeff >= 0) or the min (coeff < 0), matching
-    the limit of exp(v / (eps * coeff)) as eps approaches zero.  When every
-    temperature is positive (no zero temperature, no region centred on its
-    minimum) the result is built in one buffer, with the same arithmetic.
+    the limit of exp(v / (eps * coeff)) as eps approaches zero.  The
+    exponents are built in one buffer, zero-temperature slots overwritten by
+    their tie indicator; the normalized result is a new array, allocated
+    after every temporary, so that freeing them leaves the top of the heap in
+    use and glibc has nothing to trim and fault in again on the next call.
     """
     starts = layout.starts
     seg = layout.segment
     m = np.maximum.reduceat(vec, starts, axis=-1)
-    if (t_regions > 0).all():
-        e = m.take(seg, axis=-1)
-        np.subtract(vec, e, out=e)
-        e /= t_regions[seg]
-        np.exp(e, out=e)
-        e /= np.add.reduceat(e, starts, axis=-1).take(seg, axis=-1)
-        return e
     use_min = np.where(t_regions == 0, coeff < 0, t_regions < 0)
     if use_min.any():
         m = np.where(use_min, np.minimum.reduceat(vec, starts, axis=-1), m)
     t_slot = t_regions[seg]
     zero_slot = t_slot == 0
-    safe_t = np.where(zero_slot, 1.0, t_slot)
-    x = np.where(zero_slot, 0.0, (vec - m[..., seg]) / safe_t)
-    e = np.exp(x)
+    e = m.take(seg, axis=-1)
+    tie = None
     if zero_slot.any():
-        m_slot = m[..., seg]
-        tie = np.where(
-            use_min[seg], vec <= m_slot + ARGMAX_TOL, vec >= m_slot - ARGMAX_TOL
-        )
-        e = np.where(zero_slot, tie.astype(float), e)
-    z = np.add.reduceat(e, starts, axis=-1)
-    return e / z[..., seg]
+        tie = np.where(use_min[seg], vec <= e + ARGMAX_TOL, vec >= e - ARGMAX_TOL)
+    np.subtract(vec, e, out=e)
+    e /= np.where(zero_slot, 1.0, t_slot)
+    e[..., zero_slot] = 0.0
+    np.exp(e, out=e)
+    if tie is not None:
+        np.copyto(e, tie, where=zero_slot)
+    return e / np.add.reduceat(e, starts, axis=-1).take(seg, axis=-1)
 
 
 def message_potentials(layout: GraphLayout, lam: np.ndarray) -> np.ndarray:
@@ -566,10 +561,12 @@ def residual_rows(layout: GraphLayout, bvec: np.ndarray) -> np.ndarray:
     return np.abs(agg - bvec[:, layout.out_target]).max(axis=1)
 
 
-def _beliefs(layout, lam, theta, eps, cvals):
-    """The belief rows of ``lam`` and the message part of their potentials."""
+def _beliefs(layout, lam, theta, eps, cvals, potentials=None):
+    """The belief rows of ``lam`` and the message part of their potentials;
+    the potentials are written into ``potentials`` when it is given."""
     part = message_potentials(layout, lam)
-    return belief_vec(layout, lam, theta, eps, cvals, theta + part), part
+    potentials = np.add(theta, part, out=potentials)
+    return belief_vec(layout, lam, theta, eps, cvals, potentials), part
 
 
 def sweep_until_consistent(
@@ -588,9 +585,11 @@ def sweep_until_consistent(
 
     Rows still active are swept together, gathered when some have stopped.
     Per-row arithmetic does not depend on the batch, so each row ends bitwise
-    equal to a batch-of-one run.
+    equal to a batch-of-one run.  The full-batch potentials reuse one buffer
+    across sweeps.
     """
-    b, part = _beliefs(layout, lam, theta, eps, cvals)
+    potentials = np.empty_like(theta)
+    b, part = _beliefs(layout, lam, theta, eps, cvals, potentials)
     residual = residual_rows(layout, b)
     sweeps = np.zeros(lam.shape[0], dtype=np.int64)
     for _ in range(max_sweeps):
@@ -599,7 +598,7 @@ def sweep_until_consistent(
             break
         if rows.size == lam.shape[0]:
             sweep_vec(layout, lam, theta, eps, cvals)
-            b, part = _beliefs(layout, lam, theta, eps, cvals)
+            b, part = _beliefs(layout, lam, theta, eps, cvals, potentials)
             residual = residual_rows(layout, b)
         else:
             sub_lam, sub_theta = lam[rows], theta[rows]

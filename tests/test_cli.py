@@ -394,6 +394,29 @@ def test_model_counts_section_is_the_default_counting(tmp_path, capsys):
     assert meta["scheme"] == "ones"
     assert ones_default != from_section
     assert train(counted, "--c-scheme", "ones")[0] == ones_default
+    # a --c-file alone selects file, and wins over the section too
+    assert train(out / "train.bsp", "--c-file", str(cfile))[0] == from_file
+    ones_file = tmp_path / "ones.txt"
+    ones_file.write_text("".join(f"{r} 1\n" for r in range(regions)))
+    assert train(counted, "--c-file", str(ones_file))[0] == ones_default
+
+
+@pytest.mark.parametrize("command", ["train", "infer", "gap"])
+def test_c_file_next_to_another_scheme_is_rejected(tmp_path, capsys, command):
+    out = gen(tmp_path, "corpus")
+    cfile = tmp_path / "counts.txt"
+    cfile.write_text("")
+    model = out / ("test.bsp" if command == "infer" else "train.bsp")
+    argv = [command, "--model", str(model), "--c-scheme", "bethe", "--c-file", str(cfile)]
+    written = tmp_path / ("w.bsw" if command == "train" else "p.labels")
+    if command != "gap":
+        argv += ["--out", str(written)]
+    if command != "train":
+        argv += ["--weights", str(zero_weights(tmp_path, out))]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert "--c-file requires --c-scheme file, not bethe" in capsys.readouterr().err
+    assert not written.exists()
 
 
 def test_c_scheme_help_names_the_counts_default(capsys):

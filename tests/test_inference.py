@@ -318,8 +318,8 @@ def test_segmented_lse_and_gibbs_match_reference_bitwise():
             assert np.array_equal(segmented_lse(layout, vec, t), lse)
             assert np.array_equal(segmented_gibbs(layout, vec, t, coeff), gibbs)
 
-    # every temperature positive takes segmented_gibbs's one-buffer path, a
-    # zero temperature or a negative counting number anywhere the general one
+    # segmented_gibbs builds its result in one buffer; a zero temperature adds
+    # the tie fix-up, a negative counting number the minimum centring
     positive = rng.uniform(0.1, 2.0, r)
     one_zero = positive.copy()
     one_zero[r // 2] = 0.0
@@ -327,18 +327,18 @@ def test_segmented_lse_and_gibbs_match_reference_bitwise():
     one_negative[r // 2] = -0.7
     wide = rng.normal(size=(2, layout.total)) * 300.0  # exps underflow
     cases = [
-        (vec, positive, 1.0, True),
-        (vec[0], positive, 1.0, True),  # one row
-        (wide, positive, 0.25, True),
-        (vec, one_zero, 1.0, False),  # zero temperature
-        (wide, one_zero, 1.0, False),
-        (vec, one_negative, 1.0, False),  # minimum-centred region
-        (vec[1], one_negative, 0.5, False),
-        (vec, positive, 0.0, False),  # zero temperature everywhere
+        (vec, positive, 1.0),
+        (vec[0], positive, 1.0),  # one row
+        (wide, positive, 0.25),
+        (vec, one_zero, 1.0),  # zero temperature
+        (wide, one_zero, 1.0),
+        (vec, one_negative, 1.0),  # minimum-centred region
+        (vec[1], one_negative, 0.5),
+        (wide, -positive, 0.0),  # zero temperature, ties toward the minimum
+        (vec, positive, 0.0),  # zero temperature everywhere
     ]
-    for v, coeff, eps, one_buffer in cases:
+    for v, coeff, eps in cases:
         t = eps * coeff
-        assert bool((t > 0).all()) == one_buffer
         lse, gibbs = reference_segmented(layout, v, t, coeff)
         assert segmented_lse(layout, v, t).tobytes() == lse.tobytes()
         assert segmented_gibbs(layout, v, t, coeff).tobytes() == gibbs.tobytes()
