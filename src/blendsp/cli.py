@@ -300,12 +300,14 @@ def _cmd_gap(args) -> int:
     )
     lam = np.zeros((len(parsed.samples), layout.message_total))
     thetas = stack.rows(w)
-    b, residual, _, lam_part = sweep_until_consistent(
+    block = sweep_until_consistent(
         layout, lam, thetas, args.eps, counting.values, args.max_sweeps, args.residual_tol
     )
-    capped = ~(residual <= args.residual_tol)  # at the cap, or NaN
+    capped = ~(block.residual <= args.residual_tol)  # at the cap, or NaN
     _print_capped(int(capped.sum()), len(parsed.samples), args.max_sweeps)
-    print(objective.report(lam, thetas, w, thetas + lam_part, bmat=b)[0].to_text())
+    potentials = thetas + block.message_part
+    report, _ = objective.report(lam, thetas, w, potentials, block.lse, block.beliefs)
+    print(report.to_text())
     return EXIT_OK
 
 

@@ -36,12 +36,14 @@ reference the schedule is tested against.
 
 The potentials of theta rows at messages lam are, everywhere in the package,
 ``theta + message_potentials(layout, lam)``: the message part (incoming minus
-outgoing messages per table slot) is scattered on its own and then added to
+outgoing messages per table slot) is gathered on its own and then added to
 theta in one step.  The beliefs, the line search's trials and the objective
 report all read potentials rounded that one way, and a caller that already
-holds a message state's potentials passes them on instead of scattering the
+holds a message state's potentials passes them on instead of gathering the
 state again: ``sweep_until_consistent`` returns the message part of its final
-rows, and ``belief_vec`` takes precomputed potentials.
+rows.  One max, exp and sum pass over a potentials array (``gibbs_pass``)
+gives both its Gibbs beliefs and its region log-partitions, so the engine
+also returns the log-partitions, and ``belief_vec`` takes a precomputed pass.
 
 The module-level helpers operate on batches: message matrices of shape
 (num_samples, message_total) against potential matrices (num_samples,
@@ -53,6 +55,7 @@ keeps results bitwise independent of how samples are grouped into batches.
 from __future__ import annotations
 
 import logging
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,51 +116,36 @@ class MessageState:
 # batched internals, shared with the objective and learner modules
 
 
-def segmented_lse(layout: GraphLayout, vec: np.ndarray, t_regions: np.ndarray) -> np.ndarray:
-    """Per-region t*log(sum(exp(./t))) over concatenated table rows.
+class GibbsPass(NamedTuple):
+    """One max, exp and sum pass over potential rows (``gibbs_pass``)."""
 
-    ``vec`` has shape (batch, total); the result is (batch, regions).
-    """
-    starts = layout.starts
-    seg = layout.segment
-    m = np.maximum.reduceat(vec, starts, axis=-1)
-    use_min = t_regions < 0
-    if use_min.any():
-        m = np.where(use_min, np.minimum.reduceat(vec, starts, axis=-1), m)
-    t_slot = t_regions[seg]
-    safe_t = np.where(t_slot != 0, t_slot, 1.0)
-    e = m.take(seg, axis=-1)
-    np.subtract(vec, e, out=e)
-    e /= safe_t
-    np.exp(e, out=e)
-    if (t_slot == 0).any():
-        e = np.where(t_slot == 0, 0.0, e)
-    z = np.add.reduceat(e, starts, axis=-1)
-    nonzero = t_regions != 0
-    out = m.copy()
-    out[..., nonzero] += t_regions[nonzero] * np.log(z[..., nonzero])
-    return out
+    exps: np.ndarray  # exponentials, tie indicators in zero-temperature regions
+    sums: np.ndarray  # their per-region sums
+    lse: np.ndarray  # region log-partitions t*log(sum(exp(./t))), the max at t = 0
+
+    def beliefs(self, layout: GraphLayout) -> np.ndarray:
+        """Per-region Gibbs normalization of the potential rows."""
+        return self.exps / self.sums.take(layout.segment, axis=-1)
 
 
-def segmented_gibbs(
+def gibbs_pass(
     layout: GraphLayout, vec: np.ndarray, t_regions: np.ndarray, coeff: np.ndarray
-) -> np.ndarray:
-    """Per-region Gibbs normalization over concatenated table rows.
+) -> GibbsPass:
+    """The Gibbs exponentials and region log-partitions of concatenated table
+    rows ``vec`` (shape (batch, total)) at temperatures ``t_regions``.
 
     ``coeff`` carries the counting numbers so that zero-temperature regions
     tie-break toward the max (coeff >= 0) or the min (coeff < 0), matching
-    the limit of exp(v / (eps * coeff)) as eps approaches zero.  The
-    exponents are built in one buffer, zero-temperature slots overwritten by
-    their tie indicator; the normalized result is a new array, allocated
-    after every temporary, so that freeing them leaves the top of the heap in
-    use and glibc has nothing to trim and fault in again on the next call.
+    the limit of exp(v / (eps * coeff)) as eps approaches zero; their
+    log-partition is the max either way.  Every other region is centred on
+    its max (t > 0) or min (t < 0), so its exponentials serve both results.
     """
     starts = layout.starts
     seg = layout.segment
-    m = np.maximum.reduceat(vec, starts, axis=-1)
+    mx = m = np.maximum.reduceat(vec, starts, axis=-1)
     use_min = np.where(t_regions == 0, coeff < 0, t_regions < 0)
     if use_min.any():
-        m = np.where(use_min, np.minimum.reduceat(vec, starts, axis=-1), m)
+        m = np.where(use_min, np.minimum.reduceat(vec, starts, axis=-1), mx)
     t_slot = t_regions[seg]
     zero_slot = t_slot == 0
     e = m.take(seg, axis=-1)
@@ -170,7 +158,11 @@ def segmented_gibbs(
     np.exp(e, out=e)
     if tie is not None:
         np.copyto(e, tie, where=zero_slot)
-    return e / np.add.reduceat(e, starts, axis=-1).take(seg, axis=-1)
+    z = np.add.reduceat(e, starts, axis=-1)
+    nonzero = t_regions != 0
+    lse = np.where(nonzero, m, mx)
+    lse[..., nonzero] += t_regions[nonzero] * np.log(z[..., nonzero])
+    return GibbsPass(e, z, lse)
 
 
 def message_potentials(layout: GraphLayout, lam: np.ndarray) -> np.ndarray:
@@ -178,18 +170,19 @@ def message_potentials(layout: GraphLayout, lam: np.ndarray) -> np.ndarray:
     per table slot, shaped like the theta rows of ``lam``'s message rows.
     The message-parameterized potentials are ``theta + message_potentials``.
 
-    One bincount per row over ``layout.message_bins``: each slot adds its
-    incoming and then its negated outgoing messages, in edge order.
+    Each slot adds, from zero, its incoming and then its negated outgoing
+    messages, in edge order (``layout.potential_terms``): one gather-and-add
+    per term position, then one gather back into slot order.
     """
     rows = lam if lam.ndim == 2 else lam[None, :]
+    terms, place = layout.potential_terms
     out = np.zeros((rows.shape[0], layout.total))
-    if layout.message_total:
-        n_in = layout.in_source.size
-        weights = np.empty(n_in + layout.message_total)
-        for i, lm in enumerate(rows):
-            np.take(lm, layout.in_source, out=weights[:n_in])
-            np.negative(lm, out=weights[n_in:])
-            out[i] = np.bincount(layout.message_bins, weights, layout.total)
+    if terms:
+        acc = np.zeros_like(out)  # in column order
+        src = np.concatenate((rows, -rows), axis=1)
+        for n, idx in terms:
+            acc[:, :n] += src.take(idx, axis=1)
+        np.take(acc, place, axis=1, out=out)
     return out if lam.ndim == 2 else out[0]
 
 
@@ -455,8 +448,11 @@ class SweepPlan:
             mx = m = np.maximum.reduceat(v, level.starts, axis=1)
             if c.use_min is not None:
                 m = np.where(c.use_min, np.minimum.reduceat(v, level.starts, axis=1), mx)
-            x = (v - m.take(level.group_of, axis=1)) / c.t_col
-            z = np.add.reduceat(np.exp(x), level.starts, axis=1)
+            x = m.take(level.group_of, axis=1)
+            np.subtract(v, x, out=x)
+            x /= c.t_col
+            np.exp(x, out=x)
+            z = np.add.reduceat(x, level.starts, axis=1)
             mu = np.where(c.max_only, mx, m + c.t_group * np.log(z))
 
             src = np.concatenate((lam, mu), axis=1)
@@ -509,11 +505,11 @@ def belief_vec(
     theta: np.ndarray,
     eps: float,
     cvals: np.ndarray,
-    potentials: np.ndarray | None = None,
+    terms: GibbsPass | None = None,
 ) -> np.ndarray:
     """Concatenated belief table rows at temperatures eps * c_r, from the
-    ``potentials`` theta + message_potentials(layout, lam), which are
-    computed here unless given.
+    Gibbs pass ``terms`` of the potentials theta + message_potentials(layout,
+    lam), which is computed here unless given.
 
     Regions with c_r = 0 that have parents are degenerate under the direct
     formula (their parameterized potential vanishes at the fixed point); they
@@ -521,9 +517,10 @@ def belief_vec(
     parent c), which is the continuous limit and agrees with the parents'
     marginals at convergence.
     """
-    if potentials is None:
+    if terms is None:
         potentials = theta + message_potentials(layout, lam)
-    b = segmented_gibbs(layout, potentials, eps * cvals, cvals)
+        terms = gibbs_pass(layout, potentials, eps * cvals, cvals)
+    b = terms.beliefs(layout)
     for r in layout.regions_with_parents:
         if cvals[r] != 0.0:
             continue
@@ -552,21 +549,43 @@ def belief_vec(
 
 
 def residual_rows(layout: GraphLayout, bvec: np.ndarray) -> np.ndarray:
-    """Largest parent-marginal vs child-belief disagreement, per batch row."""
-    if layout.message_total == 0:
-        return np.zeros(bvec.shape[0])
-    agg = np.empty((bvec.shape[0], layout.message_total))
-    for i, row in enumerate(bvec):
-        agg[i] = np.bincount(layout.in_source, row[layout.in_target], layout.message_total)
-    return np.abs(agg - bvec[:, layout.out_target]).max(axis=1)
+    """Largest parent-marginal vs child-belief disagreement, per batch row.
+
+    Each parent marginal adds its parent beliefs in ascending parent label,
+    one gathered (batch, n) row of ``layout.marginal_groups`` at a time.  A
+    single (batch, G, n) gather summed over axis 1 gives the same bits only
+    while numpy keeps that axis apart (it sums a folded, contiguous one
+    pairwise), and it held about 0.9 MB more at the peak of a ``highorder``
+    train.
+    """
+    out = np.zeros(bvec.shape[0])
+    for parent, child in layout.marginal_groups:
+        gap = bvec.take(parent[0], axis=1)
+        for row in parent[1:]:
+            gap += bvec.take(row, axis=1)
+        gap -= bvec.take(child, axis=1)
+        np.abs(gap, out=gap)
+        out = np.maximum(out, gap.max(axis=1))
+    return out
 
 
-def _beliefs(layout, lam, theta, eps, cvals, potentials=None):
-    """The belief rows of ``lam`` and the message part of their potentials;
-    the potentials are written into ``potentials`` when it is given."""
+def _beliefs(layout, lam, theta, eps, cvals):
+    """The belief rows of ``lam``, the message part of their potentials and
+    the potentials' region log-partitions."""
     part = message_potentials(layout, lam)
-    potentials = np.add(theta, part, out=potentials)
-    return belief_vec(layout, lam, theta, eps, cvals, potentials), part
+    potentials = theta + part
+    terms = gibbs_pass(layout, potentials, eps * cvals, cvals)
+    return belief_vec(layout, lam, theta, eps, cvals, terms), part, terms.lse
+
+
+class SweepResult(NamedTuple):
+    """What ``sweep_until_consistent`` leaves for its callers, per row."""
+
+    beliefs: np.ndarray
+    residual: np.ndarray
+    sweeps: np.ndarray
+    message_part: np.ndarray  # message_potentials of the final messages
+    lse: np.ndarray  # region log-partitions of the final potentials
 
 
 def sweep_until_consistent(
@@ -577,19 +596,18 @@ def sweep_until_consistent(
     cvals: np.ndarray,
     max_sweeps: int,
     tol: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> SweepResult:
     """Sweep each row of ``lam`` in place until its residual is at most
     ``tol`` or it has had ``max_sweeps`` sweeps; return the final belief rows,
-    per-row residuals, per-row sweep counts and the message part of the final
-    rows' potentials (``message_potentials`` of the final ``lam``).
+    per-row residuals and sweep counts, the message part of the final rows'
+    potentials (``message_potentials`` of the final ``lam``) and the region
+    log-partitions of those potentials.
 
     Rows still active are swept together, gathered when some have stopped.
     Per-row arithmetic does not depend on the batch, so each row ends bitwise
-    equal to a batch-of-one run.  The full-batch potentials reuse one buffer
-    across sweeps.
+    equal to a batch-of-one run.
     """
-    potentials = np.empty_like(theta)
-    b, part = _beliefs(layout, lam, theta, eps, cvals, potentials)
+    b, part, lse = _beliefs(layout, lam, theta, eps, cvals)
     residual = residual_rows(layout, b)
     sweeps = np.zeros(lam.shape[0], dtype=np.int64)
     for _ in range(max_sweeps):
@@ -598,17 +616,17 @@ def sweep_until_consistent(
             break
         if rows.size == lam.shape[0]:
             sweep_vec(layout, lam, theta, eps, cvals)
-            b, part = _beliefs(layout, lam, theta, eps, cvals, potentials)
+            b, part, lse = _beliefs(layout, lam, theta, eps, cvals)
             residual = residual_rows(layout, b)
         else:
             sub_lam, sub_theta = lam[rows], theta[rows]
             sweep_vec(layout, sub_lam, sub_theta, eps, cvals)
             lam[rows] = sub_lam
-            sub_b, sub_part = _beliefs(layout, sub_lam, sub_theta, eps, cvals)
-            b[rows], part[rows] = sub_b, sub_part
+            sub_b, part[rows], lse[rows] = _beliefs(layout, sub_lam, sub_theta, eps, cvals)
+            b[rows] = sub_b
             residual[rows] = residual_rows(layout, sub_b)
         sweeps[rows] += 1
-    return b, residual, sweeps, part
+    return SweepResult(b, residual, sweeps, part, lse)
 
 
 # ---------------------------------------------------------------------------

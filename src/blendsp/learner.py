@@ -34,8 +34,8 @@ from .inference import (
     MessageState,
     belief_vec,
     counting_values,
+    gibbs_pass,
     message_potentials,
-    segmented_lse,
     sweep_until_consistent,
     sweep_vec,
 )
@@ -153,33 +153,45 @@ def w_gradient(
     return z + C * w
 
 
-def _line_search(layout, stack, lam_part, t_regions, w, thetas, gradient, C, cfg):
+def _line_search(layout, stack, lam_part, t_regions, cvals, w, thetas, lse, gradient, C, cfg):
     """Backtracking search at frozen messages from ``w``, whose theta rows
-    are ``thetas``.  Returns the step and the theta rows, message-
-    parameterized potentials and region log-partitions at the step's w."""
+    are ``thetas`` and whose potentials thetas + lam_part have the region
+    log-partitions ``lse``.  Returns the step and, unless it stalled, the
+    accepted trial: its theta rows, message-parameterized potentials and
+    Gibbs pass (``gibbs_pass``, which holds the log-partitions).
+
+    Every step restarts at ``cfg.eta0`` on purpose.  Bracketing from the
+    previous step's eta saved evaluations, but late in a ``denoise10`` run
+    the primal is flat to 12 digits, rounding decides the Armijo test, and
+    the run took more iterations; starting one grid step above it stuck at
+    eta = 2^-34 and never converged (ROADMAP item 3, "Measured dead ends").
+    """
     g = np.asarray(gradient, dtype=float)
     if not np.isfinite(g).all():
         raise ValueError("gradient must be finite")
 
-    def objective(w_at, thetas_at):
-        th = thetas_at + lam_part
-        lse = segmented_lse(layout, th, t_regions)
+    def value(w_at, th, lse_at):
         total = 0.5 * C * float(w_at @ w_at)
-        total += float(lse.sum())
+        total += float(lse_at.sum())
         total -= sum(stack.true_sums(th).tolist())
-        return total, (thetas_at, th, lse)
+        return total
 
-    f0, at_w = objective(w, thetas)
+    f0 = value(w, thetas + lam_part, lse)
     gg = float(g @ g)
     eta = cfg.eta0
     for _ in range(cfg.max_backtracks + 1):
         w_try = w - eta * g
-        f_try, at_try = objective(w_try, stack.rows(w_try))
+        thetas_try = stack.rows(w_try)
+        th = thetas_try + lam_part
+        terms = gibbs_pass(layout, th, t_regions, cvals)
+        f_try = value(w_try, th, terms.lse)
         if np.isfinite(f_try) and f_try <= f0 - cfg.sufficient_decrease * eta * gg:
-            return StepResult(w=w_try, eta=eta, stalled=False, objective=f_try), at_try
-        del at_try  # free the rejected trial's rows before the next trial
+            return StepResult(w=w_try, eta=eta, stalled=False, objective=f_try), (
+                thetas_try, th, terms
+            )
+        del thetas_try, th, terms  # free the rejected trial's rows before the next trial
         eta *= cfg.backtrack
-    return StepResult(w=w.copy(), eta=0.0, stalled=True, objective=f0), at_w
+    return StepResult(w=w.copy(), eta=0.0, stalled=True, objective=f0), None
 
 
 def w_step(
@@ -207,8 +219,10 @@ def w_step(
     lam = np.stack([st.vec for st in states]) if states else np.zeros((0, layout.message_total))
     lam_part = message_potentials(layout, lam)
     w = np.asarray(w, dtype=float)
+    thetas = stack.rows(w)
+    lse = gibbs_pass(layout, thetas + lam_part, eps * cvals, cvals).lse
     step, _ = _line_search(
-        layout, stack, lam_part, eps * cvals, w, stack.rows(w), gradient, C, cfg
+        layout, stack, lam_part, eps * cvals, cvals, w, thetas, lse, gradient, C, cfg
     )
     return step
 
@@ -253,28 +267,39 @@ def train(
         state.iteration = it
         if config.sweeps_per_step is None:
             sweep_vec(layout, lam, thetas, eps, cvals)
-            tol = max(config.residual_tol, KAPPA * grad_norm)
-            bmat, _, extra, lam_part = sweep_until_consistent(
-                layout, lam, thetas, eps, cvals, KAPPA_CAP - 1, tol
-            )
-            sweeps = 1 + int(extra.max(initial=0))
+            cap, tol = KAPPA_CAP - 1, max(config.residual_tol, KAPPA * grad_norm)
         else:
             for _ in range(config.sweeps_per_step):
                 sweep_vec(layout, lam, thetas, eps, cvals)
-            lam_part = message_potentials(layout, lam)
-            bmat = belief_vec(layout, lam, thetas, eps, cvals, thetas + lam_part)
-            sweeps = config.sweeps_per_step
-        g_pre = stack.expectations(bmat, num_features) - objective.empirical + C * state.w
+            cap, tol = 0, 0.0
+        block = sweep_until_consistent(layout, lam, thetas, eps, cvals, cap, tol)
+        sweeps = config.sweeps_per_step
+        if sweeps is None:
+            sweeps = 1 + int(block.sweeps.max(initial=0))
+        g_pre = (
+            stack.expectations(block.beliefs, num_features) - objective.empirical + C * state.w
+        )
 
-        step, (thetas, th, lse) = _line_search(
-            layout, stack, lam_part, t_regions, state.w, thetas, g_pre, C, config
+        step, trial = _line_search(
+            layout, stack, block.message_part, t_regions, cvals, state.w, thetas, block.lse,
+            g_pre, C, config,
         )
         state.stalled = step.stalled
         state.w = step.w
 
-        # post-step diagnostics at the accepted trial's potentials; the
-        # moment mismatch doubles as the gradient
-        report, z = objective.report(lam, thetas, state.w, th, lse)
+        # post-step diagnostics at the accepted trial's potentials (a stalled
+        # step keeps the engine's); the moment mismatch doubles as the gradient
+        if trial is None:
+            th, lse, bmat = thetas + block.message_part, block.lse, block.beliefs
+        else:
+            # the beliefs are allocated before the last step's rows are freed
+            # (README, Notes: minor faults of library calls)
+            bmat = belief_vec(layout, lam, trial[0], eps, cvals, trial[2])
+            thetas, th, terms = trial
+            lse = terms.lse
+            del trial, terms  # free the exponentials while the next block sweeps
+        report, z = objective.report(lam, thetas, state.w, th, lse, bmat)
+        del block  # free the engine's rows before the next block allocates its own
         state.report = report
         primal, residual = report.primal, report.marginal_residual
         grad_norm = float(np.linalg.norm(z + C * state.w))
@@ -351,9 +376,8 @@ def predict_all(
     cvals = counting_values(counting, graph)
     theta = ThetaStack(samples, layout.total, include_loss=False).rows(w)
     lam = np.zeros((len(samples), layout.message_total))
-    b, residual, sweeps, _ = sweep_until_consistent(
-        layout, lam, theta, eps_infer, cvals, max_sweeps, residual_tol
-    )
+    block = sweep_until_consistent(layout, lam, theta, eps_infer, cvals, max_sweeps, residual_tol)
+    b, residual, sweeps = block.beliefs, block.residual, block.sweeps
     decoders = []
     for v, owner in enumerate(_smallest_containing_region(graph)):
         reg = graph.regions[owner]

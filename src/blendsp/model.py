@@ -213,25 +213,67 @@ class GraphLayout:
         # absolute gather indices of a child message evaluated at parent labels
         self.lam_in_idx = [self.edge_offsets[e] + self.proj[e] for e in range(len(edges))]
 
-        # scatter indices mapping the message vector into the table vector:
-        # incoming child messages add onto parent slots (through projections),
-        # outgoing messages subtract directly from child slots.
-        in_tgt, in_src, out_tgt = [], [], []
-        for e, (p, r) in enumerate(edges):
-            in_tgt.append(self.offsets[p] + np.arange(sizes[p], dtype=np.int64))
-            in_src.append(self.edge_offsets[e] + self.proj[e])
-            out_tgt.append(self.offsets[r] + np.arange(sizes[r], dtype=np.int64))
-        cat = lambda xs: np.concatenate(xs) if xs else np.zeros(0, dtype=np.int64)
-        self.in_target = cat(in_tgt)
-        self.in_source = cat(in_src)
-        # message slots are contiguous in edge order, so an outgoing
-        # subtraction reads the message vector itself, slot by slot
-        self.out_target = cat(out_tgt)
-        # bincount bins of the message potentials' weights: the incoming and
-        # the outgoing messages, in the order they are summed
-        self.message_bins = np.concatenate((self.in_target, self.out_target))
         # the level schedule of the last sweep order used (inference.sweep_plan)
         self.plan_cache = None
+
+    def _message_links(self):
+        """The slots each message slot links, as three flat arrays: per
+        (edge, parent label), in edge order, the parent table slot and the
+        message slot it projects to; per message slot, its child table slot."""
+        psizes = self.sizes[self.edge_parent]
+        in_first = np.cumsum(psizes) - psizes
+        in_slot = np.arange(int(psizes.sum())) + np.repeat(
+            self.offsets[self.edge_parent] - in_first, psizes
+        )
+        in_msg = np.concatenate([np.zeros(0, dtype=np.int64), *self.lam_in_idx])
+        out_slot = np.arange(self.message_total) + np.repeat(
+            self.offsets[self.edge_child] - self.edge_offsets[:-1], np.diff(self.edge_offsets)
+        )
+        return in_slot, in_msg, out_slot
+
+    @functools.cached_property
+    def potential_terms(self):
+        """Gather tables of ``inference.message_potentials``: (terms, place).
+
+        Each table slot sums its incoming messages (edge order, through the
+        projections) and then its negated outgoing messages (edge order),
+        read from [lam, -lam].  Columns hold the slots by term count, most
+        first, so the columns with a k-th term form a prefix: ``terms[k]`` is
+        (prefix length, gather indices).  Column ``place[s]`` holds slot s.
+        """
+        in_slot, in_msg, out_slot = self._message_links()
+        bins = np.concatenate((in_slot, out_slot))
+        source = np.concatenate((in_msg, self.message_total + np.arange(self.message_total)))
+        count = np.bincount(bins, minlength=self.total)
+        order = np.argsort(bins, kind="stable")
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size) - np.repeat(np.cumsum(count) - count, count)
+        place = np.empty(self.total, dtype=np.int64)
+        place[np.argsort(-count, kind="stable")] = np.arange(self.total)
+        terms = []
+        for k in range(int(count.max(initial=0))):
+            at = rank == k
+            idx = np.empty(int((count > k).sum()), dtype=np.int64)
+            idx[place[bins[at]]] = source[at]
+            terms.append((idx.size, idx))
+        return terms, place
+
+    @functools.cached_property
+    def marginal_groups(self):
+        """Gather tables of ``inference.residual_rows``: per group size G
+        (parent labels projecting to one child label), (parent, child) with
+        ``parent`` the (G, n) parent table slots of n message slots, in
+        ascending parent label, and ``child`` their (n,) child table slots.
+        """
+        in_slot, in_msg, out_slot = self._message_links()
+        count = np.bincount(in_msg, minlength=self.message_total)
+        by_msg = in_slot[np.argsort(in_msg, kind="stable")]
+        first = np.cumsum(count) - count
+        groups = []
+        for g in np.flatnonzero(np.bincount(count)).tolist():
+            slots = np.flatnonzero(count == g)
+            groups.append((by_msg[first[slots] + np.arange(g)[:, None]], out_slot[slots]))
+        return groups
 
     def edge_slice(self, e: int) -> slice:
         return self.edge_slices[e]

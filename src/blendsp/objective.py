@@ -17,9 +17,9 @@ the ``gap`` command, ``duality_report``, ``primal_objective`` and
 ``w_gradient`` all go through it with the same arithmetic: those potentials,
 moment mismatch z = sum_i E_i - sum_i emp_i and gradient z + C * w.  The same
 messages and weights therefore give the same report, bit for bit, whichever
-of them computes it; ``train`` and ``gap`` hand in the potentials (and
-``gap`` the beliefs) they already hold instead of scattering the messages
-again.
+of them computes it; ``train`` and ``gap`` hand in the potentials,
+log-partitions and beliefs they already hold instead of gathering the
+messages again.
 
 The exact_* functions enumerate the full joint label space (guarded to 2^20
 joint labels) and serve as independent oracles for everything else.
@@ -36,9 +36,9 @@ from .inference import (
     MessageState,
     belief_vec,
     counting_values,
+    gibbs_pass,
     message_potentials,
     residual_rows,
-    segmented_lse,
 )
 from .model import GraphLayout, RegionGraph, Sample, ThetaStack, feature_count, theta_table
 from .numerics import eps_log_sum_exp, gibbs_normalize
@@ -171,20 +171,18 @@ class BatchObjective:
         mismatch z: the primal's gradient in the weights is z + C * w.
 
         The potentials thetas + message_potentials(lam), their region
-        log-partitions ``lse`` and the belief rows (from those potentials)
-        are computed here unless given: ``train`` passes its accepted
-        line-search trial's potentials and log-partitions, ``gap`` the
-        engine's potentials and beliefs.
+        log-partitions ``lse`` and the belief rows ``bmat`` (from those
+        potentials) are given together or computed here from one
+        ``gibbs_pass``: ``train`` passes its accepted line-search trial's,
+        ``gap`` the engine's.
         """
         layout, eps, cvals = self.layout, self.eps, self.cvals
         n = lam.shape[0]
         if potentials is None:
             potentials = thetas + message_potentials(layout, lam)
-        if lse is None:
-            lse = segmented_lse(layout, potentials, eps * cvals)
+            terms = gibbs_pass(layout, potentials, eps * cvals, cvals)
+            lse, bmat = terms.lse, belief_vec(layout, lam, thetas, eps, cvals, terms)
         losses = self.stack.losses(potentials, lse)
-        if bmat is None:
-            bmat = belief_vec(layout, lam, thetas, eps, cvals, potentials)
         residual = float(residual_rows(layout, bmat).max()) if n else 0.0
         reg = 0.5 * self.C * float(w @ w)
         primal = sum(losses) + reg

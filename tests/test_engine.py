@@ -9,6 +9,7 @@ import numpy as np
 from blendsp import CountingNumbers, Sample, predict
 from blendsp.inference import (
     belief_vec,
+    gibbs_pass,
     message_potentials,
     residual_rows,
     sweep_until_consistent,
@@ -69,10 +70,12 @@ def test_engine_matches_per_sample_reference_loop():
             theta = ThetaStack(samples, layout.total).rows(w)
             for max_sweeps, tol in ((0, 1e-8), (3, 1e-8), (300, 1e-7)):
                 lam = np.zeros((len(samples), layout.message_total))
-                b, residual, sweeps, part = sweep_until_consistent(
-                    layout, lam, theta, eps, cvals, max_sweeps, tol
-                )
-                assert part.tobytes() == message_potentials(layout, lam).tobytes()
+                res = sweep_until_consistent(layout, lam, theta, eps, cvals, max_sweeps, tol)
+                b, residual, sweeps = res.beliefs, res.residual, res.sweeps
+                part = message_potentials(layout, lam)
+                assert res.message_part.tobytes() == part.tobytes()
+                lse = gibbs_pass(layout, theta + part, eps * cvals, cvals).lse
+                assert res.lse.tobytes() == lse.tobytes()
                 for i in range(len(samples)):
                     ref_lam, ref_b, ref_res, ref_sweeps = reference_loop(
                         layout, theta[i], eps, cvals, max_sweeps, tol
@@ -110,9 +113,8 @@ def test_engine_empty_batch():
     layout = graph.layout()
     lam = np.zeros((0, layout.message_total))
     theta = np.zeros((0, layout.total))
-    b, residual, sweeps, part = sweep_until_consistent(
-        layout, lam, theta, 1.0, np.ones(graph.region_count), 10, 1e-8
-    )
-    assert b.shape == part.shape == (0, layout.total)
-    assert residual.shape == sweeps.shape == (0,)
+    res = sweep_until_consistent(layout, lam, theta, 1.0, np.ones(graph.region_count), 10, 1e-8)
+    assert res.beliefs.shape == res.message_part.shape == (0, layout.total)
+    assert res.residual.shape == res.sweeps.shape == (0,)
+    assert res.lse.shape == (0, graph.region_count)
     assert predict_all(graph, [], np.zeros(3), 1.0) == []

@@ -17,7 +17,7 @@ from blendsp import (
     mu_message,
     primal_objective,
 )
-from blendsp.inference import segmented_gibbs, segmented_lse
+from blendsp.inference import gibbs_pass
 from blendsp.numerics import ARGMAX_TOL
 
 from util import (
@@ -28,6 +28,8 @@ from util import (
     primal_lambda_gradient_fd,
     random_model,
     random_sample,
+    segmented_gibbs,
+    segmented_lse,
     tree_graph,
 )
 
@@ -305,6 +307,17 @@ def reference_segmented(layout, vec, t_regions, coeff):
     return lse, e / np.add.reduceat(e, starts, axis=-1)[..., seg]
 
 
+def check_gibbs_pass(layout, vec, t, coeff):
+    """gibbs_pass against centring on both extremes, and bytewise against
+    the separate log-sum-exp and Gibbs passes it fuses."""
+    terms = gibbs_pass(layout, vec, t, coeff)
+    lse, gibbs = reference_segmented(layout, vec, t, coeff)
+    assert np.array_equal(terms.lse, lse)
+    assert np.array_equal(terms.beliefs(layout), gibbs)
+    assert terms.lse.tobytes() == segmented_lse(layout, vec, t).tobytes()
+    assert terms.beliefs(layout).tobytes() == segmented_gibbs(layout, vec, t, coeff).tobytes()
+
+
 def test_segmented_lse_and_gibbs_match_reference_bitwise():
     rng = np.random.default_rng(40)
     graph = loopy_graph(rng, 6, 9)
@@ -313,13 +326,10 @@ def test_segmented_lse_and_gibbs_match_reference_bitwise():
     r = graph.region_count
     for coeff in (np.ones(r), np.zeros(r), rng.uniform(0.1, 2.0, r), rng.normal(size=r)):
         for eps in (0.0, 0.5, 1.0):
-            t = eps * coeff
-            lse, gibbs = reference_segmented(layout, vec, t, coeff)
-            assert np.array_equal(segmented_lse(layout, vec, t), lse)
-            assert np.array_equal(segmented_gibbs(layout, vec, t, coeff), gibbs)
+            check_gibbs_pass(layout, vec, eps * coeff, coeff)
 
-    # segmented_gibbs builds its result in one buffer; a zero temperature adds
-    # the tie fix-up, a negative counting number the minimum centring
+    # a zero temperature adds the tie fix-up, a negative counting number the
+    # minimum centring
     positive = rng.uniform(0.1, 2.0, r)
     one_zero = positive.copy()
     one_zero[r // 2] = 0.0
@@ -329,6 +339,7 @@ def test_segmented_lse_and_gibbs_match_reference_bitwise():
     cases = [
         (vec, positive, 1.0),
         (vec[0], positive, 1.0),  # one row
+        (vec[:0], positive, 1.0),  # no rows
         (wide, positive, 0.25),
         (vec, one_zero, 1.0),  # zero temperature
         (wide, one_zero, 1.0),
@@ -336,9 +347,7 @@ def test_segmented_lse_and_gibbs_match_reference_bitwise():
         (vec[1], one_negative, 0.5),
         (wide, -positive, 0.0),  # zero temperature, ties toward the minimum
         (vec, positive, 0.0),  # zero temperature everywhere
+        (vec, -positive, 1.0),  # negative temperature everywhere
     ]
     for v, coeff, eps in cases:
-        t = eps * coeff
-        lse, gibbs = reference_segmented(layout, v, t, coeff)
-        assert segmented_lse(layout, v, t).tobytes() == lse.tobytes()
-        assert segmented_gibbs(layout, v, t, coeff).tobytes() == gibbs.tobytes()
+        check_gibbs_pass(layout, v, eps * coeff, coeff)

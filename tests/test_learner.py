@@ -21,12 +21,20 @@ from blendsp import (
 )
 from blendsp import inference, learner, objective
 from blendsp.datagen import DenoiseSpec, make_denoise_dataset
-from blendsp.inference import message_potentials, segmented_lse
+from blendsp.inference import message_potentials
 from blendsp.model import ThetaStack
 from blendsp.numerics import gibbs_normalize
 
 from test_deep_graphs import three_level_model
-from util import chain_graph, loopy_graph, ones, random_model, random_sample, tree_graph
+from util import (
+    chain_graph,
+    loopy_graph,
+    ones,
+    random_model,
+    random_sample,
+    segmented_lse,
+    tree_graph,
+)
 
 
 def test_gradient_zero_when_moments_always_match():

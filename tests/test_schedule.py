@@ -4,8 +4,8 @@ A level updates regions whose block updates neither read nor write each
 other's message slots, so a level-by-level sweep must equal, bit for bit, a
 loop of ``lambda_update_vec`` over the same order: the plan's own
 ``sequence`` for the default colour-class order, the given order otherwise.
-The bincount scatters are checked here against the ``np.add.at`` forms they
-replaced.
+The gather kernels of the message potentials and the residual are checked
+here, bit for bit, against ``np.add.at`` references.
 """
 
 import logging
@@ -19,16 +19,24 @@ from blendsp.datagen import build_grid_graph
 from blendsp.inference import (
     belief_vec,
     conflict_levels,
+    gibbs_pass,
     lambda_update_vec,
     message_potentials,
     residual_rows,
-    segmented_gibbs,
     sweep_plan,
     sweep_vec,
 )
 
 from test_deep_graphs import three_level_model
-from util import chain_graph, loopy_graph, tree_graph
+from util import (
+    add_at_message_part,
+    add_at_residual,
+    chain_graph,
+    loopy_graph,
+    segmented_gibbs,
+    segmented_lse,
+    tree_graph,
+)
 
 
 def sequential_sweep(layout, lam, theta, eps, cvals, order=None):
@@ -210,50 +218,57 @@ def test_default_and_id_orders_reach_the_same_beliefs_on_convex_models():
             assert np.abs(by_colour - by_id).max() <= 1e-8
 
 
-def add_at_message_part(layout, lam):
-    out = np.zeros((lam.shape[0], layout.total))
-    rows = np.arange(out.shape[0])[:, None]
-    np.add.at(out, (rows, layout.in_target[None, :]), lam[:, layout.in_source])
-    np.subtract.at(out, (rows, layout.out_target[None, :]), lam)
+def kernel_graphs(rng):
+    """Graphs for the gather kernels: mixed cardinalities, 3 levels, 1-label
+    children, and no edges at all."""
+    out = graphs(rng, rounds=2)
+    out.append(three_level_model(rng, [1, 3, 4])[0])
+    out.append(three_level_model(rng, [2, 1, 3])[0])
+    # the 9-label pair's edge to the 1-label singleton is the only message
+    # slot whose marginal sums 9 beliefs: a (batch, 9, 1) gather summed over
+    # axis 1 would be summed pairwise, not in order
+    out.append(chain_graph(2, [9, 1]))
+    out.append(chain_graph(4, [3, 1, 4, 2]))
+    out.append(tree_graph(rng, 1))
     return out
 
 
-def add_at_residual(layout, bvec):
-    agg = np.zeros((bvec.shape[0], layout.message_total))
-    rows = np.arange(bvec.shape[0])[:, None]
-    np.add.at(agg, (rows, layout.in_source[None, :]), bvec[:, layout.in_target])
-    return np.abs(agg - bvec[:, layout.out_target]).max(axis=1)
-
-
-def test_bincount_scatters_match_add_at_references():
+def test_gather_kernels_match_add_at_references():
     rng = np.random.default_rng(10)
-    for graph in graphs(rng):
+    for graph in kernel_graphs(rng):
         layout = graph.layout()
-        cvals = np.ones(graph.region_count)
-        for batch in (1, 3):
+        for batch in (0, 1, 3):
             theta = rng.normal(size=(batch, layout.total))
             lam = rng.normal(size=(batch, layout.message_total))
-            reference = theta + add_at_message_part(layout, lam)
-            assert np.array_equal(theta + message_potentials(layout, lam), reference)
-            assert np.array_equal(
-                theta[0] + message_potentials(layout, lam[0]), reference[0]
-            )
-            b = belief_vec(layout, lam, theta, 1.0, cvals)
-            assert np.array_equal(residual_rows(layout, b), add_at_residual(layout, b))
+            lam[:, ::5] = 0.0  # signed zeros: -0.0 in the negated outgoing copy
+            part = add_at_message_part(layout, lam)
+            assert message_potentials(layout, lam).tobytes() == part.tobytes()
+            if batch:
+                assert message_potentials(layout, lam[0]).tobytes() == part[0].tobytes()
+            assert (theta + message_potentials(layout, lam)).tobytes() == (theta + part).tobytes()
+            b = rng.uniform(0.0, 1.0, size=(batch, layout.total))
+            assert residual_rows(layout, b).tobytes() == add_at_residual(layout, b).tobytes()
+            b = belief_vec(layout, lam, theta, 1.0, np.ones(graph.region_count))
+            assert residual_rows(layout, b).tobytes() == add_at_residual(layout, b).tobytes()
 
 
 def test_beliefs_are_gibbs_of_theta_plus_message_potentials():
     # one potentials convention: theta + message_potentials(lam), bytewise,
-    # whether belief_vec scatters the messages itself or is handed them
+    # whether belief_vec gathers the messages itself or is handed their pass,
+    # whose log-partitions are those of a separate log-sum-exp pass
     rng = np.random.default_rng(12)
     for graph in graphs(rng):
         layout = graph.layout()
-        for cvals in (np.ones(graph.region_count), rng.uniform(0.2, 2.0, graph.region_count)):
-            for eps in (1.0, 0.3):
+        for name, cvals in counting_sets(rng, graph).items():
+            for eps in (1.0, 0.3, 0.0):
                 theta = rng.normal(size=(3, layout.total))
                 lam = rng.normal(size=(3, layout.message_total))
                 potentials = theta + message_potentials(layout, lam)
-                want = segmented_gibbs(layout, potentials, eps * cvals, cvals).tobytes()
-                assert belief_vec(layout, lam, theta, eps, cvals).tobytes() == want
-                given = belief_vec(layout, lam, theta, eps, cvals, potentials)
-                assert given.tobytes() == want
+                terms = gibbs_pass(layout, potentials, eps * cvals, cvals)
+                got = belief_vec(layout, lam, theta, eps, cvals)
+                assert belief_vec(layout, lam, theta, eps, cvals, terms).tobytes() == got.tobytes()
+                lse = segmented_lse(layout, potentials, eps * cvals)
+                assert terms.lse.tobytes() == lse.tobytes(), (name, eps)
+                if (cvals != 0).all():
+                    want = segmented_gibbs(layout, potentials, eps * cvals, cvals)
+                    assert got.tobytes() == want.tobytes(), (name, eps)

@@ -7,6 +7,7 @@ import math
 import numpy as np
 
 from blendsp import CountingNumbers, Region, RegionGraph, Sample
+from blendsp.numerics import ARGMAX_TOL
 
 
 def chain_graph(n_vars: int, cards=None) -> RegionGraph:
@@ -112,3 +113,85 @@ def primal_lambda_gradient_fd(graph, sample, state, w, eps, counting, h=1e-6):
 
 def ones(graph) -> CountingNumbers:
     return CountingNumbers.ones(graph)
+
+
+def message_links(layout):
+    """Per (edge, parent label) in edge order, the parent table slot and the
+    message slot it projects to; per message slot, its child table slot."""
+    in_slot, in_msg, out_slot = [], [], []
+    for e, proj in enumerate(layout.proj):
+        p, r = int(layout.edge_parent[e]), int(layout.edge_child[e])
+        in_slot += range(layout.offsets[p], layout.offsets[p + 1])
+        in_msg += (layout.edge_offsets[e] + proj).tolist()
+        out_slot += range(layout.offsets[r], layout.offsets[r + 1])
+    return tuple(np.array(x, dtype=np.int64) for x in (in_slot, in_msg, out_slot))
+
+
+def add_at_message_part(layout, lam):
+    """``message_potentials`` by np.add.at: incoming messages added, then
+    outgoing ones subtracted, each in edge order."""
+    in_slot, in_msg, out_slot = message_links(layout)
+    out = np.zeros((lam.shape[0], layout.total))
+    rows = np.arange(out.shape[0])[:, None]
+    np.add.at(out, (rows, in_slot[None, :]), lam[:, in_msg])
+    np.subtract.at(out, (rows, out_slot[None, :]), lam)
+    return out
+
+
+def add_at_residual(layout, bvec):
+    """``residual_rows`` by np.add.at: parent marginals summed in ascending
+    parent label."""
+    in_slot, in_msg, out_slot = message_links(layout)
+    agg = np.zeros((bvec.shape[0], layout.message_total))
+    rows = np.arange(bvec.shape[0])[:, None]
+    np.add.at(agg, (rows, in_msg[None, :]), bvec[:, in_slot])
+    return np.abs(agg - bvec[:, out_slot]).max(axis=1, initial=0.0)
+
+
+def segmented_lse(layout, vec, t_regions):
+    """Per-region t*log(sum(exp(./t))) in its own max, exp and sum pass: the
+    arithmetic ``inference.gibbs_pass`` must reproduce bit for bit."""
+    starts = layout.starts
+    seg = layout.segment
+    m = np.maximum.reduceat(vec, starts, axis=-1)
+    use_min = t_regions < 0
+    if use_min.any():
+        m = np.where(use_min, np.minimum.reduceat(vec, starts, axis=-1), m)
+    t_slot = t_regions[seg]
+    safe_t = np.where(t_slot != 0, t_slot, 1.0)
+    e = m.take(seg, axis=-1)
+    np.subtract(vec, e, out=e)
+    e /= safe_t
+    np.exp(e, out=e)
+    if (t_slot == 0).any():
+        e = np.where(t_slot == 0, 0.0, e)
+    z = np.add.reduceat(e, starts, axis=-1)
+    nonzero = t_regions != 0
+    out = m.copy()
+    out[..., nonzero] += t_regions[nonzero] * np.log(z[..., nonzero])
+    return out
+
+
+def segmented_gibbs(layout, vec, t_regions, coeff):
+    """Per-region Gibbs normalization in its own max, exp and sum pass, with
+    zero-temperature regions tied toward the max (coeff >= 0) or the min: the
+    arithmetic ``inference.gibbs_pass`` must reproduce bit for bit."""
+    starts = layout.starts
+    seg = layout.segment
+    m = np.maximum.reduceat(vec, starts, axis=-1)
+    use_min = np.where(t_regions == 0, coeff < 0, t_regions < 0)
+    if use_min.any():
+        m = np.where(use_min, np.minimum.reduceat(vec, starts, axis=-1), m)
+    t_slot = t_regions[seg]
+    zero_slot = t_slot == 0
+    e = m.take(seg, axis=-1)
+    tie = None
+    if zero_slot.any():
+        tie = np.where(use_min[seg], vec <= e + ARGMAX_TOL, vec >= e - ARGMAX_TOL)
+    np.subtract(vec, e, out=e)
+    e /= np.where(zero_slot, 1.0, t_slot)
+    e[..., zero_slot] = 0.0
+    np.exp(e, out=e)
+    if tie is not None:
+        np.copyto(e, tie, where=zero_slot)
+    return e / np.add.reduceat(e, starts, axis=-1).take(seg, axis=-1)
