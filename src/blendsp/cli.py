@@ -218,8 +218,6 @@ def _cmd_train(args) -> int:
         primal_rel_tol=args.tol,
         residual_tol=args.residual_tol,
         grad_norm_tol=args.grad_tol,
-        worker_count=args.threads,
-        seed=args.seed,
     )
     print(f"seed={args.seed}")
     if not config.convex_mode(counting):

@@ -31,8 +31,10 @@ the parent exponents (projection permutations folded into the indices), one
 grouped log-sum-exp over all of the level's edges, the accumulation, a
 mean-centring per group of equal-size tables, and one scatter of the new
 tables.  The plan is built on the first sweep and cached on the layout
-(``sweep_plan``); ``lambda_update_vec`` remains the per-region update and the
-reference the schedule is tested against.
+(``sweep_plan``).  This level kernel is the only region update:
+``lambda_update`` runs a one-region plan, ``mu_message`` reads that plan's
+aggregations, and ``belief_vec`` normalizes the accumulators of the regions
+with c_r = 0 as one more level.
 
 The potentials of theta rows at messages lam are, everywhere in the package,
 ``theta + message_potentials(layout, lam)``: the message part (incoming minus
@@ -55,6 +57,7 @@ keeps results bitwise independent of how samples are grouped into batches.
 from __future__ import annotations
 
 import logging
+import weakref
 from typing import NamedTuple
 
 import numpy as np
@@ -79,7 +82,7 @@ def counting_values(counting, graph: RegionGraph) -> np.ndarray:
         return np.ones(graph.region_count)
     if isinstance(counting, CountingNumbers):
         return counting.values
-    return np.asarray(counting, dtype=float)
+    return CountingNumbers.from_scheme(graph, "file", counting).values
 
 
 class MessageState:
@@ -90,26 +93,19 @@ class MessageState:
     state and may run concurrently.
     """
 
-    def __init__(self, graph: RegionGraph):
+    def __init__(self, graph: RegionGraph, vec: np.ndarray | None = None):
+        """Zero messages, or a view of the message row ``vec``."""
         self.graph = graph
         self.layout = graph.layout()
-        self.vec = np.zeros(self.layout.message_total)
-
-    @classmethod
-    def from_view(cls, graph: RegionGraph, vec: np.ndarray) -> "MessageState":
-        out = cls.__new__(cls)
-        out.graph = graph
-        out.layout = graph.layout()
-        out.vec = vec
-        return out
+        self.vec = np.zeros(self.layout.message_total) if vec is None else vec
 
     def table(self, region: int, parent: int) -> np.ndarray:
         """Message table sent from ``region`` to ``parent`` (a writable view)."""
         e = self.graph.edges.index((parent, region))
-        return self.vec[self.layout.edge_slice(e)]
+        return self.vec[self.layout.edge_slices[e]]
 
     def copy(self) -> "MessageState":
-        return MessageState.from_view(self.graph, self.vec.copy())
+        return MessageState(self.graph, self.vec.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +128,8 @@ def gibbs_pass(
     layout: GraphLayout, vec: np.ndarray, t_regions: np.ndarray, coeff: np.ndarray
 ) -> GibbsPass:
     """The Gibbs exponentials and region log-partitions of concatenated table
-    rows ``vec`` (shape (batch, total)) at temperatures ``t_regions``.
+    rows ``vec`` (shape (batch, total)) at temperatures ``t_regions``; the
+    tables are those of ``layout.starts`` and ``layout.segment``.
 
     ``coeff`` carries the counting numbers so that zero-temperature regions
     tie-break toward the max (coeff >= 0) or the min (coeff < 0), matching
@@ -186,82 +183,6 @@ def message_potentials(layout: GraphLayout, lam: np.ndarray) -> np.ndarray:
     return out if lam.ndim == 2 else out[0]
 
 
-def _group_lse(expo: np.ndarray, edge: int, layout: GraphLayout, t: float) -> np.ndarray:
-    """Log-sum-exp (or max) within the projection groups of a parent table.
-
-    ``expo`` is (batch, parent_labels); the result is (batch, child_labels).
-    """
-    v = expo[:, layout.perm[edge]]
-    starts = layout.group_starts[edge]
-    if t == 0.0:
-        return np.maximum.reduceat(v, starts, axis=1)
-    m = (
-        np.maximum.reduceat(v, starts, axis=1)
-        if t > 0
-        else np.minimum.reduceat(v, starts, axis=1)
-    )
-    z = np.add.reduceat(np.exp((v - m[:, layout.group_of[edge]]) / t), starts, axis=1)
-    return m + t * np.log(z)
-
-
-def _parent_exponent(
-    layout: GraphLayout, lam: np.ndarray, theta: np.ndarray, edge: int
-) -> np.ndarray:
-    """Parent-side table feeding the message on ``edge``: theta_p plus
-    messages from the other children minus messages to the grandparents."""
-    p = layout.edge_parent[edge]
-    expo = theta[:, layout.region_slices[p]].copy()
-    for e2 in layout.child_edges[p]:
-        if e2 != edge:
-            expo += lam[:, layout.lam_in_idx[e2]]
-    for e3 in layout.parent_edges[p]:
-        expo -= lam[:, layout.edge_slices[e3]]
-    return expo
-
-
-def mu_vec(
-    layout: GraphLayout,
-    lam: np.ndarray,
-    theta: np.ndarray,
-    edge: int,
-    eps: float,
-    cvals: np.ndarray,
-) -> np.ndarray:
-    expo = _parent_exponent(layout, lam, theta, edge)
-    t = eps * cvals[layout.edge_parent[edge]]
-    return _group_lse(expo, edge, layout, t)
-
-
-def lambda_update_vec(
-    layout: GraphLayout,
-    lam: np.ndarray,
-    theta: np.ndarray,
-    region: int,
-    eps: float,
-    cvals: np.ndarray,
-) -> None:
-    edges = layout.parent_edges[region]
-    if not edges:
-        return
-    denom = cvals[region] + cvals[layout.edge_parent[edges]].sum()
-    if denom == 0.0:
-        logger.warning(
-            "region %d: c_r + sum of parent counting numbers is zero; update skipped",
-            region,
-        )
-        return
-    mus = [mu_vec(layout, lam, theta, e, eps, cvals) for e in edges]
-    acc = theta[:, layout.region_slices[region]].copy()
-    for e2 in layout.child_edges[region]:
-        acc += lam[:, layout.lam_in_idx[e2]]
-    for mu in mus:
-        acc += mu
-    for e, mu in zip(edges, mus):
-        table = (cvals[layout.edge_parent[e]] / denom) * acc - mu
-        table -= table.sum(axis=1, keepdims=True) / table.shape[1]
-        lam[:, layout.edge_slices[e]] = table
-
-
 def conflict_levels(layout: GraphLayout, order=None) -> list[list[int]]:
     """Split a sweep into levels of mutually non-conflicting regions.
 
@@ -274,13 +195,15 @@ def conflict_levels(layout: GraphLayout, order=None) -> list[list[int]]:
     conflicting update earlier in ``order`` (a region conflicts with itself),
     so running the levels in turn, each all at once, performs the updates of
     ``order`` in an order equivalent to it.  Regions without parents are
-    no-ops and are left out.
+    no-ops and are left out; an id outside the graph raises ``ValueError``.
     """
     ep, ec = layout.edge_parent.tolist(), layout.edge_child.tolist()
     level: dict[int, int] = {}
     levels: list[list[int]] = []
     for r in layout.regions_with_parents if order is None else order:
         r = int(r)
+        if not 0 <= r < len(layout.parent_edges):
+            raise ValueError(f"region {r} is not in the region graph")
         if not layout.parent_edges[r]:
             continue
         parents = [ep[e] for e in layout.parent_edges[r]]
@@ -318,11 +241,12 @@ class _Level:
 
     Columns follow three orders: parent-exponent columns (one parent table
     per edge, edges with the most terms first), accumulator columns (one
-    table per region, most terms first) and message columns (one table per
-    edge, grouped by table size for the mean-centring).
+    table per region, most terms first: ``acc_regions``) and message columns
+    (one table per edge, grouped by table size for the mean-centring).  The
+    mu of edge e occupies the columns from ``mu_at[e]`` of ``mu``'s result.
     """
 
-    def __init__(self, layout: GraphLayout, regions: list[int], ranges: dict):
+    def __init__(self, layout: GraphLayout, regions: list[int]):
         sizes = layout.sizes.tolist()
         ep, ec = layout.edge_parent.tolist(), layout.edge_child.tolist()
         msg = layout.message_total
@@ -347,30 +271,35 @@ class _Level:
         # grouped log-sum-exp: one group per child label of every edge
         col_off = np.cumsum([0] + [psize[e] for e in by_terms]).tolist()
         mu_off = np.cumsum([0] + [csize[e] for e in by_terms]).tolist()
-        self.starts = _cat([layout.group_starts[e] + col_off[i] for i, e in enumerate(by_terms)])
+        self.group_starts = _cat(
+            [layout.group_starts[e] + col_off[i] for i, e in enumerate(by_terms)]
+        )
         self.group_of = _cat([layout.group_of[e] + mu_off[i] for i, e in enumerate(by_terms)])
         self.column_edge = np.repeat(by_terms, [psize[e] for e in by_terms])
         self.group_edge = np.repeat(by_terms, [csize[e] for e in by_terms])
-        mu_at = {e: mu_off[i] for i, e in enumerate(by_terms)}
+        self.mu_at = mu_at = {e: mu_off[i] for i, e in enumerate(by_terms)}
 
         # accumulators: theta_r, plus r's children's messages, plus the mus
         # of r's parent edges, read from [messages, mus] at msg + mu slot
         acc_terms = {
             r: [layout.lam_in_idx[e2] for e2 in layout.child_edges[r]]
-            + [ranges[sizes[r]] + (msg + mu_at[e]) for e in layout.parent_edges[r]]
+            + [np.arange(sizes[r]) + (msg + mu_at[e]) for e in layout.parent_edges[r]]
             for r in regions
         }
-        by_acc = sorted(regions, key=lambda r: -len(acc_terms[r]))
+        self.acc_regions = by_acc = sorted(regions, key=lambda r: -len(acc_terms[r]))
         acc_off = np.cumsum([0] + [sizes[r] for r in by_acc]).tolist()
         acc_at = {r: acc_off[i] for i, r in enumerate(by_acc)}
-        self.acc_idx = _cat([ranges[sizes[r]] + layout.offsets[r] for r in by_acc])
+        # the accumulators are region tables, laid out for gibbs_pass by these
+        self.starts = np.array(acc_off[:-1], dtype=np.int64)
+        self.segment = np.repeat(np.arange(len(by_acc)), np.diff(acc_off))
+        self.acc_idx = _cat([np.arange(sizes[r]) + layout.offsets[r] for r in by_acc])
         self.acc_terms = _prefix_terms(by_acc, acc_terms, {r: sizes[r] for r in regions})
 
         # message tables, grouped by size for the reshape-sum centring
         by_size = sorted(edges, key=lambda e: csize[e])
-        self.acc_take = _cat([ranges[csize[e]] + acc_at[ec[e]] for e in by_size])
-        self.mu_take = _cat([ranges[csize[e]] + mu_at[e] for e in by_size])
-        self.write_idx = _cat([ranges[csize[e]] + layout.edge_offsets[e] for e in by_size])
+        self.acc_take = _cat([np.arange(csize[e]) + acc_at[ec[e]] for e in by_size])
+        self.mu_take = _cat([np.arange(csize[e]) + mu_at[e] for e in by_size])
+        self.write_idx = _cat([np.arange(csize[e]) + layout.edge_offsets[e] for e in by_size])
         self.table_edge = np.repeat(by_size, [csize[e] for e in by_size])
         self.blocks = []
         start = 0
@@ -378,6 +307,47 @@ class _Level:
             k = sum(1 for e in edges if csize[e] == n)
             self.blocks.append((start, start + k * n, k, n))
             start += k * n
+
+    def mu(self, lam: np.ndarray, theta: np.ndarray, c: "_LevelCoefficients") -> np.ndarray:
+        """The soft-max aggregations mu_{p->r} of every edge of the level, at
+        temperatures eps * c_p (the max at zero, the min-centred form below)."""
+        src = np.concatenate((lam, -lam), axis=1) if self.negated else lam
+        v = theta.take(self.theta_idx, axis=1)
+        for n, idx in self.exp_terms:
+            v[:, :n] += src.take(idx, axis=1)
+        mx = m = np.maximum.reduceat(v, self.group_starts, axis=1)
+        if c.use_min is not None:
+            m = np.where(c.use_min, np.minimum.reduceat(v, self.group_starts, axis=1), mx)
+        x = m.take(self.group_of, axis=1)
+        np.subtract(v, x, out=x)
+        x /= c.t_col
+        np.exp(x, out=x)
+        z = np.add.reduceat(x, self.group_starts, axis=1)
+        return np.where(c.max_only, mx, m + c.t_group * np.log(z))
+
+    def accumulate(self, lam: np.ndarray, theta: np.ndarray, mu: np.ndarray) -> np.ndarray:
+        """Per region, theta_r plus its children's messages plus the mus of
+        its parent edges, in accumulator columns."""
+        src = np.concatenate((lam, mu), axis=1)
+        acc = theta.take(self.acc_idx, axis=1)
+        for n, idx in self.acc_terms:
+            acc[:, :n] += src.take(idx, axis=1)
+        return acc
+
+    def update(self, lam: np.ndarray, theta: np.ndarray, c: "_LevelCoefficients") -> None:
+        """Block-minimize the messages of the level's regions, in place: each
+        table is c_p / (c_r + sum of parent c) times the accumulator minus its
+        mu, mean-centred."""
+        mu = self.mu(lam, theta, c)
+        tables = c.weight * self.accumulate(lam, theta, mu).take(self.acc_take, axis=1)
+        tables -= mu.take(self.mu_take, axis=1)
+        for a, b, k, n in self.blocks:
+            block = tables[:, a:b].reshape(lam.shape[0], k, n)
+            block -= (block.sum(axis=2) / n)[:, :, None]
+        if c.keep is None:
+            lam[:, self.write_idx] = tables
+        else:
+            lam[:, self.write_idx[c.keep]] = tables[:, c.keep]
 
 
 class _LevelCoefficients:
@@ -395,24 +365,36 @@ class _LevelCoefficients:
         self.keep = None if keep.all() else keep
 
 
+def _level_terms(layout: GraphLayout, levels, regions, eps: float, cvals: np.ndarray):
+    """The coefficients of ``levels``, which update ``regions``, at (eps,
+    cvals), and the denominators c_r + sum of parent c of ``regions`` (1 for
+    every other region).  A zero denominator skips the region's update."""
+    ep, ec = layout.edge_parent, layout.edge_child
+    denom = np.ones(len(layout.sizes))
+    for r in set(regions):
+        denom[r] = cvals[r] + cvals[ep[layout.parent_edges[r]]].sum()
+    zero = denom == 0.0
+    weight = cvals[ep] / np.where(zero, 1.0, denom)[ec]
+    t_edge = eps * cvals[ep]
+    return [_LevelCoefficients(level, t_edge, weight, zero[ec]) for level in levels], denom
+
+
 class SweepPlan:
     """The level schedule of one sweep over a layout (``conflict_levels``).
 
     Depends only on the layout and the order; ``sequence`` lists the region
     updates in the order the sweep performs them, level by level.  The
     counting-number terms are derived from ``cvals`` and cached for the last
-    (eps, cvals) seen.
+    (eps, cvals) seen, as is ``belief_vec``'s zero-count level.
     """
 
     def __init__(self, layout: GraphLayout, order):
-        # the layout's own arrays, not the layout, which caches the plan
-        self.edge_parent, self.edge_child = layout.edge_parent, layout.edge_child
-        self.parent_edges = layout.parent_edges
+        self.layout = weakref.proxy(layout)  # the layout caches the plan
         regions_by_level = conflict_levels(layout, order)
         self.sequence = [r for regions in regions_by_level for r in regions]
-        ranges = {n: np.arange(n) for n in set(layout.sizes.tolist())}
-        self.levels = [_Level(layout, regions, ranges) for regions in regions_by_level]
+        self.levels = [_Level(layout, regions) for regions in regions_by_level]
         self._cached = None  # (key, coefficients, skipped), replaced whole
+        self._zero_count = None  # (key, zero-count level)
 
     def coefficients(self, eps: float, cvals: np.ndarray):
         """Per-level coefficients and the regions skipped for a zero
@@ -420,18 +402,27 @@ class SweepPlan:
         key = (float(eps), cvals.tobytes())
         cached = self._cached
         if cached is None or cached[0] != key:
-            ep, ec = self.edge_parent, self.edge_child
-            denom = np.ones(len(self.parent_edges))
-            for r in set(self.sequence):
-                denom[r] = cvals[r] + cvals[ep[self.parent_edges[r]]].sum()
-            zero = denom == 0.0
-            weight = cvals[ep] / np.where(zero, 1.0, denom)[ec]
-            coeffs = [
-                _LevelCoefficients(level, eps * cvals[ep], weight, zero[ec])
-                for level in self.levels
-            ]
-            cached = self._cached = (key, coeffs, [r for r in self.sequence if zero[r]])
+            coeffs, denom = _level_terms(self.layout, self.levels, self.sequence, eps, cvals)
+            cached = self._cached = (key, coeffs, [r for r in self.sequence if denom[r] == 0.0])
         return cached[1], cached[2]
+
+    def zero_count(self, eps: float, cvals: np.ndarray):
+        """The regions with parents and c_r = 0 as one level, for
+        ``belief_vec``: (level, coefficients, the temperatures eps * (c_r +
+        sum of parent c) and the sums themselves in accumulator order); None
+        without such regions."""
+        key = (float(eps), cvals.tobytes())
+        cached = self._zero_count
+        if cached is None or cached[0] != key:
+            layout, value = self.layout, None
+            regions = [r for r in layout.regions_with_parents if cvals[r] == 0.0]
+            if regions:
+                level = _Level(layout, regions)
+                (c,), denom = _level_terms(layout, [level], regions, eps, cvals)
+                chat = denom[level.acc_regions]
+                value = (level, c, eps * chat, chat)
+            cached = self._zero_count = (key, value)
+        return cached[1]
 
     def run(self, lam: np.ndarray, theta: np.ndarray, eps: float, cvals: np.ndarray) -> None:
         coeffs, skipped = self.coefficients(eps, cvals)
@@ -439,36 +430,8 @@ class SweepPlan:
             logger.warning(
                 "region %d: c_r + sum of parent counting numbers is zero; update skipped", r
             )
-        batch = lam.shape[0]
         for level, c in zip(self.levels, coeffs):
-            src = np.concatenate((lam, -lam), axis=1) if level.negated else lam
-            v = theta.take(level.theta_idx, axis=1)
-            for n, idx in level.exp_terms:
-                v[:, :n] += src.take(idx, axis=1)
-            mx = m = np.maximum.reduceat(v, level.starts, axis=1)
-            if c.use_min is not None:
-                m = np.where(c.use_min, np.minimum.reduceat(v, level.starts, axis=1), mx)
-            x = m.take(level.group_of, axis=1)
-            np.subtract(v, x, out=x)
-            x /= c.t_col
-            np.exp(x, out=x)
-            z = np.add.reduceat(x, level.starts, axis=1)
-            mu = np.where(c.max_only, mx, m + c.t_group * np.log(z))
-
-            src = np.concatenate((lam, mu), axis=1)
-            acc = theta.take(level.acc_idx, axis=1)
-            for n, idx in level.acc_terms:
-                acc[:, :n] += src.take(idx, axis=1)
-
-            tables = c.weight * acc.take(level.acc_take, axis=1)
-            tables -= mu.take(level.mu_take, axis=1)
-            for a, b, k, n in level.blocks:
-                block = tables[:, a:b].reshape(batch, k, n)
-                block -= (block.sum(axis=2) / n)[:, :, None]
-            if c.keep is None:
-                lam[:, level.write_idx] = tables
-            else:
-                lam[:, level.write_idx[c.keep]] = tables[:, c.keep]
+            level.update(lam, theta, c)
 
 
 def sweep_plan(layout: GraphLayout, order=None) -> SweepPlan:
@@ -492,10 +455,10 @@ def sweep_vec(
     order=None,
 ) -> None:
     """One sweep of region updates in ``order``, run level by level; bitwise
-    equal to calling ``lambda_update_vec`` on each region of
-    ``sweep_plan(layout, order).sequence`` in turn, and for an explicit
-    ``order`` to calling it on each region of ``order``.  The default order
-    is the first-fit colouring of ``conflict_levels``."""
+    equal to updating the regions of ``sweep_plan(layout, order).sequence``
+    one at a time (``lambda_update``), and for an explicit ``order`` to
+    updating the regions of ``order`` one at a time.  The default order is
+    the first-fit colouring of ``conflict_levels``."""
     sweep_plan(layout, order).run(lam, theta, eps, cvals)
 
 
@@ -515,36 +478,20 @@ def belief_vec(
     formula (their parameterized potential vanishes at the fixed point); they
     take the equivalent aggregated form at temperature eps * (c_r + sum of
     parent c), which is the continuous limit and agrees with the parents'
-    marginals at convergence.
+    marginals at convergence: the Gibbs normalization of their accumulators
+    in a region update (``SweepPlan.zero_count``).
     """
     if terms is None:
         potentials = theta + message_potentials(layout, lam)
         terms = gibbs_pass(layout, potentials, eps * cvals, cvals)
     b = terms.beliefs(layout)
-    for r in layout.regions_with_parents:
-        if cvals[r] != 0.0:
-            continue
-        edges = layout.parent_edges[r]
-        expo = theta[:, layout.region_slices[r]].copy()
-        for e2 in layout.child_edges[r]:
-            expo += lam[:, layout.lam_in_idx[e2]]
-        for e in edges:
-            expo += mu_vec(layout, lam, theta, e, eps, cvals)
-        chat = cvals[r] + cvals[layout.edge_parent[edges]].sum()
-        t = eps * chat
-        if t == 0.0:
-            if chat < 0:
-                bound = expo.min(axis=1, keepdims=True)
-                tie = (expo <= bound + ARGMAX_TOL).astype(float)
-            else:
-                bound = expo.max(axis=1, keepdims=True)
-                tie = (expo >= bound - ARGMAX_TOL).astype(float)
-            table = tie / tie.sum(axis=1, keepdims=True)
-        else:
-            m = expo.max(axis=1, keepdims=True) if t > 0 else expo.min(axis=1, keepdims=True)
-            e_tab = np.exp((expo - m) / t)
-            table = e_tab / e_tab.sum(axis=1, keepdims=True)
-        b[:, layout.region_slices[r]] = table
+    if (cvals == 0.0).any():
+        cached = layout.plan_cache  # any order's plan: the zero-count level has none
+        zero = (sweep_plan(layout) if cached is None else cached[1]).zero_count(eps, cvals)
+        if zero is not None:
+            level, c, t, chat = zero
+            acc = level.accumulate(lam, theta, level.mu(lam, theta, c))
+            b[:, level.acc_idx] = gibbs_pass(level, acc, t, chat).beliefs(level)
     return b
 
 
@@ -633,9 +580,10 @@ def sweep_until_consistent(
 # public per-sample operations
 
 
-def _sample_inputs(graph, sample, state, w, include_loss):
+def _sample_inputs(graph, sample, state, w, counting, include_loss):
+    """The layout, counting numbers, theta row and message row of one sample."""
     theta = sample.compiled().theta_vec(np.asarray(w, dtype=float), include_loss)
-    return theta[None, :], state.vec[None, :]
+    return graph.layout(), counting_values(counting, graph), theta[None, :], state.vec[None, :]
 
 
 def mu_message(
@@ -649,14 +597,16 @@ def mu_message(
     counting=None,
     include_loss: bool = True,
 ) -> np.ndarray:
-    """Aggregated parent-to-child message over the child's labels."""
+    """Aggregated parent-to-child message over the child's labels, as the
+    update of ``child`` computes it."""
     if (parent, child) not in graph.edges:
         raise ValueError(f"no edge ({parent}, {child}) in the region graph")
-    layout = graph.layout()
-    cvals = counting_values(counting, graph)
-    theta, lam = _sample_inputs(graph, sample, state, w, include_loss)
-    e = graph.edges.index((parent, child))
-    return mu_vec(layout, lam, theta, e, eps, cvals)[0]
+    layout, cvals, theta, lam = _sample_inputs(graph, sample, state, w, counting, include_loss)
+    plan = SweepPlan(layout, (child,))  # uncached: the layout keeps its sweep plan
+    (c,), _ = plan.coefficients(eps, cvals)
+    level = plan.levels[0]
+    start = level.mu_at[graph.edges.index((parent, child))]
+    return level.mu(lam, theta, c)[0, start : start + layout.sizes[child]]
 
 
 def lambda_update(
@@ -669,11 +619,10 @@ def lambda_update(
     counting=None,
     include_loss: bool = True,
 ) -> MessageState:
-    """Block-minimize all messages from ``region`` to its parents, in place."""
-    layout = graph.layout()
-    cvals = counting_values(counting, graph)
-    theta, lam = _sample_inputs(graph, sample, state, w, include_loss)
-    lambda_update_vec(layout, lam, theta, region, eps, cvals)
+    """Block-minimize all messages from ``region`` to its parents, in place:
+    a sweep of one region on the level kernel."""
+    layout, cvals, theta, lam = _sample_inputs(graph, sample, state, w, counting, include_loss)
+    SweepPlan(layout, (region,)).run(lam, theta, eps, cvals)  # uncached, as in mu_message
     return state
 
 
@@ -689,9 +638,7 @@ def inference_sweep(
 ) -> MessageState:
     """One pass of lambda updates over ``order`` (default: every region with
     parents once, colour class by colour class; see ``conflict_levels``)."""
-    layout = graph.layout()
-    cvals = counting_values(counting, graph)
-    theta, lam = _sample_inputs(graph, sample, state, w, include_loss)
+    layout, cvals, theta, lam = _sample_inputs(graph, sample, state, w, counting, include_loss)
     sweep_vec(layout, lam, theta, eps, cvals, order)
     return state
 
@@ -706,9 +653,7 @@ def compute_beliefs(
     include_loss: bool = True,
 ) -> list[np.ndarray]:
     """Per-region belief tables from the current messages."""
-    layout = graph.layout()
-    cvals = counting_values(counting, graph)
-    theta, lam = _sample_inputs(graph, sample, state, w, include_loss)
+    layout, cvals, theta, lam = _sample_inputs(graph, sample, state, w, counting, include_loss)
     b = belief_vec(layout, lam, theta, eps, cvals)[0]
     return [b[layout.region_slices[r]] for r in range(graph.region_count)]
 

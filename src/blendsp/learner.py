@@ -18,9 +18,8 @@ one matrix and sweeps them together in one set of numpy calls, and
 prediction runs every sample through the same batched engine.  Per-row
 arithmetic is identical no matter how rows are grouped, and gradient
 contributions are reduced in sample-id order, so results are bitwise
-independent of the batch.  ``worker_count`` is deprecated and ignored: a
-thread pool over row blocks was measured no faster, because a sweep costs
-nearly the same at any batch size.
+independent of the batch.  A thread pool over row blocks was measured no
+faster, because a sweep costs nearly the same at any batch size.
 """
 
 from __future__ import annotations
@@ -78,8 +77,6 @@ class TrainerConfig:
     backtrack: float = 0.5
     sufficient_decrease: float = 1e-4
     max_backtracks: int = 50
-    worker_count: int = 1  # deprecated and ignored; results do not depend on it
-    seed: int = 0
 
     def counting(self, graph: RegionGraph) -> CountingNumbers:
         return CountingNumbers.from_scheme(graph, self.c_scheme, self.c_values)
@@ -259,7 +256,7 @@ def train(
     thetas = stack.rows(w)
 
     lam = np.zeros((n, layout.message_total))
-    state = TrainState(w=w, states=[MessageState.from_view(graph, row) for row in lam])
+    state = TrainState(w=w, states=[MessageState(graph, row) for row in lam])
 
     prev_primal = None
     grad_norm = np.inf

@@ -275,9 +275,6 @@ class GraphLayout:
             groups.append((by_msg[first[slots] + np.arange(g)[:, None]], out_slot[slots]))
         return groups
 
-    def edge_slice(self, e: int) -> slice:
-        return self.edge_slices[e]
-
 
 @dataclass(frozen=True)
 class CountingNumbers:

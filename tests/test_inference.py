@@ -6,15 +6,18 @@ import pytest
 from blendsp import (
     CountingNumbers,
     MessageState,
+    ModelError,
     Region,
     RegionGraph,
     Sample,
     compute_beliefs,
+    duality_report,
     exact_marginals,
     inference_sweep,
     lambda_update,
     marginal_residual,
     mu_message,
+    predict,
     primal_objective,
 )
 from blendsp.inference import gibbs_pass
@@ -270,6 +273,40 @@ def test_mu_message_requires_edge():
     state = MessageState(graph)
     with pytest.raises(ValueError, match="no edge"):
         mu_message(graph, sample, 0, 1, state, np.zeros(0), 1.0, ones(graph))
+
+
+def test_region_ids_outside_the_graph_are_rejected():
+    rng = np.random.default_rng(16)
+    graph = chain_graph(4)  # 7 regions
+    sample = random_sample(rng, graph, 2)
+    w = rng.normal(size=2)
+    state = MessageState(graph)
+    with pytest.raises(ValueError, match=r"region -4 is not in the region graph"):
+        lambda_update(graph, sample, -4, state, w, 1.0)
+    for order in ([-4], [99], [0, 7]):
+        with pytest.raises(ValueError, match=rf"region {order[-1]} is not in the region graph"):
+            inference_sweep(graph, sample, state, w, 1.0, order=order)
+    assert not state.vec.any()
+    inference_sweep(graph, sample, state, w, 1.0, order=[0, 1])
+    assert state.vec.any()
+
+
+@pytest.mark.parametrize(
+    "values", [[1.0, float("nan")] + [1.0] * 7, [1.0, float("inf")] + [1.0] * 7, [1.0] * 8]
+)
+def test_raw_counting_arrays_are_checked_as_the_file_scheme(values):
+    rng = np.random.default_rng(17)
+    graph = loopy_graph(rng, 4, 5)  # 9 regions, with cycles
+    sample = random_sample(rng, graph, 2)
+    w = rng.normal(size=2)
+    state = MessageState(graph)
+    with pytest.raises(ModelError, match="counting numbers must"):
+        predict(graph, sample, w, 1.0, np.array(values))
+    with pytest.raises(ModelError, match="counting numbers must"):
+        inference_sweep(graph, sample, state, w, 1.0, values)
+    with pytest.raises(ModelError, match="counting numbers must"):
+        duality_report(graph, [sample], [state], w, 1.0, values, 0.1)
+    assert not state.vec.any()
 
 
 def test_message_tables_shape_and_canonicalization():

@@ -200,19 +200,6 @@ def test_train_sweep_count_does_not_change_optimum():
     assert abs(finals[0] - finals[1]) <= 1e-6
 
 
-def test_train_threads_bitwise_identical():
-    ds = make_denoise_dataset(
-        DenoiseSpec(width=4, height=4, num_train=5, num_test=0, flip_prob=0.2, seed=8, tying="full")
-    )
-    weights = []
-    for workers in (1, 2, 4):
-        cfg = TrainerConfig(eps=1.0, C=0.5, max_outer_iters=120, worker_count=workers)
-        st = train(ds.graph, ds.train, cfg, num_features=ds.num_features)
-        weights.append(st.w.copy())
-    assert np.array_equal(weights[0], weights[1])
-    assert np.array_equal(weights[0], weights[2])
-
-
 def test_stalled_step_recovery_sweeps_reach_residual_tol():
     ds = make_denoise_dataset(
         DenoiseSpec(width=3, height=3, num_train=3, num_test=0, flip_prob=0.2, seed=8, tying="full")

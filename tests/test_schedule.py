@@ -2,10 +2,12 @@
 
 A level updates regions whose block updates neither read nor write each
 other's message slots, so a level-by-level sweep must equal, bit for bit, a
-loop of ``lambda_update_vec`` over the same order: the plan's own
+loop of the per-region reference ``lambda_update_vec`` over the same order: the plan's own
 ``sequence`` for the default colour-class order, the given order otherwise.
-The gather kernels of the message potentials and the residual are checked
-here, bit for bit, against ``np.add.at`` references.
+The public one-region operations and the c_r = 0 beliefs run on the same
+level kernel and are checked against the per-edge references too.  The
+gather kernels of the message potentials and the residual are checked here,
+bit for bit, against ``np.add.at`` references.
 """
 
 import logging
@@ -14,13 +16,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blendsp import CountingNumbers
+from blendsp import CountingNumbers, MessageState, inference_sweep, lambda_update, mu_message
 from blendsp.datagen import build_grid_graph
 from blendsp.inference import (
     belief_vec,
     conflict_levels,
     gibbs_pass,
-    lambda_update_vec,
     message_potentials,
     residual_rows,
     sweep_plan,
@@ -30,12 +31,17 @@ from blendsp.inference import (
 from test_deep_graphs import three_level_model
 from util import (
     add_at_message_part,
+    accumulator,
     add_at_residual,
     chain_graph,
+    lambda_update_vec,
     loopy_graph,
+    mu_vec,
+    random_sample,
     segmented_gibbs,
     segmented_lse,
     tree_graph,
+    zero_count_beliefs,
 )
 
 
@@ -168,7 +174,7 @@ def test_zero_denominator_warns_and_leaves_its_messages(caplog):
     ]
     sequential_sweep(layout, want, theta, 1.0, cvals)
     assert np.array_equal(got, want)
-    skipped = layout.edge_slice(graph.edges.index((3, 0)))
+    skipped = layout.edge_slices[graph.edges.index((3, 0))]
     assert np.array_equal(got[:, skipped], start[:, skipped])
     assert not np.array_equal(got, start)
 
@@ -272,3 +278,105 @@ def test_beliefs_are_gibbs_of_theta_plus_message_potentials():
                 if (cvals != 0).all():
                     want = segmented_gibbs(layout, potentials, eps * cvals, cvals)
                     assert got.tobytes() == want.tobytes(), (name, eps)
+
+
+def kernel_counting_sets(rng, graph):
+    """``counting_sets`` plus one with a zero denominator c_r + sum of parent
+    c, one with zeros among mixed signs, and all zeros."""
+    sets = counting_sets(rng, graph)
+    layout = graph.layout()
+    n = graph.region_count
+    cvals = rng.uniform(0.1, 2.0, n)
+    r = layout.regions_with_parents[int(rng.integers(len(layout.regions_with_parents)))]
+    cvals[r] = -cvals[layout.edge_parent[layout.parent_edges[r]]].sum()
+    sets["zero_denominator"] = cvals
+    signed = rng.choice([-1.0, 1.0], n) * rng.uniform(0.1, 2.0, n)
+    sets["zero_mixed_sign"] = np.where(rng.random(n) < 0.4, 0.0, signed)
+    sets["all_zero"] = np.zeros(n)
+    return sets
+
+
+def test_lambda_update_and_mu_message_match_per_edge_references_bitwise():
+    rng = np.random.default_rng(13)
+    checked = 0
+    for graph in graphs(rng):
+        layout = graph.layout()
+        sample = random_sample(rng, graph, 4)
+        w = rng.normal(size=4)
+        theta = sample.compiled().theta_vec(w)[None, :]
+        for name, cvals in kernel_counting_sets(rng, graph).items():
+            for eps in (0.0, 0.3, 1.0):
+                start = rng.normal(size=layout.message_total)
+                for r in range(graph.region_count):
+                    state = MessageState(graph, start.copy())
+                    lambda_update(graph, sample, r, state, w, eps, cvals)
+                    want = start[None, :].copy()
+                    lambda_update_vec(layout, want, theta, r, eps, cvals)
+                    assert state.vec.tobytes() == want[0].tobytes(), (name, eps, r)
+                    checked += bool(layout.parent_edges[r])
+                state = MessageState(graph, start)
+                for e, (p, r) in enumerate(graph.edges):
+                    got = mu_message(graph, sample, p, r, state, w, eps, cvals)
+                    want = mu_vec(layout, start[None, :], theta, e, eps, cvals)[0]
+                    assert got.tobytes() == want.tobytes(), (name, eps, e)
+                assert state.vec.tobytes() == start.tobytes()
+    assert checked > 12 * 8 * 3 * 4
+
+
+def test_zero_count_beliefs_normalize_the_level_accumulators():
+    # a region with parents and c_r = 0 takes its belief from the accumulator
+    # of its update (the per-edge reference's exponent, bit for bit),
+    # normalized at temperature eps * (c_r + sum of parent c); only the
+    # normalizing sum differs from the reference loop (reduceat against a
+    # pairwise .sum)
+    rng = np.random.default_rng(14)
+    checked = 0
+    for graph in graphs(rng):
+        layout = graph.layout()
+        for name, cvals in kernel_counting_sets(rng, graph).items():
+            for eps in (0.0, 0.3, 1.0):
+                theta = 3.0 * rng.normal(size=(3, layout.total))
+                lam = rng.normal(size=(3, layout.message_total))
+                got = belief_vec(layout, lam, theta, eps, cvals)
+                potentials = theta + message_potentials(layout, lam)
+                direct = segmented_gibbs(layout, potentials, eps * cvals, cvals)
+                want = zero_count_beliefs(layout, lam, theta, eps, cvals, direct.copy())
+                assert np.abs(got - want).max(initial=0.0) <= 1e-15, (name, eps)
+                zero = sweep_plan(layout).zero_count(eps, cvals)
+                if zero is None:
+                    assert got.tobytes() == direct.tobytes(), (name, eps)
+                    continue
+                level, c, t, chat = zero
+                acc = level.accumulate(lam, theta, level.mu(lam, theta, c))
+                for i, r in enumerate(level.acc_regions):
+                    assert cvals[r] == 0.0 and layout.parent_edges[r]
+                    mus = [mu_vec(layout, lam, theta, e, eps, cvals) for e in layout.parent_edges[r]]
+                    ref = accumulator(layout, lam, theta, r, mus)
+                    cols = slice(level.starts[i], level.starts[i] + layout.sizes[r])
+                    assert acc[:, cols].tobytes() == ref.tobytes(), (name, eps, r)
+                    assert chat[i] == cvals[r] + cvals[layout.edge_parent[layout.parent_edges[r]]].sum()
+                    checked += 1
+                others = np.ones(layout.total, dtype=bool)
+                others[level.acc_idx] = False
+                assert got[:, others].tobytes() == direct[:, others].tobytes()
+    assert checked > 100
+
+
+def test_one_region_operations_leave_the_cached_sweep_plan():
+    rng = np.random.default_rng(15)
+    graph = three_level_model(rng, [2, 3, 2])[0]
+    layout = graph.layout()
+    sample = random_sample(rng, graph, 4)
+    w = rng.normal(size=4)
+    state = MessageState(graph)
+    for cached in (None, "default", "ordered"):
+        if cached == "default":
+            inference_sweep(graph, sample, state, w, 1.0)
+        elif cached == "ordered":
+            inference_sweep(graph, sample, state, w, 1.0, order=[4, 0, 3])
+        before = layout.plan_cache
+        for r in range(graph.region_count):
+            lambda_update(graph, sample, r, state, w, 0.5)
+        for p, r in graph.edges:
+            mu_message(graph, sample, p, r, state, w, 0.5)
+        assert layout.plan_cache is before

@@ -195,3 +195,100 @@ def segmented_gibbs(layout, vec, t_regions, coeff):
     if tie is not None:
         np.copyto(e, tie, where=zero_slot)
     return e / np.add.reduceat(e, starts, axis=-1).take(seg, axis=-1)
+
+
+def _group_lse(expo, edge, layout, t):
+    """Log-sum-exp (or max) within the projection groups of a parent table.
+
+    ``expo`` is (batch, parent_labels); the result is (batch, child_labels).
+    """
+    v = expo[:, layout.perm[edge]]
+    starts = layout.group_starts[edge]
+    if t == 0.0:
+        return np.maximum.reduceat(v, starts, axis=1)
+    m = (
+        np.maximum.reduceat(v, starts, axis=1)
+        if t > 0
+        else np.minimum.reduceat(v, starts, axis=1)
+    )
+    z = np.add.reduceat(np.exp((v - m[:, layout.group_of[edge]]) / t), starts, axis=1)
+    return m + t * np.log(z)
+
+
+def _parent_exponent(layout, lam, theta, edge):
+    """Parent-side table feeding the message on ``edge``: theta_p plus
+    messages from the other children minus messages to the grandparents."""
+    p = layout.edge_parent[edge]
+    expo = theta[:, layout.region_slices[p]].copy()
+    for e2 in layout.child_edges[p]:
+        if e2 != edge:
+            expo += lam[:, layout.lam_in_idx[e2]]
+    for e3 in layout.parent_edges[p]:
+        expo -= lam[:, layout.edge_slices[e3]]
+    return expo
+
+
+def mu_vec(layout, lam, theta, edge, eps, cvals):
+    """The aggregation mu of ``edge`` for a batch of rows, one edge at a time:
+    the arithmetic ``inference.mu_message`` must reproduce bit for bit."""
+    expo = _parent_exponent(layout, lam, theta, edge)
+    t = eps * cvals[layout.edge_parent[edge]]
+    return _group_lse(expo, edge, layout, t)
+
+
+def lambda_update_vec(layout, lam, theta, region, eps, cvals):
+    """The update of one region for a batch of rows, one edge at a time: the
+    arithmetic of every region update of the level kernel.  A region whose
+    c_r + sum of parent c is zero keeps its messages."""
+    edges = layout.parent_edges[region]
+    if not edges:
+        return
+    denom = cvals[region] + cvals[layout.edge_parent[edges]].sum()
+    if denom == 0.0:
+        return
+    mus = [mu_vec(layout, lam, theta, e, eps, cvals) for e in edges]
+    acc = accumulator(layout, lam, theta, region, mus)
+    for e, mu in zip(edges, mus):
+        table = (cvals[layout.edge_parent[e]] / denom) * acc - mu
+        table -= table.sum(axis=1, keepdims=True) / table.shape[1]
+        lam[:, layout.edge_slices[e]] = table
+
+
+def accumulator(layout, lam, theta, region, mus):
+    """theta_r plus the region's children's messages plus ``mus``, the
+    aggregations of its parent edges, added in that order."""
+    acc = theta[:, layout.region_slices[region]].copy()
+    for e2 in layout.child_edges[region]:
+        acc += lam[:, layout.lam_in_idx[e2]]
+    for mu in mus:
+        acc += mu
+    return acc
+
+
+def zero_count_beliefs(layout, lam, theta, eps, cvals, b):
+    """Overwrite the tables of ``b`` of the regions with parents and c_r = 0,
+    one region at a time: the Gibbs normalization of their ``accumulator``
+    at temperature eps * (c_r + sum of parent c), tied toward the max (or the
+    min, for a negative sum) at zero temperature."""
+    for r in layout.regions_with_parents:
+        if cvals[r] != 0.0:
+            continue
+        edges = layout.parent_edges[r]
+        mus = [mu_vec(layout, lam, theta, e, eps, cvals) for e in edges]
+        expo = accumulator(layout, lam, theta, r, mus)
+        chat = cvals[r] + cvals[layout.edge_parent[edges]].sum()
+        t = eps * chat
+        if t == 0.0:
+            if chat < 0:
+                bound = expo.min(axis=1, keepdims=True)
+                tie = (expo <= bound + ARGMAX_TOL).astype(float)
+            else:
+                bound = expo.max(axis=1, keepdims=True)
+                tie = (expo >= bound - ARGMAX_TOL).astype(float)
+            table = tie / tie.sum(axis=1, keepdims=True)
+        else:
+            m = expo.max(axis=1, keepdims=True) if t > 0 else expo.min(axis=1, keepdims=True)
+            e_tab = np.exp((expo - m) / t)
+            table = e_tab / e_tab.sum(axis=1, keepdims=True)
+        b[:, layout.region_slices[r]] = table
+    return b
