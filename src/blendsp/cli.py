@@ -8,7 +8,6 @@ or input error, 2 non-convergence within the iteration budget.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import sys
 from pathlib import Path
 
@@ -39,12 +38,6 @@ __all__ = ["main"]
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NOT_CONVERGED = 2
-
-# glibc's mallopt parameters (malloc.h) and the values main sets them to
-M_TRIM_THRESHOLD = -1
-M_MMAP_THRESHOLD = -3
-HEAP_TRIM_BYTES = 256 * 2**20
-HEAP_MMAP_BYTES = 32 * 2**20
 
 C_SCHEME_HELP = (
     "counting numbers: ones, bethe, or file (from --c-file; a --c-file alone "
@@ -309,25 +302,7 @@ def _cmd_gap(args) -> int:
     return EXIT_OK
 
 
-def _pin_heap() -> None:
-    """Keep freed memory mapped for reuse: allocations up to HEAP_MMAP_BYTES
-    come from the heap instead of their own mappings, and the heap top is not
-    returned to the system until HEAP_TRIM_BYTES of it are free.  Every train
-    iteration allocates and frees the same (samples x slots) arrays.  Under
-    glibc's default, adaptive thresholds, whether they were unmapped or
-    trimmed, and faulted in again on the next iteration, depended on which
-    of them happened to outlive a call.  A no-op where the C library has no
-    ``mallopt``."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError, TypeError):
-        return
-    mallopt(M_MMAP_THRESHOLD, HEAP_MMAP_BYTES)
-    mallopt(M_TRIM_THRESHOLD, HEAP_TRIM_BYTES)
-
-
 def main(argv=None) -> int:
-    _pin_heap()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -17,22 +17,20 @@ region updates conflict when one region is the other's parent or child, or
 when they share a parent; only then does one read a message slot the other
 writes.  Regions of one level never conflict, so updating each level at once,
 in level order, performs exactly the arithmetic of updating its regions one
-at a time: the results are bitwise equal to that sequential sweep.  By
-default the levels are colour classes: the regions with parents, in id order,
-each take the smallest level no conflicting region already holds (first-fit
+at a time: the results are bitwise equal to that sequential sweep.  The
+levels are colour classes: the regions with parents, in id order, each take
+the smallest level no conflicting region already holds (first-fit
 colouring), which is 2 levels on a 10x10 or 40x40 grid and 6 on the 3-level
-``highorder`` benchmark graph.  An explicit order keeps its own sequential
-results: a region's level is one more than the largest level of any
-conflicting region earlier in the order, which for id order is a wavefront of
-19 levels on 10x10 (79 on 40x40).  Block-coordinate descent converges in any
+``highorder`` benchmark graph.  Block-coordinate descent converges in any
 cyclic order, and the order moves the number of sweeps needed little next to
-what it saves per sweep.  Each level is one set of array calls: gathers of
+what the colouring saves per sweep; a caller who wants another order loops
+``lambda_update`` over it.  Each level is one set of array calls: gathers of
 the parent exponents (projection permutations folded into the indices), one
 grouped log-sum-exp over all of the level's edges, the accumulation, a
 mean-centring per group of equal-size tables, and one scatter of the new
-tables.  The plan is built on the first sweep and cached on the layout
-(``sweep_plan``).  This level kernel is the only region update:
-``lambda_update`` runs a one-region plan, ``mu_message`` reads that plan's
+tables.  The layout caches one plan (``sweep_plan``), whose levels are built
+on its first sweep.  This level kernel is the only region update:
+``lambda_update`` runs a one-region level, ``mu_message`` reads that level's
 aggregations, and ``belief_vec`` normalizes the accumulators of the regions
 with c_r = 0 as one more level.
 
@@ -58,6 +56,7 @@ from __future__ import annotations
 
 import logging
 import weakref
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -183,38 +182,25 @@ def message_potentials(layout: GraphLayout, lam: np.ndarray) -> np.ndarray:
     return out if lam.ndim == 2 else out[0]
 
 
-def conflict_levels(layout: GraphLayout, order=None) -> list[list[int]]:
+def conflict_levels(layout: GraphLayout) -> list[list[int]]:
     """Split a sweep into levels of mutually non-conflicting regions.
 
     Two region updates conflict when one region is the other's parent or
     child, or when they share a parent: only then does one read or write a
-    message slot the other writes.  By default the regions with parents, in
-    id order, are coloured first-fit: each takes the smallest level that no
-    conflicting region placed before it holds (2 levels on a grid).  Given an
-    ``order``, a region's level is one more than the largest level of any
-    conflicting update earlier in ``order`` (a region conflicts with itself),
-    so running the levels in turn, each all at once, performs the updates of
-    ``order`` in an order equivalent to it.  Regions without parents are
-    no-ops and are left out; an id outside the graph raises ``ValueError``.
+    message slot the other writes.  The regions with parents, in id order,
+    are coloured first-fit: each takes the smallest level that no
+    conflicting region placed before it holds (2 levels on a grid).  Regions
+    without parents are no-ops and are left out.
     """
     ep, ec = layout.edge_parent.tolist(), layout.edge_child.tolist()
     level: dict[int, int] = {}
     levels: list[list[int]] = []
-    for r in layout.regions_with_parents if order is None else order:
-        r = int(r)
-        if not 0 <= r < len(layout.parent_edges):
-            raise ValueError(f"region {r} is not in the region graph")
-        if not layout.parent_edges[r]:
-            continue
+    for r in layout.regions_with_parents:
         parents = [ep[e] for e in layout.parent_edges[r]]
         near = parents + [ec[e] for e in layout.child_edges[r]]
         near += [ec[e] for p in parents for e in layout.child_edges[p]]
         taken = {level[x] for x in near if x in level}
-        if order is None:
-            lv = min(set(range(len(taken) + 1)) - taken)
-        else:
-            lv = 1 + max(taken, default=-1)
-        level[r] = lv
+        lv = level[r] = min(set(range(len(taken) + 1)) - taken)
         if lv == len(levels):
             levels.append([])
         levels[lv].append(r)
@@ -247,6 +233,7 @@ class _Level:
     """
 
     def __init__(self, layout: GraphLayout, regions: list[int]):
+        self.regions = regions
         sizes = layout.sizes.tolist()
         ep, ec = layout.edge_parent.tolist(), layout.edge_child.tolist()
         msg = layout.message_total
@@ -365,46 +352,62 @@ class _LevelCoefficients:
         self.keep = None if keep.all() else keep
 
 
-def _level_terms(layout: GraphLayout, levels, regions, eps: float, cvals: np.ndarray):
-    """The coefficients of ``levels``, which update ``regions``, at (eps,
-    cvals), and the denominators c_r + sum of parent c of ``regions`` (1 for
-    every other region).  A zero denominator skips the region's update."""
+def _level_terms(layout: GraphLayout, levels, eps: float, cvals: np.ndarray):
+    """The coefficients of ``levels`` at (eps, cvals), and the denominators
+    c_r + sum of parent c of their regions (1 for every other region).  A
+    zero denominator skips the region's update."""
     ep, ec = layout.edge_parent, layout.edge_child
     denom = np.ones(len(layout.sizes))
-    for r in set(regions):
-        denom[r] = cvals[r] + cvals[ep[layout.parent_edges[r]]].sum()
+    for level in levels:
+        for r in level.regions:
+            denom[r] = cvals[r] + cvals[ep[layout.parent_edges[r]]].sum()
     zero = denom == 0.0
     weight = cvals[ep] / np.where(zero, 1.0, denom)[ec]
     t_edge = eps * cvals[ep]
     return [_LevelCoefficients(level, t_edge, weight, zero[ec]) for level in levels], denom
 
 
+def _warn_skipped(regions, denom: np.ndarray) -> None:
+    for r in regions:
+        if denom[r] == 0.0:
+            logger.warning(
+                "region %d: c_r + sum of parent counting numbers is zero; update skipped", r
+            )
+
+
 class SweepPlan:
     """The level schedule of one sweep over a layout (``conflict_levels``).
 
-    Depends only on the layout and the order; ``sequence`` lists the region
+    The levels are built on the first sweep; ``sequence`` lists the region
     updates in the order the sweep performs them, level by level.  The
     counting-number terms are derived from ``cvals`` and cached for the last
-    (eps, cvals) seen, as is ``belief_vec``'s zero-count level.
+    (eps, cvals) seen, as is ``belief_vec``'s zero-count level, which needs
+    no colouring.
     """
 
-    def __init__(self, layout: GraphLayout, order):
+    def __init__(self, layout: GraphLayout):
         self.layout = weakref.proxy(layout)  # the layout caches the plan
-        regions_by_level = conflict_levels(layout, order)
-        self.sequence = [r for regions in regions_by_level for r in regions]
-        self.levels = [_Level(layout, regions) for regions in regions_by_level]
-        self._cached = None  # (key, coefficients, skipped), replaced whole
+        self._cached = None  # (key, coefficients), replaced whole
         self._zero_count = None  # (key, zero-count level)
 
-    def coefficients(self, eps: float, cvals: np.ndarray):
-        """Per-level coefficients and the regions skipped for a zero
-        denominator c_r + sum of parent c, in sweep order."""
+    @cached_property
+    def levels(self) -> list[_Level]:
+        return [_Level(self.layout, regions) for regions in conflict_levels(self.layout)]
+
+    @property
+    def sequence(self) -> list[int]:
+        return [r for level in self.levels for r in level.regions]
+
+    def coefficients(self, eps: float, cvals: np.ndarray) -> list[_LevelCoefficients]:
+        """Per-level coefficients at (eps, cvals).  Deriving them warns once
+        of each region that a zero denominator c_r + sum of parent c skips."""
         key = (float(eps), cvals.tobytes())
         cached = self._cached
         if cached is None or cached[0] != key:
-            coeffs, denom = _level_terms(self.layout, self.levels, self.sequence, eps, cvals)
-            cached = self._cached = (key, coeffs, [r for r in self.sequence if denom[r] == 0.0])
-        return cached[1], cached[2]
+            coeffs, denom = _level_terms(self.layout, self.levels, eps, cvals)
+            _warn_skipped(self.sequence, denom)
+            cached = self._cached = (key, coeffs)
+        return cached[1]
 
     def zero_count(self, eps: float, cvals: np.ndarray):
         """The regions with parents and c_r = 0 as one level, for
@@ -418,48 +421,31 @@ class SweepPlan:
             regions = [r for r in layout.regions_with_parents if cvals[r] == 0.0]
             if regions:
                 level = _Level(layout, regions)
-                (c,), denom = _level_terms(layout, [level], regions, eps, cvals)
+                (c,), denom = _level_terms(layout, [level], eps, cvals)
                 chat = denom[level.acc_regions]
                 value = (level, c, eps * chat, chat)
             cached = self._zero_count = (key, value)
         return cached[1]
 
     def run(self, lam: np.ndarray, theta: np.ndarray, eps: float, cvals: np.ndarray) -> None:
-        coeffs, skipped = self.coefficients(eps, cvals)
-        for r in skipped:
-            logger.warning(
-                "region %d: c_r + sum of parent counting numbers is zero; update skipped", r
-            )
-        for level, c in zip(self.levels, coeffs):
+        for level, c in zip(self.levels, self.coefficients(eps, cvals)):
             level.update(lam, theta, c)
 
 
-def sweep_plan(layout: GraphLayout, order=None) -> SweepPlan:
-    """The level schedule of ``order`` (default: the first-fit colouring of
-    the regions with parents), built on first use and cached on the layout
-    for the last order."""
-    key = None if order is None else tuple(int(r) for r in order)
-    cached = layout.plan_cache
-    if cached is None or cached[0] != key:
-        plan = SweepPlan(layout, key)
-        layout.plan_cache = cached = (key, plan)
-    return cached[1]
+def sweep_plan(layout: GraphLayout) -> SweepPlan:
+    """The layout's sweep plan, made on first use and cached on the layout."""
+    if layout.plan_cache is None:
+        layout.plan_cache = SweepPlan(layout)
+    return layout.plan_cache
 
 
 def sweep_vec(
-    layout: GraphLayout,
-    lam: np.ndarray,
-    theta: np.ndarray,
-    eps: float,
-    cvals: np.ndarray,
-    order=None,
+    layout: GraphLayout, lam: np.ndarray, theta: np.ndarray, eps: float, cvals: np.ndarray
 ) -> None:
-    """One sweep of region updates in ``order``, run level by level; bitwise
-    equal to updating the regions of ``sweep_plan(layout, order).sequence``
-    one at a time (``lambda_update``), and for an explicit ``order`` to
-    updating the regions of ``order`` one at a time.  The default order is
-    the first-fit colouring of ``conflict_levels``."""
-    sweep_plan(layout, order).run(lam, theta, eps, cvals)
+    """One sweep of region updates, run level by level; bitwise equal to
+    updating the regions of ``sweep_plan(layout).sequence`` one at a time
+    (``lambda_update``)."""
+    sweep_plan(layout).run(lam, theta, eps, cvals)
 
 
 def belief_vec(
@@ -486,8 +472,7 @@ def belief_vec(
         terms = gibbs_pass(layout, potentials, eps * cvals, cvals)
     b = terms.beliefs(layout)
     if (cvals == 0.0).any():
-        cached = layout.plan_cache  # any order's plan: the zero-count level has none
-        zero = (sweep_plan(layout) if cached is None else cached[1]).zero_count(eps, cvals)
+        zero = sweep_plan(layout).zero_count(eps, cvals)
         if zero is not None:
             level, c, t, chat = zero
             acc = level.accumulate(lam, theta, level.mu(lam, theta, c))
@@ -586,6 +571,21 @@ def _sample_inputs(graph, sample, state, w, counting, include_loss):
     return graph.layout(), counting_values(counting, graph), theta[None, :], state.vec[None, :]
 
 
+def _region_level(layout: GraphLayout, region, eps: float, cvals: np.ndarray):
+    """The level that updates ``region`` alone, its coefficients at (eps,
+    cvals) and the denominators c_r + sum of parent c (``_level_terms``);
+    None for a region without parents, whose update is a no-op.  An id
+    outside the graph raises ``ValueError``."""
+    region = int(region)
+    if not 0 <= region < len(layout.parent_edges):
+        raise ValueError(f"region {region} is not in the region graph")
+    if not layout.parent_edges[region]:
+        return None
+    level = _Level(layout, [region])
+    (c,), denom = _level_terms(layout, [level], eps, cvals)
+    return level, c, denom
+
+
 def mu_message(
     graph: RegionGraph,
     sample: Sample,
@@ -602,9 +602,7 @@ def mu_message(
     if (parent, child) not in graph.edges:
         raise ValueError(f"no edge ({parent}, {child}) in the region graph")
     layout, cvals, theta, lam = _sample_inputs(graph, sample, state, w, counting, include_loss)
-    plan = SweepPlan(layout, (child,))  # uncached: the layout keeps its sweep plan
-    (c,), _ = plan.coefficients(eps, cvals)
-    level = plan.levels[0]
+    level, c, _ = _region_level(layout, child, eps, cvals)
     start = level.mu_at[graph.edges.index((parent, child))]
     return level.mu(lam, theta, c)[0, start : start + layout.sizes[child]]
 
@@ -619,10 +617,15 @@ def lambda_update(
     counting=None,
     include_loss: bool = True,
 ) -> MessageState:
-    """Block-minimize all messages from ``region`` to its parents, in place:
-    a sweep of one region on the level kernel."""
+    """Block-minimize all messages from ``region`` to its parents, in place,
+    on the level kernel.  A loop of it over any order of regions is that
+    order's sweep."""
     layout, cvals, theta, lam = _sample_inputs(graph, sample, state, w, counting, include_loss)
-    SweepPlan(layout, (region,)).run(lam, theta, eps, cvals)  # uncached, as in mu_message
+    one = _region_level(layout, region, eps, cvals)
+    if one is not None:
+        level, c, denom = one
+        _warn_skipped(level.regions, denom)
+        level.update(lam, theta, c)
     return state
 
 
@@ -633,13 +636,12 @@ def inference_sweep(
     w: np.ndarray,
     eps: float,
     counting=None,
-    order=None,
     include_loss: bool = True,
 ) -> MessageState:
-    """One pass of lambda updates over ``order`` (default: every region with
-    parents once, colour class by colour class; see ``conflict_levels``)."""
+    """One pass of lambda updates over every region with parents, colour
+    class by colour class (see ``conflict_levels``)."""
     layout, cvals, theta, lam = _sample_inputs(graph, sample, state, w, counting, include_loss)
-    sweep_vec(layout, lam, theta, eps, cvals, order)
+    sweep_vec(layout, lam, theta, eps, cvals)
     return state
 
 

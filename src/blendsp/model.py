@@ -213,7 +213,7 @@ class GraphLayout:
         # absolute gather indices of a child message evaluated at parent labels
         self.lam_in_idx = [self.edge_offsets[e] + self.proj[e] for e in range(len(edges))]
 
-        # the level schedule of the last sweep order used (inference.sweep_plan)
+        # the sweep's level schedule, made on first use (inference.sweep_plan)
         self.plan_cache = None
 
     def _message_links(self):
@@ -354,6 +354,9 @@ class Sample:
                 f"sample {sample_id}: true labels must cover all regions when given"
             )
         sizes = graph.label_counts()
+        for r in [*self.loss, *self.features, *(self.true_labels or ())]:
+            if not 0 <= r < len(sizes):  # -1 would index the last region
+                raise ModelError(f"sample {sample_id}: region {r} is not in the region graph")
         for r, t in self.loss.items():
             if t.shape != (sizes[r],):
                 raise ModelError(f"sample {sample_id}: loss table for region {r} has wrong size")

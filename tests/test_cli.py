@@ -1,6 +1,5 @@
 import hashlib
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -424,30 +423,6 @@ def test_c_scheme_help_names_the_counts_default(capsys):
         assert main([command, "--help"]) == 0
         text = " ".join(capsys.readouterr().out.split())
         assert "default: the model's COUNTS section, or ones when it has none" in text
-
-
-def test_main_sets_the_heap_policy_through_mallopt(tmp_path, monkeypatch):
-    calls = []
-    libc = SimpleNamespace(mallopt=lambda param, value: calls.append((param, value)) or 1)
-    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
-    gen(tmp_path, "corpus")
-    assert calls == [
-        (cli.M_MMAP_THRESHOLD, cli.HEAP_MMAP_BYTES),
-        (cli.M_TRIM_THRESHOLD, cli.HEAP_TRIM_BYTES),
-    ]
-
-
-@pytest.mark.parametrize("libc", ["unloadable", "no mallopt"])
-def test_main_runs_without_mallopt(tmp_path, monkeypatch, libc):
-    def cdll(name):
-        if libc == "unloadable":
-            raise OSError("no C library")
-        return SimpleNamespace()
-
-    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
-    out = gen(tmp_path, "corpus")
-    argv = ["train", "--model", str(out / "train.bsp"), "--max-iters", "3"]
-    assert main([*argv, "--out", str(tmp_path / "w.bsw")]) == 2
 
 
 def test_train_counting_file_wrong_coverage_is_error(tmp_path, capsys):

@@ -281,13 +281,14 @@ def test_region_ids_outside_the_graph_are_rejected():
     sample = random_sample(rng, graph, 2)
     w = rng.normal(size=2)
     state = MessageState(graph)
-    with pytest.raises(ValueError, match=r"region -4 is not in the region graph"):
-        lambda_update(graph, sample, -4, state, w, 1.0)
-    for order in ([-4], [99], [0, 7]):
-        with pytest.raises(ValueError, match=rf"region {order[-1]} is not in the region graph"):
-            inference_sweep(graph, sample, state, w, 1.0, order=order)
+    for region in (-4, -1, 7, 99):
+        with pytest.raises(ValueError, match=rf"region {region} is not in the region graph"):
+            lambda_update(graph, sample, region, state, w, 1.0)
+    for parent, child in ((4, 7), (-1, 0), (99, -4)):
+        with pytest.raises(ValueError, match=rf"no edge \({parent}, {child}\)"):
+            mu_message(graph, sample, parent, child, state, w, 1.0)
     assert not state.vec.any()
-    inference_sweep(graph, sample, state, w, 1.0, order=[0, 1])
+    lambda_update(graph, sample, 0, state, w, 1.0)
     assert state.vec.any()
 
 

@@ -116,6 +116,22 @@ def test_non_finite_tables_rejected():
         Sample(graph, 0, features={0: {3: np.array([np.nan, 1.0])}}, true_labels={0: 0})
 
 
+def test_tables_and_labels_for_regions_outside_the_graph_rejected():
+    # chain_graph(3) has regions 0..4; region 4 is the pair (1, 2), whose
+    # slots -1 would have indexed
+    graph = chain_graph(3)
+    pair = np.array([0.5, 1.0, 1.5, 2.0])
+    for region in (-1, 5, 7):
+        with pytest.raises(ModelError, match=rf"sample 3: region {region} is not in the region graph"):
+            Sample(graph, 3, loss={region: pair})
+        with pytest.raises(ModelError, match=rf"sample 3: region {region} is not in the region graph"):
+            Sample(graph, 3, features={region: {0: pair}})
+        with pytest.raises(ModelError, match=rf"sample 3: region {region} is not in the region graph"):
+            Sample(graph, 3, true_labels={0: 0, 1: 0, 2: 0, 3: 0, region: 0})
+    sample = Sample(graph, 3, loss={4: pair}, features={4: {0: pair}})
+    assert sample.compiled().loss_vec[10:14].tolist() == pair.tolist()
+
+
 def test_overlapping_true_labels_must_agree():
     graph = chain_graph(2)
     # singleton truths say (0, 0) but the pairwise truth says (1, 1)

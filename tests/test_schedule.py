@@ -2,10 +2,11 @@
 
 A level updates regions whose block updates neither read nor write each
 other's message slots, so a level-by-level sweep must equal, bit for bit, a
-loop of the per-region reference ``lambda_update_vec`` over the same order: the plan's own
-``sequence`` for the default colour-class order, the given order otherwise.
-The public one-region operations and the c_r = 0 beliefs run on the same
-level kernel and are checked against the per-edge references too.  The
+loop of the per-region reference ``lambda_update_vec`` over the plan's own
+``sequence``.  Any other order is a loop of the public ``lambda_update``,
+which must equal the reference loop over that order.  The public one-region
+operations and the c_r = 0 beliefs run on the same level kernel and are
+checked against the per-edge references too.  The
 gather kernels of the message potentials and the residual are checked here,
 bit for bit, against ``np.add.at`` references.
 """
@@ -16,7 +17,17 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blendsp import CountingNumbers, MessageState, inference_sweep, lambda_update, mu_message
+from blendsp import (
+    CountingNumbers,
+    MessageState,
+    TrainerConfig,
+    compute_beliefs,
+    inference,
+    inference_sweep,
+    lambda_update,
+    mu_message,
+    train,
+)
 from blendsp.datagen import build_grid_graph
 from blendsp.inference import (
     belief_vec,
@@ -46,8 +57,8 @@ from util import (
 
 
 def sequential_sweep(layout, lam, theta, eps, cvals, order=None):
-    """The reference: one region update at a time, in order (default: the
-    default plan's sequence)."""
+    """The reference: one region update at a time, in ``order`` (default:
+    the plan's sequence)."""
     for r in sweep_plan(layout).sequence if order is None else order:
         lambda_update_vec(layout, lam, theta, r, eps, cvals)
 
@@ -94,33 +105,63 @@ def test_level_sweep_matches_sequential_sweep_bitwise():
                 for batch in (0, 1, 4):
                     theta = 3.0 * rng.normal(size=(batch, layout.total))
                     start = rng.normal(size=(batch, layout.message_total))
-                    id_order = layout.regions_with_parents
-                    random_order = rng.permutation(graph.region_count).tolist()
-                    for order in (None, id_order, random_order):
-                        got, want = start.copy(), start.copy()
-                        for _ in range(3):
-                            sweep_vec(layout, got, theta, eps, cvals, order)
-                            sequential_sweep(layout, want, theta, eps, cvals, order)
-                        assert np.array_equal(got, want), (name, eps, batch, order)
-                        checked += 1
-    assert checked == 12 * 5 * 2 * 3 * 3
+                    got, want = start.copy(), start.copy()
+                    for _ in range(3):
+                        sweep_vec(layout, got, theta, eps, cvals)
+                        sequential_sweep(layout, want, theta, eps, cvals)
+                    assert got.tobytes() == want.tobytes(), (name, eps, batch)
+                    checked += 1
+    assert checked == 12 * 5 * 2 * 3
+
+
+def test_lambda_update_loops_over_any_order_match_the_reference_loop_bitwise():
+    # another update order is a loop of the public one-region update: id
+    # order, a permutation with the regions without parents, and a random
+    # order with repeats
+    rng = np.random.default_rng(19)
+    checked = 0
+    for graph in graphs(rng):
+        layout = graph.layout()
+        n = graph.region_count
+        sample = random_sample(rng, graph, 3)
+        w = rng.normal(size=3)
+        theta = sample.compiled().theta_vec(w)[None, :]
+        orders = (
+            layout.regions_with_parents,
+            rng.permutation(n).tolist(),
+            rng.integers(0, n, 2 * n).tolist(),
+        )
+        for name, cvals in counting_sets(rng, graph).items():
+            for eps in (0.0, 1.0):
+                for order in orders:
+                    start = rng.normal(size=layout.message_total)
+                    state = MessageState(graph, start.copy())
+                    for r in order:
+                        lambda_update(graph, sample, r, state, w, eps, cvals)
+                    want = start[None, :].copy()
+                    sequential_sweep(layout, want, theta, eps, cvals, order)
+                    assert state.vec.tobytes() == want[0].tobytes(), (name, eps, order)
+                    checked += 1
+    assert checked == 12 * 5 * 2 * 3
 
 
 def test_levels_hold_no_conflicting_regions_and_keep_their_order():
+    # regions of one level never conflict, so any order within each level,
+    # level after level, is the sweep's arithmetic bit for bit
     rng = np.random.default_rng(6)
     for graph in graphs(rng):
         layout = graph.layout()
-        order = rng.permutation(graph.region_count).tolist()
-        levels = conflict_levels(layout, order)
-        placed = [r for level in levels for r in level]
-        assert sorted(placed) == sorted(r for r in order if graph.parents[r])
-        level_of = {r: i for i, level in enumerate(levels) for r in level}
-        for i, a in enumerate(order):
-            for b in order[i + 1:]:
-                if a not in level_of or b not in level_of:
-                    continue
-                if conflicting(graph, a, b):
-                    assert level_of[a] < level_of[b]
+        levels = conflict_levels(layout)
+        for level in levels:
+            assert not any(conflicting(graph, a, b) for a in level for b in level if a != b)
+        cvals = rng.uniform(0.1, 2.0, graph.region_count)
+        theta = rng.normal(size=(2, layout.total))
+        got = rng.normal(size=(2, layout.message_total))
+        want = got.copy()
+        sweep_vec(layout, got, theta, 1.0, cvals)
+        shuffled = [r for level in levels for r in rng.permutation(level).tolist()]
+        sequential_sweep(layout, want, theta, 1.0, cvals, shuffled)
+        assert got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -147,15 +188,18 @@ def test_default_levels_colour_the_conflict_relation_first_fit(seed):
 
 def test_repeated_regions_in_an_order_run_sequentially():
     rng = np.random.default_rng(7)
-    graph = three_level_model(rng, [2, 3, 2])[0]
+    graph, sample = three_level_model(rng, [2, 3, 2])
     layout = graph.layout()
+    w = rng.normal(size=4)
+    theta = sample.compiled().theta_vec(w)[None, :]
     order = [1, 0, 1, 3, 1, 4, 3]
-    theta = rng.normal(size=(2, layout.total))
-    got = rng.normal(size=(2, layout.message_total))
-    want = got.copy()
-    sweep_vec(layout, got, theta, 1.0, np.ones(graph.region_count), order)
+    start = rng.normal(size=layout.message_total)
+    state = MessageState(graph, start.copy())
+    for r in order:
+        lambda_update(graph, sample, r, state, w, 1.0)
+    want = start[None, :].copy()
     sequential_sweep(layout, want, theta, 1.0, np.ones(graph.region_count), order)
-    assert np.array_equal(got, want)
+    assert state.vec.tobytes() == want[0].tobytes()
 
 
 def test_zero_denominator_warns_and_leaves_its_messages(caplog):
@@ -179,12 +223,42 @@ def test_zero_denominator_warns_and_leaves_its_messages(caplog):
     assert not np.array_equal(got, start)
 
 
+SKIPPED = "region 0: c_r + sum of parent counting numbers is zero; update skipped"
+
+
+def test_zero_denominator_warns_once_per_coefficient_derivation(caplog):
+    # the warning comes with the coefficients, which a plan derives once per
+    # (eps, cvals), not with every sweep
+    rng = np.random.default_rng(20)
+    graph = chain_graph(3)
+    cvals = np.array([-1.0, 1.0, 1.0, 1.0, 1.0])  # c_0 + c_3 = 0
+    layout = graph.layout()
+    theta = rng.normal(size=(2, layout.total))
+    lam = rng.normal(size=(2, layout.message_total))
+    with caplog.at_level(logging.WARNING, logger="blendsp.inference"):
+        for _ in range(5):
+            sweep_vec(layout, lam, theta, 1.0, cvals)
+        assert [rec.getMessage() for rec in caplog.records] == [SKIPPED]
+        caplog.clear()
+        for _ in range(3):
+            sweep_vec(layout, lam, theta, 0.5, cvals)  # a new eps: derived once more
+        assert [rec.getMessage() for rec in caplog.records] == [SKIPPED]
+    caplog.clear()
+    config = TrainerConfig(c_scheme="file", c_values=cvals, max_outer_iters=20)
+    with caplog.at_level(logging.WARNING, logger="blendsp.inference"):
+        fresh = chain_graph(3)
+        state = train(fresh, [random_sample(rng, fresh, 2)], config)
+    assert state.iteration > 1
+    warned = [rec.getMessage() for rec in caplog.records if rec.name == "blendsp.inference"]
+    assert warned == [SKIPPED]
+
+
 def test_graph_without_edges_sweeps_to_a_no_op():
     graph = tree_graph(np.random.default_rng(9), 1)
     layout = graph.layout()
     lam = np.zeros((3, 0))
     sweep_vec(layout, lam, np.ones((3, layout.total)), 1.0, np.ones(1))
-    assert conflict_levels(layout, layout.regions_with_parents) == []
+    assert conflict_levels(layout) == []
 
 
 def test_denoise_grids_plan_two_colour_classes():
@@ -194,34 +268,6 @@ def test_denoise_grids_plan_two_colour_classes():
         plan = sweep_plan(layout)
         assert len(plan.levels) == 2
         assert sweep_plan(layout) is plan
-
-
-def test_denoise_grid_plans_width_plus_height_minus_one_levels():
-    # an explicit id order keeps its anti-diagonal wavefront
-    for size in (10, 40):
-        layout = build_grid_graph(size, size).layout()
-        assert len(sweep_plan(layout, layout.regions_with_parents).levels) == 2 * size - 1
-
-
-def sweep_to_consistency(layout, theta, cvals, order):
-    lam = np.zeros((theta.shape[0], layout.message_total))
-    for _ in range(5000):
-        sweep_vec(layout, lam, theta, 1.0, cvals, order)
-        b = belief_vec(layout, lam, theta, 1.0, cvals)
-        if residual_rows(layout, b).max() <= 1e-10:
-            return b
-    raise AssertionError("no consistency within 5000 sweeps")
-
-
-def test_default_and_id_orders_reach_the_same_beliefs_on_convex_models():
-    rng = np.random.default_rng(11)
-    for graph in graphs(rng):
-        layout = graph.layout()
-        theta = rng.normal(size=(2, layout.total))
-        for cvals in (np.ones(graph.region_count), rng.uniform(0.5, 2.0, graph.region_count)):
-            by_colour = sweep_to_consistency(layout, theta, cvals, None)
-            by_id = sweep_to_consistency(layout, theta, cvals, layout.regions_with_parents)
-            assert np.abs(by_colour - by_id).max() <= 1e-8
 
 
 def kernel_graphs(rng):
@@ -373,10 +419,33 @@ def test_one_region_operations_leave_the_cached_sweep_plan():
         if cached == "default":
             inference_sweep(graph, sample, state, w, 1.0)
         elif cached == "ordered":
-            inference_sweep(graph, sample, state, w, 1.0, order=[4, 0, 3])
+            for r in (4, 0, 3):
+                lambda_update(graph, sample, r, state, w, 1.0)
         before = layout.plan_cache
         for r in range(graph.region_count):
             lambda_update(graph, sample, r, state, w, 0.5)
         for p, r in graph.edges:
             mu_message(graph, sample, p, r, state, w, 0.5)
         assert layout.plan_cache is before
+
+
+def test_first_zero_count_beliefs_build_no_colour_levels(monkeypatch):
+    rng = np.random.default_rng(21)
+    graph, sample = three_level_model(rng, [2, 3, 2])
+    layout = graph.layout()
+    w = rng.normal(size=4)
+    cvals = np.ones(graph.region_count)
+    cvals[0] = 0.0  # region 0 has the parent 3
+
+    def no_colouring(layout):
+        raise AssertionError("the zero-count level coloured the graph")
+
+    monkeypatch.setattr(inference, "conflict_levels", no_colouring)
+    assert layout.plan_cache is None
+    beliefs = compute_beliefs(graph, sample, MessageState(graph), w, 1.0, cvals)
+    assert layout.plan_cache is not None
+    monkeypatch.undo()
+    inference_sweep(graph, sample, MessageState(graph), w, 1.0, cvals)  # colours the graph
+    assert len(layout.plan_cache.levels) == len(conflict_levels(layout))
+    again = compute_beliefs(graph, sample, MessageState(graph), w, 1.0, cvals)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(beliefs, again))
