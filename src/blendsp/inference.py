@@ -30,9 +30,16 @@ grouped log-sum-exp over all of the level's edges, the accumulation, a
 mean-centring per group of equal-size tables, and one scatter of the new
 tables.  The layout caches one plan (``sweep_plan``), whose levels are built
 on its first sweep.  This level kernel is the only region update:
-``lambda_update`` runs a one-region level, ``mu_message`` reads that level's
-aggregations, and ``belief_vec`` normalizes the accumulators of the regions
-with c_r = 0 as one more level.
+``lambda_update`` runs a one-region level, kept on the plan per region,
+``mu_message`` reads that level's aggregations, and ``belief_vec``
+normalizes the accumulators of the regions with c_r = 0 as one more level.
+
+The grouped log-sum-exp and the Gibbs pass take their per-group and
+per-table max, min and sum from ``SegmentReduce``, built once per level and
+once per layout.  Where the tables are narrow and lie in few runs of equal
+width, as a grid's 2-label pixels and 4-label pairs do, and the batch is
+large enough, it reduces a run of width k with k - 1 strided elementwise
+calls; elsewhere it calls ``ufunc.reduceat``.  Both give the same bits.
 
 The potentials of theta rows at messages lam are, everywhere in the package,
 ``theta + message_potentials(layout, lam)``: the message part (incoming minus
@@ -111,6 +118,80 @@ class MessageState:
 # batched internals, shared with the objective and learner modules
 
 
+STRIDED_MIN_WORK = 100  # measured: where a strided max and sum cost what reduceat's do
+
+
+class SegmentReduce:
+    """Per-segment max, min and sum over the last axis of rows whose columns
+    form consecutive segments, the i-th from ``starts[i]`` to the next start
+    (the last to ``width``): the results of ``ufunc.reduceat(v, starts,
+    axis=-1)``, bit for bit (a NaN sum may differ in its sign bit).
+
+    ``reduceat`` costs about as much per segment as a strided elementwise
+    call costs per row.  So when every segment is at most 8 wide and batch x
+    segments is at least ``STRIDED_MIN_WORK`` times the summed width of the
+    runs of equal-width segments, a run of width k is reduced with k - 1
+    strided calls (``v[..., j::k]``); otherwise with one ``reduceat``.  The
+    strided sum is a0 + (((a1 + a2) + a3) + ...), which is what
+    ``np.add.reduceat`` computes: numpy adds the fewer than 8 terms after a
+    segment's first one after another (longer tails it sums pairwise).
+    """
+
+    def __init__(self, starts: np.ndarray, width: int):
+        self.starts = np.asarray(starts, dtype=np.int64)
+        bounds = np.concatenate((self.starts, [width]))
+        widths = bounds[1:] - bounds[:-1]
+        changes = ((widths[1:] != widths[:-1]).nonzero()[0] + 1).tolist()
+        cut = [0, *changes, len(widths)] if len(widths) else []
+        at, wide = bounds.tolist(), widths.tolist()
+        # runs of equal widths: (first column, end column, width, first and end segment)
+        self.runs = [(at[s], at[e], wide[s], s, e) for s, e in zip(cut, cut[1:])]
+        run_widths = [run[2] for run in self.runs]
+        narrow = bool(run_widths) and 1 <= min(run_widths) and max(run_widths) <= 8
+        self.min_batch = STRIDED_MIN_WORK * sum(run_widths) / len(wide) if narrow else np.inf
+
+    def _strided(self, v: np.ndarray) -> bool:
+        return (v.shape[0] if v.ndim > 1 else 1) >= self.min_batch
+
+    def max(self, v: np.ndarray) -> np.ndarray:
+        return self._fold(np.maximum, v)
+
+    def min(self, v: np.ndarray) -> np.ndarray:
+        return self._fold(np.minimum, v)
+
+    def _fold(self, ufunc, v: np.ndarray) -> np.ndarray:
+        """Per segment, ((a0 op a1) op a2) op ..."""
+        if not self._strided(v):
+            return ufunc.reduceat(v, self.starts, axis=-1)
+        out = np.empty(v.shape[:-1] + (len(self.starts),))
+        for a, b, k, s, e in self.runs:
+            o = out[..., s:e]
+            if k == 1:
+                np.copyto(o, v[..., a:b])
+            else:
+                ufunc(v[..., a:b:k], v[..., a + 1 : b : k], out=o)
+                for j in range(2, k):
+                    ufunc(o, v[..., a + j : b : k], out=o)
+        return out
+
+    def sum(self, v: np.ndarray) -> np.ndarray:
+        if not self._strided(v):
+            return np.add.reduceat(v, self.starts, axis=-1)
+        out = np.empty(v.shape[:-1] + (len(self.starts),))
+        for a, b, k, s, e in self.runs:
+            o = out[..., s:e]
+            if k == 1:
+                np.copyto(o, v[..., a:b])
+            elif k == 2:
+                np.add(v[..., a:b:2], v[..., a + 1 : b : 2], out=o)
+            else:
+                np.add(v[..., a + 1 : b : k], v[..., a + 2 : b : k], out=o)
+                for j in range(3, k):
+                    o += v[..., a + j : b : k]
+                np.add(v[..., a:b:k], o, out=o)
+        return out
+
+
 class GibbsPass(NamedTuple):
     """One max, exp and sum pass over potential rows (``gibbs_pass``)."""
 
@@ -128,7 +209,7 @@ def gibbs_pass(
 ) -> GibbsPass:
     """The Gibbs exponentials and region log-partitions of concatenated table
     rows ``vec`` (shape (batch, total)) at temperatures ``t_regions``; the
-    tables are those of ``layout.starts`` and ``layout.segment``.
+    tables are those of ``layout.segments`` and ``layout.segment``.
 
     ``coeff`` carries the counting numbers so that zero-temperature regions
     tie-break toward the max (coeff >= 0) or the min (coeff < 0), matching
@@ -136,12 +217,12 @@ def gibbs_pass(
     log-partition is the max either way.  Every other region is centred on
     its max (t > 0) or min (t < 0), so its exponentials serve both results.
     """
-    starts = layout.starts
+    segments = layout.segments
     seg = layout.segment
-    mx = m = np.maximum.reduceat(vec, starts, axis=-1)
+    mx = m = segments.max(vec)
     use_min = np.where(t_regions == 0, coeff < 0, t_regions < 0)
     if use_min.any():
-        m = np.where(use_min, np.minimum.reduceat(vec, starts, axis=-1), mx)
+        m = np.where(use_min, segments.min(vec), mx)
     t_slot = t_regions[seg]
     zero_slot = t_slot == 0
     e = m.take(seg, axis=-1)
@@ -154,7 +235,7 @@ def gibbs_pass(
     np.exp(e, out=e)
     if tie is not None:
         np.copyto(e, tie, where=zero_slot)
-    z = np.add.reduceat(e, starts, axis=-1)
+    z = segments.sum(e)
     nonzero = t_regions != 0
     lse = np.where(nonzero, m, mx)
     lse[..., nonzero] += t_regions[nonzero] * np.log(z[..., nonzero])
@@ -258,9 +339,8 @@ class _Level:
         # grouped log-sum-exp: one group per child label of every edge
         col_off = np.cumsum([0] + [psize[e] for e in by_terms]).tolist()
         mu_off = np.cumsum([0] + [csize[e] for e in by_terms]).tolist()
-        self.group_starts = _cat(
-            [layout.group_starts[e] + col_off[i] for i, e in enumerate(by_terms)]
-        )
+        group_starts = [layout.group_starts[e] + col_off[i] for i, e in enumerate(by_terms)]
+        self.groups = SegmentReduce(_cat(group_starts), col_off[-1])
         self.group_of = _cat([layout.group_of[e] + mu_off[i] for i, e in enumerate(by_terms)])
         self.column_edge = np.repeat(by_terms, [psize[e] for e in by_terms])
         self.group_edge = np.repeat(by_terms, [csize[e] for e in by_terms])
@@ -295,6 +375,11 @@ class _Level:
             self.blocks.append((start, start + k * n, k, n))
             start += k * n
 
+    @cached_property
+    def segments(self) -> SegmentReduce:
+        """Per-region reductions of the accumulators, for ``gibbs_pass``."""
+        return SegmentReduce(self.starts, len(self.acc_idx))
+
     def mu(self, lam: np.ndarray, theta: np.ndarray, c: "_LevelCoefficients") -> np.ndarray:
         """The soft-max aggregations mu_{p->r} of every edge of the level, at
         temperatures eps * c_p (the max at zero, the min-centred form below)."""
@@ -302,14 +387,14 @@ class _Level:
         v = theta.take(self.theta_idx, axis=1)
         for n, idx in self.exp_terms:
             v[:, :n] += src.take(idx, axis=1)
-        mx = m = np.maximum.reduceat(v, self.group_starts, axis=1)
+        mx = m = self.groups.max(v)
         if c.use_min is not None:
-            m = np.where(c.use_min, np.minimum.reduceat(v, self.group_starts, axis=1), mx)
+            m = np.where(c.use_min, self.groups.min(v), mx)
         x = m.take(self.group_of, axis=1)
         np.subtract(v, x, out=x)
         x /= c.t_col
         np.exp(x, out=x)
-        z = np.add.reduceat(x, self.group_starts, axis=1)
+        z = self.groups.sum(x)
         return np.where(c.max_only, mx, m + c.t_group * np.log(z))
 
     def accumulate(self, lam: np.ndarray, theta: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -382,13 +467,15 @@ class SweepPlan:
     updates in the order the sweep performs them, level by level.  The
     counting-number terms are derived from ``cvals`` and cached for the last
     (eps, cvals) seen, as is ``belief_vec``'s zero-count level, which needs
-    no colouring.
+    no colouring.  The one-region levels of ``lambda_update`` and
+    ``mu_message`` are made on demand and kept per region.
     """
 
     def __init__(self, layout: GraphLayout):
         self.layout = weakref.proxy(layout)  # the layout caches the plan
         self._cached = None  # (key, coefficients), replaced whole
         self._zero_count = None  # (key, zero-count level)
+        self._one_region: dict[int, _Level] = {}
 
     @cached_property
     def levels(self) -> list[_Level]:
@@ -426,6 +513,13 @@ class SweepPlan:
                 value = (level, c, eps * chat, chat)
             cached = self._zero_count = (key, value)
         return cached[1]
+
+    def region_level(self, region: int) -> _Level:
+        """The level that updates ``region`` alone."""
+        level = self._one_region.get(region)
+        if level is None:
+            level = self._one_region[region] = _Level(self.layout, [region])
+        return level
 
     def run(self, lam: np.ndarray, theta: np.ndarray, eps: float, cvals: np.ndarray) -> None:
         for level, c in zip(self.levels, self.coefficients(eps, cvals)):
@@ -581,7 +675,7 @@ def _region_level(layout: GraphLayout, region, eps: float, cvals: np.ndarray):
         raise ValueError(f"region {region} is not in the region graph")
     if not layout.parent_edges[region]:
         return None
-    level = _Level(layout, [region])
+    level = sweep_plan(layout).region_level(region)
     (c,), denom = _level_terms(layout, [level], eps, cvals)
     return level, c, denom
 
@@ -660,14 +754,23 @@ def compute_beliefs(
     return [b[layout.region_slices[r]] for r in range(graph.region_count)]
 
 
+def belief_row(layout: GraphLayout, tables) -> np.ndarray:
+    """Per-region belief ``tables`` as one concatenated row.  A table count
+    other than the region count, or a table that is not a vector over its
+    region's labels, raises ``ValueError``."""
+    sizes = layout.sizes.tolist()
+    if len(tables) != len(sizes):
+        raise ValueError(f"{len(tables)} belief tables for {len(sizes)} regions")
+    row = np.concatenate(tables, dtype=float) if tables else np.zeros(0)
+    if row.ndim != 1 or list(map(len, tables)) != sizes:
+        r, shape, n = next(
+            (r, np.shape(t), n) for r, (t, n) in enumerate(zip(tables, sizes)) if np.shape(t) != (n,)
+        )
+        raise ValueError(f"region {r}: belief table of shape {shape}, expected ({n},)")
+    return row
+
+
 def marginal_residual(graph: RegionGraph, beliefs: list[np.ndarray]) -> float:
     """Max over edges and child labels of |parent marginal - child belief|."""
     layout = graph.layout()
-    bvec = (
-        np.concatenate([np.asarray(t, dtype=float) for t in beliefs])
-        if beliefs
-        else np.zeros(0)
-    )
-    if bvec.size != layout.total:
-        raise ValueError("beliefs do not match the graph layout")
-    return float(residual_rows(layout, bvec[None, :])[0])
+    return float(residual_rows(layout, belief_row(layout, beliefs)[None, :])[0])

@@ -19,7 +19,7 @@ prediction runs every sample through the same batched engine.  Per-row
 arithmetic is identical no matter how rows are grouped, and gradient
 contributions are reduced in sample-id order, so results are bitwise
 independent of the batch.  A thread pool over row blocks was measured no
-faster, because a sweep costs nearly the same at any batch size.
+faster.
 """
 
 from __future__ import annotations

@@ -216,6 +216,14 @@ class GraphLayout:
         # the sweep's level schedule, made on first use (inference.sweep_plan)
         self.plan_cache = None
 
+    @functools.cached_property
+    def segments(self):
+        """Per-region max, min and sum of concatenated table rows
+        (``inference.SegmentReduce``)."""
+        from .inference import SegmentReduce  # inference imports this module
+
+        return SegmentReduce(self.starts, self.total)
+
     def _message_links(self):
         """The slots each message slot links, as three flat arrays: per
         (edge, parent label), in edge order, the parent table slot and the

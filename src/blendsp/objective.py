@@ -34,6 +34,7 @@ import numpy as np
 
 from .inference import (
     MessageState,
+    belief_row,
     belief_vec,
     counting_values,
     gibbs_pass,
@@ -238,9 +239,7 @@ def _at_beliefs(graph: RegionGraph, samples: list[Sample], beliefs, num_features
     """The theta stack of ``samples``, the belief rows of per-region
     ``beliefs`` tables and the feature count."""
     layout = graph.layout()
-    rows = [np.concatenate([np.asarray(t, dtype=float) for t in tables]) for tables in beliefs]
-    if any(row.size != layout.total for row in rows):
-        raise ValueError("beliefs do not match the graph layout")
+    rows = [belief_row(layout, tables) for tables in beliefs]
     bmat = np.stack(rows) if rows else np.zeros((0, layout.total))
     if num_features is None:
         num_features = feature_count(samples)

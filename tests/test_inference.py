@@ -181,6 +181,21 @@ def test_marginal_residual_hand_value():
     assert marginal_residual(graph, beliefs) == pytest.approx(0.4)
 
 
+def test_marginal_residual_rejects_tables_of_the_wrong_size():
+    # the right total in the wrong split: a 2-value table for the 4-label
+    # region 0 and a 4-value table for the 2-label region 1
+    graph = RegionGraph([Region(0, (0, 1), (2, 2)), Region(1, (0,), (2,))], [(0, 1)], 2)
+    with pytest.raises(ValueError, match=r"region 0: belief table of shape \(2,\), expected \(4,\)"):
+        marginal_residual(graph, [np.array([0.5, 0.5]), np.full(4, 0.25)])
+    with pytest.raises(ValueError, match="1 belief tables for 2 regions"):
+        marginal_residual(graph, [np.full(6, 1.0 / 6)])
+    with pytest.raises(ValueError, match=r"region 0: belief table of shape \(2, 2\)"):
+        marginal_residual(graph, [np.full((2, 2), 0.25), np.full((1, 2), 0.5)])
+    with pytest.raises(ValueError):
+        marginal_residual(graph, [np.full(4, 0.25), np.full((1, 2), 0.5)])
+    assert marginal_residual(graph, [np.full(4, 0.25), np.array([0.5, 0.5])]) == 0.0
+
+
 def test_residual_vanishes_after_convergence_on_loopy_graph():
     rng = np.random.default_rng(4)
     graph = loopy_graph(rng, 5, 6)

@@ -187,6 +187,20 @@ def test_dual_rejects_negative_C():
         dual_objective(graph, [sample], [beliefs], 1.0, ones(graph), -1.0)
 
 
+def test_belief_tables_of_the_wrong_size_are_rejected():
+    # region 0 has 4 labels and region 1 has 2: swapped tables keep the total
+    graph = RegionGraph([Region(0, (0, 1), (2, 2)), Region(1, (0,), (2,))], [(0, 1)], 2)
+    sample = Sample(graph, 0, true_labels={0: 0, 1: 0})
+    swapped = [[np.array([0.5, 0.5]), np.full(4, 0.25)]]
+    for call in (
+        lambda b: moment_mismatch(graph, [sample], b),
+        lambda b: dual_objective(graph, [sample], b, 1.0, ones(graph), 0.5),
+    ):
+        with pytest.raises(ValueError, match="region 0: belief table"):
+            call(swapped)
+        call([[np.full(4, 0.25), np.array([0.5, 0.5])]])
+
+
 def test_dual_hard_constraints_at_zero_C():
     rng = np.random.default_rng(9)
     graph, sample = random_model(rng)

@@ -408,7 +408,7 @@ def test_zero_count_beliefs_normalize_the_level_accumulators():
     assert checked > 100
 
 
-def test_one_region_operations_leave_the_cached_sweep_plan():
+def test_one_region_operations_leave_the_cached_sweep_plan(monkeypatch):
     rng = np.random.default_rng(15)
     graph = three_level_model(rng, [2, 3, 2])[0]
     layout = graph.layout()
@@ -421,12 +421,22 @@ def test_one_region_operations_leave_the_cached_sweep_plan():
         elif cached == "ordered":
             for r in (4, 0, 3):
                 lambda_update(graph, sample, r, state, w, 1.0)
+        else:  # the first one-region update makes the plan, uncoloured
+            lambda_update(graph, sample, layout.regions_with_parents[0], state, w, 0.5)
+            assert "levels" not in vars(layout.plan_cache)
         before = layout.plan_cache
         for r in range(graph.region_count):
             lambda_update(graph, sample, r, state, w, 0.5)
         for p, r in graph.edges:
             mu_message(graph, sample, p, r, state, w, 0.5)
         assert layout.plan_cache is before
+        # the plan keeps each one-region level: no level is built again
+        with monkeypatch.context() as m:
+            m.setattr(inference, "_Level", None)
+            for r in range(graph.region_count):
+                lambda_update(graph, sample, r, state, w, 0.5)
+            for p, r in graph.edges:
+                mu_message(graph, sample, p, r, state, w, 0.5)
 
 
 def test_first_zero_count_beliefs_build_no_colour_levels(monkeypatch):
