@@ -8,6 +8,7 @@ or input error, 2 non-convergence within the iteration budget.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -54,6 +55,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+# flag types; argparse names the flag and the type: "invalid finite value"
+def finite(text: str) -> float:
+    if not math.isfinite(float(text)):
+        raise ValueError(text)
+    return float(text)
+
+
+def count(text: str) -> int:
+    if int(text) < 0:
+        raise ValueError(text)
+    return int(text)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="blendsp", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
@@ -75,7 +89,7 @@ def _build_parser() -> _Parser:
 
     t = sub.add_parser("train", help="train weights on a model file")
     t.add_argument("--model", type=Path, required=True)
-    t.add_argument("--eps", type=float, default=1.0)
+    t.add_argument("--eps", type=finite, default=1.0)
     t.add_argument("--C", type=float, default=1.0)
     t.add_argument("--c-scheme", choices=("ones", "bethe", "file"), help=C_SCHEME_HELP)
     t.add_argument("--c-file", type=Path, default=None)
@@ -103,10 +117,10 @@ def _build_parser() -> _Parser:
     i = sub.add_parser("infer", help="predict labels for every sample in a model file")
     i.add_argument("--model", type=Path, required=True)
     i.add_argument("--weights", type=Path, required=True)
-    i.add_argument("--eps-infer", type=float, default=1.0)
+    i.add_argument("--eps-infer", type=finite, default=1.0)
     i.add_argument("--c-scheme", choices=("ones", "bethe", "file"), help=C_SCHEME_HELP)
     i.add_argument("--c-file", type=Path, default=None)
-    i.add_argument("--max-sweeps", type=int, default=200)
+    i.add_argument("--max-sweeps", type=count, default=200)
     i.add_argument("--seed", type=int, default=0)
     i.add_argument("--out", type=Path, required=True, help="labels file")
 
@@ -118,11 +132,11 @@ def _build_parser() -> _Parser:
     d = sub.add_parser("gap", help="duality report for a model and weights")
     d.add_argument("--model", type=Path, required=True)
     d.add_argument("--weights", type=Path, required=True)
-    d.add_argument("--eps", type=float, default=1.0)
+    d.add_argument("--eps", type=finite, default=1.0)
     d.add_argument("--C", type=float, default=1.0)
     d.add_argument("--c-scheme", choices=("ones", "bethe", "file"), help=C_SCHEME_HELP)
     d.add_argument("--c-file", type=Path, default=None)
-    d.add_argument("--max-sweeps", type=int, default=200)
+    d.add_argument("--max-sweeps", type=count, default=200)
     d.add_argument("--residual-tol", type=float, default=1e-8)
     d.add_argument("--seed", type=int, default=0)
     return parser

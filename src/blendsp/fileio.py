@@ -101,6 +101,22 @@ def _check_finite(tables: list[tuple[int, str, np.ndarray]]) -> None:
                 raise ParseError(no, f"{kind} values must be finite")
 
 
+def _region_table(no: int, toks: list[str], regions: dict, kind: str, tables: list):
+    """A table line's 'region values...' fields, checked against the region
+    on the table's own line and added to ``tables``: (region id, values)."""
+    r = _int(toks[0], no, "region id")
+    vals = np.array([_float(t, no, f"{kind} value") for t in toks[1:]])
+    if r not in regions:
+        raise ParseError(no, f"{kind} table references unknown region {r}")
+    if vals.size != regions[r].label_count:
+        raise ParseError(
+            no, f"{kind} table for region {r}: expected {regions[r].label_count} values, "
+            f"got {vals.size}"
+        )
+    tables.append((no, kind, vals))
+    return r, vals
+
+
 def _count_line(no: int, toks: list[str], counts: dict, tables: list) -> None:
     """One COUNTS line, 'region value', into ``counts``."""
     if len(toks) != 2:
@@ -143,7 +159,7 @@ def parse_model(stream) -> ParsedModel:
         raise ParseError(no, f"expected header {MODEL_MAGIC!r}")
     region_rows: dict[int, Region] = {}
     edges: list[tuple[int, int]] = []
-    global_feats: list[tuple[int, int, np.ndarray, int]] = []
+    global_feats: list[tuple[int, int, np.ndarray]] = []
     counts: dict[int, float] = {}
     sample_rows: list[dict] = []
     tables: list[tuple[int, str, np.ndarray]] = []
@@ -187,10 +203,8 @@ def parse_model(stream) -> ParsedModel:
             if len(toks) < 3:
                 raise ParseError(no, "feature line needs: feature region values...")
             k = _int(toks[0], no, "feature id")
-            r = _int(toks[1], no, "region id")
-            vals = np.array([_float(t, no, "feature value") for t in toks[2:]])
-            global_feats.append((k, r, vals, no))
-            tables.append((no, "feature", vals))
+            r, vals = _region_table(no, toks[1:], region_rows, "feature", tables)
+            global_feats.append((k, r, vals))
             max_feat = max(max_feat, k)
         elif section == "COUNTS":
             _count_line(no, toks, counts, tables)
@@ -211,21 +225,16 @@ def parse_model(stream) -> ParsedModel:
             elif toks[0] == "LOSS":
                 if len(toks) < 3:
                     raise ParseError(no, "loss line needs: LOSS region values...")
-                r = _int(toks[1], no, "region id")
+                r, vals = _region_table(no, toks[1:], region_rows, "loss", tables)
                 if r in current_sample["loss"]:
                     raise ParseError(no, f"duplicate loss table for region {r}")
-                current_sample["loss"][r] = np.array(
-                    [_float(t, no, "loss value") for t in toks[2:]]
-                )
-                tables.append((no, "loss", current_sample["loss"][r]))
+                current_sample["loss"][r] = vals
             elif toks[0] == "FEAT":
                 if len(toks) < 4:
                     raise ParseError(no, "feat line needs: FEAT feature region values...")
                 k = _int(toks[1], no, "feature id")
-                r = _int(toks[2], no, "region id")
-                vals = np.array([_float(t, no, "feature value") for t in toks[3:]])
-                current_sample["feat"].append((k, r, vals, no))
-                tables.append((no, "feature", vals))
+                r, vals = _region_table(no, toks[2:], region_rows, "feature", tables)
+                current_sample["feat"].append((k, r, vals))
                 max_feat = max(max_feat, k)
             elif toks[0] == "TRUTH":
                 if current_sample["truth"] is not None:
@@ -244,27 +253,11 @@ def parse_model(stream) -> ParsedModel:
     if sorted(region_rows) != list(range(n_regions)):
         raise ParseError(lines[-1][0], "region ids must be dense 0-based indices")
     regions = [region_rows[i] for i in range(n_regions)]
-    covered = set()
-    for reg in regions:
-        covered.update(reg.variables)
-    variable_count = (max(covered) + 1) if covered else 0
+    variable_count = max(reg.variables[-1] for reg in regions) + 1
     try:
         graph = RegionGraph(regions, edges, variable_count)
     except ModelError as exc:
         raise ParseError(lines[-1][0], str(exc)) from None
-
-    def check_table(k, r, vals, no):
-        if not (0 <= r < n_regions):
-            raise ParseError(no, f"feature table references unknown region {r}")
-        if vals.size != regions[r].label_count:
-            raise ParseError(
-                no,
-                f"feature ({k}, {r}): expected {regions[r].label_count} values, "
-                f"got {vals.size}",
-            )
-
-    for k, r, vals, no in global_feats:
-        check_table(k, r, vals, no)
 
     samples = []
     seen_ids = set()
@@ -273,19 +266,10 @@ def parse_model(stream) -> ParsedModel:
             raise ParseError(row["line"], f"duplicate sample id {row['id']}")
         seen_ids.add(row["id"])
         feats: dict[int, dict[int, np.ndarray]] = {}
-        for k, r, vals, no in global_feats:
+        for k, r, vals in global_feats:
             feats.setdefault(r, {})[k] = vals.copy()
-        for k, r, vals, no in row["feat"]:
-            check_table(k, r, vals, no)
+        for k, r, vals in row["feat"]:
             feats.setdefault(r, {})[k] = vals
-        for r, vals in row["loss"].items():
-            if not (0 <= r < n_regions):
-                raise ParseError(row["line"], f"loss table references unknown region {r}")
-            if vals.size != regions[r].label_count:
-                raise ParseError(
-                    row["line"],
-                    f"loss table for region {r}: expected {regions[r].label_count} values",
-                )
         truth = None
         if row["truth"] is not None:
             labels, no = row["truth"]
@@ -294,10 +278,7 @@ def parse_model(stream) -> ParsedModel:
             truth = {r: labels[r] for r in range(n_regions)}
         elif row["loss"]:
             raise ParseError(row["line"], "sample has loss tables but no TRUTH line")
-        try:
-            samples.append(Sample(graph, row["id"], row["loss"], feats, truth))
-        except ModelError as exc:
-            raise ParseError(row["line"], str(exc)) from None
+        samples.append(Sample(graph, row["id"], row["loss"], feats, truth))
     samples.sort(key=lambda s: s.id)
 
     counting = None

@@ -33,6 +33,9 @@ on its first sweep.  This level kernel is the only region update:
 ``lambda_update`` runs a one-region level, kept on the plan per region,
 ``mu_message`` reads that level's aggregations, and ``belief_vec``
 normalizes the accumulators of the regions with c_r = 0 as one more level.
+The plan also holds the tables of ``message_potentials`` and
+``residual_rows``.  One builder, ``_prefix_terms``, makes every gather-and-add
+table, the levels' and the potentials', from per-column term lists.
 
 The grouped log-sum-exp and the Gibbs pass take their per-group and
 per-table max, min and sum from ``SegmentReduce``, built once per level and
@@ -84,10 +87,11 @@ logger = logging.getLogger(__name__)
 
 
 def counting_values(counting, graph: RegionGraph) -> np.ndarray:
+    """Ones for None; else one finite value per region, or ``ModelError``."""
     if counting is None:
         return np.ones(graph.region_count)
     if isinstance(counting, CountingNumbers):
-        return counting.values
+        counting = counting.values
     return CountingNumbers.from_scheme(graph, "file", counting).values
 
 
@@ -248,19 +252,15 @@ def message_potentials(layout: GraphLayout, lam: np.ndarray) -> np.ndarray:
     The message-parameterized potentials are ``theta + message_potentials``.
 
     Each slot adds, from zero, its incoming and then its negated outgoing
-    messages, in edge order (``layout.potential_terms``): one gather-and-add
+    messages, in edge order (``SweepPlan.potentials``): one gather-and-add
     per term position, then one gather back into slot order.
     """
-    rows = lam if lam.ndim == 2 else lam[None, :]
-    terms, place = layout.potential_terms
-    out = np.zeros((rows.shape[0], layout.total))
-    if terms:
-        acc = np.zeros_like(out)  # in column order
-        src = np.concatenate((rows, -rows), axis=1)
-        for n, idx in terms:
-            acc[:, :n] += src.take(idx, axis=1)
-        np.take(acc, place, axis=1, out=out)
-    return out if lam.ndim == 2 else out[0]
+    terms, place = sweep_plan(layout).potentials
+    out = np.zeros(lam.shape[:-1] + (layout.total,))
+    acc = np.zeros_like(out)  # in column order
+    _gather_add(acc, np.concatenate((lam, -lam), axis=-1), terms)
+    np.take(acc, place, axis=-1, out=out)
+    return out
 
 
 def conflict_levels(layout: GraphLayout) -> list[list[int]]:
@@ -303,6 +303,13 @@ def _prefix_terms(items, terms, widths):
     return out
 
 
+def _gather_add(acc: np.ndarray, src: np.ndarray, terms) -> np.ndarray:
+    """Add the gathers ``terms`` (``_prefix_terms``) of ``src`` to ``acc``."""
+    for n, idx in terms:
+        acc[..., :n] += src.take(idx, axis=-1)
+    return acc
+
+
 class _Level:
     """Gather and scatter indices that update one level's regions at once.
 
@@ -336,12 +343,12 @@ class _Level:
         self.exp_terms = _prefix_terms(by_terms, exp_terms, psize)
         self.negated = any(layout.parent_edges[ep[e]] for e in edges)
 
-        # grouped log-sum-exp: one group per child label of every edge
-        col_off = np.cumsum([0] + [psize[e] for e in by_terms]).tolist()
+        # grouped log-sum-exp: one group per child label of every edge, of
+        # the edge's fiber = psize / csize parent labels projecting to it
         mu_off = np.cumsum([0] + [csize[e] for e in by_terms]).tolist()
-        group_starts = [layout.group_starts[e] + col_off[i] for i, e in enumerate(by_terms)]
-        self.groups = SegmentReduce(_cat(group_starts), col_off[-1])
-        self.group_of = _cat([layout.group_of[e] + mu_off[i] for i, e in enumerate(by_terms)])
+        fiber = np.repeat([psize[e] // csize[e] for e in by_terms], [csize[e] for e in by_terms])
+        self.groups = SegmentReduce(np.cumsum(fiber) - fiber, len(self.theta_idx))
+        self.group_of = np.repeat(np.arange(fiber.size), fiber)
         self.column_edge = np.repeat(by_terms, [psize[e] for e in by_terms])
         self.group_edge = np.repeat(by_terms, [csize[e] for e in by_terms])
         self.mu_at = mu_at = {e: mu_off[i] for i, e in enumerate(by_terms)}
@@ -384,9 +391,7 @@ class _Level:
         """The soft-max aggregations mu_{p->r} of every edge of the level, at
         temperatures eps * c_p (the max at zero, the min-centred form below)."""
         src = np.concatenate((lam, -lam), axis=1) if self.negated else lam
-        v = theta.take(self.theta_idx, axis=1)
-        for n, idx in self.exp_terms:
-            v[:, :n] += src.take(idx, axis=1)
+        v = _gather_add(theta.take(self.theta_idx, axis=1), src, self.exp_terms)
         mx = m = self.groups.max(v)
         if c.use_min is not None:
             m = np.where(c.use_min, self.groups.min(v), mx)
@@ -401,10 +406,7 @@ class _Level:
         """Per region, theta_r plus its children's messages plus the mus of
         its parent edges, in accumulator columns."""
         src = np.concatenate((lam, mu), axis=1)
-        acc = theta.take(self.acc_idx, axis=1)
-        for n, idx in self.acc_terms:
-            acc[:, :n] += src.take(idx, axis=1)
-        return acc
+        return _gather_add(theta.take(self.acc_idx, axis=1), src, self.acc_terms)
 
     def update(self, lam: np.ndarray, theta: np.ndarray, c: "_LevelCoefficients") -> None:
         """Block-minimize the messages of the level's regions, in place: each
@@ -461,10 +463,12 @@ def _warn_skipped(regions, denom: np.ndarray) -> None:
 
 
 class SweepPlan:
-    """The level schedule of one sweep over a layout (``conflict_levels``).
+    """The level schedule of one sweep over a layout (``conflict_levels``)
+    and the gather tables of ``message_potentials`` and ``residual_rows``.
 
-    The levels are built on the first sweep; ``sequence`` lists the region
-    updates in the order the sweep performs them, level by level.  The
+    The levels are built on the first sweep, each table on its kernel's first
+    call; ``sequence`` lists the region updates in the order the sweep
+    performs them, level by level.  The
     counting-number terms are derived from ``cvals`` and cached for the last
     (eps, cvals) seen, as is ``belief_vec``'s zero-count level, which needs
     no colouring.  The one-region levels of ``lambda_update`` and
@@ -513,6 +517,37 @@ class SweepPlan:
                 value = (level, c, eps * chat, chat)
             cached = self._zero_count = (key, value)
         return cached[1]
+
+    @cached_property
+    def potentials(self):
+        """Gather tables of ``message_potentials``: (terms, place).  A
+        region's terms are its incoming messages (child edges, in edge order,
+        through the projections), then its negated outgoing ones (parent
+        edges, in edge order) read from [lam, -lam].  Columns hold the regions
+        by term count, most first; column ``place[s]`` holds table slot s."""
+        layout, msg, sizes = self.layout, self.layout.message_total, self.layout.sizes.tolist()
+        terms = [
+            [layout.lam_in_idx[e] for e in layout.child_edges[r]]
+            + [np.arange(n) + (msg + layout.edge_offsets[e]) for e in layout.parent_edges[r]]
+            for r, n in enumerate(sizes)
+        ]
+        regions = sorted(range(len(sizes)), key=lambda r: -len(terms[r]))
+        place = np.argsort(_cat([np.arange(sizes[r]) + layout.offsets[r] for r in regions]))
+        return _prefix_terms(regions, terms, sizes), place
+
+    @cached_property
+    def marginals(self):
+        """Gather tables of ``residual_rows``: per fiber size G (parent labels
+        per child label, one size per edge as a child's variables are a
+        subset), the (G, n) parent slots of n message slots in ascending
+        parent label (an edge's ``perm`` row by row) and their child slots."""
+        layout, groups = self.layout, {}
+        for e, perm in enumerate(layout.perm):
+            p, r = layout.edge_parent[e], layout.edge_child[e]
+            parent, child = groups.setdefault(perm.size // layout.sizes[r], ([], []))
+            parent.append((perm + layout.offsets[p]).reshape(layout.sizes[r], -1))
+            child.append(np.arange(layout.sizes[r]) + layout.offsets[r])
+        return [(np.concatenate(groups[g][0]).T.copy(), _cat(groups[g][1])) for g in sorted(groups)]
 
     def region_level(self, region: int) -> _Level:
         """The level that updates ``region`` alone."""
@@ -578,14 +613,14 @@ def residual_rows(layout: GraphLayout, bvec: np.ndarray) -> np.ndarray:
     """Largest parent-marginal vs child-belief disagreement, per batch row.
 
     Each parent marginal adds its parent beliefs in ascending parent label,
-    one gathered (batch, n) row of ``layout.marginal_groups`` at a time.  A
+    one gathered (batch, n) row of ``SweepPlan.marginals`` at a time.  A
     single (batch, G, n) gather summed over axis 1 gives the same bits only
     while numpy keeps that axis apart (it sums a folded, contiguous one
     pairwise), and it held about 0.9 MB more at the peak of a ``highorder``
     train.
     """
     out = np.zeros(bvec.shape[0])
-    for parent, child in layout.marginal_groups:
+    for parent, child in sweep_plan(layout).marginals:
         gap = bvec.take(parent[0], axis=1)
         for row in parent[1:]:
             gap += bvec.take(row, axis=1)
@@ -631,8 +666,13 @@ def sweep_until_consistent(
 
     Rows still active are swept together, gathered when some have stopped.
     Per-row arithmetic does not depend on the batch, so each row ends bitwise
-    equal to a batch-of-one run.
+    equal to a batch-of-one run.  A non-finite ``eps`` or a negative
+    ``max_sweeps`` raises ``ValueError`` before any sweep.
     """
+    if not np.isfinite(eps):
+        raise ValueError("eps must be finite")
+    if max_sweeps < 0:
+        raise ValueError("max_sweeps must be at least 0")
     b, part, lse = _beliefs(layout, lam, theta, eps, cvals)
     residual = residual_rows(layout, b)
     sweeps = np.zeros(lam.shape[0], dtype=np.int64)

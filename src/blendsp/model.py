@@ -134,8 +134,6 @@ class RegionGraph:
         missing = set(range(self.variable_count)) - covered
         if missing:
             raise ModelError(f"variables not covered by any region: {sorted(missing)}")
-        if (self.cardinalities <= 0).any():
-            raise ModelError("some variable has no cardinality (uncovered)")
 
     def projection(self, parent: int, child: int) -> np.ndarray:
         """Map each flat parent label to the flat child label it restricts to."""
@@ -187,12 +185,6 @@ class GraphLayout:
         self.proj = [graph.projection(p, r) for p, r in edges]
         # per-edge grouping of parent labels by projected child label
         self.perm = [np.argsort(pr, kind="stable") for pr in self.proj]
-        self.group_starts = []
-        self.group_of = []
-        for e, (p, r) in enumerate(edges):
-            counts = np.bincount(self.proj[e], minlength=sizes[r])
-            self.group_starts.append(np.concatenate(([0], np.cumsum(counts)[:-1])))
-            self.group_of.append(np.repeat(np.arange(sizes[r], dtype=np.int64), counts))
 
         self.parent_edges = [[] for _ in range(graph.region_count)]
         self.child_edges = [[] for _ in range(graph.region_count)]
@@ -213,7 +205,7 @@ class GraphLayout:
         # absolute gather indices of a child message evaluated at parent labels
         self.lam_in_idx = [self.edge_offsets[e] + self.proj[e] for e in range(len(edges))]
 
-        # the sweep's level schedule, made on first use (inference.sweep_plan)
+        # the engine's sweep plan, made on first use (inference.sweep_plan)
         self.plan_cache = None
 
     @functools.cached_property
@@ -223,65 +215,6 @@ class GraphLayout:
         from .inference import SegmentReduce  # inference imports this module
 
         return SegmentReduce(self.starts, self.total)
-
-    def _message_links(self):
-        """The slots each message slot links, as three flat arrays: per
-        (edge, parent label), in edge order, the parent table slot and the
-        message slot it projects to; per message slot, its child table slot."""
-        psizes = self.sizes[self.edge_parent]
-        in_first = np.cumsum(psizes) - psizes
-        in_slot = np.arange(int(psizes.sum())) + np.repeat(
-            self.offsets[self.edge_parent] - in_first, psizes
-        )
-        in_msg = np.concatenate([np.zeros(0, dtype=np.int64), *self.lam_in_idx])
-        out_slot = np.arange(self.message_total) + np.repeat(
-            self.offsets[self.edge_child] - self.edge_offsets[:-1], np.diff(self.edge_offsets)
-        )
-        return in_slot, in_msg, out_slot
-
-    @functools.cached_property
-    def potential_terms(self):
-        """Gather tables of ``inference.message_potentials``: (terms, place).
-
-        Each table slot sums its incoming messages (edge order, through the
-        projections) and then its negated outgoing messages (edge order),
-        read from [lam, -lam].  Columns hold the slots by term count, most
-        first, so the columns with a k-th term form a prefix: ``terms[k]`` is
-        (prefix length, gather indices).  Column ``place[s]`` holds slot s.
-        """
-        in_slot, in_msg, out_slot = self._message_links()
-        bins = np.concatenate((in_slot, out_slot))
-        source = np.concatenate((in_msg, self.message_total + np.arange(self.message_total)))
-        count = np.bincount(bins, minlength=self.total)
-        order = np.argsort(bins, kind="stable")
-        rank = np.empty_like(order)
-        rank[order] = np.arange(order.size) - np.repeat(np.cumsum(count) - count, count)
-        place = np.empty(self.total, dtype=np.int64)
-        place[np.argsort(-count, kind="stable")] = np.arange(self.total)
-        terms = []
-        for k in range(int(count.max(initial=0))):
-            at = rank == k
-            idx = np.empty(int((count > k).sum()), dtype=np.int64)
-            idx[place[bins[at]]] = source[at]
-            terms.append((idx.size, idx))
-        return terms, place
-
-    @functools.cached_property
-    def marginal_groups(self):
-        """Gather tables of ``inference.residual_rows``: per group size G
-        (parent labels projecting to one child label), (parent, child) with
-        ``parent`` the (G, n) parent table slots of n message slots, in
-        ascending parent label, and ``child`` their (n,) child table slots.
-        """
-        in_slot, in_msg, out_slot = self._message_links()
-        count = np.bincount(in_msg, minlength=self.message_total)
-        by_msg = in_slot[np.argsort(in_msg, kind="stable")]
-        first = np.cumsum(count) - count
-        groups = []
-        for g in np.flatnonzero(np.bincount(count)).tolist():
-            slots = np.flatnonzero(count == g)
-            groups.append((by_msg[first[slots] + np.arange(g)[:, None]], out_slot[slots]))
-        return groups
 
 
 @dataclass(frozen=True)
@@ -584,12 +517,6 @@ def validate_model(
     graph.check_structure()
     report = ValidationReport()
     for sample in samples:
-        for r in sample.loss:
-            if not (0 <= r < graph.region_count):
-                report.errors.append(f"sample {sample.id}: loss table for unknown region {r}")
-        for r in sample.features:
-            if not (0 <= r < graph.region_count):
-                report.errors.append(f"sample {sample.id}: features for unknown region {r}")
         if sample.true_labels is None:
             continue
         for r, y in sample.true_labels.items():

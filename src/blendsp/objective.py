@@ -130,8 +130,8 @@ def region_loss(
 class BatchObjective:
     """The objective of one batch of samples at fixed eps, counting numbers
     and C: the one path that computes primal, dual, gap, residual and
-    certificate.  A C below 0 (or NaN) is rejected here, before any sweep of
-    ``train`` or ``gap``."""
+    certificate.  A non-finite eps, and a C that is not finite and at least
+    0, are rejected here, before any sweep of ``train`` or ``gap``."""
 
     def __init__(
         self,
@@ -142,8 +142,10 @@ class BatchObjective:
         C: float,
         num_features: int,
     ):
-        if not C >= 0:
-            raise ValueError("C must be nonnegative")
+        if not math.isfinite(eps):
+            raise ValueError("eps must be finite")
+        if not 0 <= C < math.inf:
+            raise ValueError("C must be nonnegative and finite")
         self.layout, self.stack = layout, stack
         self.eps, self.cvals, self.C = eps, cvals, C
         self.empirical = stack.empirical(num_features)

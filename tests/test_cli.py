@@ -501,7 +501,7 @@ def test_negative_C_is_rejected_before_any_sweep(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(learner, "sweep_vec", no_sweep)
     monkeypatch.setattr(cli, "sweep_until_consistent", no_sweep)
-    for C in ("-1", "nan"):
+    for C in ("-1", "nan", "inf"):
         train = ["train", "--model", str(out / "train.bsp"), "--C", C, "--out", str(tmp_path / "w")]
         assert main(train) == 1
         assert "C must be nonnegative" in capsys.readouterr().err
@@ -510,6 +510,42 @@ def test_negative_C_is_rejected_before_any_sweep(tmp_path, capsys, monkeypatch):
         captured = capsys.readouterr()
         assert "C must be nonnegative" in captured.err
         assert "capped=" not in captured.out and "primal=" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, message",
+    [
+        ("train", "--eps", "nan", "argument --eps: invalid finite value: 'nan'"),
+        ("train", "--eps", "inf", "argument --eps: invalid finite value: 'inf'"),
+        ("infer", "--eps-infer", "nan", "argument --eps-infer: invalid finite value: 'nan'"),
+        ("infer", "--max-sweeps", "-1", "argument --max-sweeps: invalid count value: '-1'"),
+        ("gap", "--eps", "nan", "argument --eps: invalid finite value: 'nan'"),
+        ("gap", "--max-sweeps", "-1", "argument --max-sweeps: invalid count value: '-1'"),
+    ],
+)
+def test_non_finite_reals_and_negative_sweep_caps_name_their_flag(
+    tmp_path, capsys, monkeypatch, command, flag, value, message
+):
+    out = gen(tmp_path, "corpus")
+    weights = zero_weights(tmp_path, out)
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError(f"swept with {flag} {value}")
+
+    monkeypatch.setattr(learner, "sweep_vec", no_sweep)
+    monkeypatch.setattr(learner, "sweep_until_consistent", no_sweep)
+    monkeypatch.setattr(cli, "sweep_until_consistent", no_sweep)
+    argv = [command, "--model", str(out / ("test.bsp" if command == "infer" else "train.bsp"))]
+    if command != "train":
+        argv += ["--weights", str(weights)]
+    if command != "gap":
+        argv += ["--out", str(tmp_path / "out")]
+    capsys.readouterr()
+    assert main([*argv, flag, value]) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "primal=" not in captured.out and "residual=" not in captured.out
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")

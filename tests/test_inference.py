@@ -325,6 +325,23 @@ def test_raw_counting_arrays_are_checked_as_the_file_scheme(values):
     assert not state.vec.any()
 
 
+def test_counting_number_objects_are_checked_as_the_file_scheme():
+    rng = np.random.default_rng(18)
+    graph = chain_graph(3)  # 5 regions
+    sample = random_sample(rng, graph, 2)
+    w = rng.normal(size=2)
+    state = MessageState(graph)
+    nine = CountingNumbers.ones(loopy_graph(rng, 4, 5))
+    for counting in (CountingNumbers.from_values([float("nan")] * 5), nine):
+        with pytest.raises(ModelError, match="counting numbers must"):
+            predict(graph, sample, w, 1.0, counting)
+        with pytest.raises(ModelError, match="counting numbers must"):
+            inference_sweep(graph, sample, state, w, 1.0, counting)
+        with pytest.raises(ModelError, match="counting numbers must"):
+            duality_report(graph, [sample], [state], w, 1.0, counting, 0.1)
+    assert not state.vec.any()
+
+
 def test_message_tables_shape_and_canonicalization():
     rng = np.random.default_rng(9)
     graph = chain_graph(3)

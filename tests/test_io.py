@@ -102,6 +102,22 @@ def test_non_finite_table_names_its_line(old, new, line):
         parse_model(text)
 
 
+@pytest.mark.parametrize(
+    "loss, message",
+    [
+        ("LOSS 0 0 1 2", "loss table for region 0: expected 2 values, got 3"),
+        ("LOSS 0 0", "loss table for region 0: expected 2 values, got 1"),
+        ("LOSS 4 0 1", "loss table references unknown region 4"),
+        ("LOSS -1 0 1", "loss table references unknown region -1"),
+    ],
+)
+def test_bad_loss_table_names_its_own_line(loss, message):
+    # the SAMPLE line is line 10, the LOSS line 13
+    text = MINIMAL.replace("LOSS 0 0 1", "FEAT 1 0 1 2\nFEAT 2 0 3 4\n" + loss)
+    with pytest.raises(ParseError, match=f"^line 13: {message}$"):
+        parse_model(text)
+
+
 def test_counting_file_is_the_counts_grammar():
     text = "# counting numbers\n1 0.5\n\n0 2  # region 0\n2 -1e-3\n"
     np.testing.assert_array_equal(parse_counts(text, 3), [2.0, 0.5, -1e-3])

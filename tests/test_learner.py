@@ -37,6 +37,36 @@ from util import (
 )
 
 
+def test_non_finite_eps_and_C_and_negative_caps_are_rejected_before_any_sweep(monkeypatch):
+    rng = np.random.default_rng(31)
+    graph = chain_graph(3)
+    samples = [random_sample(rng, graph, 2) for _ in range(2)]
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("swept")
+
+    monkeypatch.setattr(learner, "sweep_vec", no_sweep)
+    monkeypatch.setattr(inference, "sweep_vec", no_sweep)
+    w = np.zeros(2)
+    for eps, max_sweeps, message in (
+        (float("nan"), 5, "eps must be finite"),
+        (float("inf"), 5, "eps must be finite"),
+        (1.0, -1, "max_sweeps must be at least 0"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            learner.predict_all(graph, samples, w, eps, None, max_sweeps)
+    for eps, C, message in (
+        (float("nan"), 1.0, "eps must be finite"),
+        (-float("inf"), 1.0, "eps must be finite"),
+        (1.0, float("inf"), "C must be nonnegative and finite"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            train(graph, samples, TrainerConfig(eps=eps, C=C, max_outer_iters=2))
+        layout = graph.layout()
+        with pytest.raises(ValueError, match=message):
+            objective.BatchObjective(layout, ThetaStack(samples, layout.total), eps, np.ones(5), C, 2)
+
+
 def test_gradient_zero_when_moments_always_match():
     # constant feature tables: every belief matches the empirical moment
     graph = RegionGraph([Region(0, (0,), (3,))], [], 1)

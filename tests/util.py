@@ -203,7 +203,9 @@ def _group_lse(expo, edge, layout, t):
     ``expo`` is (batch, parent_labels); the result is (batch, child_labels).
     """
     v = expo[:, layout.perm[edge]]
-    starts = layout.group_starts[edge]
+    counts = np.bincount(layout.proj[edge])  # parent labels per child label
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    group_of = np.repeat(np.arange(counts.size), counts)
     if t == 0.0:
         return np.maximum.reduceat(v, starts, axis=1)
     m = (
@@ -211,7 +213,7 @@ def _group_lse(expo, edge, layout, t):
         if t > 0
         else np.minimum.reduceat(v, starts, axis=1)
     )
-    z = np.add.reduceat(np.exp((v - m[:, layout.group_of[edge]]) / t), starts, axis=1)
+    z = np.add.reduceat(np.exp((v - m[:, group_of]) / t), starts, axis=1)
     return m + t * np.log(z)
 
 
