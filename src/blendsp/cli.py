@@ -100,10 +100,10 @@ def _build_parser() -> _Parser:
         help="fixed sweeps per weight step; default: sweep each sample until its "
         "residual <= 0.1*||g||, at most 10",
     )
-    t.add_argument("--max-iters", type=int, default=1000)
-    t.add_argument("--tol", type=float, default=1e-8, help="relative primal decrease")
-    t.add_argument("--residual-tol", type=float, default=1e-6)
-    t.add_argument("--grad-tol", type=float, default=1e-6)
+    t.add_argument("--max-iters", type=count, default=1000)
+    t.add_argument("--tol", type=finite, default=1e-8, help="relative primal decrease")
+    t.add_argument("--residual-tol", type=finite, default=1e-6)
+    t.add_argument("--grad-tol", type=finite, default=1e-6)
     t.add_argument(
         "--threads",
         type=int,
@@ -137,7 +137,7 @@ def _build_parser() -> _Parser:
     d.add_argument("--c-scheme", choices=("ones", "bethe", "file"), help=C_SCHEME_HELP)
     d.add_argument("--c-file", type=Path, default=None)
     d.add_argument("--max-sweeps", type=count, default=200)
-    d.add_argument("--residual-tol", type=float, default=1e-8)
+    d.add_argument("--residual-tol", type=finite, default=1e-8)
     d.add_argument("--seed", type=int, default=0)
     return parser
 

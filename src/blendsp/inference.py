@@ -37,12 +37,16 @@ The plan also holds the tables of ``message_potentials`` and
 ``residual_rows``.  One builder, ``_prefix_terms``, makes every gather-and-add
 table, the levels' and the potentials', from per-column term lists.
 
-The grouped log-sum-exp and the Gibbs pass take their per-group and
-per-table max, min and sum from ``SegmentReduce``, built once per level and
-once per layout.  Where the tables are narrow and lie in few runs of equal
-width, as a grid's 2-label pixels and 4-label pairs do, and the batch is
-large enough, it reduces a run of width k with k - 1 strided elementwise
-calls; elsewhere it calls ``ufunc.reduceat``.  Both give the same bits.
+One kernel, ``SoftMax``, is the engine's only tempered log-sum-exp, at
+t = eps * c per segment: on the region tables, on each level's projection
+groups (c = c_p) and on the accumulators of the regions with c_r = 0 (c =
+c_r + sum of parent c).  ``SweepPlan.at`` derives all that depends on (eps,
+cvals) once, for the last pair seen.  The kernel's per-segment max, min and
+sum come from ``SegmentReduce``, built once per level and once per layout.
+Where the tables are narrow and lie in few runs of equal width, as a grid's
+2-label pixels and 4-label pairs do, and the batch is large enough, it
+reduces a run of width k with k - 1 strided elementwise calls; elsewhere it
+calls ``ufunc.reduceat``.  Both give the same bits.
 
 The potentials of theta rows at messages lam are, everywhere in the package,
 ``theta + message_potentials(layout, lam)``: the message part (incoming minus
@@ -51,9 +55,9 @@ theta in one step.  The beliefs, the line search's trials and the objective
 report all read potentials rounded that one way, and a caller that already
 holds a message state's potentials passes them on instead of gathering the
 state again: ``sweep_until_consistent`` returns the message part of its final
-rows.  One max, exp and sum pass over a potentials array (``gibbs_pass``)
-gives both its Gibbs beliefs and its region log-partitions, so the engine
-also returns the log-partitions, and ``belief_vec`` takes a precomputed pass.
+rows.  One pass of the region soft-max over a potentials array gives both
+its Gibbs beliefs and its region log-partitions, so the engine also returns
+the log-partitions, and ``belief_vec`` takes a precomputed pass.
 
 The module-level helpers operate on batches: message matrices of shape
 (num_samples, message_total) against potential matrices (num_samples,
@@ -197,53 +201,56 @@ class SegmentReduce:
 
 
 class GibbsPass(NamedTuple):
-    """One max, exp and sum pass over potential rows (``gibbs_pass``)."""
+    """One max, exp and sum pass over table rows (``SoftMax``)."""
 
-    exps: np.ndarray  # exponentials, tie indicators in zero-temperature regions
-    sums: np.ndarray  # their per-region sums
-    lse: np.ndarray  # region log-partitions t*log(sum(exp(./t))), the max at t = 0
+    exps: np.ndarray  # exponentials, tie indicators in zero-temperature segments
+    sums: np.ndarray  # their per-segment sums
+    lse: np.ndarray  # log-partitions t*log(sum(exp(./t))), the max at t = 0
 
-    def beliefs(self, layout: GraphLayout) -> np.ndarray:
-        """Per-region Gibbs normalization of the potential rows."""
+    def beliefs(self, layout) -> np.ndarray:
+        """Per-segment Gibbs normalization of the rows."""
         return self.exps / self.sums.take(layout.segment, axis=-1)
 
 
-def gibbs_pass(
-    layout: GraphLayout, vec: np.ndarray, t_regions: np.ndarray, coeff: np.ndarray
-) -> GibbsPass:
-    """The Gibbs exponentials and region log-partitions of concatenated table
-    rows ``vec`` (shape (batch, total)) at temperatures ``t_regions``; the
-    tables are those of ``layout.segments`` and ``layout.segment``.
+class SoftMax:
+    """The tempered soft-max of rows whose columns form segments (reduced by
+    ``segments``; ``segment`` is each column's) at temperatures t = eps *
+    coeff per segment; calling it on rows gives their ``GibbsPass``.
 
-    ``coeff`` carries the counting numbers so that zero-temperature regions
-    tie-break toward the max (coeff >= 0) or the min (coeff < 0), matching
-    the limit of exp(v / (eps * coeff)) as eps approaches zero; their
-    log-partition is the max either way.  Every other region is centred on
-    its max (t > 0) or min (t < 0), so its exponentials serve both results.
+    A zero-temperature segment tie-breaks toward its max (coeff >= 0) or its
+    min (coeff < 0), matching the limit of exp(v / (eps * coeff)) as eps
+    approaches zero; its log-partition is the max either way.  Every other
+    segment is centred on its max (t > 0) or min (t < 0), so its exponentials
+    serve both results.
     """
-    segments = layout.segments
-    seg = layout.segment
-    mx = m = segments.max(vec)
-    use_min = np.where(t_regions == 0, coeff < 0, t_regions < 0)
-    if use_min.any():
-        m = np.where(use_min, segments.min(vec), mx)
-    t_slot = t_regions[seg]
-    zero_slot = t_slot == 0
-    e = m.take(seg, axis=-1)
-    tie = None
-    if zero_slot.any():
-        tie = np.where(use_min[seg], vec <= e + ARGMAX_TOL, vec >= e - ARGMAX_TOL)
-    np.subtract(vec, e, out=e)
-    e /= np.where(zero_slot, 1.0, t_slot)
-    e[..., zero_slot] = 0.0
-    np.exp(e, out=e)
-    if tie is not None:
-        np.copyto(e, tie, where=zero_slot)
-    z = segments.sum(e)
-    nonzero = t_regions != 0
-    lse = np.where(nonzero, m, mx)
-    lse[..., nonzero] += t_regions[nonzero] * np.log(z[..., nonzero])
-    return GibbsPass(e, z, lse)
+
+    def __init__(self, segments: SegmentReduce, segment: np.ndarray, eps: float, coeff):
+        self.segments, self.segment = segments, segment
+        self.t = t = eps * coeff
+        use_min = np.where(t == 0, coeff < 0, t < 0)
+        self.use_min = use_min if use_min.any() else None
+        zero = t[segment] == 0
+        self.zero = zero if zero.any() else None
+        self.min_col = use_min[segment]
+        self.t_col = np.where(zero, 1.0, t[segment])
+
+    def __call__(self, v: np.ndarray) -> GibbsPass:
+        mx = m = self.segments.max(v)
+        if self.use_min is not None:
+            m = np.where(self.use_min, self.segments.min(v), mx)
+        e = m.take(self.segment, axis=-1)
+        if self.zero is not None:
+            tie = np.where(self.min_col, v <= e + ARGMAX_TOL, v >= e - ARGMAX_TOL)
+        np.subtract(v, e, out=e)
+        e /= self.t_col
+        if self.zero is not None:
+            e[..., self.zero] = 0.0
+        np.exp(e, out=e)
+        if self.zero is not None:
+            np.copyto(e, tie, where=self.zero)
+        z = self.segments.sum(e)
+        # z >= 1 at t = 0 (the extreme ties with itself), so the log is finite
+        return GibbsPass(e, z, np.where(self.t == 0, mx, m + self.t * np.log(z)))
 
 
 def message_potentials(layout: GraphLayout, lam: np.ndarray) -> np.ndarray:
@@ -349,7 +356,6 @@ class _Level:
         fiber = np.repeat([psize[e] // csize[e] for e in by_terms], [csize[e] for e in by_terms])
         self.groups = SegmentReduce(np.cumsum(fiber) - fiber, len(self.theta_idx))
         self.group_of = np.repeat(np.arange(fiber.size), fiber)
-        self.column_edge = np.repeat(by_terms, [psize[e] for e in by_terms])
         self.group_edge = np.repeat(by_terms, [csize[e] for e in by_terms])
         self.mu_at = mu_at = {e: mu_off[i] for i, e in enumerate(by_terms)}
 
@@ -363,7 +369,7 @@ class _Level:
         self.acc_regions = by_acc = sorted(regions, key=lambda r: -len(acc_terms[r]))
         acc_off = np.cumsum([0] + [sizes[r] for r in by_acc]).tolist()
         acc_at = {r: acc_off[i] for i, r in enumerate(by_acc)}
-        # the accumulators are region tables, laid out for gibbs_pass by these
+        # the accumulators are region tables, segmented for ``SoftMax`` by these
         self.starts = np.array(acc_off[:-1], dtype=np.int64)
         self.segment = np.repeat(np.arange(len(by_acc)), np.diff(acc_off))
         self.acc_idx = _cat([np.arange(sizes[r]) + layout.offsets[r] for r in by_acc])
@@ -382,25 +388,11 @@ class _Level:
             self.blocks.append((start, start + k * n, k, n))
             start += k * n
 
-    @cached_property
-    def segments(self) -> SegmentReduce:
-        """Per-region reductions of the accumulators, for ``gibbs_pass``."""
-        return SegmentReduce(self.starts, len(self.acc_idx))
-
     def mu(self, lam: np.ndarray, theta: np.ndarray, c: "_LevelCoefficients") -> np.ndarray:
         """The soft-max aggregations mu_{p->r} of every edge of the level, at
-        temperatures eps * c_p (the max at zero, the min-centred form below)."""
+        temperatures eps * c_p (the max at zero)."""
         src = np.concatenate((lam, -lam), axis=1) if self.negated else lam
-        v = _gather_add(theta.take(self.theta_idx, axis=1), src, self.exp_terms)
-        mx = m = self.groups.max(v)
-        if c.use_min is not None:
-            m = np.where(c.use_min, self.groups.min(v), mx)
-        x = m.take(self.group_of, axis=1)
-        np.subtract(v, x, out=x)
-        x /= c.t_col
-        np.exp(x, out=x)
-        z = self.groups.sum(x)
-        return np.where(c.max_only, mx, m + c.t_group * np.log(z))
+        return c.softmax(_gather_add(theta.take(self.theta_idx, axis=1), src, self.exp_terms)).lse
 
     def accumulate(self, lam: np.ndarray, theta: np.ndarray, mu: np.ndarray) -> np.ndarray:
         """Per region, theta_r plus its children's messages plus the mus of
@@ -427,31 +419,51 @@ class _Level:
 class _LevelCoefficients:
     """The counting-number terms of one level at one (eps, cvals)."""
 
-    def __init__(self, level: _Level, t_edge, weight_edge, skip_edge):
-        t_col = t_edge[level.column_edge]
-        self.t_col = np.where(t_col == 0.0, 1.0, t_col)
-        self.t_group = t_edge[level.group_edge]
-        use_min = self.t_group < 0
-        self.use_min = use_min if use_min.any() else None
-        self.max_only = self.t_group == 0
-        self.weight = weight_edge[level.table_edge]
-        keep = ~skip_edge[level.table_edge]
+    def __init__(self, level: _Level, terms: "_Terms"):
+        coeff = terms.c_edge[level.group_edge]
+        self.softmax = SoftMax(level.groups, level.group_of, terms.eps, coeff)
+        self.weight = terms.weight[level.table_edge]
+        keep = ~terms.skip[level.table_edge]
         self.keep = None if keep.all() else keep
 
 
-def _level_terms(layout: GraphLayout, levels, eps: float, cvals: np.ndarray):
-    """The coefficients of ``levels`` at (eps, cvals), and the denominators
-    c_r + sum of parent c of their regions (1 for every other region).  A
-    zero denominator skips the region's update."""
-    ep, ec = layout.edge_parent, layout.edge_child
-    denom = np.ones(len(layout.sizes))
-    for level in levels:
-        for r in level.regions:
+class _Terms:
+    """What a sweep plan derives from one (eps, cvals): the denominators
+    c_r + sum of parent c (1 without parents; 0 skips the update), per-edge
+    weights c_p / denom and skips, and the region soft-max."""
+
+    def __init__(self, plan: "SweepPlan", eps: float, cvals: np.ndarray):
+        layout = plan.layout
+        ep, ec = layout.edge_parent, layout.edge_child
+        self.plan = weakref.proxy(plan)  # the plan caches these terms
+        self.eps, self.cvals, self.c_edge = eps, cvals.copy(), cvals[ep]
+        denom = np.ones(len(layout.sizes))
+        for r in layout.regions_with_parents:
             denom[r] = cvals[r] + cvals[ep[layout.parent_edges[r]]].sum()
-    zero = denom == 0.0
-    weight = cvals[ep] / np.where(zero, 1.0, denom)[ec]
-    t_edge = eps * cvals[ep]
-    return [_LevelCoefficients(level, t_edge, weight, zero[ec]) for level in levels], denom
+        self.denom, self.skip = denom, (denom == 0.0)[ec]
+        self.weight = self.c_edge / np.where(denom == 0.0, 1.0, denom)[ec]
+        self.regions = SoftMax(plan.segments, layout.segment, eps, cvals)
+
+    @cached_property
+    def levels(self) -> list[_LevelCoefficients]:
+        """Per-level coefficients; deriving them warns once of each region
+        that a zero denominator skips."""
+        _warn_skipped(self.plan.sequence, self.denom)
+        return [_LevelCoefficients(level, self) for level in self.plan.levels]
+
+    @cached_property
+    def zero_count(self):
+        """The regions with parents and c_r = 0 as one level, for
+        ``belief_vec``: (level, coefficients, the soft-max of its accumulators
+        at eps * (c_r + sum of parent c)); None without such regions."""
+        layout = self.plan.layout
+        regions = [r for r in layout.regions_with_parents if self.cvals[r] == 0.0]
+        if not regions:
+            return None
+        level = _Level(layout, regions)
+        acc = SegmentReduce(level.starts, len(level.acc_idx))
+        chat = self.denom[level.acc_regions]
+        return level, _LevelCoefficients(level, self), SoftMax(acc, level.segment, self.eps, chat)
 
 
 def _warn_skipped(regions, denom: np.ndarray) -> None:
@@ -468,18 +480,16 @@ class SweepPlan:
 
     The levels are built on the first sweep, each table on its kernel's first
     call; ``sequence`` lists the region updates in the order the sweep
-    performs them, level by level.  The
-    counting-number terms are derived from ``cvals`` and cached for the last
-    (eps, cvals) seen, as is ``belief_vec``'s zero-count level, which needs
-    no colouring.  The one-region levels of ``lambda_update`` and
-    ``mu_message`` are made on demand and kept per region.
+    performs them, level by level.  What depends on (eps, cvals) is derived
+    by ``at`` and kept for the last pair seen.  The one-region levels of
+    ``lambda_update`` and ``mu_message`` are made on demand and kept per
+    region.
     """
 
     def __init__(self, layout: GraphLayout):
         self.layout = weakref.proxy(layout)  # the layout caches the plan
-        self._cached = None  # (key, coefficients), replaced whole
-        self._zero_count = None  # (key, zero-count level)
-        self._one_region: dict[int, _Level] = {}
+        self._terms = None  # (key, _Terms), replaced whole
+        self.one_region: dict[int, _Level] = {}  # region -> the level updating it alone
 
     @cached_property
     def levels(self) -> list[_Level]:
@@ -489,34 +499,17 @@ class SweepPlan:
     def sequence(self) -> list[int]:
         return [r for level in self.levels for r in level.regions]
 
-    def coefficients(self, eps: float, cvals: np.ndarray) -> list[_LevelCoefficients]:
-        """Per-level coefficients at (eps, cvals).  Deriving them warns once
-        of each region that a zero denominator c_r + sum of parent c skips."""
-        key = (float(eps), cvals.tobytes())
-        cached = self._cached
-        if cached is None or cached[0] != key:
-            coeffs, denom = _level_terms(self.layout, self.levels, eps, cvals)
-            _warn_skipped(self.sequence, denom)
-            cached = self._cached = (key, coeffs)
-        return cached[1]
+    @cached_property
+    def segments(self) -> SegmentReduce:
+        """Per-region max, min and sum of concatenated table rows."""
+        return SegmentReduce(self.layout.starts, self.layout.total)
 
-    def zero_count(self, eps: float, cvals: np.ndarray):
-        """The regions with parents and c_r = 0 as one level, for
-        ``belief_vec``: (level, coefficients, the temperatures eps * (c_r +
-        sum of parent c) and the sums themselves in accumulator order); None
-        without such regions."""
+    def at(self, eps: float, cvals: np.ndarray) -> _Terms:
+        """The terms of (eps, cvals), derived once for the last pair seen."""
         key = (float(eps), cvals.tobytes())
-        cached = self._zero_count
-        if cached is None or cached[0] != key:
-            layout, value = self.layout, None
-            regions = [r for r in layout.regions_with_parents if cvals[r] == 0.0]
-            if regions:
-                level = _Level(layout, regions)
-                (c,), denom = _level_terms(layout, [level], eps, cvals)
-                chat = denom[level.acc_regions]
-                value = (level, c, eps * chat, chat)
-            cached = self._zero_count = (key, value)
-        return cached[1]
+        if self._terms is None or self._terms[0] != key:
+            self._terms = (key, _Terms(self, eps, cvals))
+        return self._terms[1]
 
     @cached_property
     def potentials(self):
@@ -549,15 +542,8 @@ class SweepPlan:
             child.append(np.arange(layout.sizes[r]) + layout.offsets[r])
         return [(np.concatenate(groups[g][0]).T.copy(), _cat(groups[g][1])) for g in sorted(groups)]
 
-    def region_level(self, region: int) -> _Level:
-        """The level that updates ``region`` alone."""
-        level = self._one_region.get(region)
-        if level is None:
-            level = self._one_region[region] = _Level(self.layout, [region])
-        return level
-
     def run(self, lam: np.ndarray, theta: np.ndarray, eps: float, cvals: np.ndarray) -> None:
-        for level, c in zip(self.levels, self.coefficients(eps, cvals)):
+        for level, c in zip(self.levels, self.at(eps, cvals).levels):
             level.update(lam, theta, c)
 
 
@@ -594,18 +580,16 @@ def belief_vec(
     take the equivalent aggregated form at temperature eps * (c_r + sum of
     parent c), which is the continuous limit and agrees with the parents'
     marginals at convergence: the Gibbs normalization of their accumulators
-    in a region update (``SweepPlan.zero_count``).
+    in a region update (the plan's ``zero_count`` level).
     """
+    at = sweep_plan(layout).at(eps, cvals)
     if terms is None:
-        potentials = theta + message_potentials(layout, lam)
-        terms = gibbs_pass(layout, potentials, eps * cvals, cvals)
+        terms = at.regions(theta + message_potentials(layout, lam))
     b = terms.beliefs(layout)
-    if (cvals == 0.0).any():
-        zero = sweep_plan(layout).zero_count(eps, cvals)
-        if zero is not None:
-            level, c, t, chat = zero
-            acc = level.accumulate(lam, theta, level.mu(lam, theta, c))
-            b[:, level.acc_idx] = gibbs_pass(level, acc, t, chat).beliefs(level)
+    if at.zero_count is not None:
+        level, c, softmax = at.zero_count
+        acc = level.accumulate(lam, theta, level.mu(lam, theta, c))
+        b[:, level.acc_idx] = softmax(acc).beliefs(level)
     return b
 
 
@@ -634,8 +618,7 @@ def _beliefs(layout, lam, theta, eps, cvals):
     """The belief rows of ``lam``, the message part of their potentials and
     the potentials' region log-partitions."""
     part = message_potentials(layout, lam)
-    potentials = theta + part
-    terms = gibbs_pass(layout, potentials, eps * cvals, cvals)
+    terms = sweep_plan(layout).at(eps, cvals).regions(theta + part)
     return belief_vec(layout, lam, theta, eps, cvals, terms), part, terms.lse
 
 
@@ -666,13 +649,15 @@ def sweep_until_consistent(
 
     Rows still active are swept together, gathered when some have stopped.
     Per-row arithmetic does not depend on the batch, so each row ends bitwise
-    equal to a batch-of-one run.  A non-finite ``eps`` or a negative
-    ``max_sweeps`` raises ``ValueError`` before any sweep.
+    equal to a batch-of-one run.  A non-finite ``eps``, a negative
+    ``max_sweeps`` or a NaN ``tol`` raises ``ValueError`` before any sweep.
     """
     if not np.isfinite(eps):
         raise ValueError("eps must be finite")
     if max_sweeps < 0:
         raise ValueError("max_sweeps must be at least 0")
+    if np.isnan(tol):
+        raise ValueError("tol must not be NaN")
     b, part, lse = _beliefs(layout, lam, theta, eps, cvals)
     residual = residual_rows(layout, b)
     sweeps = np.zeros(lam.shape[0], dtype=np.int64)
@@ -707,7 +692,7 @@ def _sample_inputs(graph, sample, state, w, counting, include_loss):
 
 def _region_level(layout: GraphLayout, region, eps: float, cvals: np.ndarray):
     """The level that updates ``region`` alone, its coefficients at (eps,
-    cvals) and the denominators c_r + sum of parent c (``_level_terms``);
+    cvals) and the denominators c_r + sum of parent c (``SweepPlan.at``);
     None for a region without parents, whose update is a no-op.  An id
     outside the graph raises ``ValueError``."""
     region = int(region)
@@ -715,9 +700,11 @@ def _region_level(layout: GraphLayout, region, eps: float, cvals: np.ndarray):
         raise ValueError(f"region {region} is not in the region graph")
     if not layout.parent_edges[region]:
         return None
-    level = sweep_plan(layout).region_level(region)
-    (c,), denom = _level_terms(layout, [level], eps, cvals)
-    return level, c, denom
+    plan = sweep_plan(layout)
+    if region not in plan.one_region:
+        plan.one_region[region] = _Level(layout, [region])
+    level, terms = plan.one_region[region], plan.at(eps, cvals)
+    return level, _LevelCoefficients(level, terms), terms.denom
 
 
 def mu_message(

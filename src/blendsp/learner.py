@@ -33,8 +33,8 @@ from .inference import (
     MessageState,
     belief_vec,
     counting_values,
-    gibbs_pass,
     message_potentials,
+    sweep_plan,
     sweep_until_consistent,
     sweep_vec,
 )
@@ -150,12 +150,12 @@ def w_gradient(
     return z + C * w
 
 
-def _line_search(layout, stack, lam_part, t_regions, cvals, w, thetas, lse, gradient, C, cfg):
+def _line_search(stack, lam_part, softmax, w, thetas, lse, gradient, C, cfg):
     """Backtracking search at frozen messages from ``w``, whose theta rows
     are ``thetas`` and whose potentials thetas + lam_part have the region
     log-partitions ``lse``.  Returns the step and, unless it stalled, the
     accepted trial: its theta rows, message-parameterized potentials and
-    Gibbs pass (``gibbs_pass``, which holds the log-partitions).
+    Gibbs pass (the region ``softmax``'s, which holds the log-partitions).
 
     Every step restarts at ``cfg.eta0`` on purpose.  Bracketing from the
     previous step's eta saved evaluations, but late in a ``denoise10`` run
@@ -180,7 +180,7 @@ def _line_search(layout, stack, lam_part, t_regions, cvals, w, thetas, lse, grad
         w_try = w - eta * g
         thetas_try = stack.rows(w_try)
         th = thetas_try + lam_part
-        terms = gibbs_pass(layout, th, t_regions, cvals)
+        terms = softmax(th)
         f_try = value(w_try, th, terms.lse)
         if np.isfinite(f_try) and f_try <= f0 - cfg.sufficient_decrease * eta * gg:
             return StepResult(w=w_try, eta=eta, stalled=False, objective=f_try), (
@@ -217,11 +217,9 @@ def w_step(
     lam_part = message_potentials(layout, lam)
     w = np.asarray(w, dtype=float)
     thetas = stack.rows(w)
-    lse = gibbs_pass(layout, thetas + lam_part, eps * cvals, cvals).lse
-    step, _ = _line_search(
-        layout, stack, lam_part, eps * cvals, cvals, w, thetas, lse, gradient, C, cfg
-    )
-    return step
+    softmax = sweep_plan(layout).at(eps, cvals).regions
+    lse = softmax(thetas + lam_part).lse
+    return _line_search(stack, lam_part, softmax, w, thetas, lse, gradient, C, cfg)[0]
 
 
 def train(
@@ -233,9 +231,14 @@ def train(
     log_fn=None,
 ) -> TrainState:
     """Run the blended loop until the primal, residual and gradient criteria
-    are all met, or the iteration budget runs out."""
+    are all met, or the iteration budget runs out.  Non-finite tolerances and
+    a negative budget raise ``ValueError`` before any sweep."""
     if config.sweeps_per_step is not None and config.sweeps_per_step < 0:
         raise ValueError("sweeps per step must be at least 0")
+    if config.max_outer_iters < 0:
+        raise ValueError("max_outer_iters must be at least 0")
+    if not np.isfinite([config.primal_rel_tol, config.residual_tol, config.grad_norm_tol]).all():
+        raise ValueError("tolerances must be finite")
     if num_features is None:
         num_features = feature_count(samples)
     samples = sorted(samples, key=lambda s: s.id)
@@ -243,7 +246,6 @@ def train(
     layout = graph.layout()
     counting = config.counting(graph)
     cvals = counting.values
-    t_regions = config.eps * cvals
     eps, C = config.eps, config.C
     if not config.convex_mode(counting):
         logger.warning(
@@ -278,7 +280,7 @@ def train(
         )
 
         step, trial = _line_search(
-            layout, stack, block.message_part, t_regions, cvals, state.w, thetas, block.lse,
+            stack, block.message_part, objective.regions, state.w, thetas, block.lse,
             g_pre, C, config,
         )
         state.stalled = step.stalled

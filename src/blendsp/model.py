@@ -208,14 +208,6 @@ class GraphLayout:
         # the engine's sweep plan, made on first use (inference.sweep_plan)
         self.plan_cache = None
 
-    @functools.cached_property
-    def segments(self):
-        """Per-region max, min and sum of concatenated table rows
-        (``inference.SegmentReduce``)."""
-        from .inference import SegmentReduce  # inference imports this module
-
-        return SegmentReduce(self.starts, self.total)
-
 
 @dataclass(frozen=True)
 class CountingNumbers:

@@ -37,9 +37,9 @@ from .inference import (
     belief_row,
     belief_vec,
     counting_values,
-    gibbs_pass,
     message_potentials,
     residual_rows,
+    sweep_plan,
 )
 from .model import GraphLayout, RegionGraph, Sample, ThetaStack, feature_count, theta_table
 from .numerics import eps_log_sum_exp, gibbs_normalize
@@ -149,7 +149,8 @@ class BatchObjective:
         self.layout, self.stack = layout, stack
         self.eps, self.cvals, self.C = eps, cvals, C
         self.empirical = stack.empirical(num_features)
-        self.t_slot = (eps * cvals)[layout.segment]
+        self.regions = sweep_plan(layout).at(eps, cvals).regions  # their soft-max
+        self.t_slot = self.regions.t[layout.segment]
 
     def dual(self, bmat: np.ndarray) -> tuple[float, np.ndarray]:
         """The dual at the belief rows ``bmat``, and the moment mismatch z it
@@ -175,15 +176,15 @@ class BatchObjective:
 
         The potentials thetas + message_potentials(lam), their region
         log-partitions ``lse`` and the belief rows ``bmat`` (from those
-        potentials) are given together or computed here from one
-        ``gibbs_pass``: ``train`` passes its accepted line-search trial's,
+        potentials) are given together or computed here from one pass of the
+        region soft-max: ``train`` passes its accepted line-search trial's,
         ``gap`` the engine's.
         """
         layout, eps, cvals = self.layout, self.eps, self.cvals
         n = lam.shape[0]
         if potentials is None:
             potentials = thetas + message_potentials(layout, lam)
-            terms = gibbs_pass(layout, potentials, eps * cvals, cvals)
+            terms = self.regions(potentials)
             lse, bmat = terms.lse, belief_vec(layout, lam, thetas, eps, cvals, terms)
         losses = self.stack.losses(potentials, lse)
         residual = float(residual_rows(layout, bmat).max()) if n else 0.0

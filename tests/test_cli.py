@@ -521,6 +521,11 @@ def test_negative_C_is_rejected_before_any_sweep(tmp_path, capsys, monkeypatch):
         ("infer", "--max-sweeps", "-1", "argument --max-sweeps: invalid count value: '-1'"),
         ("gap", "--eps", "nan", "argument --eps: invalid finite value: 'nan'"),
         ("gap", "--max-sweeps", "-1", "argument --max-sweeps: invalid count value: '-1'"),
+        ("train", "--tol", "nan", "argument --tol: invalid finite value: 'nan'"),
+        ("train", "--residual-tol", "nan", "argument --residual-tol: invalid finite value: 'nan'"),
+        ("train", "--grad-tol", "inf", "argument --grad-tol: invalid finite value: 'inf'"),
+        ("train", "--max-iters", "-5", "argument --max-iters: invalid count value: '-5'"),
+        ("gap", "--residual-tol", "nan", "argument --residual-tol: invalid finite value: 'nan'"),
     ],
 )
 def test_non_finite_reals_and_negative_sweep_caps_name_their_flag(

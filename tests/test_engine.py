@@ -9,9 +9,9 @@ import numpy as np
 from blendsp import CountingNumbers, Sample, predict
 from blendsp.inference import (
     belief_vec,
-    gibbs_pass,
     message_potentials,
     residual_rows,
+    sweep_plan,
     sweep_until_consistent,
     sweep_vec,
 )
@@ -74,7 +74,7 @@ def test_engine_matches_per_sample_reference_loop():
                 b, residual, sweeps = res.beliefs, res.residual, res.sweeps
                 part = message_potentials(layout, lam)
                 assert res.message_part.tobytes() == part.tobytes()
-                lse = gibbs_pass(layout, theta + part, eps * cvals, cvals).lse
+                lse = sweep_plan(layout).at(eps, cvals).regions(theta + part).lse
                 assert res.lse.tobytes() == lse.tobytes()
                 for i in range(len(samples)):
                     ref_lam, ref_b, ref_res, ref_sweeps = reference_loop(

@@ -20,7 +20,7 @@ from blendsp import (
     predict,
     primal_objective,
 )
-from blendsp.inference import gibbs_pass
+from blendsp.inference import SoftMax, sweep_plan
 from blendsp.numerics import ARGMAX_TOL
 
 from util import (
@@ -377,15 +377,24 @@ def reference_segmented(layout, vec, t_regions, coeff):
     return lse, e / np.add.reduceat(e, starts, axis=-1)[..., seg]
 
 
-def check_gibbs_pass(layout, vec, t, coeff):
-    """gibbs_pass against centring on both extremes, and bytewise against
-    the separate log-sum-exp and Gibbs passes it fuses."""
-    terms = gibbs_pass(layout, vec, t, coeff)
+def check_gibbs_pass(layout, vec, eps, coeff):
+    """The region soft-max against centring on both extremes, and bytewise
+    against the separate log-sum-exp and Gibbs passes it fuses."""
+    terms = SoftMax(sweep_plan(layout).segments, layout.segment, eps, coeff)(vec)
+    t = eps * coeff
     lse, gibbs = reference_segmented(layout, vec, t, coeff)
     assert np.array_equal(terms.lse, lse)
     assert np.array_equal(terms.beliefs(layout), gibbs)
     assert terms.lse.tobytes() == segmented_lse(layout, vec, t).tobytes()
     assert terms.beliefs(layout).tobytes() == segmented_gibbs(layout, vec, t, coeff).tobytes()
+
+
+def test_loopy_graph_rejects_more_pairs_than_exist():
+    rng = np.random.default_rng(41)
+    assert len(loopy_graph(rng, 3, 3).edges) == 6  # every pair
+    for n_vars, n_pairs in ((3, 4), (3, 9), (1, 1)):
+        with pytest.raises(ValueError, match="distinct pairs"):
+            loopy_graph(rng, n_vars, n_pairs)
 
 
 def test_segmented_lse_and_gibbs_match_reference_bitwise():
@@ -396,7 +405,7 @@ def test_segmented_lse_and_gibbs_match_reference_bitwise():
     r = graph.region_count
     for coeff in (np.ones(r), np.zeros(r), rng.uniform(0.1, 2.0, r), rng.normal(size=r)):
         for eps in (0.0, 0.5, 1.0):
-            check_gibbs_pass(layout, vec, eps * coeff, coeff)
+            check_gibbs_pass(layout, vec, eps, coeff)
 
     # a zero temperature adds the tie fix-up, a negative counting number the
     # minimum centring
@@ -420,4 +429,4 @@ def test_segmented_lse_and_gibbs_match_reference_bitwise():
         (vec, -positive, 1.0),  # negative temperature everywhere
     ]
     for v, coeff, eps in cases:
-        check_gibbs_pass(layout, v, eps * coeff, coeff)
+        check_gibbs_pass(layout, v, eps, coeff)

@@ -48,13 +48,14 @@ def test_non_finite_eps_and_C_and_negative_caps_are_rejected_before_any_sweep(mo
     monkeypatch.setattr(learner, "sweep_vec", no_sweep)
     monkeypatch.setattr(inference, "sweep_vec", no_sweep)
     w = np.zeros(2)
-    for eps, max_sweeps, message in (
-        (float("nan"), 5, "eps must be finite"),
-        (float("inf"), 5, "eps must be finite"),
-        (1.0, -1, "max_sweeps must be at least 0"),
+    for eps, max_sweeps, tol, message in (
+        (float("nan"), 5, 1e-8, "eps must be finite"),
+        (float("inf"), 5, 1e-8, "eps must be finite"),
+        (1.0, -1, 1e-8, "max_sweeps must be at least 0"),
+        (1.0, 5, float("nan"), "tol must not be NaN"),
     ):
         with pytest.raises(ValueError, match=message):
-            learner.predict_all(graph, samples, w, eps, None, max_sweeps)
+            learner.predict_all(graph, samples, w, eps, None, max_sweeps, tol)
     for eps, C, message in (
         (float("nan"), 1.0, "eps must be finite"),
         (-float("inf"), 1.0, "eps must be finite"),
@@ -65,6 +66,14 @@ def test_non_finite_eps_and_C_and_negative_caps_are_rejected_before_any_sweep(mo
         layout = graph.layout()
         with pytest.raises(ValueError, match=message):
             objective.BatchObjective(layout, ThetaStack(samples, layout.total), eps, np.ones(5), C, 2)
+    for name, value, message in (
+        ("primal_rel_tol", float("nan"), "tolerances must be finite"),
+        ("residual_tol", float("nan"), "tolerances must be finite"),
+        ("grad_norm_tol", float("inf"), "tolerances must be finite"),
+        ("max_outer_iters", -5, "max_outer_iters must be at least 0"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            train(graph, samples, TrainerConfig(**{name: value}))
 
 
 def test_gradient_zero_when_moments_always_match():

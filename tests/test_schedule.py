@@ -11,7 +11,9 @@ gather kernels of the message potentials and the residual are checked here,
 bit for bit, against ``np.add.at`` references.
 """
 
+import gc
 import logging
+import weakref
 
 import numpy as np
 from hypothesis import given, settings
@@ -32,7 +34,6 @@ from blendsp.datagen import build_grid_graph
 from blendsp.inference import (
     belief_vec,
     conflict_levels,
-    gibbs_pass,
     message_potentials,
     residual_rows,
     sweep_plan,
@@ -253,6 +254,47 @@ def test_zero_denominator_warns_once_per_coefficient_derivation(caplog):
     assert warned == [SKIPPED]
 
 
+def test_soft_maxes_are_derived_once_per_eps_and_counting_numbers(monkeypatch):
+    # every soft-max a training run uses, the region tables' and each
+    # level's groups', is made once per (eps, cvals), not per sweep or trial
+    made = []
+
+    class Counted(inference.SoftMax):
+        def __init__(self, segments, *args):
+            made.append(segments)
+            super().__init__(segments, *args)
+
+    monkeypatch.setattr(inference, "SoftMax", Counted)
+    rng = np.random.default_rng(22)
+    graph, sample = three_level_model(rng, [2, 3, 2])
+    samples = [sample, random_sample(rng, graph, 4, 1)]
+    for eps in (1.0, 0.5):
+        made.clear()
+        state = train(graph, samples, TrainerConfig(eps=eps, max_outer_iters=20, primal_rel_tol=0.0))
+        assert state.iteration == 20
+        plan = sweep_plan(graph.layout())
+        want = [plan.segments] + [level.groups for level in plan.levels]
+        assert sorted(map(id, made)) == sorted(map(id, want)), eps
+
+
+def test_a_dropped_graph_frees_its_plan_without_the_cycle_collector():
+    # the plan's derived terms refer back to it weakly: no reference cycle
+    # keeps a finished command's plan alive until a collection
+    graph = chain_graph(3)
+    layout = graph.layout()
+    cvals = np.array([0.0, 1.0, 1.0, 1.0, 1.0])  # a zero-count level too
+    lam, theta = np.zeros((2, layout.message_total)), np.ones((2, layout.total))
+    sweep_vec(layout, lam, theta, 1.0, cvals)
+    belief_vec(layout, lam, theta, 1.0, cvals)
+    plan = weakref.ref(layout.plan_cache)
+    gc.disable()
+    try:
+        del graph, layout
+        assert plan() is None
+    finally:
+        gc.enable()
+
+
 def test_graph_without_edges_sweeps_to_a_no_op():
     graph = tree_graph(np.random.default_rng(9), 1)
     layout = graph.layout()
@@ -316,7 +358,7 @@ def test_beliefs_are_gibbs_of_theta_plus_message_potentials():
                 theta = rng.normal(size=(3, layout.total))
                 lam = rng.normal(size=(3, layout.message_total))
                 potentials = theta + message_potentials(layout, lam)
-                terms = gibbs_pass(layout, potentials, eps * cvals, cvals)
+                terms = sweep_plan(layout).at(eps, cvals).regions(potentials)
                 got = belief_vec(layout, lam, theta, eps, cvals)
                 assert belief_vec(layout, lam, theta, eps, cvals, terms).tobytes() == got.tobytes()
                 lse = segmented_lse(layout, potentials, eps * cvals)
@@ -388,11 +430,13 @@ def test_zero_count_beliefs_normalize_the_level_accumulators():
                 direct = segmented_gibbs(layout, potentials, eps * cvals, cvals)
                 want = zero_count_beliefs(layout, lam, theta, eps, cvals, direct.copy())
                 assert np.abs(got - want).max(initial=0.0) <= 1e-15, (name, eps)
-                zero = sweep_plan(layout).zero_count(eps, cvals)
+                at = sweep_plan(layout).at(eps, cvals)
+                zero = at.zero_count
                 if zero is None:
                     assert got.tobytes() == direct.tobytes(), (name, eps)
                     continue
-                level, c, t, chat = zero
+                level, c, _ = zero
+                chat = at.denom[level.acc_regions]
                 acc = level.accumulate(lam, theta, level.mu(lam, theta, c))
                 for i, r in enumerate(level.acc_regions):
                     assert cvals[r] == 0.0 and layout.parent_edges[r]

@@ -60,11 +60,12 @@ def test_the_shapes_pick_the_path():
     # the 10x10 grid: 2-label pixels and 4-label pairs, in two runs; each
     # level's soft-max groups are 2 wide
     layout = build_grid_graph(10, 10).layout()
-    assert [run[2] for run in layout.segments.runs] == [2, 4]
-    assert 1 < layout.segments.min_batch <= 10  # a batch of one keeps reduceat
+    segments = sweep_plan(layout).segments
+    assert [run[2] for run in segments.runs] == [2, 4]
+    assert 1 < segments.min_batch <= 10  # a batch of one keeps reduceat
     for level in sweep_plan(layout).levels:
         assert level.groups.min_batch <= 10
-        assert level.segments.min_batch <= 10
+        assert SegmentReduce(level.starts, len(level.acc_idx)).min_batch <= 10
     # the highorder benchmark layout: 36 4-label pixels, 60 16-label pairs
     # and 25 256-label cells keep reduceat at any batch
     widths = np.repeat([4, 16, 256], [36, 60, 25])

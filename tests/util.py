@@ -38,7 +38,11 @@ def tree_graph(rng: np.random.Generator, n_vars: int) -> RegionGraph:
 
 
 def loopy_graph(rng: np.random.Generator, n_vars: int, n_pairs: int) -> RegionGraph:
-    """Singletons plus random distinct pairwise regions (cycles allowed)."""
+    """Singletons plus random distinct pairwise regions (cycles allowed).
+    More pairs than the n_vars * (n_vars - 1) / 2 that exist raise
+    ``ValueError``."""
+    if n_pairs > n_vars * (n_vars - 1) // 2:
+        raise ValueError(f"{n_pairs} distinct pairs of {n_vars} variables requested")
     regions = [Region(i, (i,), (2,)) for i in range(n_vars)]
     pairs = set()
     while len(pairs) < n_pairs:
@@ -150,7 +154,7 @@ def add_at_residual(layout, bvec):
 
 def segmented_lse(layout, vec, t_regions):
     """Per-region t*log(sum(exp(./t))) in its own max, exp and sum pass: the
-    arithmetic ``inference.gibbs_pass`` must reproduce bit for bit."""
+    arithmetic the region ``inference.SoftMax`` must reproduce bit for bit."""
     starts = layout.starts
     seg = layout.segment
     m = np.maximum.reduceat(vec, starts, axis=-1)
@@ -175,7 +179,7 @@ def segmented_lse(layout, vec, t_regions):
 def segmented_gibbs(layout, vec, t_regions, coeff):
     """Per-region Gibbs normalization in its own max, exp and sum pass, with
     zero-temperature regions tied toward the max (coeff >= 0) or the min: the
-    arithmetic ``inference.gibbs_pass`` must reproduce bit for bit."""
+    arithmetic the region ``inference.SoftMax`` must reproduce bit for bit."""
     starts = layout.starts
     seg = layout.segment
     m = np.maximum.reduceat(vec, starts, axis=-1)
