@@ -299,7 +299,7 @@ def _cmd_gap(args) -> int:
     w = _load_weights(args.weights, parsed)
     print(f"seed={args.seed}")
     layout = parsed.graph.layout()
-    stack = ThetaStack(parsed.samples, layout.total)
+    stack = ThetaStack(parsed.samples, layout)
     objective = BatchObjective(
         layout, stack, args.eps, counting.values, args.C, parsed.num_features
     )

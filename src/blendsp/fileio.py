@@ -158,8 +158,8 @@ def parse_model(stream) -> ParsedModel:
         no = lines[0][0] if lines else 1
         raise ParseError(no, f"expected header {MODEL_MAGIC!r}")
     region_rows: dict[int, Region] = {}
-    edges: list[tuple[int, int]] = []
-    global_feats: list[tuple[int, int, np.ndarray]] = []
+    edges: set[tuple[int, int]] = set()
+    global_feats: dict[tuple[int, int], np.ndarray] = {}
     counts: dict[int, float] = {}
     sample_rows: list[dict] = []
     tables: list[tuple[int, str, np.ndarray]] = []
@@ -198,13 +198,22 @@ def parse_model(stream) -> ParsedModel:
         elif section == "EDGES":
             if len(toks) != 2:
                 raise ParseError(no, "edge line needs: parent child")
-            edges.append((_int(toks[0], no, "parent"), _int(toks[1], no, "child")))
+            p, r = _int(toks[0], no, "parent"), _int(toks[1], no, "child")
+            if p not in region_rows or r not in region_rows:
+                raise ParseError(no, f"edge ({p}, {r}) references a missing region")
+            if (p, r) in edges:
+                raise ParseError(no, f"duplicate edge ({p}, {r})")
+            if not set(region_rows[r].variables) < set(region_rows[p].variables):
+                raise ParseError(no, f"edge ({p}, {r}): containment violated")
+            edges.add((p, r))
         elif section == "FEATURES":
             if len(toks) < 3:
                 raise ParseError(no, "feature line needs: feature region values...")
             k = _int(toks[0], no, "feature id")
             r, vals = _region_table(no, toks[1:], region_rows, "feature", tables)
-            global_feats.append((k, r, vals))
+            if (k, r) in global_feats:
+                raise ParseError(no, f"duplicate feature table ({k}, {r})")
+            global_feats[k, r] = vals
             max_feat = max(max_feat, k)
         elif section == "COUNTS":
             _count_line(no, toks, counts, tables)
@@ -215,7 +224,7 @@ def parse_model(stream) -> ParsedModel:
                 current_sample = {
                     "id": _int(toks[1], no, "sample id"),
                     "loss": {},
-                    "feat": [],
+                    "feat": {},
                     "truth": None,
                     "line": no,
                 }
@@ -234,7 +243,9 @@ def parse_model(stream) -> ParsedModel:
                     raise ParseError(no, "feat line needs: FEAT feature region values...")
                 k = _int(toks[1], no, "feature id")
                 r, vals = _region_table(no, toks[2:], region_rows, "feature", tables)
-                current_sample["feat"].append((k, r, vals))
+                if (k, r) in current_sample["feat"]:
+                    raise ParseError(no, f"duplicate feature table ({k}, {r})")
+                current_sample["feat"][k, r] = vals
                 max_feat = max(max_feat, k)
             elif toks[0] == "TRUTH":
                 if current_sample["truth"] is not None:
@@ -255,7 +266,7 @@ def parse_model(stream) -> ParsedModel:
     regions = [region_rows[i] for i in range(n_regions)]
     variable_count = max(reg.variables[-1] for reg in regions) + 1
     try:
-        graph = RegionGraph(regions, edges, variable_count)
+        graph = RegionGraph(regions, list(edges), variable_count)
     except ModelError as exc:
         raise ParseError(lines[-1][0], str(exc)) from None
 
@@ -266,11 +277,11 @@ def parse_model(stream) -> ParsedModel:
             raise ParseError(row["line"], f"duplicate sample id {row['id']}")
         seen_ids.add(row["id"])
         feats: dict[int, dict[int, np.ndarray]] = {}
-        for k, r, vals in global_feats:
-            feats.setdefault(r, {})[k] = vals.copy()
-        for k, r, vals in row["feat"]:
+        # global tables are shared by the samples, not copied (samples are
+        # read-only); a sample's own FEAT table overrides a global one
+        for (k, r), vals in [*global_feats.items(), *row["feat"].items()]:
             feats.setdefault(r, {})[k] = vals
-        truth = None
+        truth, no = None, row["line"]
         if row["truth"] is not None:
             labels, no = row["truth"]
             if len(labels) != n_regions:
@@ -278,7 +289,10 @@ def parse_model(stream) -> ParsedModel:
             truth = {r: labels[r] for r in range(n_regions)}
         elif row["loss"]:
             raise ParseError(row["line"], "sample has loss tables but no TRUTH line")
-        samples.append(Sample(graph, row["id"], row["loss"], feats, truth))
+        try:
+            samples.append(Sample(graph, row["id"], row["loss"], feats, truth))
+        except ModelError as exc:
+            raise ParseError(no, str(exc)) from None
     samples.sort(key=lambda s: s.id)
 
     counting = None

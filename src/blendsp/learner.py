@@ -212,7 +212,7 @@ def w_step(
     cfg = config or TrainerConfig(eps=eps, C=C)
     layout = graph.layout()
     cvals = counting_values(counting, graph)
-    stack = ThetaStack(samples, layout.total)
+    stack = ThetaStack(samples, layout)
     lam = np.stack([st.vec for st in states]) if states else np.zeros((0, layout.message_total))
     lam_part = message_potentials(layout, lam)
     w = np.asarray(w, dtype=float)
@@ -253,7 +253,7 @@ def train(
             "gap certification are not guaranteed"
         )
     w = np.zeros(num_features) if w0 is None else np.asarray(w0, dtype=float).copy()
-    stack = ThetaStack(samples, layout.total)
+    stack = ThetaStack(samples, layout)
     objective = BatchObjective(layout, stack, eps, cvals, C, num_features)
     thetas = stack.rows(w)
 
@@ -373,7 +373,7 @@ def predict_all(
     w = np.asarray(w, dtype=float)
     layout = graph.layout()
     cvals = counting_values(counting, graph)
-    theta = ThetaStack(samples, layout.total, include_loss=False).rows(w)
+    theta = ThetaStack(samples, layout).rows(w, include_loss=False)
     lam = np.zeros((len(samples), layout.message_total))
     block = sweep_until_consistent(layout, lam, theta, eps_infer, cvals, max_sweeps, residual_tol)
     b, residual, sweeps = block.beliefs, block.residual, block.sweeps

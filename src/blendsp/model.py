@@ -1,10 +1,15 @@
 """Region graphs, counting numbers, per-sample potential tables.
 
 A model is a directed region graph over discrete variables plus, per training
-sample, dense loss and feature tables indexed by region labels.  A region's
-joint label is a single flat index, laid out row-major over the region's
-sorted variable list (first variable varies slowest).  All structures are
-immutable after construction and safe to share across threads.
+sample, dense loss and feature tables indexed by region labels (``Sample``).
+A region's joint label is a single flat index, laid out row-major over the
+region's sorted variable list (first variable varies slowest).
+
+The tables have one flat form, ``ThetaStack``: the tables of a list of
+samples as (sample, slot) entries against the graph's ``GraphLayout``, from
+which theta rows, feature expectations and empirical features are computed.
+A single sample's is its stack of one (``Sample.compiled``).  All structures
+are immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -290,6 +295,11 @@ class Sample:
         for r in [*self.loss, *self.features, *(self.true_labels or ())]:
             if not 0 <= r < len(sizes):  # -1 would index the last region
                 raise ModelError(f"sample {sample_id}: region {r} is not in the region graph")
+        for r, y in (self.true_labels or {}).items():
+            if not 0 <= y < sizes[r]:  # -1 would read the region's last slot
+                raise ModelError(
+                    f"sample {sample_id}: true label {y} out of range for region {r}"
+                )
         for r, t in self.loss.items():
             if t.shape != (sizes[r],):
                 raise ModelError(f"sample {sample_id}: loss table for region {r} has wrong size")
@@ -311,7 +321,7 @@ class Sample:
                         raise ModelError(
                             f"sample {sample_id}: feature table ({k}, {r}) is not finite"
                         )
-        self._compiled = None
+        self._stack = None
 
     @property
     def max_feature_id(self) -> int:
@@ -336,101 +346,78 @@ class Sample:
                 assign[v] = y
         return assign
 
-    def empirical_features(self, num_features: int | None = None) -> np.ndarray:
-        """Sum of feature values at the true labels, per feature id."""
-        if self.true_labels is None:
-            raise ModelError(f"sample {self.id}: no true labels")
-        k_max = self.max_feature_id
-        size = (k_max + 1) if num_features is None else num_features
-        out = np.zeros(size)
-        for r, fk in self.features.items():
-            y = int(self.true_labels[r])
-            for k, t in fk.items():
-                out[k] += t[y]
-        return out
-
-    def compiled(self) -> "CompiledSample":
-        if self._compiled is None:
-            self._compiled = CompiledSample(self)
-        return self._compiled
+    def compiled(self) -> "ThetaStack":
+        """The sample's flat tables: its stack of one, built on first use."""
+        if self._stack is None:
+            self._stack = ThetaStack([self], self.graph.layout())
+        return self._stack
 
 
-class CompiledSample:
-    """Concatenated-vector view of a sample against its graph layout."""
-
-    def __init__(self, sample: Sample):
-        layout = sample.graph.layout()
-        self.layout = layout
-        self.loss_vec = np.zeros(layout.total)
-        for r, t in sample.loss.items():
-            self.loss_vec[layout.region_slices[r]] = t
-        rows, cols, vals = [], [], []
-        for r, fk in sorted(sample.features.items()):
-            base = layout.offsets[r]
-            for k, t in sorted(fk.items()):
-                rows.append(base + np.arange(layout.sizes[r], dtype=np.int64))
-                cols.append(np.full(layout.sizes[r], k, dtype=np.int64))
-                vals.append(t)
-        cat = lambda xs, d: np.concatenate(xs) if xs else np.zeros(0, dtype=d)
-        self.feat_rows = cat(rows, np.int64)
-        self.feat_cols = cat(cols, np.int64)
-        self.feat_vals = cat(vals, float)
-        if sample.true_labels is not None:
-            self.true_slots = np.array(
-                [layout.offsets[r] + int(y) for r, y in sorted(sample.true_labels.items())],
-                dtype=np.int64,
-            )
-        else:
-            self.true_slots = None
-
-    def theta_vec(self, w: np.ndarray, include_loss: bool = True) -> np.ndarray:
-        """Concatenated theta tables: optional loss plus weighted features."""
-        out = self.loss_vec.copy() if include_loss else np.zeros(self.layout.total)
-        if self.feat_rows.size:
-            out += np.bincount(
-                self.feat_rows,
-                weights=self.feat_vals * w[self.feat_cols],
-                minlength=self.layout.total,
-            )
-        return out
+def _runs(layout: GraphLayout, tables) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The bins, values and widths of ``tables``, (sample, region, values)
+    triples: one run of sample * total + slot bins per table, in table order."""
+    owners, regions, values = zip(*tables) if tables else ((), (), ())
+    regions = np.array(regions, dtype=np.int64)
+    widths = layout.sizes[regions]
+    first = np.cumsum(widths) - widths  # each table's first entry
+    starts = np.array(owners, dtype=np.int64) * layout.total + layout.offsets[regions]
+    bins = np.repeat(starts - first, widths) + np.arange(int(widths.sum()))
+    return bins, np.concatenate(values) if values else np.zeros(0), widths
 
 
 class ThetaStack:
-    """The theta rows of a list of samples as one affine map of the weights:
-    every row is built by one bincount over stacked (sample, slot) bins, each
-    bin summed in ``CompiledSample.theta_vec``'s order, so each row is bitwise
-    equal to the sample's own ``theta_vec``.  Sums over samples (feature
-    expectations, empirical features) are added sample by sample in list
-    order."""
+    """The loss, feature and truth tables of a list of samples, flat against
+    the graph layout: the theta rows of the samples as one affine map of the
+    weights.  A single sample's is its stack of one (``Sample.compiled``).
 
-    def __init__(self, samples, total: int, include_loss: bool = True):
-        compiled = [s.compiled() for s in samples]
-        self.samples = samples
-        self.shape = (len(compiled), total)
-        cat = lambda xs, d: np.concatenate(xs) if xs else np.zeros(0, dtype=d)
-        self.bins = cat([i * total + cs.feat_rows for i, cs in enumerate(compiled)], np.int64)
-        self.cols = cat([cs.feat_cols for cs in compiled], np.int64)
-        self.vals = cat([cs.feat_vals for cs in compiled], float)
-        loss = [cs.loss_vec for cs in compiled] if include_loss else None
-        self.loss = None if loss is None else np.array(loss, dtype=float).reshape(self.shape)
+    Feature entries (bin, feature, value), bin = sample * total + slot, run in
+    (sample, region, feature) order; every theta row is one bincount over
+    them, so each row is bitwise equal to the sample's own stack of one.
+    Sums over samples (feature expectations, empirical features) are added
+    sample by sample in list order."""
+
+    def __init__(self, samples, layout: GraphLayout):
+        self.samples, self.layout = samples, layout
+        self.shape = (len(samples), layout.total)
+        loss = [(i, r, t) for i, s in enumerate(samples) for r, t in s.loss.items()]
+        slots, values, _ = _runs(layout, loss)
+        self.loss = np.zeros(self.shape)
+        self.loss.reshape(-1)[slots] = values
+        feats = [(i, r, k, t) for i, s in enumerate(samples)
+                 for r, fk in sorted(s.features.items()) for k, t in sorted(fk.items())]
+        self.bins, self.vals, widths = _runs(layout, [(i, r, t) for i, r, _, t in feats])
+        self.cols = np.repeat(np.array([k for _, _, k, _ in feats], dtype=np.int64), widths)
+        # sample i's entries are [bounds[i], bounds[i + 1])
+        self.bounds = np.searchsorted(self.bins // layout.total, np.arange(len(samples) + 1))
 
     @functools.cached_property
     def true_slots(self) -> np.ndarray:
-        if not self.samples:
-            return np.zeros((0, 0), dtype=np.int64)
-        return np.stack([s.compiled().true_slots for s in self.samples])
+        """(samples, regions): each region's slot at the sample's true label."""
+        region_count = self.layout.sizes.size
+        labels = np.zeros((len(self.samples), region_count), dtype=np.int64)
+        for i, s in enumerate(self.samples):
+            if s.true_labels is None:
+                raise ModelError(f"sample {s.id}: no true labels")
+            labels[i] = [s.true_labels[r] for r in range(region_count)]
+        return labels + self.layout.starts
 
-    def rows(self, w: np.ndarray) -> np.ndarray:
-        n, total = self.shape
+    def rows(self, w: np.ndarray, include_loss: bool = True) -> np.ndarray:
+        """The theta rows at the weights ``w``: the loss (optional) plus the
+        weighted feature tables."""
         weights = w.take(self.cols)
         weights *= self.vals
         # bincount without entries returns integers; the loss is added in place
         # to save one (samples, slots) temporary per line-search trial
-        out = np.bincount(self.bins, weights, n * total).astype(float, copy=False)
-        out = out.reshape(n, total)
-        if self.loss is not None:
+        out = np.bincount(self.bins, weights, self.loss.size).astype(float, copy=False)
+        out = out.reshape(self.shape)
+        if include_loss:
             out += self.loss
         return out
+
+    def theta_vec(self, w: np.ndarray, include_loss: bool = True) -> np.ndarray:
+        """The theta row of a stack of one."""
+        (row,) = self.rows(w, include_loss)
+        return row
 
     def true_sums(self, th: np.ndarray) -> np.ndarray:
         """Per row, the sum of ``th`` at the sample's true labels."""
@@ -448,17 +435,17 @@ class ThetaStack:
         # bitwise equal, but its large temporaries made the heap top be
         # trimmed and re-faulted every train iteration (15x the minor faults)
         out = np.zeros(num_features)
-        for i, s in enumerate(self.samples):
-            cs = s.compiled()
-            out += np.bincount(cs.feat_cols, cs.feat_vals * bmat[i, cs.feat_rows], num_features)
+        for lo, hi in zip(self.bounds[:-1], self.bounds[1:]):
+            b = bmat.take(self.bins[lo:hi])
+            out += np.bincount(self.cols[lo:hi], self.vals[lo:hi] * b, num_features)
         return out
 
     def empirical(self, num_features: int) -> np.ndarray:
-        """Feature values at the true labels, summed over samples."""
-        out = np.zeros(num_features)
-        for s in self.samples:
-            out += s.empirical_features(num_features)
-        return out
+        """Feature values at the true labels, summed over samples: the
+        expectations at one-hot belief rows."""
+        onehot = np.zeros(self.shape)
+        np.put_along_axis(onehot, self.true_slots, 1.0, axis=1)
+        return self.expectations(onehot, num_features)
 
 
 def feature_count(samples) -> int:
@@ -511,11 +498,6 @@ def validate_model(
     for sample in samples:
         if sample.true_labels is None:
             continue
-        for r, y in sample.true_labels.items():
-            if not (0 <= y < graph.regions[r].label_count):
-                report.errors.append(
-                    f"sample {sample.id}: true label {y} out of range for region {r}"
-                )
         try:
             sample.true_assignment()
         except ModelError as exc:

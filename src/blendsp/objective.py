@@ -119,8 +119,7 @@ def region_loss(
     """
     layout = graph.layout()
     cvals = counting_values(counting, graph)
-    compiled = sample.compiled()
-    theta = compiled.theta_vec(np.asarray(w, dtype=float), include_loss=True)
+    theta = sample.compiled().theta_vec(np.asarray(w, dtype=float), include_loss=True)
     th = theta + message_potentials(layout, state.vec)
     table = th[layout.region_slices[region]]
     y = int(sample.true_labels[region])
@@ -218,7 +217,7 @@ def report_at(
     if num_features is None:
         num_features = max(feature_count(samples), len(w))
     layout = graph.layout()
-    stack = ThetaStack(samples, layout.total)
+    stack = ThetaStack(samples, layout)
     cvals = counting_values(counting, graph)
     objective = BatchObjective(layout, stack, eps, cvals, C, num_features)
     lam = np.stack([st.vec for st in states]) if states else np.zeros((0, layout.message_total))
@@ -246,7 +245,7 @@ def _at_beliefs(graph: RegionGraph, samples: list[Sample], beliefs, num_features
     bmat = np.stack(rows) if rows else np.zeros((0, layout.total))
     if num_features is None:
         num_features = feature_count(samples)
-    return ThetaStack(samples, layout.total), bmat, num_features
+    return ThetaStack(samples, layout), bmat, num_features
 
 
 def moment_mismatch(

@@ -67,7 +67,7 @@ def test_engine_matches_per_sample_reference_loop():
         w = rng.uniform(-2, 2, 4)
         bethe = CountingNumbers.bethe(graph).values
         for eps, cvals in ((1.0, np.ones(graph.region_count)), (0.5, bethe)):
-            theta = ThetaStack(samples, layout.total).rows(w)
+            theta = ThetaStack(samples, layout).rows(w)
             for max_sweeps, tol in ((0, 1e-8), (3, 1e-8), (300, 1e-7)):
                 lam = np.zeros((len(samples), layout.message_total))
                 res = sweep_until_consistent(layout, lam, theta, eps, cvals, max_sweeps, tol)

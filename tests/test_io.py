@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -115,6 +116,66 @@ def test_bad_loss_table_names_its_own_line(loss, message):
     # the SAMPLE line is line 10, the LOSS line 13
     text = MINIMAL.replace("LOSS 0 0 1", "FEAT 1 0 1 2\nFEAT 2 0 3 4\n" + loss)
     with pytest.raises(ParseError, match=f"^line 13: {message}$"):
+        parse_model(text)
+
+
+@pytest.mark.parametrize("label", ["-1", "2"])
+def test_true_label_out_of_range_names_the_truth_line(label):
+    text = MINIMAL.replace("TRUTH 0", f"TRUTH {label}")
+    message = f"^line 12: sample 0: true label {label} out of range for region 0$"
+    with pytest.raises(ParseError, match=message):
+        parse_model(text)
+
+
+@pytest.mark.parametrize(
+    "old, new, line, table",
+    [
+        ("0 0 0.5 -0.5", "0 0 0.5 -0.5\n0 0 7 7", 7, "(0, 0)"),  # FEATURES
+        ("LOSS 0 0 1", "FEAT 1 0 1 0\nFEAT 1 0 7 7\nLOSS 0 0 1", 12, "(1, 0)"),
+    ],
+)
+def test_duplicate_feature_table_names_its_line(old, new, line, table):
+    message = re.escape(f"line {line}: duplicate feature table {table}")
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        parse_model(MINIMAL.replace(old, new))
+
+
+def test_sample_feature_table_overrides_the_global_one():
+    parsed = parse_model(MINIMAL.replace("LOSS 0 0 1", "FEAT 0 0 1 2\nLOSS 0 0 1"))
+    np.testing.assert_array_equal(parsed.samples[0].features[0][0], [1.0, 2.0])
+
+
+EDGED = """\
+BLENDSP 1
+REGIONS
+0 1 0 2
+1 1 1 2
+2 2 0 1 2 2
+EDGES
+2 0
+2 1
+FEATURES
+0 2 1 0 0 1
+SAMPLES
+SAMPLE 0
+TRUTH 0 0 0
+"""
+
+
+@pytest.mark.parametrize(
+    "edge, message",
+    [
+        ("2 0", "duplicate edge \\(2, 0\\)"),
+        ("0 1", "edge \\(0, 1\\): containment violated"),
+        ("0 2", "edge \\(0, 2\\): containment violated"),
+        ("2 3", "edge \\(2, 3\\) references a missing region"),
+        ("-1 0", "edge \\(-1, 0\\) references a missing region"),
+    ],
+)
+def test_edge_errors_name_the_edge_line(edge, message):
+    assert parse_model(EDGED).graph.edges == [(2, 0), (2, 1)]
+    text = EDGED.replace("2 1\n", f"2 1\n{edge}\n")
+    with pytest.raises(ParseError, match=f"^line 9: {message}$"):
         parse_model(text)
 
 

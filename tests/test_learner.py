@@ -65,7 +65,7 @@ def test_non_finite_eps_and_C_and_negative_caps_are_rejected_before_any_sweep(mo
             train(graph, samples, TrainerConfig(eps=eps, C=C, max_outer_iters=2))
         layout = graph.layout()
         with pytest.raises(ValueError, match=message):
-            objective.BatchObjective(layout, ThetaStack(samples, layout.total), eps, np.ones(5), C, 2)
+            objective.BatchObjective(layout, ThetaStack(samples, layout), eps, np.ones(5), C, 2)
     for name, value, message in (
         ("primal_rel_tol", float("nan"), "tolerances must be finite"),
         ("residual_tol", float("nan"), "tolerances must be finite"),
@@ -181,10 +181,8 @@ def test_train_zero_sample_model_converges_immediately():
 def test_train_zero_feature_model_reaches_inference_fixed_point():
     rng = np.random.default_rng(4)
     graph = chain_graph(3)
-    sample = random_sample(rng, graph, 1, with_loss=True)
-    for r in list(sample.features):
-        sample.features[r] = {}
-    sample._compiled = None
+    drawn = random_sample(rng, graph, 1, with_loss=True)
+    sample = Sample(graph, drawn.id, drawn.loss, {}, drawn.true_labels)  # no feature tables
     state = train(graph, [sample], TrainerConfig(max_outer_iters=100), num_features=0)
     assert state.converged
     assert state.report.marginal_residual <= 1e-6
@@ -461,7 +459,7 @@ def reference_line_search(graph, samples, states, w, g, eps, C, cfg):
         total = 0.5 * C * float(w @ w)
         th = np.stack([cs.theta_vec(w, include_loss=True) for cs in compiled]) + lam_part
         total += float(segmented_lse(layout, th, t_regions).sum())
-        total -= float(sum(th[i, cs.true_slots].sum() for i, cs in enumerate(compiled)))
+        total -= float(sum(th[i, cs.true_slots[0]].sum() for i, cs in enumerate(compiled)))
         return total
 
     f0, gg, eta = f(w), float(g @ g), cfg.eta0
@@ -476,26 +474,26 @@ def reference_line_search(graph, samples, states, w, g, eps, C, cfg):
 def test_stacked_theta_and_line_search_match_per_sample_reference():
     rng = np.random.default_rng(32)
     for graph, samples in small_corpora(rng) + small_corpora(rng):
-        samples[0].features.clear()  # a sample with no feature tables
-        samples[0]._compiled = None
+        first = samples[0]  # rebuilt as a sample with no feature tables
+        samples[0] = Sample(graph, first.id, first.loss, {}, first.true_labels)
         layout = graph.layout()
         k = 4
         w = rng.normal(size=k)
-        stack = ThetaStack(samples, layout.total)
+        stack = ThetaStack(samples, layout)
         th = stack.rows(w)
         ref = np.stack([s.compiled().theta_vec(w, include_loss=True) for s in samples])
         assert np.array_equal(th, ref)
-        sums = [th[i, s.compiled().true_slots].sum() for i, s in enumerate(samples)]
+        sums = [th[i, s.compiled().true_slots[0]].sum() for i, s in enumerate(samples)]
         assert np.array_equal(stack.true_sums(th), sums)
-        free = ThetaStack(samples, layout.total, include_loss=False).rows(w)
+        free = stack.rows(w, include_loss=False)
         assert np.array_equal(free, [s.compiled().theta_vec(w, include_loss=False) for s in samples])
         many = samples * 3
         bmat = rng.uniform(size=(len(many), layout.total))
         expect = np.zeros(k)
         for i, s in enumerate(many):
             cs = s.compiled()
-            expect += np.bincount(cs.feat_cols, cs.feat_vals * bmat[i, cs.feat_rows], k)
-        assert np.array_equal(ThetaStack(many, layout.total).expectations(bmat, k), expect)
+            expect += np.bincount(cs.cols, cs.vals * bmat[i, cs.bins], k)
+        assert np.array_equal(ThetaStack(many, layout).expectations(bmat, k), expect)
 
         states = [MessageState(graph) for _ in samples]
         for sample, state in zip(samples, states):

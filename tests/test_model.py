@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blendsp import (
     CountingNumbers,
@@ -12,8 +14,10 @@ from blendsp import (
 )
 
 from blendsp.learner import TrainerConfig
+from blendsp.model import ThetaStack
 
-from util import chain_graph, loopy_graph, random_sample
+from test_deep_graphs import three_level_model
+from util import chain_graph, loopy_graph, random_sample, tree_graph
 
 
 def test_counting_scheme_resolver():
@@ -129,7 +133,18 @@ def test_tables_and_labels_for_regions_outside_the_graph_rejected():
         with pytest.raises(ModelError, match=rf"sample 3: region {region} is not in the region graph"):
             Sample(graph, 3, true_labels={0: 0, 1: 0, 2: 0, 3: 0, region: 0})
     sample = Sample(graph, 3, loss={4: pair}, features={4: {0: pair}})
-    assert sample.compiled().loss_vec[10:14].tolist() == pair.tolist()
+    assert sample.compiled().loss[0, 10:14].tolist() == pair.tolist()
+
+
+@pytest.mark.parametrize("region, label", [(0, -1), (0, 2), (4, -1), (4, 4)])
+def test_true_labels_outside_the_region_rejected(region, label):
+    # label -1 would read the region's last slot, label_count the next region's first
+    graph = chain_graph(3)
+    truth = {r: 0 for r in range(graph.region_count)}
+    truth[region] = label
+    message = rf"^sample 3: true label {label} out of range for region {region}$"
+    with pytest.raises(ModelError, match=message):
+        Sample(graph, 3, true_labels=truth)
 
 
 def test_overlapping_true_labels_must_agree():
@@ -196,7 +211,7 @@ def test_theta_true_label_equals_weighted_empirical_part():
     total = 0.0
     for r in range(graph.region_count):
         total += theta_table(sample, r, w, include_loss=True)[sample.true_labels[r]]
-    assert total == pytest.approx(float(w @ sample.empirical_features(3)), abs=1e-10)
+    assert total == pytest.approx(float(w @ sample.compiled().empirical(3)), abs=1e-10)
 
 
 def test_empirical_features_match_definition():
@@ -207,7 +222,7 @@ def test_empirical_features_match_definition():
     for r, fk in sample.features.items():
         for k, table in fk.items():
             expected[k] += table[sample.true_labels[r]]
-    np.testing.assert_allclose(sample.empirical_features(3), expected, atol=1e-12)
+    np.testing.assert_allclose(sample.compiled().empirical(3), expected, atol=1e-12)
 
 
 def test_true_assignment_roundtrip():
@@ -220,3 +235,59 @@ def test_true_assignment_roundtrip():
             int(assign[v]) * int(s) for v, s in zip(reg.variables, reg.strides())
         )
         assert flat == sample.true_labels[reg.id]
+
+
+def stack_corpus(rng, kind):
+    """A tree, loopy or 3-level graph and 1-4 random samples on it.  Some
+    samples lack features, loss or truth; the rest hold their feature tables
+    in a shuffled region order."""
+    if kind == "tree":
+        graph = tree_graph(rng, int(rng.integers(2, 6)))
+    elif kind == "loopy":
+        n = int(rng.integers(2, 6))
+        graph = loopy_graph(rng, n, int(rng.integers(1, n * (n - 1) // 2 + 1)))
+    else:
+        graph, _ = three_level_model(rng, [int(c) for c in rng.integers(2, 4, 3)])
+    samples = []
+    for i in range(int(rng.integers(1, 5))):
+        drawn = random_sample(rng, graph, 4, i)
+        order = rng.permutation(list(drawn.features)).tolist()
+        feats = {r: drawn.features[r] for r in order}
+        missing = rng.integers(0, 4)  # 0: none, 1: features, 2: loss, 3: truth
+        samples.append(Sample(
+            graph, i,
+            {} if missing == 2 else drawn.loss,
+            {} if missing == 1 else feats,
+            None if missing == 3 else drawn.true_labels,
+        ))
+    return graph, samples
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["tree", "loopy", "three-level"]))
+def test_stacked_tables_are_each_samples_stack_of_one(seed, kind):
+    rng = np.random.default_rng(seed)
+    graph, samples = stack_corpus(rng, kind)
+    layout = graph.layout()
+    stack = ThetaStack(samples, layout)
+    w = rng.normal(size=4)
+    assert ThetaStack([], layout).rows(w).shape == (0, layout.total)
+    for include_loss in (True, False):
+        rows = stack.rows(w, include_loss)
+        assert rows.shape == (len(samples), layout.total)
+        for row, sample in zip(rows, samples):
+            assert np.array_equal(row, sample.compiled().theta_vec(w, include_loss))
+            oracle = [theta_table(sample, r, w, include_loss) for r in range(graph.region_count)]
+            np.testing.assert_allclose(row, np.concatenate(oracle), rtol=0, atol=1e-12)
+
+    truthful = [s for s in samples if s.true_labels is not None]
+    expected = np.zeros(4)
+    for sample in truthful:
+        for r, fk in sample.features.items():
+            for k, table in fk.items():
+                expected[k] += table[sample.true_labels[r]]
+    empirical = ThetaStack(truthful, layout).empirical(4)
+    np.testing.assert_allclose(empirical, expected, rtol=0, atol=1e-12)
+    if len(truthful) < len(samples):
+        with pytest.raises(ModelError, match="no true labels"):
+            stack.empirical(4)

@@ -415,10 +415,11 @@ def test_exact_map_tie_breaks_to_lowest_index():
 def test_exact_map_dominant_unary():
     rng = np.random.default_rng(18)
     graph = chain_graph(3)
-    sample = random_sample(rng, graph, 2, with_loss=False)
-    # overwrite: huge unary on variable 1 label 1, weak elsewhere
-    sample.features[1][0] = np.array([0.0, 100.0])
-    sample._compiled = None
+    drawn = random_sample(rng, graph, 2, with_loss=False)
+    # rebuilt with a huge unary on variable 1 label 1, weak elsewhere
+    feats = {r: dict(fk) for r, fk in drawn.features.items()}
+    feats[1][0] = np.array([0.0, 100.0])
+    sample = Sample(graph, drawn.id, drawn.loss, feats, drawn.true_labels)
     labels = exact_map(graph, sample, np.ones(2))
     assert labels[1] == 1
 
