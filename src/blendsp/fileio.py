@@ -25,7 +25,6 @@ from .model import (
     Region,
     RegionGraph,
     Sample,
-    validate_model,
 )
 
 __all__ = [
@@ -267,6 +266,7 @@ def parse_model(stream) -> ParsedModel:
     variable_count = max(reg.variables[-1] for reg in regions) + 1
     try:
         graph = RegionGraph(regions, list(edges), variable_count)
+        graph.check_structure()
     except ModelError as exc:
         raise ParseError(lines[-1][0], str(exc)) from None
 
@@ -299,10 +299,6 @@ def parse_model(stream) -> ParsedModel:
     if counts:
         values = _count_values(counts, n_regions, lines[-1][0])
         counting = CountingNumbers.from_values(values, "model")
-
-    report = validate_model(graph, samples, counting)
-    if not report.ok:
-        raise ModelError("; ".join(report.errors))
     return ParsedModel(graph, samples, counting, max_feat + 1)
 
 

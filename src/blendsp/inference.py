@@ -59,6 +59,9 @@ rows.  One pass of the region soft-max over a potentials array gives both
 its Gibbs beliefs and its region log-partitions, so the engine also returns
 the log-partitions, and ``belief_vec`` takes a precomputed pass.
 
+``sweep_until_consistent`` over-relaxes its sweeps by default, guarding
+each row by the block objective the sweeps descend.
+
 The module-level helpers operate on batches: message matrices of shape
 (num_samples, message_total) against potential matrices (num_samples,
 total).  Samples never interact, so batching is purely an efficiency device;
@@ -400,20 +403,28 @@ class _Level:
         src = np.concatenate((lam, mu), axis=1)
         return _gather_add(theta.take(self.acc_idx, axis=1), src, self.acc_terms)
 
-    def update(self, lam: np.ndarray, theta: np.ndarray, c: "_LevelCoefficients") -> None:
+    def update(
+        self, lam: np.ndarray, theta: np.ndarray, c: "_LevelCoefficients", omega: float = 1.0
+    ) -> None:
         """Block-minimize the messages of the level's regions, in place: each
         table is c_p / (c_r + sum of parent c) times the accumulator minus its
-        mu, mean-centred."""
+        mu, mean-centred.  At ``omega`` != 1 each table is over-relaxed to
+        old + omega * (new - old)."""
         mu = self.mu(lam, theta, c)
         tables = c.weight * self.accumulate(lam, theta, mu).take(self.acc_take, axis=1)
         tables -= mu.take(self.mu_take, axis=1)
         for a, b, k, n in self.blocks:
             block = tables[:, a:b].reshape(lam.shape[0], k, n)
             block -= (block.sum(axis=2) / n)[:, :, None]
-        if c.keep is None:
-            lam[:, self.write_idx] = tables
-        else:
-            lam[:, self.write_idx[c.keep]] = tables[:, c.keep]
+        idx = self.write_idx
+        if c.keep is not None:
+            idx, tables = idx[c.keep], tables[:, c.keep]
+        if omega != 1.0:
+            old = lam.take(idx, axis=1)
+            tables -= old
+            tables *= omega
+            tables += old
+        lam[:, idx] = tables
 
 
 class _LevelCoefficients:
@@ -542,9 +553,9 @@ class SweepPlan:
             child.append(np.arange(layout.sizes[r]) + layout.offsets[r])
         return [(np.concatenate(groups[g][0]).T.copy(), _cat(groups[g][1])) for g in sorted(groups)]
 
-    def run(self, lam: np.ndarray, theta: np.ndarray, eps: float, cvals: np.ndarray) -> None:
+    def run(self, lam: np.ndarray, theta: np.ndarray, eps: float, cvals: np.ndarray, omega):
         for level, c in zip(self.levels, self.at(eps, cvals).levels):
-            level.update(lam, theta, c)
+            level.update(lam, theta, c, omega)
 
 
 def sweep_plan(layout: GraphLayout) -> SweepPlan:
@@ -555,12 +566,18 @@ def sweep_plan(layout: GraphLayout) -> SweepPlan:
 
 
 def sweep_vec(
-    layout: GraphLayout, lam: np.ndarray, theta: np.ndarray, eps: float, cvals: np.ndarray
+    layout: GraphLayout,
+    lam: np.ndarray,
+    theta: np.ndarray,
+    eps: float,
+    cvals: np.ndarray,
+    omega: float = 1.0,
 ) -> None:
     """One sweep of region updates, run level by level; bitwise equal to
     updating the regions of ``sweep_plan(layout).sequence`` one at a time
-    (``lambda_update``)."""
-    sweep_plan(layout).run(lam, theta, eps, cvals)
+    (``lambda_update``).  At ``omega`` != 1 every table write is over-relaxed
+    (``_Level.update``), with no guard."""
+    sweep_plan(layout).run(lam, theta, eps, cvals, omega)
 
 
 def belief_vec(
@@ -622,6 +639,18 @@ def _beliefs(layout, lam, theta, eps, cvals):
     return belief_vec(layout, lam, theta, eps, cvals, terms), part, terms.lse
 
 
+OMEGA = 1.6  # over-relaxation of ``sweep_until_consistent``, the best measured on grids
+GUARD_ULPS = 16  # rounding slack of the guard, in ulps of a row's sum of |lse_r|
+
+
+def objective_rose(prior: np.ndarray, after: np.ndarray) -> np.ndarray:
+    """Per row, whether the block objective sum_r lse_r rose from the region
+    log-partitions ``prior`` to ``after`` by more than rounding: more than
+    ``GUARD_ULPS`` ulps of the row's sum of |lse_r| before."""
+    slack = GUARD_ULPS * np.spacing(np.abs(prior).sum(axis=1))
+    return after.sum(axis=1) > prior.sum(axis=1) + slack
+
+
 class SweepResult(NamedTuple):
     """What ``sweep_until_consistent`` leaves for its callers, per row."""
 
@@ -630,6 +659,7 @@ class SweepResult(NamedTuple):
     sweeps: np.ndarray
     message_part: np.ndarray  # message_potentials of the final messages
     lse: np.ndarray  # region log-partitions of the final potentials
+    fallbacks: np.ndarray  # over-relaxed sweeps the guard redid at omega = 1
 
 
 def sweep_until_consistent(
@@ -640,12 +670,23 @@ def sweep_until_consistent(
     cvals: np.ndarray,
     max_sweeps: int,
     tol: float,
+    omega: float = OMEGA,
 ) -> SweepResult:
     """Sweep each row of ``lam`` in place until its residual is at most
     ``tol`` or it has had ``max_sweeps`` sweeps; return the final belief rows,
     per-row residuals and sweep counts, the message part of the final rows'
-    potentials (``message_potentials`` of the final ``lam``) and the region
-    log-partitions of those potentials.
+    potentials (``message_potentials`` of the final ``lam``), the region
+    log-partitions of those potentials and the per-row guard fallbacks.
+
+    Sweeps are over-relaxed at ``omega`` (successive over-relaxation: each
+    table is written as old + omega * (new - old)) and guarded by the block
+    objective they descend, sum_r lse_r per row: a row whose objective rose
+    across the sweep by more than rounding (``objective_rose``) is restored
+    from a copy taken before it and swept again at omega = 1.  With positive
+    counting numbers (eps > 0) a sweep at omega = 1 is exact block descent,
+    so no guarded sweep raises the objective; with mixed-sign counting
+    numbers the guard runs the same test, without that guarantee.  At
+    ``omega`` = 1 no copy is taken and no test is made.
 
     Rows still active are swept together, gathered when some have stopped.
     Per-row arithmetic does not depend on the batch, so each row ends bitwise
@@ -661,23 +702,34 @@ def sweep_until_consistent(
     b, part, lse = _beliefs(layout, lam, theta, eps, cvals)
     residual = residual_rows(layout, b)
     sweeps = np.zeros(lam.shape[0], dtype=np.int64)
+    fallbacks = np.zeros(lam.shape[0], dtype=np.int64)
     for _ in range(max_sweeps):
         rows = np.flatnonzero(residual > tol)
         if rows.size == 0:
             break
-        if rows.size == lam.shape[0]:
-            sweep_vec(layout, lam, theta, eps, cvals)
-            b, part, lse = _beliefs(layout, lam, theta, eps, cvals)
-            residual = residual_rows(layout, b)
+        full = rows.size == lam.shape[0]
+        sub_lam, sub_theta = (lam, theta) if full else (lam[rows], theta[rows])
+        before = None if omega == 1.0 else sub_lam.copy()
+        sweep_vec(layout, sub_lam, sub_theta, eps, cvals, omega)
+        sub_b, sub_part, sub_lse = _beliefs(layout, sub_lam, sub_theta, eps, cvals)
+        if before is not None:
+            rose = np.flatnonzero(objective_rose(lse[rows], sub_lse))
+            if rose.size:
+                redo, redo_theta = before[rose], sub_theta[rose]
+                sweep_vec(layout, redo, redo_theta, eps, cvals)
+                sub_lam[rose] = redo
+                sub_b[rose], sub_part[rose], sub_lse[rose] = _beliefs(
+                    layout, redo, redo_theta, eps, cvals
+                )
+                fallbacks[rows[rose]] += 1
+        if full:
+            b, part, lse = sub_b, sub_part, sub_lse
         else:
-            sub_lam, sub_theta = lam[rows], theta[rows]
-            sweep_vec(layout, sub_lam, sub_theta, eps, cvals)
             lam[rows] = sub_lam
-            sub_b, part[rows], lse[rows] = _beliefs(layout, sub_lam, sub_theta, eps, cvals)
-            b[rows] = sub_b
-            residual[rows] = residual_rows(layout, sub_b)
+            b[rows], part[rows], lse[rows] = sub_b, sub_part, sub_lse
+        residual[rows] = residual_rows(layout, sub_b)
         sweeps[rows] += 1
-    return SweepResult(b, residual, sweeps, part, lse)
+    return SweepResult(b, residual, sweeps, part, lse, fallbacks)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,11 @@ than the weights are optimal.  ``sweeps_per_step = N`` runs exactly N sweeps
 instead.  The weights may move while beliefs are still marginally
 inconsistent; both blocks are exact block descents, so convexity guarantees
 the blend converges for eps >= 0 and nonnegative counting numbers, with every
-step monotonically decreasing the primal.
+step monotonically decreasing the primal.  The block's sweeps, and the
+stall-recovery sweeps, are plain block minimizations (omega = 1): a fixed
+over-relaxation of 1.6 took 285 iterations on the 3-level ``highorder``
+benchmark against 228.  Prediction sweeps over-relaxed, under the guard of
+``inference.sweep_until_consistent``.
 
 Samples are independent: the trainer stores all message vectors as rows of
 one matrix and sweeps them together in one set of numpy calls, and
@@ -271,7 +275,7 @@ def train(
             for _ in range(config.sweeps_per_step):
                 sweep_vec(layout, lam, thetas, eps, cvals)
             cap, tol = 0, 0.0
-        block = sweep_until_consistent(layout, lam, thetas, eps, cvals, cap, tol)
+        block = sweep_until_consistent(layout, lam, thetas, eps, cvals, cap, tol, omega=1.0)
         sweeps = config.sweeps_per_step
         if sweeps is None:
             sweeps = 1 + int(block.sweeps.max(initial=0))
@@ -325,7 +329,9 @@ def train(
         # a stalled weight step with inconsistent beliefs: up to 50 more
         # sweeps, the inference block cannot increase the objective
         if step.stalled and residual > config.residual_tol:
-            sweep_until_consistent(layout, lam, thetas, eps, cvals, 50, config.residual_tol)
+            sweep_until_consistent(
+                layout, lam, thetas, eps, cvals, 50, config.residual_tol, omega=1.0
+            )
     return state
 
 
@@ -365,10 +371,12 @@ def predict_all(
 ) -> list[PredictResult]:
     """Loss-free inference on every sample at once, then per-variable decoding.
 
-    Each variable takes the argmax (ties to the lowest label) of its marginal
-    under the belief of its smallest containing region.  The returned
-    residual measures how consistent the final beliefs are; a large value
-    means the decode rests on disagreeing regions.
+    The sweeps are over-relaxed at ``inference.OMEGA`` and guarded by the
+    block objective (``sweep_until_consistent``), which needs a fraction of
+    the plain sweeps on grids.  Each variable takes the argmax (ties to the
+    lowest label) of its marginal under the belief of its smallest containing
+    region.  The returned residual measures how consistent the final beliefs
+    are; a large value means the decode rests on disagreeing regions.
     """
     w = np.asarray(w, dtype=float)
     layout = graph.layout()

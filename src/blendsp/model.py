@@ -321,6 +321,13 @@ class Sample:
                         raise ModelError(
                             f"sample {sample_id}: feature table ({k}, {r}) is not finite"
                         )
+        if self.true_labels is not None:
+            self.true_assignment()  # regions that share a variable agree on it
+            for r, t in self.loss.items():
+                if t[self.true_labels[r]] != 0.0:
+                    raise ModelError(
+                        f"sample {sample_id}: loss of the true label must be zero (region {r})"
+                    )
         self._stack = None
 
     @property
@@ -486,28 +493,17 @@ def validate_model(
     samples: list[Sample],
     counting: CountingNumbers | None = None,
 ) -> ValidationReport:
-    """Check structural and per-sample invariants.
+    """Check structural invariants and counting numbers.
 
-    Structural violations (containment, coverage, dangling edges) raise
-    ModelError.  Per-sample table inconsistencies are collected as report
-    errors.  Counting-number configurations that void the upper-bound
-    guarantee (negative c_r, or no fractional cover) are warnings only.
+    Structural violations (containment, coverage) raise ModelError; a
+    counting-number array of the wrong length is a report error.
+    Counting-number configurations that void the upper-bound guarantee
+    (negative c_r, or no fractional cover) are warnings only.  Per-sample
+    tables need no check here: ``Sample`` rejects inconsistent ones when it
+    is built.
     """
     graph.check_structure()
     report = ValidationReport()
-    for sample in samples:
-        if sample.true_labels is None:
-            continue
-        try:
-            sample.true_assignment()
-        except ModelError as exc:
-            report.errors.append(str(exc))
-            continue
-        for r, t in sample.loss.items():
-            if t[int(sample.true_labels[r])] != 0.0:
-                report.errors.append(
-                    f"sample {sample.id}: loss of the true label must be zero (region {r})"
-                )
     if counting is not None:
         if len(counting.values) != graph.region_count:
             report.errors.append("counting numbers length mismatch")

@@ -8,8 +8,10 @@ import numpy as np
 
 from blendsp import CountingNumbers, Sample, predict
 from blendsp.inference import (
+    OMEGA,
     belief_vec,
     message_potentials,
+    objective_rose,
     residual_rows,
     sweep_plan,
     sweep_until_consistent,
@@ -22,20 +24,32 @@ from test_deep_graphs import three_level_model
 from util import loopy_graph, random_sample, tree_graph
 
 
-def reference_loop(layout, theta, eps, cvals, max_sweeps, tol):
+def reference_loop(layout, theta, eps, cvals, max_sweeps, tol, omega):
     """One sample at a time: beliefs and residual at the start, then sweep
-    while the residual is above tol and the cap is not reached."""
+    at ``omega`` while the residual is above tol and the cap is not reached;
+    a sweep that raises the block objective sum_r lse_r by more than rounding
+    is redone from the messages before it at omega = 1."""
     lam = np.zeros((1, layout.message_total))
     theta = theta[None, :]
+    regions = sweep_plan(layout).at(eps, cvals).regions
     b = belief_vec(layout, lam, theta, eps, cvals)
+    lse = regions(theta + message_potentials(layout, lam)).lse
     residual = residual_rows(layout, b)[0]
-    sweeps = 0
+    sweeps = fallbacks = 0
     while sweeps < max_sweeps and residual > tol:
-        sweep_vec(layout, lam, theta, eps, cvals)
+        before = lam.copy()
+        sweep_vec(layout, lam, theta, eps, cvals, omega)
+        after = regions(theta + message_potentials(layout, lam)).lse
+        if omega != 1.0 and objective_rose(lse, after)[0]:
+            lam = before
+            sweep_vec(layout, lam, theta, eps, cvals)
+            after = regions(theta + message_potentials(layout, lam)).lse
+            fallbacks += 1
+        lse = after
         sweeps += 1
         b = belief_vec(layout, lam, theta, eps, cvals)
         residual = residual_rows(layout, b)[0]
-    return lam[0], b[0], residual, sweeps
+    return lam[0], b[0], residual, sweeps, fallbacks
 
 
 def batches(rng):
@@ -61,34 +75,44 @@ def batches(rng):
 
 def test_engine_matches_per_sample_reference_loop():
     rng = np.random.default_rng(41)
-    spread = False
+    spread = mixed = False
     for graph, samples in batches(rng):
         layout = graph.layout()
         w = rng.uniform(-2, 2, 4)
         bethe = CountingNumbers.bethe(graph).values
         for eps, cvals in ((1.0, np.ones(graph.region_count)), (0.5, bethe)):
             theta = ThetaStack(samples, layout).rows(w)
-            for max_sweeps, tol in ((0, 1e-8), (3, 1e-8), (300, 1e-7)):
+            for max_sweeps, tol, omega in (
+                (0, 1e-8, OMEGA), (3, 1e-8, 1.0), (300, 1e-7, 1.0), (300, 1e-7, OMEGA),
+                (40, 1e-7, 1.95),
+            ):
                 lam = np.zeros((len(samples), layout.message_total))
-                res = sweep_until_consistent(layout, lam, theta, eps, cvals, max_sweeps, tol)
+                res = sweep_until_consistent(
+                    layout, lam, theta, eps, cvals, max_sweeps, tol, omega
+                )
                 b, residual, sweeps = res.beliefs, res.residual, res.sweeps
                 part = message_potentials(layout, lam)
                 assert res.message_part.tobytes() == part.tobytes()
                 lse = sweep_plan(layout).at(eps, cvals).regions(theta + part).lse
                 assert res.lse.tobytes() == lse.tobytes()
                 for i in range(len(samples)):
-                    ref_lam, ref_b, ref_res, ref_sweeps = reference_loop(
-                        layout, theta[i], eps, cvals, max_sweeps, tol
+                    ref_lam, ref_b, ref_res, ref_sweeps, ref_fallbacks = reference_loop(
+                        layout, theta[i], eps, cvals, max_sweeps, tol, omega
                     )
                     assert np.array_equal(lam[i], ref_lam)
                     assert np.array_equal(b[i], ref_b)
                     assert np.array_equal(residual[i], ref_res)
                     assert sweeps[i] == ref_sweeps
+                    assert res.fallbacks[i] == ref_fallbacks
+                if max_sweeps == 0 or omega == 1.0:
+                    assert not res.fallbacks.any()
                 if max_sweeps == 0:
                     assert not sweeps.any()
                 spread |= len(set(sweeps.tolist())) > 1
+                # rows the guard redid next to rows it never redid, in one batch
+                mixed |= bool(res.fallbacks.any() and not res.fallbacks.all())
     # some batch had rows that stopped at different sweep counts
-    assert spread
+    assert spread and mixed
 
 
 def test_predict_all_matches_per_sample_predict():

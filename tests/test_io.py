@@ -82,8 +82,38 @@ def test_loss_without_truth_rejected():
 
 
 def test_semantic_error_delegated_to_validation():
+    # the sample rejects the table when it is built; the error names its TRUTH line
     text = MINIMAL.replace("LOSS 0 0 1", "LOSS 0 1 1")
-    with pytest.raises(ModelError, match="true label"):
+    message = re.escape("line 12: sample 0: loss of the true label must be zero (region 0)")
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        parse_model(text)
+
+
+def test_disagreeing_true_labels_name_the_truth_line():
+    # the pair's label 3 is (1, 1), the singletons say (0, 0)
+    text = """\
+BLENDSP 1
+REGIONS
+0 1 0 2
+1 1 1 2
+2 2 0 1 2 2
+EDGES
+2 0
+2 1
+SAMPLES
+SAMPLE 0
+TRUTH 0 0 3
+"""
+    message = "^line 11: sample 0: regions disagree on true label of variable 0$"
+    with pytest.raises(ParseError, match=message):
+        parse_model(text)
+
+
+def test_uncovered_variable_names_the_last_line():
+    # region 0 covers variable 1 only, so variable 0 is covered by none
+    text = MINIMAL.replace("REGIONS\n0 1 0 2", "REGIONS\n0 1 1 2")
+    message = re.escape("line 12: variables not covered by any region: [0]")
+    with pytest.raises(ParseError, match=f"^{message}$"):
         parse_model(text)
 
 

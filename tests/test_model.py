@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -106,10 +108,9 @@ def test_fractional_cover_flag():
 
 def test_nonzero_loss_at_true_label_rejected():
     graph = RegionGraph([Region(0, (0,), (2,))], [], 1)
-    sample = Sample(graph, 0, loss={0: np.array([0.3, 0.0])}, true_labels={0: 0})
-    report = validate_model(graph, [sample], None)
-    assert not report.ok
-    assert any("true label" in e for e in report.errors)
+    message = re.escape("sample 0: loss of the true label must be zero (region 0)")
+    with pytest.raises(ModelError, match=f"^{message}$"):
+        Sample(graph, 0, loss={0: np.array([0.3, 0.0])}, true_labels={0: 0})
 
 
 def test_non_finite_tables_rejected():
@@ -150,9 +151,8 @@ def test_true_labels_outside_the_region_rejected(region, label):
 def test_overlapping_true_labels_must_agree():
     graph = chain_graph(2)
     # singleton truths say (0, 0) but the pairwise truth says (1, 1)
-    sample = Sample(graph, 0, features={}, true_labels={0: 0, 1: 0, 2: 3})
-    report = validate_model(graph, [sample], None)
-    assert not report.ok
+    with pytest.raises(ModelError, match="^sample 0: regions disagree on true label of variable 0$"):
+        Sample(graph, 0, features={}, true_labels={0: 0, 1: 0, 2: 3})
 
 
 def test_projection_row_major_layout():
