@@ -9,7 +9,9 @@ byte-level reference.
 Model files ("BLENDSP 1") carry sections in fixed order: REGIONS, EDGES,
 FEATURES, COUNTS (optional), SAMPLES.  The top-level FEATURES section holds
 feature tables shared by every sample; observation-dependent tables go on
-FEAT lines inside each sample block.
+FEAT lines inside each sample block.  ``parse_model`` reads the table lines
+straight into the samples' columns (``model.TableColumns``): the FEATURES
+tables are stored once and referenced by every sample.
 """
 
 from __future__ import annotations
@@ -20,11 +22,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    FEATURE,
+    LOSS,
+    SHARED,
     CountingNumbers,
     ModelError,
     Region,
     RegionGraph,
     Sample,
+    TableColumns,
+    true_label_fault,
 )
 
 __all__ = [
@@ -65,16 +72,16 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _lines(stream) -> list[tuple[int, list[str]]]:
-    """Tokenized non-empty lines with 1-based line numbers, comments stripped."""
-    if isinstance(stream, str):
-        stream = io.StringIO(stream)
-    out = []
-    for no, raw in enumerate(stream, start=1):
-        text = raw.split("#", 1)[0].strip()
-        if text:
-            out.append((no, text.split()))
-    return out
+def _lines(stream):
+    """Tokenized non-empty lines with 1-based line numbers, comments
+    stripped, one at a time."""
+    text = stream if isinstance(stream, str) else stream.read()
+    for no, raw in enumerate(text.split("\n"), start=1):
+        if "#" in raw:
+            raw = raw.split("#", 1)[0]
+        toks = raw.split()
+        if toks:
+            yield no, toks
 
 
 def _int(tok: str, no: int, what: str) -> int:
@@ -91,40 +98,20 @@ def _float(tok: str, no: int, what: str) -> float:
         raise ParseError(no, f"expected real {what}, got {tok!r}") from None
 
 
-def _check_finite(tables: list[tuple[int, str, np.ndarray]]) -> None:
-    """Raise at the first (line, kind, values) table holding nan or inf; one
-    vectorized test over all tables decides whether to look."""
-    if tables and not np.isfinite(np.concatenate([vals for _, _, vals in tables])).all():
-        for no, kind, vals in tables:
-            if not np.isfinite(vals).all():
-                raise ParseError(no, f"{kind} values must be finite")
-
-
-def _region_table(no: int, toks: list[str], regions: dict, kind: str, tables: list):
-    """A table line's 'region values...' fields, checked against the region
-    on the table's own line and added to ``tables``: (region id, values)."""
-    r = _int(toks[0], no, "region id")
-    vals = np.array([_float(t, no, f"{kind} value") for t in toks[1:]])
-    if r not in regions:
-        raise ParseError(no, f"{kind} table references unknown region {r}")
-    if vals.size != regions[r].label_count:
-        raise ParseError(
-            no, f"{kind} table for region {r}: expected {regions[r].label_count} values, "
-            f"got {vals.size}"
-        )
-    tables.append((no, kind, vals))
-    return r, vals
-
-
-def _count_line(no: int, toks: list[str], counts: dict, tables: list) -> None:
-    """One COUNTS line, 'region value', into ``counts``."""
+def _count_line(no: int, toks: list[str], counts: dict) -> None:
+    """One COUNTS line, 'region value', into ``counts``: region -> (value, line)."""
     if len(toks) != 2:
         raise ParseError(no, "count line needs: region value")
     r = _int(toks[0], no, "region id")
     if r in counts:
         raise ParseError(no, f"duplicate counting number for region {r}")
-    counts[r] = _float(toks[1], no, "counting number")
-    tables.append((no, "counting number", np.array([counts[r]])))
+    counts[r] = (_float(toks[1], no, "counting number"), no)
+
+
+def _nonfinite_count(counts: dict) -> tuple[int, str] | None:
+    """(line, kind) of the first counting number that is nan or inf."""
+    return next(((no, "counting number") for value, no in counts.values()
+                 if not np.isfinite(value)), None)
 
 
 def _count_values(counts: dict, n_regions: int, last_no: int) -> np.ndarray:
@@ -135,171 +122,284 @@ def _count_values(counts: dict, n_regions: int, last_no: int) -> np.ndarray:
     unknown = set(counts) - set(range(n_regions))
     if unknown:
         raise ParseError(last_no, f"COUNTS references unknown regions {sorted(unknown)}")
-    return np.array([counts[r] for r in range(n_regions)])
+    return np.array([counts[r][0] for r in range(n_regions)])
 
 
 def parse_counts(stream, region_count: int) -> np.ndarray:
     """Counting-number file: the lines of a model's COUNTS section, one
     'region value' line per region, each value finite."""
-    lines = _lines(stream)
-    counts: dict[int, float] = {}
-    tables: list[tuple[int, str, np.ndarray]] = []
-    for no, toks in lines:
-        _count_line(no, toks, counts, tables)
-    _check_finite(tables)
-    return _count_values(counts, region_count, lines[-1][0] if lines else 1)
+    counts: dict[int, tuple[float, int]] = {}
+    last = 1
+    for last, toks in _lines(stream):
+        _count_line(last, toks, counts)
+    bad = _nonfinite_count(counts)
+    if bad is not None:
+        raise ParseError(bad[0], f"{bad[1]} values must be finite")
+    return _count_values(counts, region_count, last)
+
+
+TRUTH = 3  # a TRUTH line among the ``_TableLines``; the others are table kinds
+_INT64 = np.iinfo(np.int64)
+
+
+class _TableLines:
+    """The table lines of a model file, FEATURES lines and the LOSS, FEAT
+    and TRUTH lines of its samples: recorded in one pass (``add``), then
+    converted and checked in columns (``convert``, ``nonfinite``) and made
+    into the samples (``samples_on``)."""
+
+    def __init__(self):
+        self.rows = []  # per line: kind, sample, line number, int and real token counts
+        self.int_tokens = []  # feature id and region of each table, labels of each TRUTH line
+        self.real_tokens = []  # values of each table
+        self.heads = []  # per SAMPLE line: (sample id, line number)
+
+    def add(self, kind: int, no: int, toks: list[str], first: int, reals: int) -> None:
+        """A line whose int tokens are toks[first:reals] and real tokens
+        toks[reals:], of the latest sample (-1 before the first)."""
+        self.rows += (kind, len(self.heads) - 1, no, reals - first, len(toks) - reals)
+        self.int_tokens += toks[first:reals]
+        self.real_tokens += toks[reals:]
+
+    def convert(self, region_rows: dict, fault: ParseError | None) -> None:
+        """Convert the lines to columns.  If a token does not convert, or a
+        table names an unknown region, has the wrong width or repeats an
+        earlier one, or a later line raised ``fault``, raise the first
+        faulty line's fault (``_raise_first_fault``)."""
+        rows = np.array(self.rows, dtype=np.int64).reshape(-1, 5).T
+        self.kind, self.sample, self.line, self.n_int, self.n_real = rows
+        self.int_end, self.real_end = np.cumsum(self.n_int), np.cumsum(self.n_real)
+        self.table = np.flatnonzero(self.kind != TRUTH)
+        kind, sample = self.kind[self.table], self.sample[self.table]
+        try:
+            self.ints = np.fromiter(map(int, self.int_tokens), np.int64, len(self.int_tokens))
+            self.reals = np.fromiter(map(float, self.real_tokens), float, len(self.real_tokens))
+        except (ValueError, OverflowError):
+            self._raise_first_fault(region_rows, fault)
+        self.region = self.ints[self.int_end[self.table] - 1]
+        self.feature = np.where(kind == LOSS, -1, self.ints[self.int_end[self.table] - 2])
+        # 0 for an unknown region; label counts beyond 64 bits fit no line
+        sizes = {r: min(reg.label_count, _INT64.max) for r, reg in region_rows.items()}
+        expected = np.array([sizes.get(r, 0) for r in self.region.tolist()], dtype=np.int64)
+        # a repeat: of a FEATURES table by (feature, region), and within a
+        # sample of a FEAT table by (feature, region) or a LOSS table by region
+        group = np.where(kind == LOSS, sample + len(self.heads), sample)
+        key = np.stack([group, self.feature, self.region])
+        key = key[:, np.lexsort(key[::-1])]
+        repeat = (key[:, 1:] == key[:, :-1]).all(axis=0)
+        if fault is not None or (expected != self.n_real[self.table]).any() or repeat.any():
+            self._raise_first_fault(region_rows, fault)
+
+    def _raise_first_fault(self, region_rows: dict, fault: ParseError | None):
+        """The error path of ``convert``: check the lines one by one, as read,
+        and raise the first one's fault, else ``fault``.  An int beyond 64
+        bits is a fault as a feature id or true label and names an unknown
+        region."""
+        seen = set()
+        ints, reals = iter(self.int_tokens), iter(self.real_tokens)
+        for kind, sample, no, n_int, n_real in np.reshape(self.rows, (-1, 5)).tolist():
+            toks = [next(ints) for _ in range(n_int)]
+            values = [next(reals) for _ in range(n_real)]
+            if kind == TRUTH:
+                for r, tok in enumerate(toks):
+                    if not _INT64.min <= _int(tok, no, "true label") <= _INT64.max:
+                        raise ParseError(no, f"sample {self.heads[sample][0]}: true label "
+                                         f"{int(tok)} out of range for region {r}")
+                continue
+            what = "loss" if kind == LOSS else "feature"
+            k = -1 if kind == LOSS else _int(toks[0], no, "feature id")
+            if not _INT64.min <= k <= _INT64.max:
+                raise ParseError(no, f"feature id {k} out of range")
+            r = _int(toks[-1], no, "region id")
+            for tok in values:
+                _float(tok, no, f"{what} value")
+            if r not in region_rows or not _INT64.min <= r <= _INT64.max:
+                raise ParseError(no, f"{what} table references unknown region {r}")
+            if n_real != region_rows[r].label_count:
+                raise ParseError(no, f"{what} table for region {r}: expected "
+                                 f"{region_rows[r].label_count} values, got {n_real}")
+            key = (kind == LOSS, sample, k, r)
+            if key in seen:
+                raise ParseError(no, f"duplicate loss table for region {r}" if kind == LOSS
+                                 else f"duplicate feature table ({k}, {r})")
+            seen.add(key)
+        raise fault
+
+    def nonfinite(self) -> tuple[int, str] | None:
+        """(line, kind) of the first table holding nan or inf."""
+        finite = np.isfinite(self.reals)
+        if finite.all():
+            return None
+        row = np.searchsorted(self.real_end, finite.argmin(), "right")
+        return int(self.line[row]), "loss" if self.kind[row] == LOSS else "feature"
+
+    def samples_on(self, graph: RegionGraph) -> tuple[list[Sample], int]:
+        """The samples, sorted by id, and the feature count.  Raises the
+        fault of the first faulty sample in file order: a repeated id, a
+        TRUTH line without one label per region, loss tables without a
+        TRUTH line, or true labels that ``true_label_fault`` rejects."""
+        n = graph.region_count
+        kind, sample, line, ints = self.kind, self.sample, self.line, self.ints
+        truth_of = np.full(len(self.heads), -1)
+        truth_of[sample[kind == TRUTH]] = np.flatnonzero(kind == TRUTH)
+        losses = np.flatnonzero(kind == LOSS)
+        has_loss = np.zeros(len(self.heads), dtype=bool)
+        has_loss[sample[losses]] = True
+        seen: set[int] = set()
+        faulty = None
+        for i, (sid, no) in enumerate(self.heads):
+            t = truth_of[i]
+            if sid in seen:
+                faulty = i, ParseError(no, f"duplicate sample id {sid}")
+            elif t >= 0 and self.n_int[t] != n:
+                faulty = i, ParseError(int(line[t]), f"TRUTH needs one label per region ({n})")
+            elif t < 0 and has_loss[i]:
+                faulty = i, ParseError(no, "sample has loss tables but no TRUTH line")
+            if faulty:
+                break
+            seen.add(sid)
+        # the true labels of the samples before the faulty one, checked at once
+        with_truth = np.flatnonzero(truth_of[: faulty[0] if faulty else len(self.heads)] >= 0)
+        truth_rows = truth_of[with_truth]
+        labels = ints[(self.int_end[truth_rows] - n)[:, None] + np.arange(n)]
+        labels.flags.writeable = False
+        row_of = np.full(len(self.heads), -1)
+        row_of[with_truth] = np.arange(with_truth.size)
+        losses = losses[row_of[sample[losses]] >= 0]
+        found = true_label_fault(graph, [self.heads[i][0] for i in with_truth], labels,
+                                 row_of[sample[losses]], ints[self.int_end[losses] - 1],
+                                 self.real_end[losses] - self.n_real[losses], self.reals)
+        if found is not None:
+            raise ParseError(int(line[truth_rows[found[0]]]), found[1])
+        if faulty:
+            raise faulty[1]
+
+        table = self.table
+        columns = TableColumns(kind[table], self.feature, self.region,
+                               np.concatenate(([0], self.real_end[table])), self.reals)
+        # a sample's own tables follow its SAMPLE line, so they are one run
+        heads = np.arange(len(self.heads))
+        lo = np.searchsorted(sample[table], heads, "left").tolist()
+        hi = np.searchsorted(sample[table], heads, "right").tolist()
+        samples = [
+            Sample.of_columns(graph, sid, columns, slice(lo[i], hi[i]),
+                              labels[row_of[i]] if row_of[i] >= 0 else None)
+            for i, (sid, _) in enumerate(self.heads)
+        ]
+        samples.sort(key=lambda s: s.id)
+        return samples, int(columns.feature[columns.kind != LOSS].max(initial=-1)) + 1
 
 
 def parse_model(stream) -> ParsedModel:
-    """Parse and validate a model file; raises ParseError or ModelError."""
+    """Parse and validate a model file; raises ParseError or ModelError.
+
+    REGIONS, EDGES and COUNTS lines are checked as they are read.  The table
+    lines (FEATURES, LOSS, FEAT, TRUTH) are recorded in the same pass and
+    then converted and checked in columns; the error names the first faulty
+    line, with the message that line would raise alone."""
     lines = _lines(stream)
-    if not lines or lines[0][1] != MODEL_MAGIC.split():
-        no = lines[0][0] if lines else 1
+    no, toks = next(lines, (1, None))
+    if toks != MODEL_MAGIC.split():
         raise ParseError(no, f"expected header {MODEL_MAGIC!r}")
     region_rows: dict[int, Region] = {}
     edges: set[tuple[int, int]] = set()
-    global_feats: dict[tuple[int, int], np.ndarray] = {}
-    counts: dict[int, float] = {}
-    sample_rows: list[dict] = []
-    tables: list[tuple[int, str, np.ndarray]] = []
-    current_sample: dict | None = None
+    counts: dict[int, tuple[float, int]] = {}
+    tables = _TableLines()
+    truth_seen = False
     section = None
     section_rank = -1
-    max_feat = -1
-
-    for no, toks in lines[1:]:
-        if toks[0] in _SECTIONS:
-            if len(toks) != 1:
-                raise ParseError(no, f"unexpected tokens after section {toks[0]}")
-            rank = _SECTIONS.index(toks[0])
-            if rank <= section_rank:
-                raise ParseError(no, f"section {toks[0]} out of order")
-            section = toks[0]
-            section_rank = rank
-            continue
-        if section is None:
-            raise ParseError(no, f"unknown section start {toks[0]!r}")
-        if section == "REGIONS":
-            if len(toks) < 2:
-                raise ParseError(no, "region line needs: id nvars vars... cards...")
-            rid = _int(toks[0], no, "region id")
-            nv = _int(toks[1], no, "variable count")
-            if len(toks) != 2 + 2 * nv:
-                raise ParseError(no, f"region {rid}: expected {2 * nv} trailing fields")
-            variables = tuple(_int(t, no, "variable") for t in toks[2 : 2 + nv])
-            cards = tuple(_int(t, no, "cardinality") for t in toks[2 + nv :])
-            if rid in region_rows:
-                raise ParseError(no, f"duplicate region id {rid}")
-            try:
-                region_rows[rid] = Region(rid, variables, cards)
-            except ModelError as exc:
-                raise ParseError(no, str(exc)) from None
-        elif section == "EDGES":
-            if len(toks) != 2:
-                raise ParseError(no, "edge line needs: parent child")
-            p, r = _int(toks[0], no, "parent"), _int(toks[1], no, "child")
-            if p not in region_rows or r not in region_rows:
-                raise ParseError(no, f"edge ({p}, {r}) references a missing region")
-            if (p, r) in edges:
-                raise ParseError(no, f"duplicate edge ({p}, {r})")
-            if not set(region_rows[r].variables) < set(region_rows[p].variables):
-                raise ParseError(no, f"edge ({p}, {r}): containment violated")
-            edges.add((p, r))
-        elif section == "FEATURES":
-            if len(toks) < 3:
-                raise ParseError(no, "feature line needs: feature region values...")
-            k = _int(toks[0], no, "feature id")
-            r, vals = _region_table(no, toks[1:], region_rows, "feature", tables)
-            if (k, r) in global_feats:
-                raise ParseError(no, f"duplicate feature table ({k}, {r})")
-            global_feats[k, r] = vals
-            max_feat = max(max_feat, k)
-        elif section == "COUNTS":
-            _count_line(no, toks, counts, tables)
-        elif section == "SAMPLES":
-            if toks[0] == "SAMPLE":
+    fault = None
+    try:
+        for no, toks in lines:
+            head = toks[0]
+            if head in _SECTIONS:
+                if len(toks) != 1:
+                    raise ParseError(no, f"unexpected tokens after section {head}")
+                rank = _SECTIONS.index(head)
+                if rank <= section_rank:
+                    raise ParseError(no, f"section {head} out of order")
+                section = head
+                section_rank = rank
+            elif section is None:
+                raise ParseError(no, f"unknown section start {head!r}")
+            elif section == "REGIONS":
+                if len(toks) < 2:
+                    raise ParseError(no, "region line needs: id nvars vars... cards...")
+                rid = _int(toks[0], no, "region id")
+                nv = _int(toks[1], no, "variable count")
+                if len(toks) != 2 + 2 * nv:
+                    raise ParseError(no, f"region {rid}: expected {2 * nv} trailing fields")
+                variables = tuple(_int(t, no, "variable") for t in toks[2 : 2 + nv])
+                cards = tuple(_int(t, no, "cardinality") for t in toks[2 + nv :])
+                if rid in region_rows:
+                    raise ParseError(no, f"duplicate region id {rid}")
+                try:
+                    region_rows[rid] = Region(rid, variables, cards)
+                except ModelError as exc:
+                    raise ParseError(no, str(exc)) from None
+            elif section == "EDGES":
+                if len(toks) != 2:
+                    raise ParseError(no, "edge line needs: parent child")
+                p, r = _int(toks[0], no, "parent"), _int(toks[1], no, "child")
+                if p not in region_rows or r not in region_rows:
+                    raise ParseError(no, f"edge ({p}, {r}) references a missing region")
+                if (p, r) in edges:
+                    raise ParseError(no, f"duplicate edge ({p}, {r})")
+                if not set(region_rows[r].variables) < set(region_rows[p].variables):
+                    raise ParseError(no, f"edge ({p}, {r}): containment violated")
+                edges.add((p, r))
+            elif section == "FEATURES":
+                if len(toks) < 3:
+                    raise ParseError(no, "feature line needs: feature region values...")
+                tables.add(SHARED, no, toks, 0, 2)
+            elif section == "COUNTS":
+                _count_line(no, toks, counts)
+            elif head == "SAMPLE":
                 if len(toks) != 2:
                     raise ParseError(no, "sample line needs: SAMPLE id")
-                current_sample = {
-                    "id": _int(toks[1], no, "sample id"),
-                    "loss": {},
-                    "feat": {},
-                    "truth": None,
-                    "line": no,
-                }
-                sample_rows.append(current_sample)
-            elif current_sample is None:
+                tables.heads.append((_int(toks[1], no, "sample id"), no))
+                truth_seen = False
+            elif not tables.heads:
                 raise ParseError(no, "sample data before any SAMPLE line")
-            elif toks[0] == "LOSS":
+            elif head == "LOSS":
                 if len(toks) < 3:
                     raise ParseError(no, "loss line needs: LOSS region values...")
-                r, vals = _region_table(no, toks[1:], region_rows, "loss", tables)
-                if r in current_sample["loss"]:
-                    raise ParseError(no, f"duplicate loss table for region {r}")
-                current_sample["loss"][r] = vals
-            elif toks[0] == "FEAT":
+                tables.add(LOSS, no, toks, 1, 2)
+            elif head == "FEAT":
                 if len(toks) < 4:
                     raise ParseError(no, "feat line needs: FEAT feature region values...")
-                k = _int(toks[1], no, "feature id")
-                r, vals = _region_table(no, toks[2:], region_rows, "feature", tables)
-                if (k, r) in current_sample["feat"]:
-                    raise ParseError(no, f"duplicate feature table ({k}, {r})")
-                current_sample["feat"][k, r] = vals
-                max_feat = max(max_feat, k)
-            elif toks[0] == "TRUTH":
-                if current_sample["truth"] is not None:
+                tables.add(FEATURE, no, toks, 1, 3)
+            elif head == "TRUTH":
+                if truth_seen:
                     raise ParseError(no, "duplicate TRUTH line")
-                current_sample["truth"] = (
-                    [_int(t, no, "true label") for t in toks[1:]],
-                    no,
-                )
+                truth_seen = True
+                tables.add(TRUTH, no, toks, 1, len(toks))
             else:
-                raise ParseError(no, f"unknown sample line {toks[0]!r}")
-
-    _check_finite(tables)
+                raise ParseError(no, f"unknown sample line {head!r}")
+    except ParseError as exc:
+        fault = exc
+    tables.convert(region_rows, fault)
+    nonfinite = min(filter(None, (tables.nonfinite(), _nonfinite_count(counts))), default=None)
+    if nonfinite is not None:
+        raise ParseError(nonfinite[0], f"{nonfinite[1]} values must be finite")
     n_regions = len(region_rows)
     if n_regions == 0:
-        raise ParseError(lines[-1][0], "model has no regions")
+        raise ParseError(no, "model has no regions")
     if sorted(region_rows) != list(range(n_regions)):
-        raise ParseError(lines[-1][0], "region ids must be dense 0-based indices")
+        raise ParseError(no, "region ids must be dense 0-based indices")
     regions = [region_rows[i] for i in range(n_regions)]
     variable_count = max(reg.variables[-1] for reg in regions) + 1
     try:
         graph = RegionGraph(regions, list(edges), variable_count)
         graph.check_structure()
     except ModelError as exc:
-        raise ParseError(lines[-1][0], str(exc)) from None
-
-    samples = []
-    seen_ids = set()
-    for row in sample_rows:
-        if row["id"] in seen_ids:
-            raise ParseError(row["line"], f"duplicate sample id {row['id']}")
-        seen_ids.add(row["id"])
-        feats: dict[int, dict[int, np.ndarray]] = {}
-        # global tables are shared by the samples, not copied (samples are
-        # read-only); a sample's own FEAT table overrides a global one
-        for (k, r), vals in [*global_feats.items(), *row["feat"].items()]:
-            feats.setdefault(r, {})[k] = vals
-        truth, no = None, row["line"]
-        if row["truth"] is not None:
-            labels, no = row["truth"]
-            if len(labels) != n_regions:
-                raise ParseError(no, f"TRUTH needs one label per region ({n_regions})")
-            truth = {r: labels[r] for r in range(n_regions)}
-        elif row["loss"]:
-            raise ParseError(row["line"], "sample has loss tables but no TRUTH line")
-        try:
-            samples.append(Sample(graph, row["id"], row["loss"], feats, truth))
-        except ModelError as exc:
-            raise ParseError(no, str(exc)) from None
-    samples.sort(key=lambda s: s.id)
-
+        raise ParseError(no, str(exc)) from None
+    samples, num_features = tables.samples_on(graph)
     counting = None
     if counts:
-        values = _count_values(counts, n_regions, lines[-1][0])
+        values = _count_values(counts, n_regions, no)
         counting = CountingNumbers.from_values(values, "model")
-    return ParsedModel(graph, samples, counting, max_feat + 1)
+    return ParsedModel(graph, samples, counting, num_features)
 
 
 def write_model(parsed: ParsedModel, stream) -> None:
@@ -315,7 +415,8 @@ def write_model(parsed: ParsedModel, stream) -> None:
     out.write("EDGES\n")
     for p, r in graph.edges:
         out.write(f"{p} {r}\n")
-    # tables identical across all samples are hoisted to the global section
+    # tables bitwise identical across all samples (-0.0 is not 0.0) are
+    # hoisted to the global section
     shared: dict[tuple[int, int], np.ndarray] = {}
     if parsed.samples:
         first = parsed.samples[0]
@@ -324,7 +425,7 @@ def write_model(parsed: ParsedModel, stream) -> None:
                 if all(
                     r in s.features
                     and k in s.features[r]
-                    and np.array_equal(s.features[r][k], t)
+                    and s.features[r][k].tobytes() == t.tobytes()
                     for s in parsed.samples
                 ):
                     shared[(k, r)] = t
@@ -353,7 +454,7 @@ def write_model(parsed: ParsedModel, stream) -> None:
 
 def parse_weights(stream) -> tuple[np.ndarray, dict[str, str]]:
     """Weights file: 'k value' lines (dense, sorted ids) plus metadata lines."""
-    lines = _lines(stream)
+    lines = list(_lines(stream))
     if not lines or lines[0][1] != WEIGHTS_MAGIC.split():
         no = lines[0][0] if lines else 1
         raise ParseError(no, f"expected header {WEIGHTS_MAGIC!r}")
@@ -388,7 +489,7 @@ def write_weights(w: np.ndarray, stream, metadata: dict[str, str] | None = None)
 
 def parse_labels(stream) -> dict[int, np.ndarray]:
     """Labels file: per line 'sample_id label...'"""
-    lines = _lines(stream)
+    lines = list(_lines(stream))
     if not lines or lines[0][1] != LABELS_MAGIC.split():
         no = lines[0][0] if lines else 1
         raise ParseError(no, f"expected header {LABELS_MAGIC!r}")

@@ -670,7 +670,7 @@ def sweep_until_consistent(
     cvals: np.ndarray,
     max_sweeps: int,
     tol: float,
-    omega: float = OMEGA,
+    omega: float | None = None,
 ) -> SweepResult:
     """Sweep each row of ``lam`` in place until its residual is at most
     ``tol`` or it has had ``max_sweeps`` sweeps; return the final belief rows,
@@ -686,7 +686,10 @@ def sweep_until_consistent(
     counting numbers (eps > 0) a sweep at omega = 1 is exact block descent,
     so no guarded sweep raises the objective; with mixed-sign counting
     numbers the guard runs the same test, without that guarantee.  At
-    ``omega`` = 1 no copy is taken and no test is made.
+    ``omega`` = 1 no copy is taken and no test is made.  By default
+    ``omega`` is ``OMEGA`` where that guarantee holds, eps > 0 and every
+    c_r > 0, and 1 elsewhere: on trees with Bethe numbers over-relaxed
+    sweeps took up to 63 sweeps to a residual of 1e-10, plain ones at most 4.
 
     Rows still active are swept together, gathered when some have stopped.
     Per-row arithmetic does not depend on the batch, so each row ends bitwise
@@ -699,6 +702,8 @@ def sweep_until_consistent(
         raise ValueError("max_sweeps must be at least 0")
     if np.isnan(tol):
         raise ValueError("tol must not be NaN")
+    if omega is None:
+        omega = OMEGA if eps > 0 and (np.asarray(cvals) > 0).all() else 1.0
     b, part, lse = _beliefs(layout, lam, theta, eps, cvals)
     residual = residual_rows(layout, b)
     sweeps = np.zeros(lam.shape[0], dtype=np.int64)

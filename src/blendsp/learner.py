@@ -372,10 +372,11 @@ def predict_all(
     """Loss-free inference on every sample at once, then per-variable decoding.
 
     The sweeps are over-relaxed at ``inference.OMEGA`` and guarded by the
-    block objective (``sweep_until_consistent``), which needs a fraction of
-    the plain sweeps on grids.  Each variable takes the argmax (ties to the
-    lowest label) of its marginal under the belief of its smallest containing
-    region.  The returned residual measures how consistent the final beliefs
+    block objective where that guard has a descent guarantee, eps > 0 and
+    positive counting numbers (``sweep_until_consistent``); on grids they
+    need a fraction of the plain sweeps.  Each variable takes the argmax
+    (ties to the lowest label) of its marginal under the belief of its
+    smallest containing region.  The returned residual measures how consistent the final beliefs
     are; a large value means the decode rests on disagreeing regions.
     """
     w = np.asarray(w, dtype=float)

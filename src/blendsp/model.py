@@ -5,11 +5,17 @@ sample, dense loss and feature tables indexed by region labels (``Sample``).
 A region's joint label is a single flat index, laid out row-major over the
 region's sorted variable list (first variable varies slowest).
 
-The tables have one flat form, ``ThetaStack``: the tables of a list of
-samples as (sample, slot) entries against the graph's ``GraphLayout``, from
-which theta rows, feature expectations and empirical features are computed.
-A single sample's is its stack of one (``Sample.compiled``).  All structures
-are immutable after construction and safe to share across threads.
+A sample's tables are columns, ``TableColumns``: one entry per table (kind,
+feature id, region, span of values) over one array of values, which the
+samples of a parsed model file share, and its true labels are one int per
+region.  Both are checked once, when they are built (``Sample`` for dict
+tables, ``fileio.parse_model`` for a file, through one validator,
+``true_label_fault``).  The columns have one flat form for computing,
+``ThetaStack``: the tables of a list of samples as (sample, slot) entries
+against the graph's ``GraphLayout``, from which theta rows, feature
+expectations and empirical features are computed.  A single sample's is its
+stack of one (``Sample.compiled``).  All structures are immutable after
+construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -66,13 +72,6 @@ class Region:
             s[j] = s[j + 1] * self.cardinalities[j + 1]
         return s
 
-    def unflatten(self, flat: int) -> tuple[int, ...]:
-        out = []
-        for c in reversed(self.cardinalities):
-            out.append(flat % c)
-            flat //= c
-        return tuple(reversed(out))
-
 
 class RegionGraph:
     """Regions plus parent->child containment edges.
@@ -125,7 +124,31 @@ class RegionGraph:
         return len(self.regions)
 
     def label_counts(self) -> np.ndarray:
-        return np.array([r.label_count for r in self.regions], dtype=np.int64)
+        """Each region's label count (read-only)."""
+        return self._label_counts
+
+    @functools.cached_property
+    def _label_counts(self) -> np.ndarray:
+        counts = np.array([r.label_count for r in self.regions], dtype=np.int64)
+        counts.flags.writeable = False
+        return counts
+
+    def label_digits(self, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The variable of every (region, variable) pair, regions in order,
+        and, per row of flat region labels ``labels`` (rows x regions), the
+        label each pair's region gives its variable."""
+        region, variable, stride, card = self._label_pairs
+        return variable, labels[:, region] // stride % card
+
+    @functools.cached_property
+    def _label_pairs(self) -> np.ndarray:
+        pairs = []
+        for reg in self.regions:
+            stride = reg.label_count
+            for v, c in zip(reg.variables, reg.cardinalities):
+                stride //= c  # row-major: the first variable varies slowest
+                pairs += (reg.id, v, stride, c)
+        return np.array(pairs, dtype=np.int64).reshape(-1, 4).T
 
     def check_structure(self) -> None:
         """Raise ModelError on containment or coverage violations."""
@@ -262,13 +285,129 @@ class CountingNumbers:
         return bool((total >= 1.0 - 1e-12).all())
 
 
+SHARED, FEATURE, LOSS = 0, 1, 2  # the kinds of table in ``TableColumns``
+
+
+class TableColumns:
+    """Loss and feature tables as columns, one entry per table in input
+    order: its kind, feature id (-1 for a loss table), region, and values
+    ``values[offsets[j]:offsets[j + 1]]``.  A ``SHARED`` table is a feature
+    table of every sample on the columns (a model file's FEATURES section);
+    a sample's own ``FEATURE`` table overrides a shared one of the same
+    feature and region.  The shared tables come first.  Read-only."""
+
+    def __init__(self, kind, feature, region, offsets, values):
+        self.kind, self.feature, self.region = kind, feature, region
+        self.offsets, self.values = offsets, values
+        for a in (kind, feature, region, offsets, values):
+            a.flags.writeable = False
+        self.shared = int(np.count_nonzero(kind == SHARED))
+
+
+def _spans(first: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """The indices first[j], ..., first[j] + width[j] - 1 of every span j,
+    concatenated."""
+    lead = np.cumsum(width) - width
+    return np.repeat(first - lead, width) + np.arange(int(width.sum()))
+
+
+def _label_range_fault(ids, labels, sizes):
+    """The first label of ``labels`` (rows x regions, one row per sample of
+    ``ids``) outside its region's label range, as (row, message), or None."""
+    outside = (labels < 0) | (labels >= sizes)  # -1 would read the region's last slot
+    if not outside.any():
+        return None
+    i, r = np.argwhere(outside)[0]
+    return i, f"sample {ids[i]}: true label {labels[i, r]} out of range for region {r}"
+
+
+def true_label_fault(graph, ids, labels, loss_row, loss_region, loss_first, values):
+    """The first fault of the true labels ``labels`` (rows x regions, one row
+    per sample of ``ids``), rows in order, as (row, message), or None.  A
+    row's faults, in order: a label outside its region's label range;
+    regions that disagree on a variable's label; a loss table (row, region,
+    first value in ``values``; in table order) that is not zero at the
+    true label."""
+    fault = _label_range_fault(ids, labels, graph.label_counts())
+    rows = len(labels) if fault is None else fault[0]  # rows in range before it
+    variables, digits = graph.label_digits(labels[:rows])
+    first = np.unique(variables, return_index=True)[1]
+    ref = np.zeros(graph.variable_count, dtype=np.int64)
+    ref[variables[first]] = first  # each variable's first pair
+    disagree = digits != digits[:, ref[variables]]
+    checked = loss_row < rows
+    at = loss_first[checked] + labels[loss_row[checked], loss_region[checked]]
+    nonzero = np.zeros(loss_row.size, dtype=bool)
+    nonzero[checked] = values[at] != 0.0
+    bad = disagree.any(axis=1)
+    bad[loss_row[nonzero]] = True
+    if not bad.any():
+        return fault
+    i = int(bad.argmax())
+    if disagree[i].any():
+        v = variables[disagree[i].argmax()]
+        return i, f"sample {ids[i]}: regions disagree on true label of variable {v}"
+    j = np.flatnonzero(nonzero & (loss_row == i))[0]
+    return i, f"sample {ids[i]}: loss of the true label must be zero (region {loss_region[j]})"
+
+
+def _dict_columns(graph, sample_id, loss, features, true_labels):
+    """The columns and true-label row of one sample's dict tables, checked."""
+    n = graph.region_count
+    if true_labels is not None and len(true_labels) != n:
+        raise ModelError(f"sample {sample_id}: true labels must cover all regions when given")
+    for r in [*loss, *features, *(true_labels or ())]:
+        if not 0 <= r < n:  # -1 would index the last region
+            raise ModelError(f"sample {sample_id}: region {r} is not in the region graph")
+    sizes = graph.label_counts()
+    truth = None
+    if true_labels is not None:
+        truth = np.array([true_labels[r] for r in range(n)], dtype=np.int64)
+        fault = _label_range_fault([sample_id], truth[None, :], sizes)
+        if fault is not None:
+            raise ModelError(fault[1])
+    tables = [(LOSS, -1, r, t) for r, t in loss.items()]
+    tables += [(FEATURE, k, r, t) for r, fk in features.items() for k, t in fk.items()]
+    kind, feature, region, arrays = zip(*tables) if tables else ((),) * 4
+    kind, feature, region = (np.array(c, dtype=np.int64) for c in (kind, feature, region))
+    arrays = [np.asarray(t, dtype=float) for t in arrays]
+    width = np.array([a.size if a.ndim == 1 else -1 for a in arrays], dtype=np.int64)
+
+    def name(j):
+        if kind[j] == LOSS:
+            return f"sample {sample_id}: loss table for region {region[j]}"
+        return f"sample {sample_id}: feature table ({feature[j]}, {region[j]})"
+
+    wrong = width != sizes[region]
+    if wrong.any():
+        raise ModelError(f"{name(wrong.argmax())} has wrong size")
+    values = np.concatenate(arrays) if arrays else np.zeros(0)
+    offsets = np.concatenate(([0], np.cumsum(width)))
+    finite = np.isfinite(values)
+    if not finite.all():
+        j = np.searchsorted(offsets, finite.argmin(), "right") - 1
+        raise ModelError(f"{name(j)} is not finite")
+    if truth is not None:
+        losses = np.flatnonzero(kind == LOSS)
+        fault = true_label_fault(graph, [sample_id], truth[None, :], np.zeros_like(losses),
+                                 region[losses], offsets[losses], values)
+        if fault is not None:
+            raise ModelError(fault[1])
+        truth.flags.writeable = False
+    return TableColumns(kind, feature, region, offsets, values), truth
+
+
 class Sample:
     """Per-sample loss tables, feature tables and true labels.
 
-    ``loss`` maps region id to a table over that region's labels (missing
-    regions mean zero loss).  ``features`` maps region id to {feature id:
-    table}.  ``true_labels`` maps region id to the flat index of the observed
-    label; it may be omitted for inference-only samples.
+    A sample holds its tables as columns (``TableColumns``), which the
+    samples of one model file share, with the file's FEATURES tables stored
+    once, and its true labels as one int per region.  ``loss`` maps region
+    id to a table over that region's labels (missing regions mean zero
+    loss), ``features`` maps region id to {feature id: table}, and
+    ``true_labels`` maps region id to the flat index of the observed label,
+    or is None for an inference-only sample: all three are read-only views
+    of the columns, built on first access.
     """
 
     def __init__(
@@ -279,78 +418,73 @@ class Sample:
         features: dict[int, dict[int, np.ndarray]] | None = None,
         true_labels: dict[int, int] | None = None,
     ):
-        self.graph = graph
-        self.id = sample_id
-        self.loss = {r: np.asarray(t, dtype=float) for r, t in (loss or {}).items()}
-        self.features = {
-            r: {k: np.asarray(t, dtype=float) for k, t in fk.items()}
-            for r, fk in (features or {}).items()
-        }
-        self.true_labels = dict(true_labels) if true_labels is not None else None
-        if self.true_labels is not None and len(self.true_labels) != graph.region_count:
-            raise ModelError(
-                f"sample {sample_id}: true labels must cover all regions when given"
-            )
-        sizes = graph.label_counts()
-        for r in [*self.loss, *self.features, *(self.true_labels or ())]:
-            if not 0 <= r < len(sizes):  # -1 would index the last region
-                raise ModelError(f"sample {sample_id}: region {r} is not in the region graph")
-        for r, y in (self.true_labels or {}).items():
-            if not 0 <= y < sizes[r]:  # -1 would read the region's last slot
-                raise ModelError(
-                    f"sample {sample_id}: true label {y} out of range for region {r}"
-                )
-        for r, t in self.loss.items():
-            if t.shape != (sizes[r],):
-                raise ModelError(f"sample {sample_id}: loss table for region {r} has wrong size")
-        for r, fk in self.features.items():
-            for k, t in fk.items():
-                if t.shape != (sizes[r],):
-                    raise ModelError(
-                        f"sample {sample_id}: feature table ({k}, {r}) has wrong size"
-                    )
-        tables = list(self.loss.values())
-        tables += [t for fk in self.features.values() for t in fk.values()]
-        if tables and not np.isfinite(np.concatenate(tables)).all():
-            for r, t in self.loss.items():
-                if not np.isfinite(t).all():
-                    raise ModelError(f"sample {sample_id}: loss table for region {r} is not finite")
-            for r, fk in self.features.items():
-                for k, t in fk.items():
-                    if not np.isfinite(t).all():
-                        raise ModelError(
-                            f"sample {sample_id}: feature table ({k}, {r}) is not finite"
-                        )
-        if self.true_labels is not None:
-            self.true_assignment()  # regions that share a variable agree on it
-            for r, t in self.loss.items():
-                if t[self.true_labels[r]] != 0.0:
-                    raise ModelError(
-                        f"sample {sample_id}: loss of the true label must be zero (region {r})"
-                    )
+        columns, truth = _dict_columns(graph, sample_id, loss or {}, features or {}, true_labels)
+        self._attach(graph, sample_id, columns, slice(0, columns.kind.size), truth)
+
+    @classmethod
+    def of_columns(cls, graph: RegionGraph, sample_id: int, columns: TableColumns,
+                   own: slice, truth: np.ndarray | None) -> "Sample":
+        """A sample whose own tables are ``columns[own]`` and whose true
+        labels (one per region, or None) are ``truth``; the caller has
+        checked both as ``Sample()`` would."""
+        sample = cls.__new__(cls)
+        sample._attach(graph, sample_id, columns, own, truth)
+        return sample
+
+    def _attach(self, graph, sample_id, columns, own, truth):
+        self.graph, self.id = graph, sample_id
+        self._columns, self._own, self._truth = columns, own, truth
         self._stack = None
+
+    def _tables(self) -> np.ndarray:
+        """The indices of the sample's tables in its columns: the shared
+        ones, then its own."""
+        return np.r_[0 : self._columns.shared, self._own]
+
+    def _table_columns(self):
+        """Kind, feature id and region of the sample's tables, and their
+        values, concatenated."""
+        c, tables = self._columns, self._tables()
+        first = c.offsets[tables]
+        values = c.values[_spans(first, c.offsets[tables + 1] - first)]
+        return c.kind[tables], c.feature[tables], c.region[tables], values
+
+    def _views(self, kinds):
+        """(feature, region, values) of the sample's tables of ``kinds``."""
+        c, tables = self._columns, self._tables()
+        tables = tables[np.isin(c.kind[tables], kinds)]
+        spans = zip(c.offsets[tables].tolist(), c.offsets[tables + 1].tolist())
+        for k, r, (lo, hi) in zip(c.feature[tables].tolist(), c.region[tables].tolist(), spans):
+            yield k, r, c.values[lo:hi]
+
+    @functools.cached_property
+    def loss(self) -> dict[int, np.ndarray]:
+        return {r: t for _, r, t in self._views([LOSS])}
+
+    @functools.cached_property
+    def features(self) -> dict[int, dict[int, np.ndarray]]:
+        out: dict[int, dict[int, np.ndarray]] = {}
+        for k, r, t in self._views([SHARED, FEATURE]):
+            out.setdefault(r, {})[k] = t
+        return out
+
+    @functools.cached_property
+    def true_labels(self) -> dict[int, int] | None:
+        return None if self._truth is None else dict(enumerate(self._truth.tolist()))
 
     @property
     def max_feature_id(self) -> int:
-        m = -1
-        for fk in self.features.values():
-            if fk:
-                m = max(m, max(fk))
-        return m
+        c, tables = self._columns, self._tables()
+        return int(c.feature[tables][c.kind[tables] != LOSS].max(initial=-1))
 
     def true_assignment(self) -> np.ndarray:
-        """Per-variable true labels reconstructed from the per-region indices."""
-        if self.true_labels is None:
+        """Per-variable true labels decoded from the per-region indices
+        (-1 for a variable that no region covers)."""
+        if self._truth is None:
             raise ModelError(f"sample {self.id}: no true labels")
         assign = np.full(self.graph.variable_count, -1, dtype=np.int64)
-        for r, flat in self.true_labels.items():
-            reg = self.graph.regions[r]
-            for v, y in zip(reg.variables, reg.unflatten(int(flat))):
-                if assign[v] >= 0 and assign[v] != y:
-                    raise ModelError(
-                        f"sample {self.id}: regions disagree on true label of variable {v}"
-                    )
-                assign[v] = y
+        variables, digits = self.graph.label_digits(self._truth[None, :])
+        assign[variables] = digits[0]
         return assign
 
     def compiled(self) -> "ThetaStack":
@@ -358,18 +492,6 @@ class Sample:
         if self._stack is None:
             self._stack = ThetaStack([self], self.graph.layout())
         return self._stack
-
-
-def _runs(layout: GraphLayout, tables) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The bins, values and widths of ``tables``, (sample, region, values)
-    triples: one run of sample * total + slot bins per table, in table order."""
-    owners, regions, values = zip(*tables) if tables else ((), (), ())
-    regions = np.array(regions, dtype=np.int64)
-    widths = layout.sizes[regions]
-    first = np.cumsum(widths) - widths  # each table's first entry
-    starts = np.array(owners, dtype=np.int64) * layout.total + layout.offsets[regions]
-    bins = np.repeat(starts - first, widths) + np.arange(int(widths.sum()))
-    return bins, np.concatenate(values) if values else np.zeros(0), widths
 
 
 class ThetaStack:
@@ -386,27 +508,40 @@ class ThetaStack:
     def __init__(self, samples, layout: GraphLayout):
         self.samples, self.layout = samples, layout
         self.shape = (len(samples), layout.total)
-        loss = [(i, r, t) for i, s in enumerate(samples) for r, t in s.loss.items()]
-        slots, values, _ = _runs(layout, loss)
+        # every table of the samples, shared ones first per sample, and their values
+        parts = [s._table_columns() for s in samples]
+        owner = np.repeat(np.arange(len(samples)), [p[0].size for p in parts])
+        empty = (np.zeros(0, np.int64),) * 3 + (np.zeros(0),)
+        kind, feature, region, values = (np.concatenate(c) for c in zip(empty, *parts))
+        width = layout.sizes[region]
+        first = np.cumsum(width) - width
+        slot = owner * layout.total + layout.offsets[region]
+        loss = kind == LOSS
         self.loss = np.zeros(self.shape)
-        self.loss.reshape(-1)[slots] = values
-        feats = [(i, r, k, t) for i, s in enumerate(samples)
-                 for r, fk in sorted(s.features.items()) for k, t in sorted(fk.items())]
-        self.bins, self.vals, widths = _runs(layout, [(i, r, t) for i, r, _, t in feats])
-        self.cols = np.repeat(np.array([k for _, _, k, _ in feats], dtype=np.int64), widths)
+        self.loss.reshape(-1)[_spans(slot[loss], width[loss])] = values.take(
+            _spans(first[loss], width[loss]))
+        # feature tables in (sample, region, feature) order; of a shared
+        # table and an own one of the same key the own one, sorted last, stays
+        feats = np.flatnonzero(~loss)
+        feats = feats[np.lexsort((kind[feats], feature[feats], slot[feats]))]
+        last = np.ones(feats.size, dtype=bool)
+        key = slot[feats], feature[feats]
+        last[:-1] = (key[0][1:] != key[0][:-1]) | (key[1][1:] != key[1][:-1])
+        feats = feats[last]
+        self.bins = _spans(slot[feats], width[feats])
+        self.vals = values.take(_spans(first[feats], width[feats]))
+        self.cols = np.repeat(feature[feats], width[feats])
         # sample i's entries are [bounds[i], bounds[i + 1])
         self.bounds = np.searchsorted(self.bins // layout.total, np.arange(len(samples) + 1))
 
     @functools.cached_property
     def true_slots(self) -> np.ndarray:
         """(samples, regions): each region's slot at the sample's true label."""
-        region_count = self.layout.sizes.size
-        labels = np.zeros((len(self.samples), region_count), dtype=np.int64)
-        for i, s in enumerate(self.samples):
-            if s.true_labels is None:
+        for s in self.samples:
+            if s._truth is None:
                 raise ModelError(f"sample {s.id}: no true labels")
-            labels[i] = [s.true_labels[r] for r in range(region_count)]
-        return labels + self.layout.starts
+        labels = np.array([s._truth for s in self.samples], dtype=np.int64)
+        return labels.reshape(len(self.samples), self.layout.sizes.size) + self.layout.starts
 
     def rows(self, w: np.ndarray, include_loss: bool = True) -> np.ndarray:
         """The theta rows at the weights ``w``: the loss (optional) plus the

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blendsp import Sample
 from blendsp.datagen import DenoiseSpec, make_denoise_dataset
 from blendsp.fileio import (
     ModelError,
@@ -20,6 +21,10 @@ from blendsp.fileio import (
     write_model,
     write_weights,
 )
+from blendsp.model import ThetaStack, feature_count
+
+from test_deep_graphs import three_level_model
+from util import loopy_graph, random_model, random_sample, tree_graph
 
 MINIMAL = """\
 BLENDSP 1
@@ -168,6 +173,51 @@ def test_duplicate_feature_table_names_its_line(old, new, line, table):
     message = re.escape(f"line {line}: duplicate feature table {table}")
     with pytest.raises(ParseError, match=f"^{message}$"):
         parse_model(MINIMAL.replace(old, new))
+
+
+@pytest.mark.parametrize(
+    "old, new, line, message",
+    [
+        ("LOSS 0 0 1", "LOSS 0 0 1\nLOSS 0 0 2", 12, "duplicate loss table for region 0"),
+        ("TRUTH 0", "TRUTH 0\nTRUTH 0", 13, "duplicate TRUTH line"),
+        ("TRUTH 0", "TRUTH 0 0", 12, "TRUTH needs one label per region (1)"),
+        ("TRUTH 0", "TRUTH", 12, "TRUTH needs one label per region (1)"),
+        ("SAMPLE 0\n", "", 10, "sample data before any SAMPLE line"),
+        ("TRUTH 0", "TRUTH 0\nSAMPLE 0\nTRUTH 0", 13, "duplicate sample id 0"),
+        ("SAMPLE 0", "SAMPLE 0 1", 10, "sample line needs: SAMPLE id"),
+        ("SAMPLE 0", "SAMPLE", 10, "sample line needs: SAMPLE id"),
+        ("LOSS 0 0 1", "LOSS 0", 11, "loss line needs: LOSS region values..."),
+        ("LOSS 0 0 1", "FEAT 1 0\nLOSS 0 0 1", 11, "feat line needs: FEAT feature region values..."),
+        ("0 0 0.5 -0.5", "0 0", 6, "feature line needs: feature region values..."),
+        ("TRUTH 0", "TRUTHS 0", 12, "unknown sample line 'TRUTHS'"),
+        ("TRUTH 0\n", "", 10, "sample has loss tables but no TRUTH line"),
+        ("SAMPLE 0", "SAMPLE s0", 10, "expected integer sample id, got 's0'"),
+        ("LOSS 0 0 1", "FEAT x 0 1 2\nLOSS 0 0 1", 11, "expected integer feature id, got 'x'"),
+        ("LOSS 0 0 1", "FEAT 1 0.0 1 2\nLOSS 0 0 1", 11, "expected integer region id, got '0.0'"),
+        ("LOSS 0 0 1", "LOSS r 0 1", 11, "expected integer region id, got 'r'"),
+        ("0 0 0.5 -0.5", "1e0 0 0.5 -0.5", 6, "expected integer feature id, got '1e0'"),
+        ("0 0 0.5 -0.5", "0 zero 0.5 -0.5", 6, "expected integer region id, got 'zero'"),
+        ("TRUTH 0", "TRUTH 0.", 12, "expected integer true label, got '0.'"),
+        ("LOSS 0 0 1", "LOSS 0 0 one", 11, "expected real loss value, got 'one'"),
+        ("LOSS 0 0 1", "FEAT 1 0 1 2,\nLOSS 0 0 1", 11, "expected real feature value, got '2,'"),
+        ("0 0 0.5 -0.5", "0 0 0.5 --0.5", 6, "expected real feature value, got '--0.5'"),
+        # two faults: the first line's is reported, whatever its kind
+        ("LOSS 0 0 1\nTRUTH 0", "LOSS 0 0 x\nTRUTHS 0", 11, "expected real loss value, got 'x'"),
+        ("LOSS 0 0 1\nTRUTH 0", "LOSS 0 0 1 1\nTRUTH z", 11,
+         "loss table for region 0: expected 2 values, got 3"),
+        ("LOSS 0 0 1\nTRUTH 0", "LOSS 0 0 1\nLOSS 0 0 z", 12, "expected real loss value, got 'z'"),
+        ("0 0 0.5 -0.5", "0 0 0.5 x\n0 0", 6, "expected real feature value, got 'x'"),
+        ("0 0 0.5 -0.5", "0 0 0.5 -0.5\n0 0 0.5 -0.5", 7, "duplicate feature table (0, 0)"),
+        ("0 1.0", "0 1.0 2", 8, "count line needs: region value"),
+        ("0 0 0.5 -0.5\nCOUNTS\n0 1.0", "0 0 0.5 x\nCOUNTS\n0", 6,
+         "expected real feature value, got 'x'"),
+    ],
+)
+def test_sample_section_errors_name_their_line(old, new, line, message):
+    text = MINIMAL.replace(old, new)
+    assert text != MINIMAL
+    with pytest.raises(ParseError, match=f"^{re.escape(f'line {line}: {message}')}$"):
+        parse_model(text)
 
 
 def test_sample_feature_table_overrides_the_global_one():
@@ -329,3 +379,112 @@ def test_parser_never_panics_on_bytes(data):
         parse_model(data.decode("utf-8", errors="replace"))
     except (ParseError, ModelError):
         pass
+
+
+# values whose text form must survive a round trip bit for bit
+SPECIAL = [-0.0, 5e-324, 2.2250738585072014e-308 / 3, 0.1 + 0.2, 1 / 3, 123456789.12345679,
+           -6.02214076e+23]
+
+
+def roundtrip_corpus(rng, kind):
+    """A graph and 1-3 dict-built samples on it, some table entries replaced
+    by ``SPECIAL`` values; some samples are inference-only."""
+    if kind.startswith("denoise"):
+        ds = make_denoise_dataset(DenoiseSpec(
+            width=int(rng.integers(1, 4)), height=int(rng.integers(2, 4)),
+            num_train=int(rng.integers(1, 4)), num_test=0, flip_prob=0.3,
+            seed=int(rng.integers(0, 2**31)), tying=kind.split("-")[1],
+        ))
+        graph, drawn = ds.graph, ds.train
+    else:
+        if kind == "random":
+            graph, _ = random_model(rng)
+        elif kind == "tree":
+            graph = tree_graph(rng, int(rng.integers(2, 6)))
+        elif kind == "loopy":
+            n = int(rng.integers(2, 6))
+            graph = loopy_graph(rng, n, int(rng.integers(1, n * (n - 1) // 2 + 1)))
+        else:
+            graph, _ = three_level_model(rng, [int(c) for c in rng.integers(2, 4, 3)])
+        drawn = [random_sample(rng, graph, 4, i) for i in range(int(rng.integers(1, 4)))]
+    samples = []
+    for s in drawn:
+        loss = {r: t.copy() for r, t in s.loss.items()}
+        feats = {r: {k: t.copy() for k, t in fk.items()} for r, fk in s.features.items()}
+        truth = s.true_labels
+        tables = [(truth[r], t) for r, t in loss.items()]
+        tables += [(None, t) for fk in feats.values() for t in fk.values()]
+        for true_label, table in tables:
+            if rng.random() < 0.3:
+                at = int(rng.integers(table.size))
+                table[at] = -0.0 if at == true_label else SPECIAL[rng.integers(len(SPECIAL))]
+        if rng.random() < 0.2:
+            loss, truth = {}, None
+        samples.append(Sample(graph, s.id, loss, feats, truth))
+    return graph, samples
+
+
+def reference_stack(samples, layout):
+    """The loss matrix and the (bin, feature, value) entries of ``samples``,
+    table by table from their dicts in (sample, region, feature) order."""
+    loss = np.zeros((len(samples), layout.total))
+    bins, cols, vals = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)]
+    for i, s in enumerate(samples):
+        for r, t in s.loss.items():
+            loss[i, layout.region_slices[r]] = t
+        for r in sorted(s.features):
+            slots = np.arange(layout.offsets[r], layout.offsets[r + 1])
+            for k in sorted(s.features[r]):
+                bins.append(i * layout.total + slots)
+                cols.append(np.full(slots.size, k, dtype=np.int64))
+                vals.append(np.asarray(s.features[r][k], dtype=float))
+    return loss, np.concatenate(bins), np.concatenate(cols), np.concatenate(vals)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def same_tables(a: dict, b: dict) -> bool:
+    return list(a) == list(b) and all(same_bits(a[r], b[r]) for r in a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1),
+       st.sampled_from(["random", "tree", "loopy", "three-level", "denoise-full",
+                        "denoise-shared"]))
+def test_parsed_stacks_are_bitwise_the_dict_built_ones(seed, kind):
+    rng = np.random.default_rng(seed)
+    graph, samples = roundtrip_corpus(rng, kind)
+    k = max(4, feature_count(samples))
+    text = write_to_text(ParsedModel(graph, samples, None, k))
+    parsed = parse_model(text)
+    assert write_to_text(parsed) == text
+    assert [s.id for s in parsed.samples] == [s.id for s in samples]
+    for mine, theirs in zip(parsed.samples, samples):
+        assert same_tables(mine.loss, theirs.loss)
+        assert sorted(mine.features) == sorted(theirs.features)
+        assert all(same_tables(dict(sorted(mine.features[r].items())),
+                               dict(sorted(theirs.features[r].items())))
+                   for r in mine.features)
+        assert mine.true_labels == theirs.true_labels
+    loss, bins, cols, vals = reference_stack(samples, graph.layout())
+    stacks = [ThetaStack(samples, graph.layout()), ThetaStack(parsed.samples, parsed.graph.layout())]
+    w = rng.normal(size=k)
+    bmat = rng.uniform(size=loss.shape)
+    for stack in stacks:
+        assert same_bits(stack.loss, loss)
+        assert same_bits(stack.bins, bins) and same_bits(stack.cols, cols)
+        assert same_bits(stack.vals, vals)
+    for a, b in [stacks]:
+        assert same_bits(a.bounds, b.bounds)
+        for include_loss in (True, False):
+            assert same_bits(a.rows(w, include_loss), b.rows(w, include_loss))
+        assert same_bits(a.expectations(bmat, k), b.expectations(bmat, k))
+        if all(s.true_labels is not None for s in samples):
+            truth = [[s.true_labels[r] for r in range(graph.region_count)] for s in samples]
+            truth = np.array(truth, dtype=np.int64).reshape(len(samples), -1)
+            assert same_bits(a.true_slots, truth + graph.layout().starts)
+            assert same_bits(a.true_slots, b.true_slots)
+            assert same_bits(a.empirical(k), b.empirical(k))

@@ -127,3 +127,25 @@ def test_mixed_sign_counting_numbers_run_the_guard_and_finish():
             assert ((res.sweeps == 100) | (res.residual <= 1e-8)).all()
             assert (res.fallbacks <= res.sweeps).all()
             assert np.isfinite(lam).all() and np.isfinite(res.beliefs).all()
+
+
+def test_default_omega_is_plain_without_the_descent_guarantee():
+    # on trees with Bethe numbers over-relaxed sweeps took up to 63 sweeps to
+    # a residual of 1e-10 where plain ones took at most 4
+    for seed in range(20):
+        rng = np.random.default_rng(200 + seed)
+        graph, samples = corpus(rng, "tree")
+        layout = graph.layout()
+        theta = ThetaStack(samples, layout).rows(rng.uniform(-3, 3, 4))
+        for scheme, eps, omega in (("bethe", 1.0, 1.0), ("ones", 0.0, 1.0), ("ones", 1.0, OMEGA)):
+            cvals = CountingNumbers.from_scheme(graph, scheme).values
+            runs = []
+            for args in ((), (omega,)):
+                lam = np.zeros((len(samples), layout.message_total))
+                runs.append(sweep_until_consistent(layout, lam, theta, eps, cvals, 3000, 1e-10,
+                                                   *args))
+            default, explicit = runs
+            assert np.array_equal(default.sweeps, explicit.sweeps)
+            assert np.array_equal(default.beliefs, explicit.beliefs)
+            if omega == 1.0:
+                assert (default.fallbacks == 0).all()
