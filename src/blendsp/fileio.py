@@ -187,7 +187,9 @@ class _TableLines:
         key = np.stack([group, self.feature, self.region])
         key = key[:, np.lexsort(key[::-1])]
         repeat = (key[:, 1:] == key[:, :-1]).all(axis=0)
-        if fault is not None or (expected != self.n_real[self.table]).any() or repeat.any():
+        negative = (self.feature < 0) & (kind != LOSS)  # -1 would read the last weight
+        if (fault is not None or (expected != self.n_real[self.table]).any() or repeat.any()
+                or negative.any()):
             self._raise_first_fault(region_rows, fault)
 
     def _raise_first_fault(self, region_rows: dict, fault: ParseError | None):
@@ -208,7 +210,7 @@ class _TableLines:
                 continue
             what = "loss" if kind == LOSS else "feature"
             k = -1 if kind == LOSS else _int(toks[0], no, "feature id")
-            if not _INT64.min <= k <= _INT64.max:
+            if not (-1 if kind == LOSS else 0) <= k <= _INT64.max:
                 raise ParseError(no, f"feature id {k} out of range")
             r = _int(toks[-1], no, "region id")
             for tok in values:

@@ -235,7 +235,9 @@ class SoftMax:
         zero = t[segment] == 0
         self.zero = zero if zero.any() else None
         self.min_col = use_min[segment]
-        self.t_col = np.where(zero, 1.0, t[segment])
+        t_col = np.where(zero, 1.0, t[segment])
+        # x / 1.0 is x bit for bit, so unit temperatures skip the division
+        self.t_col = None if (t_col == 1.0).all() else t_col
 
     def __call__(self, v: np.ndarray) -> GibbsPass:
         mx = m = self.segments.max(v)
@@ -245,7 +247,8 @@ class SoftMax:
         if self.zero is not None:
             tie = np.where(self.min_col, v <= e + ARGMAX_TOL, v >= e - ARGMAX_TOL)
         np.subtract(v, e, out=e)
-        e /= self.t_col
+        if self.t_col is not None:
+            e /= self.t_col
         if self.zero is not None:
             e[..., self.zero] = 0.0
         np.exp(e, out=e)

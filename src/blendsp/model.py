@@ -370,6 +370,9 @@ def _dict_columns(graph, sample_id, loss, features, true_labels):
     tables += [(FEATURE, k, r, t) for r, fk in features.items() for k, t in fk.items()]
     kind, feature, region, arrays = zip(*tables) if tables else ((),) * 4
     kind, feature, region = (np.array(c, dtype=np.int64) for c in (kind, feature, region))
+    negative = feature[(kind == FEATURE) & (feature < 0)]  # -1 would read the last weight
+    if negative.size:
+        raise ModelError(f"sample {sample_id}: feature id {negative[0]} out of range")
     arrays = [np.asarray(t, dtype=float) for t in arrays]
     width = np.array([a.size if a.ndim == 1 else -1 for a in arrays], dtype=np.int64)
 
@@ -561,9 +564,14 @@ class ThetaStack:
         (row,) = self.rows(w, include_loss)
         return row
 
+    @functools.cached_property
+    def _true_flat(self) -> np.ndarray:
+        """``true_slots`` as indices into the flattened rows."""
+        return (self.true_slots + self.layout.total * np.arange(self.shape[0])[:, None]).ravel()
+
     def true_sums(self, th: np.ndarray) -> np.ndarray:
         """Per row, the sum of ``th`` at the sample's true labels."""
-        return np.take_along_axis(th, self.true_slots, axis=1).sum(axis=1)
+        return th.take(self._true_flat).reshape(self.true_slots.shape).sum(axis=1)
 
     def losses(self, th: np.ndarray, lse: np.ndarray) -> list[float]:
         """Per sample, the soft-max loss: region log-partitions ``lse`` of the
@@ -586,7 +594,7 @@ class ThetaStack:
         """Feature values at the true labels, summed over samples: the
         expectations at one-hot belief rows."""
         onehot = np.zeros(self.shape)
-        np.put_along_axis(onehot, self.true_slots, 1.0, axis=1)
+        onehot.put(self._true_flat, 1.0)
         return self.expectations(onehot, num_features)
 
 

@@ -430,3 +430,30 @@ def test_segmented_lse_and_gibbs_match_reference_bitwise():
     ]
     for v, coeff, eps in cases:
         check_gibbs_pass(layout, v, eps, coeff)
+
+
+def test_unit_temperatures_skip_the_division_bitwise():
+    # x / 1.0 is x bit for bit: a soft-max whose every column has t = 1
+    # skips the division, and its pass equals the divided one
+    rng = np.random.default_rng(42)
+    graph = loopy_graph(rng, 6, 9)
+    layout = graph.layout()
+    segments, r = sweep_plan(layout).segments, graph.region_count
+    mixed = np.where(np.arange(r) % 2 == 0, 1.0, rng.uniform(0.1, 2.0, r))
+    one_zero = np.ones(r)
+    one_zero[r // 2] = 0.0  # a zero-temperature segment divides by 1 as well
+    wide = rng.normal(size=(3, layout.total)) * 300.0
+    vec = rng.normal(size=(3, layout.total)) * 4.0
+    for coeff, eps, skips in (
+        (np.ones(r), 1.0, True), (np.full(r, 2.0), 0.5, True), (mixed, 1.0, False),
+        (one_zero, 1.0, True), (mixed * one_zero, 1.0, False),
+    ):
+        plain = SoftMax(segments, layout.segment, eps, coeff)
+        assert (plain.t_col is None) == skips
+        divided = SoftMax(segments, layout.segment, eps, coeff)
+        t = divided.t[layout.segment]
+        divided.t_col = np.where(t == 0, 1.0, t)
+        for v in (vec, wide, vec[0]):
+            a, b = plain(v), divided(v)
+            for x, y in zip(a, b):
+                assert x.tobytes() == y.tobytes()

@@ -220,6 +220,36 @@ def test_sample_section_errors_name_their_line(old, new, line, message):
         parse_model(text)
 
 
+@pytest.mark.parametrize(
+    "old, new, line",
+    [
+        ("0 0 0.5 -0.5", "-1 0 0.5 -0.5", 6),  # FEATURES
+        ("LOSS 0 0 1", "FEAT -1 0 3 -3\nLOSS 0 0 1", 11),
+        # the negative id is named before a later line's fault
+        ("LOSS 0 0 1\nTRUTH 0", "FEAT -3 0 3 -3\nLOSS 0 0 1\nTRUTH 5", 11),
+    ],
+)
+def test_negative_feature_id_names_its_line(old, new, line):
+    # -1 would read the last weight: rows([2.0]) gave [7, -7] for the FEAT line
+    feature = new.split()[1] if new.startswith("FEAT") else new.split()[0]
+    message = re.escape(f"line {line}: feature id {feature} out of range")
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        parse_model(MINIMAL.replace(old, new))
+
+
+def test_dict_built_sample_rejects_negative_feature_ids():
+    graph = parse_model(MINIMAL).graph
+    table = np.array([3.0, -3.0])
+    with pytest.raises(ModelError, match=r"^sample 4: feature id -1 out of range$"):
+        Sample(graph, 4, features={0: {0: table, -1: table}}, true_labels={0: 0})
+    with pytest.raises(ModelError, match=r"^sample 4: feature id -3 out of range$"):
+        Sample(graph, 4, loss={0: np.array([0.0, 1.0])}, features={0: {-3: table}},
+               true_labels={0: 0})
+    # the loss tables carry no feature id
+    Sample(graph, 4, loss={0: np.array([0.0, 1.0])}, features={0: {0: table}},
+           true_labels={0: 0})
+
+
 def test_sample_feature_table_overrides_the_global_one():
     parsed = parse_model(MINIMAL.replace("LOSS 0 0 1", "FEAT 0 0 1 2\nLOSS 0 0 1"))
     np.testing.assert_array_equal(parsed.samples[0].features[0][0], [1.0, 2.0])

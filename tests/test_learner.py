@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blendsp import (
     CountingNumbers,
@@ -448,7 +450,8 @@ def test_train_scatters_messages_once_per_iteration(monkeypatch):
 
 
 def reference_line_search(graph, samples, states, w, g, eps, C, cfg):
-    """The line search rebuilding every theta per sample on each trial."""
+    """The top-down scan from ``cfg.eta0``, rebuilding every theta per sample
+    on each trial."""
     layout = graph.layout()
     compiled = [s.compiled() for s in samples]
     lam = np.stack([st.vec for st in states])
@@ -528,3 +531,96 @@ def test_library_report_and_gradient_reproduce_train_bitwise():
             g = w_gradient(graph, samples, state.states, state.w, 1.0, counting, 0.5)
             assert np.linalg.norm(g) == records[-1].grad_norm
 
+
+
+def line_search(graph, samples, states, w, g, eps, C, cfg, prev):
+    """``learner._line_search`` set up as ``w_step`` sets it up, with the
+    previous step's backtrack count ``prev``."""
+    layout = graph.layout()
+    stack = ThetaStack(samples, layout)
+    lam_part = message_potentials(layout, np.stack([st.vec for st in states]))
+    thetas = stack.rows(w)
+    softmax = inference.sweep_plan(layout).at(eps, ones(graph).values).regions
+    lse = softmax(thetas + lam_part).lse
+    return learner._line_search(stack, lam_part, softmax, w, thetas, lse, g, C, cfg, prev)[0]
+
+
+def check_bracket_is_the_scan(graph, samples, states, w, g, eps, C, cfg):
+    """From every previous backtrack count, the search takes the scan's step
+    bit for bit and at most one trial more than the scan; returns the
+    indices whose step differs."""
+    w_ref, eta_ref, f_ref = reference_line_search(graph, samples, states, w, g, eps, C, cfg)
+    scan = line_search(graph, samples, states, w, g, eps, C, cfg, None)
+    assert scan.trials == (cfg.max_backtracks if scan.stalled else scan.backtracks) + 1
+    differ = []
+    for prev in range(cfg.max_backtracks + 1):
+        step = line_search(graph, samples, states, w, g, eps, C, cfg, prev)
+        assert step.trials <= scan.trials + 1
+        same = np.array_equal(step.w, w_ref) and step.eta == eta_ref and step.objective == f_ref
+        if not same or step.backtracks != scan.backtracks:
+            differ.append(prev)
+    return differ
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1.0, 0.3, 0.0]),
+       st.sampled_from([0.5, 0.3]), st.sampled_from([1.0, 30.0, 1e4]))
+def test_bracketed_search_takes_the_scans_step_bitwise(seed, eps, backtrack, eta0):
+    rng = np.random.default_rng(seed)
+    for graph, samples in small_corpora(rng):
+        states = [MessageState(graph) for _ in samples]
+        w = rng.normal(size=4)
+        for sample, state in zip(samples, states):
+            for _ in range(int(rng.integers(0, 3))):
+                inference_sweep(graph, sample, state, w, eps, ones(graph))
+        g = w_gradient(graph, samples, states, w, eps, ones(graph), 0.5, 4)
+        cfg = TrainerConfig(eps=eps, C=0.5, eta0=eta0, backtrack=backtrack, max_backtracks=12)
+        assert check_bracket_is_the_scan(graph, samples, states, w, g, eps, 0.5, cfg) == []
+
+
+def test_bracket_falls_back_to_the_scan_where_rounding_decides(monkeypatch):
+    # 20 copies of 3 samples trained to a gradient norm of about 2e-6: the
+    # primal is about 507 and the Armijo margins are rounding noise, so a
+    # bracket that trusted every test would take other steps than the scan
+    rng = np.random.default_rng(2)
+    graph = tree_graph(rng, 4)
+    drawn = [random_sample(rng, graph, 3, i) for i in range(3)]
+    samples = [Sample(graph, i, s.loss, s.features, s.true_labels)
+               for i, s in enumerate(drawn * 20)]
+    state = train(graph, samples, TrainerConfig(C=0.5, max_outer_iters=200))
+    g = w_gradient(graph, samples, state.states, state.w, 1.0, ones(graph), 0.5)
+    assert 1e-7 < np.linalg.norm(g) < 1e-5
+    cfg = TrainerConfig(C=0.5, max_backtracks=20)
+    args = graph, samples, state.states, state.w, g, 1.0, 0.5, cfg
+    assert check_bracket_is_the_scan(*args) == []
+    monkeypatch.setattr(learner, "ARMIJO_ULPS", 0)  # every test taken as clear
+    assert check_bracket_is_the_scan(*args) != []
+
+
+def denoise_run():
+    """``train`` on a 5x5 denoising corpus from eta0 = 16, where most steps
+    are 2^-1: the records and the log text."""
+    ds = make_denoise_dataset(
+        DenoiseSpec(width=5, height=5, num_train=4, num_test=0, flip_prob=0.2, seed=11, tying="full")
+    )
+    cfg = TrainerConfig(C=0.3, residual_tol=1e-8, eta0=16.0)
+    records = []
+    state = train(ds.graph, ds.train, cfg, num_features=ds.num_features, log_fn=records.append)
+    assert state.converged
+    return records, "".join(r.format_line() + "\n" for r in records)
+
+
+def test_train_without_the_previous_step_logs_the_same_bytes(monkeypatch):
+    records, log = denoise_run()
+    search = learner._line_search
+
+    def scan(*args):
+        return search(*args[:-1], None)
+
+    monkeypatch.setattr(learner, "_line_search", scan)
+    scanned, scanned_log = denoise_run()
+    assert scanned_log == log
+    # the scan's trials follow from the logged steps: m + 1 at eta = 16 * 0.5^m
+    assert [r.trials for r in scanned] == [round(np.log2(16 / r.eta)) + 1 for r in scanned]
+    assert (len(records), sum(r.trials for r in records)) == (99, 312)
+    assert sum(r.trials for r in scanned) == 595
