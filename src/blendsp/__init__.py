@@ -3,8 +3,10 @@ with gradient steps on a decomposed convex upper bound of the
 temperature-extended log-loss."""
 
 from .inference import (
+    Guarantees,
     MessageState,
     compute_beliefs,
+    guarantees,
     inference_sweep,
     lambda_update,
     marginal_residual,
@@ -26,10 +28,8 @@ from .model import (
     Region,
     RegionGraph,
     Sample,
-    ValidationReport,
     feature_count,
     theta_table,
-    validate_model,
 )
 from .numerics import entropy, eps_log_sum_exp, gibbs_normalize
 from .objective import (

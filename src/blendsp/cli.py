@@ -29,7 +29,7 @@ from .fileio import (
     write_model,
     write_weights,
 )
-from .inference import sweep_until_consistent
+from .inference import guarantees, sweep_until_consistent
 from .learner import TrainerConfig, predict_all, train
 from .model import CountingNumbers, ThetaStack
 from .objective import BatchObjective
@@ -227,8 +227,7 @@ def _cmd_train(args) -> int:
         grad_norm_tol=args.grad_tol,
     )
     print(f"seed={args.seed}")
-    if not config.convex_mode(counting):
-        print("warning: non-convex counting numbers; bounds and certification disabled")
+    _print_warnings(parsed, args.eps, counting)
     log_handle = open(args.log, "w") if args.log is not None else None
     try:
         log_fn = (
@@ -252,10 +251,23 @@ def _cmd_train(args) -> int:
         )
     if state.report is not None:
         print(state.report.to_text())
-        if args.eps == 0:
-            print("note: eps=0, gap uncertified (non-smooth mode)")
     print(f"iterations={state.iteration} converged={'yes' if state.converged else 'no'}")
     return EXIT_OK if state.converged else EXIT_NOT_CONVERGED
+
+
+def _print_warnings(parsed: ParsedModel, eps: float, counting: CountingNumbers) -> None:
+    """One ``warning:`` line per guarantee that eps and the counting numbers
+    lose on the model (``inference.Guarantees``); the non-convex line alone
+    when descent is lost, since that voids the other two."""
+    verdict = guarantees(parsed.graph, eps, counting)
+    if not verdict.descent:
+        print("warning: non-convex counting numbers; bounds and certification disabled")
+        return
+    if not verdict.certificate:
+        print("warning: eps or a counting number is zero; gap uncertified")
+    if not verdict.bound:
+        print("warning: counting numbers do not fractionally cover the variables; "
+              "the primal may lie below the loss")
 
 
 def _cmd_infer(args) -> int:
@@ -298,6 +310,7 @@ def _cmd_gap(args) -> int:
     parsed, counting = _load_model(args)
     w = _load_weights(args.weights, parsed)
     print(f"seed={args.seed}")
+    _print_warnings(parsed, args.eps, counting)
     layout = parsed.graph.layout()
     stack = ThetaStack(parsed.samples, layout)
     objective = BatchObjective(

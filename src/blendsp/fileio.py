@@ -393,7 +393,6 @@ def parse_model(stream) -> ParsedModel:
     variable_count = max(reg.variables[-1] for reg in regions) + 1
     try:
         graph = RegionGraph(regions, list(edges), variable_count)
-        graph.check_structure()
     except ModelError as exc:
         raise ParseError(no, str(exc)) from None
     samples, num_features = tables.samples_on(graph)

@@ -82,6 +82,8 @@ from .model import CountingNumbers, GraphLayout, RegionGraph, Sample
 from .numerics import ARGMAX_TOL
 
 __all__ = [
+    "Guarantees",
+    "guarantees",
     "MessageState",
     "mu_message",
     "lambda_update",
@@ -441,10 +443,21 @@ class _LevelCoefficients:
         self.keep = None if keep.all() else keep
 
 
+class Guarantees(NamedTuple):
+    """Which of the paper's guarantees hold at one (eps, counting numbers)
+    on one graph.  ``SweepPlan.at`` derives them (``_Terms``), the one place
+    that decides a guarantee from the signs of eps and of the c_r."""
+
+    descent: bool  # eps >= 0 and every c_r >= 0: convex, so descent is monotone
+    certificate: bool  # eps > 0 and every c_r > 0: a consistent gap certifies
+    bound: bool  # descent, and c fractionally covers every variable: primal >= loss
+
+
 class _Terms:
     """What a sweep plan derives from one (eps, cvals): the denominators
     c_r + sum of parent c (1 without parents; 0 skips the update), per-edge
-    weights c_p / denom and skips, and the region soft-max."""
+    weights c_p / denom and skips, the region soft-max and the
+    ``Guarantees``."""
 
     def __init__(self, plan: "SweepPlan", eps: float, cvals: np.ndarray):
         layout = plan.layout
@@ -457,6 +470,10 @@ class _Terms:
         self.denom, self.skip = denom, (denom == 0.0)[ec]
         self.weight = self.c_edge / np.where(denom == 0.0, 1.0, denom)[ec]
         self.regions = SoftMax(plan.segments, layout.segment, eps, cvals)
+        descent = bool(eps >= 0 and (cvals >= 0).all())
+        covered = np.bincount(layout.pair_variable, cvals[layout.pair_region]) >= 1 - 1e-12
+        positive = bool(eps > 0 and (cvals > 0).all())
+        self.guarantees = Guarantees(descent, positive, descent and bool(covered.all()))
 
     @cached_property
     def levels(self) -> list[_LevelCoefficients]:
@@ -566,6 +583,11 @@ def sweep_plan(layout: GraphLayout) -> SweepPlan:
     if layout.plan_cache is None:
         layout.plan_cache = SweepPlan(layout)
     return layout.plan_cache
+
+
+def guarantees(graph: RegionGraph, eps: float, counting=None) -> Guarantees:
+    """The ``Guarantees`` of ``eps`` and ``counting`` (ones for None) on ``graph``."""
+    return sweep_plan(graph.layout()).at(eps, counting_values(counting, graph)).guarantees
 
 
 def sweep_vec(
@@ -685,14 +707,14 @@ def sweep_until_consistent(
     table is written as old + omega * (new - old)) and guarded by the block
     objective they descend, sum_r lse_r per row: a row whose objective rose
     across the sweep by more than rounding (``objective_rose``) is restored
-    from a copy taken before it and swept again at omega = 1.  With positive
-    counting numbers (eps > 0) a sweep at omega = 1 is exact block descent,
-    so no guarded sweep raises the objective; with mixed-sign counting
-    numbers the guard runs the same test, without that guarantee.  At
-    ``omega`` = 1 no copy is taken and no test is made.  By default
-    ``omega`` is ``OMEGA`` where that guarantee holds, eps > 0 and every
-    c_r > 0, and 1 elsewhere: on trees with Bethe numbers over-relaxed
-    sweeps took up to 63 sweeps to a residual of 1e-10, plain ones at most 4.
+    from a copy taken before it and swept again at omega = 1.  Where the
+    certificate holds (``Guarantees``) a sweep at omega = 1 is exact block
+    descent, so no guarded sweep raises the objective; elsewhere the guard
+    runs the same test, without that guarantee.  At ``omega`` = 1 no copy
+    is taken and no test is made.  By default ``omega`` is ``OMEGA`` where
+    the certificate holds and 1 elsewhere: on trees with Bethe numbers
+    over-relaxed sweeps took up to 63 sweeps to a residual of 1e-10, plain
+    ones at most 4.
 
     Rows still active are swept together, gathered when some have stopped.
     Per-row arithmetic does not depend on the batch, so each row ends bitwise
@@ -706,7 +728,7 @@ def sweep_until_consistent(
     if np.isnan(tol):
         raise ValueError("tol must not be NaN")
     if omega is None:
-        omega = OMEGA if eps > 0 and (np.asarray(cvals) > 0).all() else 1.0
+        omega = OMEGA if sweep_plan(layout).at(eps, cvals).guarantees.certificate else 1.0
     b, part, lse = _beliefs(layout, lam, theta, eps, cvals)
     residual = residual_rows(layout, b)
     sweeps = np.zeros(lam.shape[0], dtype=np.int64)
@@ -750,14 +772,20 @@ def _sample_inputs(graph, sample, state, w, counting, include_loss):
     return graph.layout(), counting_values(counting, graph), theta[None, :], state.vec[None, :]
 
 
+def region_index(layout: GraphLayout, region) -> int:
+    """``region`` as an int; an id outside the graph raises ``ValueError``."""
+    region = int(region)
+    if not 0 <= region < len(layout.parent_edges):
+        raise ValueError(f"region {region} is not in the region graph")
+    return region
+
+
 def _region_level(layout: GraphLayout, region, eps: float, cvals: np.ndarray):
     """The level that updates ``region`` alone, its coefficients at (eps,
     cvals) and the denominators c_r + sum of parent c (``SweepPlan.at``);
     None for a region without parents, whose update is a no-op.  An id
     outside the graph raises ``ValueError``."""
-    region = int(region)
-    if not 0 <= region < len(layout.parent_edges):
-        raise ValueError(f"region {region} is not in the region graph")
+    region = region_index(layout, region)
     if not layout.parent_edges[region]:
         return None
     plan = sweep_plan(layout)

@@ -9,16 +9,16 @@ KAPPA_CAP sweeps: a weight step is worth little while the beliefs it rests on
 are far from consistent, and sweeps are wasted once they are more consistent
 than the weights are optimal.  ``sweeps_per_step = N`` runs exactly N sweeps
 instead.  The weights may move while beliefs are still marginally
-inconsistent; both blocks are exact block descents, so convexity guarantees
-the blend converges for eps >= 0 and nonnegative counting numbers, with every
-step monotonically decreasing the primal.  The block's sweeps, and the
+inconsistent; both blocks are exact block descents, so where descent holds
+(``inference.Guarantees``) convexity guarantees the blend converges, with
+every step monotonically decreasing the primal.  The block's sweeps, and the
 stall-recovery sweeps, are plain block minimizations (omega = 1): a fixed
 over-relaxation of 1.6 took 285 iterations on the 3-level ``highorder``
 benchmark against 228.  Prediction sweeps over-relaxed, under the guard of
 ``inference.sweep_until_consistent``.
 
 The weight step takes the step a top-down Armijo scan from ``eta0`` takes.
-In convex mode the search first tests one grid step above the previous
+Where descent holds the search first tests one grid step above the previous
 step and skips the scan above that test when it fails by more than its
 rounding error; where rounding could decide the test it scans from
 ``eta0`` (``_line_search``).  On ``highorder``, whose steps are 2^-3 or 2^-4,
@@ -35,7 +35,6 @@ faster.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,8 +64,6 @@ __all__ = [
     "predict_all",
 ]
 
-logger = logging.getLogger(__name__)
-
 # The default inference block sweeps each sample until its residual is at
 # most KAPPA times the previous step's gradient norm, KAPPA_CAP sweeps at most.
 KAPPA = 0.1
@@ -95,9 +92,6 @@ class TrainerConfig:
 
     def counting(self, graph: RegionGraph) -> CountingNumbers:
         return CountingNumbers.from_scheme(graph, self.c_scheme, self.c_values)
-
-    def convex_mode(self, counting: CountingNumbers) -> bool:
-        return self.eps >= 0 and bool((counting.values >= 0).all())
 
 
 @dataclass
@@ -181,7 +175,7 @@ def _line_search(stack, lam_part, softmax, w, thetas, lse, gradient, C, cfg, pre
     down.  Given ``prev``, the previous step's m, the search first tests
     eta_s, s = max(prev - 1, 0):
 
-    - In convex mode the primal is convex in w at frozen messages, so
+    - Where descent holds the primal is convex in w at frozen messages, so
       phi(eta) = f(w - eta g) - f(w) + sigma * eta * g.g is convex with
       phi(0) = 0, and phi(eta) / eta is nondecreasing: a fail at eta_s is a
       fail at every larger eta.  When the test fails clearly, the scan
@@ -309,15 +303,8 @@ def train(
     samples = sorted(samples, key=lambda s: s.id)
     n = len(samples)
     layout = graph.layout()
-    counting = config.counting(graph)
-    cvals = counting.values
+    cvals = config.counting(graph).values
     eps, C = config.eps, config.C
-    convex = config.convex_mode(counting)
-    if not convex:
-        logger.warning(
-            "non-convex mode (eps or some c_r negative): monotone descent and "
-            "gap certification are not guaranteed"
-        )
     w = np.zeros(num_features) if w0 is None else np.asarray(w0, dtype=float).copy()
     stack = ThetaStack(samples, layout)
     objective = BatchObjective(layout, stack, eps, cvals, C, num_features)
@@ -352,7 +339,7 @@ def train(
         )
         state.stalled = step.stalled
         state.w = step.w
-        prev = step.backtracks if convex else None
+        prev = step.backtracks if objective.guarantees.descent else None
 
         # post-step diagnostics at the accepted trial's potentials (a stalled
         # step keeps the engine's); the moment mismatch doubles as the gradient
@@ -403,12 +390,11 @@ def train(
 def _smallest_containing_region(graph: RegionGraph) -> list[int]:
     """Per variable, the containing region with the fewest variables
     (ties to the lowest region id)."""
-    best = [-1] * graph.variable_count
-    for reg in graph.regions:
+    best = {}
+    for reg in sorted(graph.regions, key=lambda reg: len(reg.variables)):  # stable: ties in id order
         for v in reg.variables:
-            if best[v] < 0 or len(reg.variables) < len(graph.regions[best[v]].variables):
-                best[v] = reg.id
-    return best
+            best.setdefault(v, reg.id)
+    return [best[v] for v in range(graph.variable_count)]
 
 
 def predict(
@@ -436,13 +422,13 @@ def predict_all(
 ) -> list[PredictResult]:
     """Loss-free inference on every sample at once, then per-variable decoding.
 
-    The sweeps are over-relaxed at ``inference.OMEGA`` and guarded by the
-    block objective where that guard has a descent guarantee, eps > 0 and
-    positive counting numbers (``sweep_until_consistent``); on grids they
-    need a fraction of the plain sweeps.  Each variable takes the argmax
-    (ties to the lowest label) of its marginal under the belief of its
-    smallest containing region.  The returned residual measures how consistent the final beliefs
-    are; a large value means the decode rests on disagreeing regions.
+    The sweeps are over-relaxed at ``inference.OMEGA``, guarded by the
+    block objective, where the certificate holds (``inference.Guarantees``;
+    ``sweep_until_consistent``); on grids they need a fraction of the plain
+    sweeps.  Each variable takes the argmax (ties to the lowest label) of its
+    marginal under the belief of its smallest containing region.  The
+    returned residual measures how consistent the final beliefs are; a large
+    value means the decode rests on disagreeing regions.
     """
     w = np.asarray(w, dtype=float)
     layout = graph.layout()

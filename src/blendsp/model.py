@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,8 +32,6 @@ __all__ = [
     "RegionGraph",
     "CountingNumbers",
     "Sample",
-    "ValidationReport",
-    "validate_model",
     "theta_table",
     "feature_count",
 ]
@@ -78,9 +76,10 @@ class RegionGraph:
 
     Edges are stored sorted by (parent, child) so that the edge order, and
     everything derived from it (message layout, file output), is canonical.
-    An edge (p, r) requires vars(r) to be a strict subset of vars(p); since
-    the variable count strictly decreases along every edge the graph is
-    automatically a DAG.
+    An edge (p, r) requires vars(r) to be a strict subset of vars(p), and
+    every variable must lie in some region: the constructor raises
+    ``ModelError`` otherwise.  Since the variable count strictly decreases
+    along every edge the graph is automatically a DAG.
     """
 
     def __init__(self, regions: list[Region], edges: list[tuple[int, int]], variable_count: int):
@@ -113,8 +112,14 @@ class RegionGraph:
                     raise ModelError(f"region {reg.id}: variable {v} out of range")
                 if card.setdefault(v, c) != c:
                     raise ModelError(f"variable {v}: inconsistent cardinality across regions")
+        for p, r in self.edges:
+            if not set(self.regions[r].variables) < set(self.regions[p].variables):
+                raise ModelError(f"edge ({p}, {r}): containment violated")
+        missing = sorted(set(range(variable_count)) - card.keys())
+        if missing:
+            raise ModelError(f"variables not covered by any region: {missing}")
         self.cardinalities = np.array(
-            [card.get(v, 0) for v in range(variable_count)], dtype=np.int64
+            [card[v] for v in range(variable_count)], dtype=np.int64
         )
         self._projections: dict[tuple[int, int], np.ndarray] = {}
         self._layout = None
@@ -149,19 +154,6 @@ class RegionGraph:
                 stride //= c  # row-major: the first variable varies slowest
                 pairs += (reg.id, v, stride, c)
         return np.array(pairs, dtype=np.int64).reshape(-1, 4).T
-
-    def check_structure(self) -> None:
-        """Raise ModelError on containment or coverage violations."""
-        for p, r in self.edges:
-            pv, rv = set(self.regions[p].variables), set(self.regions[r].variables)
-            if not (rv < pv):
-                raise ModelError(f"edge ({p}, {r}): containment violated")
-        covered = set()
-        for reg in self.regions:
-            covered.update(reg.variables)
-        missing = set(range(self.variable_count)) - covered
-        if missing:
-            raise ModelError(f"variables not covered by any region: {sorted(missing)}")
 
     def projection(self, parent: int, child: int) -> np.ndarray:
         """Map each flat parent label to the flat child label it restricts to."""
@@ -232,6 +224,9 @@ class GraphLayout:
         ]
         # absolute gather indices of a child message evaluated at parent labels
         self.lam_in_idx = [self.edge_offsets[e] + self.proj[e] for e in range(len(edges))]
+        # the region and the variable of each (region, variable) pair: the
+        # incidence that a fractional cover by counting numbers is summed over
+        self.pair_region, self.pair_variable = graph._label_pairs[:2]
 
         # the engine's sweep plan, made on first use (inference.sweep_plan)
         self.plan_cache = None
@@ -275,14 +270,6 @@ class CountingNumbers:
         if not np.isfinite(values).all():
             raise ModelError("counting numbers must be finite")
         return cls(values, "file")
-
-    def fractional_cover(self, graph: RegionGraph) -> bool:
-        """True iff every variable i has sum of c_r over regions containing i >= 1."""
-        total = np.zeros(graph.variable_count)
-        for reg in graph.regions:
-            for v in reg.variables:
-                total[v] += self.values[reg.id]
-        return bool((total >= 1.0 - 1e-12).all())
 
 
 SHARED, FEATURE, LOSS = 0, 1, 2  # the kinds of table in ``TableColumns``
@@ -481,11 +468,10 @@ class Sample:
         return int(c.feature[tables][c.kind[tables] != LOSS].max(initial=-1))
 
     def true_assignment(self) -> np.ndarray:
-        """Per-variable true labels decoded from the per-region indices
-        (-1 for a variable that no region covers)."""
+        """Per-variable true labels decoded from the per-region indices."""
         if self._truth is None:
             raise ModelError(f"sample {self.id}: no true labels")
-        assign = np.full(self.graph.variable_count, -1, dtype=np.int64)
+        assign = np.empty(self.graph.variable_count, dtype=np.int64)
         variables, digits = self.graph.label_digits(self._truth[None, :])
         assign[variables] = digits[0]
         return assign
@@ -619,45 +605,3 @@ def theta_table(
             raise ModelError(f"feature id {k} exceeds weight vector length {len(w)}")
         out += w[k] * t
     return out
-
-
-@dataclass
-class ValidationReport:
-    errors: list[str] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
-
-def validate_model(
-    graph: RegionGraph,
-    samples: list[Sample],
-    counting: CountingNumbers | None = None,
-) -> ValidationReport:
-    """Check structural invariants and counting numbers.
-
-    Structural violations (containment, coverage) raise ModelError; a
-    counting-number array of the wrong length is a report error.
-    Counting-number configurations that void the upper-bound guarantee
-    (negative c_r, or no fractional cover) are warnings only.  Per-sample
-    tables need no check here: ``Sample`` rejects inconsistent ones when it
-    is built.
-    """
-    graph.check_structure()
-    report = ValidationReport()
-    if counting is not None:
-        if len(counting.values) != graph.region_count:
-            report.errors.append("counting numbers length mismatch")
-        else:
-            if (counting.values < 0).any():
-                report.warnings.append(
-                    "negative counting numbers: upper bound not guaranteed"
-                )
-            if not counting.fractional_cover(graph):
-                report.warnings.append(
-                    "counting numbers do not fractionally cover the variables: "
-                    "upper bound not guaranteed"
-                )
-    return report

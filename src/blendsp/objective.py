@@ -33,11 +33,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .inference import (
+    Guarantees,
     MessageState,
     belief_row,
     belief_vec,
     counting_values,
     message_potentials,
+    region_index,
     residual_rows,
     sweep_plan,
 )
@@ -62,13 +64,11 @@ CERTIFY_RESIDUAL = 1e-6
 HARD_MOMENT_TOL = 1e-6
 
 
-def certifies(residual: float, gap: float, eps: float, cvals: np.ndarray) -> bool:
+def certifies(residual: float, gap: float, guarantees: Guarantees) -> bool:
     """Whether a gap certifies convergence: it is finite, the beliefs are
-    consistent (a NaN residual never is), and eps and every counting number
-    are positive."""
-    return bool(
-        residual <= CERTIFY_RESIDUAL and math.isfinite(gap) and eps > 0 and (cvals > 0).all()
-    )
+    consistent (a NaN residual never is), and ``guarantees`` include the
+    certificate."""
+    return bool(residual <= CERTIFY_RESIDUAL and math.isfinite(gap) and guarantees.certificate)
 
 
 @dataclass
@@ -116,14 +116,16 @@ def region_loss(
 
     Equals the negative (eps * c_r)-scaled log-belief of the true label; at
     temperature zero it is the hinge term max(theta_hat) - theta_hat(y_r).
+    A region id outside the graph raises ``ValueError``, a sample without
+    true labels ``ModelError``.
     """
     layout = graph.layout()
+    region = region_index(layout, region)
     cvals = counting_values(counting, graph)
-    theta = sample.compiled().theta_vec(np.asarray(w, dtype=float), include_loss=True)
-    th = theta + message_potentials(layout, state.vec)
+    stack = sample.compiled()
+    th = stack.theta_vec(np.asarray(w, dtype=float)) + message_potentials(layout, state.vec)
     table = th[layout.region_slices[region]]
-    y = int(sample.true_labels[region])
-    return eps_log_sum_exp(table, eps * cvals[region]) - float(table[y])
+    return eps_log_sum_exp(table, eps * cvals[region]) - float(th[stack.true_slots[0, region]])
 
 
 class BatchObjective:
@@ -148,7 +150,9 @@ class BatchObjective:
         self.layout, self.stack = layout, stack
         self.eps, self.cvals, self.C = eps, cvals, C
         self.empirical = stack.empirical(num_features)
-        self.regions = sweep_plan(layout).at(eps, cvals).regions  # their soft-max
+        terms = sweep_plan(layout).at(eps, cvals)
+        self.regions = terms.regions  # their soft-max
+        self.guarantees = terms.guarantees
         self.t_slot = self.regions.t[layout.segment]
 
     def dual(self, bmat: np.ndarray) -> tuple[float, np.ndarray]:
@@ -195,7 +199,7 @@ class BatchObjective:
             dual=dual,
             gap=primal - dual,
             marginal_residual=residual,
-            certified=certifies(residual, primal - dual, eps, cvals),
+            certified=certifies(residual, primal - dual, self.guarantees),
             per_sample_loss=losses,
             regularizer=reg,
         )
@@ -292,7 +296,7 @@ def duality_report(
     """Primal, dual, gap, and residual at the current weights and messages.
 
     The gap is a convergence certificate only when the beliefs are marginally
-    consistent and eps and all counting numbers are positive; the report is
+    consistent and the certificate holds (``Guarantees``); the report is
     marked uncertified otherwise.
     """
     return report_at(graph, samples, states, w, eps, counting, C, num_features)[0]

@@ -4,7 +4,7 @@ import io
 import numpy as np
 import pytest
 
-from blendsp import CountingNumbers, validate_model
+from blendsp import CountingNumbers, guarantees
 from blendsp.datagen import (
     DenoiseSpec,
     build_grid_graph,
@@ -37,10 +37,10 @@ def test_grid_ten_by_ten_counts():
 
 
 def test_grid_validates_and_bethe_values():
-    graph = build_grid_graph(4, 3)
-    report = validate_model(graph, [], CountingNumbers.ones(graph))
-    assert report.ok
+    graph = build_grid_graph(4, 3)  # a structural fault would raise here
+    assert guarantees(graph, 1.0, CountingNumbers.ones(graph)) == (True, True, True)
     bethe = CountingNumbers.bethe(graph)
+    assert not guarantees(graph, 1.0, bethe).descent
     n = 12
     for r in range(graph.region_count):
         reg = graph.regions[r]
@@ -62,8 +62,7 @@ def test_dataset_counts_and_validation():
     ds = make_denoise_dataset(spec)
     assert len(ds.train) == 3 and len(ds.test) == 2
     assert ds.num_features == 4
-    report = validate_model(ds.graph, ds.train + ds.test, CountingNumbers.ones(ds.graph))
-    assert report.ok
+    assert guarantees(ds.graph, 1.0, CountingNumbers.ones(ds.graph)) == (True, True, True)
 
 
 def test_full_tying_one_feature_per_region():

@@ -36,7 +36,6 @@ def three_level_model(rng, cards):
     regions.append(Region(5, (0, 1, 2), tuple(cards)))
     edges = [(3, 0), (3, 1), (4, 1), (4, 2), (5, 3), (5, 4), (5, 1)]
     graph = RegionGraph(regions, edges, n)
-    graph.check_structure()
     assign = np.array([rng.integers(0, c) for c in cards])
     feats, loss, truth = {}, {}, {}
     for reg in graph.regions:

@@ -11,8 +11,8 @@ from blendsp import (
     Region,
     RegionGraph,
     Sample,
+    guarantees,
     theta_table,
-    validate_model,
 )
 
 from blendsp.learner import TrainerConfig
@@ -58,16 +58,14 @@ def minimal_model():
 
 
 def test_minimal_model_validates_clean():
-    graph, sample = minimal_model()
-    report = validate_model(graph, [sample], CountingNumbers.ones(graph))
-    assert report.ok and not report.warnings
+    graph, _ = minimal_model()
+    assert guarantees(graph, 1.0, CountingNumbers.ones(graph)) == (True, True, True)
 
 
 def test_containment_violation_is_fatal():
     regions = [Region(0, (0,), (2,)), Region(1, (1,), (2,))]
-    graph = RegionGraph(regions, [(0, 1)], 2)
-    with pytest.raises(ModelError, match="containment"):
-        validate_model(graph, [], None)
+    with pytest.raises(ModelError, match=r"^edge \(0, 1\): containment violated$"):
+        RegionGraph(regions, [(0, 1)], 2)
 
 
 def test_dangling_edge_is_fatal():
@@ -76,9 +74,8 @@ def test_dangling_edge_is_fatal():
 
 
 def test_uncovered_variable_is_fatal():
-    graph = RegionGraph([Region(0, (0,), (2,))], [], 2)
-    with pytest.raises(ModelError, match="not covered"):
-        validate_model(graph, [], None)
+    with pytest.raises(ModelError, match=r"^variables not covered by any region: \[1\]$"):
+        RegionGraph([Region(0, (0,), (2,))], [], 2)
 
 
 def test_inconsistent_cardinalities_fatal():
@@ -92,18 +89,21 @@ def test_bethe_two_parents_warns_about_bound():
     graph = chain_graph(3)
     bethe = CountingNumbers.bethe(graph)
     assert bethe.values[1] == -1.0
-    report = validate_model(graph, [], bethe)
-    assert report.ok
-    assert any("upper bound not guaranteed" in w for w in report.warnings)
+    assert guarantees(graph, 1.0, bethe) == (False, False, False)
 
 
 def test_fractional_cover_flag():
     graph = chain_graph(3)
-    assert CountingNumbers.ones(graph).fractional_cover(graph)
+    assert guarantees(graph, 1.0, CountingNumbers.ones(graph)).bound
     weak = CountingNumbers.from_values(np.full(graph.region_count, 0.1))
-    assert not weak.fractional_cover(graph)
-    report = validate_model(graph, [], weak)
-    assert any("fractionally cover" in w for w in report.warnings)
+    assert guarantees(graph, 1.0, weak) == (True, True, False)
+    # each end variable: 0.5 from its singleton and 0.5 from its pair; the
+    # middle one: 0.25 + 0.5 + 0.5
+    half = np.array([0.5, 0.25, 0.5, 0.5, 0.5])
+    assert guarantees(graph, 1.0, half) == (True, True, True)
+    half[1] = 0.0  # still covered, but a zero c_r voids the certificate
+    assert guarantees(graph, 1.0, half) == (True, False, True)
+    assert guarantees(graph, 0.0, CountingNumbers.ones(graph)) == (True, False, True)
 
 
 def test_nonzero_loss_at_true_label_rejected():

@@ -6,6 +6,7 @@ import pytest
 from blendsp import (
     CountingNumbers,
     MessageState,
+    ModelError,
     Region,
     RegionGraph,
     Sample,
@@ -21,6 +22,7 @@ from blendsp import (
     region_loss,
 )
 
+from blendsp.inference import Guarantees, guarantees
 from blendsp.objective import certifies
 
 from util import brute_force_lse, chain_graph, loopy_graph, ones, random_model, random_sample
@@ -69,6 +71,19 @@ def test_region_loss_equals_negative_scaled_log_belief():
         assert rl == pytest.approx(expected, abs=1e-10)
 
 
+def test_region_loss_rejects_unknown_regions_and_samples_without_truth():
+    graph = chain_graph(2)  # regions 0, 1 and the pair 2
+    sample = Sample(graph, 0, true_labels={0: 1, 1: 0, 2: 2})
+    state, w = MessageState(graph), np.zeros(1)
+    for region in (3, -1):
+        with pytest.raises(ValueError, match=f"^region {region} is not in the region graph$"):
+            region_loss(graph, sample, region, state, w, 1.0)
+    unlabelled = Sample(graph, 5)
+    with pytest.raises(ModelError, match="^sample 5: no true labels$"):
+        region_loss(graph, unlabelled, 0, state, w, 1.0)
+    assert region_loss(graph, sample, 2, state, w, 1.0) == pytest.approx(math.log(4))
+
+
 def test_primal_all_zero_tables_is_sum_of_log_label_counts():
     graph = chain_graph(3)
     sample = Sample(graph, 0, true_labels={r: 0 for r in range(graph.region_count)})
@@ -108,7 +123,7 @@ def test_fractional_cover_upper_bound():
                 cover[v] += c[reg.id]
         c = c / cover.min()
         counting = CountingNumbers.from_values(c)
-        assert counting.fractional_cover(graph)
+        assert guarantees(graph, 1.0, counting).bound
         w = rng.uniform(-2, 2, 3)
         state = MessageState(graph)
         for eps in (0.1, 1.0):
@@ -271,11 +286,12 @@ def test_duality_report_carries_a_nan_residual_and_never_certifies_it(nan_sample
 
 
 def test_certificate_needs_a_finite_gap_and_residual():
-    cvals = np.ones(3)
-    assert certifies(1e-7, -1e-9, 1.0, cvals)
-    assert not certifies(math.nan, 0.0, 1.0, cvals)
+    holds = Guarantees(descent=True, certificate=True, bound=True)
+    assert certifies(1e-7, -1e-9, holds)
+    assert not certifies(1e-7, -1e-9, holds._replace(certificate=False))
+    assert not certifies(math.nan, 0.0, holds)
     for gap in (math.nan, math.inf, -math.inf):
-        assert not certifies(0.0, gap, 1.0, cvals)
+        assert not certifies(0.0, gap, holds)
 
 
 def test_single_region_gap_vanishes_at_weight_optimum():
