@@ -154,13 +154,11 @@ def _load_model(args) -> tuple[ParsedModel, CountingNumbers]:
         raise ModelError(f"--c-file requires --c-scheme file, not {scheme}")
     with open(args.model) as fh:
         parsed = parse_model(fh)
-    if scheme is None:
-        return parsed, parsed.counting or CountingNumbers.ones(parsed.graph)
-    values = None
+    counting = parsed.counting if scheme is None else scheme
     if scheme == "file":
         with open(args.c_file) as fh:
-            values = parse_counts(fh, parsed.graph.region_count)
-    return parsed, CountingNumbers.from_scheme(parsed.graph, scheme, values)
+            counting = parse_counts(fh, parsed.graph.region_count)
+    return parsed, CountingNumbers.of(parsed.graph, counting)
 
 
 def _load_weights(path: Path, parsed: ParsedModel) -> np.ndarray:
@@ -218,8 +216,7 @@ def _cmd_train(args) -> int:
     config = TrainerConfig(
         eps=args.eps,
         C=args.C,
-        c_scheme="file",
-        c_values=counting.values,
+        counting=counting,
         sweeps_per_step=args.sweeps_per_step,
         max_outer_iters=args.max_iters,
         primal_rel_tol=args.tol,

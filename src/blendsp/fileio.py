@@ -399,7 +399,7 @@ def parse_model(stream) -> ParsedModel:
     counting = None
     if counts:
         values = _count_values(counts, n_regions, no)
-        counting = CountingNumbers.from_values(values, "model")
+        counting = CountingNumbers(values, "model")
     return ParsedModel(graph, samples, counting, num_features)
 
 

@@ -95,13 +95,11 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 
-def counting_values(counting, graph: RegionGraph) -> np.ndarray:
-    """Ones for None; else one finite value per region, or ``ModelError``."""
-    if counting is None:
-        return np.ones(graph.region_count)
-    if isinstance(counting, CountingNumbers):
-        counting = counting.values
-    return CountingNumbers.from_scheme(graph, "file", counting).values
+def _edge_index(graph: RegionGraph, parent: int, child: int) -> int:
+    """The index of edge (parent, child); a missing edge raises ``ValueError``."""
+    if (parent, child) not in graph.edges:
+        raise ValueError(f"no edge ({parent}, {child}) in the region graph")
+    return graph.edges.index((parent, child))
 
 
 class MessageState:
@@ -120,8 +118,7 @@ class MessageState:
 
     def table(self, region: int, parent: int) -> np.ndarray:
         """Message table sent from ``region`` to ``parent`` (a writable view)."""
-        e = self.graph.edges.index((parent, region))
-        return self.vec[self.layout.edge_slices[e]]
+        return self.vec[self.layout.edge_slices[_edge_index(self.graph, parent, region)]]
 
     def copy(self) -> "MessageState":
         return MessageState(self.graph, self.vec.copy())
@@ -586,8 +583,8 @@ def sweep_plan(layout: GraphLayout) -> SweepPlan:
 
 
 def guarantees(graph: RegionGraph, eps: float, counting=None) -> Guarantees:
-    """The ``Guarantees`` of ``eps`` and ``counting`` (ones for None) on ``graph``."""
-    return sweep_plan(graph.layout()).at(eps, counting_values(counting, graph)).guarantees
+    """The ``Guarantees`` of ``eps`` and ``counting`` (``CountingNumbers.of``)."""
+    return sweep_plan(graph.layout()).at(eps, CountingNumbers.of(graph, counting).values).guarantees
 
 
 def sweep_vec(
@@ -769,7 +766,7 @@ def sweep_until_consistent(
 def _sample_inputs(graph, sample, state, w, counting, include_loss):
     """The layout, counting numbers, theta row and message row of one sample."""
     theta = sample.compiled().theta_vec(np.asarray(w, dtype=float), include_loss)
-    return graph.layout(), counting_values(counting, graph), theta[None, :], state.vec[None, :]
+    return graph.layout(), CountingNumbers.of(graph, counting).values, theta[None], state.vec[None]
 
 
 def region_index(layout: GraphLayout, region) -> int:
@@ -808,11 +805,10 @@ def mu_message(
 ) -> np.ndarray:
     """Aggregated parent-to-child message over the child's labels, as the
     update of ``child`` computes it."""
-    if (parent, child) not in graph.edges:
-        raise ValueError(f"no edge ({parent}, {child}) in the region graph")
+    e = _edge_index(graph, parent, child)
     layout, cvals, theta, lam = _sample_inputs(graph, sample, state, w, counting, include_loss)
     level, c, _ = _region_level(layout, child, eps, cvals)
-    start = level.mu_at[graph.edges.index((parent, child))]
+    start = level.mu_at[e]
     return level.mu(lam, theta, c)[0, start : start + layout.sizes[child]]
 
 

@@ -42,13 +42,12 @@ import numpy as np
 from .inference import (
     MessageState,
     belief_vec,
-    counting_values,
     message_potentials,
     sweep_plan,
     sweep_until_consistent,
     sweep_vec,
 )
-from .model import CountingNumbers, RegionGraph, Sample, ThetaStack, feature_count
+from .model import CountingNumbers, ModelError, RegionGraph, Sample, ThetaStack
 from .objective import BatchObjective, ObjectiveReport, report_at
 
 __all__ = [
@@ -78,8 +77,7 @@ ARMIJO_ULPS = 64
 class TrainerConfig:
     eps: float = 1.0
     C: float = 1.0
-    c_scheme: str = "ones"  # ones | bethe | file
-    c_values: np.ndarray | None = None
+    counting: str | np.ndarray | CountingNumbers | None = None  # CountingNumbers.of
     sweeps_per_step: int | None = None  # None: sweep until consistent (KAPPA)
     max_outer_iters: int = 1000
     primal_rel_tol: float = 1e-8
@@ -90,8 +88,18 @@ class TrainerConfig:
     sufficient_decrease: float = 1e-4
     max_backtracks: int = 50
 
-    def counting(self, graph: RegionGraph) -> CountingNumbers:
-        return CountingNumbers.from_scheme(graph, self.c_scheme, self.c_values)
+    def check(self) -> None:
+        """``ValueError`` for a negative count, a non-finite tolerance or a step out of range."""
+        if self.sweeps_per_step is not None and self.sweeps_per_step < 0:
+            raise ValueError("sweeps per step must be at least 0")
+        for name in ("max_outer_iters", "max_backtracks"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be at least 0")
+        if not np.isfinite([self.primal_rel_tol, self.residual_tol, self.grad_norm_tol]).all():
+            raise ValueError("tolerances must be finite")
+        for name, high in (("eta0", np.inf), ("backtrack", 1), ("sufficient_decrease", 1)):
+            if not 0 < getattr(self, name) < high:
+                raise ValueError(f"{name} must lie in (0, {high})")
 
 
 @dataclass
@@ -269,8 +277,9 @@ def w_step(
     continue.
     """
     cfg = config or TrainerConfig(eps=eps, C=C)
+    cfg.check()
     layout = graph.layout()
-    cvals = counting_values(counting, graph)
+    cvals = CountingNumbers.of(graph, counting).values
     stack = ThetaStack(samples, layout)
     lam = np.stack([st.vec for st in states]) if states else np.zeros((0, layout.message_total))
     lam_part = message_potentials(layout, lam)
@@ -290,23 +299,22 @@ def train(
     log_fn=None,
 ) -> TrainState:
     """Run the blended loop until the primal, residual and gradient criteria
-    are all met, or the iteration budget runs out.  Non-finite tolerances and
-    a negative budget raise ``ValueError`` before any sweep."""
-    if config.sweeps_per_step is not None and config.sweeps_per_step < 0:
-        raise ValueError("sweeps per step must be at least 0")
-    if config.max_outer_iters < 0:
-        raise ValueError("max_outer_iters must be at least 0")
-    if not np.isfinite([config.primal_rel_tol, config.residual_tol, config.grad_norm_tol]).all():
-        raise ValueError("tolerances must be finite")
-    if num_features is None:
-        num_features = feature_count(samples)
+    are all met, or the iteration budget runs out.  A bad config raises
+    ``ValueError`` (``TrainerConfig.check``) before any sweep, and weights
+    that do not fit the samples' feature ids ``ModelError``."""
+    config.check()
     samples = sorted(samples, key=lambda s: s.id)
     n = len(samples)
     layout = graph.layout()
-    cvals = config.counting(graph).values
+    cvals = CountingNumbers.of(graph, config.counting).values
     eps, C = config.eps, config.C
-    w = np.zeros(num_features) if w0 is None else np.asarray(w0, dtype=float).copy()
     stack = ThetaStack(samples, layout)
+    num_features = stack.feature_count if num_features is None else num_features
+    if num_features < stack.feature_count:
+        raise ModelError(f"num_features={num_features} below the samples' {stack.feature_count}")
+    w = np.zeros(num_features) if w0 is None else np.asarray(w0, dtype=float).copy()
+    if len(w) != num_features:
+        raise ModelError(f"w0 has {len(w)} weights for num_features={num_features}")
     objective = BatchObjective(layout, stack, eps, cvals, C, num_features)
     thetas = stack.rows(w)
 
@@ -432,7 +440,7 @@ def predict_all(
     """
     w = np.asarray(w, dtype=float)
     layout = graph.layout()
-    cvals = counting_values(counting, graph)
+    cvals = CountingNumbers.of(graph, counting).values
     theta = ThetaStack(samples, layout).rows(w, include_loss=False)
     lam = np.zeros((len(samples), layout.message_total))
     block = sweep_until_consistent(layout, lam, theta, eps_infer, cvals, max_sweeps, residual_tol)

@@ -249,27 +249,21 @@ class CountingNumbers:
         return cls(c, "bethe")
 
     @classmethod
-    def from_values(cls, values, scheme: str = "file") -> "CountingNumbers":
-        return cls(np.asarray(values, dtype=float), scheme)
-
-    @classmethod
-    def from_scheme(cls, graph: RegionGraph, scheme: str, values=None) -> "CountingNumbers":
-        """The counting numbers of ``ones``, ``bethe`` or ``file`` (then
-        ``values``: one finite number per region)."""
-        if scheme == "ones":
-            return cls.ones(graph)
-        if scheme == "bethe":
-            return cls.bethe(graph)
-        if scheme != "file":
-            raise ValueError(f"unknown counting scheme {scheme!r}")
-        if values is None:
-            raise ValueError("counting scheme 'file' requires values")
-        values = np.asarray(values, dtype=float)
+    def of(cls, graph: RegionGraph, counting=None) -> "CountingNumbers":
+        """The counting numbers of None or ``"ones"``, ``"bethe"``, or one finite
+        value per region: an array (scheme ``file``) or a ``CountingNumbers`` (its
+        scheme kept).  Bad values raise ``ModelError``, other names ``ValueError``."""
+        if counting is None or isinstance(counting, str):
+            if counting not in (None, "ones", "bethe"):
+                raise ValueError(f"unknown counting scheme {counting!r}")
+            return cls.bethe(graph) if counting == "bethe" else cls.ones(graph)
+        labelled = isinstance(counting, CountingNumbers)
+        values = np.asarray(counting.values if labelled else counting, dtype=float)
         if values.shape != (graph.region_count,):
             raise ModelError("counting numbers must cover exactly the model's regions")
         if not np.isfinite(values).all():
             raise ModelError("counting numbers must be finite")
-        return cls(values, "file")
+        return cls(values, counting.scheme if labelled else "file")
 
 
 SHARED, FEATURE, LOSS = 0, 1, 2  # the kinds of table in ``TableColumns``
@@ -520,6 +514,7 @@ class ThetaStack:
         self.bins = _spans(slot[feats], width[feats])
         self.vals = values.take(_spans(first[feats], width[feats]))
         self.cols = np.repeat(feature[feats], width[feats])
+        self.feature_count = int(feature[feats].max(initial=-1)) + 1  # the weights rows() needs
         # sample i's entries are [bounds[i], bounds[i + 1])
         self.bounds = np.searchsorted(self.bins // layout.total, np.arange(len(samples) + 1))
 
@@ -534,7 +529,9 @@ class ThetaStack:
 
     def rows(self, w: np.ndarray, include_loss: bool = True) -> np.ndarray:
         """The theta rows at the weights ``w``: the loss (optional) plus the
-        weighted feature tables."""
+        weighted feature tables; too few weights raise ``ModelError``."""
+        if len(w) < self.feature_count:
+            raise ModelError(f"{len(w)} weights for {self.feature_count} features")
         weights = w.take(self.cols)
         weights *= self.vals
         # bincount without entries returns integers; the loss is added in place

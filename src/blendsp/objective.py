@@ -37,13 +37,14 @@ from .inference import (
     MessageState,
     belief_row,
     belief_vec,
-    counting_values,
     message_potentials,
     region_index,
     residual_rows,
     sweep_plan,
 )
-from .model import GraphLayout, RegionGraph, Sample, ThetaStack, feature_count, theta_table
+from .model import (
+    CountingNumbers, GraphLayout, RegionGraph, Sample, ThetaStack, feature_count, theta_table
+)
 from .numerics import eps_log_sum_exp, gibbs_normalize
 
 __all__ = [
@@ -121,7 +122,7 @@ def region_loss(
     """
     layout = graph.layout()
     region = region_index(layout, region)
-    cvals = counting_values(counting, graph)
+    cvals = CountingNumbers.of(graph, counting).values
     stack = sample.compiled()
     th = stack.theta_vec(np.asarray(w, dtype=float)) + message_potentials(layout, state.vec)
     table = th[layout.region_slices[region]]
@@ -222,7 +223,7 @@ def report_at(
         num_features = max(feature_count(samples), len(w))
     layout = graph.layout()
     stack = ThetaStack(samples, layout)
-    cvals = counting_values(counting, graph)
+    cvals = CountingNumbers.of(graph, counting).values
     objective = BatchObjective(layout, stack, eps, cvals, C, num_features)
     lam = np.stack([st.vec for st in states]) if states else np.zeros((0, layout.message_total))
     return objective.report(lam, stack.rows(w), w)
@@ -279,7 +280,7 @@ def dual_objective(
     every mismatch is within tolerance, and -inf otherwise.
     """
     stack, bmat, num_features = _at_beliefs(graph, samples, beliefs, num_features)
-    cvals = counting_values(counting, graph)
+    cvals = CountingNumbers.of(graph, counting).values
     return BatchObjective(graph.layout(), stack, eps, cvals, C, num_features).dual(bmat)[0]
 
 

@@ -373,7 +373,7 @@ def test_model_counts_section_is_the_default_counting(tmp_path, capsys):
     regions = parsed.graph.region_count
     counted = tmp_path / "counted.bsp"
     with open(counted, "w") as fh:
-        write_model(replace(parsed, counting=CountingNumbers.from_values([0.5] * regions)), fh)
+        write_model(replace(parsed, counting=CountingNumbers.of(parsed.graph, [0.5] * regions)), fh)
     cfile = tmp_path / "counts.txt"
     cfile.write_text("".join(f"{r} 0.5\n" for r in range(regions)))
     capsys.readouterr()

@@ -45,7 +45,7 @@ def test_the_primal_bounds_the_loss_wherever_the_verdict_says_bound(seed, eps, k
         if not verdict.bound:
             continue
         C = 0.5
-        cfg = TrainerConfig(eps=eps, C=C, c_scheme="file", c_values=c, max_outer_iters=15)
+        cfg = TrainerConfig(eps=eps, C=C, counting=c, max_outer_iters=15)
         state = train(graph, samples, cfg)
         exact = sum(exact_loss(graph, s, state.w, eps) for s in samples)
         exact += 0.5 * C * float(state.w @ state.w)

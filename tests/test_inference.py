@@ -127,7 +127,7 @@ def test_lambda_update_no_parents_is_noop():
 def test_zero_denominator_skips_update(caplog):
     graph, sample = pair_model()
     state = MessageState(graph)
-    bad = CountingNumbers.from_values([1.0, 1.0, -1.0])  # c_r + c_parent = 0
+    bad = CountingNumbers.of(graph, [1.0, 1.0, -1.0])  # c_r + c_parent = 0
     with caplog.at_level("WARNING"):
         lambda_update(graph, sample, 0, state, np.zeros(0), 1.0, bad)
     np.testing.assert_array_equal(state.vec, np.zeros_like(state.vec))
@@ -255,7 +255,7 @@ def test_sweeps_never_increase_primal_convex_mode():
         w = rng.uniform(-2, 2, k)
         eps = float(rng.choice([0.0, 0.3, 1.0]))
         cvals = rng.choice([0.5, 1.0, 2.0], size=graph.region_count)
-        counting = CountingNumbers.from_values(cvals)
+        counting = CountingNumbers.of(graph, cvals)
         state = MessageState(graph)
         prev = primal_objective(graph, [sample], [state], w, eps, counting, 0.0)
         for _ in range(6):
@@ -288,6 +288,17 @@ def test_mu_message_requires_edge():
     state = MessageState(graph)
     with pytest.raises(ValueError, match="no edge"):
         mu_message(graph, sample, 0, 1, state, np.zeros(0), 1.0, ones(graph))
+
+
+def test_message_table_names_a_missing_edge():
+    graph, _ = pair_model()
+    state = MessageState(graph)
+    for region, parent in ((0, 1), (1, 0), (2, 0), (0, 5)):
+        message = rf"^no edge \({parent}, {region}\) in the region graph$"
+        with pytest.raises(ValueError, match=message):
+            state.table(region, parent)
+    for parent, region in graph.edges:
+        assert state.table(region, parent).shape == (graph.regions[region].label_count,)
 
 
 def test_region_ids_outside_the_graph_are_rejected():
@@ -332,7 +343,7 @@ def test_counting_number_objects_are_checked_as_the_file_scheme():
     w = rng.normal(size=2)
     state = MessageState(graph)
     nine = CountingNumbers.ones(loopy_graph(rng, 4, 5))
-    for counting in (CountingNumbers.from_values([float("nan")] * 5), nine):
+    for counting in (CountingNumbers(np.full(5, np.nan)), nine):
         with pytest.raises(ModelError, match="counting numbers must"):
             predict(graph, sample, w, 1.0, counting)
         with pytest.raises(ModelError, match="counting numbers must"):

@@ -24,7 +24,7 @@ from blendsp import (
 from blendsp import inference, learner, objective
 from blendsp.datagen import DenoiseSpec, make_denoise_dataset
 from blendsp.inference import message_potentials
-from blendsp.model import ThetaStack
+from blendsp.model import ModelError, ThetaStack, feature_count
 from blendsp.numerics import gibbs_normalize
 
 from test_deep_graphs import three_level_model
@@ -73,9 +73,40 @@ def test_non_finite_eps_and_C_and_negative_caps_are_rejected_before_any_sweep(mo
         ("residual_tol", float("nan"), "tolerances must be finite"),
         ("grad_norm_tol", float("inf"), "tolerances must be finite"),
         ("max_outer_iters", -5, "max_outer_iters must be at least 0"),
+        ("eta0", 0.0, r"eta0 must lie in \(0, inf\)"),
+        ("eta0", float("nan"), r"eta0 must lie in \(0, inf\)"),
+        ("eta0", float("inf"), r"eta0 must lie in \(0, inf\)"),
+        ("backtrack", 1.0, r"backtrack must lie in \(0, 1\)"),
+        ("backtrack", 0.0, r"backtrack must lie in \(0, 1\)"),
+        ("sufficient_decrease", 1.0, r"sufficient_decrease must lie in \(0, 1\)"),
+        ("sufficient_decrease", float("nan"), r"sufficient_decrease must lie in \(0, 1\)"),
+        ("max_backtracks", -1, "max_backtracks must be at least 0"),
     ):
         with pytest.raises(ValueError, match=message):
             train(graph, samples, TrainerConfig(**{name: value}))
+        states = [MessageState(graph) for _ in samples]
+        with pytest.raises(ValueError, match=message):
+            w_step(graph, samples, states, w, np.ones(2), 1.0, None, 1.0,
+                   TrainerConfig(**{name: value}))
+
+
+def test_weight_counts_that_do_not_fit_the_feature_ids_are_named(monkeypatch):
+    rng = np.random.default_rng(32)
+    graph = chain_graph(3)
+    samples = [random_sample(rng, graph, 4, i) for i in range(3)]
+    assert feature_count(samples) == 4
+    monkeypatch.setattr(learner, "sweep_vec", lambda *args: pytest.fail("swept"))
+    with pytest.raises(ModelError, match="^2 weights for 4 features$"):
+        learner.predict_all(graph, samples, np.zeros(2), 1.0)
+    cfg = TrainerConfig(max_outer_iters=2)
+    for kwargs, message in (
+        ({"w0": np.zeros(2)}, "^w0 has 2 weights for num_features=4$"),
+        ({"num_features": 2}, "^num_features=2 below the samples' 4$"),
+        ({"w0": np.zeros(6)}, "^w0 has 6 weights for num_features=4$"),
+        ({"num_features": 6, "w0": np.zeros(4)}, "^w0 has 4 weights for num_features=6$"),
+    ):
+        with pytest.raises(ModelError, match=message):
+            train(graph, samples, cfg, **kwargs)
 
 
 def test_gradient_zero_when_moments_always_match():
@@ -517,10 +548,9 @@ def test_library_report_and_gradient_reproduce_train_bitwise():
     rng = np.random.default_rng(34)
     for graph, samples in small_corpora(rng) + small_corpora(rng):
         values = rng.uniform(0.5, 2.0, graph.region_count)
-        for scheme, c_values in (("ones", None), ("file", values)):
-            counting = CountingNumbers.from_scheme(graph, scheme, c_values)
+        for counting in (CountingNumbers.ones(graph), CountingNumbers.of(graph, values)):
             cfg = TrainerConfig(
-                eps=1.0, C=0.5, c_scheme=scheme, c_values=c_values, max_outer_iters=3000,
+                eps=1.0, C=0.5, counting=counting, max_outer_iters=3000,
                 residual_tol=1e-9, grad_norm_tol=1e-7,
             )
             records = []

@@ -11,11 +11,12 @@ from blendsp import (
     Region,
     RegionGraph,
     Sample,
+    duality_report,
     guarantees,
     theta_table,
 )
 
-from blendsp.learner import TrainerConfig
+from blendsp.learner import TrainerConfig, predict_all, train
 from blendsp.model import ThetaStack
 
 from test_deep_graphs import three_level_model
@@ -24,11 +25,12 @@ from util import chain_graph, loopy_graph, random_sample, tree_graph
 
 def test_counting_scheme_resolver():
     graph = chain_graph(3)
-    assert CountingNumbers.from_scheme(graph, "ones").values.tolist() == [1.0] * 5
-    assert CountingNumbers.from_scheme(graph, "bethe").values.tolist() == [0.0, -1.0, 0.0, 1.0, 1.0]
+    assert CountingNumbers.of(graph, "ones").values.tolist() == [1.0] * 5
+    assert CountingNumbers.of(graph, "bethe").values.tolist() == [0.0, -1.0, 0.0, 1.0, 1.0]
     values = [0.5, 1.0, 2.0, 1.0, 1.0]
-    assert CountingNumbers.from_scheme(graph, "file", values).values.tolist() == values
-    assert TrainerConfig(c_scheme="file", c_values=values).counting(graph).values.tolist() == values
+    assert CountingNumbers.of(graph, values).values.tolist() == values
+    model = CountingNumbers.of(graph, CountingNumbers(np.array(values), "model"))
+    assert model.values.tolist() == values and model.scheme == "model"
     for bad, message in (
         ([1.0] * 4, "cover exactly"),
         ([[1.0] * 5], "cover exactly"),
@@ -36,13 +38,52 @@ def test_counting_scheme_resolver():
         ([1.0, float("inf"), 1.0, 1.0, 1.0], "finite"),
     ):
         with pytest.raises(ModelError, match=message):
-            CountingNumbers.from_scheme(graph, "file", bad)
+            CountingNumbers.of(graph, bad)
         with pytest.raises(ModelError, match=message):
-            TrainerConfig(c_scheme="file", c_values=bad).counting(graph)
-    with pytest.raises(ValueError, match="requires values"):
-        CountingNumbers.from_scheme(graph, "file")
-    with pytest.raises(ValueError, match="unknown counting scheme"):
-        CountingNumbers.from_scheme(graph, "twos")
+            CountingNumbers.of(graph, CountingNumbers(np.array(bad), "model"))
+    for name in ("twos", "file"):
+        with pytest.raises(ValueError, match="unknown counting scheme"):
+            CountingNumbers.of(graph, name)
+
+
+def test_every_counting_form_resolves_the_same_way():
+    # None, a scheme name, a CountingNumbers and its values are one input to
+    # every library call: bitwise-equal results, and one error for bad values
+    rng = np.random.default_rng(41)
+    graph = loopy_graph(rng, 4, 4)
+    samples = [random_sample(rng, graph, 3, i) for i in range(3)]
+    w = rng.normal(size=3)
+    n = graph.region_count
+    bethe = CountingNumbers.bethe(graph)
+    calls = (
+        lambda c: train(graph, samples, TrainerConfig(counting=c, max_outer_iters=5)),
+        lambda c: predict_all(graph, samples, w, 1.0, c, max_sweeps=20),
+        lambda c: duality_report(graph, samples, trained.states, trained.w, 1.0, c, 0.5),
+        lambda c: guarantees(graph, 1.0, c),
+    )
+
+    def results(counting):
+        state, preds, report, verdict = (call(counting) for call in calls)
+        return (
+            state.w.tobytes(), state.report.to_text(),
+            [(p.labels.tobytes(), repr(p.residual), p.sweeps, p.capped) for p in preds],
+            report.to_text(), verdict,
+        )
+
+    trained = train(graph, samples, TrainerConfig(max_outer_iters=5))
+    for forms in (
+        (None, "ones", CountingNumbers.ones(graph), np.ones(n)),
+        ("bethe", bethe, bethe.values.copy()),
+    ):
+        first = results(forms[0])
+        for counting in forms[1:]:
+            assert results(counting) == first
+    bad = np.ones(n)
+    bad[1] = np.nan
+    for call in calls:
+        with pytest.raises(ModelError) as caught:
+            call(bad)
+        assert str(caught.value) == "counting numbers must be finite"
 
 
 def minimal_model():
@@ -95,7 +136,7 @@ def test_bethe_two_parents_warns_about_bound():
 def test_fractional_cover_flag():
     graph = chain_graph(3)
     assert guarantees(graph, 1.0, CountingNumbers.ones(graph)).bound
-    weak = CountingNumbers.from_values(np.full(graph.region_count, 0.1))
+    weak = CountingNumbers.of(graph, np.full(graph.region_count, 0.1))
     assert guarantees(graph, 1.0, weak) == (True, True, False)
     # each end variable: 0.5 from its singleton and 0.5 from its pair; the
     # middle one: 0.25 + 0.5 + 0.5

@@ -122,7 +122,7 @@ def test_fractional_cover_upper_bound():
             for v in reg.variables:
                 cover[v] += c[reg.id]
         c = c / cover.min()
-        counting = CountingNumbers.from_values(c)
+        counting = CountingNumbers.of(graph, c)
         assert guarantees(graph, 1.0, counting).bound
         w = rng.uniform(-2, 2, 3)
         state = MessageState(graph)

@@ -138,7 +138,7 @@ def test_default_omega_is_plain_without_the_descent_guarantee():
         layout = graph.layout()
         theta = ThetaStack(samples, layout).rows(rng.uniform(-3, 3, 4))
         for scheme, eps, omega in (("bethe", 1.0, 1.0), ("ones", 0.0, 1.0), ("ones", 1.0, OMEGA)):
-            cvals = CountingNumbers.from_scheme(graph, scheme).values
+            cvals = CountingNumbers.of(graph, scheme).values
             runs = []
             for args in ((), (omega,)):
                 lam = np.zeros((len(samples), layout.message_total))

@@ -245,7 +245,7 @@ def test_zero_denominator_warns_once_per_coefficient_derivation(caplog):
             sweep_vec(layout, lam, theta, 0.5, cvals)  # a new eps: derived once more
         assert [rec.getMessage() for rec in caplog.records] == [SKIPPED]
     caplog.clear()
-    config = TrainerConfig(c_scheme="file", c_values=cvals, max_outer_iters=20)
+    config = TrainerConfig(counting=cvals, max_outer_iters=20)
     with caplog.at_level(logging.WARNING, logger="blendsp.inference"):
         fresh = chain_graph(3)
         state = train(fresh, [random_sample(rng, fresh, 2)], config)
