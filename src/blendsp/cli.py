@@ -31,7 +31,7 @@ from .fileio import (
 )
 from .inference import guarantees, sweep_until_consistent
 from .learner import TrainerConfig, predict_all, train
-from .model import CountingNumbers, ThetaStack
+from .model import CountingNumbers
 from .objective import BatchObjective
 
 __all__ = ["main"]
@@ -308,15 +308,13 @@ def _cmd_gap(args) -> int:
     w = _load_weights(args.weights, parsed)
     print(f"seed={args.seed}")
     _print_warnings(parsed, args.eps, counting)
-    layout = parsed.graph.layout()
-    stack = ThetaStack(parsed.samples, layout)
     objective = BatchObjective(
-        layout, stack, args.eps, counting.values, args.C, parsed.num_features
+        parsed.graph, parsed.samples, args.eps, counting, args.C, parsed.num_features
     )
-    lam = np.zeros((len(parsed.samples), layout.message_total))
-    thetas = stack.rows(w)
+    lam = np.zeros((len(parsed.samples), objective.layout.message_total))
+    thetas = objective.stack.rows(w)
     block = sweep_until_consistent(
-        layout, lam, thetas, args.eps, counting.values, args.max_sweeps, args.residual_tol
+        objective.layout, lam, thetas, args.eps, objective.cvals, args.max_sweeps, args.residual_tol
     )
     capped = ~(block.residual <= args.residual_tol)  # at the cap, or NaN
     _print_capped(int(capped.sum()), len(parsed.samples), args.max_sweeps)

@@ -43,11 +43,10 @@ from .inference import (
     MessageState,
     belief_vec,
     message_potentials,
-    sweep_plan,
     sweep_until_consistent,
     sweep_vec,
 )
-from .model import CountingNumbers, ModelError, RegionGraph, Sample, ThetaStack
+from .model import CountingNumbers, RegionGraph, Sample, ThetaStack, _spans
 from .objective import BatchObjective, ObjectiveReport, report_at
 
 __all__ = [
@@ -170,12 +169,12 @@ def w_gradient(
     return z + C * w
 
 
-def _line_search(stack, lam_part, softmax, w, thetas, lse, gradient, C, cfg, prev=None):
-    """Backtracking search at frozen messages from ``w``, whose theta rows
-    are ``thetas`` and whose potentials thetas + lam_part have the region
-    log-partitions ``lse``.  Returns the step and, unless it stalled, the
-    accepted trial: its theta rows, message-parameterized potentials and
-    Gibbs pass (the region ``softmax``'s, which holds the log-partitions).
+def _line_search(objective, lam_part, w, thetas, lse, gradient, cfg, prev=None):
+    """Backtracking search on the batch ``objective`` at frozen messages
+    from ``w``, whose theta rows are ``thetas`` and whose potentials thetas
+    + lam_part have the region log-partitions ``lse``.  Returns the step
+    and, unless it stalled, the accepted trial: its theta rows, potentials
+    and Gibbs pass (the batch's region soft-max, with the log-partitions).
 
     The step is the first eta_m = eta0 * backtrack^m (made by repeated
     ``eta *= backtrack``, m = 0..max_backtracks) whose trial passes the
@@ -212,6 +211,7 @@ def _line_search(stack, lam_part, softmax, w, thetas, lse, gradient, C, cfg, pre
     g = np.asarray(gradient, dtype=float)
     if not np.isfinite(g).all():
         raise ValueError("gradient must be finite")
+    stack, softmax, C = objective.stack, objective.terms.regions, objective.C
 
     def value(w_at, th, lse_at):
         """The primal and S, the sum of its terms' absolute values."""
@@ -274,20 +274,24 @@ def w_step(
     Accepts the largest eta = eta0 * beta^m with sufficient decrease
     f(w - eta g) <= f(w) - sigma * eta * ||g||^2.  Exhausting the backtracks
     keeps w and flags a stall (not fatal); non-finite trial values shrink and
-    continue.
+    continue.  A ``config`` (built from the arguments if None) whose eps,
+    counting numbers or C are not the arguments' raises ``ValueError``, and
+    a ``w`` short of the samples' features or a gradient unlike ``w`` ``ModelError``.
     """
-    cfg = config or TrainerConfig(eps=eps, C=C)
+    cfg = config or TrainerConfig(eps=eps, C=C, counting=counting)
     cfg.check()
-    layout = graph.layout()
-    cvals = CountingNumbers.of(graph, counting).values
-    stack = ThetaStack(samples, layout)
-    lam = np.stack([st.vec for st in states]) if states else np.zeros((0, layout.message_total))
-    lam_part = message_potentials(layout, lam)
-    w = np.asarray(w, dtype=float)
-    thetas = stack.rows(w)
-    softmax = sweep_plan(layout).at(eps, cvals).regions
-    lse = softmax(thetas + lam_part).lse
-    return _line_search(stack, lam_part, softmax, w, thetas, lse, gradient, C, cfg)[0]
+    objective = BatchObjective(graph, samples, eps, counting, C, w=w)
+    if config is not None and (
+        (config.eps, config.C) != (objective.eps, objective.C)
+        or not np.array_equal(CountingNumbers.of(graph, config.counting).values, objective.cvals)
+    ):
+        raise ValueError("config's eps, counting numbers or C differ from the arguments")
+    w, gradient = objective.weights(w), objective.weights(gradient, "gradient")
+    lam = np.array([st.vec for st in states]).reshape(len(states), objective.layout.message_total)
+    lam_part = message_potentials(objective.layout, lam)
+    thetas = objective.stack.rows(w)
+    lse = objective.terms.regions(thetas + lam_part).lse
+    return _line_search(objective, lam_part, w, thetas, lse, gradient, cfg)[0]
 
 
 def train(
@@ -304,21 +308,13 @@ def train(
     that do not fit the samples' feature ids ``ModelError``."""
     config.check()
     samples = sorted(samples, key=lambda s: s.id)
-    n = len(samples)
-    layout = graph.layout()
-    cvals = CountingNumbers.of(graph, config.counting).values
     eps, C = config.eps, config.C
-    stack = ThetaStack(samples, layout)
-    num_features = stack.feature_count if num_features is None else num_features
-    if num_features < stack.feature_count:
-        raise ModelError(f"num_features={num_features} below the samples' {stack.feature_count}")
-    w = np.zeros(num_features) if w0 is None else np.asarray(w0, dtype=float).copy()
-    if len(w) != num_features:
-        raise ModelError(f"w0 has {len(w)} weights for num_features={num_features}")
-    objective = BatchObjective(layout, stack, eps, cvals, C, num_features)
+    objective = BatchObjective(graph, samples, eps, config.counting, C, num_features)
+    layout, stack, cvals = objective.layout, objective.stack, objective.cvals
+    w = np.zeros(objective.num_features) if w0 is None else objective.weights(w0, "w0").copy()
     thetas = stack.rows(w)
 
-    lam = np.zeros((n, layout.message_total))
+    lam = np.zeros((len(samples), layout.message_total))
     state = TrainState(w=w, states=[MessageState(graph, row) for row in lam])
 
     prev_primal = None
@@ -337,17 +333,14 @@ def train(
         sweeps = config.sweeps_per_step
         if sweeps is None:
             sweeps = 1 + int(block.sweeps.max(initial=0))
-        g_pre = (
-            stack.expectations(block.beliefs, num_features) - objective.empirical + C * state.w
-        )
+        g_pre = objective.mismatch(block.beliefs) + C * state.w
 
         step, trial = _line_search(
-            stack, block.message_part, objective.regions, state.w, thetas, block.lse,
-            g_pre, C, config, prev,
+            objective, block.message_part, state.w, thetas, block.lse, g_pre, config, prev
         )
         state.stalled = step.stalled
         state.w = step.w
-        prev = step.backtracks if objective.guarantees.descent else None
+        prev = step.backtracks if objective.terms.guarantees.descent else None
 
         # post-step diagnostics at the accepted trial's potentials (a stalled
         # step keeps the engine's); the moment mismatch doubles as the gradient
@@ -395,16 +388,6 @@ def train(
     return state
 
 
-def _smallest_containing_region(graph: RegionGraph) -> list[int]:
-    """Per variable, the containing region with the fewest variables
-    (ties to the lowest region id)."""
-    best = {}
-    for reg in sorted(graph.regions, key=lambda reg: len(reg.variables)):  # stable: ties in id order
-        for v in reg.variables:
-            best.setdefault(v, reg.id)
-    return [best[v] for v in range(graph.variable_count)]
-
-
 def predict(
     graph: RegionGraph,
     sample: Sample,
@@ -434,7 +417,8 @@ def predict_all(
     block objective, where the certificate holds (``inference.Guarantees``;
     ``sweep_until_consistent``); on grids they need a fraction of the plain
     sweeps.  Each variable takes the argmax (ties to the lowest label) of its
-    marginal under the belief of its smallest containing region.  The
+    marginal under the belief of its containing region with the fewest
+    variables (ties to the lowest id), summed in label order.  The
     returned residual measures how consistent the final beliefs are; a large
     value means the decode rests on disagreeing regions.
     """
@@ -444,21 +428,25 @@ def predict_all(
     theta = ThetaStack(samples, layout).rows(w, include_loss=False)
     lam = np.zeros((len(samples), layout.message_total))
     block = sweep_until_consistent(layout, lam, theta, eps_infer, cvals, max_sweeps, residual_tol)
-    b, residual, sweeps = block.beliefs, block.residual, block.sweeps
-    decoders = []
-    for v, owner in enumerate(_smallest_containing_region(graph)):
-        reg = graph.regions[owner]
-        pos = reg.variables.index(v)
-        stride = int(reg.strides()[pos])
-        card = reg.cardinalities[pos]
-        digits = (np.arange(reg.label_count, dtype=np.int64) // stride) % card
-        decoders.append((layout.region_slices[owner], digits, card))
+    residual, sweeps = block.residual, block.sweeps
+    # each variable's owner: of its (region, variable) pairs, the region
+    # with the fewest variables, ties to the lowest id
+    region, variable, stride, card = graph._label_pairs
+    order = np.lexsort((region, np.bincount(region)[region], variable))
+    pick = order[np.searchsorted(variable[order], np.arange(graph.variable_count))]
+    owner, stride, card = region[pick], stride[pick], card[pick]
+    # every owner slot's (sample, variable, label) bin, labels ascending within a bin
+    n, nv, width = len(samples), owner.size, int(card.max(initial=1))
+    v = np.repeat(np.arange(nv), layout.sizes[owner])  # the variable of each owner slot
+    slots = _spans(layout.offsets[owner], layout.sizes[owner])
+    bins = v * width + (slots - layout.offsets[owner][v]) // stride[v] % card[v]
+    bins = (np.arange(n)[:, None] * (nv * width) + bins).ravel()
+    marg = np.bincount(bins, block.beliefs.take(slots, axis=1).ravel(), n * nv * width)
+    # beliefs are nonnegative, so the empty bins past a variable's
+    # cardinality never come first among the maxima
+    labels = marg.reshape(n, nv, width).argmax(axis=2)
     capped = ~(residual <= residual_tol)  # at the cap, or NaN
-    results = []
-    for i in range(len(samples)):
-        labels = np.zeros(graph.variable_count, dtype=np.int64)
-        for v, (region_slice, digits, card) in enumerate(decoders):
-            marg = np.bincount(digits, weights=b[i, region_slice], minlength=card)
-            labels[v] = int(np.argmax(marg))
-        results.append(PredictResult(labels, float(residual[i]), int(sweeps[i]), bool(capped[i])))
-    return results
+    return [
+        PredictResult(labels[i], float(residual[i]), int(sweeps[i]), bool(capped[i]))
+        for i in range(n)
+    ]

@@ -7,19 +7,19 @@ moment-mismatch penalty; its value is a lower bound on the primal only at
 beliefs that agree on their marginals, so reports carry a certification flag
 tied to the marginal residual.
 
-One method, ``BatchObjective.report``, computes primal, dual, gap, residual
-and certificate for a whole batch: from the message matrix, the stacked theta
-rows (``model.ThetaStack``) and the potentials thetas +
-message_potentials(lam) (``inference``), which feed both the per-sample
-losses and the belief rows, so the primal and the dual of one report rest on
-the same rounding of the potentials.  ``train`` (after every weight step),
-the ``gap`` command, ``duality_report``, ``primal_objective`` and
-``w_gradient`` all go through it with the same arithmetic: those potentials,
-moment mismatch z = sum_i E_i - sum_i emp_i and gradient z + C * w.  The same
-messages and weights therefore give the same report, bit for bit, whichever
-of them computes it; ``train`` and ``gap`` hand in the potentials,
-log-partitions and beliefs they already hold instead of gathering the
-messages again.
+``BatchObjective`` builds the batch of every library call, of ``train`` and
+of the ``gap`` command, and its ``report`` computes primal, dual, gap,
+residual and certificate from the message matrix, the stacked theta rows
+(``model.ThetaStack``) and the potentials thetas + message_potentials(lam)
+(``inference``), which feed both the per-sample losses and the belief rows,
+so the primal and the dual of one report rest on the same rounding of the
+potentials.  ``train`` (after every weight step), the ``gap`` command,
+``duality_report``, ``primal_objective`` and ``w_gradient`` all report with
+the same arithmetic: those potentials, moment mismatch z = sum_i E_i -
+sum_i emp_i and gradient z + C * w.  The same messages and weights therefore
+give the same report, bit for bit, whichever of them computes it; ``train``
+and ``gap`` hand in the potentials, log-partitions and beliefs they already
+hold instead of gathering the messages again.
 
 The exact_* functions enumerate the full joint label space (guarded to 2^20
 joint labels) and serve as independent oracles for everything else.
@@ -29,21 +29,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .inference import (
     Guarantees,
     MessageState,
+    _beliefs,
     belief_row,
-    belief_vec,
     message_potentials,
     region_index,
     residual_rows,
     sweep_plan,
 )
 from .model import (
-    CountingNumbers, GraphLayout, RegionGraph, Sample, ThetaStack, feature_count, theta_table
+    CountingNumbers, ModelError, RegionGraph, Sample, ThetaStack, theta_table
 )
 from .numerics import eps_log_sum_exp, gibbs_normalize
 
@@ -131,38 +132,69 @@ def region_loss(
 
 class BatchObjective:
     """The objective of one batch of samples at fixed eps, counting numbers
-    and C: the one path that computes primal, dual, gap, residual and
-    certificate.  A non-finite eps, and a C that is not finite and at least
-    0, are rejected here, before any sweep of ``train`` or ``gap``."""
+    and C: the one code that turns a call's arguments into a batch (counting
+    numbers, layout, theta stack, feature count: by default the samples', or
+    the length of the weights ``w`` where that is larger), and the one path
+    to primal, dual, gap, residual and certificate.  Before any sweep, a
+    non-finite eps or a C outside [0, inf) raises ``ValueError`` and a
+    ``num_features`` below the samples' count ``ModelError``.  What depends
+    on (eps, c) is built on first use, so a batch with ``eps=None``, which
+    only takes moments, builds none of it."""
 
     def __init__(
         self,
-        layout: GraphLayout,
-        stack: ThetaStack,
-        eps: float,
-        cvals: np.ndarray,
-        C: float,
-        num_features: int,
+        graph: RegionGraph,
+        samples: list[Sample],
+        eps: float | None,
+        counting=None,
+        C: float = 0.0,
+        num_features: int | None = None,
+        w=None,
     ):
-        if not math.isfinite(eps):
+        if eps is not None and not math.isfinite(eps):
             raise ValueError("eps must be finite")
         if not 0 <= C < math.inf:
             raise ValueError("C must be nonnegative and finite")
-        self.layout, self.stack = layout, stack
-        self.eps, self.cvals, self.C = eps, cvals, C
-        self.empirical = stack.empirical(num_features)
-        terms = sweep_plan(layout).at(eps, cvals)
-        self.regions = terms.regions  # their soft-max
-        self.guarantees = terms.guarantees
-        self.t_slot = self.regions.t[layout.segment]
+        self.layout = graph.layout()
+        self.cvals = CountingNumbers.of(graph, counting).values
+        self.stack = ThetaStack(samples, self.layout)
+        own = self.stack.feature_count
+        if num_features is None:
+            num_features = own if w is None else max(own, len(w))
+        if num_features < own:
+            raise ModelError(f"num_features={num_features} below the samples' {own}")
+        self.num_features, self.eps, self.C = num_features, eps, C
+        self.empirical = self.stack.empirical(num_features)
+
+    @cached_property
+    def terms(self):
+        """The region soft-max ``regions`` and the ``guarantees`` at (eps, c)."""
+        return sweep_plan(self.layout).at(self.eps, self.cvals)
+
+    def weights(self, w, name: str = "w") -> np.ndarray:
+        """``w`` as floats; ``ModelError`` unless it has one weight per feature."""
+        w = np.asarray(w, dtype=float)
+        if len(w) != self.num_features:
+            raise ModelError(f"{name} has {len(w)} weights for num_features={self.num_features}")
+        return w
+
+    def belief_rows(self, beliefs: list[list[np.ndarray]]) -> np.ndarray:
+        """The belief rows of per-sample lists of per-region tables."""
+        rows = [belief_row(self.layout, t) for t in beliefs]
+        return np.array(rows).reshape(-1, self.layout.total)
+
+    def mismatch(self, bmat: np.ndarray) -> np.ndarray:
+        """The moment mismatch z at the belief rows ``bmat``: summed feature
+        expectations minus summed empirical features."""
+        return self.stack.expectations(bmat, self.num_features) - self.empirical
 
     def dual(self, bmat: np.ndarray) -> tuple[float, np.ndarray]:
         """The dual at the belief rows ``bmat``, and the moment mismatch z it
-        penalizes: summed feature expectations minus summed empirical
-        features."""
-        z = self.stack.expectations(bmat, self.empirical.size) - self.empirical
+        penalizes."""
+        z = self.mismatch(bmat)
         logb = np.where(bmat > 0, np.log(np.where(bmat > 0, bmat, 1.0)), 0.0)
-        value = float(-(bmat * logb * self.t_slot).sum() + (bmat * self.stack.loss).sum())
+        t_slot = self.terms.regions.t[self.layout.segment]
+        value = float(-(bmat * logb * t_slot).sum() + (bmat * self.stack.loss).sum())
         return value - moment_penalty(z, self.C), z
 
     def report(
@@ -180,18 +212,15 @@ class BatchObjective:
 
         The potentials thetas + message_potentials(lam), their region
         log-partitions ``lse`` and the belief rows ``bmat`` (from those
-        potentials) are given together or computed here from one pass of the
-        region soft-max: ``train`` passes its accepted line-search trial's,
-        ``gap`` the engine's.
+        potentials) are given together or computed here by
+        ``inference._beliefs``: ``train`` passes its accepted line-search
+        trial's, ``gap`` the engine's.
         """
-        layout, eps, cvals = self.layout, self.eps, self.cvals
-        n = lam.shape[0]
         if potentials is None:
-            potentials = thetas + message_potentials(layout, lam)
-            terms = self.regions(potentials)
-            lse, bmat = terms.lse, belief_vec(layout, lam, thetas, eps, cvals, terms)
+            bmat, part, lse = _beliefs(self.layout, lam, thetas, self.eps, self.cvals)
+            potentials = thetas + part
         losses = self.stack.losses(potentials, lse)
-        residual = float(residual_rows(layout, bmat).max()) if n else 0.0
+        residual = float(residual_rows(self.layout, bmat).max()) if lam.shape[0] else 0.0
         reg = 0.5 * self.C * float(w @ w)
         primal = sum(losses) + reg
         dual, z = self.dual(bmat)
@@ -200,7 +229,7 @@ class BatchObjective:
             dual=dual,
             gap=primal - dual,
             marginal_residual=residual,
-            certified=certifies(residual, primal - dual, self.guarantees),
+            certified=certifies(residual, primal - dual, self.terms.guarantees),
             per_sample_loss=losses,
             regularizer=reg,
         )
@@ -217,16 +246,12 @@ def report_at(
     C: float = 0.0,
     num_features: int | None = None,
 ) -> tuple[ObjectiveReport, np.ndarray]:
-    """``BatchObjective.report`` at the messages of ``states``."""
-    w = np.asarray(w, dtype=float)
-    if num_features is None:
-        num_features = max(feature_count(samples), len(w))
-    layout = graph.layout()
-    stack = ThetaStack(samples, layout)
-    cvals = CountingNumbers.of(graph, counting).values
-    objective = BatchObjective(layout, stack, eps, cvals, C, num_features)
-    lam = np.stack([st.vec for st in states]) if states else np.zeros((0, layout.message_total))
-    return objective.report(lam, stack.rows(w), w)
+    """``BatchObjective.report`` at the messages of ``states``; the feature
+    count defaults to the larger of the samples' and ``len(w)``."""
+    objective = BatchObjective(graph, samples, eps, counting, C, num_features, w)
+    w = objective.weights(w)
+    lam = np.array([st.vec for st in states]).reshape(len(states), objective.layout.message_total)
+    return objective.report(lam, objective.stack.rows(w), w)
 
 
 def primal_objective(
@@ -242,17 +267,6 @@ def primal_objective(
     return report_at(graph, samples, states, w, eps, counting, C)[0].primal
 
 
-def _at_beliefs(graph: RegionGraph, samples: list[Sample], beliefs, num_features):
-    """The theta stack of ``samples``, the belief rows of per-region
-    ``beliefs`` tables and the feature count."""
-    layout = graph.layout()
-    rows = [belief_row(layout, tables) for tables in beliefs]
-    bmat = np.stack(rows) if rows else np.zeros((0, layout.total))
-    if num_features is None:
-        num_features = feature_count(samples)
-    return ThetaStack(samples, layout), bmat, num_features
-
-
 def moment_mismatch(
     graph: RegionGraph,
     samples: list[Sample],
@@ -261,8 +275,8 @@ def moment_mismatch(
 ) -> np.ndarray:
     """Belief-weighted feature expectations minus empirical features, each
     summed over samples in list order."""
-    stack, bmat, num_features = _at_beliefs(graph, samples, beliefs, num_features)
-    return stack.expectations(bmat, num_features) - stack.empirical(num_features)
+    objective = BatchObjective(graph, samples, None, num_features=num_features)
+    return objective.mismatch(objective.belief_rows(beliefs))
 
 
 def dual_objective(
@@ -279,9 +293,8 @@ def dual_objective(
     With C = 0 the moment constraints are hard: the value is finite only when
     every mismatch is within tolerance, and -inf otherwise.
     """
-    stack, bmat, num_features = _at_beliefs(graph, samples, beliefs, num_features)
-    cvals = CountingNumbers.of(graph, counting).values
-    return BatchObjective(graph.layout(), stack, eps, cvals, C, num_features).dual(bmat)[0]
+    objective = BatchObjective(graph, samples, eps, counting, C, num_features)
+    return objective.dual(objective.belief_rows(beliefs))[0]
 
 
 def duality_report(

@@ -6,7 +6,9 @@ bit for bit, the same sample run alone through the reference loop below.
 
 import numpy as np
 
-from blendsp import CountingNumbers, Sample, predict
+from blendsp import (
+    CountingNumbers, MessageState, Region, RegionGraph, Sample, compute_beliefs, predict
+)
 from blendsp.inference import (
     OMEGA,
     belief_vec,
@@ -129,6 +131,39 @@ def test_predict_all_matches_per_sample_predict():
                 assert got.sweeps == want.sweeps
                 assert got.capped == want.capped
                 assert got.capped == (got.sweeps == max_sweeps and got.residual > 1e-9)
+
+
+def test_predict_decodes_each_variable_under_its_fewest_variable_region():
+    # variable 0 lies in region 0 (variables 0 and 1, where 1 has one label)
+    # and region 1 (variable 0 alone): both have 4 labels, and region 1, with
+    # fewer variables but the higher id, owns it; without sweeps the two
+    # regions' beliefs disagree on its label
+    graph = RegionGraph(
+        [Region(0, (0, 1), (4, 1)), Region(1, (0,), (4,)), Region(2, (0, 2), (4, 2))],
+        [(0, 1), (2, 1)],
+        3,
+    )
+    rng = np.random.default_rng(44)
+    tables = [([0.0, 0, 3, 0], [0.0, 0, 0, 3]), ([1.0, 0, 0, 0], [0.0, 2, 0, 0])]
+    samples = [
+        Sample(graph, i, features={0: {1: pair}, 1: {0: single}, 2: {2: rng.normal(size=8)}})
+        for i, (single, pair) in enumerate(tables)
+    ]
+    w = np.array([1.0, 1.0, 1.0])
+    results = predict_all(graph, samples, w, 1.0, None, 0)
+    for sample, result in zip(samples, results):
+        beliefs = compute_beliefs(graph, sample, MessageState(graph), w, 1.0, include_loss=False)
+        want = []
+        for v in range(graph.variable_count):
+            owner = min((len(r.variables), r.id) for r in graph.regions if v in r.variables)[1]
+            reg = graph.regions[owner]
+            pos = reg.variables.index(v)
+            digits = np.arange(reg.label_count) // reg.strides()[pos] % reg.cardinalities[pos]
+            want.append(np.argmax(np.bincount(digits, beliefs[owner], reg.cardinalities[pos])))
+        assert result.labels.tolist() == want
+        # region 0 would have decoded variable 0 otherwise
+        assert np.argmax(beliefs[0]) != want[0]
+    assert [r.labels[0] for r in results] == [2, 0]
 
 
 def test_engine_empty_batch():

@@ -65,9 +65,8 @@ def test_non_finite_eps_and_C_and_negative_caps_are_rejected_before_any_sweep(mo
     ):
         with pytest.raises(ValueError, match=message):
             train(graph, samples, TrainerConfig(eps=eps, C=C, max_outer_iters=2))
-        layout = graph.layout()
         with pytest.raises(ValueError, match=message):
-            objective.BatchObjective(layout, ThetaStack(samples, layout), eps, np.ones(5), C, 2)
+            objective.BatchObjective(graph, samples, eps, np.ones(5), C, 2)
     for name, value, message in (
         ("primal_rel_tol", float("nan"), "tolerances must be finite"),
         ("residual_tol", float("nan"), "tolerances must be finite"),
@@ -107,6 +106,56 @@ def test_weight_counts_that_do_not_fit_the_feature_ids_are_named(monkeypatch):
     ):
         with pytest.raises(ModelError, match=message):
             train(graph, samples, cfg, **kwargs)
+    # every other batch call, before any sweep: a feature count of 2 (as 2
+    # weights where the call takes no count) and 6 weights for 4 features
+    states = [MessageState(graph) for _ in samples]
+    beliefs = [compute_beliefs(graph, s, MessageState(graph), np.zeros(4), 1.0) for s in samples]
+    below, w2, w6 = "^num_features=2 below the samples' 4$", np.zeros(2), np.zeros(6)
+    for call, message in (
+        (lambda: duality_report(graph, samples, states, w2, 1.0, None, 1.0, 2), below),
+        (lambda: w_gradient(graph, samples, states, w2, 1.0, None, 1.0, 2), below),
+        (lambda: objective.dual_objective(graph, samples, beliefs, 1.0, None, 1.0, 2), below),
+        (lambda: objective.moment_mismatch(graph, samples, beliefs, 2), below),
+        (lambda: primal_objective(graph, samples, states, w2, 1.0),
+         "^w has 2 weights for num_features=4$"),
+        (lambda: w_step(graph, samples, states, w2, w2, 1.0),
+         "^w has 2 weights for num_features=4$"),
+        (lambda: duality_report(graph, samples, states, w6, 1.0, None, 1.0, 4),
+         "^w has 6 weights for num_features=4$"),
+        (lambda: w_gradient(graph, samples, states, w6, 1.0, None, 1.0, 4),
+         "^w has 6 weights for num_features=4$"),
+        # w_step's feature count is the larger of the samples' and len(w)
+        (lambda: w_step(graph, samples, states, w6, np.zeros(4), 1.0),
+         "^gradient has 4 weights for num_features=6$"),
+    ):
+        with pytest.raises(ModelError, match=message):
+            call()
+
+
+def test_w_step_rejects_a_config_that_disagrees_with_its_arguments():
+    rng = np.random.default_rng(33)
+    graph = chain_graph(3)
+    samples = [random_sample(rng, graph, 2, i) for i in range(2)]
+    states = [MessageState(graph) for _ in samples]
+    w, g = np.zeros(2), np.ones(2)
+    for config, counting in (
+        (TrainerConfig(eps=0.1, C=9.0), None),
+        (TrainerConfig(eps=0.1, C=0.5), None),
+        (TrainerConfig(eps=1.0, C=9.0), None),
+        (TrainerConfig(eps=1.0, C=0.5, counting="bethe"), None),
+        (TrainerConfig(eps=1.0, C=0.5), "bethe"),
+    ):
+        with pytest.raises(ValueError, match="config's eps, counting numbers or C differ"):
+            w_step(graph, samples, states, w, g, 1.0, counting, 0.5, config)
+    # the same values in other forms agree: ones by name, by values or by default
+    want = w_step(graph, samples, states, w, g, 1.0, None, 0.5)
+    for config, counting in (
+        (TrainerConfig(eps=1.0, C=0.5), ones(graph)),
+        (TrainerConfig(eps=1.0, C=0.5, counting=np.ones(graph.region_count)), "ones"),
+        (None, ones(graph)),
+    ):
+        got = w_step(graph, samples, states, w, g, 1.0, counting, 0.5, config)
+        assert np.array_equal(got.w, want.w) and got.objective == want.objective
 
 
 def test_gradient_zero_when_moments_always_match():
@@ -566,13 +615,11 @@ def test_library_report_and_gradient_reproduce_train_bitwise():
 def line_search(graph, samples, states, w, g, eps, C, cfg, prev):
     """``learner._line_search`` set up as ``w_step`` sets it up, with the
     previous step's backtrack count ``prev``."""
-    layout = graph.layout()
-    stack = ThetaStack(samples, layout)
-    lam_part = message_potentials(layout, np.stack([st.vec for st in states]))
-    thetas = stack.rows(w)
-    softmax = inference.sweep_plan(layout).at(eps, ones(graph).values).regions
-    lse = softmax(thetas + lam_part).lse
-    return learner._line_search(stack, lam_part, softmax, w, thetas, lse, g, C, cfg, prev)[0]
+    batch = objective.BatchObjective(graph, samples, eps, ones(graph), C, len(w))
+    lam_part = message_potentials(batch.layout, np.stack([st.vec for st in states]))
+    thetas = batch.stack.rows(w)
+    lse = batch.terms.regions(thetas + lam_part).lse
+    return learner._line_search(batch, lam_part, w, thetas, lse, g, cfg, prev)[0]
 
 
 def check_bracket_is_the_scan(graph, samples, states, w, g, eps, C, cfg):

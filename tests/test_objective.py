@@ -22,7 +22,7 @@ from blendsp import (
     region_loss,
 )
 
-from blendsp.inference import Guarantees, guarantees
+from blendsp.inference import Guarantees, guarantees, sweep_plan
 from blendsp.objective import certifies
 
 from util import brute_force_lse, chain_graph, loopy_graph, ones, random_model, random_sample
@@ -170,8 +170,11 @@ def test_dual_point_mass_on_truth_is_zero():
         b = np.zeros(reg.label_count)
         b[sample.true_labels[reg.id]] = 1.0
         beliefs.append(b)
+    # moments need no eps: the plan's terms at (0.5, ones) stay cached
+    terms = sweep_plan(graph.layout()).at(0.5, ones(graph).values)
     z = moment_mismatch(graph, [sample], [beliefs], 3)
     np.testing.assert_allclose(z, 0.0, atol=1e-12)
+    assert sweep_plan(graph.layout()).at(0.5, ones(graph).values) is terms
     val = dual_objective(graph, [sample], [beliefs], 1.0, ones(graph), 0.7, 3)
     assert val == pytest.approx(0.0, abs=1e-12)
 
