@@ -60,7 +60,9 @@ its Gibbs beliefs and its region log-partitions, so the engine also returns
 the log-partitions, and ``belief_vec`` takes a precomputed pass.
 
 ``sweep_until_consistent`` accelerates its sweeps by a guarded
-extrapolation of each row's recent message rows.
+extrapolation of each row's recent message rows (``_extrapolate``, a
+fixed-order least-squares solve that ``learner.train`` also applies to its
+iterate of weights and messages).
 
 The module-level helpers operate on batches: message matrices of shape
 (num_samples, message_total) against potential matrices (num_samples,
@@ -647,31 +649,54 @@ def _beliefs(layout, lam, theta, eps, cvals):
 
 # K of ``sweep_until_consistent``: a call allowed K sweeps or more extrapolates
 # after every K-th.  ``learner.train``'s blocks, at most KAPPA_CAP - 1 = 9
-# sweeps, stay below it, and so stay plain.
+# sweeps, stay below it, and so stay plain; ``train`` extrapolates its whole
+# iterate instead, with the same ``_extrapolate`` and its own K
+# (``learner.EXTRAPOLATE_EVERY``).
 EXTRAPOLATE_EVERY = 10
 
 
-@np.errstate(all="ignore")  # a non-finite or still row gives a non-finite point
+@np.errstate(all="ignore")  # a non-finite row gives a non-finite point
 def _extrapolate(ring: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Per row, the regularized nonlinear extrapolation (Scieur, d'Aspremont
-    and Bach, 2016) of the iterates x_0, ..., x_K, of which ``ring`` holds
-    the first K and ``lam`` is x_K: with d_i = x_{i+1} - x_i and G their K x K
-    Gram matrix divided by its largest entry, the solution z of (G + 1e-10
-    I) z = 1 scaled to c = z / sum(z) gives sum_i c_i x_{i+1}.  On an affine
-    iteration of dimension below K that is the fixed point.  The differences
-    are formed pair by pair and the sum term by term, so no (K, rows,
-    messages) array is made beside ``ring``."""
-    k = len(ring)
+    """Per row, the nonlinear extrapolation (Scieur, d'Aspremont and Bach,
+    2016) of the iterates x_0, ..., x_K, of which ``ring`` holds the first K
+    and ``lam`` is x_K: with d_i = x_{i+1} - x_i, the weights c that sum to
+    one and minimize |sum_i c_i d_i| give sum_i c_i x_{i+1}.  On an affine
+    iteration of dimension below K that is the fixed point.
+
+    With c_{K-1} = 1 - sum of the others this is the least-squares problem
+    of the K - 1 columns a_i = d_i - d_{K-1} against -d_{K-1}, solved by
+    modified Gram-Schmidt in column order and back substitution; the point
+    is x_K + sum_{i < K-1} c_i (x_{i+1} - x_K).  A column whose remaining
+    norm is at most 1e-12 of its own gets weight 0, so a row that no longer
+    moves comes back as x_K.  Only elementwise products and row sums decide
+    the weights, in a fixed order: no LAPACK routine and no
+    regularization."""
+    k, rows = len(ring) - 1, lam.shape[0]  # k columns
     later = [*ring[1:], lam]  # x_1, ..., x_K
-    gram = np.empty((lam.shape[0], k, k))
+    last = lam - ring[-1]  # d_{K-1}
+    rhs = -last  # -d_{K-1}, less its projections on the basis so far
+    r, t = np.zeros((rows, k, k)), np.zeros((rows, k))
+    basis, tmp = np.empty((k, *lam.shape)), np.empty_like(lam)
+    for j, q in enumerate(basis):
+        np.subtract(later[j], ring[j], out=q)
+        q -= last
+        own = np.multiply(q, q, out=tmp).sum(axis=1)
+        for i in range(j):
+            r[:, i, j] = np.multiply(basis[i], q, out=tmp).sum(axis=1)
+            q -= np.multiply(basis[i], r[:, i, j, None], out=tmp)
+        rest = np.sqrt(np.multiply(q, q, out=tmp).sum(axis=1))
+        kept = rest > 1e-12 * np.sqrt(own)
+        r[:, j, j] = np.where(kept, rest, 1.0)
+        q *= np.where(kept, 1.0 / rest, 0.0)[:, None]
+        t[:, j] = np.multiply(q, rhs, out=tmp).sum(axis=1)
+        rhs -= np.multiply(q, t[:, j, None], out=tmp)
+    c = np.zeros((rows, k))
+    for j in reversed(range(k)):
+        c[:, j] = (t[:, j] - (r[:, j, j + 1:] * c[:, j + 1:]).sum(axis=1)) / r[:, j, j]
+    x = lam.copy()
     for i in range(k):
-        d = later[i] - ring[i]
-        for j in range(i + 1):
-            gram[:, i, j] = gram[:, j, i] = (d * (later[j] - ring[j])).sum(axis=1)
-    gram /= gram.max(axis=(1, 2))[:, None, None]
-    z = np.linalg.solve(gram + 1e-10 * np.eye(k), np.ones((lam.shape[0], k, 1)))[..., 0]
-    c = z / z.sum(axis=1)[:, None]
-    return sum(c[:, i, None] * later[i] for i in range(k))
+        x += np.multiply(np.subtract(later[i], lam, out=tmp), c[:, i, None], out=tmp)
+    return x
 
 
 class SweepResult(NamedTuple):

@@ -17,6 +17,15 @@ prediction take the guarded extrapolation of
 ``inference.sweep_until_consistent``, which only ever lowers the block
 objective.
 
+Where descent holds, the blended iterate x = (w, lambda) is extrapolated
+the same way: after every EXTRAPOLATE_EVERY = 5 iterations ``train``
+combines the last 6 iterates by ``inference._extrapolate`` (nonlinear
+acceleration, Scieur, d'Aspremont and Bach, 2016) and moves to
+the point only if its primal is strictly below the current one (the
+monotone safeguard of Zhang, O'Donoghue and Boyd, 2020), so the primal
+still never rises.  On the benchmark corpora it cuts the weight steps from
+228 to 71 on ``highorder`` and from 213 to 119 on ``denoise10``.
+
 The weight step takes the step a top-down Armijo scan from ``eta0`` takes.
 Where descent holds the search first tests one grid step above the previous
 step and skips the scan above that test when it fails by more than its
@@ -41,6 +50,7 @@ import numpy as np
 
 from .inference import (
     MessageState,
+    _extrapolate,
     belief_vec,
     message_potentials,
     sweep_until_consistent,
@@ -65,9 +75,15 @@ __all__ = [
 # The default inference block sweeps each sample until its residual is at
 # most KAPPA times the previous step's gradient norm, KAPPA_CAP sweeps at most:
 # one sweep, then an engine call of at most KAPPA_CAP - 1 = 9, below
-# inference.EXTRAPOLATE_EVERY, so that the block's sweeps stay plain.
+# inference.EXTRAPOLATE_EVERY, so that the block's sweeps stay plain.  The
+# gradient norm is the one after the iteration's extrapolation, when taken.
 KAPPA = 0.1
 KAPPA_CAP = 10
+
+# K of ``train``'s extrapolation.  On a 6x6 denoising corpus, with K = 10 the
+# default block took more weight steps than one sweep per step (51 against
+# 47); with K = 5, fewer (50 against 56).
+EXTRAPOLATE_EVERY = 5
 
 # An Armijo test whose margin is within ARMIJO_ULPS * 2^-52 of the summed
 # sizes of the two objective values is left to the scan (``_line_search``).
@@ -114,6 +130,9 @@ class IterationRecord:
     eta: float
     sweeps: int  # the most sweeps any sample had before the step; not logged
     trials: int  # the step's objective trials; not logged
+    # the extrapolation of (w, lambda) after the step: None if not tried,
+    # else whether it was taken; not logged
+    extrapolated: bool | None = None
 
     def format_line(self) -> str:
         return (
@@ -305,7 +324,8 @@ def train(
     log_fn=None,
 ) -> TrainState:
     """Run the blended loop until the primal, residual and gradient criteria
-    are all met, or the iteration budget runs out.  A bad config raises
+    are all met, or the iteration budget runs out; each logged iteration
+    includes its extrapolation (module docstring).  A bad config raises
     ``ValueError`` (``TrainerConfig.check``) before any sweep, and weights
     that do not fit the samples' feature ids ``ModelError``."""
     config.check()
@@ -319,6 +339,11 @@ def train(
     lam = np.zeros((len(samples), layout.message_total))
     state = TrainState(w=w, states=[MessageState(graph, row) for row in lam])
 
+    # where descent holds, the iterates x = (w, lam) since the last
+    # extrapolation as rows of nf + lam.size, ``filled`` of them so far
+    nf, filled = objective.num_features, 0
+    descent = objective.terms.guarantees.descent
+    ring = np.empty((EXTRAPOLATE_EVERY, 1, nf + lam.size)) if descent else None
     prev_primal = None
     grad_norm = np.inf
     prev = None  # the last step's backtrack count, where the primal is convex in w
@@ -342,7 +367,7 @@ def train(
         )
         state.stalled = step.stalled
         state.w = step.w
-        prev = step.backtracks if objective.terms.guarantees.descent else None
+        prev = step.backtracks if descent else None
 
         # post-step diagnostics at the accepted trial's potentials (a stalled
         # step keeps the engine's); the moment mismatch doubles as the gradient
@@ -356,7 +381,25 @@ def train(
             lse = terms.lse
             del trial, terms  # free the exponentials while the next block sweeps
         report, z = objective.report(lam, thetas, state.w, th, lse, bmat)
-        del block  # free the engine's rows before the next block allocates its own
+        # free the engine's and the step's rows before the extrapolation and
+        # the next block allocate their own
+        del block, th, lse, bmat
+
+        extrapolated = None
+        if ring is not None:
+            x = np.concatenate([state.w, lam.ravel()])[None]
+            if filled == len(ring):
+                point = _extrapolate(ring, x)[0]
+                w_x, lam_x = point[:nf].copy(), point[nf:].reshape(lam.shape)
+                thetas_x = stack.rows(w_x)
+                report_x, z_x = objective.report(lam_x, thetas_x, w_x)
+                extrapolated = report_x.primal < report.primal  # False for NaN
+                if extrapolated:
+                    state.w, thetas, report, z = w_x, thetas_x, report_x, z_x
+                    lam[:] = lam_x  # in place: state.states view its rows
+                    x[0] = point
+                filled = 0  # the history restarts at the kept iterate
+            ring[filled], filled = x, filled + 1
         state.report = report
         primal, residual = report.primal, report.marginal_residual
         grad_norm = float(np.linalg.norm(z + C * state.w))
@@ -364,7 +407,7 @@ def train(
         if log_fn is not None:
             log_fn(IterationRecord(
                 it, primal, report.dual, report.gap, residual, grad_norm, step.eta, sweeps,
-                step.trials,
+                step.trials, extrapolated,
             ))
 
         rel = (
@@ -415,8 +458,10 @@ def predict_all(
 
     Where the certificate holds (``inference.Guarantees``) the sweeps are
     accelerated by the guarded extrapolation of ``sweep_until_consistent``:
-    at the trained weights of the benchmark it cuts them by 17% on
-    ``denoise10`` and 44% on ``highorder``.  Each variable takes the argmax
+    at the trained weights of the benchmark (seed 1, 200-sweep cap) the test
+    samples take 533 sweeps in all instead of 2,000 on ``denoise10``, where
+    plain sweeps leave every one at the cap, and 120 instead of 326 on
+    ``highorder``.  Each variable takes the argmax
     (ties to the lowest label) of its marginal under the belief of its
     containing region with the fewest variables (ties to the lowest id),
     summed in label order.  The returned residual measures how consistent the

@@ -9,6 +9,8 @@ the limit is the one plain sweeps reach.  Without the certificate the sweeps
 stay plain.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -138,7 +140,7 @@ def test_extrapolated_beliefs_match_plain_sweeps_at_convergence(seed, kind, coun
     # 100 more plain sweeps
     layout, cvals, theta = inputs(seed, kind, counting)
     lam = np.zeros((theta.shape[0], layout.message_total))
-    fast = sweep_until_consistent(layout, lam, theta, 1.0, cvals, 5000, 1e-10)
+    fast = sweep_until_consistent(layout, lam, theta, 1.0, cvals, 1000, 1e-10)
     assert (fast.residual <= 1e-10).all()
     _, plain, residual, _ = plain_loop(layout, theta, 1.0, cvals, 3000, 1e-10)
     done = residual <= 1e-10
@@ -152,9 +154,9 @@ def test_extrapolated_beliefs_match_plain_sweeps_at_convergence(seed, kind, coun
 def test_plain_sweeps_stall_on_seed_55_where_the_extrapolation_converges():
     # the third row's smallest belief falls below 1e-21; plain sweeps leave
     # it at a residual of 1.3e-4 after 3,000 sweeps and 5.2e-5 after 10,000
-    # (1.6e-5 after 30,000).  The engine reaches 2.6e-11 in 2,500 sweeps;
-    # rounding moves that count (2,280 to 3,520 when the extrapolation's sums
-    # or its solve are reordered), hence the cap of 5,000
+    # (1.6e-5 after 30,000).  The engine brings the three rows to 1.8e-14,
+    # 8.1e-13 and 7.1e-11 in 110, 80 and 151 sweeps, with 5, 6 and 11
+    # accepted extrapolations
     layout, cvals, theta = inputs(55, "loopy", "random")
     assert (cvals > 0).all()
     row = theta[2:]
@@ -167,7 +169,7 @@ def test_plain_sweeps_stall_on_seed_55_where_the_extrapolation_converges():
             assert residual == pytest.approx(1.3e-4 if sweeps == 3000 else 5.2e-5, rel=0.02)
     assert b.min() < 1e-21
     lam = np.zeros((3, layout.message_total))
-    fast = sweep_until_consistent(layout, lam, theta, 1.0, cvals, 5000, 1e-10)
+    fast = sweep_until_consistent(layout, lam, theta, 1.0, cvals, 1000, 1e-10)
     assert (fast.residual <= 1e-10).all() and fast.extrapolations[2] > 0
 
 
@@ -223,16 +225,133 @@ def test_default_omega_is_plain_without_the_descent_guarantee():
 
 
 def test_extrapolation_of_non_finite_or_still_rows_raises_nothing():
-    # NaN and inf histories and a row that no longer moves (a zero Gram
-    # matrix) give non-finite points, which the guard rejects, and leave a
-    # finite row as it is alone; a numpy warning would fail the test
+    # NaN and inf histories give non-finite points, which the guard rejects,
+    # and leave a finite row as it is alone; a row that no longer moves (no
+    # column of the least-squares problem is left) comes back as its last
+    # iterate; a numpy warning would fail the test
     k, rng = EXTRAPOLATE_EVERY, np.random.default_rng(47)
     ring = np.cumsum(rng.normal(size=(k + 1, 4, 6)), axis=0)
     ring[3, 1, 2], ring[k, 2, 0], ring[:, 3] = np.nan, np.inf, 1.0
     got = _extrapolate(ring[:k], ring[k])
     alone = _extrapolate(ring[:k, :1], ring[k, :1])
     assert got[0].tobytes() == alone[0].tobytes() and np.isfinite(got[0]).all()
-    assert not np.isfinite(got[1:]).all(axis=1).any()
+    assert not np.isfinite(got[1:3]).all(axis=1).any()
+    assert got[3].tobytes() == ring[k, 3].tobytes()
+
+
+def test_the_engine_leaves_a_still_row_where_it_is():
+    # after 400 plain sweeps the third row no longer moves: a sweep gives
+    # back its bits.  Its extrapolation is then its last iterate, which does
+    # not lower its block objective strictly, so the guard keeps it where it
+    # is and counts no extrapolation
+    layout, cvals, theta = inputs(0, "loopy", "ones")
+    lam = np.zeros((theta.shape[0], layout.message_total))
+    for _ in range(400):
+        before = lam.copy()
+        sweep_vec(layout, lam, theta, 1.0, cvals)
+    still = (before == lam).all(axis=1)
+    assert still.tolist() == [False, False, True]
+    res = sweep_until_consistent(layout, lam, theta, 1.0, cvals, EXTRAPOLATE_EVERY, -1.0)
+    assert lam[2].tobytes() == before[2].tobytes() and res.extrapolations[2] == 0
+
+
+def row_sum(values):
+    """numpy's sum of a row of at most 128 floats: left to right from 0 for
+    fewer than 8 terms, else 8 running sums (terms i, i + 8, ...) added as
+    a tree, then the terms past the last multiple of 8 one by one."""
+    if len(values) < 8:
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+    assert len(values) <= 128
+    acc = list(values[:8])
+    whole = len(values) - len(values) % 8
+    for i in range(8, whole, 8):
+        acc = [a + v for a, v in zip(acc, values[i:i + 8])]
+    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    for v in values[whole:]:
+        total += v
+    return total
+
+
+def reference_extrapolation(ring, last):
+    """``_extrapolate`` of one row, as a Python loop over floats: the
+    modified Gram-Schmidt least squares, the back substitution and the
+    point, in the primitive's order of operations, with numpy's row sums."""
+    def dot(a, b):
+        return row_sum([x * y for x, y in zip(a, b)])
+
+    k = len(ring)
+    later = [*ring[1:], last]
+    d_last = [x - y for x, y in zip(last, ring[-1])]
+    rhs = [-x for x in d_last]
+    r = [[0.0] * (k - 1) for _ in range(k - 1)]
+    t, basis = [0.0] * (k - 1), []
+    for j in range(k - 1):
+        q = [(x - y) - z for x, y, z in zip(later[j], ring[j], d_last)]
+        own = dot(q, q)
+        for i, qi in enumerate(basis):
+            r[i][j] = dot(qi, q)
+            q = [x - y * r[i][j] for x, y in zip(q, qi)]
+        rest = math.sqrt(dot(q, q))
+        kept = rest > 1e-12 * math.sqrt(own)
+        r[j][j] = rest if kept else 1.0
+        scale = 1.0 / rest if kept else 0.0
+        q = [x * scale for x in q]
+        t[j] = dot(q, rhs)
+        rhs = [x - y * t[j] for x, y in zip(rhs, q)]
+        basis.append(q)
+    c = [0.0] * (k - 1)
+    for j in reversed(range(k - 1)):
+        c[j] = (t[j] - dot(r[j][j + 1:], c[j + 1:])) / r[j][j]
+    point = list(last)
+    for i in range(k - 1):
+        point = [p + (x - y) * c[i] for p, x, y in zip(point, later[i], last)]
+    return point
+
+
+def test_extrapolation_bytes_match_a_python_loop():
+    # rows of 12 and of 6 messages: a random walk (every column kept), an
+    # affine iteration of dimension 2 (columns dropped by the rank test) and
+    # a row that stops moving half way
+    k = EXTRAPOLATE_EVERY
+    for width in (12, 6):
+        rng = np.random.default_rng(48 + width)
+        ring = np.cumsum(rng.normal(size=(k + 1, 3, width)), axis=0)
+        a = rng.normal(size=(2, 2)) * 0.4
+        for i in range(k):
+            ring[i + 1, 1, :2] = a @ ring[i, 1, :2] + 1.0
+            ring[i + 1, 1, 2:] = ring[i, 1, 2:]
+        ring[k // 2:, 2] = ring[k // 2, 2]
+        got = _extrapolate(ring[:k], ring[k])
+        for row in range(3):
+            want = reference_extrapolation(ring[:k, row].tolist(), ring[k, row].tolist())
+            assert got[row].tobytes() == np.array(want).tobytes()
+        assert np.isfinite(got).all() and got[2].tobytes() == ring[k, 2].tobytes()
+
+
+def test_extrapolation_calls_no_linear_algebra_routine(monkeypatch):
+    # every np.linalg function raises, and the primitive and the engine's
+    # accelerated sweeps run as before
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg called")
+
+    layout, cvals, theta = inputs(5, "three-level", "random")
+    k, rng = EXTRAPOLATE_EVERY, np.random.default_rng(49)
+    ring = np.cumsum(rng.normal(size=(k + 1, 4, 30)), axis=0)
+    before = _extrapolate(ring[:k], ring[k])
+    lam = np.zeros((theta.shape[0], layout.message_total))
+    plain = sweep_until_consistent(layout, lam, theta, 1.0, cvals, 200, 1e-10)
+    for name in dir(np.linalg):
+        if callable(getattr(np.linalg, name)) and not name[0].isupper():
+            monkeypatch.setattr(np.linalg, name, refuse)
+    with pytest.raises(AssertionError, match="np.linalg called"):
+        np.linalg.solve(np.eye(2), np.ones(2))
+    assert _extrapolate(ring[:k], ring[k]).tobytes() == before.tobytes()
+    lam = np.zeros((theta.shape[0], layout.message_total))
+    res = sweep_until_consistent(layout, lam, theta, 1.0, cvals, 200, 1e-10)
+    assert res.extrapolations.any() and res.beliefs.tobytes() == plain.beliefs.tobytes()
 
 
 def test_overflowing_weights_stop_rows_as_capped_without_warnings(tmp_path, capsys):
