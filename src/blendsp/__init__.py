@@ -31,7 +31,7 @@ from .model import (
     feature_count,
     theta_table,
 )
-from .numerics import entropy, eps_log_sum_exp, gibbs_normalize
+from .numerics import eps_log_sum_exp, gibbs_normalize
 from .objective import (
     ObjectiveReport,
     dual_objective,

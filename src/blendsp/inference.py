@@ -1,4 +1,4 @@
-"""Per-sample block-coordinate message passing on a region graph.
+"""The batched inference engine: block-coordinate message passing on a region graph.
 
 Each region r with parents owns one message table per parent edge.  Updating
 a region sets all of its outgoing tables to the analytic block minimizer of
@@ -785,10 +785,22 @@ def sweep_until_consistent(
 # public per-sample operations
 
 
+def message_vec(layout: GraphLayout, state: MessageState, index: int | None = None):
+    """The message row of ``state``, the ``index``-th of a list if given;
+    ``ValueError``, naming the index, unless it has the layout's message count."""
+    vec, name = state.vec, "message state" if index is None else f"message state {index}"
+    if np.shape(vec) != (layout.message_total,):
+        raise ValueError(f"{name}: {np.size(vec)} messages for the graph's {layout.message_total}")
+    return vec
+
+
 def _sample_inputs(graph, sample, state, w, counting, include_loss):
-    """The layout, counting numbers, theta row and message row of one sample."""
+    """The layout, counting numbers, theta row and message row (a view of
+    ``state``'s) of one sample."""
+    layout = graph.layout()
+    lam = message_vec(layout, state)[None]
     theta = sample.compiled().theta_vec(np.asarray(w, dtype=float), include_loss)
-    return graph.layout(), CountingNumbers.of(graph, counting).values, theta[None], state.vec[None]
+    return layout, CountingNumbers.of(graph, counting).values, theta[None], lam
 
 
 def region_index(layout: GraphLayout, region) -> int:

@@ -1,15 +1,21 @@
 """Blended learning and inference: message sweeps interleaved with weight steps.
 
-One outer iteration runs an inference block on every sample followed by a
-single gradient step on the weights with Armijo backtracking on the primal
-(messages frozen).  By default the inference block is one sweep, then more
-sweeps on each sample until its marginal residual is at most KAPPA times the
-previous step's gradient norm (and at least ``residual_tol``), up to
-KAPPA_CAP sweeps: a weight step is worth little while the beliefs it rests on
-are far from consistent, and sweeps are wasted once they are more consistent
-than the weights are optimal.  ``sweeps_per_step = N`` runs exactly N sweeps
-instead.  The weights may move while beliefs are still marginally
-inconsistent; both blocks are exact block descents, so where descent holds
+``train`` builds the batch (``objective.BatchObjective``) and a
+``TrainState``, which holds all that one iteration hands to the next: the
+weights w, the message rows lam (``states`` views them), the theta rows at
+w, the KAPPA target ``grad_norm``, the last step's ``backtracks`` and the
+extrapolation ``ring``.  It runs ``_iterate`` on them until the stopping
+test holds or the budget runs out.  One outer iteration runs an inference
+block on every sample followed by a single gradient step on the weights with
+Armijo backtracking on the primal (messages frozen).  By default the
+inference block is one sweep, then more sweeps on each sample until its
+marginal residual is at most KAPPA times the previous step's gradient norm
+(and at least ``residual_tol``), up to KAPPA_CAP sweeps: a weight step is
+worth little while the beliefs it rests on are far from consistent, and
+sweeps are wasted once they are more consistent than the weights are
+optimal.  ``sweeps_per_step = N`` runs exactly N sweeps instead.  The
+weights may move while beliefs are still marginally inconsistent; both
+blocks are exact block descents, so where descent holds
 (``inference.Guarantees``) convexity guarantees the blend converges, with
 every step monotonically decreasing the primal.  The block's sweeps stay
 plain block minimizations (see KAPPA_CAP); the 50 stall-recovery sweeps and
@@ -31,15 +37,14 @@ Where descent holds the search first tests one grid step above the previous
 step and skips the scan above that test when it fails by more than its
 rounding error; where rounding could decide the test it scans from
 ``eta0`` (``_line_search``).  On ``highorder``, whose steps are 2^-3 or 2^-4,
-that is about 2.4 trials per step instead of 4.4, with the same steps.
+that is 2.8 trials per step instead of 4.7 (seed 1), with the same steps.
 
-Samples are independent: the trainer stores all message vectors as rows of
-one matrix and sweeps them together in one set of numpy calls, and
-prediction runs every sample through the same batched engine.  Per-row
-arithmetic is identical no matter how rows are grouped, and gradient
-contributions are reduced in sample-id order, so results are bitwise
-independent of the batch.  A thread pool over row blocks was measured no
-faster.
+Samples are independent: the trainer sweeps the rows of lam together in
+one set of numpy calls, and prediction runs every sample through the same
+batched engine.  Per-row arithmetic is identical no matter how rows are
+grouped, and gradient contributions are reduced in sample-id order, so
+results are bitwise independent of the batch.  A thread pool over row
+blocks was measured no faster.
 """
 
 from __future__ import annotations
@@ -56,7 +61,7 @@ from .inference import (
     sweep_until_consistent,
     sweep_vec,
 )
-from .model import CountingNumbers, RegionGraph, Sample, ThetaStack, _spans
+from .model import CountingNumbers, RegionGraph, Sample, _spans
 from .objective import BatchObjective, ObjectiveReport, report_at
 
 __all__ = [
@@ -72,11 +77,9 @@ __all__ = [
     "predict_all",
 ]
 
-# The default inference block sweeps each sample until its residual is at
-# most KAPPA times the previous step's gradient norm, KAPPA_CAP sweeps at most:
-# one sweep, then an engine call of at most KAPPA_CAP - 1 = 9, below
-# inference.EXTRAPOLATE_EVERY, so that the block's sweeps stay plain.  The
-# gradient norm is the one after the iteration's extrapolation, when taken.
+# The default block is one sweep, then an engine call of at most KAPPA_CAP -
+# 1 = 9, below inference.EXTRAPOLATE_EVERY, so that its sweeps stay plain.
+# KAPPA scales the gradient norm after the iteration's extrapolation, if taken.
 KAPPA = 0.1
 KAPPA_CAP = 10
 
@@ -143,13 +146,23 @@ class IterationRecord:
 
 @dataclass
 class TrainState:
+    """What one iteration of ``train`` (``_iterate``) hands to the next."""
+
     w: np.ndarray
-    states: list[MessageState]
+    states: list[MessageState]  # views of lam's rows
+    lam: np.ndarray  # the message rows, one per sample in id order
+    thetas: np.ndarray  # the theta rows at w
     iteration: int = 0
-    history: list[float] = field(default_factory=list)
+    history: list[float] = field(default_factory=list)  # the logged primals
     report: ObjectiveReport | None = None
     converged: bool = False
     stalled: bool = False
+    grad_norm: float = np.inf  # the last gradient norm: the KAPPA block's target
+    backtracks: int | None = None  # the last step's m: the search's hint where descent holds
+    # where descent holds, the iterates x = (w, lam) since the last
+    # extrapolation as rows, ``filled`` of them so far; None elsewhere
+    ring: np.ndarray | None = None
+    filled: int = 0
 
 
 @dataclass
@@ -308,11 +321,88 @@ def w_step(
     ):
         raise ValueError("config's eps, counting numbers or C differ from the arguments")
     w, gradient = objective.weights(w), objective.weights(gradient, "gradient")
-    lam = np.array([st.vec for st in states]).reshape(len(states), objective.layout.message_total)
-    lam_part = message_potentials(objective.layout, lam)
+    lam_part = message_potentials(objective.layout, objective.message_rows(states))
     thetas = objective.stack.rows(w)
     lse = objective.terms.regions(thetas + lam_part).lse
     return _line_search(objective, lam_part, w, thetas, lse, gradient, cfg)[0]
+
+
+def _iterate(objective: BatchObjective, state: TrainState, config: TrainerConfig):
+    """One outer iteration of ``train`` on the batch ``objective``, in place
+    on ``state``: the inference block, the weight step, the report, the
+    extrapolation of (w, lambda) where descent holds, the stopping test and
+    the stall recovery.  Returns the iteration's ``IterationRecord``."""
+    layout, eps, cvals, C = objective.layout, objective.eps, objective.cvals, objective.C
+    lam = state.lam
+    state.iteration += 1
+    if config.sweeps_per_step is None:
+        n, cap, tol = 1, KAPPA_CAP - 1, max(config.residual_tol, KAPPA * state.grad_norm)
+    else:
+        n, cap, tol = config.sweeps_per_step, 0, 0.0
+    for _ in range(n):
+        sweep_vec(layout, lam, state.thetas, eps, cvals)
+    block = sweep_until_consistent(layout, lam, state.thetas, eps, cvals, cap, tol)
+    sweeps = n + int(block.sweeps.max(initial=0))
+
+    step, trial = _line_search(
+        objective, block.message_part, state.w, state.thetas, block.lse,
+        objective.mismatch(block.beliefs) + C * state.w, config, state.backtracks,
+    )
+    state.stalled, state.w = step.stalled, step.w
+    state.backtracks = step.backtracks if objective.terms.guarantees.descent else None
+
+    # post-step diagnostics at the accepted trial's potentials (a stalled
+    # step keeps the engine's); the moment mismatch doubles as the gradient
+    if trial is None:
+        th, lse, bmat = state.thetas + block.message_part, block.lse, block.beliefs
+    else:
+        # the beliefs are allocated before the last step's rows are freed
+        # (README, Notes: minor faults of library calls)
+        bmat = belief_vec(layout, lam, trial[0], eps, cvals, trial[2])
+        state.thetas, th, terms = trial
+        lse = terms.lse
+        del trial, terms  # free the exponentials while the next block sweeps
+    report, z = objective.report(lam, state.thetas, state.w, th, lse, bmat)
+    # free the engine's and the step's rows before the extrapolation and
+    # the next block allocate their own
+    del block, th, lse, bmat
+
+    extrapolated = None
+    if state.ring is not None:
+        x = np.concatenate([state.w, lam.ravel()])[None]
+        if state.filled == len(state.ring):
+            point = _extrapolate(state.ring, x)[0]
+            w_x, lam_x = point[: state.w.size].copy(), point[state.w.size :].reshape(lam.shape)
+            thetas_x = objective.stack.rows(w_x)
+            report_x, z_x = objective.report(lam_x, thetas_x, w_x)
+            extrapolated = report_x.primal < report.primal  # False for NaN
+            if extrapolated:
+                state.w, state.thetas, report, z = w_x, thetas_x, report_x, z_x
+                lam[:] = lam_x  # in place: state.states view its rows
+                x[0] = point
+            state.filled = 0  # the history restarts at the kept iterate
+        state.ring[state.filled] = x
+        state.filled += 1
+    state.report = report
+    primal, residual = report.primal, report.marginal_residual
+    state.grad_norm = float(np.linalg.norm(z + C * state.w))
+    last = state.history[-1] if state.history else None
+    state.history.append(primal)
+    rel = 0.0 if last is None else (last - primal) / max(1.0, abs(last))
+    state.converged = (
+        abs(rel) < config.primal_rel_tol
+        and residual < config.residual_tol
+        and state.grad_norm < config.grad_norm_tol
+    )
+
+    # a stalled weight step with inconsistent beliefs: up to 50 more
+    # sweeps, the inference block cannot increase the objective
+    if not state.converged and step.stalled and residual > config.residual_tol:
+        sweep_until_consistent(layout, lam, state.thetas, eps, cvals, 50, config.residual_tol)
+    return IterationRecord(
+        state.iteration, primal, report.dual, report.gap, residual, state.grad_norm, step.eta,
+        sweeps, step.trials, extrapolated,
+    )
 
 
 def train(
@@ -323,111 +413,21 @@ def train(
     w0: np.ndarray | None = None,
     log_fn=None,
 ) -> TrainState:
-    """Run the blended loop until the primal, residual and gradient criteria
-    are all met, or the iteration budget runs out; each logged iteration
-    includes its extrapolation (module docstring).  A bad config raises
-    ``ValueError`` (``TrainerConfig.check``) before any sweep, and weights
-    that do not fit the samples' feature ids ``ModelError``."""
+    """The blended loop (module docstring) from ``w0``, zeros by default.  A
+    bad config raises ``ValueError`` (``TrainerConfig.check``) before any
+    sweep, and weights that do not fit the samples' feature ids ``ModelError``."""
     config.check()
     samples = sorted(samples, key=lambda s: s.id)
-    eps, C = config.eps, config.C
-    objective = BatchObjective(graph, samples, eps, config.counting, C, num_features)
-    layout, stack, cvals = objective.layout, objective.stack, objective.cvals
+    objective = BatchObjective(graph, samples, config.eps, config.counting, config.C, num_features)
     w = np.zeros(objective.num_features) if w0 is None else objective.weights(w0, "w0").copy()
-    thetas = stack.rows(w)
-
-    lam = np.zeros((len(samples), layout.message_total))
-    state = TrainState(w=w, states=[MessageState(graph, row) for row in lam])
-
-    # where descent holds, the iterates x = (w, lam) since the last
-    # extrapolation as rows of nf + lam.size, ``filled`` of them so far
-    nf, filled = objective.num_features, 0
-    descent = objective.terms.guarantees.descent
-    ring = np.empty((EXTRAPOLATE_EVERY, 1, nf + lam.size)) if descent else None
-    prev_primal = None
-    grad_norm = np.inf
-    prev = None  # the last step's backtrack count, where the primal is convex in w
-    for it in range(1, config.max_outer_iters + 1):
-        state.iteration = it
-        if config.sweeps_per_step is None:
-            sweep_vec(layout, lam, thetas, eps, cvals)
-            cap, tol = KAPPA_CAP - 1, max(config.residual_tol, KAPPA * grad_norm)
-        else:
-            for _ in range(config.sweeps_per_step):
-                sweep_vec(layout, lam, thetas, eps, cvals)
-            cap, tol = 0, 0.0
-        block = sweep_until_consistent(layout, lam, thetas, eps, cvals, cap, tol)
-        sweeps = config.sweeps_per_step
-        if sweeps is None:
-            sweeps = 1 + int(block.sweeps.max(initial=0))
-        g_pre = objective.mismatch(block.beliefs) + C * state.w
-
-        step, trial = _line_search(
-            objective, block.message_part, state.w, thetas, block.lse, g_pre, config, prev
-        )
-        state.stalled = step.stalled
-        state.w = step.w
-        prev = step.backtracks if descent else None
-
-        # post-step diagnostics at the accepted trial's potentials (a stalled
-        # step keeps the engine's); the moment mismatch doubles as the gradient
-        if trial is None:
-            th, lse, bmat = thetas + block.message_part, block.lse, block.beliefs
-        else:
-            # the beliefs are allocated before the last step's rows are freed
-            # (README, Notes: minor faults of library calls)
-            bmat = belief_vec(layout, lam, trial[0], eps, cvals, trial[2])
-            thetas, th, terms = trial
-            lse = terms.lse
-            del trial, terms  # free the exponentials while the next block sweeps
-        report, z = objective.report(lam, thetas, state.w, th, lse, bmat)
-        # free the engine's and the step's rows before the extrapolation and
-        # the next block allocate their own
-        del block, th, lse, bmat
-
-        extrapolated = None
-        if ring is not None:
-            x = np.concatenate([state.w, lam.ravel()])[None]
-            if filled == len(ring):
-                point = _extrapolate(ring, x)[0]
-                w_x, lam_x = point[:nf].copy(), point[nf:].reshape(lam.shape)
-                thetas_x = stack.rows(w_x)
-                report_x, z_x = objective.report(lam_x, thetas_x, w_x)
-                extrapolated = report_x.primal < report.primal  # False for NaN
-                if extrapolated:
-                    state.w, thetas, report, z = w_x, thetas_x, report_x, z_x
-                    lam[:] = lam_x  # in place: state.states view its rows
-                    x[0] = point
-                filled = 0  # the history restarts at the kept iterate
-            ring[filled], filled = x, filled + 1
-        state.report = report
-        primal, residual = report.primal, report.marginal_residual
-        grad_norm = float(np.linalg.norm(z + C * state.w))
-        state.history.append(primal)
+    lam = np.zeros((len(samples), objective.layout.message_total))
+    state = TrainState(w, [MessageState(graph, row) for row in lam], lam, objective.stack.rows(w))
+    if objective.terms.guarantees.descent:
+        state.ring = np.empty((EXTRAPOLATE_EVERY, 1, w.size + lam.size))
+    while state.iteration < config.max_outer_iters and not state.converged:
+        record = _iterate(objective, state, config)
         if log_fn is not None:
-            log_fn(IterationRecord(
-                it, primal, report.dual, report.gap, residual, grad_norm, step.eta, sweeps,
-                step.trials, extrapolated,
-            ))
-
-        rel = (
-            0.0
-            if prev_primal is None
-            else (prev_primal - primal) / max(1.0, abs(prev_primal))
-        )
-        prev_primal = primal
-        if (
-            abs(rel) < config.primal_rel_tol
-            and residual < config.residual_tol
-            and grad_norm < config.grad_norm_tol
-        ):
-            state.converged = True
-            break
-
-        # a stalled weight step with inconsistent beliefs: up to 50 more
-        # sweeps, the inference block cannot increase the objective
-        if step.stalled and residual > config.residual_tol:
-            sweep_until_consistent(layout, lam, thetas, eps, cvals, 50, config.residual_tol)
+            log_fn(record)
     return state
 
 
@@ -468,10 +468,10 @@ def predict_all(
     final beliefs are; a large value means the decode rests on disagreeing
     regions.
     """
-    w = np.asarray(w, dtype=float)
-    layout = graph.layout()
-    cvals = CountingNumbers.of(graph, counting).values
-    theta = ThetaStack(samples, layout).rows(w, include_loss=False)
+    batch = BatchObjective(graph, samples, eps_infer, counting, w=w)
+    layout, cvals = batch.layout, batch.cvals
+    theta = batch.stack.rows(np.asarray(w, dtype=float), include_loss=False)
+    del batch  # the sweeps need none of the stack's tables: free them first
     lam = np.zeros((len(samples), layout.message_total))
     block = sweep_until_consistent(layout, lam, theta, eps_infer, cvals, max_sweeps, residual_tol)
     residual, sweeps = block.residual, block.sweeps

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["eps_log_sum_exp", "gibbs_normalize", "entropy", "ARGMAX_TOL"]
+__all__ = ["eps_log_sum_exp", "gibbs_normalize", "ARGMAX_TOL"]
 
 # absolute tie tolerance for the t = 0 subgradient selection; a fixed value
 # keeps zero-temperature runs reproducible
@@ -51,14 +51,3 @@ def gibbs_normalize(values, t: float, argmax_tol: float = ARGMAX_TOL) -> np.ndar
     m = v.max() if t > 0 else v.min()
     e = np.exp((v - m) / t)
     return e / e.sum()
-
-
-def entropy(b) -> float:
-    """-sum(b * log(b)) with 0 * log(0) = 0."""
-    p = np.asarray(b, dtype=float)
-    if (p < 0).any():
-        raise ValueError("entropy requires nonnegative entries")
-    if abs(p.sum() - 1.0) > 1e-12:
-        raise ValueError("entropy requires a normalized distribution")
-    nz = p[p > 0]
-    return float(-(nz * np.log(nz)).sum())

@@ -39,6 +39,7 @@ from .inference import (
     _beliefs,
     belief_row,
     message_potentials,
+    message_vec,
     region_index,
     residual_rows,
     sweep_plan,
@@ -125,7 +126,8 @@ def region_loss(
     region = region_index(layout, region)
     cvals = CountingNumbers.of(graph, counting).values
     stack = sample.compiled()
-    th = stack.theta_vec(np.asarray(w, dtype=float)) + message_potentials(layout, state.vec)
+    lam = message_vec(layout, state)
+    th = stack.theta_vec(np.asarray(w, dtype=float)) + message_potentials(layout, lam)
     table = th[layout.region_slices[region]]
     return eps_log_sum_exp(table, eps * cvals[region]) - float(th[stack.true_slots[0, region]])
 
@@ -164,7 +166,12 @@ class BatchObjective:
         if num_features < own:
             raise ModelError(f"num_features={num_features} below the samples' {own}")
         self.num_features, self.eps, self.C = num_features, eps, C
-        self.empirical = self.stack.empirical(num_features)
+
+    @cached_property
+    def empirical(self) -> np.ndarray:
+        """The summed empirical features; samples without true labels, as
+        prediction's, never build them."""
+        return self.stack.empirical(self.num_features)
 
     @cached_property
     def terms(self):
@@ -177,6 +184,15 @@ class BatchObjective:
         if len(w) != self.num_features:
             raise ModelError(f"{name} has {len(w)} weights for num_features={self.num_features}")
         return w
+
+    def message_rows(self, states: list[MessageState]) -> np.ndarray:
+        """The message rows of ``states``, one per sample; ``ValueError``
+        for another count of states or a state of another message count."""
+        n = self.stack.shape[0]
+        if len(states) != n:
+            raise ValueError(f"{len(states)} message states for {n} samples")
+        rows = [message_vec(self.layout, st, i) for i, st in enumerate(states)]
+        return np.array(rows).reshape(n, self.layout.message_total)
 
     def belief_rows(self, beliefs: list[list[np.ndarray]]) -> np.ndarray:
         """The belief rows of per-sample lists of per-region tables."""
@@ -250,8 +266,7 @@ def report_at(
     count defaults to the larger of the samples' and ``len(w)``."""
     objective = BatchObjective(graph, samples, eps, counting, C, num_features, w)
     w = objective.weights(w)
-    lam = np.array([st.vec for st in states]).reshape(len(states), objective.layout.message_total)
-    return objective.report(lam, objective.stack.rows(w), w)
+    return objective.report(objective.message_rows(states), objective.stack.rows(w), w)
 
 
 def primal_objective(

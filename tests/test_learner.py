@@ -1,3 +1,6 @@
+import copy
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,9 +17,12 @@ from blendsp import (
     duality_report,
     exact_map,
     inference_sweep,
+    lambda_update,
     marginal_residual,
+    mu_message,
     predict,
     primal_objective,
+    region_loss,
     train,
     w_gradient,
     w_step,
@@ -130,6 +136,46 @@ def test_weight_counts_that_do_not_fit_the_feature_ids_are_named(monkeypatch):
     ):
         with pytest.raises(ModelError, match=message):
             call()
+
+
+def grid(size):
+    """A size x size denoising corpus of two samples."""
+    spec = DenoiseSpec(width=size, height=size, num_train=2, num_test=0, flip_prob=0.2, seed=1)
+    return make_denoise_dataset(spec)
+
+
+# every public call that takes message states: (call, whether it takes a list)
+STATE_CALLS = {
+    "duality_report": (lambda ds, st, w: duality_report(ds.graph, ds.train, st, w, 1.0), True),
+    "primal_objective": (lambda ds, st, w: primal_objective(ds.graph, ds.train, st, w, 1.0), True),
+    "w_gradient": (lambda ds, st, w: w_gradient(ds.graph, ds.train, st, w, 1.0), True),
+    "w_step": (lambda ds, st, w: w_step(ds.graph, ds.train, st, w, w, 1.0), True),
+    "region_loss": (lambda ds, st, w: region_loss(ds.graph, ds.train[0], 0, st, w, 1.0), False),
+    "lambda_update": (lambda ds, st, w: lambda_update(ds.graph, ds.train[0], 0, st, w, 1.0), False),
+    "mu_message": (
+        lambda ds, st, w: mu_message(ds.graph, ds.train[0], *ds.graph.edges[0], st, w, 1.0), False
+    ),
+    "inference_sweep": (lambda ds, st, w: inference_sweep(ds.graph, ds.train[0], st, w, 1.0), False),
+    "compute_beliefs": (lambda ds, st, w: compute_beliefs(ds.graph, ds.train[0], st, w, 1.0), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STATE_CALLS))
+def test_message_states_that_do_not_fit_are_named(name):
+    # a state list of another length than the samples, or a state of a
+    # smaller or larger graph, raises naming the count or the state's index
+    call, takes_list = STATE_CALLS[name]
+    ds = grid(3)
+    w, total = np.zeros(ds.num_features), ds.graph.layout().message_total
+    if takes_list:
+        with pytest.raises(ValueError, match="^1 message states for 2 samples$"):
+            call(ds, [MessageState(ds.graph)], w)
+    for other in (grid(2), grid(4)):
+        state, n = MessageState(other.graph), other.graph.layout().message_total
+        index = " 1" if takes_list else ""
+        message = f"^message state{index}: {n} messages for the graph's {total}$"
+        with pytest.raises(ValueError, match=message):
+            call(ds, [MessageState(ds.graph), state] if takes_list else state, w)
 
 
 def test_w_step_rejects_a_config_that_disagrees_with_its_arguments():
@@ -399,9 +445,11 @@ def test_predict_ignores_loss_tables():
     sample = random_sample(rng, graph, 2, with_loss=True)
     stripped = Sample(graph, 0, {}, sample.features, sample.true_labels)
     w = rng.normal(size=2)
+    unlabelled = Sample(graph, 0, {}, sample.features)  # prediction needs no truth
     a = predict(graph, sample, w, 1.0, ones(graph), max_sweeps=40)
-    b = predict(graph, stripped, w, 1.0, ones(graph), max_sweeps=40)
-    np.testing.assert_array_equal(a.labels, b.labels)
+    for other in (stripped, unlabelled):
+        b = predict(graph, other, w, 1.0, ones(graph), max_sweeps=40)
+        np.testing.assert_array_equal(a.labels, b.labels)
 
 
 def test_noiseless_corpus_trains_to_zero_test_error():
@@ -576,6 +624,42 @@ def test_train_extrapolation_keeps_the_primal_monotone(monkeypatch):
     train(ds.graph, ds.train, cfg, log_fn=records.append)
     assert all(r.extrapolated is None for r in records)
     assert len(primals) == len(records) == 30
+
+
+@pytest.mark.parametrize("config", [
+    TrainerConfig(C=0.3),
+    TrainerConfig(C=0.3, sweeps_per_step=3),
+    TrainerConfig(C=0.3, counting="bethe"),  # no descent: no hint and no extrapolation
+], ids=["kappa", "fixed", "bethe"])
+def test_a_run_resumed_from_a_copy_of_its_state_is_the_uninterrupted_run(config):
+    # stopped after iteration 7, two iterates into its second extrapolation
+    # ring, a deep copy of the state continued by ``_iterate`` logs and ends
+    # exactly as the run that never stopped: the state carries everything
+    ds = make_denoise_dataset(
+        DenoiseSpec(width=4, height=4, num_train=3, num_test=0, flip_prob=0.2, seed=12, tying="full")
+    )
+    records = []
+    full = train(ds.graph, ds.train, config, num_features=ds.num_features, log_fn=records.append)
+    assert full.converged and full.iteration > 12
+    stop = replace(config, max_outer_iters=7)
+    head = []
+    state = copy.deepcopy(train(ds.graph, ds.train, stop, ds.num_features, log_fn=head.append))
+    state.states = [MessageState(ds.graph, row) for row in state.lam]
+    assert state.filled == (2 if config.counting is None else 0)
+    batch = objective.BatchObjective(
+        ds.graph, ds.train, config.eps, config.counting, config.C, ds.num_features
+    )
+    while state.iteration < config.max_outer_iters and not state.converged:
+        head.append(learner._iterate(batch, state, config))
+
+    def logged(r):
+        return r.format_line(), r.sweeps, r.trials, r.extrapolated
+
+    assert list(map(logged, head)) == list(map(logged, records))
+    assert state.converged and state.w.tobytes() == full.w.tobytes()
+    extrapolated = [r.extrapolated for r in records[7:]]
+    assert (True in extrapolated) == (config.counting is None)
+    assert state.filled == full.filled and np.array_equal(state.ring, full.ring)
 
 
 def reference_line_search(graph, samples, states, w, g, eps, C, cfg):

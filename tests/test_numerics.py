@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blendsp.numerics import entropy, eps_log_sum_exp, gibbs_normalize
+from blendsp.numerics import eps_log_sum_exp, gibbs_normalize
 
 from util import brute_force_lse
 
@@ -51,22 +51,6 @@ def test_gibbs_zero_temperature_point_mass():
 
 def test_gibbs_zero_temperature_tie_set():
     np.testing.assert_allclose(gibbs_normalize([2.0, 2.0, 0.0], 0.0), [0.5, 0.5, 0.0])
-
-
-def test_entropy_uniform_and_point_mass():
-    assert entropy(np.full(4, 0.25)) == pytest.approx(math.log(4), abs=1e-12)
-    assert entropy([1.0, 0.0, 0.0]) == 0.0
-
-
-def test_entropy_direct_value():
-    assert entropy([0.25, 0.75]) == pytest.approx(0.56233514461880835, abs=1e-12)
-
-
-def test_entropy_rejects_bad_input():
-    with pytest.raises(ValueError):
-        entropy([-0.1, 1.1])
-    with pytest.raises(ValueError):
-        entropy([0.4, 0.4])
 
 
 @given(tables, st.sampled_from([1e-3, 1e-2, 0.1, 1.0]))

@@ -6,9 +6,12 @@ Usage: python3 tools/outputs.py OUT
 Builds the ``denoise10`` and ``highorder`` corpora at seeds 1 and 7 with
 ``bench/corpora.py``, runs ``train``, ``infer``, ``gap`` and ``gap
 --c-scheme bethe`` in-process with the flags of ``bench/workloads.py``, and
-writes into ``OUT/<workload>-seed<seed>/`` each command's stdout (the
-corpus directory replaced by ``<dir>``, the exit code on a last line) as
-``<command>.stdout``, and ``train.log``, ``weights.bsw`` and ``pred.labels``.
+a fixed-count ``train --sweeps-per-step 3 --max-iters 40`` (``train-fixed``,
+the block path without the KAPPA rule), and writes into
+``OUT/<workload>-seed<seed>/`` each command's stdout (the corpus directory
+replaced by ``<dir>``, the exit code on a last line) as
+``<command>.stdout``, and ``train.log``, ``weights.bsw``, ``pred.labels``,
+``train-fixed.log`` and ``weights-fixed.bsw``.
 The program is whichever ``blendsp`` Python imports (set ``PYTHONPATH``);
 ``bench/`` is the one next to this script, which it only reads.  Two runs
 compare with ``diff -r``.
@@ -29,7 +32,7 @@ import corpora  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 RUNS = [(workload, seed) for workload in ("denoise10", "highorder") for seed in (1, 7)]
-KEPT = ("train.log", "weights.bsw", "pred.labels")
+KEPT = ("train.log", "weights.bsw", "pred.labels", "train-fixed.log", "weights-fixed.bsw")
 
 
 def run(workload: str, seed: int, work: Path, out: Path) -> None:
@@ -48,6 +51,10 @@ def run(workload: str, seed: int, work: Path, out: Path) -> None:
         ("gap", ["gap", "--model", train_bsp, "--weights", weights, *spec["gap"]]),
         ("gap-bethe", ["gap", "--model", train_bsp, "--weights", weights, *spec["gap"],
                        "--c-scheme", "bethe"]),
+        ("train-fixed", ["train", "--model", train_bsp, *spec["train"],
+                         "--sweeps-per-step", "3", "--max-iters", "40",
+                         "--out", str(work / "weights-fixed.bsw"),
+                         "--log", str(work / "train-fixed.log")]),
     ]
     out.mkdir(parents=True)
     for name, argv in commands:
