@@ -28,7 +28,6 @@ from .model import (
     Region,
     RegionGraph,
     Sample,
-    feature_count,
     theta_table,
 )
 from .numerics import eps_log_sum_exp, gibbs_normalize

@@ -42,7 +42,7 @@ that is 2.8 trials per step instead of 4.7 (seed 1), with the same steps.
 Samples are independent: the trainer sweeps the rows of lam together in
 one set of numpy calls, and prediction runs every sample through the same
 batched engine.  Per-row arithmetic is identical no matter how rows are
-grouped, and gradient contributions are reduced in sample-id order, so
+grouped, and gradient contributions are reduced in list order, so
 results are bitwise independent of the batch.  A thread pool over row
 blocks was measured no faster.
 """
@@ -150,7 +150,7 @@ class TrainState:
 
     w: np.ndarray
     states: list[MessageState]  # views of lam's rows
-    lam: np.ndarray  # the message rows, one per sample in id order
+    lam: np.ndarray  # the message rows, one per sample in list order
     thetas: np.ndarray  # the theta rows at w
     iteration: int = 0
     history: list[float] = field(default_factory=list)  # the logged primals
@@ -417,7 +417,6 @@ def train(
     bad config raises ``ValueError`` (``TrainerConfig.check``) before any
     sweep, and weights that do not fit the samples' feature ids ``ModelError``."""
     config.check()
-    samples = sorted(samples, key=lambda s: s.id)
     objective = BatchObjective(graph, samples, config.eps, config.counting, config.C, num_features)
     w = np.zeros(objective.num_features) if w0 is None else objective.weights(w0, "w0").copy()
     lam = np.zeros((len(samples), objective.layout.message_total))

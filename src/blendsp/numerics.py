@@ -34,11 +34,11 @@ def eps_log_sum_exp(values, t: float) -> float:
     return m + t * float(np.log(np.exp((v - m) / t).sum()))
 
 
-def gibbs_normalize(values, t: float, argmax_tol: float = ARGMAX_TOL) -> np.ndarray:
+def gibbs_normalize(values, t: float) -> np.ndarray:
     """Distribution proportional to exp(v / t); uniform over near-maximizers at t = 0.
 
     For t = 0 the result is the deterministic subgradient selection: uniform
-    over entries within ``argmax_tol`` of the maximum, zero elsewhere.
+    over entries within ``ARGMAX_TOL`` of the maximum, zero elsewhere.
     """
     v = np.asarray(values, dtype=float)
     if v.size == 0:
@@ -46,7 +46,7 @@ def gibbs_normalize(values, t: float, argmax_tol: float = ARGMAX_TOL) -> np.ndar
     if not np.isfinite(v).all():
         raise ValueError("gibbs_normalize requires finite entries")
     if t == 0.0:
-        mask = v >= v.max() - argmax_tol
+        mask = v >= v.max() - ARGMAX_TOL
         return mask / mask.sum()
     m = v.max() if t > 0 else v.min()
     e = np.exp((v - m) / t)

@@ -37,6 +37,7 @@ from .inference import (
     Guarantees,
     MessageState,
     _beliefs,
+    _sample_inputs,
     belief_row,
     message_potentials,
     message_vec,
@@ -122,14 +123,12 @@ def region_loss(
     A region id outside the graph raises ``ValueError``, a sample without
     true labels ``ModelError``.
     """
-    layout = graph.layout()
-    region = region_index(layout, region)
-    cvals = CountingNumbers.of(graph, counting).values
-    stack = sample.compiled()
-    lam = message_vec(layout, state)
-    th = stack.theta_vec(np.asarray(w, dtype=float)) + message_potentials(layout, lam)
+    region = region_index(graph.layout(), region)
+    layout, cvals, theta, lam = _sample_inputs(graph, sample, state, w, counting, True)
+    (th,) = theta + message_potentials(layout, lam)
     table = th[layout.region_slices[region]]
-    return eps_log_sum_exp(table, eps * cvals[region]) - float(th[stack.true_slots[0, region]])
+    true = sample.compiled().true_slots[0, region]
+    return eps_log_sum_exp(table, eps * cvals[region]) - float(th[true])
 
 
 class BatchObjective:

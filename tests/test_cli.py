@@ -418,6 +418,22 @@ def test_c_file_next_to_another_scheme_is_rejected(tmp_path, capsys, command):
     assert not written.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "infer", "gap"])
+def test_c_scheme_file_without_a_c_file_is_rejected(tmp_path, capsys, command):
+    out = gen(tmp_path, "corpus")
+    model = out / ("test.bsp" if command == "infer" else "train.bsp")
+    argv = [command, "--model", str(model), "--c-scheme", "file"]
+    written = tmp_path / ("w.bsw" if command == "train" else "p.labels")
+    if command != "gap":
+        argv += ["--out", str(written)]
+    if command != "train":
+        argv += ["--weights", str(zero_weights(tmp_path, out))]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert "error: --c-scheme file requires --c-file" in capsys.readouterr().err
+    assert not written.exists()
+
+
 def test_c_scheme_help_names_the_counts_default(capsys):
     for command in ("train", "infer", "gap"):
         assert main([command, "--help"]) == 0

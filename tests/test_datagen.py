@@ -81,6 +81,24 @@ def test_exactly_one_noise_model():
         DenoiseSpec(width=2, height=2, num_train=1, num_test=1)
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"width": 0}, "grid dimensions must be positive"),
+        ({"num_test": -1}, "sample counts must be nonnegative"),
+        ({"tying": "half"}, "tying must be 'shared' or 'full'"),
+        ({"flip_prob": 1.5}, r"flip_prob must be in \[0, 1\]"),
+        ({"flip_prob": None, "gaussian_sigma": 0.0}, "gaussian_sigma must be positive"),
+        ({"base_image": np.zeros((3, 2))}, "base image does not match the grid dimensions"),
+        ({"base_image": np.full((2, 3), 2)}, "base image must be binary"),
+    ],
+)
+def test_bad_spec_or_base_image_is_named(change, message):
+    fields = dict(width=3, height=2, num_train=1, num_test=1, flip_prob=0.2) | change
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make_denoise_dataset(DenoiseSpec(**fields))
+
+
 def test_noiseless_observations_equal_base():
     base = cross_pattern(4, 4)
     ds = make_denoise_dataset(

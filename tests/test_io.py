@@ -21,7 +21,7 @@ from blendsp.fileio import (
     write_model,
     write_weights,
 )
-from blendsp.model import ThetaStack, feature_count
+from blendsp.model import ThetaStack
 
 from test_deep_graphs import three_level_model
 from util import loopy_graph, random_model, random_sample, tree_graph
@@ -211,6 +211,12 @@ def test_duplicate_feature_table_names_its_line(old, new, line, table):
         ("0 1.0", "0 1.0 2", 8, "count line needs: region value"),
         ("0 0 0.5 -0.5\nCOUNTS\n0 1.0", "0 0 0.5 x\nCOUNTS\n0", 6,
          "expected real feature value, got 'x'"),
+        # the model sections
+        ("EDGES", "EDGES 1", 4, "unexpected tokens after section EDGES"),
+        ("REGIONS\n", "", 2, "unknown section start '0'"),
+        ("0 1 0 2", "0 1 0 2 2", 3, "region 0: expected 2 trailing fields"),
+        ("0 1 0 2", "0 1 0 0", 3, "region 0: cardinalities must be >= 1"),
+        ("0 1 0 2", "0 1 0 2\n2 1 1 2", 13, "region ids must be dense 0-based indices"),
     ],
 )
 def test_sample_section_errors_name_their_line(old, new, line, message):
@@ -280,6 +286,7 @@ TRUTH 0 0 0
         ("0 2", "edge \\(0, 2\\): containment violated"),
         ("2 3", "edge \\(2, 3\\) references a missing region"),
         ("-1 0", "edge \\(-1, 0\\) references a missing region"),
+        ("2 0 1", "edge line needs: parent child"),
     ],
 )
 def test_edge_errors_name_the_edge_line(edge, message):
@@ -373,6 +380,23 @@ def test_weights_require_dense_sorted_ids():
 def test_non_finite_weight_names_its_line(value):
     with pytest.raises(ParseError, match="line 3: weight values must be finite"):
         parse_weights(f"BLENDSP-W 1\n0 1.0\n1 {value}\n2 2.0\n")
+
+
+@pytest.mark.parametrize(
+    "parse, text, line, message",
+    [
+        (parse_weights, "BLENDSP-L 1\n0 1.0\n", 1, "expected header 'BLENDSP-W 1'"),
+        (parse_weights, "BLENDSP-W 1\n0 1.0\n1 2.0 3.0\n", 3, "weight line needs: id value"),
+        (parse_weights, "BLENDSP-W 1\n0 1.0\n0 2.0\n", 3, "duplicate weight for feature 0"),
+        (parse_labels, "BLENDSP-W 1\n0 1 0\n", 1, "expected header 'BLENDSP-L 1'"),
+        (parse_labels, "BLENDSP-L 1\n0 1 0\n0 0 1\n", 3, "duplicate sample id 0"),
+        (parse_bitmap, "# no rows\n\n", 1, "empty bitmap"),
+    ],
+)
+def test_weight_label_and_bitmap_errors_name_their_line(parse, text, line, message):
+    with pytest.raises(ParseError, match=f"^{re.escape(f'line {line}: {message}')}$") as err:
+        parse(text)
+    assert err.value.line_no == line
 
 
 def test_labels_roundtrip():
@@ -487,7 +511,7 @@ def same_tables(a: dict, b: dict) -> bool:
 def test_parsed_stacks_are_bitwise_the_dict_built_ones(seed, kind):
     rng = np.random.default_rng(seed)
     graph, samples = roundtrip_corpus(rng, kind)
-    k = max(4, feature_count(samples))
+    k = max(4, ThetaStack(samples, graph.layout()).feature_count)
     text = write_to_text(ParsedModel(graph, samples, None, k))
     parsed = parse_model(text)
     assert write_to_text(parsed) == text

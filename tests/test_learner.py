@@ -30,7 +30,7 @@ from blendsp import (
 from blendsp import inference, learner, objective
 from blendsp.datagen import DenoiseSpec, make_denoise_dataset
 from blendsp.inference import message_potentials
-from blendsp.model import ModelError, ThetaStack, feature_count
+from blendsp.model import ModelError, ThetaStack
 from blendsp.numerics import gibbs_normalize
 
 from test_deep_graphs import three_level_model
@@ -93,13 +93,16 @@ def test_non_finite_eps_and_C_and_negative_caps_are_rejected_before_any_sweep(mo
         with pytest.raises(ValueError, match=message):
             w_step(graph, samples, states, w, np.ones(2), 1.0, None, 1.0,
                    TrainerConfig(**{name: value}))
+    for g in ([1.0, float("nan")], [float("-inf"), 0.0]):
+        with pytest.raises(ValueError, match="^gradient must be finite$"):
+            w_step(graph, samples, states, w, np.array(g), 1.0, None, 1.0)
 
 
 def test_weight_counts_that_do_not_fit_the_feature_ids_are_named(monkeypatch):
     rng = np.random.default_rng(32)
     graph = chain_graph(3)
     samples = [random_sample(rng, graph, 4, i) for i in range(3)]
-    assert feature_count(samples) == 4
+    assert ThetaStack(samples, graph.layout()).feature_count == 4
     monkeypatch.setattr(learner, "sweep_vec", lambda *args: pytest.fail("swept"))
     with pytest.raises(ModelError, match="^2 weights for 4 features$"):
         learner.predict_all(graph, samples, np.zeros(2), 1.0)
@@ -742,6 +745,22 @@ def test_library_report_and_gradient_reproduce_train_bitwise():
             assert report.to_text() == state.report.to_text()
             g = w_gradient(graph, samples, state.states, state.w, 1.0, counting, 0.5)
             assert np.linalg.norm(g) == records[-1].grad_norm
+
+
+def test_train_keeps_the_callers_sample_order():
+    # the rows of lam and states follow the list train is given, as every
+    # other batch call's do: the library calls take train's final state
+    # with the same list, here one out of sample-id order
+    spec = DenoiseSpec(width=4, height=4, num_train=3, num_test=0, flip_prob=0.2, seed=8,
+                       tying="full")
+    ds = make_denoise_dataset(spec)
+    samples = ds.train[::-1]
+    records = []
+    state = train(ds.graph, samples, TrainerConfig(C=0.3), log_fn=records.append)
+    report = duality_report(ds.graph, samples, state.states, state.w, 1.0, None, 0.3)
+    assert report.to_text() == state.report.to_text()
+    g = w_gradient(ds.graph, samples, state.states, state.w, 1.0, None, 0.3)
+    assert np.linalg.norm(g) == records[-1].grad_norm
 
 
 

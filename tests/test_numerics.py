@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from blendsp.numerics import eps_log_sum_exp, gibbs_normalize
+from blendsp.numerics import ARGMAX_TOL, eps_log_sum_exp, gibbs_normalize
 
 from util import brute_force_lse
 
@@ -53,6 +53,19 @@ def test_gibbs_zero_temperature_tie_set():
     np.testing.assert_allclose(gibbs_normalize([2.0, 2.0, 0.0], 0.0), [0.5, 0.5, 0.0])
 
 
+def test_gibbs_zero_temperature_tie_band_edge():
+    # an entry ARGMAX_TOL below the max or an ulp closer ties; an ulp further does not
+    edge = -ARGMAX_TOL
+    np.testing.assert_array_equal(gibbs_normalize([0.0, edge], 0.0), [0.5, 0.5])
+    np.testing.assert_array_equal(gibbs_normalize([0.0, np.nextafter(edge, 0.0)], 0.0), [0.5, 0.5])
+    np.testing.assert_array_equal(gibbs_normalize([0.0, np.nextafter(edge, -1.0)], 0.0), [1.0, 0.0])
+    # rounding a shift moves a gap next to the edge across it: no tie rule
+    # on rounded values is shift-covariant there
+    v = np.array([1e-09, -7.022776782279331e-291])
+    np.testing.assert_array_equal(gibbs_normalize(v, 0.0), [1.0, 0.0])
+    np.testing.assert_array_equal(gibbs_normalize(v + 1.0, 0.0), [0.5, 0.5])
+
+
 @given(tables, st.sampled_from([1e-3, 1e-2, 0.1, 1.0]))
 def test_smooth_max_sandwich(v, t):
     lse = eps_log_sum_exp(v, t)
@@ -63,6 +76,11 @@ def test_smooth_max_sandwich(v, t):
 @given(tables, st.sampled_from([0.0, 0.05, 1.0, -0.5]), finite_floats)
 def test_shift_covariance(v, t, a):
     arr = np.asarray(v)
+    if t == 0.0:
+        # v + a rounds each gap to the max by a few ulps of |v| + |a|; gaps
+        # that close to the tie band's edge are test_gibbs_zero_temperature_tie_band_edge's
+        rounding = 4 * np.spacing(np.abs(arr).max() + abs(a))
+        assume((np.abs(arr.max() - arr - ARGMAX_TOL) > rounding).all())
     base = eps_log_sum_exp(arr, t)
     shifted = eps_log_sum_exp(arr + a, t)
     assert shifted == pytest.approx(base + a, rel=1e-9, abs=1e-9)
