@@ -8,6 +8,7 @@ or input error, 2 non-convergence within the iteration budget.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 from pathlib import Path
@@ -97,8 +98,8 @@ def _build_parser() -> _Parser:
         "--sweeps-per-step",
         type=int,
         default=None,
-        help="fixed sweeps per weight step; default: sweep each sample until its "
-        "residual <= 0.1*||g||, at most 10",
+        help="fixed sweeps per weight step; default: start at 1 and, where descent "
+        "holds, add 1 (at most 10) after each step whose residual > 0.1*||g||",
     )
     t.add_argument("--max-iters", type=count, default=1000)
     t.add_argument("--tol", type=finite, default=1e-8, help="relative primal decrease")
@@ -225,21 +226,9 @@ def _cmd_train(args) -> int:
     )
     print(f"seed={args.seed}")
     _print_warnings(parsed, args.eps, counting)
-    log_handle = open(args.log, "w") if args.log is not None else None
-    try:
-        log_fn = (
-            (lambda rec: log_handle.write(rec.format_line() + "\n")) if log_handle else None
-        )
-        state = train(
-            parsed.graph,
-            parsed.samples,
-            config,
-            num_features=parsed.num_features,
-            log_fn=log_fn,
-        )
-    finally:
-        if log_handle:
-            log_handle.close()
+    with open(args.log, "w") if args.log is not None else contextlib.nullcontext() as log:
+        log_fn = None if log is None else (lambda rec: log.write(rec.format_line() + "\n"))
+        state = train(parsed.graph, parsed.samples, config, parsed.num_features, log_fn=log_fn)
     with open(args.out, "w") as fh:
         write_weights(
             state.w,

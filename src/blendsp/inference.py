@@ -648,10 +648,9 @@ def _beliefs(layout, lam, theta, eps, cvals):
 
 
 # K of ``sweep_until_consistent``: a call allowed K sweeps or more extrapolates
-# after every K-th.  ``learner.train``'s blocks, at most KAPPA_CAP - 1 = 9
-# sweeps, stay below it, and so stay plain; ``train`` extrapolates its whole
-# iterate instead, with the same ``_extrapolate`` and its own K
-# (``learner.EXTRAPOLATE_EVERY``).
+# after every K-th.  ``learner.train``'s blocks are plain ``sweep_vec`` calls;
+# ``train`` extrapolates its whole iterate instead, with the same
+# ``_extrapolate`` and its own K (``learner.EXTRAPOLATE_EVERY``).
 EXTRAPOLATE_EVERY = 10
 
 

@@ -508,7 +508,7 @@ def test_adaptive_default_descends_to_the_fixed_sweep_optimum():
 
 
 def test_adaptive_first_step_equals_one_sweep_bitwise():
-    # no gradient norm is known before the first step, so no extra sweep runs
+    # the default block starts at one sweep, so the first step is one sweep's
     rng = np.random.default_rng(31)
     for graph, samples in small_corpora(rng):
         weights = []
@@ -519,6 +519,37 @@ def test_adaptive_first_step_equals_one_sweep_bitwise():
             assert records[0].sweeps == 1
             weights.append(st.w)
         assert np.array_equal(weights[0], weights[1])
+
+
+def test_default_block_only_grows_within_its_cap():
+    # in convex mode the block starts at one sweep and is raised by one at a
+    # time, never lowered, up to KAPPA_CAP
+    ds = make_denoise_dataset(
+        DenoiseSpec(width=6, height=6, num_train=4, num_test=0, flip_prob=0.2, seed=17, tying="full")
+    )
+    small = small_corpora(np.random.default_rng(36))
+    for graph, samples in [(ds.graph, ds.train), *small]:
+        records = []
+        state = train(graph, samples, TrainerConfig(C=0.3, residual_tol=1e-8), log_fn=records.append)
+        assert state.converged
+        sweeps = [r.sweeps for r in records]
+        assert sweeps[0] == 1 and all(1 <= n <= learner.KAPPA_CAP for n in sweeps)
+        assert all(0 <= b - a <= 1 for a, b in zip(sweeps, sweeps[1:]))
+        assert state.block in (sweeps[-1], sweeps[-1] + 1)
+
+
+def test_default_block_stays_one_sweep_without_descent():
+    # under Bethe counting numbers descent fails, so the block keeps one
+    # sweep per step, at which the 4x4 corpus converges (a block grown
+    # without the descent gate cycled for 1,000 iterations there)
+    ds = make_denoise_dataset(
+        DenoiseSpec(width=4, height=4, num_train=3, num_test=0, flip_prob=0.2, seed=12, tying="full")
+    )
+    records = []
+    cfg = TrainerConfig(C=0.3, counting="bethe")
+    state = train(ds.graph, ds.train, cfg, num_features=ds.num_features, log_fn=records.append)
+    assert state.converged and state.iteration == 43
+    assert state.block == 1 and all(r.sweeps == 1 for r in records)
 
 
 def test_fixed_sweeps_per_step_ignores_the_rule(monkeypatch):
@@ -555,9 +586,9 @@ def test_adaptive_default_takes_fewer_weight_steps_on_denoising():
 
 
 def test_train_scatters_messages_once_per_iteration(monkeypatch):
-    # where the KAPPA rule never fires, the engine's belief pass is the only
-    # scatter of the message potentials: the line search and the post-step
-    # report reuse it; each extrapolation's report adds one
+    # whatever the block's sweeps, its belief pass is the only scatter of the
+    # message potentials: the sweeps, the line search and the post-step
+    # report need none of their own; each extrapolation's report adds one
     ds = make_denoise_dataset(
         DenoiseSpec(width=3, height=3, num_train=2, num_test=1, flip_prob=0.2, seed=1)
     )
@@ -576,9 +607,9 @@ def test_train_scatters_messages_once_per_iteration(monkeypatch):
         log_fn=records.append,
     )
     assert state.converged and state.iteration > 10
-    assert all(r.sweeps == 1 for r in records)  # the rule never fired
+    assert records[0].sweeps == 1 and records[-1].sweeps == learner.KAPPA_CAP
     attempts = sum(r.extrapolated is not None for r in records)
-    assert (state.iteration, attempts) == (19, 3)
+    assert (state.iteration, attempts) == (17, 3)
     assert len(calls) == state.iteration + attempts
 
 
@@ -647,7 +678,9 @@ def test_a_run_resumed_from_a_copy_of_its_state_is_the_uninterrupted_run(config)
     stop = replace(config, max_outer_iters=7)
     head = []
     state = copy.deepcopy(train(ds.graph, ds.train, stop, ds.num_features, log_fn=head.append))
-    state.states = [MessageState(ds.graph, row) for row in state.lam]
+    # the copy shares the graph, and its states view its own message rows
+    assert state.states[0].graph is ds.graph
+    assert all(np.shares_memory(st.vec, state.lam) for st in state.states)
     assert state.filled == (2 if config.counting is None else 0)
     batch = objective.BatchObjective(
         ds.graph, ds.train, config.eps, config.counting, config.C, ds.num_features
@@ -855,5 +888,5 @@ def test_train_without_the_previous_step_logs_the_same_bytes(monkeypatch):
     assert scanned_log == log
     # the scan's trials follow from the logged steps: m + 1 at eta = 16 * 0.5^m
     assert [r.trials for r in scanned] == [round(np.log2(16 / r.eta)) + 1 for r in scanned]
-    assert (len(records), sum(r.trials for r in records)) == (51, 221)
-    assert sum(r.trials for r in scanned) == 362
+    assert (len(records), sum(r.trials for r in records)) == (26, 76)
+    assert sum(r.trials for r in scanned) == 156

@@ -7,12 +7,15 @@ Builds the ``denoise10`` corpus at seed 1 and the ``highorder`` corpus at
 seeds 1 and 7 with ``bench/corpora.py`` (``denoise10`` ignores the seed, and
 ``highorder``'s seed relabels only its test set), runs ``train``,
 ``infer``, ``gap`` and ``gap --c-scheme bethe`` in-process with the flags of
-``bench/workloads.py``, and a fixed-count ``train --sweeps-per-step 3
---max-iters 40`` (``train-fixed``, the block path without the KAPPA rule),
-and writes into ``OUT/<workload>-seed<seed>/`` each command's stdout (the
-corpus directory replaced by ``<dir>``, the exit code on a last line) as
+``bench/workloads.py``, a fixed-count ``train --sweeps-per-step 3
+--max-iters 40`` (``train-fixed``, the block path without the growing
+rule), and ``train --c-scheme bethe --max-iters 60`` (``train-bethe``, the
+default block where descent fails, so it stays one sweep), and writes into
+``OUT/<workload>-seed<seed>/`` each command's stdout (the corpus directory
+replaced by ``<dir>``, the exit code on a last line) as
 ``<command>.stdout``, and ``train.log``, ``weights.bsw``, ``pred.labels``,
-``train-fixed.log`` and ``weights-fixed.bsw``.
+``train-fixed.log``, ``weights-fixed.bsw``, ``train-bethe.log`` and
+``weights-bethe.bsw``.
 The program is whichever ``blendsp`` Python imports (set ``PYTHONPATH``);
 ``bench/`` is the one next to this script, which it only reads.  Two runs
 compare with ``diff -r``.
@@ -33,7 +36,10 @@ import corpora  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 RUNS = [("denoise10", 1), ("highorder", 1), ("highorder", 7)]
-KEPT = ("train.log", "weights.bsw", "pred.labels", "train-fixed.log", "weights-fixed.bsw")
+KEPT = (
+    "train.log", "weights.bsw", "pred.labels", "train-fixed.log", "weights-fixed.bsw",
+    "train-bethe.log", "weights-bethe.bsw",
+)
 
 
 def run(workload: str, seed: int, work: Path, out: Path) -> None:
@@ -56,6 +62,10 @@ def run(workload: str, seed: int, work: Path, out: Path) -> None:
                          "--sweeps-per-step", "3", "--max-iters", "40",
                          "--out", str(work / "weights-fixed.bsw"),
                          "--log", str(work / "train-fixed.log")]),
+        ("train-bethe", ["train", "--model", train_bsp, *spec["train"],
+                         "--c-scheme", "bethe", "--max-iters", "60",
+                         "--out", str(work / "weights-bethe.bsw"),
+                         "--log", str(work / "train-bethe.log")]),
     ]
     out.mkdir(parents=True)
     for name, argv in commands:
