@@ -302,14 +302,11 @@ def _cmd_gap(args) -> int:
     )
     lam = np.zeros((len(parsed.samples), objective.layout.message_total))
     thetas = objective.stack.rows(w)
-    block = sweep_until_consistent(
+    capped = sweep_until_consistent(
         objective.layout, lam, thetas, args.eps, objective.cvals, args.max_sweeps, args.residual_tol
-    )
-    capped = ~(block.residual <= args.residual_tol)  # at the cap, or NaN
+    ).capped
     _print_capped(int(capped.sum()), len(parsed.samples), args.max_sweeps)
-    potentials = thetas + block.message_part
-    report, _ = objective.report(lam, thetas, w, potentials, block.lse, block.beliefs)
-    print(report.to_text())
+    print(objective.report(lam, thetas, w)[0].to_text())
     return EXIT_OK
 
 

@@ -52,12 +52,13 @@ The potentials of theta rows at messages lam are, everywhere in the package,
 ``theta + message_potentials(layout, lam)``: the message part (incoming minus
 outgoing messages per table slot) is gathered on its own and then added to
 theta in one step.  The beliefs, the line search's trials and the objective
-report all read potentials rounded that one way, and a caller that already
-holds a message state's potentials passes them on instead of gathering the
-state again: ``sweep_until_consistent`` returns the message part of its final
-rows.  One pass of the region soft-max over a potentials array gives both
-its Gibbs beliefs and its region log-partitions, so the engine also returns
-the log-partitions, and ``belief_vec`` takes a precomputed pass.
+report all read potentials rounded that one way.  One pass of the region
+soft-max over a potentials array gives both its Gibbs beliefs and its region
+log-partitions (``_beliefs`` returns the beliefs, the message part and the
+log-partitions of message rows), and ``belief_vec`` takes a precomputed
+pass.  ``sweep_until_consistent`` returns only what it decides: the beliefs
+and residuals of its final rows, their sweeps, which rows are capped, and
+the extrapolations it took.
 
 ``sweep_until_consistent`` accelerates its sweeps by a guarded
 extrapolation of each row's recent message rows (``_extrapolate``, a
@@ -647,10 +648,10 @@ def _beliefs(layout, lam, theta, eps, cvals):
     return belief_vec(layout, lam, theta, eps, cvals, terms), part, terms.lse
 
 
-# K of ``sweep_until_consistent``: a call allowed K sweeps or more extrapolates
-# after every K-th.  ``learner.train``'s blocks are plain ``sweep_vec`` calls;
-# ``train`` extrapolates its whole iterate instead, with the same
-# ``_extrapolate`` and its own K (``learner.EXTRAPOLATE_EVERY``).
+# K of ``sweep_until_consistent``: where the certificate holds, a call
+# extrapolates after every K-th sweep.  ``learner.train``'s blocks are plain
+# ``sweep_vec`` calls; ``train`` extrapolates its whole iterate instead, with
+# the same ``_extrapolate`` and its own K (``learner.EXTRAPOLATE_EVERY``).
 EXTRAPOLATE_EVERY = 10
 
 
@@ -699,13 +700,12 @@ def _extrapolate(ring: np.ndarray, lam: np.ndarray) -> np.ndarray:
 
 
 class SweepResult(NamedTuple):
-    """What ``sweep_until_consistent`` leaves for its callers, per row."""
+    """What ``sweep_until_consistent`` decides, per row."""
 
     beliefs: np.ndarray
     residual: np.ndarray
     sweeps: np.ndarray
-    message_part: np.ndarray  # message_potentials of the final messages
-    lse: np.ndarray  # region log-partitions of the final potentials
+    capped: np.ndarray  # the residual above tol at the end, or NaN: at the cap, or overflowed
     extrapolations: np.ndarray  # accepted extrapolated points
 
 
@@ -721,18 +721,19 @@ def sweep_until_consistent(
 ) -> SweepResult:
     """Sweep each row of ``lam`` in place until its residual is at most
     ``tol`` or it has had ``max_sweeps`` sweeps; return the final belief rows,
-    per-row residuals and sweep counts, the message part of the final rows'
-    potentials (``message_potentials`` of the final ``lam``), the region
-    log-partitions of those potentials and the per-row count of accepted
-    extrapolations.
+    per-row residuals and sweep counts, which rows are capped (their
+    residual is above ``tol`` or NaN: they stopped at the cap, or at once on
+    overflowing potentials) and the per-row count of accepted
+    extrapolations.  A caller that needs the final rows' potentials or
+    objective computes them from ``lam``.
 
-    Where the certificate holds (``Guarantees``) and the call allows at
-    least ``EXTRAPOLATE_EVERY`` = K sweeps, each row keeps its last K + 1
-    message rows and after every K-th sweep is moved to their extrapolation
-    (``_extrapolate``) if that strictly lowers the block objective the
-    sweeps descend, sum_r lse_r; otherwise it stays where the sweep left it.
-    So no accepted point raises the objective, and a row's limit is the one
-    plain sweeps reach.  Elsewhere the sweeps are plain.
+    Where the certificate holds (``Guarantees``), each row keeps its last
+    K + 1 message rows (K = ``EXTRAPOLATE_EVERY``) and after every K-th
+    sweep is moved to their extrapolation (``_extrapolate``) if that
+    strictly lowers the block objective the sweeps descend, sum_r lse_r,
+    read from that sweep's potentials alone; otherwise it stays where the
+    sweep left it.  So no accepted point raises the objective, and a row's
+    limit is the one plain sweeps reach.  Elsewhere the sweeps are plain.
 
     Rows still active are swept together, gathered when some have stopped.
     Per-row arithmetic does not depend on the batch, so each row ends bitwise
@@ -747,8 +748,8 @@ def sweep_until_consistent(
     if np.isnan(tol):
         raise ValueError("tol must not be NaN")
     k = EXTRAPOLATE_EVERY
-    accelerate = max_sweeps >= k and sweep_plan(layout).at(eps, cvals).guarantees.certificate
-    b, part, lse = _beliefs(layout, lam, theta, eps, cvals)
+    accelerate = sweep_plan(layout).at(eps, cvals).guarantees.certificate
+    b = _beliefs(layout, lam, theta, eps, cvals)[0]
     residual = residual_rows(layout, b)
     sweeps = np.zeros(lam.shape[0], dtype=np.int64)
     extrapolations = np.zeros(lam.shape[0], dtype=np.int64)
@@ -762,22 +763,20 @@ def sweep_until_consistent(
         if accelerate:
             ring[s % k, rows] = sub_lam
         sweep_vec(layout, sub_lam, sub_theta, eps, cvals)
-        sub_b, sub_part, sub_lse = _beliefs(layout, sub_lam, sub_theta, eps, cvals)
+        sub_b, _, sub_lse = _beliefs(layout, sub_lam, sub_theta, eps, cvals)
         if accelerate and s % k == k - 1:
             x = _extrapolate(ring if full else ring[:, rows], sub_lam)
-            x_b, x_part, x_lse = _beliefs(layout, x, sub_theta, eps, cvals)
+            x_b, _, x_lse = _beliefs(layout, x, sub_theta, eps, cvals)
             ok = np.flatnonzero(x_lse.sum(axis=1) < sub_lse.sum(axis=1))
-            sub_lam[ok], sub_b[ok], sub_part[ok] = x[ok], x_b[ok], x_part[ok]
-            sub_lse[ok] = x_lse[ok]
+            sub_lam[ok], sub_b[ok] = x[ok], x_b[ok]
             extrapolations[rows[ok]] += 1
         if full:
-            b, part, lse = sub_b, sub_part, sub_lse
+            b = sub_b
         else:
-            lam[rows] = sub_lam
-            b[rows], part[rows], lse[rows] = sub_b, sub_part, sub_lse
+            lam[rows], b[rows] = sub_lam, sub_b
         residual[rows] = residual_rows(layout, sub_b)
         sweeps[rows] += 1
-    return SweepResult(b, residual, sweeps, part, lse, extrapolations)
+    return SweepResult(b, residual, sweeps, ~(residual <= tol), extrapolations)
 
 
 # ---------------------------------------------------------------------------

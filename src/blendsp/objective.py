@@ -17,9 +17,10 @@ potentials.  ``train`` (after every weight step), the ``gap`` command,
 ``duality_report``, ``primal_objective`` and ``w_gradient`` all report with
 the same arithmetic: those potentials, moment mismatch z = sum_i E_i -
 sum_i emp_i and gradient z + C * w.  The same messages and weights therefore
-give the same report, bit for bit, whichever of them computes it; ``train``
-and ``gap`` hand in the potentials, log-partitions and beliefs they already
-hold instead of gathering the messages again.
+give the same report, bit for bit, whichever of them computes it.  Only
+``train`` hands in the potentials, log-partitions and beliefs it already
+holds, those of its step; every other caller, ``gap`` included, hands in
+messages and weights alone.
 
 The exact_* functions enumerate the full joint label space (guarded to 2^20
 joint labels) and serve as independent oracles for everything else.
@@ -228,8 +229,8 @@ class BatchObjective:
         The potentials thetas + message_potentials(lam), their region
         log-partitions ``lse`` and the belief rows ``bmat`` (from those
         potentials) are given together or computed here by
-        ``inference._beliefs``: ``train`` passes its accepted line-search
-        trial's, ``gap`` the engine's.
+        ``inference._beliefs``: ``train`` passes its weight step's, every
+        other caller none.
         """
         if potentials is None:
             bmat, part, lse = _beliefs(self.layout, lam, thetas, self.eps, self.cvals)

@@ -7,6 +7,9 @@ import pytest
 from blendsp import CountingNumbers, cli, learner
 from blendsp.cli import main
 from blendsp.fileio import parse_labels, parse_model, parse_weights, write_model
+from blendsp.inference import MessageState, sweep_until_consistent
+from blendsp.model import ThetaStack
+from blendsp.objective import duality_report
 
 
 def sha(path):
@@ -159,6 +162,30 @@ def test_gap_with_fresh_messages_uncertified(tmp_path, capsys):
     for field in ("primal=", "dual=", "gap="):
         value = float(next(l for l in report.splitlines() if l.startswith(field)).split("=")[1])
         assert np.isfinite(value)
+
+
+@pytest.mark.parametrize("scheme", ["ones", "bethe"])
+def test_gap_prints_the_library_report(tmp_path, capsys, scheme):
+    # gap's report is duality_report's at the messages its engine run leaves
+    out = gen(tmp_path, "corpus")
+    weights = tmp_path / "w.bsw"
+    main(["train", "--model", str(out / "train.bsp"), "--max-iters", "5", "--out", str(weights)])
+    capsys.readouterr()
+    gap = ["gap", "--model", str(out / "train.bsp"), "--weights", str(weights), "--C", "0.5"]
+    assert main([*gap, "--c-scheme", scheme]) == 0
+    text = capsys.readouterr().out
+    parsed = parse_model((out / "train.bsp").read_text())
+    graph, samples = parsed.graph, parsed.samples
+    w = parse_weights(weights.read_text())[0]
+    counting = CountingNumbers.of(graph, scheme)
+    layout = graph.layout()
+    theta = ThetaStack(samples, layout).rows(w)
+    lam = np.zeros((len(samples), layout.message_total))
+    res = sweep_until_consistent(layout, lam, theta, 1.0, counting.values, 200, 1e-8)
+    assert res.sweeps.all()
+    states = [MessageState(graph, row) for row in lam]
+    want = duality_report(graph, samples, states, w, 1.0, counting, 0.5, parsed.num_features)
+    assert text[text.index("primal="):] == want.to_text() + "\n"
 
 
 def test_infer_and_gap_say_when_the_sweep_cap_is_hit(tmp_path, capsys):

@@ -102,7 +102,7 @@ def guarded_blocks(layout, theta, cvals, count):
         assert (res.sweeps == k).all()
         assert np.array_equal(res.extrapolations, better.astype(int))
         assert lam.tobytes() == np.where(better[:, None], x, plain).tobytes()
-        assert not rose(lse, res.lse).any()
+        assert not rose(lse, _beliefs(layout, lam, theta, 1.0, cvals)[2]).any()
         accepted += int(better.sum())
         rejected += int((~better).sum())
         rises |= bool(rose(plain_lse, x_lse).any())

@@ -15,7 +15,14 @@ default block where descent fails, so it stays one sweep), and writes into
 replaced by ``<dir>``, the exit code on a last line) as
 ``<command>.stdout``, and ``train.log``, ``weights.bsw``, ``pred.labels``,
 ``train-fixed.log``, ``weights-fixed.bsw``, ``train-bethe.log`` and
-``weights-bethe.bsw``.
+``weights-bethe.bsw``.  It also writes ``counts.txt``, one line per command
+of the counts its output does not show, taken from the library calls the
+command makes: for each ``train`` (library ``train``), its iterations, the
+summed line-search trials and block sweeps of its ``IterationRecord``s, the
+final ``TrainState.block`` and the extrapolations accepted and rejected;
+for ``infer`` and each ``gap`` (library ``sweep_until_consistent``), the
+summed engine sweeps, accepted extrapolations and capped rows (a residual
+above the call's tolerance, or NaN).
 The program is whichever ``blendsp`` Python imports (set ``PYTHONPATH``);
 ``bench/`` is the one next to this script, which it only reads.  Two runs
 compare with ``diff -r``.
@@ -29,6 +36,7 @@ import shutil
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
@@ -42,9 +50,49 @@ KEPT = (
 )
 
 
+def counted(command: str, counts: list[str]):
+    """A context in which the library call that ``command`` makes appends
+    its line of ``counts.txt`` to ``counts``."""
+    from blendsp import cli, learner
+
+    if command.startswith("train"):
+        original = cli.train
+
+        def train(*args, log_fn=None, **kwargs):
+            records = []
+
+            def log(record):
+                records.append(record)
+                if log_fn is not None:
+                    log_fn(record)
+
+            state = original(*args, log_fn=log, **kwargs)
+            outcomes = [r.extrapolated for r in records]
+            counts.append(
+                f"{command} iterations={len(records)} trials={sum(r.trials for r in records)} "
+                f"sweeps={sum(r.sweeps for r in records)} block={state.block} "
+                f"accepted={outcomes.count(True)} rejected={outcomes.count(False)}"
+            )
+            return state
+
+        return mock.patch.object(cli, "train", train)
+    module = learner if command == "infer" else cli  # predict_all's engine call, or gap's
+    original = module.sweep_until_consistent
+
+    def engine(layout, lam, theta, eps, cvals, max_sweeps, tol):
+        res = original(layout, lam, theta, eps, cvals, max_sweeps, tol)
+        counts.append(
+            f"{command} sweeps={res.sweeps.sum()} extrapolations={res.extrapolations.sum()} "
+            f"capped={(~(res.residual <= tol)).sum()}"
+        )
+        return res
+
+    return mock.patch.object(module, "sweep_until_consistent", engine)
+
+
 def run(workload: str, seed: int, work: Path, out: Path) -> None:
     """Build one corpus in ``work``, run its commands there and copy what
-    they wrote and printed into ``out``."""
+    they wrote, printed and counted into ``out``."""
     from blendsp.cli import main
 
     getattr(corpora, workload)(work, seed)
@@ -68,12 +116,14 @@ def run(workload: str, seed: int, work: Path, out: Path) -> None:
                          "--log", str(work / "train-bethe.log")]),
     ]
     out.mkdir(parents=True)
+    counts = []
     for name, argv in commands:
         buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
+        with contextlib.redirect_stdout(buf), counted(name, counts):
             code = main(argv)
         text = buf.getvalue().replace(str(work), "<dir>")
         (out / f"{name}.stdout").write_text(f"{text}[exit {code}]\n")
+    (out / "counts.txt").write_text("".join(f"{line}\n" for line in counts))
     for name in KEPT:
         shutil.copyfile(work / name, out / name)
 
