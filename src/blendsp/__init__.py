@@ -22,22 +22,11 @@ from .learner import (
     w_gradient,
     w_step,
 )
-from .model import (
-    CountingNumbers,
-    ModelError,
-    Region,
-    RegionGraph,
-    Sample,
-    theta_table,
-)
-from .numerics import eps_log_sum_exp, gibbs_normalize
+from .model import CountingNumbers, ModelError, Region, RegionGraph, Sample
 from .objective import (
     ObjectiveReport,
     dual_objective,
     duality_report,
-    exact_loss,
-    exact_map,
-    exact_marginals,
     moment_mismatch,
     primal_objective,
     region_loss,

@@ -37,7 +37,7 @@ The plan also holds the tables of ``message_potentials`` and
 ``residual_rows``.  One builder, ``_prefix_terms``, makes every gather-and-add
 table, the levels' and the potentials', from per-column term lists.
 
-One kernel, ``SoftMax``, is the engine's only tempered log-sum-exp, at
+One kernel, ``SoftMax``, is the package's only tempered log-sum-exp, at
 t = eps * c per segment: on the region tables, on each level's projection
 groups (c = c_p) and on the accumulators of the regions with c_r = 0 (c =
 c_r + sum of parent c).  ``SweepPlan.at`` derives all that depends on (eps,
@@ -82,7 +82,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import CountingNumbers, GraphLayout, RegionGraph, Sample
-from .numerics import ARGMAX_TOL
 
 __all__ = [
     "Guarantees",
@@ -203,6 +202,11 @@ class SegmentReduce:
                     o += v[..., a + j : b : k]
                 np.add(v[..., a:b:k], o, out=o)
         return out
+
+
+# absolute tie tolerance of ``SoftMax``'s zero-temperature segments; a fixed
+# value keeps zero-temperature runs reproducible
+ARGMAX_TOL = 1e-9
 
 
 class GibbsPass(NamedTuple):
@@ -792,12 +796,22 @@ def message_vec(layout: GraphLayout, state: MessageState, index: int | None = No
     return vec
 
 
+def finite_weights(w, name: str = "w") -> np.ndarray:
+    """``w`` as floats; ``ValueError``, naming ``name`` and the first
+    non-finite weight's feature id, unless every weight is finite."""
+    w = np.asarray(w, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(w))
+    if bad.size:
+        raise ValueError(f"{name} is not finite at feature {bad[0]}")
+    return w
+
+
 def _sample_inputs(graph, sample, state, w, counting, include_loss):
     """The layout, counting numbers, theta row and message row (a view of
-    ``state``'s) of one sample."""
+    ``state``'s) of one sample; non-finite weights raise ``ValueError``."""
     layout = graph.layout()
     lam = message_vec(layout, state)[None]
-    theta = sample.compiled().theta_vec(np.asarray(w, dtype=float), include_loss)
+    theta = sample.compiled().theta_vec(finite_weights(w), include_loss)
     return layout, CountingNumbers.of(graph, counting).values, theta[None], lam
 
 

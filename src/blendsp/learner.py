@@ -478,7 +478,7 @@ def predict_all(
     """
     batch = BatchObjective(graph, samples, eps_infer, counting, w=w)
     layout, cvals = batch.layout, batch.cvals
-    theta = batch.stack.rows(np.asarray(w, dtype=float), include_loss=False)
+    theta = batch.stack.rows(batch.weights(w), include_loss=False)
     del batch  # the sweeps need none of the stack's tables: free them first
     lam = np.zeros((len(samples), layout.message_total))
     block = sweep_until_consistent(layout, lam, theta, eps_infer, cvals, max_sweeps, residual_tol)

@@ -32,7 +32,6 @@ __all__ = [
     "RegionGraph",
     "CountingNumbers",
     "Sample",
-    "theta_table",
 ]
 
 
@@ -574,17 +573,3 @@ class ThetaStack:
         onehot.put(self._true_flat, 1.0)
         return self.expectations(onehot, num_features)
 
-
-def theta_table(
-    sample: Sample, region_id: int, w: np.ndarray, include_loss: bool = True
-) -> np.ndarray:
-    """Potential table of one region: loss (optional) plus weighted features."""
-    size = sample.graph.regions[region_id].label_count
-    out = np.zeros(size)
-    if include_loss and region_id in sample.loss:
-        out += sample.loss[region_id]
-    for k, t in sample.features.get(region_id, {}).items():
-        if k >= len(w):
-            raise ModelError(f"feature id {k} exceeds weight vector length {len(w)}")
-        out += w[k] * t
-    return out

@@ -1,4 +1,4 @@
-"""Decomposed primal objective, pseudo-moment-matching dual, and exact oracles.
+"""Decomposed primal objective and pseudo-moment-matching dual.
 
 The primal is the sum over samples and regions of per-region soft-max losses
 (at temperatures eps * c_r) plus a quadratic weight regularizer.  The dual
@@ -21,9 +21,6 @@ give the same report, bit for bit, whichever of them computes it.  Only
 ``train`` hands in the potentials, log-partitions and beliefs it already
 holds, those of its step; every other caller, ``gap`` included, hands in
 messages and weights alone.
-
-The exact_* functions enumerate the full joint label space (guarded to 2^20
-joint labels) and serve as independent oracles for everything else.
 """
 
 from __future__ import annotations
@@ -40,16 +37,14 @@ from .inference import (
     _beliefs,
     _sample_inputs,
     belief_row,
+    finite_weights,
     message_potentials,
     message_vec,
     region_index,
     residual_rows,
     sweep_plan,
 )
-from .model import (
-    CountingNumbers, ModelError, RegionGraph, Sample, ThetaStack, theta_table
-)
-from .numerics import eps_log_sum_exp, gibbs_normalize
+from .model import CountingNumbers, ModelError, RegionGraph, Sample, ThetaStack
 
 __all__ = [
     "ObjectiveReport",
@@ -59,12 +54,8 @@ __all__ = [
     "moment_mismatch",
     "dual_objective",
     "duality_report",
-    "exact_loss",
-    "exact_marginals",
-    "exact_map",
 ]
 
-ENUMERATION_GUARD = 2**20
 CERTIFY_RESIDUAL = 1e-6
 HARD_MOMENT_TOL = 1e-6
 
@@ -121,15 +112,15 @@ def region_loss(
 
     Equals the negative (eps * c_r)-scaled log-belief of the true label; at
     temperature zero it is the hinge term max(theta_hat) - theta_hat(y_r).
-    A region id outside the graph raises ``ValueError``, a sample without
-    true labels ``ModelError``.
+    The log-partition is the engine's region soft-max, bit for bit the one
+    the reports sum.  A region id outside the graph raises ``ValueError``,
+    a sample without true labels ``ModelError``.
     """
     region = region_index(graph.layout(), region)
     layout, cvals, theta, lam = _sample_inputs(graph, sample, state, w, counting, True)
-    (th,) = theta + message_potentials(layout, lam)
-    table = th[layout.region_slices[region]]
+    th = theta + message_potentials(layout, lam)
     true = sample.compiled().true_slots[0, region]
-    return eps_log_sum_exp(table, eps * cvals[region]) - float(th[true])
+    return float(sweep_plan(layout).at(eps, cvals).regions(th).lse[0, region] - th[0, true])
 
 
 class BatchObjective:
@@ -179,11 +170,12 @@ class BatchObjective:
         return sweep_plan(self.layout).at(self.eps, self.cvals)
 
     def weights(self, w, name: str = "w") -> np.ndarray:
-        """``w`` as floats; ``ModelError`` unless it has one weight per feature."""
+        """``w`` as floats; ``ModelError`` unless it has one weight per
+        feature, ``ValueError`` unless all are finite (``finite_weights``)."""
         w = np.asarray(w, dtype=float)
         if len(w) != self.num_features:
             raise ModelError(f"{name} has {len(w)} weights for num_features={self.num_features}")
-        return w
+        return finite_weights(w, name)
 
     def message_rows(self, states: list[MessageState]) -> np.ndarray:
         """The message rows of ``states``, one per sample; ``ValueError``
@@ -330,81 +322,3 @@ def duality_report(
     """
     return report_at(graph, samples, states, w, eps, counting, C, num_features)[0]
 
-
-# ---------------------------------------------------------------------------
-# exact enumeration oracles
-
-
-def _joint_space(graph: RegionGraph) -> tuple[int, np.ndarray]:
-    total = 1
-    for c in graph.cardinalities:
-        total *= int(c)
-        if total > ENUMERATION_GUARD:
-            raise ValueError(
-                f"joint label space exceeds the enumeration guard ({ENUMERATION_GUARD})"
-            )
-    strides = np.ones(graph.variable_count, dtype=np.int64)
-    for v in range(graph.variable_count - 2, -1, -1):
-        strides[v] = strides[v + 1] * graph.cardinalities[v + 1]
-    return total, strides
-
-
-def _region_index_map(
-    graph: RegionGraph, region: int, strides: np.ndarray, total: int
-) -> np.ndarray:
-    reg = graph.regions[region]
-    idx = np.arange(total, dtype=np.int64)
-    out = np.zeros(total, dtype=np.int64)
-    r_strides = reg.strides()
-    for j, v in enumerate(reg.variables):
-        digit = (idx // strides[v]) % graph.cardinalities[v]
-        out += digit * r_strides[j]
-    return out
-
-
-def _joint_scores(
-    graph: RegionGraph, sample: Sample, w: np.ndarray, include_loss: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    total, strides = _joint_space(graph)
-    scores = np.zeros(total)
-    for r in range(graph.region_count):
-        m = _region_index_map(graph, r, strides, total)
-        scores += theta_table(sample, r, w, include_loss)[m]
-    return scores, strides
-
-
-def exact_loss(graph: RegionGraph, sample: Sample, w: np.ndarray, eps: float) -> float:
-    """Extended log-loss by full enumeration: soft-max of all joint scores
-    (loss included) minus the true label's score."""
-    w = np.asarray(w, dtype=float)
-    scores, strides = _joint_scores(graph, sample, w, include_loss=True)
-    assign = sample.true_assignment()
-    true_flat = int((assign * strides).sum())
-    return eps_log_sum_exp(scores, eps) - float(scores[true_flat])
-
-
-def exact_marginals(
-    graph: RegionGraph, sample: Sample, w: np.ndarray, eps: float, include_loss: bool = True
-) -> list[np.ndarray]:
-    """Exact region marginals of the joint loss-adjusted Gibbs distribution."""
-    w = np.asarray(w, dtype=float)
-    scores, strides = _joint_scores(graph, sample, w, include_loss)
-    p = gibbs_normalize(scores, eps)
-    total = scores.size
-    out = []
-    for r in range(graph.region_count):
-        m = _region_index_map(graph, r, strides, total)
-        out.append(np.bincount(m, weights=p, minlength=graph.regions[r].label_count))
-    return out
-
-
-def exact_map(graph: RegionGraph, sample: Sample, w: np.ndarray) -> np.ndarray:
-    """Exact maximum-score joint assignment (loss excluded, ties to the
-    lowest flat index), as per-variable labels."""
-    w = np.asarray(w, dtype=float)
-    scores, strides = _joint_scores(graph, sample, w, include_loss=False)
-    flat = int(np.argmax(scores))
-    labels = np.zeros(graph.variable_count, dtype=np.int64)
-    for v in range(graph.variable_count):
-        labels[v] = (flat // strides[v]) % graph.cardinalities[v]
-    return labels

@@ -19,8 +19,6 @@ from blendsp import (
     Sample,
     TrainerConfig,
     compute_beliefs,
-    exact_loss,
-    exact_marginals,
     inference_sweep,
     predict,
     primal_objective,
@@ -30,9 +28,10 @@ from blendsp import (
 )
 from blendsp.cli import main as cli_main
 from blendsp.datagen import DenoiseSpec, cross_pattern, make_denoise_dataset, pixel_error
-from blendsp.numerics import eps_log_sum_exp
 
-from util import loopy_graph, ones, random_sample, tree_graph
+from util import (
+    eps_log_sum_exp, exact_loss, exact_marginals, loopy_graph, ones, random_sample, tree_graph
+)
 
 # the canonical seeded corpora for the end-to-end criteria
 CORPUS_5 = dict(width=5, height=5, num_train=10, num_test=10, flip_prob=0.2, seed=8, tying="full")
@@ -194,7 +193,7 @@ def test_criterion_6_svm_mode_hinge_sign():
         w = rng.normal(size=1)
         state = MessageState(graph)
         rl = region_loss(graph, sample, 0, state, w, 0.0, ones(graph))
-        from blendsp.model import theta_table
+        from util import theta_table
 
         th = theta_table(sample, 0, w, include_loss=True)
         maximizes = th[truth] == th.max()

@@ -15,15 +15,13 @@ from blendsp import (
     RegionGraph,
     Sample,
     compute_beliefs,
-    exact_loss,
-    exact_marginals,
     inference_sweep,
     marginal_residual,
     primal_objective,
     w_gradient,
 )
 
-from util import ones
+from util import exact_loss, exact_marginals, ones
 
 
 def three_level_model(rng, cards):

@@ -5,11 +5,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blendsp import TrainerConfig, exact_loss, guarantees, train
+from blendsp import TrainerConfig, guarantees, train
 from blendsp.cli import main
 
 from test_cli import gen
 from test_learner import small_corpora
+from util import exact_loss
 
 
 def cover_sums(graph, c):

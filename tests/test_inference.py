@@ -12,7 +12,6 @@ from blendsp import (
     Sample,
     compute_beliefs,
     duality_report,
-    exact_marginals,
     inference_sweep,
     lambda_update,
     marginal_residual,
@@ -20,12 +19,12 @@ from blendsp import (
     predict,
     primal_objective,
 )
-from blendsp.inference import SoftMax, sweep_plan
-from blendsp.numerics import ARGMAX_TOL
+from blendsp.inference import ARGMAX_TOL, SoftMax, sweep_plan
 
 from util import (
     brute_force_lse,
     chain_graph,
+    exact_marginals,
     loopy_graph,
     ones,
     primal_lambda_gradient_fd,
@@ -71,7 +70,7 @@ def test_mu_matches_direct_summation():
     w = rng.normal(size=2)
     eps = 0.5
     mu = mu_message(graph, sample, 2, 0, state, w, eps, ones(graph))
-    from blendsp.model import theta_table
+    from util import theta_table
 
     theta_p = theta_table(sample, 2, w, include_loss=True)
     lam_other = state.table(1, 2)
@@ -92,7 +91,7 @@ def test_lambda_update_single_parent_formula():
     state = MessageState(graph)
     state.vec[:] = rng.normal(size=state.vec.size)
     mu = mu_message(graph, sample, 2, 0, state, w, 1.0, ones(graph))
-    from blendsp.model import theta_table
+    from util import theta_table
 
     theta_r = theta_table(sample, 0, w, include_loss=True)
     expected = 0.5 * (theta_r - mu)  # singleton has no children

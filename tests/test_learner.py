@@ -15,7 +15,6 @@ from blendsp import (
     TrainerConfig,
     compute_beliefs,
     duality_report,
-    exact_map,
     inference_sweep,
     lambda_update,
     marginal_residual,
@@ -31,11 +30,12 @@ from blendsp import inference, learner, objective
 from blendsp.datagen import DenoiseSpec, make_denoise_dataset
 from blendsp.inference import message_potentials
 from blendsp.model import ModelError, ThetaStack
-from blendsp.numerics import gibbs_normalize
 
 from test_deep_graphs import three_level_model
 from util import (
     chain_graph,
+    exact_map,
+    gibbs_normalize,
     loopy_graph,
     ones,
     random_model,
@@ -93,8 +93,8 @@ def test_non_finite_eps_and_C_and_negative_caps_are_rejected_before_any_sweep(mo
         with pytest.raises(ValueError, match=message):
             w_step(graph, samples, states, w, np.ones(2), 1.0, None, 1.0,
                    TrainerConfig(**{name: value}))
-    for g in ([1.0, float("nan")], [float("-inf"), 0.0]):
-        with pytest.raises(ValueError, match="^gradient must be finite$"):
+    for g, k in (([1.0, float("nan")], 1), ([float("-inf"), 0.0], 0)):
+        with pytest.raises(ValueError, match=f"^gradient is not finite at feature {k}$"):
             w_step(graph, samples, states, w, np.array(g), 1.0, None, 1.0)
 
 
@@ -104,7 +104,7 @@ def test_weight_counts_that_do_not_fit_the_feature_ids_are_named(monkeypatch):
     samples = [random_sample(rng, graph, 4, i) for i in range(3)]
     assert ThetaStack(samples, graph.layout()).feature_count == 4
     monkeypatch.setattr(learner, "sweep_vec", lambda *args: pytest.fail("swept"))
-    with pytest.raises(ModelError, match="^2 weights for 4 features$"):
+    with pytest.raises(ModelError, match="^w has 2 weights for num_features=4$"):
         learner.predict_all(graph, samples, np.zeros(2), 1.0)
     cfg = TrainerConfig(max_outer_iters=2)
     for kwargs, message in (
@@ -181,6 +181,34 @@ def test_message_states_that_do_not_fit_are_named(name):
             call(ds, [MessageState(ds.graph), state] if takes_list else state, w)
 
 
+# the public calls that take weights and no message states: (call, the weights' name)
+WEIGHT_CALLS = {
+    "predict_all": (lambda ds, w: learner.predict_all(ds.graph, ds.train, w, 1.0), "w"),
+    "train": (lambda ds, w: train(ds.graph, ds.train, TrainerConfig(), w0=w), "w0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STATE_CALLS) + sorted(WEIGHT_CALLS))
+def test_non_finite_weights_are_named(name, monkeypatch):
+    # a NaN or infinite weight raises before any sweep, naming the argument
+    # and the first non-finite weight's feature id
+    ds = grid(3)
+    if name in WEIGHT_CALLS:
+        call, arg = WEIGHT_CALLS[name]
+    else:
+        state_call, takes_list = STATE_CALLS[name]
+        states = [MessageState(ds.graph) for _ in ds.train] if takes_list else MessageState(ds.graph)
+        call, arg = (lambda ds, w: state_call(ds, states, w)), "w"
+    for module in (inference, learner):
+        monkeypatch.setattr(module, "sweep_vec", lambda *args: pytest.fail("swept"))
+    last = ds.num_features - 1
+    for bad, k in (({0: np.nan, last: np.inf}, 0), ({last: -np.inf}, last)):
+        w = np.zeros(ds.num_features)
+        w[list(bad)] = list(bad.values())
+        with pytest.raises(ValueError, match=f"^{arg} is not finite at feature {k}$"):
+            call(ds, w)
+
+
 def test_w_step_rejects_a_config_that_disagrees_with_its_arguments():
     rng = np.random.default_rng(33)
     graph = chain_graph(3)
@@ -229,7 +257,7 @@ def test_gradient_single_region_matches_gibbs_expectation():
     C = 0.4
     state = MessageState(graph)
     g = w_gradient(graph, [sample], [state], w, 1.0, ones(graph), C)
-    from blendsp.model import theta_table
+    from util import theta_table
 
     p = gibbs_normalize(theta_table(sample, 0, w, include_loss=True), 1.0)
     for k in range(2):

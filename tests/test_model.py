@@ -13,14 +13,13 @@ from blendsp import (
     Sample,
     duality_report,
     guarantees,
-    theta_table,
 )
 
 from blendsp.learner import TrainerConfig, predict_all, train
 from blendsp.model import ThetaStack
 
 from test_deep_graphs import three_level_model
-from util import chain_graph, loopy_graph, random_sample, tree_graph
+from util import chain_graph, loopy_graph, random_sample, theta_table, tree_graph
 
 
 def test_counting_scheme_resolver():

@@ -13,9 +13,6 @@ from blendsp import (
     compute_beliefs,
     dual_objective,
     duality_report,
-    exact_loss,
-    exact_map,
-    exact_marginals,
     inference_sweep,
     moment_mismatch,
     primal_objective,
@@ -25,7 +22,17 @@ from blendsp import (
 from blendsp.inference import Guarantees, guarantees, sweep_plan
 from blendsp.objective import certifies
 
-from util import brute_force_lse, chain_graph, loopy_graph, ones, random_model, random_sample
+from util import (
+    brute_force_lse,
+    chain_graph,
+    exact_loss,
+    exact_map,
+    exact_marginals,
+    loopy_graph,
+    ones,
+    random_model,
+    random_sample,
+)
 
 
 def single_region_model(rng, labels=4, num_features=2):
@@ -339,7 +346,7 @@ def test_exact_loss_zero_temperature_is_structured_hinge():
     rng = np.random.default_rng(14)
     graph, sample = random_model(rng)
     w = rng.normal(size=3)
-    from blendsp.model import theta_table
+    from util import theta_table
 
     # direct hinge: max over joint labels of total score minus true score
     total, strides = None, None
@@ -368,7 +375,7 @@ def test_exact_loss_three_variable_chain_double_enumeration():
     graph = chain_graph(3)
     sample = random_sample(rng, graph, 3)
     w = rng.normal(size=3)
-    from blendsp.model import theta_table
+    from util import theta_table
 
     # independent enumeration in a different order with fsum accumulation
     import itertools
@@ -419,7 +426,7 @@ def test_exact_marginals_factorize_without_coupling():
     sample = Sample(graph, 0, features=feats, true_labels={0: 0, 1: 0})
     w = rng.normal(size=2)
     marg = exact_marginals(graph, sample, w, 1.0, include_loss=False)
-    from blendsp.numerics import gibbs_normalize
+    from util import gibbs_normalize
 
     np.testing.assert_allclose(marg[0], gibbs_normalize(w[0] * feats[0][0], 1.0), atol=1e-12)
     np.testing.assert_allclose(marg[1], gibbs_normalize(w[1] * feats[1][1], 1.0), atol=1e-12)
@@ -448,7 +455,7 @@ def test_exact_map_matches_exhaustive_argmax():
     for _ in range(10):
         graph, sample = random_model(rng, max_vars=4)
         w = rng.normal(size=3)
-        from blendsp.model import theta_table
+        from util import theta_table
         import itertools
 
         best, best_assign = -np.inf, None

@@ -1,4 +1,7 @@
-"""Shared model builders and independent oracles for the test suite."""
+"""Shared model builders and independent oracles for the test suite: a
+plain tempered log-sum-exp and Gibbs normalization, per-region theta tables
+from a sample's dicts, exact enumeration of the joint label space, and
+one-edge-at-a-time and ``np.add.at`` forms of the engine's kernels."""
 
 from __future__ import annotations
 
@@ -6,8 +9,8 @@ import math
 
 import numpy as np
 
-from blendsp import CountingNumbers, Region, RegionGraph, Sample
-from blendsp.numerics import ARGMAX_TOL
+from blendsp import CountingNumbers, ModelError, Region, RegionGraph, Sample
+from blendsp.inference import ARGMAX_TOL
 
 
 def chain_graph(n_vars: int, cards=None) -> RegionGraph:
@@ -97,6 +100,139 @@ def brute_force_lse(values, t: float) -> float:
         return max(values)
     m = max(values) if t > 0 else min(values)
     return m + t * math.log(math.fsum(math.exp((v - m) / t) for v in values))
+
+
+def eps_log_sum_exp(values, t: float) -> float:
+    """t * log(sum(exp(v / t))), reducing to max(v) at t = 0.
+
+    Stabilized by shifting with the max (t > 0) or min (t < 0) so the
+    exponentials never overflow.
+    """
+    v = np.asarray(values, dtype=float)
+    if v.size == 0:
+        raise ValueError("eps_log_sum_exp of an empty table")
+    if not np.isfinite(v).all():
+        raise ValueError("eps_log_sum_exp requires finite entries")
+    if t == 0.0:
+        return float(v.max())
+    m = float(v.max()) if t > 0 else float(v.min())
+    return m + t * float(np.log(np.exp((v - m) / t).sum()))
+
+
+def gibbs_normalize(values, t: float) -> np.ndarray:
+    """Distribution proportional to exp(v / t); uniform over near-maximizers at t = 0.
+
+    For t = 0 the result is the deterministic subgradient selection: uniform
+    over entries within ``ARGMAX_TOL`` of the maximum, zero elsewhere.
+    """
+    v = np.asarray(values, dtype=float)
+    if v.size == 0:
+        raise ValueError("gibbs_normalize of an empty table")
+    if not np.isfinite(v).all():
+        raise ValueError("gibbs_normalize requires finite entries")
+    if t == 0.0:
+        mask = v >= v.max() - ARGMAX_TOL
+        return mask / mask.sum()
+    m = v.max() if t > 0 else v.min()
+    e = np.exp((v - m) / t)
+    return e / e.sum()
+
+
+def theta_table(
+    sample: Sample, region_id: int, w: np.ndarray, include_loss: bool = True
+) -> np.ndarray:
+    """Potential table of one region: loss (optional) plus weighted features,
+    read from the sample's dict views."""
+    size = sample.graph.regions[region_id].label_count
+    out = np.zeros(size)
+    if include_loss and region_id in sample.loss:
+        out += sample.loss[region_id]
+    for k, t in sample.features.get(region_id, {}).items():
+        if k >= len(w):
+            raise ModelError(f"feature id {k} exceeds weight vector length {len(w)}")
+        out += w[k] * t
+    return out
+
+
+# ---------------------------------------------------------------------------
+# exact enumeration oracles, guarded to 2^20 joint labels
+
+ENUMERATION_GUARD = 2**20
+
+
+def _joint_space(graph: RegionGraph) -> tuple[int, np.ndarray]:
+    total = 1
+    for c in graph.cardinalities:
+        total *= int(c)
+        if total > ENUMERATION_GUARD:
+            raise ValueError(
+                f"joint label space exceeds the enumeration guard ({ENUMERATION_GUARD})"
+            )
+    strides = np.ones(graph.variable_count, dtype=np.int64)
+    for v in range(graph.variable_count - 2, -1, -1):
+        strides[v] = strides[v + 1] * graph.cardinalities[v + 1]
+    return total, strides
+
+
+def _region_index_map(
+    graph: RegionGraph, region: int, strides: np.ndarray, total: int
+) -> np.ndarray:
+    reg = graph.regions[region]
+    idx = np.arange(total, dtype=np.int64)
+    out = np.zeros(total, dtype=np.int64)
+    r_strides = reg.strides()
+    for j, v in enumerate(reg.variables):
+        digit = (idx // strides[v]) % graph.cardinalities[v]
+        out += digit * r_strides[j]
+    return out
+
+
+def _joint_scores(
+    graph: RegionGraph, sample: Sample, w: np.ndarray, include_loss: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    total, strides = _joint_space(graph)
+    scores = np.zeros(total)
+    for r in range(graph.region_count):
+        m = _region_index_map(graph, r, strides, total)
+        scores += theta_table(sample, r, w, include_loss)[m]
+    return scores, strides
+
+
+def exact_loss(graph: RegionGraph, sample: Sample, w: np.ndarray, eps: float) -> float:
+    """Extended log-loss by full enumeration: soft-max of all joint scores
+    (loss included) minus the true label's score."""
+    w = np.asarray(w, dtype=float)
+    scores, strides = _joint_scores(graph, sample, w, include_loss=True)
+    assign = sample.true_assignment()
+    true_flat = int((assign * strides).sum())
+    return eps_log_sum_exp(scores, eps) - float(scores[true_flat])
+
+
+def exact_marginals(
+    graph: RegionGraph, sample: Sample, w: np.ndarray, eps: float, include_loss: bool = True
+) -> list[np.ndarray]:
+    """Exact region marginals of the joint loss-adjusted Gibbs distribution."""
+    w = np.asarray(w, dtype=float)
+    scores, strides = _joint_scores(graph, sample, w, include_loss)
+    p = gibbs_normalize(scores, eps)
+    total = scores.size
+    out = []
+    for r in range(graph.region_count):
+        m = _region_index_map(graph, r, strides, total)
+        out.append(np.bincount(m, weights=p, minlength=graph.regions[r].label_count))
+    return out
+
+
+def exact_map(graph: RegionGraph, sample: Sample, w: np.ndarray) -> np.ndarray:
+    """Exact maximum-score joint assignment (loss excluded, ties to the
+    lowest flat index), as per-variable labels."""
+    w = np.asarray(w, dtype=float)
+    scores, strides = _joint_scores(graph, sample, w, include_loss=False)
+    flat = int(np.argmax(scores))
+    labels = np.zeros(graph.variable_count, dtype=np.int64)
+    for v in range(graph.variable_count):
+        labels[v] = (flat // strides[v]) % graph.cardinalities[v]
+    return labels
 
 
 def primal_lambda_gradient_fd(graph, sample, state, w, eps, counting, h=1e-6):
