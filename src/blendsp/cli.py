@@ -41,11 +41,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NOT_CONVERGED = 2
 
-C_SCHEME_HELP = (
-    "counting numbers: ones, bethe, or file (from --c-file; a --c-file alone "
-    "selects file); default: the model's COUNTS section, or ones when it has none"
-)
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse with exit code 1 on usage errors."""
@@ -67,6 +62,18 @@ def count(text: str) -> int:
     if int(text) < 0:
         raise ValueError(text)
     return int(text)
+
+
+def _add_counting(parser: argparse.ArgumentParser) -> None:
+    """``--c-scheme ones|bethe`` or ``--c-file PATH``, never both."""
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument(
+        "--c-scheme",
+        choices=("ones", "bethe"),
+        help="counting numbers: ones or bethe, or read from --c-file (COUNTS lines); "
+        "default: the model's COUNTS section, or ones when it has none",
+    )
+    group.add_argument("--c-file", type=Path)
 
 
 def _build_parser() -> _Parser:
@@ -92,8 +99,7 @@ def _build_parser() -> _Parser:
     t.add_argument("--model", type=Path, required=True)
     t.add_argument("--eps", type=finite, default=1.0)
     t.add_argument("--C", type=float, default=1.0)
-    t.add_argument("--c-scheme", choices=("ones", "bethe", "file"), help=C_SCHEME_HELP)
-    t.add_argument("--c-file", type=Path, default=None)
+    _add_counting(t)
     t.add_argument(
         "--sweeps-per-step",
         type=int,
@@ -119,8 +125,7 @@ def _build_parser() -> _Parser:
     i.add_argument("--model", type=Path, required=True)
     i.add_argument("--weights", type=Path, required=True)
     i.add_argument("--eps-infer", type=finite, default=1.0)
-    i.add_argument("--c-scheme", choices=("ones", "bethe", "file"), help=C_SCHEME_HELP)
-    i.add_argument("--c-file", type=Path, default=None)
+    _add_counting(i)
     i.add_argument("--max-sweeps", type=count, default=200)
     i.add_argument("--seed", type=int, default=0)
     i.add_argument("--out", type=Path, required=True, help="labels file")
@@ -135,8 +140,7 @@ def _build_parser() -> _Parser:
     d.add_argument("--weights", type=Path, required=True)
     d.add_argument("--eps", type=finite, default=1.0)
     d.add_argument("--C", type=float, default=1.0)
-    d.add_argument("--c-scheme", choices=("ones", "bethe", "file"), help=C_SCHEME_HELP)
-    d.add_argument("--c-file", type=Path, default=None)
+    _add_counting(d)
     d.add_argument("--max-sweeps", type=count, default=200)
     d.add_argument("--residual-tol", type=finite, default=1e-8)
     d.add_argument("--seed", type=int, default=0)
@@ -144,19 +148,13 @@ def _build_parser() -> _Parser:
 
 
 def _load_model(args) -> tuple[ParsedModel, CountingNumbers]:
-    """The model file and the counting numbers that ``--c-scheme`` selects
-    (with ``file``, read from ``--c-file``: COUNTS lines, see FORMAT.md).
-    A ``--c-file`` alone selects ``file``; without either, the model's own
-    COUNTS section, or ``ones`` when it has none."""
-    scheme = args.c_scheme or ("file" if args.c_file is not None else None)
-    if scheme == "file" and args.c_file is None:
-        raise ModelError("--c-scheme file requires --c-file")
-    if scheme != "file" and args.c_file is not None:
-        raise ModelError(f"--c-file requires --c-scheme file, not {scheme}")
+    """The model file and the counting numbers of ``--c-scheme``, or those
+    read from ``--c-file`` (COUNTS lines, see FORMAT.md); without either, the
+    model's own COUNTS section, or ``ones`` when it has none."""
     with open(args.model) as fh:
         parsed = parse_model(fh)
-    counting = parsed.counting if scheme is None else scheme
-    if scheme == "file":
+    counting = args.c_scheme or parsed.counting
+    if args.c_file is not None:
         with open(args.c_file) as fh:
             counting = parse_counts(fh, parsed.graph.region_count)
     return parsed, CountingNumbers.of(parsed.graph, counting)

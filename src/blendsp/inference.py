@@ -806,9 +806,11 @@ def finite_weights(w, name: str = "w") -> np.ndarray:
     return w
 
 
-def _sample_inputs(graph, sample, state, w, counting, include_loss):
+def _sample_inputs(graph, sample, state, w, eps, counting, include_loss):
     """The layout, counting numbers, theta row and message row (a view of
-    ``state``'s) of one sample; non-finite weights raise ``ValueError``."""
+    ``state``'s) of one sample; a non-finite ``eps`` or weight raises ``ValueError``."""
+    if not np.isfinite(eps):
+        raise ValueError("eps must be finite")
     layout = graph.layout()
     lam = message_vec(layout, state)[None]
     theta = sample.compiled().theta_vec(finite_weights(w), include_loss)
@@ -852,7 +854,7 @@ def mu_message(
     """Aggregated parent-to-child message over the child's labels, as the
     update of ``child`` computes it."""
     e = _edge_index(graph, parent, child)
-    layout, cvals, theta, lam = _sample_inputs(graph, sample, state, w, counting, include_loss)
+    layout, cvals, theta, lam = _sample_inputs(graph, sample, state, w, eps, counting, include_loss)
     level, c, _ = _region_level(layout, child, eps, cvals)
     start = level.mu_at[e]
     return level.mu(lam, theta, c)[0, start : start + layout.sizes[child]]
@@ -871,7 +873,7 @@ def lambda_update(
     """Block-minimize all messages from ``region`` to its parents, in place,
     on the level kernel.  A loop of it over any order of regions is that
     order's sweep."""
-    layout, cvals, theta, lam = _sample_inputs(graph, sample, state, w, counting, include_loss)
+    layout, cvals, theta, lam = _sample_inputs(graph, sample, state, w, eps, counting, include_loss)
     one = _region_level(layout, region, eps, cvals)
     if one is not None:
         level, c, denom = one
@@ -891,7 +893,7 @@ def inference_sweep(
 ) -> MessageState:
     """One pass of lambda updates over every region with parents, colour
     class by colour class (see ``conflict_levels``)."""
-    layout, cvals, theta, lam = _sample_inputs(graph, sample, state, w, counting, include_loss)
+    layout, cvals, theta, lam = _sample_inputs(graph, sample, state, w, eps, counting, include_loss)
     sweep_vec(layout, lam, theta, eps, cvals)
     return state
 
@@ -906,7 +908,7 @@ def compute_beliefs(
     include_loss: bool = True,
 ) -> list[np.ndarray]:
     """Per-region belief tables from the current messages."""
-    layout, cvals, theta, lam = _sample_inputs(graph, sample, state, w, counting, include_loss)
+    layout, cvals, theta, lam = _sample_inputs(graph, sample, state, w, eps, counting, include_loss)
     b = belief_vec(layout, lam, theta, eps, cvals)[0]
     return [b[layout.region_slices[r]] for r in range(graph.region_count)]
 

@@ -32,11 +32,11 @@ still never rises.  With the growing block, a default run on the benchmark
 corpora takes 51 weight steps on ``highorder`` and 52 on ``denoise10``,
 against 228 and 213 before ``train`` extrapolated its iterate.
 
-The weight step takes the step a top-down Armijo scan from ``eta0`` takes.
-Where descent holds the search first tests one grid step above the previous
-step and skips the scan above that test when it fails by more than its
-rounding error; where rounding could decide the test it scans from
-``eta0`` (``_line_search``).  On ``highorder``, whose steps are 2^-3 or 2^-4,
+The weight step takes the step a top-down Armijo scan of the grid ``ETAS``
+takes.  Where descent holds the search first tests one grid step above the
+previous step and skips the scan above that test when it fails by more than
+its rounding error; where rounding could decide the test it scans from
+eta = 1 (``_line_search``).  On ``highorder``, whose steps are 2^-3 or 2^-4,
 that is 2.6 trials per step instead of 4.6 (seed 1), with the same steps.
 
 Samples are independent: the trainer sweeps the rows of lam together in
@@ -94,6 +94,10 @@ EXTRAPOLATE_EVERY = 5
 # sizes of the two objective values is left to the scan (``_line_search``).
 ARMIJO_ULPS = 64
 
+# The weight step's grid, eta_m = 2^-m for m = 0..50, and the Armijo sigma.
+ETAS = tuple(0.5**m for m in range(51))
+SUFFICIENT_DECREASE = 1e-4
+
 
 @dataclass
 class TrainerConfig:
@@ -105,23 +109,15 @@ class TrainerConfig:
     primal_rel_tol: float = 1e-8
     residual_tol: float = 1e-6
     grad_norm_tol: float = 1e-6
-    eta0: float = 1.0
-    backtrack: float = 0.5
-    sufficient_decrease: float = 1e-4
-    max_backtracks: int = 50
 
     def check(self) -> None:
-        """``ValueError`` for a negative count, a non-finite tolerance or a step out of range."""
+        """``ValueError`` for a negative count or a non-finite tolerance."""
         if self.sweeps_per_step is not None and self.sweeps_per_step < 0:
             raise ValueError("sweeps per step must be at least 0")
-        for name in ("max_outer_iters", "max_backtracks"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be at least 0")
+        if self.max_outer_iters < 0:
+            raise ValueError("max_outer_iters must be at least 0")
         if not np.isfinite([self.primal_rel_tol, self.residual_tol, self.grad_norm_tol]).all():
             raise ValueError("tolerances must be finite")
-        for name, high in (("eta0", np.inf), ("backtrack", 1), ("sufficient_decrease", 1)):
-            if not 0 < getattr(self, name) < high:
-                raise ValueError(f"{name} must lie in (0, {high})")
 
 
 @dataclass
@@ -182,7 +178,7 @@ class StepResult:
     stalled: bool
     objective: float
     trials: int  # objective evaluations of the search, f(w) not counted
-    backtracks: int | None  # m of eta = eta0 * backtrack^m; None for a stall
+    backtracks: int | None  # m of eta = ETAS[m] = 2^-m; None for a stall
 
 
 @dataclass
@@ -213,7 +209,7 @@ def w_gradient(
     return z + C * w
 
 
-def _line_search(objective, lam_part, w, thetas, lse, gradient, cfg, prev=None):
+def _line_search(objective, lam_part, w, thetas, lse, gradient, prev=None):
     """Backtracking search on the batch ``objective`` at frozen messages
     from ``w``, whose theta rows are ``thetas`` and whose potentials thetas
     + lam_part have the region log-partitions ``lse``.  Returns the step
@@ -221,11 +217,11 @@ def _line_search(objective, lam_part, w, thetas, lse, gradient, cfg, prev=None):
     and Gibbs pass (the batch's region soft-max, with the log-partitions),
     or on a stall the same three at ``w``.
 
-    The step is the first eta_m = eta0 * backtrack^m (made by repeated
-    ``eta *= backtrack``, m = 0..max_backtracks) whose trial passes the
-    Armijo test f(w - eta g) <= f(w) - sigma * eta * g.g, scanned from eta0
-    down.  Given ``prev``, the previous step's m, the search first tests
-    eta_s, s = max(prev - 1, 0):
+    The step is the first eta_m = ``ETAS[m]`` whose trial passes the
+    Armijo test f(w - eta g) <= f(w) - sigma * eta * g.g, sigma =
+    ``SUFFICIENT_DECREASE``, scanned from ``ETAS[0]`` down.  Given
+    ``prev``, the previous step's m, the search first tests eta_s, s =
+    max(prev - 1, 0):
 
     - Where descent holds the primal is convex in w at frozen messages, so
       phi(eta) = f(w - eta g) - f(w) + sigma * eta * g.g is convex with
@@ -244,8 +240,9 @@ def _line_search(objective, lam_part, w, thetas, lse, gradient, cfg, prev=None):
       covers these counts for the tested and benchmarked corpora.
       Potentials much larger than their log-partitions can make it
       optimistic.
-    - Any other outcome scans from eta0 as ``prev=None`` does, reusing the
-      trial: at most one trial more than the scan, none computed twice.
+    - Any other outcome scans from ``ETAS[0]`` as ``prev=None`` does,
+      reusing the trial: at most one trial more than the scan, none
+      computed twice.
 
     So where rounding could decide the test, as late in a run whose primal
     is flat to 12 digits, the step is the scan's.  Where the bound fails it
@@ -268,9 +265,6 @@ def _line_search(objective, lam_part, w, thetas, lse, gradient, cfg, prev=None):
 
     f0, size0 = value(w, thetas + lam_part, lse)
     gg = float(g @ g)
-    etas = [cfg.eta0]
-    for _ in range(cfg.max_backtracks):
-        etas.append(etas[-1] * cfg.backtrack)
     trials = 0
 
     def attempt(m):
@@ -278,13 +272,13 @@ def _line_search(objective, lam_part, w, thetas, lse, gradient, cfg, prev=None):
         whether its test is clear of rounding."""
         nonlocal trials
         trials += 1
-        eta = etas[m]
+        eta = ETAS[m]
         w_try = w - eta * g
         thetas_try = stack.rows(w_try)
         th = thetas_try + lam_part
         terms = softmax(th)
         f_try, size = value(w_try, th, terms.lse)
-        bar = f0 - cfg.sufficient_decrease * eta * gg
+        bar = f0 - SUFFICIENT_DECREASE * eta * gg
         clear = abs(f_try - bar) > ARMIJO_ULPS * 2.0**-52 * (size + size0)  # False for NaN
         passed = np.isfinite(f_try) and f_try <= bar
         return ((w_try, f_try, (thetas_try, th, terms)) if passed else None), clear
@@ -295,11 +289,11 @@ def _line_search(objective, lam_part, w, thetas, lse, gradient, cfg, prev=None):
         known[s], clear = attempt(s)
         if known[s] is None and clear:
             start = s + 1  # every larger eta fails too
-    for m in range(start, len(etas)):
+    for m in range(start, len(ETAS)):
         found = known[m] if m in known else attempt(m)[0]
         if found is not None:
             w_try, f_try, rows = found
-            return StepResult(w_try, etas[m], False, f_try, trials, m), rows
+            return StepResult(w_try, ETAS[m], False, f_try, trials, m), rows
     th = thetas + lam_part
     return StepResult(w.copy(), 0.0, True, f0, trials, None), (thetas, th, softmax(th))
 
@@ -317,26 +311,25 @@ def w_step(
 ) -> StepResult:
     """Backtracking line search along the negative gradient, messages frozen.
 
-    Accepts the largest eta = eta0 * beta^m with sufficient decrease
-    f(w - eta g) <= f(w) - sigma * eta * ||g||^2.  Exhausting the backtracks
-    keeps w and flags a stall (not fatal); non-finite trial values shrink and
-    continue.  A ``config`` (built from the arguments if None) whose eps,
+    Accepts the largest eta in ``ETAS`` with sufficient decrease
+    f(w - eta g) <= f(w) - sigma * eta * ||g||^2.  Exhausting the grid keeps
+    w and flags a stall (not fatal); non-finite trial values shrink and
+    continue.  A ``config``, if given, that fails its ``check`` or whose eps,
     counting numbers or C are not the arguments' raises ``ValueError``, and
     a ``w`` short of the samples' features or a gradient unlike ``w`` ``ModelError``.
     """
-    cfg = config or TrainerConfig(eps=eps, C=C, counting=counting)
-    cfg.check()
     objective = BatchObjective(graph, samples, eps, counting, C, w=w)
-    if config is not None and (
-        (config.eps, config.C) != (objective.eps, objective.C)
-        or not np.array_equal(CountingNumbers.of(graph, config.counting).values, objective.cvals)
-    ):
-        raise ValueError("config's eps, counting numbers or C differ from the arguments")
+    if config is not None:
+        config.check()
+        if (config.eps, config.C) != (objective.eps, objective.C) or not np.array_equal(
+            CountingNumbers.of(graph, config.counting).values, objective.cvals
+        ):
+            raise ValueError("config's eps, counting numbers or C differ from the arguments")
     w, gradient = objective.weights(w), objective.weights(gradient, "gradient")
     lam_part = message_potentials(objective.layout, objective.message_rows(states))
     thetas = objective.stack.rows(w)
     lse = objective.terms.regions(thetas + lam_part).lse
-    return _line_search(objective, lam_part, w, thetas, lse, gradient, cfg)[0]
+    return _line_search(objective, lam_part, w, thetas, lse, gradient)[0]
 
 
 def _iterate(objective: BatchObjective, state: TrainState, config: TrainerConfig):
@@ -353,7 +346,7 @@ def _iterate(objective: BatchObjective, state: TrainState, config: TrainerConfig
 
     step, trial = _line_search(
         objective, part, state.w, state.thetas, lse,
-        objective.mismatch(beliefs) + C * state.w, config, state.backtracks,
+        objective.mismatch(beliefs) + C * state.w, state.backtracks,
     )
     state.stalled, state.w = step.stalled, step.w
     state.backtracks = step.backtracks if objective.terms.guarantees.descent else None

@@ -117,7 +117,7 @@ def region_loss(
     a sample without true labels ``ModelError``.
     """
     region = region_index(graph.layout(), region)
-    layout, cvals, theta, lam = _sample_inputs(graph, sample, state, w, counting, True)
+    layout, cvals, theta, lam = _sample_inputs(graph, sample, state, w, eps, counting, True)
     th = theta + message_potentials(layout, lam)
     true = sample.compiled().true_slots[0, region]
     return float(sweep_plan(layout).at(eps, cvals).regions(th).lse[0, region] - th[0, true])

@@ -19,6 +19,8 @@ def test_grid_one_by_one():
     graph = build_grid_graph(1, 1)
     assert graph.region_count == 1
     assert graph.edges == []
+    with pytest.raises(ValueError, match="^grid dimensions must be positive$"):
+        build_grid_graph(0, 3)
 
 
 def test_grid_two_by_two_counts():
@@ -138,7 +140,10 @@ def test_generation_injective_over_seeds():
 
 
 def test_gaussian_and_bimodal_modes_produce_real_observations():
-    for kwargs in ({"gaussian_sigma": 0.3}, {"bimodal": True}):
+    # the last base image leaves the bimodal draw one class empty
+    uniform = np.zeros((3, 3), dtype=int)
+    for kwargs in ({"gaussian_sigma": 0.3}, {"bimodal": True},
+                   {"bimodal": True, "base_image": uniform}):
         ds = make_denoise_dataset(
             DenoiseSpec(width=3, height=3, num_train=2, num_test=0, seed=4, **kwargs)
         )
@@ -152,6 +157,7 @@ def test_pixel_error_cases():
     a = np.zeros(100, dtype=int)
     b = np.ones(100, dtype=int)
     assert pixel_error([a], [a]) == (0, 0.0)
+    assert pixel_error([], []) == (0, 0.0)
     count, pct = pixel_error([a], [b])
     assert count == 100 and pct == 100.0
     # one flipped pixel across ten 10x10 test images

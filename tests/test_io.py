@@ -154,7 +154,7 @@ def test_bad_loss_table_names_its_own_line(loss, message):
         parse_model(text)
 
 
-@pytest.mark.parametrize("label", ["-1", "2"])
+@pytest.mark.parametrize("label", ["-1", "2", "99999999999999999999"])  # the last beyond 64 bits
 def test_true_label_out_of_range_names_the_truth_line(label):
     text = MINIMAL.replace("TRUTH 0", f"TRUTH {label}")
     message = f"^line 12: sample 0: true label {label} out of range for region 0$"
@@ -217,6 +217,7 @@ def test_duplicate_feature_table_names_its_line(old, new, line, table):
         ("0 1 0 2", "0 1 0 2 2", 3, "region 0: expected 2 trailing fields"),
         ("0 1 0 2", "0 1 0 0", 3, "region 0: cardinalities must be >= 1"),
         ("0 1 0 2", "0 1 0 2\n2 1 1 2", 13, "region ids must be dense 0-based indices"),
+        (MINIMAL.split("REGIONS\n")[1], "EDGES\nFEATURES\nSAMPLES\n", 5, "model has no regions"),
     ],
 )
 def test_sample_section_errors_name_their_line(old, new, line, message):

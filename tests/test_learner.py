@@ -1,5 +1,6 @@
 import copy
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -64,6 +65,12 @@ def test_non_finite_eps_and_C_and_negative_caps_are_rejected_before_any_sweep(mo
     ):
         with pytest.raises(ValueError, match=message):
             learner.predict_all(graph, samples, w, eps, None, max_sweeps, tol)
+        layout = graph.layout()
+        with pytest.raises(ValueError, match=message):
+            inference.sweep_until_consistent(
+                layout, np.zeros((2, layout.message_total)), np.zeros((2, layout.total)),
+                eps, np.ones(graph.region_count), max_sweeps, tol,
+            )
     for eps, C, message in (
         (float("nan"), 1.0, "eps must be finite"),
         (-float("inf"), 1.0, "eps must be finite"),
@@ -78,14 +85,6 @@ def test_non_finite_eps_and_C_and_negative_caps_are_rejected_before_any_sweep(mo
         ("residual_tol", float("nan"), "tolerances must be finite"),
         ("grad_norm_tol", float("inf"), "tolerances must be finite"),
         ("max_outer_iters", -5, "max_outer_iters must be at least 0"),
-        ("eta0", 0.0, r"eta0 must lie in \(0, inf\)"),
-        ("eta0", float("nan"), r"eta0 must lie in \(0, inf\)"),
-        ("eta0", float("inf"), r"eta0 must lie in \(0, inf\)"),
-        ("backtrack", 1.0, r"backtrack must lie in \(0, 1\)"),
-        ("backtrack", 0.0, r"backtrack must lie in \(0, 1\)"),
-        ("sufficient_decrease", 1.0, r"sufficient_decrease must lie in \(0, 1\)"),
-        ("sufficient_decrease", float("nan"), r"sufficient_decrease must lie in \(0, 1\)"),
-        ("max_backtracks", -1, "max_backtracks must be at least 0"),
     ):
         with pytest.raises(ValueError, match=message):
             train(graph, samples, TrainerConfig(**{name: value}))
@@ -136,6 +135,9 @@ def test_weight_counts_that_do_not_fit_the_feature_ids_are_named(monkeypatch):
         # w_step's feature count is the larger of the samples' and len(w)
         (lambda: w_step(graph, samples, states, w6, np.zeros(4), 1.0),
          "^gradient has 4 weights for num_features=6$"),
+        # the per-sample calls take the sample's own feature count
+        (lambda: lambda_update(graph, samples[0], 0, states[0], w2, 1.0),
+         "^2 weights for 4 features$"),
     ):
         with pytest.raises(ModelError, match=message):
             call()
@@ -149,18 +151,44 @@ def grid(size):
 
 # every public call that takes message states: (call, whether it takes a list)
 STATE_CALLS = {
-    "duality_report": (lambda ds, st, w: duality_report(ds.graph, ds.train, st, w, 1.0), True),
-    "primal_objective": (lambda ds, st, w: primal_objective(ds.graph, ds.train, st, w, 1.0), True),
-    "w_gradient": (lambda ds, st, w: w_gradient(ds.graph, ds.train, st, w, 1.0), True),
-    "w_step": (lambda ds, st, w: w_step(ds.graph, ds.train, st, w, w, 1.0), True),
-    "region_loss": (lambda ds, st, w: region_loss(ds.graph, ds.train[0], 0, st, w, 1.0), False),
-    "lambda_update": (lambda ds, st, w: lambda_update(ds.graph, ds.train[0], 0, st, w, 1.0), False),
-    "mu_message": (
-        lambda ds, st, w: mu_message(ds.graph, ds.train[0], *ds.graph.edges[0], st, w, 1.0), False
+    "duality_report": (
+        lambda ds, st, w, eps=1.0: duality_report(ds.graph, ds.train, st, w, eps), True
     ),
-    "inference_sweep": (lambda ds, st, w: inference_sweep(ds.graph, ds.train[0], st, w, 1.0), False),
-    "compute_beliefs": (lambda ds, st, w: compute_beliefs(ds.graph, ds.train[0], st, w, 1.0), False),
+    "primal_objective": (
+        lambda ds, st, w, eps=1.0: primal_objective(ds.graph, ds.train, st, w, eps), True
+    ),
+    "w_gradient": (lambda ds, st, w, eps=1.0: w_gradient(ds.graph, ds.train, st, w, eps), True),
+    "w_step": (lambda ds, st, w, eps=1.0: w_step(ds.graph, ds.train, st, w, w, eps), True),
+    "region_loss": (
+        lambda ds, st, w, eps=1.0: region_loss(ds.graph, ds.train[0], 0, st, w, eps), False
+    ),
+    "lambda_update": (
+        lambda ds, st, w, eps=1.0: lambda_update(ds.graph, ds.train[0], 0, st, w, eps), False
+    ),
+    "mu_message": (
+        lambda ds, st, w, eps=1.0: mu_message(ds.graph, ds.train[0], *ds.graph.edges[0], st, w, eps),
+        False,
+    ),
+    "inference_sweep": (
+        lambda ds, st, w, eps=1.0: inference_sweep(ds.graph, ds.train[0], st, w, eps), False
+    ),
+    "compute_beliefs": (
+        lambda ds, st, w, eps=1.0: compute_beliefs(ds.graph, ds.train[0], st, w, eps), False
+    ),
 }
+
+
+@pytest.mark.parametrize("name", sorted(STATE_CALLS))
+def test_non_finite_eps_is_rejected_before_any_sweep(name, monkeypatch):
+    # the per-sample calls as the batch calls: nan and +-inf raise by name
+    call, takes_list = STATE_CALLS[name]
+    ds = grid(3)
+    states = [MessageState(ds.graph) for _ in ds.train] if takes_list else MessageState(ds.graph)
+    for module in (inference, learner):
+        monkeypatch.setattr(module, "sweep_vec", lambda *args: pytest.fail("swept"))
+    for eps in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="^eps must be finite$"):
+            call(ds, states, np.zeros(ds.num_features), eps)
 
 
 @pytest.mark.parametrize("name", sorted(STATE_CALLS))
@@ -287,6 +315,13 @@ def test_gradient_matches_central_finite_differences():
             assert g[k] == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
 
+def test_an_overflowing_gradient_stops_the_line_search_by_name():
+    # finite weights whose gradient overflows (numpy's warnings silenced)
+    ds = grid(3)
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="^gradient must be finite$"):
+        train(ds.graph, ds.train, TrainerConfig(), w0=np.full(ds.num_features, 1e308))
+
+
 def test_step_with_zero_gradient_keeps_weights():
     rng = np.random.default_rng(2)
     graph, sample = random_model(rng)
@@ -294,7 +329,7 @@ def test_step_with_zero_gradient_keeps_weights():
     cfg = TrainerConfig(eps=1.0, C=0.5)
     res = w_step(graph, [sample], [MessageState(graph)], w, np.zeros(3), 1.0, ones(graph), 0.5, cfg)
     assert not res.stalled
-    assert res.eta == cfg.eta0
+    assert res.eta == learner.ETAS[0]
     np.testing.assert_array_equal(res.w, w)
 
 
@@ -396,12 +431,13 @@ def test_train_sweep_count_does_not_change_optimum():
     assert abs(finals[0] - finals[1]) <= 1e-6
 
 
-def test_stalled_step_recovery_sweeps_reach_residual_tol():
+def test_stalled_step_recovery_sweeps_reach_residual_tol(monkeypatch):
     ds = make_denoise_dataset(
         DenoiseSpec(width=3, height=3, num_train=3, num_test=0, flip_prob=0.2, seed=8, tying="full")
     )
     # a first trial step this long cannot decrease the primal, and no backtrack is allowed
-    cfg = TrainerConfig(eps=1.0, C=0.5, max_outer_iters=1, eta0=1e6, max_backtracks=0)
+    monkeypatch.setattr(learner, "ETAS", (1e6,))
+    cfg = TrainerConfig(eps=1.0, C=0.5, max_outer_iters=1)
     w0 = np.random.default_rng(8).normal(size=ds.num_features)
     records = []
     st = train(ds.graph, ds.train, cfg, ds.num_features, w0, log_fn=records.append)
@@ -726,9 +762,17 @@ def test_a_run_resumed_from_a_copy_of_its_state_is_the_uninterrupted_run(config)
     assert state.filled == full.filled and np.array_equal(state.ring, full.ring)
 
 
-def reference_line_search(graph, samples, states, w, g, eps, C, cfg):
-    """The top-down scan from ``cfg.eta0``, rebuilding every theta per sample
-    on each trial."""
+def step_grid(eta0=1.0, backtrack=0.5, backtracks=50):
+    """A step grid for ``learner.ETAS``: eta0, then repeated ``eta *= backtrack``."""
+    etas = [eta0]
+    for _ in range(backtracks):
+        etas.append(etas[-1] * backtrack)
+    return tuple(etas)
+
+
+def reference_line_search(graph, samples, states, w, g, eps, C):
+    """The top-down scan of ``learner.ETAS``, rebuilding every theta per
+    sample on each trial."""
     layout = graph.layout()
     compiled = [s.compiled() for s in samples]
     lam = np.stack([st.vec for st in states])
@@ -742,16 +786,15 @@ def reference_line_search(graph, samples, states, w, g, eps, C, cfg):
         total -= float(sum(th[i, cs.true_slots[0]].sum() for i, cs in enumerate(compiled)))
         return total
 
-    f0, gg, eta = f(w), float(g @ g), cfg.eta0
-    for _ in range(cfg.max_backtracks + 1):
+    f0, gg = f(w), float(g @ g)
+    for eta in learner.ETAS:
         f_try = f(w - eta * g)
-        if np.isfinite(f_try) and f_try <= f0 - cfg.sufficient_decrease * eta * gg:
+        if np.isfinite(f_try) and f_try <= f0 - learner.SUFFICIENT_DECREASE * eta * gg:
             return w - eta * g, eta, f_try
-        eta *= cfg.backtrack
     return w, 0.0, f0
 
 
-def test_stacked_theta_and_line_search_match_per_sample_reference():
+def test_stacked_theta_and_line_search_match_per_sample_reference(monkeypatch):
     rng = np.random.default_rng(32)
     for graph, samples in small_corpora(rng) + small_corpora(rng):
         first = samples[0]  # rebuilt as a sample with no feature tables
@@ -781,9 +824,10 @@ def test_stacked_theta_and_line_search_match_per_sample_reference():
                 inference_sweep(graph, sample, state, w, 1.0, ones(graph))
         g = w_gradient(graph, samples, states, w, 1.0, ones(graph), 0.5, k)
         for eta0 in (1.0, 1e6):
-            cfg = TrainerConfig(eps=1.0, C=0.5, eta0=eta0, max_backtracks=5)
+            monkeypatch.setattr(learner, "ETAS", step_grid(eta0, backtracks=5))
+            cfg = TrainerConfig(eps=1.0, C=0.5)
             step = w_step(graph, samples, states, w, g, 1.0, ones(graph), 0.5, cfg)
-            w_ref, eta_ref, f_ref = reference_line_search(graph, samples, states, w, g, 1.0, 0.5, cfg)
+            w_ref, eta_ref, f_ref = reference_line_search(graph, samples, states, w, g, 1.0, 0.5)
             assert np.array_equal(step.w, w_ref)
             assert step.eta == eta_ref and step.objective == f_ref
 
@@ -825,26 +869,26 @@ def test_train_keeps_the_callers_sample_order():
 
 
 
-def line_search(graph, samples, states, w, g, eps, C, cfg, prev):
+def line_search(graph, samples, states, w, g, eps, C, prev):
     """``learner._line_search`` set up as ``w_step`` sets it up, with the
     previous step's backtrack count ``prev``."""
     batch = objective.BatchObjective(graph, samples, eps, ones(graph), C, len(w))
     lam_part = message_potentials(batch.layout, np.stack([st.vec for st in states]))
     thetas = batch.stack.rows(w)
     lse = batch.terms.regions(thetas + lam_part).lse
-    return learner._line_search(batch, lam_part, w, thetas, lse, g, cfg, prev)[0]
+    return learner._line_search(batch, lam_part, w, thetas, lse, g, prev)[0]
 
 
-def check_bracket_is_the_scan(graph, samples, states, w, g, eps, C, cfg):
+def check_bracket_is_the_scan(graph, samples, states, w, g, eps, C):
     """From every previous backtrack count, the search takes the scan's step
     bit for bit and at most one trial more than the scan; returns the
     indices whose step differs."""
-    w_ref, eta_ref, f_ref = reference_line_search(graph, samples, states, w, g, eps, C, cfg)
-    scan = line_search(graph, samples, states, w, g, eps, C, cfg, None)
-    assert scan.trials == (cfg.max_backtracks if scan.stalled else scan.backtracks) + 1
+    w_ref, eta_ref, f_ref = reference_line_search(graph, samples, states, w, g, eps, C)
+    scan = line_search(graph, samples, states, w, g, eps, C, None)
+    assert scan.trials == (len(learner.ETAS) - 1 if scan.stalled else scan.backtracks) + 1
     differ = []
-    for prev in range(cfg.max_backtracks + 1):
-        step = line_search(graph, samples, states, w, g, eps, C, cfg, prev)
+    for prev in range(len(learner.ETAS)):
+        step = line_search(graph, samples, states, w, g, eps, C, prev)
         assert step.trials <= scan.trials + 1
         same = np.array_equal(step.w, w_ref) and step.eta == eta_ref and step.objective == f_ref
         if not same or step.backtracks != scan.backtracks:
@@ -864,8 +908,8 @@ def test_bracketed_search_takes_the_scans_step_bitwise(seed, eps, backtrack, eta
             for _ in range(int(rng.integers(0, 3))):
                 inference_sweep(graph, sample, state, w, eps, ones(graph))
         g = w_gradient(graph, samples, states, w, eps, ones(graph), 0.5, 4)
-        cfg = TrainerConfig(eps=eps, C=0.5, eta0=eta0, backtrack=backtrack, max_backtracks=12)
-        assert check_bracket_is_the_scan(graph, samples, states, w, g, eps, 0.5, cfg) == []
+        with mock.patch.object(learner, "ETAS", step_grid(eta0, backtrack, 12)):
+            assert check_bracket_is_the_scan(graph, samples, states, w, g, eps, 0.5) == []
 
 
 def test_bracket_falls_back_to_the_scan_where_rounding_decides(monkeypatch):
@@ -878,28 +922,30 @@ def test_bracket_falls_back_to_the_scan_where_rounding_decides(monkeypatch):
     drawn = [random_sample(rng, graph, 3, i) for i in range(3)]
     samples = [Sample(graph, i, s.loss, s.features, s.true_labels)
                for i, s in enumerate(drawn * 20)]
-    cfg = TrainerConfig(C=0.5, max_backtracks=20)
     runs = []
     for iterations in (20, 25, 30, 35, 40):
         config = TrainerConfig(C=0.5, max_outer_iters=iterations, grad_norm_tol=0.0)
         state = train(graph, samples, config)
         g = w_gradient(graph, samples, state.states, state.w, 1.0, ones(graph), 0.5)
         assert 1e-7 < np.linalg.norm(g) < 1e-5
-        runs.append((graph, samples, state.states, state.w, g, 1.0, 0.5, cfg))
-        assert check_bracket_is_the_scan(*runs[-1]) == []
+        runs.append((graph, samples, state.states, state.w, g, 1.0, 0.5))
+    monkeypatch.setattr(learner, "ETAS", step_grid(backtracks=20))
+    for args in runs:
+        assert check_bracket_is_the_scan(*args) == []
     monkeypatch.setattr(learner, "ARMIJO_ULPS", 0)  # every test taken as clear
     assert any(check_bracket_is_the_scan(*args) != [] for args in runs)
 
 
 def denoise_run():
-    """``train`` on a 5x5 denoising corpus from eta0 = 16, where most steps
+    """``train`` on a 5x5 denoising corpus on the grid 16 * 2^-m, where most steps
     are 2^-1: the records and the log text."""
     ds = make_denoise_dataset(
         DenoiseSpec(width=5, height=5, num_train=4, num_test=0, flip_prob=0.2, seed=11, tying="full")
     )
-    cfg = TrainerConfig(C=0.3, residual_tol=1e-8, eta0=16.0)
+    cfg = TrainerConfig(C=0.3, residual_tol=1e-8)
     records = []
-    state = train(ds.graph, ds.train, cfg, num_features=ds.num_features, log_fn=records.append)
+    with mock.patch.object(learner, "ETAS", step_grid(16.0)):
+        state = train(ds.graph, ds.train, cfg, num_features=ds.num_features, log_fn=records.append)
     assert state.converged
     return records, "".join(r.format_line() + "\n" for r in records)
 

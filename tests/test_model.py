@@ -118,6 +118,38 @@ def test_uncovered_variable_is_fatal():
         RegionGraph([Region(0, (0,), (2,))], [], 2)
 
 
+PAIR = RegionGraph([Region(0, (0, 1), (2, 2)), Region(1, (0,), (2,)), Region(2, (1,), (2,))],
+                   [(0, 1)], 2)
+MALFORMED = {
+    "length mismatch": (lambda: Region(0, (0, 1), (2,)),
+                        "region 0: variable/cardinality length mismatch"),
+    "no variables": (lambda: Region(0, (), ()), "region 0: empty variable set"),
+    "unsorted": (lambda: Region(0, (1, 0), (2, 2)), "region 0: variables must be sorted and unique"),
+    "repeated": (lambda: Region(0, (0, 0), (2, 2)), "region 0: variables must be sorted and unique"),
+    "no variable count": (lambda: RegionGraph([Region(0, (0,), (2,))], [], 0),
+                          "variable_count must be positive"),
+    "sparse ids": (lambda: RegionGraph([Region(1, (0,), (2,))], [], 1),
+                   "region ids must be dense 0-based indices in order"),
+    "duplicate edge": (lambda: RegionGraph(PAIR.regions, [(0, 1), (0, 1)], 2),
+                       r"duplicate edge \(0, 1\)"),
+    "variable out of range": (lambda: RegionGraph([Region(0, (0, 1), (2, 2))], [], 1),
+                              "region 0: variable 1 out of range"),
+    "projection off an edge": (lambda: PAIR.projection(1, 2), r"edge \(1, 2\): containment violated"),
+    "short truth": (lambda: Sample(PAIR, 3, true_labels={0: 0}),
+                    "sample 3: true labels must cover all regions when given"),
+    "table size": (lambda: Sample(PAIR, 3, features={1: {0: np.zeros(3)}}),
+                   r"sample 3: feature table \(0, 1\) has wrong size"),
+    "no truth": (lambda: Sample(PAIR, 3).true_assignment(), "sample 3: no true labels"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_regions_graphs_and_samples_are_named(case):
+    build, message = MALFORMED[case]
+    with pytest.raises(ModelError, match=f"^{message}$"):
+        build()
+
+
 def test_inconsistent_cardinalities_fatal():
     regions = [Region(0, (0, 1), (2, 3)), Region(1, (1,), (2,))]
     with pytest.raises(ModelError, match="cardinality"):

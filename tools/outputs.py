@@ -6,8 +6,10 @@ Usage: python3 tools/outputs.py OUT
 Builds the ``denoise10`` corpus at seed 1 and the ``highorder`` corpus at
 seeds 1 and 7 with ``bench/corpora.py`` (``denoise10`` ignores the seed, and
 ``highorder``'s seed relabels only its test set), runs ``train``,
-``infer``, ``gap`` and ``gap --c-scheme bethe`` in-process with the flags of
-``bench/workloads.py``, a fixed-count ``train --sweeps-per-step 3
+``infer``, ``gap``, ``gap --c-scheme bethe`` and ``gap --c-file``
+(``gap-cfile``: counting numbers of 0.5 for every region, read from
+``half.counts``, which it writes next to the corpus) in-process with the
+flags of ``bench/workloads.py``, a fixed-count ``train --sweeps-per-step 3
 --max-iters 40`` (``train-fixed``, the block path without the growing
 rule), and ``train --c-scheme bethe --max-iters 60`` (``train-bethe``, the
 default block where descent fails, so it stays one sweep), and writes into
@@ -94,10 +96,14 @@ def run(workload: str, seed: int, work: Path, out: Path) -> None:
     """Build one corpus in ``work``, run its commands there and copy what
     they wrote, printed and counted into ``out``."""
     from blendsp.cli import main
+    from blendsp.fileio import parse_model
 
     getattr(corpora, workload)(work, seed)
     spec = WORKLOADS[workload]
     train_bsp, weights = str(work / "train.bsp"), str(work / "weights.bsw")
+    with open(train_bsp) as fh:
+        regions = parse_model(fh).graph.region_count
+    (work / "half.counts").write_text("".join(f"{r} 0.5\n" for r in range(regions)))
     commands = [
         ("train", ["train", "--model", train_bsp, *spec["train"],
                    "--out", weights, "--log", str(work / "train.log")]),
@@ -106,6 +112,8 @@ def run(workload: str, seed: int, work: Path, out: Path) -> None:
         ("gap", ["gap", "--model", train_bsp, "--weights", weights, *spec["gap"]]),
         ("gap-bethe", ["gap", "--model", train_bsp, "--weights", weights, *spec["gap"],
                        "--c-scheme", "bethe"]),
+        ("gap-cfile", ["gap", "--model", train_bsp, "--weights", weights, *spec["gap"],
+                       "--c-file", str(work / "half.counts")]),
         ("train-fixed", ["train", "--model", train_bsp, *spec["train"],
                          "--sweeps-per-step", "3", "--max-iters", "40",
                          "--out", str(work / "weights-fixed.bsw"),
