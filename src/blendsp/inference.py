@@ -35,7 +35,7 @@ on its first sweep.  This level kernel is the only region update:
 normalizes the accumulators of the regions with c_r = 0 as one more level.
 The plan also holds the tables of ``message_potentials`` and
 ``residual_rows``.  One builder, ``_prefix_terms``, makes every gather-and-add
-table, the levels' and the potentials', from per-column term lists.
+table, the levels', the potentials' and the residual's, from per-column term lists.
 
 One kernel, ``SoftMax``, is the package's only tempered log-sum-exp, at
 t = eps * c per segment: on the region tables, on each level's projection
@@ -532,7 +532,10 @@ class SweepPlan:
         return SegmentReduce(self.layout.starts, self.layout.total)
 
     def at(self, eps: float, cvals: np.ndarray) -> _Terms:
-        """The terms of (eps, cvals), derived once for the last pair seen."""
+        """The terms of (eps, cvals), derived once for the last pair seen; a
+        non-finite ``eps`` raises ``ValueError``."""
+        if not np.isfinite(eps):
+            raise ValueError("eps must be finite")
         key = (float(eps), cvals.tobytes())
         if self._terms is None or self._terms[0] != key:
             self._terms = (key, _Terms(self, eps, cvals))
@@ -557,17 +560,18 @@ class SweepPlan:
 
     @cached_property
     def marginals(self):
-        """Gather tables of ``residual_rows``: per fiber size G (parent labels
-        per child label, one size per edge as a child's variables are a
-        subset), the (G, n) parent slots of n message slots in ascending
-        parent label (an edge's ``perm`` row by row) and their child slots."""
-        layout, groups = self.layout, {}
-        for e, perm in enumerate(layout.perm):
-            p, r = layout.edge_parent[e], layout.edge_child[e]
-            parent, child = groups.setdefault(perm.size // layout.sizes[r], ([], []))
-            parent.append((perm + layout.offsets[p]).reshape(layout.sizes[r], -1))
-            child.append(np.arange(layout.sizes[r]) + layout.offsets[r])
-        return [(np.concatenate(groups[g][0]).T.copy(), _cat(groups[g][1])) for g in sorted(groups)]
+        """Gather tables of ``residual_rows``: (terms, child).  A message
+        slot's terms are its G parent slots in ascending parent label (its
+        edge's ``perm``, row by row; G parent labels per child label).
+        Columns hold the edges by G, largest first; column i's child slot
+        is ``child[i]``."""
+        layout, sizes = self.layout, self.layout.sizes.tolist()
+        ep, ec = layout.edge_parent.tolist(), layout.edge_child.tolist()
+        terms = [list((perm + layout.offsets[ep[e]]).reshape(sizes[ec[e]], -1).T)
+                 for e, perm in enumerate(layout.perm)]
+        edges = sorted(range(len(terms)), key=lambda e: -len(terms[e]))
+        child = _cat([np.arange(sizes[ec[e]]) + layout.offsets[ec[e]] for e in edges])
+        return _prefix_terms(edges, terms, [sizes[r] for r in ec]), child
 
 
 def sweep_plan(layout: GraphLayout) -> SweepPlan:
@@ -626,22 +630,19 @@ def belief_vec(
 def residual_rows(layout: GraphLayout, bvec: np.ndarray) -> np.ndarray:
     """Largest parent-marginal vs child-belief disagreement, per batch row.
 
-    Each parent marginal adds its parent beliefs in ascending parent label,
-    one gathered (batch, n) row of ``SweepPlan.marginals`` at a time.  A
-    single (batch, G, n) gather summed over axis 1 gives the same bits only
-    while numpy keeps that axis apart (it sums a folded, contiguous one
-    pairwise), and it held about 0.9 MB more at the peak of a ``highorder``
-    train.
+    Each parent marginal adds, from zero, its parent beliefs in ascending
+    parent label, one gather-and-add of ``SweepPlan.marginals`` per term
+    position (``_gather_add``); 0 + b is b, but for -0 becoming +0, which
+    the absolute value removes.  A single (batch, G, n) gather summed over
+    axis 1 gives the same bits only while numpy keeps that axis apart (it
+    sums a folded, contiguous one pairwise), and it held about 0.9 MB more
+    at the peak of a ``highorder`` train.
     """
-    out = np.zeros(bvec.shape[0])
-    for parent, child in sweep_plan(layout).marginals:
-        gap = bvec.take(parent[0], axis=1)
-        for row in parent[1:]:
-            gap += bvec.take(row, axis=1)
-        gap -= bvec.take(child, axis=1)
-        np.abs(gap, out=gap)
-        out = np.maximum(out, gap.max(axis=1))
-    return out
+    terms, child = sweep_plan(layout).marginals
+    gap = _gather_add(np.zeros((bvec.shape[0], child.size)), bvec, terms)
+    gap -= bvec.take(child, axis=1)
+    np.abs(gap, out=gap)
+    return gap.max(axis=1, initial=0.0)
 
 
 def _beliefs(layout, lam, theta, eps, cvals):
@@ -745,8 +746,6 @@ def sweep_until_consistent(
     NaN residual, without numpy warnings.  A non-finite ``eps``, a negative
     ``max_sweeps`` or a NaN ``tol`` raises ``ValueError`` before any sweep.
     """
-    if not np.isfinite(eps):
-        raise ValueError("eps must be finite")
     if max_sweeps < 0:
         raise ValueError("max_sweeps must be at least 0")
     if np.isnan(tol):
@@ -807,14 +806,14 @@ def finite_weights(w, name: str = "w") -> np.ndarray:
 
 
 def _sample_inputs(graph, sample, state, w, eps, counting, include_loss):
-    """The layout, counting numbers, theta row and message row (a view of
-    ``state``'s) of one sample; a non-finite ``eps`` or weight raises ``ValueError``."""
-    if not np.isfinite(eps):
-        raise ValueError("eps must be finite")
+    """The layout, the terms at (eps, counting numbers) (``SweepPlan.at``),
+    theta row and message row (a view of ``state``'s) of one sample; a
+    non-finite ``eps`` or weight raises ``ValueError``."""
     layout = graph.layout()
+    terms = sweep_plan(layout).at(eps, CountingNumbers.of(graph, counting).values)
     lam = message_vec(layout, state)[None]
     theta = sample.compiled().theta_vec(finite_weights(w), include_loss)
-    return layout, CountingNumbers.of(graph, counting).values, theta[None], lam
+    return layout, terms, theta[None], lam
 
 
 def region_index(layout: GraphLayout, region) -> int:
@@ -825,10 +824,10 @@ def region_index(layout: GraphLayout, region) -> int:
     return region
 
 
-def _region_level(layout: GraphLayout, region, eps: float, cvals: np.ndarray):
-    """The level that updates ``region`` alone, its coefficients at (eps,
-    cvals) and the denominators c_r + sum of parent c (``SweepPlan.at``);
-    None for a region without parents, whose update is a no-op.  An id
+def _region_level(layout: GraphLayout, region, terms: _Terms):
+    """The level that updates ``region`` alone, its coefficients at the
+    ``terms`` of one (eps, cvals) and their denominators c_r + sum of parent
+    c; None for a region without parents, whose update is a no-op.  An id
     outside the graph raises ``ValueError``."""
     region = region_index(layout, region)
     if not layout.parent_edges[region]:
@@ -836,7 +835,7 @@ def _region_level(layout: GraphLayout, region, eps: float, cvals: np.ndarray):
     plan = sweep_plan(layout)
     if region not in plan.one_region:
         plan.one_region[region] = _Level(layout, [region])
-    level, terms = plan.one_region[region], plan.at(eps, cvals)
+    level = plan.one_region[region]
     return level, _LevelCoefficients(level, terms), terms.denom
 
 
@@ -854,8 +853,8 @@ def mu_message(
     """Aggregated parent-to-child message over the child's labels, as the
     update of ``child`` computes it."""
     e = _edge_index(graph, parent, child)
-    layout, cvals, theta, lam = _sample_inputs(graph, sample, state, w, eps, counting, include_loss)
-    level, c, _ = _region_level(layout, child, eps, cvals)
+    layout, terms, theta, lam = _sample_inputs(graph, sample, state, w, eps, counting, include_loss)
+    level, c, _ = _region_level(layout, child, terms)
     start = level.mu_at[e]
     return level.mu(lam, theta, c)[0, start : start + layout.sizes[child]]
 
@@ -873,8 +872,8 @@ def lambda_update(
     """Block-minimize all messages from ``region`` to its parents, in place,
     on the level kernel.  A loop of it over any order of regions is that
     order's sweep."""
-    layout, cvals, theta, lam = _sample_inputs(graph, sample, state, w, eps, counting, include_loss)
-    one = _region_level(layout, region, eps, cvals)
+    layout, terms, theta, lam = _sample_inputs(graph, sample, state, w, eps, counting, include_loss)
+    one = _region_level(layout, region, terms)
     if one is not None:
         level, c, denom = one
         _warn_skipped(level.regions, denom)
@@ -893,8 +892,8 @@ def inference_sweep(
 ) -> MessageState:
     """One pass of lambda updates over every region with parents, colour
     class by colour class (see ``conflict_levels``)."""
-    layout, cvals, theta, lam = _sample_inputs(graph, sample, state, w, eps, counting, include_loss)
-    sweep_vec(layout, lam, theta, eps, cvals)
+    layout, terms, theta, lam = _sample_inputs(graph, sample, state, w, eps, counting, include_loss)
+    sweep_vec(layout, lam, theta, eps, terms.cvals)
     return state
 
 
@@ -908,8 +907,8 @@ def compute_beliefs(
     include_loss: bool = True,
 ) -> list[np.ndarray]:
     """Per-region belief tables from the current messages."""
-    layout, cvals, theta, lam = _sample_inputs(graph, sample, state, w, eps, counting, include_loss)
-    b = belief_vec(layout, lam, theta, eps, cvals)[0]
+    layout, terms, theta, lam = _sample_inputs(graph, sample, state, w, eps, counting, include_loss)
+    b = belief_vec(layout, lam, theta, eps, terms.cvals)[0]
     return [b[layout.region_slices[r]] for r in range(graph.region_count)]
 
 

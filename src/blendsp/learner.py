@@ -29,15 +29,15 @@ acceleration, Scieur, d'Aspremont and Bach, 2016) and moves to
 the point only if its primal is strictly below the current one (the
 monotone safeguard of Zhang, O'Donoghue and Boyd, 2020), so the primal
 still never rises.  With the growing block, a default run on the benchmark
-corpora takes 51 weight steps on ``highorder`` and 52 on ``denoise10``,
+corpora takes 51 weight steps on ``highorder`` and 51 on ``denoise10``,
 against 228 and 213 before ``train`` extrapolated its iterate.
 
 The weight step takes the step a top-down Armijo scan of the grid ``ETAS``
-takes.  Where descent holds the search first tests one grid step above the
-previous step and skips the scan above that test when it fails by more than
-its rounding error; where rounding could decide the test it scans from
-eta = 1 (``_line_search``).  On ``highorder``, whose steps are 2^-3 or 2^-4,
-that is 2.6 trials per step instead of 4.6 (seed 1), with the same steps.
+takes, on the primal the report logs.  It first tests one grid step above
+its hint, the previous step where descent holds and eta = 1 elsewhere, and
+skips the scan above a test that fails by more than its rounding error
+(``_line_search``).  On ``highorder``, whose steps are 2^-3 or 2^-4, that
+is 2.6 trials per step instead of 4.6 (seed 1), with the same steps.
 
 Samples are independent: the trainer sweeps the rows of lam together in
 one set of numpy calls, and prediction runs every sample through the same
@@ -157,7 +157,7 @@ class TrainState:
     stalled: bool = False
     grad_norm: float = np.inf  # the last gradient norm
     block: int = 1  # the next block's sweeps: sweeps_per_step, or the growing default
-    backtracks: int | None = None  # the last step's m: the search's hint where descent holds
+    backtracks: int = 0  # the search's hint: the last step's m where descent holds, else 0
     # where descent holds, the iterates x = (w, lam) since the last
     # extrapolation as rows, ``filled`` of them so far; None elsewhere
     ring: np.ndarray | None = None
@@ -209,7 +209,7 @@ def w_gradient(
     return z + C * w
 
 
-def _line_search(objective, lam_part, w, thetas, lse, gradient, prev=None):
+def _line_search(objective, lam_part, w, thetas, lse, gradient, prev):
     """Backtracking search on the batch ``objective`` at frozen messages
     from ``w``, whose theta rows are ``thetas`` and whose potentials thetas
     + lam_part have the region log-partitions ``lse``.  Returns the step
@@ -219,9 +219,11 @@ def _line_search(objective, lam_part, w, thetas, lse, gradient, prev=None):
 
     The step is the first eta_m = ``ETAS[m]`` whose trial passes the
     Armijo test f(w - eta g) <= f(w) - sigma * eta * g.g, sigma =
-    ``SUFFICIENT_DECREASE``, scanned from ``ETAS[0]`` down.  Given
-    ``prev``, the previous step's m, the search first tests eta_s, s =
-    max(prev - 1, 0):
+    ``SUFFICIENT_DECREASE``, scanned from ``ETAS[0]`` down, on the primal
+    the report logs (``BatchObjective.primal``).  The search first tests
+    eta_s, s = max(prev - 1, 0), for the hint ``prev``: the previous step's
+    m where descent holds, else 0 (``w_step``, after a stall, without
+    descent; there eta_s = ``ETAS[0]`` and the search is the scan):
 
     - Where descent holds the primal is convex in w at frozen messages, so
       phi(eta) = f(w - eta g) - f(w) + sigma * eta * g.g is convex with
@@ -229,20 +231,19 @@ def _line_search(objective, lam_part, w, thetas, lse, gradient, prev=None):
       fail at every larger eta.  When the test fails clearly, the scan
       starts at s + 1, where it would have arrived.
     - A test is clear when |f_try - (f0 - sigma * eta * g.g)| exceeds a
-      bound on the rounding error of the two computed values.  Each sums
-      1/2 C w.w, the region log-partitions and the negated true-label sums.
-      A dot product or numpy's pairwise sum of N terms errs by at most
-      about (log2 N + 8) u times the sum of its terms' absolute values
-      (u = 2^-53), Python's sum over n samples by n u, and each term
-      carries a few roundings of its own size.  With S = 1/2 C w.w +
-      sum |lse| + sum over samples of |true sum|, the bound is
-      ARMIJO_ULPS * 2^-52 * (S_try + S_0), 128 u per unit of S, which
-      covers these counts for the tested and benchmarked corpora.
-      Potentials much larger than their log-partitions can make it
-      optimistic.
-    - Any other outcome scans from ``ETAS[0]`` as ``prev=None`` does,
-      reusing the trial: at most one trial more than the scan, none
-      computed twice.
+      bound on the rounding error of the two computed values.  Each sums,
+      per sample, the region log-partitions minus the true-label sum, then
+      the samples in list order, then 1/2 C w.w.  A dot product or numpy's
+      pairwise sum of N terms errs by at most about (log2 N + 8) u times
+      the sum of its terms' absolute values (u = 2^-53), Python's sum over
+      n samples by n u, and each term carries a few roundings of its own
+      size.  With S = 1/2 C w.w + sum |lse| + sum over samples of |true
+      sum|, the bound is ARMIJO_ULPS * 2^-52 * (S_try + S_0), 128 u per
+      unit of S, which covers these counts for the tested and benchmarked
+      corpora.  Potentials much larger than their log-partitions can make
+      it optimistic.
+    - Any other outcome scans from ``ETAS[0]``, reusing the trial: at most
+      one trial more than the scan, none computed twice.
 
     So where rounding could decide the test, as late in a run whose primal
     is flat to 12 digits, the step is the scan's.  Where the bound fails it
@@ -253,14 +254,11 @@ def _line_search(objective, lam_part, w, thetas, lse, gradient, prev=None):
     g = np.asarray(gradient, dtype=float)
     if not np.isfinite(g).all():
         raise ValueError("gradient must be finite")
-    stack, softmax, C = objective.stack, objective.terms.regions, objective.C
+    stack, softmax = objective.stack, objective.terms.regions
 
     def value(w_at, th, lse_at):
         """The primal and S, the sum of its terms' absolute values."""
-        reg = 0.5 * C * float(w_at @ w_at)
-        sums = stack.true_sums(th)
-        total = reg + float(lse_at.sum())
-        total -= sum(sums.tolist())
+        total, _, reg, sums = objective.primal(w_at, th, lse_at)
         return total, reg + float(np.abs(lse_at).sum()) + float(np.abs(sums).sum())
 
     f0, size0 = value(w, thetas + lam_part, lse)
@@ -283,14 +281,11 @@ def _line_search(objective, lam_part, w, thetas, lse, gradient, prev=None):
         passed = np.isfinite(f_try) and f_try <= bar
         return ((w_try, f_try, (thetas_try, th, terms)) if passed else None), clear
 
-    start, known = 0, {}  # the scan's first index, and the trial it reuses
-    if prev is not None:
-        s = max(prev - 1, 0)
-        known[s], clear = attempt(s)
-        if known[s] is None and clear:
-            start = s + 1  # every larger eta fails too
+    s = max(prev - 1, 0)
+    first, clear = attempt(s)
+    start = s + 1 if first is None and clear else 0  # every larger eta fails too
     for m in range(start, len(ETAS)):
-        found = known[m] if m in known else attempt(m)[0]
+        found = first if m == s else attempt(m)[0]
         if found is not None:
             w_try, f_try, rows = found
             return StepResult(w_try, ETAS[m], False, f_try, trials, m), rows
@@ -329,7 +324,7 @@ def w_step(
     lam_part = message_potentials(objective.layout, objective.message_rows(states))
     thetas = objective.stack.rows(w)
     lse = objective.terms.regions(thetas + lam_part).lse
-    return _line_search(objective, lam_part, w, thetas, lse, gradient)[0]
+    return _line_search(objective, lam_part, w, thetas, lse, gradient, 0)[0]
 
 
 def _iterate(objective: BatchObjective, state: TrainState, config: TrainerConfig):
@@ -349,7 +344,8 @@ def _iterate(objective: BatchObjective, state: TrainState, config: TrainerConfig
         objective.mismatch(beliefs) + C * state.w, state.backtracks,
     )
     state.stalled, state.w = step.stalled, step.w
-    state.backtracks = step.backtracks if objective.terms.guarantees.descent else None
+    descent = objective.terms.guarantees.descent
+    state.backtracks = step.backtracks if descent and not step.stalled else 0
 
     # post-step diagnostics at the step's potentials (a stalled step's are
     # the block's); the moment mismatch doubles as the gradient.  The

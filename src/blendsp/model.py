@@ -547,11 +547,6 @@ class ThetaStack:
         """Per row, the sum of ``th`` at the sample's true labels."""
         return th.take(self._true_flat).reshape(self.true_slots.shape).sum(axis=1)
 
-    def losses(self, th: np.ndarray, lse: np.ndarray) -> list[float]:
-        """Per sample, the soft-max loss: region log-partitions ``lse`` of the
-        potentials ``th`` minus ``th`` at the true labels."""
-        return (lse.sum(axis=1) - self.true_sums(th)).tolist()
-
     def expectations(self, bmat: np.ndarray, num_features: int) -> np.ndarray:
         """Belief-weighted feature sums of the belief rows ``bmat``, summed
         over samples."""

@@ -117,10 +117,10 @@ def region_loss(
     a sample without true labels ``ModelError``.
     """
     region = region_index(graph.layout(), region)
-    layout, cvals, theta, lam = _sample_inputs(graph, sample, state, w, eps, counting, True)
+    layout, terms, theta, lam = _sample_inputs(graph, sample, state, w, eps, counting, True)
     th = theta + message_potentials(layout, lam)
     true = sample.compiled().true_slots[0, region]
-    return float(sweep_plan(layout).at(eps, cvals).regions(th).lse[0, region] - th[0, true])
+    return float(terms.regions(th).lse[0, region] - th[0, true])
 
 
 class BatchObjective:
@@ -205,6 +205,17 @@ class BatchObjective:
         value = float(-(bmat * logb * t_slot).sum() + (bmat * self.stack.loss).sum())
         return value - moment_penalty(z, self.C), z
 
+    def primal(self, w: np.ndarray, potentials: np.ndarray, lse: np.ndarray):
+        """(primal, per-sample losses, 1/2 C w.w, per-sample true sums) at
+        the weights ``w`` and potentials with region log-partitions ``lse``:
+        each loss sums its log-partitions minus the potentials at the true
+        labels, and the primal the losses in list order, then 1/2 C w.w.
+        ``report`` logs it; ``learner._line_search`` steps on it."""
+        sums = self.stack.true_sums(potentials)
+        losses = (lse.sum(axis=1) - sums).tolist()
+        reg = 0.5 * self.C * float(w @ w)
+        return sum(losses) + reg, losses, reg, sums
+
     def report(
         self,
         lam: np.ndarray,
@@ -222,15 +233,13 @@ class BatchObjective:
         log-partitions ``lse`` and the belief rows ``bmat`` (from those
         potentials) are given together or computed here by
         ``inference._beliefs``: ``train`` passes its weight step's, every
-        other caller none.
+        other caller none.  The primal is ``primal``'s.
         """
         if potentials is None:
             bmat, part, lse = _beliefs(self.layout, lam, thetas, self.eps, self.cvals)
             potentials = thetas + part
-        losses = self.stack.losses(potentials, lse)
+        primal, losses, reg, _ = self.primal(w, potentials, lse)
         residual = float(residual_rows(self.layout, bmat).max()) if lam.shape[0] else 0.0
-        reg = 0.5 * self.C * float(w @ w)
-        primal = sum(losses) + reg
         dual, z = self.dual(bmat)
         report = ObjectiveReport(
             primal=primal,

@@ -80,6 +80,9 @@ def test_non_finite_eps_and_C_and_negative_caps_are_rejected_before_any_sweep(mo
             train(graph, samples, TrainerConfig(eps=eps, C=C, max_outer_iters=2))
         with pytest.raises(ValueError, match=message):
             objective.BatchObjective(graph, samples, eps, np.ones(5), C, 2)
+    for eps in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="^eps must be finite$"):
+            inference.guarantees(graph, eps)
     for name, value, message in (
         ("primal_rel_tol", float("nan"), "tolerances must be finite"),
         ("residual_tol", float("nan"), "tolerances must be finite"),
@@ -772,7 +775,8 @@ def step_grid(eta0=1.0, backtrack=0.5, backtracks=50):
 
 def reference_line_search(graph, samples, states, w, g, eps, C):
     """The top-down scan of ``learner.ETAS``, rebuilding every theta per
-    sample on each trial."""
+    sample on each trial; the primal sums per-sample losses in list order,
+    then the regularizer, as the report does."""
     layout = graph.layout()
     compiled = [s.compiled() for s in samples]
     lam = np.stack([st.vec for st in states])
@@ -780,11 +784,11 @@ def reference_line_search(graph, samples, states, w, g, eps, C):
     t_regions = eps * np.ones(graph.region_count)
 
     def f(w):
-        total = 0.5 * C * float(w @ w)
         th = np.stack([cs.theta_vec(w, include_loss=True) for cs in compiled]) + lam_part
-        total += float(segmented_lse(layout, th, t_regions).sum())
-        total -= float(sum(th[i, cs.true_slots[0]].sum() for i, cs in enumerate(compiled)))
-        return total
+        lse = segmented_lse(layout, th, t_regions)
+        losses = [float(lse[i].sum() - th[i, cs.true_slots[0]].sum())
+                  for i, cs in enumerate(compiled)]
+        return sum(losses) + 0.5 * C * float(w @ w)
 
     f0, gg = f(w), float(g @ g)
     for eta in learner.ETAS:
@@ -852,6 +856,28 @@ def test_library_report_and_gradient_reproduce_train_bitwise():
             assert np.linalg.norm(g) == records[-1].grad_norm
 
 
+def test_every_step_is_accepted_on_the_primal_it_logs(monkeypatch):
+    # the Armijo test and the report sum the primal one way
+    # (BatchObjective.primal): each step's objective is the primal logged
+    # after it, bit for bit, unless the extrapolation moved the iterate
+    spec = DenoiseSpec(width=4, height=4, num_train=3, num_test=0, flip_prob=0.2, seed=8,
+                       tying="full")
+    ds = make_denoise_dataset(spec)
+    search, steps, records = learner._line_search, [], []
+
+    def spy(*args):
+        step, rows = search(*args)
+        steps.append(step)
+        return step, rows
+
+    monkeypatch.setattr(learner, "_line_search", spy)
+    train(ds.graph, ds.train, TrainerConfig(C=0.3), log_fn=records.append)
+    assert len(steps) == len(records)
+    kept = [(s.objective, r.primal) for s, r in zip(steps, records) if r.extrapolated is not True]
+    assert len(kept) > 10
+    assert [f.hex() for f, _ in kept] == [p.hex() for _, p in kept]
+
+
 def test_train_keeps_the_callers_sample_order():
     # the rows of lam and states follow the list train is given, as every
     # other batch call's do: the library calls take train's final state
@@ -884,7 +910,7 @@ def check_bracket_is_the_scan(graph, samples, states, w, g, eps, C):
     bit for bit and at most one trial more than the scan; returns the
     indices whose step differs."""
     w_ref, eta_ref, f_ref = reference_line_search(graph, samples, states, w, g, eps, C)
-    scan = line_search(graph, samples, states, w, g, eps, C, None)
+    scan = line_search(graph, samples, states, w, g, eps, C, 0)
     assert scan.trials == (len(learner.ETAS) - 1 if scan.stalled else scan.backtracks) + 1
     differ = []
     for prev in range(len(learner.ETAS)):
@@ -955,7 +981,7 @@ def test_train_without_the_previous_step_logs_the_same_bytes(monkeypatch):
     search = learner._line_search
 
     def scan(*args):
-        return search(*args[:-1], None)
+        return search(*args[:-1], 0)
 
     monkeypatch.setattr(learner, "_line_search", scan)
     scanned, scanned_log = denoise_run()
