@@ -4,7 +4,11 @@ Rows of a batch never interact, so every row of a batched run must equal,
 bit for bit, the same sample run alone through the reference loop below.
 """
 
+import math
+
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blendsp import (
     CountingNumbers, MessageState, Region, RegionGraph, Sample, compute_beliefs, predict
@@ -23,23 +27,46 @@ from blendsp.learner import predict_all
 from blendsp.model import ThetaStack
 
 from test_deep_graphs import three_level_model
+from test_relaxation import KINDS, corpus
 from util import loopy_graph, random_sample, tree_graph
 
 
-def reference_loop(layout, theta, eps, cvals, max_sweeps, tol):
+def next_due(sweeps, before_at, before, after, tol, max_sweeps):
+    """The sweep count of a row's next measurement where the certificate
+    holds, in floats: where its last two measured residuals, falling
+    geometrically, cross tol (at least one sweep ahead), but no later than
+    the next K-th sweep or the cap; the next sweep for tol <= 0."""
+    if tol <= 0:
+        return sweeps + 1
+    k = EXTRAPOLATE_EVERY
+    cap = min((sweeps // k + 1) * k, max_sweeps)
+    rate = math.log(after / before) / (sweeps - before_at)
+    if not rate < 0:
+        return cap
+    ahead = math.log(tol / after) / rate
+    return cap if ahead >= cap - sweeps else min(sweeps + max(math.ceil(ahead), 1), cap)
+
+
+def reference_loop(layout, theta, eps, cvals, max_sweeps, tol, every_sweep=False):
     """One sample at a time: beliefs and residual at the start, then plain
-    sweeps while the residual is above tol and the cap is not reached.  Where
-    the certificate holds and the cap is at least K, after every K-th sweep
-    the extrapolation of the row's last K + 1 message rows replaces it if
-    that strictly lowers its block objective sum_r lse_r."""
+    sweeps while the last measured residual is above tol and the cap is not
+    reached.  Where the certificate holds and the cap is at least K, after
+    every K-th sweep the extrapolation of the row's last K + 1 message rows
+    replaces it if that strictly lowers its block objective sum_r lse_r.
+    The row is measured after every sweep without the certificate, or with
+    ``every_sweep`` (the stop rule before measurements were scheduled);
+    with it, after its first sweep, at every K-th sweep, at the cap and
+    where ``next_due`` predicts."""
     k = EXTRAPOLATE_EVERY
     at = sweep_plan(layout).at(eps, cvals)
     accelerate = max_sweeps >= k and at.guarantees.certificate
+    every_sweep = every_sweep or not at.guarantees.certificate
     lam = np.zeros((1, layout.message_total))
     theta = theta[None, :]
     b = belief_vec(layout, lam, theta, eps, cvals)
     residual = residual_rows(layout, b)[0]
     sweeps = extrapolations = 0
+    measured, last_at, due = 1, 0, 1
     history = []
     while sweeps < max_sweeps and residual > tol:
         history.append(lam.copy())
@@ -51,9 +78,13 @@ def reference_loop(layout, theta, eps, cvals, max_sweeps, tol):
                          for m in (x, lam)]
             if objective[0] < objective[1]:
                 lam, extrapolations = x, extrapolations + 1
-        b = belief_vec(layout, lam, theta, eps, cvals)
-        residual = residual_rows(layout, b)[0]
-    return lam[0], b[0], residual, sweeps, extrapolations
+        if every_sweep or sweeps == due:
+            b = belief_vec(layout, lam, theta, eps, cvals)
+            after = residual_rows(layout, b)[0]
+            if after > tol:
+                due = next_due(sweeps, last_at, residual, after, tol, max_sweeps)
+            residual, last_at, measured = after, sweeps, measured + 1
+    return lam[0], b[0], residual, sweeps, extrapolations, measured
 
 
 def batches(rng):
@@ -79,7 +110,7 @@ def batches(rng):
 
 def test_engine_matches_per_sample_reference_loop():
     rng = np.random.default_rng(41)
-    spread = mixed = False
+    spread = mixed = skipped = False
     for graph, samples in batches(rng):
         layout = graph.layout()
         w = rng.uniform(-2, 2, 4)
@@ -92,15 +123,15 @@ def test_engine_matches_per_sample_reference_loop():
                 res = sweep_until_consistent(layout, lam, theta, eps, cvals, max_sweeps, tol)
                 b, residual, sweeps = res.beliefs, res.residual, res.sweeps
                 for i in range(len(samples)):
-                    ref_lam, ref_b, ref_res, ref_sweeps, ref_extrapolations = reference_loop(
-                        layout, theta[i], eps, cvals, max_sweeps, tol
-                    )
+                    ref = reference_loop(layout, theta[i], eps, cvals, max_sweeps, tol)
+                    ref_lam, ref_b, ref_res, ref_sweeps, ref_extrapolations, ref_measured = ref
                     assert lam[i].tobytes() == ref_lam.tobytes()
                     assert b[i].tobytes() == ref_b.tobytes()
                     assert residual[i].tobytes() == ref_res.tobytes()
                     assert sweeps[i] == ref_sweeps
                     assert res.extrapolations[i] == ref_extrapolations
                     assert res.capped[i] == (not ref_res <= tol)
+                    assert res.measured[i] == ref_measured
                 if max_sweeps < EXTRAPOLATE_EVERY or not certificate:
                     assert not res.extrapolations.any()
                 if max_sweeps == 0:
@@ -110,8 +141,69 @@ def test_engine_matches_per_sample_reference_loop():
                 # rejected one, in one batch
                 rejected = res.extrapolations < sweeps // EXTRAPOLATE_EVERY
                 mixed |= bool(res.extrapolations.any() and rejected.any())
-    # some batch had rows that stopped at different sweep counts
-    assert spread and mixed
+                if not certificate:
+                    assert np.array_equal(res.measured, sweeps + 1)
+                skipped |= bool((res.measured < sweeps + 1).any())
+    # some batch had rows that stopped at different sweep counts, and some
+    # row went unmeasured after some sweeps
+    assert spread and mixed and skipped
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(KINDS),
+    st.sampled_from(["ones", "random", "zero", "eps0"]),
+    st.sampled_from([0, 1, 3, 9, 10, 11, 27, 60]),
+    st.sampled_from([1e-3, 1e-6, 1e-10, 0.0, -1.0]),
+)
+def test_rows_stop_on_a_measured_residual_within_k_sweeps_of_every_sweep_rule(
+    seed, kind, counting, max_sweeps, tol
+):
+    # counting numbers "zero" (one c_r = 0) and "eps0" (eps = 0) lack the
+    # certificate, where every sweep is measured as the reference does; at
+    # eps > 0 one more row's potentials have overflowed to inf, so its
+    # residual is NaN at the start
+    k = EXTRAPOLATE_EVERY
+    rng = np.random.default_rng(seed)
+    graph, samples = corpus(rng, kind)
+    layout = graph.layout()
+    eps = 0.0 if counting == "eps0" else 1.0
+    cvals = np.ones(graph.region_count)
+    if counting in ("random", "zero"):
+        cvals = rng.uniform(0.2, 3.0, graph.region_count)
+    if counting == "zero":
+        cvals[int(rng.integers(graph.region_count))] = 0.0
+    theta = ThetaStack(samples, layout).rows(rng.uniform(-3, 3, 4))
+    overflow = eps > 0
+    if overflow:
+        theta = np.concatenate((theta, np.full((1, layout.total), np.inf)))
+    certificate = sweep_plan(layout).at(eps, cvals).guarantees.certificate
+    assert certificate == (counting in ("ones", "random"))
+    lam = np.zeros((theta.shape[0], layout.message_total))
+    res = sweep_until_consistent(layout, lam, theta, eps, cvals, max_sweeps, tol)
+    with np.errstate(all="ignore"):
+        b = belief_vec(layout, lam, theta, eps, cvals)
+        again = residual_rows(layout, b)
+    assert b.tobytes() == res.beliefs.tobytes() and again.tobytes() == res.residual.tobytes()
+    if overflow:
+        assert res.sweeps[-1] == 0 and np.isnan(res.residual[-1]) and res.capped[-1]
+        assert res.measured[-1] == 1
+    assert (res.measured <= res.sweeps + 1).all()
+    for i in range(len(samples)):
+        ref_lam, ref_b, ref_res, ref_sweeps, _, _ = reference_loop(
+            layout, theta[i], eps, cvals, max_sweeps, tol, every_sweep=True
+        )
+        if not certificate:
+            assert lam[i].tobytes() == ref_lam.tobytes()
+            assert res.beliefs[i].tobytes() == ref_b.tobytes()
+            assert res.residual[i].tobytes() == ref_res.tobytes()
+            assert res.sweeps[i] == ref_sweeps and res.measured[i] == ref_sweeps + 1
+        if res.capped[i]:
+            assert res.sweeps[i] == max_sweeps or np.isnan(res.residual[i])
+        else:
+            assert res.residual[i] <= tol
+            assert ref_sweeps <= res.sweeps[i] < ref_sweeps + k
 
 
 def test_extrapolation_lands_on_the_fixed_point_of_an_affine_iteration():

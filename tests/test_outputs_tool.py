@@ -45,5 +45,10 @@ def test_outputs_tool_counts_train_infer_and_gap(tmp_path, monkeypatch, capsys):
     )
     assert train is not None
     assert re.search(rf"^iterations={train[1]} ", stdout["train"], re.M)
-    for line, (name, _) in zip(counts[1:], commands[1:]):
-        assert re.fullmatch(rf"{name} sweeps=\d+ extrapolations=\d+ capped=\d+", line)
+    # one test sample and two train samples, each measured before any sweep
+    for line, (name, _), rows in zip(counts[1:], commands[1:], (1, 2)):
+        engine = re.fullmatch(
+            rf"{name} sweeps=(\d+) extrapolations=\d+ capped=\d+ measured=(\d+)", line
+        )
+        assert engine is not None
+        assert rows <= int(engine[2]) <= int(engine[1]) + rows

@@ -23,8 +23,8 @@ command makes: for each ``train`` (library ``train``), its iterations, the
 summed line-search trials and block sweeps of its ``IterationRecord``s, the
 final ``TrainState.block`` and the extrapolations accepted and rejected;
 for ``infer`` and each ``gap`` (library ``sweep_until_consistent``), the
-summed engine sweeps, accepted extrapolations and capped rows (a residual
-above the call's tolerance, or NaN).
+summed engine sweeps, accepted extrapolations, capped rows (a residual
+above the call's tolerance, or NaN) and residual measurements.
 The program is whichever ``blendsp`` Python imports (set ``PYTHONPATH``);
 ``bench/`` is the one next to this script, which it only reads.  Two runs
 compare with ``diff -r``.
@@ -85,7 +85,7 @@ def counted(command: str, counts: list[str]):
         res = original(layout, lam, theta, eps, cvals, max_sweeps, tol)
         counts.append(
             f"{command} sweeps={res.sweeps.sum()} extrapolations={res.extrapolations.sum()} "
-            f"capped={(~(res.residual <= tol)).sum()}"
+            f"capped={(~(res.residual <= tol)).sum()} measured={res.measured.sum()}"
         )
         return res
 
