@@ -18,9 +18,12 @@ one sweep (under Bethe numbers two or three per step can cycle where one
 converges).  ``sweeps_per_step = N`` runs exactly N sweeps instead.  Every
 block is an exact block descent of plain sweeps, so where descent holds
 convexity guarantees the blend converges, with every step monotonically
-decreasing the primal.  The 50 stall-recovery sweeps and prediction take
-the guarded extrapolation of ``inference.sweep_until_consistent``, which
-only ever lowers the block objective.
+decreasing the primal.  After a stalled weight step whose beliefs are
+inconsistent, the next iteration first runs up to 50 recovery sweeps, so
+a run that ends on a stalled step returns the messages its report
+describes.  The recovery sweeps and prediction take the guarded
+extrapolation of ``inference.sweep_until_consistent``, which only ever
+lowers the block objective.
 
 Where descent holds, the blended iterate x = (w, lambda) is extrapolated
 the same way: after every EXTRAPOLATE_EVERY = 5 iterations ``train``
@@ -329,11 +332,17 @@ def w_step(
 
 def _iterate(objective: BatchObjective, state: TrainState, config: TrainerConfig):
     """One outer iteration of ``train`` on the batch ``objective``, in place
-    on ``state``: the inference block, the weight step, the report, the
-    extrapolation of (w, lambda) where descent holds, the stopping test and
-    the stall recovery.  Returns the iteration's ``IterationRecord``."""
+    on ``state``: the stall recovery after a stalled step, the inference
+    block, the weight step, the report, the extrapolation of (w, lambda)
+    where descent holds and the stopping test.  Returns the iteration's
+    ``IterationRecord``; ``state.report`` describes the messages and
+    weights it leaves."""
     layout, eps, cvals, C = objective.layout, objective.eps, objective.cvals, objective.C
     lam, sweeps = state.lam, state.block
+    # the last weight step stalled with inconsistent beliefs: up to 50 more
+    # sweeps, the inference block cannot increase the objective
+    if state.stalled and state.report.marginal_residual > config.residual_tol:
+        sweep_until_consistent(layout, lam, state.thetas, eps, cvals, 50, config.residual_tol)
     state.iteration += 1
     for _ in range(sweeps):
         sweep_vec(layout, lam, state.thetas, eps, cvals)
@@ -390,11 +399,6 @@ def _iterate(objective: BatchObjective, state: TrainState, config: TrainerConfig
         and residual < config.residual_tol
         and state.grad_norm < config.grad_norm_tol
     )
-
-    # a stalled weight step with inconsistent beliefs: up to 50 more
-    # sweeps, the inference block cannot increase the objective
-    if not state.converged and step.stalled and residual > config.residual_tol:
-        sweep_until_consistent(layout, lam, state.thetas, eps, cvals, 50, config.residual_tol)
     return IterationRecord(
         state.iteration, primal, report.dual, report.gap, residual, state.grad_norm, step.eta,
         sweeps, step.trials, extrapolated,
@@ -455,17 +459,17 @@ def predict_all(
 
     Where the certificate holds (``inference.Guarantees``) the sweeps are
     accelerated by the guarded extrapolation of ``sweep_until_consistent``,
-    which measures a sample's residual only where it can stop: at the
-    trained weights of the benchmark (seed 1, 200-sweep cap) the test
-    samples take 505 sweeps and 80 measurements in all on ``denoise10``,
-    where plain sweeps measured after each sweep leave every one at the cap
-    (2,000 sweeps), and 120 sweeps and 23 measurements instead of 326 sweeps
-    on ``highorder``.  Each variable takes the argmax
-    (ties to the lowest label) of its marginal under the belief of its
-    containing region with the fewest variables (ties to the lowest id),
-    summed in label order.  The returned residual measures how consistent the
-    final beliefs are; a large value means the decode rests on disagreeing
-    regions.
+    which measures the samples' residuals after the first sweep, every K-th
+    sweep and the cap: at the trained weights of the benchmark (seed 1,
+    200-sweep cap) the test samples take 510 sweeps and 71 measurements in
+    all on ``denoise10``, where plain sweeps measured after each sweep
+    leave every one at the cap (2,000 sweeps), and 120 sweeps and 20
+    measurements instead of 326 sweeps on ``highorder``.  Each variable
+    takes the argmax (ties to the lowest label) of its marginal under the
+    belief of its containing region with the fewest variables (ties to the
+    lowest id), summed in label order.  The returned residual measures how
+    consistent the final beliefs are; a large value means the decode rests
+    on disagreeing regions.
     """
     batch = BatchObjective(graph, samples, eps_infer, counting, w=w)
     layout, cvals = batch.layout, batch.cvals

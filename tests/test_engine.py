@@ -4,8 +4,6 @@ Rows of a batch never interact, so every row of a batched run must equal,
 bit for bit, the same sample run alone through the reference loop below.
 """
 
-import math
-
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,22 +29,6 @@ from test_relaxation import KINDS, corpus
 from util import loopy_graph, random_sample, tree_graph
 
 
-def next_due(sweeps, before_at, before, after, tol, max_sweeps):
-    """The sweep count of a row's next measurement where the certificate
-    holds, in floats: where its last two measured residuals, falling
-    geometrically, cross tol (at least one sweep ahead), but no later than
-    the next K-th sweep or the cap; the next sweep for tol <= 0."""
-    if tol <= 0:
-        return sweeps + 1
-    k = EXTRAPOLATE_EVERY
-    cap = min((sweeps // k + 1) * k, max_sweeps)
-    rate = math.log(after / before) / (sweeps - before_at)
-    if not rate < 0:
-        return cap
-    ahead = math.log(tol / after) / rate
-    return cap if ahead >= cap - sweeps else min(sweeps + max(math.ceil(ahead), 1), cap)
-
-
 def reference_loop(layout, theta, eps, cvals, max_sweeps, tol, every_sweep=False):
     """One sample at a time: beliefs and residual at the start, then plain
     sweeps while the last measured residual is above tol and the cap is not
@@ -54,9 +36,8 @@ def reference_loop(layout, theta, eps, cvals, max_sweeps, tol, every_sweep=False
     every K-th sweep the extrapolation of the row's last K + 1 message rows
     replaces it if that strictly lowers its block objective sum_r lse_r.
     The row is measured after every sweep without the certificate, or with
-    ``every_sweep`` (the stop rule before measurements were scheduled);
-    with it, after its first sweep, at every K-th sweep, at the cap and
-    where ``next_due`` predicts."""
+    ``every_sweep``; with it, after its first sweep, at every K-th sweep and
+    at the cap."""
     k = EXTRAPOLATE_EVERY
     at = sweep_plan(layout).at(eps, cvals)
     accelerate = max_sweeps >= k and at.guarantees.certificate
@@ -66,7 +47,7 @@ def reference_loop(layout, theta, eps, cvals, max_sweeps, tol, every_sweep=False
     b = belief_vec(layout, lam, theta, eps, cvals)
     residual = residual_rows(layout, b)[0]
     sweeps = extrapolations = 0
-    measured, last_at, due = 1, 0, 1
+    measured = 1
     history = []
     while sweeps < max_sweeps and residual > tol:
         history.append(lam.copy())
@@ -78,12 +59,9 @@ def reference_loop(layout, theta, eps, cvals, max_sweeps, tol, every_sweep=False
                          for m in (x, lam)]
             if objective[0] < objective[1]:
                 lam, extrapolations = x, extrapolations + 1
-        if every_sweep or sweeps == due:
+        if every_sweep or sweeps == 1 or sweeps % k == 0 or sweeps == max_sweeps:
             b = belief_vec(layout, lam, theta, eps, cvals)
-            after = residual_rows(layout, b)[0]
-            if after > tol:
-                due = next_due(sweeps, last_at, residual, after, tol, max_sweeps)
-            residual, last_at, measured = after, sweeps, measured + 1
+            residual, measured = residual_rows(layout, b)[0], measured + 1
     return lam[0], b[0], residual, sweeps, extrapolations, measured
 
 
@@ -190,6 +168,12 @@ def test_rows_stop_on_a_measured_residual_within_k_sweeps_of_every_sweep_rule(
         assert res.sweeps[-1] == 0 and np.isnan(res.residual[-1]) and res.capped[-1]
         assert res.measured[-1] == 1
     assert (res.measured <= res.sweeps + 1).all()
+    if certificate:
+        # measured before any sweep, after the first, at every K-th and at the cap
+        for i in range(len(samples)):
+            due = [t for t in range(1, res.sweeps[i] + 1)
+                   if t == 1 or t % k == 0 or t == max_sweeps]
+            assert res.measured[i] == 1 + len(due)
     for i in range(len(samples)):
         ref_lam, ref_b, ref_res, ref_sweeps, _, _ = reference_loop(
             layout, theta[i], eps, cvals, max_sweeps, tol, every_sweep=True

@@ -434,21 +434,38 @@ def test_train_sweep_count_does_not_change_optimum():
     assert abs(finals[0] - finals[1]) <= 1e-6
 
 
-def test_stalled_step_recovery_sweeps_reach_residual_tol(monkeypatch):
+def stalled_run(monkeypatch, iterations):
+    """A ``train`` run on a 3x3 corpus, and its records, whose every weight
+    step stalls: a first trial step this long cannot decrease the primal,
+    and no backtrack is allowed."""
     ds = make_denoise_dataset(
         DenoiseSpec(width=3, height=3, num_train=3, num_test=0, flip_prob=0.2, seed=8, tying="full")
     )
-    # a first trial step this long cannot decrease the primal, and no backtrack is allowed
     monkeypatch.setattr(learner, "ETAS", (1e6,))
-    cfg = TrainerConfig(eps=1.0, C=0.5, max_outer_iters=1)
+    cfg = TrainerConfig(eps=1.0, C=0.5, max_outer_iters=iterations)
     w0 = np.random.default_rng(8).normal(size=ds.num_features)
     records = []
     st = train(ds.graph, ds.train, cfg, ds.num_features, w0, log_fn=records.append)
-    assert st.stalled and records[0].eta == 0.0
-    assert records[0].residual > cfg.residual_tol
+    return ds, cfg, st, records
+
+
+def test_stalled_step_recovery_sweeps_reach_residual_tol(monkeypatch):
+    # the recovery after the first, stalled step runs before the second
+    # iteration's block
+    ds, cfg, st, records = stalled_run(monkeypatch, 2)
+    assert records[0].eta == 0.0 and records[0].residual > cfg.residual_tol
     for sample, state in zip(ds.train, st.states):
         beliefs = compute_beliefs(ds.graph, sample, state, st.w, 1.0, ones(ds.graph))
         assert marginal_residual(ds.graph, beliefs) <= cfg.residual_tol
+
+
+def test_a_run_that_ends_on_a_stalled_step_reports_its_returned_messages(monkeypatch):
+    # no recovery sweeps after the last iteration: the library report at the
+    # returned messages prints the state's report
+    ds, cfg, st, records = stalled_run(monkeypatch, 1)
+    assert st.stalled and records[0].residual > cfg.residual_tol
+    report = duality_report(ds.graph, ds.train, st.states, st.w, 1.0, None, 0.5)
+    assert report.to_text() == st.report.to_text()
 
 
 def test_train_warm_start_accepted():

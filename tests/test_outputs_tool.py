@@ -40,10 +40,12 @@ def test_outputs_tool_counts_train_infer_and_gap(tmp_path, monkeypatch, capsys):
         stdout[name] = capsys.readouterr().out
     assert len(counts) == len(commands)
     train = re.fullmatch(
-        r"train iterations=(\d+) trials=\d+ sweeps=\d+ block=\d+ accepted=\d+ rejected=\d+",
+        r"train iterations=(\d+) trials=\d+ sweeps=\d+ block=\d+ accepted=\d+ rejected=\d+"
+        r" stalled=(\d+)",
         counts[0],
     )
     assert train is not None
+    assert 0 <= int(train[2]) <= int(train[1])
     assert re.search(rf"^iterations={train[1]} ", stdout["train"], re.M)
     # one test sample and two train samples, each measured before any sweep
     for line, (name, _), rows in zip(counts[1:], commands[1:], (1, 2)):

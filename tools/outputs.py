@@ -21,10 +21,11 @@ replaced by ``<dir>``, the exit code on a last line) as
 of the counts its output does not show, taken from the library calls the
 command makes: for each ``train`` (library ``train``), its iterations, the
 summed line-search trials and block sweeps of its ``IterationRecord``s, the
-final ``TrainState.block`` and the extrapolations accepted and rejected;
-for ``infer`` and each ``gap`` (library ``sweep_until_consistent``), the
-summed engine sweeps, accepted extrapolations, capped rows (a residual
-above the call's tolerance, or NaN) and residual measurements.
+final ``TrainState.block``, the extrapolations accepted and rejected and
+the stalled weight steps (records with eta = 0); for ``infer`` and each
+``gap`` (library ``sweep_until_consistent``), the summed engine sweeps,
+accepted extrapolations, capped rows (a residual above the call's
+tolerance, or NaN) and residual measurements.
 The program is whichever ``blendsp`` Python imports (set ``PYTHONPATH``);
 ``bench/`` is the one next to this script, which it only reads.  Two runs
 compare with ``diff -r``.
@@ -73,7 +74,8 @@ def counted(command: str, counts: list[str]):
             counts.append(
                 f"{command} iterations={len(records)} trials={sum(r.trials for r in records)} "
                 f"sweeps={sum(r.sweeps for r in records)} block={state.block} "
-                f"accepted={outcomes.count(True)} rejected={outcomes.count(False)}"
+                f"accepted={outcomes.count(True)} rejected={outcomes.count(False)} "
+                f"stalled={sum(r.eta == 0 for r in records)}"
             )
             return state
 
