@@ -12,30 +12,23 @@ Messages are only defined up to an additive constant, and the raw sequence
 need not stay bounded; every table is therefore mean-centered after each
 update, which changes neither beliefs nor objective values.
 
-A sweep updates every region with parents through a level schedule.  Two
-region updates conflict when one region is the other's parent or child, or
-when they share a parent; only then does one read a message slot the other
-writes.  Regions of one level never conflict, so updating each level at once,
-in level order, performs exactly the arithmetic of updating its regions one
-at a time: the results are bitwise equal to that sequential sweep.  The
-levels are colour classes: the regions with parents, in id order, each take
-the smallest level no conflicting region already holds (first-fit
-colouring), which is 2 levels on a 10x10 or 40x40 grid and 6 on the 3-level
-``highorder`` benchmark graph.  Block-coordinate descent converges in any
-cyclic order, and the order moves the number of sweeps needed little next to
-what the colouring saves per sweep; a caller who wants another order loops
+A sweep updates every region with parents level by level
+(``conflict_levels``).  Regions of one level never read a message slot
+another writes, so updating each level at once, in level order, performs
+exactly the arithmetic of updating its regions one at a time: the results
+are bitwise equal to that sequential sweep.  Block-coordinate descent
+converges in any cyclic order; a caller who wants another order loops
 ``lambda_update`` over it.  Each level is one set of array calls: gathers of
 the parent exponents (projection permutations folded into the indices), one
 grouped log-sum-exp over all of the level's edges, the accumulation, a
 mean-centring per group of equal-size tables, and one scatter of the new
-tables.  The layout caches one plan (``sweep_plan``), whose levels are built
-on its first sweep.  This level kernel is the only region update:
-``lambda_update`` runs a one-region level, kept on the plan per region,
-``mu_message`` reads that level's aggregations, and ``belief_vec``
-normalizes the accumulators of the regions with c_r = 0 as one more level.
-The plan also holds the tables of ``message_potentials`` and
-``residual_rows``.  One builder, ``_prefix_terms``, makes every gather-and-add
-table, the levels', the potentials' and the residual's, from per-column term lists.
+tables.  This level kernel is the only region update: ``lambda_update``
+runs a one-region level, ``mu_message`` reads that level's aggregations,
+and ``belief_vec`` normalizes the accumulators of the regions with c_r = 0
+as one more level.  The layout caches one plan (``sweep_plan``) of the
+levels and of the tables of ``message_potentials`` and ``residual_rows``,
+all made by one builder, ``_prefix_terms``, from term lists that read one
+projection and grouping per edge shape (``SweepPlan.tables``).
 
 One kernel, ``SoftMax``, is the package's only tempered log-sum-exp, at
 t = eps * c per segment: on the region tables, on each level's projection
@@ -43,27 +36,11 @@ groups (c = c_p) and on the accumulators of the regions with c_r = 0 (c =
 c_r + sum of parent c).  ``SweepPlan.at`` derives all that depends on (eps,
 cvals) once, for the last pair seen.  The kernel's per-segment max, min and
 sum come from ``SegmentReduce``, built once per level and once per layout.
-Where the tables are narrow and lie in few runs of equal width, as a grid's
-2-label pixels and 4-label pairs do, and the batch is large enough, it
-reduces a run of width k with k - 1 strided elementwise calls; elsewhere it
-calls ``ufunc.reduceat``.  Both give the same bits.
 
 The potentials of theta rows at messages lam are, everywhere in the package,
-``theta + message_potentials(layout, lam)``: the message part (incoming minus
-outgoing messages per table slot) is gathered on its own and then added to
-theta in one step.  The beliefs, the line search's trials and the objective
-report all read potentials rounded that one way.  One pass of the region
-soft-max over a potentials array gives both its Gibbs beliefs and its region
-log-partitions (``_beliefs`` returns the beliefs, the message part and the
-log-partitions of message rows), and ``belief_vec`` takes a precomputed
-pass.  ``sweep_until_consistent`` returns only what it decides: the beliefs
-and residuals of its final rows, their sweeps, which rows are capped, the
-extrapolations it took and how often it measured each row.  Where the
-certificate holds it measures its active rows (beliefs and residual)
-together, and only after the first sweep, at every K-th sweep, where the
-guard below computes the beliefs anyway, and at the cap.  At the
-benchmark's trained weights ``highorder``'s ``infer`` takes 32 row belief
-passes in 120 sweeps and ``denoise10``'s 122 in 510.
+``theta + message_potentials(layout, lam)``, rounded that one way, and one
+pass of the region soft-max over them gives both their Gibbs beliefs and
+their region log-partitions (``_beliefs``, ``belief_vec``).
 
 ``sweep_until_consistent`` accelerates its sweeps by a guarded
 extrapolation of each row's recent message rows (``_extrapolate``, a
@@ -79,6 +56,7 @@ keeps results bitwise independent of how samples are grouped into batches.
 
 from __future__ import annotations
 
+import bisect
 import logging
 import weakref
 from functools import cached_property
@@ -86,7 +64,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import CountingNumbers, GraphLayout, RegionGraph, Sample
+from .model import CountingNumbers, GraphLayout, RegionGraph, Sample, _spans
 
 __all__ = [
     "Guarantees",
@@ -104,9 +82,10 @@ logger = logging.getLogger(__name__)
 
 def _edge_index(graph: RegionGraph, parent: int, child: int) -> int:
     """The index of edge (parent, child); a missing edge raises ``ValueError``."""
-    if (parent, child) not in graph.edges:
+    e = bisect.bisect_left(graph.edges, (parent, child))  # the edges are sorted
+    if e == len(graph.edges) or graph.edges[e] != (parent, child):
         raise ValueError(f"no edge ({parent}, {child}) in the region graph")
-    return graph.edges.index((parent, child))
+    return e
 
 
 class MessageState:
@@ -294,8 +273,8 @@ def conflict_levels(layout: GraphLayout) -> list[list[int]]:
     child, or when they share a parent: only then does one read or write a
     message slot the other writes.  The regions with parents, in id order,
     are coloured first-fit: each takes the smallest level that no
-    conflicting region placed before it holds (2 levels on a grid).  Regions
-    without parents are no-ops and are left out.
+    conflicting region placed before it holds.  Regions without parents are
+    no-ops and are left out.
     """
     ep, ec = layout.edge_parent.tolist(), layout.edge_child.tolist()
     level: dict[int, int] = {}
@@ -312,19 +291,33 @@ def conflict_levels(layout: GraphLayout) -> list[list[int]]:
     return levels
 
 
-def _cat(parts) -> np.ndarray:
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+def _term_lists(items: int, *groups):
+    """Term lists (``_prefix_terms``) of ``items`` items from groups of terms
+    (item, base, start): each item's terms of each group in turn."""
+    item, base, start = map(np.concatenate, zip(*(np.broadcast_arrays(*g) for g in groups)))
+    order = np.argsort(item, kind="stable")
+    count = np.bincount(item, minlength=items)
+    return count, np.cumsum(count) - count, base[order], start[order]
 
 
-def _prefix_terms(items, terms, widths):
-    """Per term position k, the columns that have a k-th term and its gather
-    indices.  ``items`` are sorted by term count, longest first, so the
-    columns with a k-th term always form a prefix: (prefix length, indices)."""
-    out = []
-    for k in range(len(terms[items[0]]) if items else 0):
-        members = [i for i in items if len(terms[i]) > k]
-        out.append((sum(widths[i] for i in members), _cat([terms[i][k] for i in members])))
-    return out
+def _prefix_terms(index: np.ndarray, width: np.ndarray, lists, items=slice(None)):
+    """Gather tables of the term lists (count, first, base, start) of
+    ``items``: item j's k-th term, k < count[j], gathers base[i] +
+    index[start[i] : start[i] + width[j]] at i = first[j] + k.  Items go by
+    term count, most first (a stable sort), so the columns with a k-th term
+    form a prefix.  Returns that order and, per k, (prefix width, indices)."""
+    count, first, base, start = lists
+    order = np.argsort(-count[items], kind="stable")
+    count, width = count[items][order], width[order]
+    # per column, its item's first term and its place in the item's run
+    term, place = np.repeat(first[items][order], width), _spans(np.zeros_like(width), width)
+    # the columns with a k-th term end where the items with more than k terms do
+    ends = np.cumsum(width)[np.searchsorted(-count, -np.arange(count.max(initial=0))) - 1]
+    terms = []
+    for k, n in enumerate(ends.tolist()):
+        at = term[:n] + k
+        terms.append((n, index[start[at] + place[:n]] + base[at]))
+    return order, terms
 
 
 def _gather_add(acc: np.ndarray, src: np.ndarray, terms) -> np.ndarray:
@@ -344,66 +337,63 @@ class _Level:
     mu of edge e occupies the columns from ``mu_at[e]`` of ``mu``'s result.
     """
 
-    def __init__(self, layout: GraphLayout, regions: list[int]):
+    def __init__(self, plan: "SweepPlan", regions: list[int]):
         self.regions = regions
-        sizes = layout.sizes.tolist()
-        ep, ec = layout.edge_parent.tolist(), layout.edge_child.tolist()
-        msg = layout.message_total
-        edges = [e for r in regions for e in layout.parent_edges[r]]
-        psize = {e: sizes[ep[e]] for e in edges}
-        csize = {e: sizes[ec[e]] for e in edges}
+        layout, sizes, eo = plan.layout, plan.layout.sizes, plan.layout.edge_offsets
+        index, perm, _, region_terms, edge_terms = plan.tables
+        regions = np.array(regions, dtype=np.int64)
+        kids, ups = np.diff(layout.child_first)[regions], np.diff(layout.up_first)[regions]
+        # the level's edges: each region's parent edges, in edge order
+        edges = layout.up[_spans(layout.up_first[regions], ups)]
+        p = layout.edge_parent[edges]
+        psize, csize = sizes[p], sizes[layout.edge_child[edges]]
 
-        # parent exponents: theta_p, plus the other children's messages into
-        # p, minus p's messages to its parents; gathered in the edge's
-        # projection-group order, reading the negated copy at msg + slot
-        exp_terms = {}
-        for e in edges:
-            p, perm = ep[e], layout.perm[e]
-            exp_terms[e] = [
-                layout.lam_in_idx[e2][perm] for e2 in layout.child_edges[p] if e2 != e
-            ] + [perm + (msg + layout.edge_offsets[e3]) for e3 in layout.parent_edges[p]]
-        by_terms = sorted(edges, key=lambda e: -len(exp_terms[e]))
-        self.theta_idx = _cat([layout.perm[e] + layout.offsets[ep[e]] for e in by_terms])
-        self.exp_terms = _prefix_terms(by_terms, exp_terms, psize)
-        self.negated = any(layout.parent_edges[ep[e]] for e in edges)
+        # parent exponents: theta_p plus the edge's terms, all in the edge's
+        # projection-group order
+        order, self.exp_terms = _prefix_terms(index, psize, edge_terms, edges)
+        by_terms, p, psize, width = edges[order], p[order], psize[order], csize[order]
+        start = perm[layout.edge_shape[by_terms]]
+        self.theta_idx = np.repeat(layout.offsets[p], psize) + index[_spans(start, psize)]
+        self.negated = bool(np.diff(layout.up_first)[p].any())
 
         # grouped log-sum-exp: one group per child label of every edge, of
         # the edge's fiber = psize / csize parent labels projecting to it
-        mu_off = np.cumsum([0] + [csize[e] for e in by_terms]).tolist()
-        fiber = np.repeat([psize[e] // csize[e] for e in by_terms], [csize[e] for e in by_terms])
+        fiber = np.repeat(psize // width, width)
         self.groups = SegmentReduce(np.cumsum(fiber) - fiber, len(self.theta_idx))
         self.group_of = np.repeat(np.arange(fiber.size), fiber)
-        self.group_edge = np.repeat(by_terms, [csize[e] for e in by_terms])
-        self.mu_at = mu_at = {e: mu_off[i] for i, e in enumerate(by_terms)}
+        self.group_edge = np.repeat(by_terms, width)
+        mu_at = np.empty_like(edges)
+        mu_at[order] = np.cumsum(width) - width
+        self.mu_at = dict(zip(edges.tolist(), mu_at.tolist()))
 
         # accumulators: theta_r, plus r's children's messages, plus the mus
-        # of r's parent edges, read from [messages, mus] at msg + mu slot
-        acc_terms = {
-            r: [layout.lam_in_idx[e2] for e2 in layout.child_edges[r]]
-            + [np.arange(sizes[r]) + (msg + mu_at[e]) for e in layout.parent_edges[r]]
-            for r in regions
-        }
-        self.acc_regions = by_acc = sorted(regions, key=lambda r: -len(acc_terms[r]))
-        acc_off = np.cumsum([0] + [sizes[r] for r in by_acc]).tolist()
-        acc_at = {r: acc_off[i] for i, r in enumerate(by_acc)}
+        # of r's parent edges: its region terms, the outgoing messages replaced
+        # by the mus, read from [messages, mus] at msg + mu slot
+        count, first, base, start = region_terms
+        base = base.copy()
+        base[_spans(first[regions] + kids, ups)] = layout.message_total + mu_at
+        order, self.acc_terms = _prefix_terms(index, sizes[regions], (count, first, base, start),
+                                              regions)
+        by_acc = regions[order]
+        self.acc_regions = by_acc.tolist()
+        width = sizes[by_acc]
         # the accumulators are region tables, segmented for ``SoftMax`` by these
-        self.starts = np.array(acc_off[:-1], dtype=np.int64)
-        self.segment = np.repeat(np.arange(len(by_acc)), np.diff(acc_off))
-        self.acc_idx = _cat([np.arange(sizes[r]) + layout.offsets[r] for r in by_acc])
-        self.acc_terms = _prefix_terms(by_acc, acc_terms, {r: sizes[r] for r in regions})
+        self.starts = np.cumsum(width) - width
+        self.segment = np.repeat(np.arange(by_acc.size), width)
+        self.acc_idx = _spans(layout.offsets[by_acc], width)
+        acc_at = np.empty_like(regions)
+        acc_at[order] = self.starts
 
         # message tables, grouped by size for the reshape-sum centring
-        by_size = sorted(edges, key=lambda e: csize[e])
-        self.acc_take = _cat([np.arange(csize[e]) + acc_at[ec[e]] for e in by_size])
-        self.mu_take = _cat([np.arange(csize[e]) + mu_at[e] for e in by_size])
-        self.write_idx = _cat([np.arange(csize[e]) + layout.edge_offsets[e] for e in by_size])
-        self.table_edge = np.repeat(by_size, [csize[e] for e in by_size])
-        self.blocks = []
-        start = 0
-        for n in sorted(set(csize.values())):
-            k = sum(1 for e in edges if csize[e] == n)
-            self.blocks.append((start, start + k * n, k, n))
-            start += k * n
+        by_size = np.argsort(csize, kind="stable")
+        width = csize[by_size]
+        self.acc_take = _spans(np.repeat(acc_at, ups)[by_size], width)
+        self.mu_take = _spans(mu_at[by_size], width)
+        self.write_idx = _spans(eo[edges[by_size]], width)
+        self.table_edge = np.repeat(edges[by_size], width)
+        n, k = np.unique(width, return_counts=True)
+        end = np.cumsum(n * k)
+        self.blocks = list(zip((end - n * k).tolist(), end.tolist(), k.tolist(), n.tolist()))
 
     def mu(self, lam: np.ndarray, theta: np.ndarray, c: "_LevelCoefficients") -> np.ndarray:
         """The soft-max aggregations mu_{p->r} of every edge of the level, at
@@ -492,7 +482,7 @@ class _Terms:
         regions = [r for r in layout.regions_with_parents if self.cvals[r] == 0.0]
         if not regions:
             return None
-        level = _Level(layout, regions)
+        level = _Level(self.plan, regions)
         acc = SegmentReduce(level.starts, len(level.acc_idx))
         chat = self.denom[level.acc_regions]
         return level, _LevelCoefficients(level, self), SoftMax(acc, level.segment, self.eps, chat)
@@ -525,7 +515,7 @@ class SweepPlan:
 
     @cached_property
     def levels(self) -> list[_Level]:
-        return [_Level(self.layout, regions) for regions in conflict_levels(self.layout)]
+        return [_Level(self, regions) for regions in conflict_levels(self.layout)]
 
     @property
     def sequence(self) -> list[int]:
@@ -547,21 +537,47 @@ class SweepPlan:
         return self._terms[1]
 
     @cached_property
+    def tables(self):
+        """(index, perm, columns, region terms, edge terms).  ``index`` holds
+        the identity, then per edge shape its projection, ``perm`` and perm
+        columns (``perm.reshape(child labels, -1).T``), then per pair (s2, s)
+        of the shapes of two edges with one parent the projection of s2 at the
+        perm of s; ``perm`` and ``columns`` say where each shape's start.  The
+        term lists (``_term_lists``) read [lam, -lam]: a region's, its incoming
+        then its negated outgoing messages; an edge's, its parent's other
+        incoming then negated outgoing ones, in the edge's projection-group
+        order."""
+        layout = self.layout
+        n, msg, eo = len(layout.shape_proj), layout.message_total, layout.edge_offsets[:-1]
+        ep, shape = layout.edge_parent, layout.edge_shape
+        kids, ups = np.diff(layout.child_first), np.diff(layout.up_first)
+        nsib = kids[ep] - 1
+        sib = _spans(layout.child_first[ep], nsib)
+        edges = np.arange(ep.size)
+        sib += sib >= edges.repeat(nsib)  # each edge's siblings, itself left out
+        pairs, pair = np.unique(shape[sib] * n + np.repeat(shape, nsib), return_inverse=True)
+        tables = [np.arange(layout.sizes.max(initial=0))]
+        for proj, perm in zip(layout.shape_proj, layout.shape_perm):
+            tables += [proj, perm, perm.reshape(proj.max() + 1, -1).T.ravel()]
+        tables += [layout.shape_proj[k // n][layout.shape_perm[k % n]] for k in pairs.tolist()]
+        width = np.array([t.size for t in tables], dtype=np.int64)
+        at = np.cumsum(width) - width
+        proj, perm, columns = at[1 : 1 + 3 * n].reshape(n, 3).T
+        up = layout.up[_spans(layout.up_first[ep], ups[ep])]  # the parents' parent edges
+        region_terms = _term_lists(kids.size, (ep, eo, proj[shape]),
+                                   (layout.edge_child[layout.up], msg + eo[layout.up], 0))
+        edge_terms = _term_lists(ep.size, (edges.repeat(nsib), eo[sib], at[1 + 3 * n + pair]),
+                                 (edges.repeat(ups[ep]), msg + eo[up], perm[shape].repeat(ups[ep])))
+        return np.concatenate(tables), perm, columns, region_terms, edge_terms
+
+    @cached_property
     def potentials(self):
-        """Gather tables of ``message_potentials``: (terms, place).  A
-        region's terms are its incoming messages (child edges, in edge order,
-        through the projections), then its negated outgoing ones (parent
-        edges, in edge order) read from [lam, -lam].  Columns hold the regions
-        by term count, most first; column ``place[s]`` holds table slot s."""
-        layout, msg, sizes = self.layout, self.layout.message_total, self.layout.sizes.tolist()
-        terms = [
-            [layout.lam_in_idx[e] for e in layout.child_edges[r]]
-            + [np.arange(n) + (msg + layout.edge_offsets[e]) for e in layout.parent_edges[r]]
-            for r, n in enumerate(sizes)
-        ]
-        regions = sorted(range(len(sizes)), key=lambda r: -len(terms[r]))
-        place = np.argsort(_cat([np.arange(sizes[r]) + layout.offsets[r] for r in regions]))
-        return _prefix_terms(regions, terms, sizes), place
+        """Gather tables of ``message_potentials`` from the region terms
+        (``tables``): (terms, place), column ``place[s]`` holding slot s."""
+        offsets, sizes = self.layout.offsets, self.layout.sizes
+        index, _, _, region_terms, _ = self.tables
+        order, terms = _prefix_terms(index, sizes, region_terms)
+        return terms, np.argsort(_spans(offsets[order], sizes[order]))
 
     @cached_property
     def marginals(self):
@@ -570,13 +586,14 @@ class SweepPlan:
         edge's ``perm``, row by row; G parent labels per child label).
         Columns hold the edges by G, largest first; column i's child slot
         is ``child[i]``."""
-        layout, sizes = self.layout, self.layout.sizes.tolist()
-        ep, ec = layout.edge_parent.tolist(), layout.edge_child.tolist()
-        terms = [list((perm + layout.offsets[ep[e]]).reshape(sizes[ec[e]], -1).T)
-                 for e, perm in enumerate(layout.perm)]
-        edges = sorted(range(len(terms)), key=lambda e: -len(terms[e]))
-        child = _cat([np.arange(sizes[ec[e]]) + layout.offsets[ec[e]] for e in edges])
-        return _prefix_terms(edges, terms, [sizes[r] for r in ec]), child
+        layout, (index, _, columns, _, _) = self.layout, self.tables
+        ep, ec, offsets = layout.edge_parent, layout.edge_child, layout.offsets
+        n, g = layout.sizes[ec], layout.sizes[ep] // layout.sizes[ec]
+        # term j of an edge reads the j-th column of its perm
+        column = columns[layout.edge_shape].repeat(g) + _spans(np.zeros_like(g), g) * n.repeat(g)
+        lists = g, np.cumsum(g) - g, np.repeat(offsets[ep], g), column
+        order, terms = _prefix_terms(index, n, lists)
+        return terms, _spans(offsets[ec[order]], n[order])
 
 
 def sweep_plan(layout: GraphLayout) -> SweepPlan:
@@ -859,7 +876,7 @@ def _region_level(layout: GraphLayout, region, terms: _Terms):
         return None
     plan = sweep_plan(layout)
     if region not in plan.one_region:
-        plan.one_region[region] = _Level(layout, [region])
+        plan.one_region[region] = _Level(plan, [region])
     level = plan.one_region[region]
     return level, _LevelCoefficients(level, terms), terms.denom
 

@@ -31,23 +31,19 @@ combines the last 6 iterates by ``inference._extrapolate`` (nonlinear
 acceleration, Scieur, d'Aspremont and Bach, 2016) and moves to
 the point only if its primal is strictly below the current one (the
 monotone safeguard of Zhang, O'Donoghue and Boyd, 2020), so the primal
-still never rises.  With the growing block, a default run on the benchmark
-corpora takes 51 weight steps on ``highorder`` and 51 on ``denoise10``,
-against 228 and 213 before ``train`` extrapolated its iterate.
+still never rises.
 
 The weight step takes the step a top-down Armijo scan of the grid ``ETAS``
 takes, on the primal the report logs.  It first tests one grid step above
 its hint, the previous step where descent holds and eta = 1 elsewhere, and
 skips the scan above a test that fails by more than its rounding error
-(``_line_search``).  On ``highorder``, whose steps are 2^-3 or 2^-4, that
-is 2.6 trials per step instead of 4.6 (seed 1), with the same steps.
+(``_line_search``), with the scan's steps.
 
 Samples are independent: the trainer sweeps the rows of lam together in
 one set of numpy calls, and prediction runs every sample through the same
 batched engine.  Per-row arithmetic is identical no matter how rows are
 grouped, and gradient contributions are reduced in list order, so
-results are bitwise independent of the batch.  A thread pool over row
-blocks was measured no faster.
+results are bitwise independent of the batch.
 """
 
 from __future__ import annotations
@@ -460,16 +456,11 @@ def predict_all(
     Where the certificate holds (``inference.Guarantees``) the sweeps are
     accelerated by the guarded extrapolation of ``sweep_until_consistent``,
     which measures the samples' residuals after the first sweep, every K-th
-    sweep and the cap: at the trained weights of the benchmark (seed 1,
-    200-sweep cap) the test samples take 510 sweeps and 71 measurements in
-    all on ``denoise10``, where plain sweeps measured after each sweep
-    leave every one at the cap (2,000 sweeps), and 120 sweeps and 20
-    measurements instead of 326 sweeps on ``highorder``.  Each variable
-    takes the argmax (ties to the lowest label) of its marginal under the
-    belief of its containing region with the fewest variables (ties to the
-    lowest id), summed in label order.  The returned residual measures how
-    consistent the final beliefs are; a large value means the decode rests
-    on disagreeing regions.
+    sweep and the cap.  Each variable takes the argmax (ties to the lowest
+    label) of its marginal under the belief of its containing region with
+    the fewest variables (ties to the lowest id), summed in label order.
+    The returned residual measures how consistent the final beliefs are; a
+    large value means the decode rests on disagreeing regions.
     """
     batch = BatchObjective(graph, samples, eps_infer, counting, w=w)
     layout, cvals = batch.layout, batch.cvals

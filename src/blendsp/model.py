@@ -61,13 +61,6 @@ class Region:
     def label_count(self) -> int:
         return math.prod(self.cardinalities)
 
-    def strides(self) -> np.ndarray:
-        """Row-major strides: flat = sum(y[j] * stride[j])."""
-        s = np.ones(len(self.cardinalities), dtype=np.int64)
-        for j in range(len(self.cardinalities) - 2, -1, -1):
-            s[j] = s[j + 1] * self.cardinalities[j + 1]
-        return s
-
 
 class RegionGraph:
     """Regions plus parent->child containment edges.
@@ -96,7 +89,7 @@ class RegionGraph:
             if (p, r) in seen:
                 raise ModelError(f"duplicate edge ({p}, {r})")
             seen.add((p, r))
-        self.edges = sorted(edges)
+        self.edges = sorted(seen)
         self.parents = [[] for _ in range(n_regions)]
         for p, r in self.edges:
             self.parents[r].append(p)
@@ -117,7 +110,7 @@ class RegionGraph:
         self.cardinalities = np.array(
             [card[v] for v in range(variable_count)], dtype=np.int64
         )
-        self._projections: dict[tuple[int, int], np.ndarray] = {}
+        self._projections: dict[tuple, np.ndarray] = {}  # by edge shape
         self._layout = None
 
     @property
@@ -151,23 +144,24 @@ class RegionGraph:
                 pairs += (reg.id, v, stride, c)
         return np.array(pairs, dtype=np.int64).reshape(-1, 4).T
 
+    def edge_shape(self, parent: int, child: int) -> tuple:
+        """The shape of edge (parent, child), on which alone its projection
+        depends: the parent's cardinalities and its child variables' places."""
+        p, r = self.regions[parent], self.regions[child]
+        return p.cardinalities, tuple(map(p.variables.index, r.variables))
+
     def projection(self, parent: int, child: int) -> np.ndarray:
-        """Map each flat parent label to the flat child label it restricts to."""
-        key = (parent, child)
-        if key not in self._projections:
-            p, r = self.regions[parent], self.regions[child]
-            if not (set(r.variables) < set(p.variables)):
-                raise ModelError(f"edge ({parent}, {child}): containment violated")
-            p_strides = p.strides()
-            r_strides = r.strides()
-            idx = np.arange(p.label_count, dtype=np.int64)
-            proj = np.zeros(p.label_count, dtype=np.int64)
-            for j, v in enumerate(r.variables):
-                pos = p.variables.index(v)
-                digit = (idx // p_strides[pos]) % p.cardinalities[pos]
-                proj += digit * r_strides[j]
-            self._projections[key] = proj
-        return self._projections[key]
+        """Map each flat parent label to the flat child label it restricts to.
+        The edges of one shape (``edge_shape``) share one read-only array."""
+        if not set(self.regions[child].variables) < set(self.regions[parent].variables):
+            raise ModelError(f"edge ({parent}, {child}): containment violated")
+        shape = cards, at = self.edge_shape(parent, child)
+        if shape not in self._projections:
+            digits = np.indices(cards).reshape(len(cards), -1)  # of every parent label, row-major
+            proj = np.ravel_multi_index(tuple(digits[list(at)]), [cards[j] for j in at])
+            proj.flags.writeable = False
+            self._projections[shape] = proj
+        return self._projections[shape]
 
     def layout(self) -> "GraphLayout":
         if self._layout is None:
@@ -192,34 +186,31 @@ class GraphLayout:
         self.segment = np.repeat(np.arange(graph.region_count), sizes)
 
         edges = graph.edges
-        self.edge_child = np.array([r for _, r in edges], dtype=np.int64)
-        self.edge_parent = np.array([p for p, _ in edges], dtype=np.int64)
-        esizes = sizes[self.edge_child] if edges else np.zeros(0, dtype=np.int64)
-        self.edge_offsets = np.concatenate(([0], np.cumsum(esizes)))
+        self.edge_parent, self.edge_child = np.array(edges, dtype=np.int64).reshape(-1, 2).T.copy()
+        self.edge_offsets = np.concatenate(([0], np.cumsum(sizes[self.edge_child])))
         self.message_total = int(self.edge_offsets[-1])
 
-        self.proj = [graph.projection(p, r) for p, r in edges]
-        # per-edge grouping of parent labels by projected child label
-        self.perm = [np.argsort(pr, kind="stable") for pr in self.proj]
+        # an edge's projection, and its grouping of parent labels by projected
+        # child label (``perm``), are those of its shape (``RegionGraph.edge_shape``)
+        shapes: dict[tuple, tuple] = {}  # shape -> (its id, its first edge)
+        self.edge_shape = np.array([shapes.setdefault(graph.edge_shape(*e), (len(shapes), e))[0]
+                                    for e in edges], dtype=np.int64)
+        self.shape_proj = [graph.projection(*e) for _, e in shapes.values()]
+        self.shape_perm = [np.argsort(pr, kind="stable") for pr in self.shape_proj]
 
-        self.parent_edges = [[] for _ in range(graph.region_count)]
-        self.child_edges = [[] for _ in range(graph.region_count)]
-        for e, (p, r) in enumerate(edges):
-            self.parent_edges[r].append(e)
-            self.child_edges[p].append(e)
-        self.regions_with_parents = [
-            r for r in range(graph.region_count) if self.parent_edges[r]
-        ]
-        self.region_slices = [
-            slice(int(self.offsets[r]), int(self.offsets[r + 1]))
-            for r in range(graph.region_count)
-        ]
-        self.edge_slices = [
-            slice(int(self.edge_offsets[e]), int(self.edge_offsets[e + 1]))
-            for e in range(len(edges))
-        ]
-        # absolute gather indices of a child message evaluated at parent labels
-        self.lam_in_idx = [self.edge_offsets[e] + self.proj[e] for e in range(len(edges))]
+        # region r's child edges are child_first[r], ..., child_first[r + 1] - 1
+        # (edges sort by parent), its parent edges up[up_first[r] : up_first[r + 1]]
+        regions = np.arange(graph.region_count + 1)
+        self.child_first = np.searchsorted(self.edge_parent, regions)
+        self.up = np.argsort(self.edge_child, kind="stable")
+        self.up_first = np.searchsorted(self.edge_child[self.up], regions)
+        first, up, up_first = (a.tolist() for a in (self.child_first, self.up, self.up_first))
+        self.child_edges = [list(range(a, b)) for a, b in zip(first, first[1:])]
+        self.parent_edges = [up[a:b] for a, b in zip(up_first, up_first[1:])]
+        self.regions_with_parents = [r for r, ups in enumerate(self.parent_edges) if ups]
+        offsets, edge_offsets = self.offsets.tolist(), self.edge_offsets.tolist()
+        self.region_slices = [slice(a, b) for a, b in zip(offsets, offsets[1:])]
+        self.edge_slices = [slice(a, b) for a, b in zip(edge_offsets, edge_offsets[1:])]
         # the region and the variable of each (region, variable) pair: the
         # incidence that a fractional cover by counting numbers is summed over
         self.pair_region, self.pair_variable = graph._label_pairs[:2]

@@ -21,7 +21,7 @@ from blendsp import (
     w_gradient,
 )
 
-from util import exact_loss, exact_marginals, ones
+from util import exact_loss, exact_marginals, label_strides, ones
 
 
 def three_level_model(rng, cards):
@@ -37,7 +37,7 @@ def three_level_model(rng, cards):
     assign = np.array([rng.integers(0, c) for c in cards])
     feats, loss, truth = {}, {}, {}
     for reg in graph.regions:
-        strides = reg.strides()
+        strides = label_strides(reg)
         truth[reg.id] = int(
             sum(int(assign[v]) * int(s) for v, s in zip(reg.variables, strides))
         )
@@ -121,7 +121,7 @@ def test_mixed_cardinality_tree_exactness():
         assign = np.array([rng.integers(0, c) for c in cards])
         feats, loss, truth = {}, {}, {}
         for reg in graph.regions:
-            strides = reg.strides()
+            strides = label_strides(reg)
             truth[reg.id] = int(
                 sum(int(assign[v]) * int(s) for v, s in zip(reg.variables, strides))
             )

@@ -26,7 +26,7 @@ from blendsp.model import ThetaStack
 
 from test_deep_graphs import three_level_model
 from test_relaxation import KINDS, corpus
-from util import loopy_graph, random_sample, tree_graph
+from util import label_strides, loopy_graph, random_sample, tree_graph
 
 
 def reference_loop(layout, theta, eps, cvals, max_sweeps, tol, every_sweep=False):
@@ -252,7 +252,7 @@ def test_predict_decodes_each_variable_under_its_fewest_variable_region():
             owner = min((len(r.variables), r.id) for r in graph.regions if v in r.variables)[1]
             reg = graph.regions[owner]
             pos = reg.variables.index(v)
-            digits = np.arange(reg.label_count) // reg.strides()[pos] % reg.cardinalities[pos]
+            digits = np.arange(reg.label_count) // label_strides(reg)[pos] % reg.cardinalities[pos]
             want.append(np.argmax(np.bincount(digits, beliefs[owner], reg.cardinalities[pos])))
         assert result.labels.tolist() == want
         # region 0 would have decoded variable 0 otherwise

@@ -19,7 +19,7 @@ from blendsp.learner import TrainerConfig, predict_all, train
 from blendsp.model import ThetaStack
 
 from test_deep_graphs import three_level_model
-from util import chain_graph, loopy_graph, random_sample, theta_table, tree_graph
+from util import chain_graph, label_strides, loopy_graph, random_sample, theta_table, tree_graph
 
 
 def test_counting_scheme_resolver():
@@ -304,7 +304,7 @@ def test_true_assignment_roundtrip():
     assign = sample.true_assignment()
     for reg in graph.regions:
         flat = sum(
-            int(assign[v]) * int(s) for v, s in zip(reg.variables, reg.strides())
+            int(assign[v]) * int(s) for v, s in zip(reg.variables, label_strides(reg))
         )
         assert flat == sample.true_labels[reg.id]
 

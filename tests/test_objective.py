@@ -28,6 +28,7 @@ from util import (
     exact_loss,
     exact_map,
     exact_marginals,
+    label_strides,
     loopy_graph,
     ones,
     random_model,
@@ -358,14 +359,14 @@ def test_exact_loss_zero_temperature_is_structured_hinge():
         score = 0.0
         for reg in graph.regions:
             flat = sum(
-                int(assign[v]) * int(s) for v, s in zip(reg.variables, reg.strides())
+                int(assign[v]) * int(s) for v, s in zip(reg.variables, label_strides(reg))
             )
             score += theta_table(sample, reg.id, w, include_loss=True)[flat]
         best = max(best, score)
     truth = sample.true_assignment()
     true_score = 0.0
     for reg in graph.regions:
-        flat = sum(int(truth[v]) * int(s) for v, s in zip(reg.variables, reg.strides()))
+        flat = sum(int(truth[v]) * int(s) for v, s in zip(reg.variables, label_strides(reg)))
         true_score += theta_table(sample, reg.id, w, include_loss=True)[flat]
     assert exact_loss(graph, sample, w, 0.0) == pytest.approx(best - true_score, abs=1e-10)
 
@@ -385,7 +386,7 @@ def test_exact_loss_three_variable_chain_double_enumeration():
         score = 0.0
         for reg in reversed(graph.regions):
             flat = sum(
-                int(assign[v]) * int(s) for v, s in zip(reg.variables, reg.strides())
+                int(assign[v]) * int(s) for v, s in zip(reg.variables, label_strides(reg))
             )
             score += theta_table(sample, reg.id, w, include_loss=True)[flat]
         scores.append(score)
@@ -463,7 +464,7 @@ def test_exact_map_matches_exhaustive_argmax():
             score = 0.0
             for reg in graph.regions:
                 flat = sum(
-                    int(assign[v]) * int(s) for v, s in zip(reg.variables, reg.strides())
+                    int(assign[v]) * int(s) for v, s in zip(reg.variables, label_strides(reg))
                 )
                 score += theta_table(sample, reg.id, w, include_loss=False)[flat]
             if score > best + 1e-12:

@@ -1,7 +1,8 @@
 """Shared model builders and independent oracles for the test suite: a
 plain tempered log-sum-exp and Gibbs normalization, per-region theta tables
-from a sample's dicts, exact enumeration of the joint label space, and
-one-edge-at-a-time and ``np.add.at`` forms of the engine's kernels."""
+from a sample's dicts, exact enumeration of the joint label space,
+one-edge-at-a-time and ``np.add.at`` forms of the engine's kernels, and the
+layout's and sweep plan's index arrays built edge by edge."""
 
 from __future__ import annotations
 
@@ -24,6 +25,14 @@ def chain_graph(n_vars: int, cards=None) -> RegionGraph:
         edges += [(rid, i), (rid, i + 1)]
         rid += 1
     return RegionGraph(regions, edges, n_vars)
+
+
+def label_strides(region: Region) -> np.ndarray:
+    """Row-major strides of a region's flat labels: flat = sum(y[j] * stride[j])."""
+    s = np.ones(len(region.cardinalities), dtype=np.int64)
+    for j in range(len(region.cardinalities) - 2, -1, -1):
+        s[j] = s[j + 1] * region.cardinalities[j + 1]
+    return s
 
 
 def tree_graph(rng: np.random.Generator, n_vars: int) -> RegionGraph:
@@ -71,7 +80,7 @@ def random_sample(
     assign = rng.integers(0, graph.cardinalities)
     loss, feats, truth = {}, {}, {}
     for reg in graph.regions:
-        strides = reg.strides()
+        strides = label_strides(reg)
         truth[reg.id] = int(
             sum(int(assign[v]) * int(s) for v, s in zip(reg.variables, strides))
         )
@@ -180,7 +189,7 @@ def _region_index_map(
     reg = graph.regions[region]
     idx = np.arange(total, dtype=np.int64)
     out = np.zeros(total, dtype=np.int64)
-    r_strides = reg.strides()
+    r_strides = label_strides(reg)
     for j, v in enumerate(reg.variables):
         digit = (idx // strides[v]) % graph.cardinalities[v]
         out += digit * r_strides[j]
@@ -255,12 +264,22 @@ def ones(graph) -> CountingNumbers:
     return CountingNumbers.ones(graph)
 
 
+def edge_proj(layout, e):
+    """Edge ``e``'s projection: its shape's."""
+    return layout.shape_proj[layout.edge_shape[e]]
+
+
+def edge_perm(layout, e):
+    """Edge ``e``'s grouping of parent labels by projected child label."""
+    return layout.shape_perm[layout.edge_shape[e]]
+
+
 def message_links(layout):
     """Per (edge, parent label) in edge order, the parent table slot and the
     message slot it projects to; per message slot, its child table slot."""
     in_slot, in_msg, out_slot = [], [], []
-    for e, proj in enumerate(layout.proj):
-        p, r = int(layout.edge_parent[e]), int(layout.edge_child[e])
+    for e in range(layout.edge_shape.size):
+        p, r, proj = int(layout.edge_parent[e]), int(layout.edge_child[e]), edge_proj(layout, e)
         in_slot += range(layout.offsets[p], layout.offsets[p + 1])
         in_msg += (layout.edge_offsets[e] + proj).tolist()
         out_slot += range(layout.offsets[r], layout.offsets[r + 1])
@@ -342,8 +361,8 @@ def _group_lse(expo, edge, layout, t):
 
     ``expo`` is (batch, parent_labels); the result is (batch, child_labels).
     """
-    v = expo[:, layout.perm[edge]]
-    counts = np.bincount(layout.proj[edge])  # parent labels per child label
+    v = expo[:, edge_perm(layout, edge)]
+    counts = np.bincount(edge_proj(layout, edge))  # parent labels per child label
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
     group_of = np.repeat(np.arange(counts.size), counts)
     if t == 0.0:
@@ -364,7 +383,7 @@ def _parent_exponent(layout, lam, theta, edge):
     expo = theta[:, layout.region_slices[p]].copy()
     for e2 in layout.child_edges[p]:
         if e2 != edge:
-            expo += lam[:, layout.lam_in_idx[e2]]
+            expo += lam[:, layout.edge_offsets[e2] + edge_proj(layout, e2)]
     for e3 in layout.parent_edges[p]:
         expo -= lam[:, layout.edge_slices[e3]]
     return expo
@@ -401,7 +420,7 @@ def accumulator(layout, lam, theta, region, mus):
     aggregations of its parent edges, added in that order."""
     acc = theta[:, layout.region_slices[region]].copy()
     for e2 in layout.child_edges[region]:
-        acc += lam[:, layout.lam_in_idx[e2]]
+        acc += lam[:, layout.edge_offsets[e2] + edge_proj(layout, e2)]
     for mu in mus:
         acc += mu
     return acc
@@ -434,3 +453,142 @@ def zero_count_beliefs(layout, lam, theta, eps, cvals, b):
             table = e_tab / e_tab.sum(axis=1, keepdims=True)
         b[:, layout.region_slices[r]] = table
     return b
+
+
+# ---------------------------------------------------------------------------
+# the layout and sweep plan built edge by edge and region by region: the
+# index arrays that the engine builds per edge shape, element for element
+
+
+def edge_projection(graph: RegionGraph, parent: int, child: int) -> np.ndarray:
+    """The flat child label of every flat parent label, digit by digit."""
+    p, r = graph.regions[parent], graph.regions[child]
+    p_strides, r_strides = label_strides(p), label_strides(r)
+    idx = np.arange(p.label_count, dtype=np.int64)
+    proj = np.zeros(p.label_count, dtype=np.int64)
+    for j, v in enumerate(r.variables):
+        pos = p.variables.index(v)
+        proj += (idx // p_strides[pos]) % p.cardinalities[pos] * r_strides[j]
+    return proj
+
+
+class EdgeLayout:
+    """The per-edge index arrays of a graph's layout, one edge at a time:
+    projections ``proj``, their stable groupings ``perm``, the absolute
+    gather indices ``lam_in_idx`` of a child message at parent labels, the
+    edge lists per region and the table slices."""
+
+    def __init__(self, graph: RegionGraph):
+        self.sizes = np.array([r.label_count for r in graph.regions], dtype=np.int64)
+        self.offsets = np.concatenate(([0], np.cumsum(self.sizes)))
+        self.edge_parent = np.array([p for p, _ in graph.edges], dtype=np.int64)
+        self.edge_child = np.array([r for _, r in graph.edges], dtype=np.int64)
+        self.edge_offsets = np.concatenate(([0], np.cumsum(self.sizes[self.edge_child])))
+        self.message_total = int(self.edge_offsets[-1])
+        self.proj = [edge_projection(graph, p, r) for p, r in graph.edges]
+        self.perm = [np.argsort(pr, kind="stable") for pr in self.proj]
+        self.lam_in_idx = [self.edge_offsets[e] + pr for e, pr in enumerate(self.proj)]
+        self.parent_edges = [[] for _ in graph.regions]
+        self.child_edges = [[] for _ in graph.regions]
+        for e, (p, r) in enumerate(graph.edges):
+            self.parent_edges[r].append(e)
+            self.child_edges[p].append(e)
+        self.regions_with_parents = [r for r in range(graph.region_count) if self.parent_edges[r]]
+        self.region_slices = [
+            slice(int(self.offsets[r]), int(self.offsets[r + 1])) for r in range(graph.region_count)
+        ]
+        self.edge_slices = [
+            slice(int(self.edge_offsets[e]), int(self.edge_offsets[e + 1]))
+            for e in range(len(graph.edges))
+        ]
+
+
+def _cat(parts) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+
+
+def prefix_terms(items, terms, widths):
+    """Per term position k, (prefix width, gather indices) of the columns
+    that have a k-th term; ``items`` sorted by term count, longest first."""
+    out = []
+    for k in range(len(terms[items[0]]) if items else 0):
+        members = [i for i in items if len(terms[i]) > k]
+        out.append((sum(widths[i] for i in members), _cat([terms[i][k] for i in members])))
+    return out
+
+
+def level_tables(layout: EdgeLayout, regions: list[int]) -> dict:
+    """The gather and scatter indices of the level that updates ``regions``
+    at once, built edge by edge (``inference._Level``'s fields)."""
+    sizes = layout.sizes.tolist()
+    ep, ec = layout.edge_parent.tolist(), layout.edge_child.tolist()
+    msg = layout.message_total
+    edges = [e for r in regions for e in layout.parent_edges[r]]
+    psize = {e: sizes[ep[e]] for e in edges}
+    csize = {e: sizes[ec[e]] for e in edges}
+    exp_terms = {}
+    for e in edges:
+        p, perm = ep[e], layout.perm[e]
+        exp_terms[e] = [
+            layout.lam_in_idx[e2][perm] for e2 in layout.child_edges[p] if e2 != e
+        ] + [perm + (msg + layout.edge_offsets[e3]) for e3 in layout.parent_edges[p]]
+    by_terms = sorted(edges, key=lambda e: -len(exp_terms[e]))
+    out = {
+        "theta_idx": _cat([layout.perm[e] + layout.offsets[ep[e]] for e in by_terms]),
+        "exp_terms": prefix_terms(by_terms, exp_terms, psize),
+        "negated": any(layout.parent_edges[ep[e]] for e in edges),
+    }
+    mu_off = np.cumsum([0] + [csize[e] for e in by_terms]).tolist()
+    fiber = np.repeat([psize[e] // csize[e] for e in by_terms], [csize[e] for e in by_terms])
+    out["group_starts"] = np.cumsum(fiber) - fiber
+    out["group_of"] = np.repeat(np.arange(fiber.size), fiber)
+    out["group_edge"] = np.repeat(by_terms, [csize[e] for e in by_terms])
+    out["mu_at"] = mu_at = {e: mu_off[i] for i, e in enumerate(by_terms)}
+    acc_terms = {
+        r: [layout.lam_in_idx[e2] for e2 in layout.child_edges[r]]
+        + [np.arange(sizes[r]) + (msg + mu_at[e]) for e in layout.parent_edges[r]]
+        for r in regions
+    }
+    out["acc_regions"] = by_acc = sorted(regions, key=lambda r: -len(acc_terms[r]))
+    acc_off = np.cumsum([0] + [sizes[r] for r in by_acc]).tolist()
+    acc_at = {r: acc_off[i] for i, r in enumerate(by_acc)}
+    out["starts"] = np.array(acc_off[:-1], dtype=np.int64)
+    out["segment"] = np.repeat(np.arange(len(by_acc)), np.diff(acc_off))
+    out["acc_idx"] = _cat([np.arange(sizes[r]) + layout.offsets[r] for r in by_acc])
+    out["acc_terms"] = prefix_terms(by_acc, acc_terms, {r: sizes[r] for r in regions})
+    by_size = sorted(edges, key=lambda e: csize[e])
+    out["acc_take"] = _cat([np.arange(csize[e]) + acc_at[ec[e]] for e in by_size])
+    out["mu_take"] = _cat([np.arange(csize[e]) + mu_at[e] for e in by_size])
+    out["write_idx"] = _cat([np.arange(csize[e]) + layout.edge_offsets[e] for e in by_size])
+    out["table_edge"] = np.repeat(by_size, [csize[e] for e in by_size])
+    out["blocks"] = []
+    start = 0
+    for n in sorted(set(csize.values())):
+        k = sum(1 for e in edges if csize[e] == n)
+        out["blocks"].append((start, start + k * n, k, n))
+        start += k * n
+    return out
+
+
+def potential_tables(layout: EdgeLayout):
+    """``SweepPlan.potentials`` region by region: (terms, place)."""
+    msg, sizes = layout.message_total, layout.sizes.tolist()
+    terms = [
+        [layout.lam_in_idx[e] for e in layout.child_edges[r]]
+        + [np.arange(n) + (msg + layout.edge_offsets[e]) for e in layout.parent_edges[r]]
+        for r, n in enumerate(sizes)
+    ]
+    regions = sorted(range(len(sizes)), key=lambda r: -len(terms[r]))
+    place = np.argsort(_cat([np.arange(sizes[r]) + layout.offsets[r] for r in regions]))
+    return prefix_terms(regions, terms, sizes), place
+
+
+def marginal_tables(layout: EdgeLayout):
+    """``SweepPlan.marginals`` edge by edge: (terms, child)."""
+    sizes = layout.sizes.tolist()
+    ep, ec = layout.edge_parent.tolist(), layout.edge_child.tolist()
+    terms = [list((perm + layout.offsets[ep[e]]).reshape(sizes[ec[e]], -1).T)
+             for e, perm in enumerate(layout.perm)]
+    edges = sorted(range(len(terms)), key=lambda e: -len(terms[e]))
+    child = _cat([np.arange(sizes[ec[e]]) + layout.offsets[ec[e]] for e in edges])
+    return prefix_terms(edges, terms, [sizes[r] for r in ec]), child
