@@ -86,7 +86,7 @@ def _build_parser() -> _Parser:
     g.add_argument("--height", type=int, required=True)
     noise = g.add_mutually_exclusive_group(required=True)
     noise.add_argument("--flip-prob", type=float)
-    noise.add_argument("--gaussian-sigma", type=float)
+    noise.add_argument("--gaussian-sigma", type=finite)
     noise.add_argument("--bimodal", action="store_true")
     g.add_argument("--num-train", type=int, required=True)
     g.add_argument("--num-test", type=int, required=True)

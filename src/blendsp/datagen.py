@@ -59,6 +59,8 @@ class DenoiseSpec:
             raise ValueError("tying must be 'shared' or 'full'")
         if self.flip_prob is not None and not (0.0 <= self.flip_prob <= 1.0):
             raise ValueError("flip_prob must be in [0, 1]")
+        if self.gaussian_sigma is not None and not np.isfinite(self.gaussian_sigma):
+            raise ValueError("gaussian_sigma must be finite")
         if self.gaussian_sigma is not None and self.gaussian_sigma <= 0:
             raise ValueError("gaussian_sigma must be positive")
 

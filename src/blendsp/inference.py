@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import bisect
 import logging
+import operator
 import weakref
 from functools import cached_property
 from typing import NamedTuple
@@ -104,7 +105,8 @@ class MessageState:
 
     def table(self, region: int, parent: int) -> np.ndarray:
         """Message table sent from ``region`` to ``parent`` (a writable view)."""
-        return self.vec[self.layout.edge_slices[_edge_index(self.graph, parent, region)]]
+        e = _edge_index(self.graph, parent, region)
+        return self.vec[self.layout.edge_offsets[e] : self.layout.edge_offsets[e + 1]]
 
     def copy(self) -> "MessageState":
         return MessageState(self.graph, self.vec.copy())
@@ -276,14 +278,15 @@ def conflict_levels(layout: GraphLayout) -> list[list[int]]:
     conflicting region placed before it holds.  Regions without parents are
     no-ops and are left out.
     """
-    ep, ec = layout.edge_parent.tolist(), layout.edge_child.tolist()
-    level: dict[int, int] = {}
+    ec, first = layout.edge_child.tolist(), layout.child_first.tolist()
+    children = [ec[a:b] for a, b in zip(first, first[1:])]
+    parent_of, up_first = layout.edge_parent[layout.up].tolist(), layout.up_first.tolist()
+    level = [-1] * layout.sizes.size  # -1: not placed yet, which takes no level
     levels: list[list[int]] = []
-    for r in layout.regions_with_parents:
-        parents = [ep[e] for e in layout.parent_edges[r]]
-        near = parents + [ec[e] for e in layout.child_edges[r]]
-        near += [ec[e] for p in parents for e in layout.child_edges[p]]
-        taken = {level[x] for x in near if x in level}
+    for r in layout.regions_with_parents.tolist():
+        parents = parent_of[up_first[r] : up_first[r + 1]]
+        near = parents + children[r] + [x for p in parents for x in children[p]]
+        taken = {level[x] for x in near}
         lv = level[r] = min(set(range(len(taken) + 1)) - taken)
         if lv == len(levels):
             levels.append([])
@@ -456,8 +459,9 @@ class _Terms:
         self.plan = weakref.proxy(plan)  # the plan caches these terms
         self.eps, self.cvals, self.c_edge = eps, cvals.copy(), cvals[ep]
         denom = np.ones(len(layout.sizes))
-        for r in layout.regions_with_parents:
-            denom[r] = cvals[r] + cvals[ep[layout.parent_edges[r]]].sum()
+        c_up, up_first = self.c_edge[layout.up], layout.up_first.tolist()
+        for r in layout.regions_with_parents.tolist():  # reduceat and bincount add in other orders
+            denom[r] = cvals[r] + c_up[up_first[r] : up_first[r + 1]].sum()
         self.denom, self.skip = denom, (denom == 0.0)[ec]
         self.weight = self.c_edge / np.where(denom == 0.0, 1.0, denom)[ec]
         self.regions = SoftMax(plan.segments, layout.segment, eps, cvals)
@@ -478,8 +482,7 @@ class _Terms:
         """The regions with parents and c_r = 0 as one level, for
         ``belief_vec``: (level, coefficients, the soft-max of its accumulators
         at eps * (c_r + sum of parent c)); None without such regions."""
-        layout = self.plan.layout
-        regions = [r for r in layout.regions_with_parents if self.cvals[r] == 0.0]
+        regions = [r for r in self.plan.layout.regions_with_parents.tolist() if self.cvals[r] == 0.0]
         if not regions:
             return None
         level = _Level(self.plan, regions)
@@ -491,9 +494,8 @@ class _Terms:
 def _warn_skipped(regions, denom: np.ndarray) -> None:
     for r in regions:
         if denom[r] == 0.0:
-            logger.warning(
-                "region %d: c_r + sum of parent counting numbers is zero; update skipped", r
-            )
+            logger.warning("region %d: c_r + sum of parent counting numbers is zero; "
+                           "update skipped", r)
 
 
 class SweepPlan:
@@ -657,8 +659,7 @@ def residual_rows(layout: GraphLayout, bvec: np.ndarray) -> np.ndarray:
     position (``_gather_add``); 0 + b is b, but for -0 becoming +0, which
     the absolute value removes.  A single (batch, G, n) gather summed over
     axis 1 gives the same bits only while numpy keeps that axis apart (it
-    sums a folded, contiguous one pairwise), and it held about 0.9 MB more
-    at the peak of a ``highorder`` train.
+    sums a folded, contiguous one pairwise), and it raises a train's peak memory.
     """
     terms, child = sweep_plan(layout).marginals
     gap = _gather_add(np.zeros((bvec.shape[0], child.size)), bvec, terms)
@@ -859,9 +860,12 @@ def _sample_inputs(graph, sample, state, w, eps, counting, include_loss):
 
 
 def region_index(layout: GraphLayout, region) -> int:
-    """``region`` as an int; an id outside the graph raises ``ValueError``."""
-    region = int(region)
-    if not 0 <= region < len(layout.parent_edges):
+    """``region`` as an int; a non-integer id or one outside the graph raises ``ValueError``."""
+    try:
+        region = operator.index(region)
+    except TypeError:
+        raise ValueError(f"region id {region!r} is not an integer") from None
+    if not 0 <= region < layout.sizes.size:
         raise ValueError(f"region {region} is not in the region graph")
     return region
 
@@ -872,7 +876,7 @@ def _region_level(layout: GraphLayout, region, terms: _Terms):
     c; None for a region without parents, whose update is a no-op.  An id
     outside the graph raises ``ValueError``."""
     region = region_index(layout, region)
-    if not layout.parent_edges[region]:
+    if layout.up_first[region] == layout.up_first[region + 1]:
         return None
     plan = sweep_plan(layout)
     if region not in plan.one_region:
@@ -950,8 +954,7 @@ def compute_beliefs(
 ) -> list[np.ndarray]:
     """Per-region belief tables from the current messages."""
     layout, terms, theta, lam = _sample_inputs(graph, sample, state, w, eps, counting, include_loss)
-    b = belief_vec(layout, lam, theta, eps, terms.cvals)[0]
-    return [b[layout.region_slices[r]] for r in range(graph.region_count)]
+    return np.split(belief_vec(layout, lam, theta, eps, terms.cvals)[0], layout.offsets[1:-1])
 
 
 def belief_row(layout: GraphLayout, tables) -> np.ndarray:

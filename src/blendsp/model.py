@@ -174,12 +174,12 @@ class GraphLayout:
 
     All region tables of one sample are concatenated into a single vector of
     length ``total``; region r occupies slots [offsets[r], offsets[r+1]).
-    Message tables are concatenated the same way in edge order.
+    Message tables follow in edge order at ``edge_offsets``.  The CSR arrays
+    ``child_first``, ``up`` and ``up_first`` are its one adjacency.
     """
 
     def __init__(self, graph: RegionGraph):
-        sizes = graph.label_counts()
-        self.sizes = sizes
+        self.sizes = sizes = graph.label_counts()
         self.offsets = np.concatenate(([0], np.cumsum(sizes)))
         self.total = int(self.offsets[-1])
         self.starts = self.offsets[:-1]
@@ -204,13 +204,7 @@ class GraphLayout:
         self.child_first = np.searchsorted(self.edge_parent, regions)
         self.up = np.argsort(self.edge_child, kind="stable")
         self.up_first = np.searchsorted(self.edge_child[self.up], regions)
-        first, up, up_first = (a.tolist() for a in (self.child_first, self.up, self.up_first))
-        self.child_edges = [list(range(a, b)) for a, b in zip(first, first[1:])]
-        self.parent_edges = [up[a:b] for a, b in zip(up_first, up_first[1:])]
-        self.regions_with_parents = [r for r, ups in enumerate(self.parent_edges) if ups]
-        offsets, edge_offsets = self.offsets.tolist(), self.edge_offsets.tolist()
-        self.region_slices = [slice(a, b) for a, b in zip(offsets, offsets[1:])]
-        self.edge_slices = [slice(a, b) for a, b in zip(edge_offsets, edge_offsets[1:])]
+        self.regions_with_parents = np.flatnonzero(np.diff(self.up_first))
         # the region and the variable of each (region, variable) pair: the
         # incidence that a fractional cover by counting numbers is summed over
         self.pair_region, self.pair_variable = graph._label_pairs[:2]
@@ -543,9 +537,9 @@ class ThetaStack:
         over samples."""
         # the loop fixes the order of the sum over samples: each sample's
         # expectations are one bincount, added in list order.  One bincount
-        # over all samples' entries sums in another order (on highorder it
-        # trained in 86 iterations instead of 71), and its large temporaries
-        # made the heap top be trimmed and re-faulted every train iteration
+        # over all samples' entries sums in another order, which moves the
+        # iteration count, and its large temporaries made the heap top be
+        # trimmed and re-faulted every train iteration
         out = np.zeros(num_features)
         for lo, hi in zip(self.bounds[:-1], self.bounds[1:]):
             b = bmat.take(self.bins[lo:hi])

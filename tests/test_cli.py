@@ -597,6 +597,16 @@ def test_non_finite_reals_and_negative_sweep_caps_name_their_flag(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_gaussian_sigma_names_its_flag(tmp_path, capsys, value):
+    out = tmp_path / "corpus"
+    argv = ["gen-denoise", "--width", "4", "--height", "4", "--gaussian-sigma", value,
+            "--num-train", "1", "--num-test", "1", "--out", str(out)]
+    assert main(argv) == 1
+    assert f"argument --gaussian-sigma: invalid finite value: '{value}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 def test_overflowing_weights_report_nan_rows_as_capped(tmp_path, capsys):
     out = gen(tmp_path, "corpus")

@@ -93,6 +93,8 @@ def test_exactly_one_noise_model():
         ({"flip_prob": None, "gaussian_sigma": 0.0}, "gaussian_sigma must be positive"),
         ({"base_image": np.zeros((3, 2))}, "base image does not match the grid dimensions"),
         ({"base_image": np.full((2, 3), 2)}, "base image must be binary"),
+        ({"flip_prob": None, "gaussian_sigma": float("nan")}, "gaussian_sigma must be finite"),
+        ({"flip_prob": None, "gaussian_sigma": float("inf")}, "gaussian_sigma must be finite"),
     ],
 )
 def test_bad_spec_or_base_image_is_named(change, message):

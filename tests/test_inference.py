@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,15 +19,18 @@ from blendsp import (
     mu_message,
     predict,
     primal_objective,
+    region_loss,
 )
 from blendsp.inference import ARGMAX_TOL, SoftMax, sweep_plan
 
 from util import (
     brute_force_lse,
     chain_graph,
+    edge_slice,
     exact_marginals,
     loopy_graph,
     ones,
+    parent_edges,
     primal_lambda_gradient_fd,
     random_model,
     random_sample,
@@ -110,8 +114,8 @@ def test_lambda_update_zeroes_primal_gradient():
     lambda_update(graph, sample, 0, state, w, 1.0, ones(graph))
     grad = primal_lambda_gradient_fd(graph, sample, state, w, 1.0, ones(graph))
     layout = graph.layout()
-    for e in layout.parent_edges[0]:
-        assert np.abs(grad[layout.edge_slices[e]]).max() <= 1e-8
+    for e in parent_edges(layout, 0):
+        assert np.abs(grad[edge_slice(layout, e)]).max() <= 1e-8
 
 
 def test_lambda_update_no_parents_is_noop():
@@ -274,7 +278,7 @@ def test_belief_and_primal_shift_invariance():
     primal = primal_objective(graph, [sample], [state], w, 1.0, ones(graph), 0.0)
     shifted = state.copy()
     layout = graph.layout()
-    shifted.vec[layout.edge_slices[0]] += 3.7
+    shifted.vec[edge_slice(layout, 0)] += 3.7
     beliefs2 = compute_beliefs(graph, sample, shifted, w, 1.0, ones(graph))
     primal2 = primal_objective(graph, [sample], [shifted], w, 1.0, ones(graph), 0.0)
     for b1, b2 in zip(beliefs, beliefs2):
@@ -315,6 +319,37 @@ def test_region_ids_outside_the_graph_are_rejected():
     assert not state.vec.any()
     lambda_update(graph, sample, 0, state, w, 1.0)
     assert state.vec.any()
+
+
+def test_region_ids_must_be_integers():
+    # a float or a string is not truncated or parsed into another region's id
+    rng = np.random.default_rng(17)
+    graph = chain_graph(4)  # 7 regions
+    sample = random_sample(rng, graph, 2)
+    w = rng.normal(size=2)
+    state = MessageState(graph)
+    for region in (0.7, 1.5, "3", None):
+        message = rf"^region id {re.escape(repr(region))} is not an integer$"
+        with pytest.raises(ValueError, match=message):
+            lambda_update(graph, sample, region, state, w, 1.0)
+        with pytest.raises(ValueError, match=message):
+            region_loss(graph, sample, region, state, w, 1.0)
+    assert not state.vec.any()
+    with pytest.raises(ValueError, match=r"^region 7 is not in the region graph$"):
+        lambda_update(graph, sample, np.int64(7), state, w, 1.0)
+    # NumPy ids, such as those of ``GraphLayout.regions_with_parents``, work
+    want = MessageState(graph)
+    for r in graph.layout().regions_with_parents:
+        assert isinstance(r, np.int64)
+        lambda_update(graph, sample, r, state, w, 1.0)
+        lambda_update(graph, sample, int(r), want, w, 1.0)
+    assert state.vec.any() and state.vec.tobytes() == want.vec.tobytes()
+    for p, r in graph.edges:
+        got = mu_message(graph, sample, np.int64(p), np.int64(r), state, w, 1.0)
+        assert got.tobytes() == mu_message(graph, sample, p, r, state, w, 1.0).tobytes()
+    for r in range(graph.region_count):
+        got = region_loss(graph, sample, np.int64(r), state, w, 1.0)
+        assert got == region_loss(graph, sample, r, state, w, 1.0)
 
 
 @pytest.mark.parametrize(

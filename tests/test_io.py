@@ -24,7 +24,7 @@ from blendsp.fileio import (
 from blendsp.model import ThetaStack
 
 from test_deep_graphs import three_level_model
-from util import loopy_graph, random_model, random_sample, tree_graph
+from util import loopy_graph, random_model, random_sample, region_slice, tree_graph
 
 MINIMAL = """\
 BLENDSP 1
@@ -486,7 +486,7 @@ def reference_stack(samples, layout):
     bins, cols, vals = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)]
     for i, s in enumerate(samples):
         for r, t in s.loss.items():
-            loss[i, layout.region_slices[r]] = t
+            loss[i, region_slice(layout, r)] = t
         for r in sorted(s.features):
             slots = np.arange(layout.offsets[r], layout.offsets[r + 1])
             for k in sorted(s.features[r]):

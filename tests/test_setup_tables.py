@@ -1,8 +1,12 @@
 """The layout and the sweep plan, built per edge shape, against the same
 index arrays built edge by edge and region by region (``util.EdgeLayout``,
-``util.level_tables``, ``util.potential_tables``, ``util.marginal_tables``)."""
+``util.level_tables``, ``util.potential_tables``, ``util.marginal_tables``),
+and the colouring and the denominators read from the layout's CSR arrays
+against the same loops over per-region edge lists (``util.colour_levels``,
+``util.denominators``)."""
 
 import itertools
+import logging
 
 import numpy as np
 import pytest
@@ -15,10 +19,16 @@ from blendsp.inference import _Level, _edge_index, conflict_levels, sweep_plan
 from test_deep_graphs import three_level_model
 from util import (
     EdgeLayout,
+    child_edges,
+    colour_levels,
+    denominators,
+    edge_slice,
     level_tables,
     loopy_graph,
     marginal_tables,
+    parent_edges,
     potential_tables,
+    region_slice,
     tree_graph,
 )
 
@@ -61,7 +71,25 @@ def any_graph(kind: str, seed: int) -> RegionGraph:
         return relabelled(rng, loopy_graph(rng, n, int(rng.integers(1, n * (n - 1) // 2 + 1))))
     if kind == "three-level":
         return three_level_model(rng, rng.integers(1, 5, 3).tolist())[0]
+    if kind == "many-parents":
+        return many_parents_graph(rng)
     return mixed_graph(rng)
+
+
+def many_parents_graph(rng: np.random.Generator) -> RegionGraph:
+    """Singleton 0 held by 9 to 12 pairs (0, j), each of which also holds
+    singleton j, and a triple (0, 1, 2) above the first two pairs: a
+    denominator of 10 to 13 terms, which numpy's ``.sum()`` adds pairwise."""
+    k = int(rng.integers(9, 13))
+    cards = rng.integers(1, 4, k + 1).tolist()
+    regions = [Region(v, (v,), (cards[v],)) for v in range(k + 1)]
+    edges = []
+    for j in range(1, k + 1):
+        regions.append(Region(k + j, (0, j), (cards[0], cards[j])))
+        edges += [(k + j, 0), (k + j, j)]
+    regions.append(Region(2 * k + 1, (0, 1, 2), tuple(cards[:3])))
+    edges += [(2 * k + 1, k + 1), (2 * k + 1, k + 2)]
+    return RegionGraph(regions, edges, k + 1)
 
 
 def assert_terms_equal(got, want):
@@ -97,15 +125,20 @@ def test_layout_and_plan_match_the_per_edge_builders(kind, seed):
         np.testing.assert_array_equal(proj, want.proj[e])
         np.testing.assert_array_equal(layout.shape_perm[layout.edge_shape[e]], want.perm[e])
         np.testing.assert_array_equal(layout.edge_offsets[e] + proj, want.lam_in_idx[e])
-    for name in ("parent_edges", "child_edges", "regions_with_parents", "region_slices",
-                 "edge_slices"):
-        assert getattr(layout, name) == getattr(want, name), name
+    # the per-region lists, derived from the CSR and offset arrays
+    regions, edges = range(graph.region_count), range(len(graph.edges))
+    assert [parent_edges(layout, r) for r in regions] == want.parent_edges
+    assert [child_edges(layout, r) for r in regions] == want.child_edges
+    assert layout.regions_with_parents.dtype == np.int64
+    assert layout.regions_with_parents.tolist() == want.regions_with_parents
+    assert [region_slice(layout, r) for r in regions] == want.region_slices
+    assert [edge_slice(layout, e) for e in edges] == want.edge_slices
 
     plan = sweep_plan(layout)
     assert [level.regions for level in plan.levels] == conflict_levels(layout)
     for level in plan.levels:
         assert_level_equal(level, level_tables(want, level.regions))
-    for r in layout.regions_with_parents:  # the one-region levels of ``lambda_update``
+    for r in layout.regions_with_parents.tolist():  # the one-region levels of ``lambda_update``
         assert_level_equal(_Level(plan, [r]), level_tables(want, [r]))
     terms, place = plan.potentials
     want_terms, want_place = potential_tables(want)
@@ -115,6 +148,65 @@ def test_layout_and_plan_match_the_per_edge_builders(kind, seed):
     want_terms, want_child = marginal_tables(want)
     assert_terms_equal(terms, want_terms)
     np.testing.assert_array_equal(child, want_child)
+
+
+class _Messages(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+SKIPPED = "region %d: c_r + sum of parent counting numbers is zero; update skipped"
+
+
+def random_counting(rng: np.random.Generator, want: EdgeLayout) -> np.ndarray:
+    """Real counting numbers of random scale and sign, about a third of them
+    zeros of either sign, and, half the time, one region whose c_r cancels
+    its parents' sum exactly (a skipped update)."""
+    n = len(want.sizes)
+    cvals = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3, n)
+    zero = rng.random(n) < 0.3
+    cvals[zero] = rng.choice([0.0, -0.0], int(zero.sum()))
+    if want.regions_with_parents and rng.random() < 0.5:
+        r = int(rng.choice(want.regions_with_parents))
+        cvals[r] = -cvals[want.edge_parent[want.parent_edges[r]]].sum()
+    return cvals
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(["tree", "loopy", "three-level", "mixed", "many-parents"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_levels_and_denominators_match_the_per_region_list_loops(kind, seed):
+    # the colouring, the denominators c_r + sum of parent c, the skips and
+    # the order of the skip warnings, read from the CSR arrays, are those
+    # of the loops over per-region edge lists, bit for bit
+    graph = any_graph(kind, seed)
+    rng = np.random.default_rng(seed ^ 0x5EED)
+    layout, want = graph.layout(), EdgeLayout(graph)
+    levels = colour_levels(want)
+    assert conflict_levels(layout) == levels
+    cvals = random_counting(rng, want)
+    denom = denominators(want, cvals)
+    at = sweep_plan(layout).at(float(rng.choice([0.0, 0.5, 1.0])), cvals)
+    assert at.denom.tobytes() == denom.tobytes()
+    assert at.skip.tobytes() == (denom == 0.0)[want.edge_child].tobytes()
+    zero = [r for r in want.regions_with_parents if cvals[r] == 0.0]
+    assert (at.zero_count is None) == (not zero)
+    if zero:
+        assert at.zero_count[0].regions == zero
+    handler = _Messages()
+    logger = logging.getLogger("blendsp.inference")
+    logger.addHandler(handler)
+    try:
+        at.levels
+    finally:
+        logger.removeHandler(handler)
+    assert handler.messages == [SKIPPED % r for lv in levels for r in lv if denom[r] == 0.0]
 
 
 def test_projections_are_shared_per_shape_and_read_only():

@@ -274,6 +274,26 @@ def edge_perm(layout, e):
     return layout.shape_perm[layout.edge_shape[e]]
 
 
+def parent_edges(layout, r) -> list[int]:
+    """Region ``r``'s parent edges, read from the layout's CSR arrays."""
+    return layout.up[layout.up_first[r] : layout.up_first[r + 1]].tolist()
+
+
+def child_edges(layout, r) -> list[int]:
+    """Region ``r``'s child edges, read from the layout's CSR arrays."""
+    return list(range(layout.child_first[r], layout.child_first[r + 1]))
+
+
+def region_slice(layout, r) -> slice:
+    """Region ``r``'s slots in a concatenated table row."""
+    return slice(int(layout.offsets[r]), int(layout.offsets[r + 1]))
+
+
+def edge_slice(layout, e) -> slice:
+    """Edge ``e``'s slots in a concatenated message row."""
+    return slice(int(layout.edge_offsets[e]), int(layout.edge_offsets[e + 1]))
+
+
 def message_links(layout):
     """Per (edge, parent label) in edge order, the parent table slot and the
     message slot it projects to; per message slot, its child table slot."""
@@ -380,12 +400,12 @@ def _parent_exponent(layout, lam, theta, edge):
     """Parent-side table feeding the message on ``edge``: theta_p plus
     messages from the other children minus messages to the grandparents."""
     p = layout.edge_parent[edge]
-    expo = theta[:, layout.region_slices[p]].copy()
-    for e2 in layout.child_edges[p]:
+    expo = theta[:, region_slice(layout, p)].copy()
+    for e2 in child_edges(layout, p):
         if e2 != edge:
             expo += lam[:, layout.edge_offsets[e2] + edge_proj(layout, e2)]
-    for e3 in layout.parent_edges[p]:
-        expo -= lam[:, layout.edge_slices[e3]]
+    for e3 in parent_edges(layout, p):
+        expo -= lam[:, edge_slice(layout, e3)]
     return expo
 
 
@@ -401,7 +421,7 @@ def lambda_update_vec(layout, lam, theta, region, eps, cvals):
     """The update of one region for a batch of rows, one edge at a time: the
     arithmetic of every region update of the level kernel.  A region whose
     c_r + sum of parent c is zero keeps its messages."""
-    edges = layout.parent_edges[region]
+    edges = parent_edges(layout, region)
     if not edges:
         return
     denom = cvals[region] + cvals[layout.edge_parent[edges]].sum()
@@ -412,14 +432,14 @@ def lambda_update_vec(layout, lam, theta, region, eps, cvals):
     for e, mu in zip(edges, mus):
         table = (cvals[layout.edge_parent[e]] / denom) * acc - mu
         table -= table.sum(axis=1, keepdims=True) / table.shape[1]
-        lam[:, layout.edge_slices[e]] = table
+        lam[:, edge_slice(layout, e)] = table
 
 
 def accumulator(layout, lam, theta, region, mus):
     """theta_r plus the region's children's messages plus ``mus``, the
     aggregations of its parent edges, added in that order."""
-    acc = theta[:, layout.region_slices[region]].copy()
-    for e2 in layout.child_edges[region]:
+    acc = theta[:, region_slice(layout, region)].copy()
+    for e2 in child_edges(layout, region):
         acc += lam[:, layout.edge_offsets[e2] + edge_proj(layout, e2)]
     for mu in mus:
         acc += mu
@@ -431,10 +451,10 @@ def zero_count_beliefs(layout, lam, theta, eps, cvals, b):
     one region at a time: the Gibbs normalization of their ``accumulator``
     at temperature eps * (c_r + sum of parent c), tied toward the max (or the
     min, for a negative sum) at zero temperature."""
-    for r in layout.regions_with_parents:
+    for r in layout.regions_with_parents.tolist():
         if cvals[r] != 0.0:
             continue
-        edges = layout.parent_edges[r]
+        edges = parent_edges(layout, r)
         mus = [mu_vec(layout, lam, theta, e, eps, cvals) for e in edges]
         expo = accumulator(layout, lam, theta, r, mus)
         chat = cvals[r] + cvals[layout.edge_parent[edges]].sum()
@@ -451,7 +471,7 @@ def zero_count_beliefs(layout, lam, theta, eps, cvals, b):
             m = expo.max(axis=1, keepdims=True) if t > 0 else expo.min(axis=1, keepdims=True)
             e_tab = np.exp((expo - m) / t)
             table = e_tab / e_tab.sum(axis=1, keepdims=True)
-        b[:, layout.region_slices[r]] = table
+        b[:, region_slice(layout, r)] = table
     return b
 
 
@@ -501,6 +521,34 @@ class EdgeLayout:
             slice(int(self.edge_offsets[e]), int(self.edge_offsets[e + 1]))
             for e in range(len(graph.edges))
         ]
+
+
+def colour_levels(layout: EdgeLayout) -> list[list[int]]:
+    """``inference.conflict_levels`` on the per-region edge lists: the
+    regions with parents, in id order, coloured first-fit by the conflict
+    relation (parent, child or shared parent)."""
+    ep, ec = layout.edge_parent.tolist(), layout.edge_child.tolist()
+    level: dict[int, int] = {}
+    levels: list[list[int]] = []
+    for r in layout.regions_with_parents:
+        parents = [ep[e] for e in layout.parent_edges[r]]
+        near = parents + [ec[e] for e in layout.child_edges[r]]
+        near += [ec[e] for p in parents for e in layout.child_edges[p]]
+        taken = {level[x] for x in near if x in level}
+        lv = level[r] = min(set(range(len(taken) + 1)) - taken)
+        if lv == len(levels):
+            levels.append([])
+        levels[lv].append(r)
+    return levels
+
+
+def denominators(layout: EdgeLayout, cvals: np.ndarray) -> np.ndarray:
+    """Each region's c_r plus the sum of its parents' c (one ``.sum()`` over
+    its parent edges, in edge order), 1 for a region without parents."""
+    denom = np.ones(len(layout.sizes))
+    for r in layout.regions_with_parents:
+        denom[r] = cvals[r] + cvals[layout.edge_parent[layout.parent_edges[r]]].sum()
+    return denom
 
 
 def _cat(parts) -> np.ndarray:
