@@ -108,7 +108,6 @@ def _build_parser() -> _Parser:
         "holds, add 1 (at most 10) after each step whose residual > 0.1*||g||",
     )
     t.add_argument("--max-iters", type=count, default=1000)
-    t.add_argument("--tol", type=finite, default=1e-8, help="relative primal decrease")
     t.add_argument("--residual-tol", type=finite, default=1e-6)
     t.add_argument("--grad-tol", type=finite, default=1e-6)
     t.add_argument(
@@ -218,7 +217,6 @@ def _cmd_train(args) -> int:
         counting=counting,
         sweeps_per_step=args.sweeps_per_step,
         max_outer_iters=args.max_iters,
-        primal_rel_tol=args.tol,
         residual_tol=args.residual_tol,
         grad_norm_tol=args.grad_tol,
     )
@@ -298,6 +296,7 @@ def _cmd_gap(args) -> int:
     objective = BatchObjective(
         parsed.graph, parsed.samples, args.eps, counting, args.C, parsed.num_features
     )
+    objective.stack.true_slots  # a sample without true labels raises before any sweep
     lam = np.zeros((len(parsed.samples), objective.layout.message_total))
     thetas = objective.stack.rows(w)
     capped = sweep_until_consistent(

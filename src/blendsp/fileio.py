@@ -16,7 +16,6 @@ tables are stored once and referenced by every sample.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -511,20 +510,14 @@ def write_labels(labels: dict[int, np.ndarray], stream) -> None:
 
 def parse_bitmap(stream) -> np.ndarray:
     """Plain text bitmap: rows of 0/1 characters (whitespace ignored)."""
-    if isinstance(stream, str):
-        stream = io.StringIO(stream)
-    rows = []
-    for no, raw in enumerate(stream, start=1):
-        text = raw.split("#", 1)[0].strip().replace(" ", "")
-        if not text:
-            continue
+    rows = [(no, "".join(toks)) for no, toks in _lines(stream)]
+    for no, text in rows:
         if not set(text) <= {"0", "1"}:
             raise ParseError(no, "bitmap rows may only contain 0 and 1")
-        rows.append((no, [int(ch) for ch in text]))
     if not rows:
         raise ParseError(1, "empty bitmap")
     width = len(rows[0][1])
-    for no, row in rows:
-        if len(row) != width:
+    for no, text in rows:
+        if len(text) != width:
             raise ParseError(no, "bitmap rows have differing lengths")
-    return np.array([row for _, row in rows], dtype=np.int64)
+    return np.array([[int(ch) for ch in text] for _, text in rows], dtype=np.int64)

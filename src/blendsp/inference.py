@@ -442,7 +442,7 @@ class Guarantees(NamedTuple):
     on one graph.  ``SweepPlan.at`` derives them (``_Terms``), the one place
     that decides a guarantee from the signs of eps and of the c_r."""
 
-    descent: bool  # eps >= 0 and every c_r >= 0: convex, so descent is monotone
+    descent: bool  # every c_r >= 0: convex, so descent is monotone
     certificate: bool  # eps > 0 and every c_r > 0: a consistent gap certifies
     bound: bool  # descent, and c fractionally covers every variable: primal >= loss
 
@@ -465,7 +465,7 @@ class _Terms:
         self.denom, self.skip = denom, (denom == 0.0)[ec]
         self.weight = self.c_edge / np.where(denom == 0.0, 1.0, denom)[ec]
         self.regions = SoftMax(plan.segments, layout.segment, eps, cvals)
-        descent = bool(eps >= 0 and (cvals >= 0).all())
+        descent = bool((cvals >= 0).all())
         covered = np.bincount(layout.pair_variable, cvals[layout.pair_region]) >= 1 - 1e-12
         positive = bool(eps > 0 and (cvals > 0).all())
         self.guarantees = Guarantees(descent, positive, descent and bool(covered.all()))
@@ -530,9 +530,11 @@ class SweepPlan:
 
     def at(self, eps: float, cvals: np.ndarray) -> _Terms:
         """The terms of (eps, cvals), derived once for the last pair seen; a
-        non-finite ``eps`` raises ``ValueError``."""
+        non-finite or negative ``eps`` raises ``ValueError``."""
         if not np.isfinite(eps):
             raise ValueError("eps must be finite")
+        if eps < 0:
+            raise ValueError("eps must be nonnegative")
         key = (float(eps), cvals.tobytes())
         if self._terms is None or self._terms[0] != key:
             self._terms = (key, _Terms(self, eps, cvals))
@@ -776,8 +778,8 @@ def sweep_until_consistent(
     have stopped.  Per-row arithmetic and schedule do not depend on the
     batch, so each row ends bitwise equal to a batch-of-one run.  A row
     whose potentials overflow ends with a NaN residual, without numpy
-    warnings.  A non-finite ``eps``, a negative ``max_sweeps`` or a NaN
-    ``tol`` raises ``ValueError`` before any sweep.
+    warnings.  A non-finite or negative ``eps``, a negative ``max_sweeps``
+    or a NaN ``tol`` raises ``ValueError`` before any sweep.
     """
     if max_sweeps < 0:
         raise ValueError("max_sweeps must be at least 0")

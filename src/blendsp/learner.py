@@ -5,7 +5,8 @@
 weights w, the message rows lam (``states`` views them), the theta rows at
 w, the last gradient norm ``grad_norm``, the ``block`` size, the last
 step's ``backtracks`` and the extrapolation ``ring``.  It runs ``_iterate``
-on them until the stopping test holds or the budget runs out.  One outer
+on them until the marginal residual is below ``residual_tol`` and the
+gradient norm below ``grad_norm_tol``, or the budget runs out.  One outer
 iteration runs an inference block of ``block`` sweeps on every sample
 followed by a single gradient step on the weights with Armijo backtracking
 on the primal (messages frozen).  By default the block starts at one sweep
@@ -105,7 +106,6 @@ class TrainerConfig:
     counting: str | np.ndarray | CountingNumbers | None = None  # CountingNumbers.of
     sweeps_per_step: int | None = None  # None: the growing block (KAPPA)
     max_outer_iters: int = 1000
-    primal_rel_tol: float = 1e-8
     residual_tol: float = 1e-6
     grad_norm_tol: float = 1e-6
 
@@ -115,7 +115,7 @@ class TrainerConfig:
             raise ValueError("sweeps per step must be at least 0")
         if self.max_outer_iters < 0:
             raise ValueError("max_outer_iters must be at least 0")
-        if not np.isfinite([self.primal_rel_tol, self.residual_tol, self.grad_norm_tol]).all():
+        if not np.isfinite([self.residual_tol, self.grad_norm_tol]).all():
             raise ValueError("tolerances must be finite")
 
 
@@ -387,14 +387,8 @@ def _iterate(objective: BatchObjective, state: TrainState, config: TrainerConfig
     if config.sweeps_per_step is None and state.ring is not None:
         if residual > KAPPA * state.grad_norm:
             state.block = min(state.block + 1, KAPPA_CAP)
-    last = state.history[-1] if state.history else None
     state.history.append(primal)
-    rel = 0.0 if last is None else (last - primal) / max(1.0, abs(last))
-    state.converged = (
-        abs(rel) < config.primal_rel_tol
-        and residual < config.residual_tol
-        and state.grad_norm < config.grad_norm_tol
-    )
+    state.converged = residual < config.residual_tol and state.grad_norm < config.grad_norm_tol
     return IterationRecord(
         state.iteration, primal, report.dual, report.gap, residual, state.grad_norm, step.eta,
         sweeps, step.trials, extrapolated,
@@ -411,7 +405,8 @@ def train(
 ) -> TrainState:
     """The blended loop (module docstring) from ``w0``, zeros by default.  A
     bad config raises ``ValueError`` (``TrainerConfig.check``) before any
-    sweep, and weights that do not fit the samples' feature ids ``ModelError``."""
+    sweep, and weights that do not fit the samples' feature ids or a sample
+    without true labels ``ModelError``."""
     config.check()
     objective = BatchObjective(graph, samples, config.eps, config.counting, config.C, num_features)
     w = np.zeros(objective.num_features) if w0 is None else objective.weights(w0, "w0").copy()
@@ -421,6 +416,7 @@ def train(
         state.block = config.sweeps_per_step
     if objective.terms.guarantees.descent:
         state.ring = np.empty((EXTRAPOLATE_EVERY, 1, w.size + lam.size))
+    objective.stack.true_slots  # a sample without true labels raises before any sweep
     while state.iteration < config.max_outer_iters and not state.converged:
         record = _iterate(objective, state, config)
         if log_fn is not None:

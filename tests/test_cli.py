@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from blendsp import CountingNumbers, cli, learner
+from blendsp import CountingNumbers, cli, inference, learner
 from blendsp.cli import main
 from blendsp.fileio import parse_labels, parse_model, parse_weights, write_model
 from blendsp.inference import MessageState, sweep_until_consistent
@@ -556,6 +556,56 @@ def test_negative_C_is_rejected_before_any_sweep(tmp_path, capsys, monkeypatch):
         assert "capped=" not in captured.out and "primal=" not in captured.out
 
 
+@pytest.mark.parametrize("command, flag", [("train", "--eps"), ("infer", "--eps-infer"), ("gap", "--eps")])
+def test_negative_eps_is_rejected_before_any_sweep(tmp_path, capsys, monkeypatch, command, flag):
+    out = gen(tmp_path, "corpus")
+    weights = zero_weights(tmp_path, out)
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError(f"swept with {flag} -1")
+
+    monkeypatch.setattr(learner, "sweep_vec", no_sweep)
+    monkeypatch.setattr(inference, "sweep_vec", no_sweep)  # predict_all's engine
+    monkeypatch.setattr(cli, "sweep_until_consistent", no_sweep)
+    argv = [command, "--model", str(out / ("test.bsp" if command == "infer" else "train.bsp"))]
+    if command != "train":
+        argv += ["--weights", str(weights)]
+    if command != "gap":
+        argv += ["--out", str(tmp_path / "out")]
+    capsys.readouterr()
+    assert main([*argv, flag, "-1"]) == 1
+    captured = capsys.readouterr()
+    assert "error: eps must be nonnegative" in captured.err
+    assert "warning:" not in captured.out
+    assert "primal=" not in captured.out and "residual=" not in captured.out
+    assert not (tmp_path / "out").exists()
+
+
+def test_missing_true_labels_are_rejected_before_any_sweep(tmp_path, capsys, monkeypatch):
+    out = gen(tmp_path, "corpus")
+    weights = zero_weights(tmp_path, out)
+    text = (out / "train.bsp").read_text()
+    model = tmp_path / "unlabelled.bsp"
+    model.write_text("".join(
+        line for line in text.splitlines(keepends=True) if not line.startswith(("TRUTH", "LOSS"))
+    ))
+    assert main(["infer", "--model", str(model), "--weights", str(weights),
+                 "--out", str(tmp_path / "p.labels")]) == 0  # prediction needs no labels
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("swept without true labels")
+
+    monkeypatch.setattr(learner, "sweep_vec", no_sweep)
+    monkeypatch.setattr(cli, "sweep_until_consistent", no_sweep)
+    capsys.readouterr()
+    for argv in (["train", "--out", str(tmp_path / "w")], ["gap", "--weights", str(weights)]):
+        assert main([*argv, "--model", str(model)]) == 1
+        captured = capsys.readouterr()
+        assert "error: sample 0: no true labels" in captured.err
+        assert "capped=" not in captured.out and "primal=" not in captured.out
+    assert not (tmp_path / "w").exists()
+
+
 @pytest.mark.parametrize(
     "command, flag, value, message",
     [
@@ -565,7 +615,6 @@ def test_negative_C_is_rejected_before_any_sweep(tmp_path, capsys, monkeypatch):
         ("infer", "--max-sweeps", "-1", "argument --max-sweeps: invalid count value: '-1'"),
         ("gap", "--eps", "nan", "argument --eps: invalid finite value: 'nan'"),
         ("gap", "--max-sweeps", "-1", "argument --max-sweeps: invalid count value: '-1'"),
-        ("train", "--tol", "nan", "argument --tol: invalid finite value: 'nan'"),
         ("train", "--residual-tol", "nan", "argument --residual-tol: invalid finite value: 'nan'"),
         ("train", "--grad-tol", "inf", "argument --grad-tol: invalid finite value: 'inf'"),
         ("train", "--max-iters", "-5", "argument --max-iters: invalid count value: '-5'"),

@@ -418,6 +418,28 @@ def test_bitmap_parse():
         parse_bitmap("102\n")
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["0\t1\t1\n1\t0\t1\n", " 0 1\t1 \n\t1  0\t 1\n", "011\r\n101\r\n", "0 1 1 # top\r\n\r\n1\t01\n"],
+)
+def test_bitmap_rows_ignore_tabs_spaces_and_carriage_returns(text):
+    np.testing.assert_array_equal(parse_bitmap(text), [[0, 1, 1], [1, 0, 1]])
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("0\t1\n1\t2\n", 2, "bitmap rows may only contain 0 and 1"),
+        ("0 1\r\n1\r\n", 2, "bitmap rows have differing lengths"),
+        # a bad character in any row is named before a row of another length
+        ("01\n1\n\t1 x\n", 3, "bitmap rows may only contain 0 and 1"),
+    ],
+)
+def test_bitmap_errors_keep_their_line_across_whitespace(text, line, message):
+    with pytest.raises(ParseError, match=f"^line {line}: {message}$"):
+        parse_bitmap(text)
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.text(max_size=300))
 def test_parser_never_panics_on_text(text):

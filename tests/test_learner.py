@@ -28,7 +28,9 @@ from blendsp import (
     w_step,
 )
 from blendsp import inference, learner, objective
+from blendsp.cli import main
 from blendsp.datagen import DenoiseSpec, make_denoise_dataset
+from blendsp.fileio import ParsedModel, write_model
 from blendsp.inference import message_potentials
 from blendsp.model import ModelError, ThetaStack
 
@@ -62,6 +64,7 @@ def test_non_finite_eps_and_C_and_negative_caps_are_rejected_before_any_sweep(mo
         (float("inf"), 5, 1e-8, "eps must be finite"),
         (1.0, -1, 1e-8, "max_sweeps must be at least 0"),
         (1.0, 5, float("nan"), "tol must not be NaN"),
+        (-1.0, 5, 1e-8, "eps must be nonnegative"),
     ):
         with pytest.raises(ValueError, match=message):
             learner.predict_all(graph, samples, w, eps, None, max_sweeps, tol)
@@ -80,11 +83,20 @@ def test_non_finite_eps_and_C_and_negative_caps_are_rejected_before_any_sweep(mo
             train(graph, samples, TrainerConfig(eps=eps, C=C, max_outer_iters=2))
         with pytest.raises(ValueError, match=message):
             objective.BatchObjective(graph, samples, eps, np.ones(5), C, 2)
-    for eps in (float("nan"), float("inf"), -float("inf")):
-        with pytest.raises(ValueError, match="^eps must be finite$"):
+    for eps, message in (
+        (float("nan"), "^eps must be finite$"),
+        (float("inf"), "^eps must be finite$"),
+        (-float("inf"), "^eps must be finite$"),
+        (-1.0, "^eps must be nonnegative$"),
+        (-1e-300, "^eps must be nonnegative$"),
+    ):
+        with pytest.raises(ValueError, match=message):
             inference.guarantees(graph, eps)
+        if np.isfinite(eps):
+            with pytest.raises(ValueError, match=message):
+                train(graph, samples, TrainerConfig(eps=eps, max_outer_iters=2))
+    assert inference.guarantees(graph, -0.0) == (True, False, True)  # -0.0 is eps = 0
     for name, value, message in (
-        ("primal_rel_tol", float("nan"), "tolerances must be finite"),
         ("residual_tol", float("nan"), "tolerances must be finite"),
         ("grad_norm_tol", float("inf"), "tolerances must be finite"),
         ("max_outer_iters", -5, "max_outer_iters must be at least 0"),
@@ -192,6 +204,19 @@ def test_non_finite_eps_is_rejected_before_any_sweep(name, monkeypatch):
     for eps in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="^eps must be finite$"):
             call(ds, states, np.zeros(ds.num_features), eps)
+    for eps in (-1.0, np.float64(-0.5)):
+        with pytest.raises(ValueError, match="^eps must be nonnegative$"):
+            call(ds, states, np.zeros(ds.num_features), eps)
+
+
+def test_train_rejects_samples_without_true_labels_before_any_sweep(monkeypatch):
+    # the empirical features need every sample's true labels; prediction
+    # needs none (test_predict_ignores_loss_tables)
+    ds = grid(3)
+    unlabelled = [ds.train[0], Sample(ds.graph, 7, {}, ds.train[1].features)]
+    monkeypatch.setattr(learner, "sweep_vec", lambda *args: pytest.fail("swept"))
+    with pytest.raises(ModelError, match="^sample 7: no true labels$"):
+        train(ds.graph, unlabelled, TrainerConfig(), ds.num_features)
 
 
 @pytest.mark.parametrize("name", sorted(STATE_CALLS))
@@ -693,8 +718,47 @@ def test_train_scatters_messages_once_per_iteration(monkeypatch):
     assert state.converged and state.iteration > 10
     assert records[0].sweeps == 1 and records[-1].sweeps == learner.KAPPA_CAP
     attempts = sum(r.extrapolated is not None for r in records)
-    assert (state.iteration, attempts) == (17, 3)
+    assert (state.iteration, attempts) == (16, 3)
     assert len(calls) == state.iteration + attempts
+
+
+@pytest.mark.parametrize("corpus", ["grid", "three_level"])
+def test_train_stops_at_the_first_iteration_that_passes_both_optimality_tests(
+    corpus, tmp_path, capsys
+):
+    # the stop test is the optimum's: a consistent message block (residual
+    # below residual_tol) and a vanishing weight gradient (below
+    # grad_norm_tol).  Every record before the last fails one of the two, a
+    # converged run's last passes both, and the CLI's exit code follows
+    if corpus == "grid":
+        ds = make_denoise_dataset(
+            DenoiseSpec(width=3, height=3, num_train=2, num_test=1, flip_prob=0.2, seed=1)
+        )
+        graph, samples, num_features = ds.graph, ds.train, ds.num_features
+    else:
+        rng = np.random.default_rng(22)
+        graph, sample = three_level_model(rng, [2, 3, 2])
+        samples = [sample, random_sample(rng, graph, 4, 1)]
+        num_features = ThetaStack(samples, graph.layout()).feature_count
+    model = tmp_path / "train.bsp"
+    with open(model, "w") as fh:
+        write_model(ParsedModel(graph, samples, None, num_features), fh)
+    for max_iters in (1000, 4):
+        cfg = TrainerConfig(C=0.3, max_outer_iters=max_iters)
+        records = []
+        state = train(graph, samples, cfg, num_features, log_fn=records.append)
+        passes = [r.residual < cfg.residual_tol and r.grad_norm < cfg.grad_norm_tol for r in records]
+        assert len(records) == state.iteration
+        assert not any(passes[:-1])
+        assert state.converged == passes[-1]
+        assert state.converged == (max_iters == 1000), max_iters
+        argv = ["train", "--model", str(model), "--C", "0.3", "--max-iters", str(max_iters)]
+        capsys.readouterr()
+        code = main([*argv, "--out", str(tmp_path / "w.bsw")])
+        out = capsys.readouterr().out
+        verdict = "yes" if state.converged else "no"
+        assert f"iterations={state.iteration} converged={verdict}" in out
+        assert code == (0 if state.converged else 2)
 
 
 def test_train_extrapolation_keeps_the_primal_monotone(monkeypatch):

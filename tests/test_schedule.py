@@ -272,7 +272,7 @@ def test_soft_maxes_are_derived_once_per_eps_and_counting_numbers(monkeypatch):
     samples = [sample, random_sample(rng, graph, 4, 1)]
     for eps in (1.0, 0.5):
         made.clear()
-        state = train(graph, samples, TrainerConfig(eps=eps, max_outer_iters=20, primal_rel_tol=0.0))
+        state = train(graph, samples, TrainerConfig(eps=eps, max_outer_iters=20, grad_norm_tol=0.0))
         assert state.iteration == 20
         plan = sweep_plan(graph.layout())
         want = [plan.segments] + [level.groups for level in plan.levels]
