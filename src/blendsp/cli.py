@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import math
 import sys
 from pathlib import Path
@@ -41,6 +42,12 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NOT_CONVERGED = 2
 
+# glibc's mallopt parameters (malloc.h) and the values main sets them to
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+HEAP_TRIM_BYTES = 256 * 2**20
+HEAP_MMAP_BYTES = 32 * 2**20
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse with exit code 1 on usage errors."""
@@ -60,6 +67,12 @@ def finite(text: str) -> float:
 
 def count(text: str) -> int:
     if int(text) < 0:
+        raise ValueError(text)
+    return int(text)
+
+
+def positive(text: str) -> int:
+    if int(text) < 1:
         raise ValueError(text)
     return int(text)
 
@@ -102,7 +115,7 @@ def _build_parser() -> _Parser:
     _add_counting(t)
     t.add_argument(
         "--sweeps-per-step",
-        type=int,
+        type=positive,
         default=None,
         help="fixed sweeps per weight step; default: start at 1 and, where descent "
         "holds, add 1 (at most 10) after each step whose residual > 0.1*||g||",
@@ -307,8 +320,23 @@ def _cmd_gap(args) -> int:
     return EXIT_OK
 
 
+def _pin_heap() -> None:
+    """Keep freed memory mapped for reuse: allocations below HEAP_MMAP_BYTES
+    come from the heap, and its top is trimmed only once HEAP_TRIM_BYTES lie
+    free there, so train's per-iteration arrays are not faulted in again
+    (README, Notes).  Both are set, since either alone stops glibc adapting
+    its mmap threshold.  A no-op where the C library has no ``mallopt``."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt(M_MMAP_THRESHOLD, HEAP_MMAP_BYTES)
+    mallopt(M_TRIM_THRESHOLD, HEAP_TRIM_BYTES)
+
+
 @np.errstate(all="ignore")  # the commands print non-finite results and count NaN rows capped
 def main(argv=None) -> int:
+    _pin_heap()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -110,9 +110,9 @@ class TrainerConfig:
     grad_norm_tol: float = 1e-6
 
     def check(self) -> None:
-        """``ValueError`` for a negative count or a non-finite tolerance."""
-        if self.sweeps_per_step is not None and self.sweeps_per_step < 0:
-            raise ValueError("sweeps per step must be at least 0")
+        """``ValueError`` for a count out of range or a non-finite tolerance."""
+        if self.sweeps_per_step is not None and self.sweeps_per_step < 1:
+            raise ValueError("sweeps per step must be at least 1")
         if self.max_outer_iters < 0:
             raise ValueError("max_outer_iters must be at least 0")
         if not np.isfinite([self.residual_tol, self.grad_norm_tol]).all():

@@ -1,5 +1,6 @@
 import hashlib
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -224,8 +225,12 @@ def test_train_exit_two_on_iteration_budget(tmp_path, capsys):
 def test_train_negative_sweeps_per_step_is_usage_error(tmp_path, capsys):
     out = gen(tmp_path, "corpus")
     argv = ["train", "--model", str(out / "train.bsp"), "--out", str(tmp_path / "w.bsw")]
-    assert main([*argv, "--sweeps-per-step", "-1"]) == 1
-    assert "sweeps per step must be at least 0" in capsys.readouterr().err
+    capsys.readouterr()
+    for value in ("-1", "0"):
+        assert main([*argv, "--sweeps-per-step", value]) == 1
+        captured = capsys.readouterr()
+        assert f"argument --sweeps-per-step: invalid positive value: '{value}'" in captured.err
+        assert captured.out == ""
     assert not (tmp_path / "w.bsw").exists()
 
 
@@ -470,6 +475,38 @@ def test_c_scheme_help_names_the_counts_default(capsys):
         assert "default: the model's COUNTS section, or ones when it has none" in text
 
 
+def test_main_sets_the_heap_policy_through_mallopt(tmp_path, monkeypatch):
+    calls = []
+    libc = SimpleNamespace(mallopt=lambda param, value: calls.append((param, value)) or 1)
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
+    gen(tmp_path, "corpus")
+    assert calls == [
+        (cli.M_MMAP_THRESHOLD, cli.HEAP_MMAP_BYTES),
+        (cli.M_TRIM_THRESHOLD, cli.HEAP_TRIM_BYTES),
+    ]
+
+
+@pytest.mark.parametrize("libc", ["unloadable", "not a library", "no mallopt"])
+def test_main_runs_without_mallopt(tmp_path, capsys, monkeypatch, libc):
+    out = gen(tmp_path, "corpus")
+    argv = ["train", "--model", str(out / "train.bsp"), "--max-iters", "3"]
+    capsys.readouterr()
+    pinned = main([*argv, "--out", str(tmp_path / "pinned.bsw")])
+    pinned_out = capsys.readouterr().out
+
+    def cdll(name):
+        if libc == "unloadable":
+            raise OSError("no C library")
+        if libc == "not a library":
+            raise TypeError("not a library handle")
+        return SimpleNamespace()
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    assert main([*argv, "--out", str(tmp_path / "w.bsw")]) == pinned == 2
+    assert capsys.readouterr().out == pinned_out
+    assert sha(tmp_path / "w.bsw") == sha(tmp_path / "pinned.bsw")
+
+
 def test_train_counting_file_wrong_coverage_is_error(tmp_path, capsys):
     out = gen(tmp_path, "corpus")
     cfile = tmp_path / "counts.txt"
@@ -619,6 +656,7 @@ def test_missing_true_labels_are_rejected_before_any_sweep(tmp_path, capsys, mon
         ("train", "--grad-tol", "inf", "argument --grad-tol: invalid finite value: 'inf'"),
         ("train", "--max-iters", "-5", "argument --max-iters: invalid count value: '-5'"),
         ("gap", "--residual-tol", "nan", "argument --residual-tol: invalid finite value: 'nan'"),
+        ("train", "--sweeps-per-step", "0", "argument --sweeps-per-step: invalid positive value: '0'"),
     ],
 )
 def test_non_finite_reals_and_negative_sweep_caps_name_their_flag(

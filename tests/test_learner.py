@@ -100,6 +100,8 @@ def test_non_finite_eps_and_C_and_negative_caps_are_rejected_before_any_sweep(mo
         ("residual_tol", float("nan"), "tolerances must be finite"),
         ("grad_norm_tol", float("inf"), "tolerances must be finite"),
         ("max_outer_iters", -5, "max_outer_iters must be at least 0"),
+        ("sweeps_per_step", 0, "^sweeps per step must be at least 1$"),
+        ("sweeps_per_step", -1, "^sweeps per step must be at least 1$"),
     ):
         with pytest.raises(ValueError, match=message):
             train(graph, samples, TrainerConfig(**{name: value}))
