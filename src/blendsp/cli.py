@@ -33,7 +33,7 @@ from .fileio import (
 )
 from .inference import guarantees, sweep_until_consistent
 from .learner import TrainerConfig, predict_all, train
-from .model import CountingNumbers
+from .model import CountingNumbers, require_true_labels
 from .objective import BatchObjective
 
 __all__ = ["main"]
@@ -233,6 +233,8 @@ def _cmd_train(args) -> int:
         residual_tol=args.residual_tol,
         grad_norm_tol=args.grad_tol,
     )
+    config.check()  # every check before the first output and the log file
+    require_true_labels(parsed.samples)
     print(f"seed={args.seed}")
     _print_warnings(parsed, args.eps, counting)
     with open(args.log, "w") if args.log is not None else contextlib.nullcontext() as log:

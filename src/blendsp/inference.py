@@ -18,24 +18,33 @@ another writes, so updating each level at once, in level order, performs
 exactly the arithmetic of updating its regions one at a time: the results
 are bitwise equal to that sequential sweep.  Block-coordinate descent
 converges in any cyclic order; a caller who wants another order loops
-``lambda_update`` over it.  Each level is one set of array calls: gathers of
-the parent exponents (projection permutations folded into the indices), one
-grouped log-sum-exp over all of the level's edges, the accumulation, a
-mean-centring per group of equal-size tables, and one scatter of the new
-tables.  This level kernel is the only region update: ``lambda_update``
-runs a one-region level, ``mu_message`` reads that level's aggregations,
-and ``belief_vec`` normalizes the accumulators of the regions with c_r = 0
-as one more level.  The layout caches one plan (``sweep_plan``) of the
-levels and of the tables of ``message_potentials`` and ``residual_rows``,
-all made by one builder, ``_prefix_terms``, from term lists that read one
-projection and grouping per edge shape (``SweepPlan.tables``).
+``lambda_update`` over it.  Each level is one set of array calls on
+sample-minor (slots, samples) rows, so every gather copies whole runs of
+samples: gathers of the parent exponents (projection permutations folded
+into the indices), one grouped log-sum-exp over all of the level's edges,
+its groups stored fiber-major so that each group reduction is a few calls
+on contiguous blocks (``BlockReduce``), the accumulation, a mean-centring
+per group of equal-size tables, stored entry-major, and one scatter of the
+new tables.  Every reduction keeps numpy's order for the batch-major rows,
+so the results are bitwise those of the per-region reference.  This level
+kernel is the only region update: ``sweep_vec`` transposes its rows once
+per call, ``sweep_until_consistent`` once per stretch between measurements,
+``lambda_update`` runs a one-region level, ``mu_message`` reads that
+level's aggregations, and ``belief_vec`` normalizes the accumulators of the
+regions with c_r = 0 as one more level.  The layout caches one plan
+(``sweep_plan``) of the levels and of the tables of ``message_potentials``
+and ``residual_rows``, all made by one builder, ``_prefix_terms``, from
+term lists that read one projection and grouping per edge shape
+(``SweepPlan.tables``).
 
 One kernel, ``SoftMax``, is the package's only tempered log-sum-exp, at
 t = eps * c per segment: on the region tables, on each level's projection
 groups (c = c_p) and on the accumulators of the regions with c_r = 0 (c =
 c_r + sum of parent c).  ``SweepPlan.at`` derives all that depends on (eps,
 cvals) once, for the last pair seen.  The kernel's per-segment max, min and
-sum come from ``SegmentReduce``, built once per level and once per layout.
+sum come from ``SegmentReduce`` over batch-major columns, built once per
+layout and per zero-count level, and from ``BlockReduce`` over a level's
+sample-minor rows, built once per level.
 
 The potentials of theta rows at messages lam are, everywhere in the package,
 ``theta + message_potentials(layout, lam)``, rounded that one way, and one
@@ -49,7 +58,8 @@ iterate of weights and messages).
 
 The module-level helpers operate on batches: message matrices of shape
 (num_samples, message_total) against potential matrices (num_samples,
-total).  Samples never interact, so batching is purely an efficiency device;
+total); only the level kernel's internals take them transposed.  Samples
+never interact, so batching is purely an efficiency device;
 single-sample operations use the same code path with a batch of one, which
 keeps results bitwise independent of how samples are grouped into batches.
 """
@@ -66,6 +76,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import CountingNumbers, GraphLayout, RegionGraph, Sample, _spans
+from .softmax import (  # noqa: F401 (ARGMAX_TOL: importable here too)
+    ARGMAX_TOL,
+    BlockReduce,
+    GibbsPass,
+    SegmentReduce,
+    SoftMax,
+    pairwise_sum,
+)
 
 __all__ = [
     "Guarantees",
@@ -114,141 +132,6 @@ class MessageState:
 
 # ---------------------------------------------------------------------------
 # batched internals, shared with the objective and learner modules
-
-
-STRIDED_MIN_WORK = 100  # measured: where a strided max and sum cost what reduceat's do
-
-
-class SegmentReduce:
-    """Per-segment max, min and sum over the last axis of rows whose columns
-    form consecutive segments, the i-th from ``starts[i]`` to the next start
-    (the last to ``width``): the results of ``ufunc.reduceat(v, starts,
-    axis=-1)``, bit for bit (a NaN sum may differ in its sign bit).
-
-    ``reduceat`` costs about as much per segment as a strided elementwise
-    call costs per row.  So when every segment is at most 8 wide and batch x
-    segments is at least ``STRIDED_MIN_WORK`` times the summed width of the
-    runs of equal-width segments, a run of width k is reduced with k - 1
-    strided calls (``v[..., j::k]``); otherwise with one ``reduceat``.  The
-    strided sum is a0 + (((a1 + a2) + a3) + ...), which is what
-    ``np.add.reduceat`` computes: numpy adds the fewer than 8 terms after a
-    segment's first one after another (longer tails it sums pairwise).
-    """
-
-    def __init__(self, starts: np.ndarray, width: int):
-        self.starts = np.asarray(starts, dtype=np.int64)
-        bounds = np.concatenate((self.starts, [width]))
-        widths = bounds[1:] - bounds[:-1]
-        changes = ((widths[1:] != widths[:-1]).nonzero()[0] + 1).tolist()
-        cut = [0, *changes, len(widths)] if len(widths) else []
-        at, wide = bounds.tolist(), widths.tolist()
-        # runs of equal widths: (first column, end column, width, first and end segment)
-        self.runs = [(at[s], at[e], wide[s], s, e) for s, e in zip(cut, cut[1:])]
-        run_widths = [run[2] for run in self.runs]
-        narrow = bool(run_widths) and 1 <= min(run_widths) and max(run_widths) <= 8
-        self.min_batch = STRIDED_MIN_WORK * sum(run_widths) / len(wide) if narrow else np.inf
-
-    def _strided(self, v: np.ndarray) -> bool:
-        return (v.shape[0] if v.ndim > 1 else 1) >= self.min_batch
-
-    def max(self, v: np.ndarray) -> np.ndarray:
-        return self._fold(np.maximum, v)
-
-    def min(self, v: np.ndarray) -> np.ndarray:
-        return self._fold(np.minimum, v)
-
-    def _fold(self, ufunc, v: np.ndarray) -> np.ndarray:
-        """Per segment, ((a0 op a1) op a2) op ..."""
-        if not self._strided(v):
-            return ufunc.reduceat(v, self.starts, axis=-1)
-        out = np.empty(v.shape[:-1] + (len(self.starts),))
-        for a, b, k, s, e in self.runs:
-            o = out[..., s:e]
-            if k == 1:
-                np.copyto(o, v[..., a:b])
-            else:
-                ufunc(v[..., a:b:k], v[..., a + 1 : b : k], out=o)
-                for j in range(2, k):
-                    ufunc(o, v[..., a + j : b : k], out=o)
-        return out
-
-    def sum(self, v: np.ndarray) -> np.ndarray:
-        if not self._strided(v):
-            return np.add.reduceat(v, self.starts, axis=-1)
-        out = np.empty(v.shape[:-1] + (len(self.starts),))
-        for a, b, k, s, e in self.runs:
-            o = out[..., s:e]
-            if k == 1:
-                np.copyto(o, v[..., a:b])
-            elif k == 2:
-                np.add(v[..., a:b:2], v[..., a + 1 : b : 2], out=o)
-            else:
-                np.add(v[..., a + 1 : b : k], v[..., a + 2 : b : k], out=o)
-                for j in range(3, k):
-                    o += v[..., a + j : b : k]
-                np.add(v[..., a:b:k], o, out=o)
-        return out
-
-
-# absolute tie tolerance of ``SoftMax``'s zero-temperature segments; a fixed
-# value keeps zero-temperature runs reproducible
-ARGMAX_TOL = 1e-9
-
-
-class GibbsPass(NamedTuple):
-    """One max, exp and sum pass over table rows (``SoftMax``)."""
-
-    exps: np.ndarray  # exponentials, tie indicators in zero-temperature segments
-    sums: np.ndarray  # their per-segment sums
-    lse: np.ndarray  # log-partitions t*log(sum(exp(./t))), the max at t = 0
-
-    def beliefs(self, layout) -> np.ndarray:
-        """Per-segment Gibbs normalization of the rows."""
-        return self.exps / self.sums.take(layout.segment, axis=-1)
-
-
-class SoftMax:
-    """The tempered soft-max of rows whose columns form segments (reduced by
-    ``segments``; ``segment`` is each column's) at temperatures t = eps *
-    coeff per segment; calling it on rows gives their ``GibbsPass``.
-
-    A zero-temperature segment tie-breaks toward its max (coeff >= 0) or its
-    min (coeff < 0), matching the limit of exp(v / (eps * coeff)) as eps
-    approaches zero; its log-partition is the max either way.  Every other
-    segment is centred on its max (t > 0) or min (t < 0), so its exponentials
-    serve both results.
-    """
-
-    def __init__(self, segments: SegmentReduce, segment: np.ndarray, eps: float, coeff):
-        self.segments, self.segment = segments, segment
-        self.t = t = eps * coeff
-        use_min = np.where(t == 0, coeff < 0, t < 0)
-        self.use_min = use_min if use_min.any() else None
-        zero = t[segment] == 0
-        self.zero = zero if zero.any() else None
-        self.min_col = use_min[segment]
-        t_col = np.where(zero, 1.0, t[segment])
-        # x / 1.0 is x bit for bit, so unit temperatures skip the division
-        self.t_col = None if (t_col == 1.0).all() else t_col
-
-    def __call__(self, v: np.ndarray) -> GibbsPass:
-        mx = m = self.segments.max(v)
-        if self.use_min is not None:
-            m = np.where(self.use_min, self.segments.min(v), mx)
-        e = m.take(self.segment, axis=-1)
-        if self.zero is not None:
-            tie = np.where(self.min_col, v <= e + ARGMAX_TOL, v >= e - ARGMAX_TOL)
-        np.subtract(v, e, out=e)
-        if self.t_col is not None:
-            e /= self.t_col
-        if self.zero is not None:
-            e[..., self.zero] = 0.0
-        np.exp(e, out=e)
-        if self.zero is not None:
-            np.copyto(e, tie, where=self.zero)
-        z = self.segments.sum(e)
-        # z >= 1 at t = 0 (the extreme ties with itself), so the log is finite
-        return GibbsPass(e, z, np.where(self.t == 0, mx, m + self.t * np.log(z)))
 
 
 def message_potentials(layout: GraphLayout, lam: np.ndarray) -> np.ndarray:
@@ -323,21 +206,33 @@ def _prefix_terms(index: np.ndarray, width: np.ndarray, lists, items=slice(None)
     return order, terms
 
 
-def _gather_add(acc: np.ndarray, src: np.ndarray, terms) -> np.ndarray:
-    """Add the gathers ``terms`` (``_prefix_terms``) of ``src`` to ``acc``."""
+def _gather_add(acc: np.ndarray, src: np.ndarray, terms, axis: int = -1) -> np.ndarray:
+    """Add the gathers ``terms`` (``_prefix_terms``) of ``src`` to ``acc``,
+    along the last axis or, with ``axis=0``, the first."""
     for n, idx in terms:
-        acc[..., :n] += src.take(idx, axis=-1)
+        if axis == 0:
+            acc[:n] += src.take(idx, axis=0)
+        else:
+            acc[..., :n] += src.take(idx, axis=-1)
     return acc
 
 
 class _Level:
     """Gather and scatter indices that update one level's regions at once.
 
-    Columns follow three orders: parent-exponent columns (one parent table
-    per edge, edges with the most terms first), accumulator columns (one
-    table per region, most terms first: ``acc_regions``) and message columns
-    (one table per edge, grouped by table size for the mean-centring).  The
-    mu of edge e occupies the columns from ``mu_at[e]`` of ``mu``'s result.
+    The kernel runs on sample-minor rows: theta and messages arrive as
+    (slots, samples) arrays, and every gather takes whole rows.  Rows follow
+    three orders:
+    - parent-exponent rows, one parent table per edge, in classes of equal
+      term count (most first, so the rows with a k-th term form a prefix)
+      and fiber width k; a class stores its S projection groups fiber-major,
+      as k blocks of S rows (``BlockReduce``); by edge and child label
+      within a block, which is also the order of ``mu``'s rows;
+    - accumulator rows, one table per region, most terms first
+      (``acc_regions``);
+    - message rows, the tables grouped by size, each group of K tables of n
+      entries stored entry-major, as n blocks of K rows, for the centring.
+    The mu of edge e occupies the rows from ``mu_at[e]`` of ``mu``'s result.
     """
 
     def __init__(self, plan: "SweepPlan", regions: list[int]):
@@ -351,19 +246,27 @@ class _Level:
         p = layout.edge_parent[edges]
         psize, csize = sizes[p], sizes[layout.edge_child[edges]]
 
-        # parent exponents: theta_p plus the edge's terms, all in the edge's
-        # projection-group order
-        order, self.exp_terms = _prefix_terms(index, psize, edge_terms, edges)
+        # parent exponents: theta_p plus the edge's terms, in classes of
+        # (term count, most first; fiber width), each edge's in its
+        # projection-group order and then each class fiber-major
+        count, fiber = edge_terms[0][edges], psize // csize
+        order = np.lexsort((fiber, -count))
+        _, exp_terms = _prefix_terms(index, psize[order], edge_terms, edges[order])
         by_terms, p, psize, width = edges[order], p[order], psize[order], csize[order]
+        count, fiber = count[order], fiber[order]
+        first = np.flatnonzero(np.diff(count, prepend=-1) | np.diff(fiber, prepend=-1))
+        k, groups = fiber[first], np.add.reduceat(width, first)
+        column = np.concatenate(([0], np.cumsum(psize)))  # each edge's first column
+        rows = _fiber_major(column[np.append(first, psize.size)], k)
         start = perm[layout.edge_shape[by_terms]]
-        self.theta_idx = np.repeat(layout.offsets[p], psize) + index[_spans(start, psize)]
+        self.theta_idx = (np.repeat(layout.offsets[p], psize) + index[_spans(start, psize)])[rows]
+        self.exp_terms = [(n, idx[rows[:n]]) for n, idx in exp_terms]
         self.negated = bool(np.diff(layout.up_first)[p].any())
 
         # grouped log-sum-exp: one group per child label of every edge, of
         # the edge's fiber = psize / csize parent labels projecting to it
-        fiber = np.repeat(psize // width, width)
-        self.groups = SegmentReduce(np.cumsum(fiber) - fiber, len(self.theta_idx))
-        self.group_of = np.repeat(np.arange(fiber.size), fiber)
+        self.groups = BlockReduce(k, groups)
+        self.group_of = np.repeat(np.arange(width.sum()), np.repeat(fiber, width))[rows]
         self.group_edge = np.repeat(by_terms, width)
         mu_at = np.empty_like(edges)
         mu_at[order] = np.cumsum(width) - width
@@ -387,43 +290,59 @@ class _Level:
         acc_at = np.empty_like(regions)
         acc_at[order] = self.starts
 
-        # message tables, grouped by size for the reshape-sum centring
+        # message tables, grouped by size, each group entry-major
         by_size = np.argsort(csize, kind="stable")
         width = csize[by_size]
-        self.acc_take = _spans(np.repeat(acc_at, ups)[by_size], width)
-        self.mu_take = _spans(mu_at[by_size], width)
-        self.write_idx = _spans(eo[edges[by_size]], width)
-        self.table_edge = np.repeat(edges[by_size], width)
-        n, k = np.unique(width, return_counts=True)
-        end = np.cumsum(n * k)
-        self.blocks = list(zip((end - n * k).tolist(), end.tolist(), k.tolist(), n.tolist()))
+        n, tables = np.unique(width, return_counts=True)
+        end = np.cumsum(n * tables)
+        rows = _fiber_major(np.append(0, end), n)
+        self.acc_take = _spans(np.repeat(acc_at, ups)[by_size], width)[rows]
+        self.mu_take = _spans(mu_at[by_size], width)[rows]
+        self.write_idx = _spans(eo[edges[by_size]], width)[rows]
+        self.table_edge = np.repeat(edges[by_size], width)[rows]
+        self.blocks = list(zip((end - n * tables).tolist(), end.tolist(), tables.tolist(), n.tolist()))
 
     def mu(self, lam: np.ndarray, theta: np.ndarray, c: "_LevelCoefficients") -> np.ndarray:
         """The soft-max aggregations mu_{p->r} of every edge of the level, at
-        temperatures eps * c_p (the max at zero)."""
-        src = np.concatenate((lam, -lam), axis=1) if self.negated else lam
-        return c.softmax(_gather_add(theta.take(self.theta_idx, axis=1), src, self.exp_terms)).lse
+        temperatures eps * c_p (the max at zero), from sample-minor rows."""
+        src = np.concatenate((lam, -lam)) if self.negated else lam
+        return c.softmax(_gather_add(theta.take(self.theta_idx, axis=0), src, self.exp_terms, 0)).lse
 
     def accumulate(self, lam: np.ndarray, theta: np.ndarray, mu: np.ndarray) -> np.ndarray:
         """Per region, theta_r plus its children's messages plus the mus of
-        its parent edges, in accumulator columns."""
-        src = np.concatenate((lam, mu), axis=1)
-        return _gather_add(theta.take(self.acc_idx, axis=1), src, self.acc_terms)
+        its parent edges, in accumulator rows."""
+        return _gather_add(theta.take(self.acc_idx, axis=0), np.concatenate((lam, mu)),
+                           self.acc_terms, 0)
 
     def update(self, lam: np.ndarray, theta: np.ndarray, c: "_LevelCoefficients") -> None:
-        """Block-minimize the messages of the level's regions, in place: each
-        table is c_p / (c_r + sum of parent c) times the accumulator minus its
-        mu, mean-centred."""
+        """Block-minimize the messages of the level's regions, in place on
+        the sample-minor rows ``lam``: each table is c_p / (c_r + sum of
+        parent c) times the accumulator minus its mu, mean-centred in
+        ``ndarray.sum``'s order, 0 plus the pairwise sum of its entries."""
         mu = self.mu(lam, theta, c)
-        tables = c.weight * self.accumulate(lam, theta, mu).take(self.acc_take, axis=1)
-        tables -= mu.take(self.mu_take, axis=1)
+        tables = c.weight * self.accumulate(lam, theta, mu).take(self.acc_take, axis=0)
+        tables -= mu.take(self.mu_take, axis=0)
         for a, b, k, n in self.blocks:
-            block = tables[:, a:b].reshape(lam.shape[0], k, n)
-            block -= (block.sum(axis=2) / n)[:, :, None]
+            block = tables[a:b].reshape(n, k, -1)
+            mean = pairwise_sum(block, np.empty(block.shape[1:]))
+            mean += 0.0  # ndarray.sum starts from 0: a sum of -0.0 is +0.0
+            mean /= n
+            block -= mean
         idx = self.write_idx
         if c.keep is not None:
-            idx, tables = idx[c.keep], tables[:, c.keep]
-        lam[:, idx] = tables
+            idx, tables = idx[c.keep], tables[c.keep]
+        lam[idx] = tables
+
+
+def _fiber_major(bounds: np.ndarray, inner: np.ndarray) -> np.ndarray:
+    """Per run [bounds[i], bounds[i + 1]) of positions, read as rows of
+    ``inner[i]`` entries: its positions column after column.  Reordering by
+    it stores the j-th entries of all of a run's rows as its j-th block."""
+    lengths = np.diff(bounds)
+    inner = np.repeat(inner, lengths)
+    rows = np.repeat(lengths, lengths) // inner
+    place = _spans(np.zeros_like(lengths), lengths)
+    return np.repeat(bounds[:-1], lengths) + place % rows * inner + place // rows
 
 
 class _LevelCoefficients:
@@ -432,7 +351,7 @@ class _LevelCoefficients:
     def __init__(self, level: _Level, terms: "_Terms"):
         coeff = terms.c_edge[level.group_edge]
         self.softmax = SoftMax(level.groups, level.group_of, terms.eps, coeff)
-        self.weight = terms.weight[level.table_edge]
+        self.weight = terms.weight[level.table_edge][:, None]
         keep = ~terms.skip[level.table_edge]
         self.keep = None if keep.all() else keep
 
@@ -498,6 +417,14 @@ def _warn_skipped(regions, denom: np.ndarray) -> None:
                            "update skipped", r)
 
 
+def check_eps(eps: float) -> None:
+    """``ValueError`` for a non-finite or negative ``eps``."""
+    if not np.isfinite(eps):
+        raise ValueError("eps must be finite")
+    if eps < 0:
+        raise ValueError("eps must be nonnegative")
+
+
 class SweepPlan:
     """The level schedule of one sweep over a layout (``conflict_levels``)
     and the gather tables of ``message_potentials`` and ``residual_rows``.
@@ -531,10 +458,7 @@ class SweepPlan:
     def at(self, eps: float, cvals: np.ndarray) -> _Terms:
         """The terms of (eps, cvals), derived once for the last pair seen; a
         non-finite or negative ``eps`` raises ``ValueError``."""
-        if not np.isfinite(eps):
-            raise ValueError("eps must be finite")
-        if eps < 0:
-            raise ValueError("eps must be nonnegative")
+        check_eps(eps)
         key = (float(eps), cvals.tobytes())
         if self._terms is None or self._terms[0] != key:
             self._terms = (key, _Terms(self, eps, cvals))
@@ -613,14 +537,28 @@ def guarantees(graph: RegionGraph, eps: float, counting=None) -> Guarantees:
 
 
 def sweep_vec(
-    layout: GraphLayout, lam: np.ndarray, theta: np.ndarray, eps: float, cvals: np.ndarray
+    layout: GraphLayout,
+    lam: np.ndarray,
+    theta: np.ndarray,
+    eps: float,
+    cvals: np.ndarray,
+    sweeps: int = 1,
 ) -> None:
-    """One sweep of region updates, run level by level; bitwise equal to
-    updating the regions of ``sweep_plan(layout).sequence`` one at a time
-    (``lambda_update``)."""
+    """``sweeps`` sweeps of region updates on the batch-major rows ``lam``,
+    in place, run level by level on sample-minor copies of ``lam`` and
+    ``theta`` made once per call; bitwise equal to updating the regions of
+    ``sweep_plan(layout).sequence`` one at a time (``lambda_update``)."""
     plan = sweep_plan(layout)
-    for level, c in zip(plan.levels, plan.at(eps, cvals).levels):
-        level.update(lam, theta, c)
+    lam_t = lam.T.copy()
+    _sweep(plan, plan.at(eps, cvals), lam_t, theta.T.copy(), sweeps)
+    lam[...] = lam_t.T
+
+
+def _sweep(plan: SweepPlan, terms: _Terms, lam: np.ndarray, theta: np.ndarray, sweeps: int) -> None:
+    """``sweeps`` sweeps of the level kernel on sample-minor rows."""
+    for _ in range(sweeps):
+        for level, c in zip(plan.levels, terms.levels):
+            level.update(lam, theta, c)
 
 
 def belief_vec(
@@ -648,8 +586,8 @@ def belief_vec(
     b = terms.beliefs(layout)
     if at.zero_count is not None:
         level, c, softmax = at.zero_count
-        acc = level.accumulate(lam, theta, level.mu(lam, theta, c))
-        b[:, level.acc_idx] = softmax(acc).beliefs(level)
+        acc = level.accumulate(lam.T, theta.T, level.mu(lam.T, theta.T, c))
+        b[:, level.acc_idx] = softmax(acc.T.copy()).beliefs(level)
     return b
 
 
@@ -786,7 +724,9 @@ def sweep_until_consistent(
     if np.isnan(tol):
         raise ValueError("tol must not be NaN")
     k, n = EXTRAPOLATE_EVERY, lam.shape[0]
-    accelerate = sweep_plan(layout).at(eps, cvals).guarantees.certificate
+    plan = sweep_plan(layout)
+    terms = plan.at(eps, cvals)
+    accelerate = terms.guarantees.certificate
     period = k if accelerate else 1  # the measured sweeps: the first, each period-th, the cap
     b = belief_vec(layout, lam, theta, eps, cvals)
     residual = residual_rows(layout, b)
@@ -794,17 +734,25 @@ def sweep_until_consistent(
     extrapolations = np.zeros(n, dtype=np.int64)
     measured = np.ones(n, dtype=np.int64)
     ring = np.empty((k,) + lam.shape) if accelerate else None  # iterates since the last K-th sweep
+    # the active rows' theta and messages sample-minor between measurements,
+    # which read them batch-major and have the peak memory without them
+    lam_t = theta_t = None
     for s in range(max_sweeps):
         rows = np.flatnonzero(residual > tol)
         if rows.size == 0:
             break
         full = rows.size == n
-        sub_lam, sub_theta = (lam, theta) if full else (lam[rows], theta[rows])
+        if lam_t is None:
+            lam_t = (lam if full else lam[rows]).T.copy()
+            theta_t = (theta if full else theta[rows]).T.copy()
         if accelerate:
-            ring[s % k, rows] = sub_lam
-        sweep_vec(layout, sub_lam, sub_theta, eps, cvals)
+            ring[s % k, rows] = lam_t.T
+        _sweep(plan, terms, lam_t, theta_t, 1)
         sweeps[rows] += 1
         if s == 0 or (s + 1) % period == 0 or s + 1 == max_sweeps:
+            sub_lam = lam if full else np.empty((rows.size, lam.shape[1]))
+            sub_lam[...] = lam_t.T
+            sub_theta, lam_t, theta_t = (theta if full else theta[rows]), None, None
             if accelerate and s % k == k - 1:
                 # beliefs and log-partitions; the message part is dropped at once
                 sub_b, sub_lse = _beliefs(layout, sub_lam, sub_theta, eps, cvals)[::2]
@@ -822,8 +770,8 @@ def sweep_until_consistent(
                 b[rows] = sub_b
             residual[rows] = residual_rows(layout, sub_b)
             measured[rows] += 1
-        if not full:
-            lam[rows] = sub_lam
+            if not full:
+                lam[rows] = sub_lam
     return SweepResult(b, residual, sweeps, ~(residual <= tol), extrapolations, measured)
 
 
@@ -904,7 +852,7 @@ def mu_message(
     layout, terms, theta, lam = _sample_inputs(graph, sample, state, w, eps, counting, include_loss)
     level, c, _ = _region_level(layout, child, terms)
     start = level.mu_at[e]
-    return level.mu(lam, theta, c)[0, start : start + layout.sizes[child]]
+    return level.mu(lam.T, theta.T, c)[start : start + layout.sizes[child], 0]
 
 
 def lambda_update(
@@ -925,7 +873,7 @@ def lambda_update(
     if one is not None:
         level, c, denom = one
         _warn_skipped(level.regions, denom)
-        level.update(lam, theta, c)
+        level.update(lam.T, theta.T, c)
     return state
 
 

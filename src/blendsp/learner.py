@@ -64,7 +64,7 @@ from .inference import (
     sweep_vec,
 )
 from .model import CountingNumbers, RegionGraph, Sample, _spans
-from .objective import BatchObjective, ObjectiveReport, report_at
+from .objective import BatchObjective, ObjectiveReport, check_eps_C, report_at
 
 __all__ = [
     "TrainerConfig",
@@ -110,7 +110,9 @@ class TrainerConfig:
     grad_norm_tol: float = 1e-6
 
     def check(self) -> None:
-        """``ValueError`` for a count out of range or a non-finite tolerance."""
+        """``ValueError`` for an eps or C out of range, a count out of range
+        or a non-finite tolerance."""
+        check_eps_C(self.eps, self.C)
         if self.sweeps_per_step is not None and self.sweeps_per_step < 1:
             raise ValueError("sweeps per step must be at least 1")
         if self.max_outer_iters < 0:
@@ -340,8 +342,7 @@ def _iterate(objective: BatchObjective, state: TrainState, config: TrainerConfig
     if state.stalled and state.report.marginal_residual > config.residual_tol:
         sweep_until_consistent(layout, lam, state.thetas, eps, cvals, 50, config.residual_tol)
     state.iteration += 1
-    for _ in range(sweeps):
-        sweep_vec(layout, lam, state.thetas, eps, cvals)
+    sweep_vec(layout, lam, state.thetas, eps, cvals, sweeps)
     beliefs, part, lse = _beliefs(layout, lam, state.thetas, eps, cvals)
 
     step, trial = _line_search(

@@ -439,8 +439,7 @@ class Sample:
 
     def true_assignment(self) -> np.ndarray:
         """Per-variable true labels decoded from the per-region indices."""
-        if self._truth is None:
-            raise ModelError(f"sample {self.id}: no true labels")
+        require_true_labels([self])
         assign = np.empty(self.graph.variable_count, dtype=np.int64)
         variables, digits = self.graph.label_digits(self._truth[None, :])
         assign[variables] = digits[0]
@@ -451,6 +450,13 @@ class Sample:
         if self._stack is None:
             self._stack = ThetaStack([self], self.graph.layout())
         return self._stack
+
+
+def require_true_labels(samples) -> None:
+    """``ModelError`` naming the first of ``samples`` without true labels."""
+    for s in samples:
+        if s._truth is None:
+            raise ModelError(f"sample {s.id}: no true labels")
 
 
 class ThetaStack:
@@ -497,9 +503,7 @@ class ThetaStack:
     @functools.cached_property
     def true_slots(self) -> np.ndarray:
         """(samples, regions): each region's slot at the sample's true label."""
-        for s in self.samples:
-            if s._truth is None:
-                raise ModelError(f"sample {s.id}: no true labels")
+        require_true_labels(self.samples)
         labels = np.array([s._truth for s in self.samples], dtype=np.int64)
         return labels.reshape(len(self.samples), self.layout.sizes.size) + self.layout.starts
 

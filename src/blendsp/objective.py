@@ -37,6 +37,7 @@ from .inference import (
     _beliefs,
     _sample_inputs,
     belief_row,
+    check_eps,
     finite_weights,
     message_potentials,
     message_vec,
@@ -123,13 +124,22 @@ def region_loss(
     return float(terms.regions(th).lse[0, region] - th[0, true])
 
 
+def check_eps_C(eps: float | None, C: float) -> None:
+    """``ValueError`` for an eps that ``check_eps`` rejects (``None`` passes)
+    or a C outside [0, inf)."""
+    if eps is not None:
+        check_eps(eps)
+    if not 0 <= C < math.inf:
+        raise ValueError("C must be nonnegative and finite")
+
+
 class BatchObjective:
     """The objective of one batch of samples at fixed eps, counting numbers
     and C: the one code that turns a call's arguments into a batch (counting
     numbers, layout, theta stack, feature count: by default the samples', or
     the length of the weights ``w`` where that is larger), and the one path
-    to primal, dual, gap, residual and certificate.  Before any sweep, a
-    non-finite eps or a C outside [0, inf) raises ``ValueError`` and a
+    to primal, dual, gap, residual and certificate.  Before any sweep, an
+    eps or C out of range (``check_eps_C``) raises ``ValueError`` and a
     ``num_features`` below the samples' count ``ModelError``.  What depends
     on (eps, c) is built on first use, so a batch with ``eps=None``, which
     only takes moments, builds none of it."""
@@ -144,10 +154,7 @@ class BatchObjective:
         num_features: int | None = None,
         w=None,
     ):
-        if eps is not None and not math.isfinite(eps):
-            raise ValueError("eps must be finite")
-        if not 0 <= C < math.inf:
-            raise ValueError("C must be nonnegative and finite")
+        check_eps_C(eps, C)
         self.layout = graph.layout()
         self.cvals = CountingNumbers.of(graph, counting).values
         self.stack = ThetaStack(samples, self.layout)

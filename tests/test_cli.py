@@ -582,10 +582,15 @@ def test_negative_C_is_rejected_before_any_sweep(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(learner, "sweep_vec", no_sweep)
     monkeypatch.setattr(cli, "sweep_until_consistent", no_sweep)
+    log = tmp_path / "t.log"
+    capsys.readouterr()
     for C in ("-1", "nan", "inf"):
-        train = ["train", "--model", str(out / "train.bsp"), "--C", C, "--out", str(tmp_path / "w")]
+        train = ["train", "--model", str(out / "train.bsp"), "--C", C, "--out", str(tmp_path / "w"),
+                 "--log", str(log)]
         assert main(train) == 1
-        assert "C must be nonnegative" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "C must be nonnegative" in captured.err
+        assert captured.out == "" and not log.exists()  # checked before any output
         gap = ["gap", "--model", str(out / "train.bsp"), "--weights", str(weights), "--C", C]
         assert main(gap) == 1
         captured = capsys.readouterr()
@@ -602,7 +607,7 @@ def test_negative_eps_is_rejected_before_any_sweep(tmp_path, capsys, monkeypatch
         raise AssertionError(f"swept with {flag} -1")
 
     monkeypatch.setattr(learner, "sweep_vec", no_sweep)
-    monkeypatch.setattr(inference, "sweep_vec", no_sweep)  # predict_all's engine
+    monkeypatch.setattr(inference, "_sweep", no_sweep)  # predict_all's engine
     monkeypatch.setattr(cli, "sweep_until_consistent", no_sweep)
     argv = [command, "--model", str(out / ("test.bsp" if command == "infer" else "train.bsp"))]
     if command != "train":
@@ -635,11 +640,15 @@ def test_missing_true_labels_are_rejected_before_any_sweep(tmp_path, capsys, mon
     monkeypatch.setattr(learner, "sweep_vec", no_sweep)
     monkeypatch.setattr(cli, "sweep_until_consistent", no_sweep)
     capsys.readouterr()
-    for argv in (["train", "--out", str(tmp_path / "w")], ["gap", "--weights", str(weights)]):
+    log = tmp_path / "t.log"
+    for argv in (["train", "--out", str(tmp_path / "w"), "--log", str(log)],
+                 ["gap", "--weights", str(weights)]):
         assert main([*argv, "--model", str(model)]) == 1
         captured = capsys.readouterr()
         assert "error: sample 0: no true labels" in captured.err
         assert "capped=" not in captured.out and "primal=" not in captured.out
+        if argv[0] == "train":
+            assert captured.out == "" and not log.exists()  # checked before any output
     assert not (tmp_path / "w").exists()
 
 

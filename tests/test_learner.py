@@ -57,7 +57,7 @@ def test_non_finite_eps_and_C_and_negative_caps_are_rejected_before_any_sweep(mo
         raise AssertionError("swept")
 
     monkeypatch.setattr(learner, "sweep_vec", no_sweep)
-    monkeypatch.setattr(inference, "sweep_vec", no_sweep)
+    monkeypatch.setattr(inference, "_sweep", no_sweep)  # every sweep's level kernel
     w = np.zeros(2)
     for eps, max_sweeps, tol, message in (
         (float("nan"), 5, 1e-8, "eps must be finite"),

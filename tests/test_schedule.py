@@ -31,6 +31,7 @@ from blendsp import (
     train,
 )
 from blendsp.datagen import build_grid_graph
+from blendsp.model import Region, RegionGraph
 from blendsp.inference import (
     belief_vec,
     conflict_levels,
@@ -115,6 +116,50 @@ def test_level_sweep_matches_sequential_sweep_bitwise():
                     assert got.tobytes() == want.tobytes(), (name, eps, batch)
                     checked += 1
     assert checked == 12 * 5 * 2 * 3
+
+
+def wide_graph() -> RegionGraph:
+    """A chain of 5 variables of 2, 12, 3, 130 and 2 labels, its 4 pairs,
+    and a triple over the last three variables, parent of the last two pairs
+    and of singleton 3.  Fibers of 12 and 130 parent labels and child tables
+    of 12 to 390 entries; the sweep's first level, singletons 0, 2 and 4,
+    has the classes (2 terms, fiber 130) and (1 term, fiber 12), and the
+    second, singletons 1 and 3, five classes of 1 and 2 terms."""
+    cards = [2, 12, 3, 130, 2]
+    regions = [Region(i, (i,), (c,)) for i, c in enumerate(cards)]
+    edges = []
+    for a in range(4):
+        regions.append(Region(5 + a, (a, a + 1), (cards[a], cards[a + 1])))
+        edges += [(5 + a, a), (5 + a, a + 1)]
+    regions.append(Region(9, (2, 3, 4), tuple(cards[2:])))
+    edges += [(9, 7), (9, 8), (9, 3)]
+    return RegionGraph(regions, edges, 5)
+
+
+def test_level_sweep_matches_sequential_sweep_bitwise_on_wide_tables():
+    # groups and tables of more than 8 and more than 128 entries, several
+    # classes in one level, at batches on both sides of the lane widths
+    rng = np.random.default_rng(23)
+    graph = wide_graph()
+    layout = graph.layout()
+    levels = sweep_plan(layout).levels
+    assert [level.regions for level in levels[:2]] == [[0, 2, 4], [1, 3]]
+    assert [c[1:3] for c in levels[0].groups.classes] == [(130, 5), (12, 5)]
+    assert len(levels[1].groups.classes) == 5
+    checked = 0
+    for name, cvals in counting_sets(rng, graph).items():
+        for eps in (0.0, 1.0):
+            for batch in (1, 4, 10, 13):
+                theta = 3.0 * rng.normal(size=(batch, layout.total))
+                theta[::2] = np.round(theta[::2])  # ties and zeros in every other row
+                start = rng.normal(size=(batch, layout.message_total))
+                got, want = start.copy(), start.copy()
+                sweep_vec(layout, got, theta, eps, cvals, 3)
+                for _ in range(3):
+                    sequential_sweep(layout, want, theta, eps, cvals)
+                assert got.tobytes() == want.tobytes(), (name, eps, batch)
+                checked += 1
+    assert checked == 5 * 2 * 4
 
 
 def test_lambda_update_loops_over_any_order_match_the_reference_loop_bitwise():
@@ -439,7 +484,9 @@ def test_zero_count_beliefs_normalize_the_level_accumulators():
                     continue
                 level, c, _ = zero
                 chat = at.denom[level.acc_regions]
-                acc = level.accumulate(lam, theta, level.mu(lam, theta, c))
+                # the kernel takes and gives sample-minor rows
+                lam_t, theta_t = lam.T.copy(), theta.T.copy()
+                acc = level.accumulate(lam_t, theta_t, level.mu(lam_t, theta_t, c)).T
                 for i, r in enumerate(level.acc_regions):
                     edges = parent_edges(layout, r)
                     assert cvals[r] == 0.0 and edges

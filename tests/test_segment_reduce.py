@@ -1,17 +1,23 @@
-"""``SegmentReduce`` against ``np.maximum/minimum/add.reduceat``, bit for bit.
+"""``SegmentReduce`` and ``BlockReduce`` against
+``np.maximum/minimum/add.reduceat``, bit for bit.
 
-The helper picks its path from the shapes: strided elementwise calls for
-narrow tables in few runs at a large enough batch, ``reduceat`` otherwise.
-Both paths must give the bytes of ``reduceat``, including signed zeros,
-infinities and, for max and min, NaNs.
+``SegmentReduce`` picks its path from the shapes: strided elementwise calls
+for narrow tables in few runs at a large enough batch, ``reduceat``
+otherwise.  ``BlockReduce`` reduces the same segments stored fiber-major,
+with calls on whole blocks or, for a max or min of more than 8 values where
+its lanes are not numpy's, ``reduceat`` on a batch-major copy.  Every path
+must give the bytes of ``reduceat``, including signed zeros, infinities
+and, for max and min, NaNs.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blendsp import softmax
 from blendsp.datagen import build_grid_graph
-from blendsp.inference import SegmentReduce, sweep_plan
+from blendsp.inference import BlockReduce, SegmentReduce, sweep_plan
 
 SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
 
@@ -26,12 +32,41 @@ def check(reduce, v):
     assert reduce.sum(v).tobytes() == np.add.reduceat(v, starts, axis=-1).tobytes()
 
 
+def blocks_of(widths: np.ndarray, v: np.ndarray):
+    """A ``BlockReduce`` of the segments of the rows ``v``, one class per
+    width (the segments of a width in order), the sample-minor rows it
+    reduces, and the segments in its group order."""
+    order = np.argsort(widths, kind="stable")
+    starts = np.concatenate(([0], np.cumsum(widths)[:-1]))
+    k, counts = np.unique(widths, return_counts=True)
+    reduce = BlockReduce(k, counts)
+    rows = [starts[order[widths[order] == w]] + j for w in k.tolist() for j in range(w)]
+    return reduce, np.ascontiguousarray(v[:, np.concatenate(rows)].T), order
+
+
+def check_blocks(widths, v, lanes=True):
+    """``lanes=False`` takes ``reduceat`` for every max and min of more than
+    8 values, as where numpy reduces in other lanes."""
+    reduce, rows, order = blocks_of(widths, v)
+    starts = np.concatenate(([0], np.cumsum(widths)[:-1]))
+    with pytest.MonkeyPatch.context() as m:
+        if not lanes:
+            m.setattr(softmax, "_lanes_match", lambda: False)
+        for ufunc, name in ((np.maximum, "max"), (np.minimum, "min")):
+            want = ufunc.reduceat(v, starts, axis=-1)[:, order].T
+            assert getattr(reduce, name)(rows).tobytes() == want.tobytes(), name
+    v = np.where(np.isnan(v) | (v == -np.inf), -0.0, v)  # as in ``check``
+    reduce, rows, order = blocks_of(widths, v)
+    want = np.add.reduceat(v, starts, axis=-1)[:, order].T
+    assert reduce.sum(rows).tobytes() == want.tobytes()
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.integers(0, 2**32 - 1),
     st.sampled_from(["sorted", "alternating", "random"]),
     st.sampled_from([1, 4, 10]),
-    st.sampled_from([8, 12]),
+    st.sampled_from([8, 12, 300]),
 )
 def test_segment_reduce_matches_reduceat_bitwise(seed, order, batch, widest):
     rng = np.random.default_rng(seed)
@@ -50,10 +85,29 @@ def test_segment_reduce_matches_reduceat_bitwise(seed, order, batch, widest):
     with np.errstate(invalid="ignore"):
         check(reduce, v)  # the path the shapes pick
         check(reduce, v[0])  # one row without a batch axis
+        check_blocks(widths, v)  # the block reducer
+        check_blocks(widths, v, lanes=False)  # and its reduceat for wide maxima and minima
         if widths.max() <= 8:
             reduce.min_batch = 0  # the strided path at any batch
             check(reduce, v)
             check(reduce, v[0])
+
+
+def test_the_lane_check_tells_a_fold_in_order_from_numpys():
+    # where the block fold follows numpy's lanes, the check rejects a plain
+    # left-to-right fold of 9 or more values
+    def in_order(ufunc, blocks, out):
+        np.copyto(out, blocks[0])
+        for b in blocks[1:]:
+            ufunc(out, b, out=out)
+        return out
+
+    check = softmax._lanes_match.__wrapped__  # the check itself, not its cached result
+    if not check():
+        pytest.skip("numpy reduces in other lanes here: wide classes take reduceat")
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(softmax, "_fold", in_order)
+        assert not check()
 
 
 def test_the_shapes_pick_the_path():
@@ -64,7 +118,7 @@ def test_the_shapes_pick_the_path():
     assert [run[2] for run in segments.runs] == [2, 4]
     assert 1 < segments.min_batch <= 10  # a batch of one keeps reduceat
     for level in sweep_plan(layout).levels:
-        assert level.groups.min_batch <= 10
+        assert {c[1] for c in level.groups.classes} == {2}  # block calls at any batch
         assert SegmentReduce(level.starts, len(level.acc_idx)).min_batch <= 10
     # the highorder benchmark layout: 36 4-label pixels, 60 16-label pairs
     # and 25 256-label cells keep reduceat at any batch

@@ -567,31 +567,57 @@ def prefix_terms(items, terms, widths):
 
 def level_tables(layout: EdgeLayout, regions: list[int]) -> dict:
     """The gather and scatter indices of the level that updates ``regions``
-    at once, built edge by edge (``inference._Level``'s fields)."""
+    at once, built edge by edge (``inference._Level``'s fields), in the
+    kernel's sample-minor orders: parent-exponent rows in classes of (term
+    count, most first; fiber width k), each class fiber-major (for j < k,
+    every group's j-th parent label, by edge and child label), and message
+    rows grouped by table size, each group entry-major."""
     sizes = layout.sizes.tolist()
     ep, ec = layout.edge_parent.tolist(), layout.edge_child.tolist()
     msg = layout.message_total
     edges = [e for r in regions for e in layout.parent_edges[r]]
     psize = {e: sizes[ep[e]] for e in edges}
     csize = {e: sizes[ec[e]] for e in edges}
+    fiber = {e: psize[e] // csize[e] for e in edges}
     exp_terms = {}
     for e in edges:
         p, perm = ep[e], layout.perm[e]
         exp_terms[e] = [
             layout.lam_in_idx[e2][perm] for e2 in layout.child_edges[p] if e2 != e
         ] + [perm + (msg + layout.edge_offsets[e3]) for e3 in layout.parent_edges[p]]
-    by_terms = sorted(edges, key=lambda e: -len(exp_terms[e]))
+    by_terms = sorted(edges, key=lambda e: (-len(exp_terms[e]), fiber[e]))
+    classes = []  # runs of by_terms with one (term count, fiber width)
+    for e in by_terms:
+        if classes and (len(exp_terms[classes[-1][0]]), fiber[classes[-1][0]]) == (
+                len(exp_terms[e]), fiber[e]):
+            classes[-1].append(e)
+        else:
+            classes.append([e])
+    # each exponent row's (edge, place in the edge's projection-group order)
+    slots = [(e, label * fiber[e] + j) for cls in classes for j in range(fiber[cls[0]])
+             for e in cls for label in range(csize[e])]
+    group = {}  # (edge, child label) -> group id, in by_terms order
+    for e in by_terms:
+        for label in range(csize[e]):
+            group[e, label] = len(group)
     out = {
-        "theta_idx": _cat([layout.perm[e] + layout.offsets[ep[e]] for e in by_terms]),
-        "exp_terms": prefix_terms(by_terms, exp_terms, psize),
+        "theta_idx": np.array([layout.perm[e][i] + layout.offsets[ep[e]] for e, i in slots],
+                              dtype=np.int64),
         "negated": any(layout.parent_edges[ep[e]] for e in edges),
+        "exp_terms": [],
     }
-    mu_off = np.cumsum([0] + [csize[e] for e in by_terms]).tolist()
-    fiber = np.repeat([psize[e] // csize[e] for e in by_terms], [csize[e] for e in by_terms])
-    out["group_starts"] = np.cumsum(fiber) - fiber
-    out["group_of"] = np.repeat(np.arange(fiber.size), fiber)
+    for t in range(len(exp_terms[by_terms[0]])):
+        n = sum(1 for e, _ in slots if len(exp_terms[e]) > t)
+        idx = np.array([exp_terms[e][t][i] for e, i in slots[:n]], dtype=np.int64)
+        out["exp_terms"].append((n, idx))
+    out["classes"], row = [], 0
+    for cls in classes:
+        s = sum(csize[e] for e in cls)
+        out["classes"].append((row, fiber[cls[0]], s, group[cls[0], 0]))
+        row += s * fiber[cls[0]]
+    out["group_of"] = np.array([group[e, i // fiber[e]] for e, i in slots], dtype=np.int64)
     out["group_edge"] = np.repeat(by_terms, [csize[e] for e in by_terms])
-    out["mu_at"] = mu_at = {e: mu_off[i] for i, e in enumerate(by_terms)}
+    out["mu_at"] = mu_at = {e: group[e, 0] for e in by_terms}
     acc_terms = {
         r: [layout.lam_in_idx[e2] for e2 in layout.child_edges[r]]
         + [np.arange(sizes[r]) + (msg + mu_at[e]) for e in layout.parent_edges[r]]
@@ -605,16 +631,16 @@ def level_tables(layout: EdgeLayout, regions: list[int]) -> dict:
     out["acc_idx"] = _cat([np.arange(sizes[r]) + layout.offsets[r] for r in by_acc])
     out["acc_terms"] = prefix_terms(by_acc, acc_terms, {r: sizes[r] for r in regions})
     by_size = sorted(edges, key=lambda e: csize[e])
-    out["acc_take"] = _cat([np.arange(csize[e]) + acc_at[ec[e]] for e in by_size])
-    out["mu_take"] = _cat([np.arange(csize[e]) + mu_at[e] for e in by_size])
-    out["write_idx"] = _cat([np.arange(csize[e]) + layout.edge_offsets[e] for e in by_size])
-    out["table_edge"] = np.repeat(by_size, [csize[e] for e in by_size])
-    out["blocks"] = []
-    start = 0
+    out["blocks"], start, entries = [], 0, []
     for n in sorted(set(csize.values())):
-        k = sum(1 for e in edges if csize[e] == n)
-        out["blocks"].append((start, start + k * n, k, n))
-        start += k * n
+        tables = [e for e in by_size if csize[e] == n]
+        out["blocks"].append((start, start + len(tables) * n, len(tables), n))
+        start += len(tables) * n
+        entries += [(e, i) for i in range(n) for e in tables]
+    out["acc_take"] = np.array([acc_at[ec[e]] + i for e, i in entries], dtype=np.int64)
+    out["mu_take"] = np.array([mu_at[e] + i for e, i in entries], dtype=np.int64)
+    out["write_idx"] = np.array([layout.edge_offsets[e] + i for e, i in entries], dtype=np.int64)
+    out["table_edge"] = np.array([e for e, _ in entries], dtype=np.int64)
     return out
 
 
