@@ -9,13 +9,17 @@ byte-level reference.
 Model files ("BLENDSP 1") carry sections in fixed order: REGIONS, EDGES,
 FEATURES, COUNTS (optional), SAMPLES.  The top-level FEATURES section holds
 feature tables shared by every sample; observation-dependent tables go on
-FEAT lines inside each sample block.  ``parse_model`` reads the table lines
-straight into the samples' columns (``model.TableColumns``): the FEATURES
-tables are stored once and referenced by every sample.
+FEAT lines inside each sample block.  ``parse_model`` reads every line into
+columns and checks them as arrays: the regions and edges become the
+graph's pair columns (``RegionGraph.of_pairs``), and the table lines the
+samples' columns (``model.TableColumns``), with the FEATURES tables stored
+once and referenced by every sample.
 """
 
 from __future__ import annotations
 
+import itertools
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +34,7 @@ from .model import (
     RegionGraph,
     Sample,
     TableColumns,
+    _spans,
     true_label_fault,
 )
 
@@ -137,94 +142,178 @@ def parse_counts(stream, region_count: int) -> np.ndarray:
     return _count_values(counts, region_count, last)
 
 
-TRUTH = 3  # a TRUTH line among the ``_TableLines``; the others are table kinds
 _INT64 = np.iinfo(np.int64)
 
+# the kinds of model-file line in ``_ModelLines``: the table kinds of
+# ``model.TableColumns`` (FEATURES, FEAT and LOSS lines), then the others
+TRUTH, REGION, EDGE, COUNT, SAMPLE, SECTION, BAD = range(3, 10)
+# a line's kind by its first token: a section's lines, then SAMPLES' keywords
+_BY_SECTION = np.array([REGION, EDGE, SHARED, COUNT, BAD, BAD])  # BAD: before any section
+_BY_KEYWORD = np.array([BAD] * 5 + [SAMPLE, LOSS, FEATURE, TRUTH, BAD])
+_WORDS = {word: i for i, word in enumerate(_SECTIONS + ("SAMPLE", "LOSS", "FEAT", "TRUTH"))}
+# per kind: the fewest and most tokens of a line; its int tokens, a + b * (its
+# token count) of them after the first ``skip``; its reals, all tokens after
+# them.  SAMPLE and COUNT lines are converted on their own (``_ModelLines``).
+_FEWEST = np.array([3, 4, 3, 1, 2, 2, 2, 2, 1, 1])
+_MOST = np.array([_INT64.max] * 5 + [2, 2, 2, 1, 0])
+_SKIP = np.array([0, 1, 1, 1, 0, 0, 0, 0, 0, 0])
+_INTS_A = np.array([2, 2, 1, -1, 0, 0, 0, 0, 0, 0])
+_INTS_B = np.array([0, 0, 0, 1, 1, 1, 0, 0, 0, 0])
+_HAS_REALS = np.array([True, True, True] + [False] * 7)
 
-class _TableLines:
-    """The table lines of a model file, FEATURES lines and the LOSS, FEAT
-    and TRUTH lines of its samples: recorded in one pass (``add``), then
-    converted and checked in columns (``convert``, ``nonfinite``) and made
-    into the samples (``samples_on``)."""
 
-    def __init__(self):
-        self.rows = []  # per line: kind, sample, line number, int and real token counts
-        self.int_tokens = []  # feature id and region of each table, labels of each TRUTH line
-        self.real_tokens = []  # values of each table
-        self.heads = []  # per SAMPLE line: (sample id, line number)
+def _ints(tokens: list[str]) -> np.ndarray:
+    """``int`` of each token, as an array.  A model's ids, regions and labels
+    repeat, so each distinct text is converted once."""
+    value = dict.fromkeys(tokens)
+    value = dict(zip(value, map(int, value)))
+    return np.fromiter(map(value.__getitem__, tokens), np.int64, len(tokens))
 
-    def add(self, kind: int, no: int, toks: list[str], first: int, reals: int) -> None:
-        """A line whose int tokens are toks[first:reals] and real tokens
-        toks[reals:], of the latest sample (-1 before the first)."""
-        self.rows += (kind, len(self.heads) - 1, no, reals - first, len(toks) - reals)
-        self.int_tokens += toks[first:reals]
-        self.real_tokens += toks[reals:]
 
-    def convert(self, region_rows: dict, fault: ParseError | None) -> None:
-        """Convert the lines to columns.  If a token does not convert, or a
-        table names an unknown region, has the wrong width or repeats an
-        earlier one, or a later line raised ``fault``, raise the first
-        faulty line's fault (``_raise_first_fault``)."""
-        rows = np.array(self.rows, dtype=np.int64).reshape(-1, 5).T
-        self.kind, self.sample, self.line, self.n_int, self.n_real = rows
-        self.int_end, self.real_end = np.cumsum(self.n_int), np.cumsum(self.n_real)
-        self.table = np.flatnonzero(self.kind != TRUTH)
-        kind, sample = self.kind[self.table], self.sample[self.table]
+class _ModelLines:
+    """The lines of a model file in columns, and their checks.
+
+    The text is split into lines and tokens once, and each line gets its
+    kind from its section and first token.  The int tokens of the REGIONS,
+    EDGES, table and TRUTH lines go through one ``int`` conversion (``_ints``)
+    and the table values through one ``float`` conversion, in Python's
+    syntax, so the accepted inputs are those of ``int`` and ``float``.  A
+    real-valued model's values are mostly distinct, so they are converted
+    one by one.  The lines are then checked as arrays: token
+    counts, section order, the region lines, repeated ids, the graph
+    (``RegionGraph.of_pairs``) and the tables.  ``clean`` is False when a
+    check fails; the caller then walks the lines one by one
+    (``_raise_first_fault``) to name the first faulty line.  If no line is
+    at fault, the file's fault comes later: a value that is not finite, or
+    ``graph_fault``.
+    """
+
+    def __init__(self, text: str):
+        self.clean = False
+        self.graph = self.graph_fault = None
+        if "#" in text:
+            text = re.sub("#[^\n]*", "", text)
+        raw = text.split("\n")
+        counts = np.fromiter(map(len, map(str.split, raw)), np.int64, len(raw))
+        del raw
+        tokens = text.split()
+        self.line = np.flatnonzero(counts) + 1
+        self.last = int(self.line[-1]) if self.line.size else 1
+        n = counts[self.line - 1]
+        first = np.cumsum(n) - n
+        if n[:1].tolist() != [2] or tokens[:2] != MODEL_MAGIC.split():
+            return
+        self.line, n, first = self.line[1:], n[1:], first[1:]  # after the header
+        if not self._classify(tokens, n, first):
+            return
         try:
-            self.ints = np.fromiter(map(int, self.int_tokens), np.int64, len(self.int_tokens))
-            self.reals = np.fromiter(map(float, self.real_tokens), float, len(self.real_tokens))
-        except (ValueError, OverflowError):
-            self._raise_first_fault(region_rows, fault)
-        self.region = self.ints[self.int_end[self.table] - 1]
-        self.feature = np.where(kind == LOSS, -1, self.ints[self.int_end[self.table] - 2])
-        # 0 for an unknown region; label counts beyond 64 bits fit no line
-        sizes = {r: min(reg.label_count, _INT64.max) for r, reg in region_rows.items()}
-        expected = np.array([sizes.get(r, 0) for r in self.region.tolist()], dtype=np.int64)
-        # a repeat: of a FEATURES table by (feature, region), and within a
-        # sample of a FEAT table by (feature, region) or a LOSS table by region
+            self._convert(tokens, n, first)
+        except OverflowError:  # an int beyond 64 bits, which no line holds but as a region id
+            self.graph_fault = "region ids must be dense 0-based indices"
+            return
+        except ValueError:
+            return
+        del tokens
+        if len(self.counts) < np.count_nonzero(self.kind == COUNT):  # a repeated region
+            return
+        self._check_graph()
+        if self.graph is not None:
+            self.clean = self._tables_clean()
+
+    def _classify(self, tokens: list[str], n: np.ndarray, first: np.ndarray) -> bool:
+        """Give the lines (``n`` tokens from ``first``) their kinds and
+        samples; whether their token counts, the order of the sections, the
+        SAMPLE lines and the TRUTH lines are as they must be."""
+        heads = map(tokens.__getitem__, first.tolist())
+        word = np.fromiter(map(_WORDS.get, heads, itertools.repeat(len(_WORDS))), np.int64, n.size)
+        # the section of a line: that of the last section line up to it
+        section_line = np.flatnonzero(word < len(_SECTIONS))
+        rank = word[section_line]
+        at = np.searchsorted(section_line, np.arange(n.size), "right") - 1
+        section = np.where(at >= 0, rank[at], -1)
+        kind = np.where(section == _SECTIONS.index("SAMPLES"), _BY_KEYWORD[word],
+                        _BY_SECTION[section])
+        kind[section_line] = SECTION
+        self.kind, self.sample = kind, np.cumsum(kind == SAMPLE) - 1
+        truth = self.sample[kind == TRUTH]
+        in_sample = (kind >= FEATURE) & (kind <= TRUTH)
+        return not (((n < _FEWEST[kind]) | (n > _MOST[kind])).any()
+                    or (rank[1:] <= np.maximum.accumulate(rank)[:-1]).any()
+                    or (self.sample[in_sample] < 0).any() or (truth[1:] == truth[:-1]).any())
+
+    def _convert(self, tokens: list[str], n: np.ndarray, first: np.ndarray) -> None:
+        """The token columns: the int tokens and the table values; sample ids
+        and counting numbers on their own.  Raises what ``int`` and
+        ``float`` raise."""
+        kind = self.kind
+        self.n_int = _INTS_A[kind] + _INTS_B[kind] * n
+        self.n_real = np.where(_HAS_REALS[kind], n - _SKIP[kind] - self.n_int, 0)
+        self.int_end, self.real_end = np.cumsum(self.n_int), np.cumsum(self.n_real)
+        starts = first + _SKIP[kind]
+
+        def at(positions):
+            return list(map(tokens.__getitem__, positions.tolist()))
+
+        def spans(first, width):  # the tokens of the spans, without a list
+            mask = np.zeros(len(tokens), dtype=bool)
+            mask[_spans(first, width)] = True
+            return itertools.compress(tokens, mask)
+
+        reals = spans(starts + self.n_int, self.n_real)
+        self.reals = np.fromiter(map(float, reals), float, int(self.n_real.sum()))
+        sample, counted = first[kind == SAMPLE], first[kind == COUNT]
+        self.heads = list(zip(map(int, at(sample + 1)), self.line[kind == SAMPLE].tolist()))
+        self.counts = dict(zip(map(int, at(counted)), zip(
+            map(float, at(counted + 1)), self.line[kind == COUNT].tolist())))
+        self.ints = _ints(list(spans(starts, self.n_int)))
+
+    def _check_graph(self) -> None:
+        """Check the region and edge lines, then build the graph: from the
+        regions in id order, if their ids are 0, 1, ... (else the fault is
+        ``graph_fault``, or the lines')."""
+        rows = np.flatnonzero(self.kind == REGION)
+        at = self.int_end[rows] - self.n_int[rows]
+        rid, nv, n = self.ints[at], self.ints[at + 1], self.n_int[rows]
+        if (n % 2 == 1).any() or (nv != (n - 2) // 2).any() or (nv == 0).any():
+            return
+        order = np.argsort(rid, kind="stable")  # the regions in id order
+        rid, at, nv = rid[order], at[order], nv[order]
+        variables, cards = self.ints[_spans(at + 2, nv)], self.ints[_spans(at + 2 + nv, nv)]
+        region = np.repeat(np.arange(rows.size), nv)
+        if ((variables[1:] <= variables[:-1]) & (region[1:] == region[:-1])).any() or (
+                cards < 1).any() or (np.diff(rid) == 0).any():
+            return
+        if rows.size == 0:
+            self.graph_fault = "model has no regions"
+        elif (rid != np.arange(rows.size)).any():
+            self.graph_fault = "region ids must be dense 0-based indices"
+        else:
+            edges = self.int_end[self.kind == EDGE] - 2
+            try:
+                self.graph = RegionGraph.of_pairs(nv, variables, cards, self.ints[edges],
+                                                  self.ints[edges + 1], int(variables.max()) + 1)
+            except ModelError as exc:
+                self.graph_fault = str(exc)
+
+    def _tables_clean(self) -> bool:
+        """Whether every table names a region of the graph, has its width,
+        has a feature id of at least 0 (-1 would read the last weight), and
+        repeats no earlier one: of a FEATURES table by (feature, region),
+        and within a sample of a FEAT table by (feature, region) or a LOSS
+        table by region."""
+        self.table = table = np.flatnonzero(self.kind <= LOSS)
+        kind, sample = self.kind[table], self.sample[table]
+        self.region = self.ints[self.int_end[table] - 1]
+        self.feature = np.where(kind == LOSS, -1, self.ints[self.int_end[table] - 2])
+        sizes = self.graph.label_counts()
+        known = (self.region >= 0) & (self.region < sizes.size)
+        if not known.all() or (sizes[self.region] != self.n_real[table]).any() or (
+                (self.feature < 0) & (kind != LOSS)).any():
+            return False
         group = np.where(kind == LOSS, sample + len(self.heads), sample)
         key = np.stack([group, self.feature, self.region])
         key = key[:, np.lexsort(key[::-1])]
-        repeat = (key[:, 1:] == key[:, :-1]).all(axis=0)
-        negative = (self.feature < 0) & (kind != LOSS)  # -1 would read the last weight
-        if (fault is not None or (expected != self.n_real[self.table]).any() or repeat.any()
-                or negative.any()):
-            self._raise_first_fault(region_rows, fault)
-
-    def _raise_first_fault(self, region_rows: dict, fault: ParseError | None):
-        """The error path of ``convert``: check the lines one by one, as read,
-        and raise the first one's fault, else ``fault``.  An int beyond 64
-        bits is a fault as a feature id or true label and names an unknown
-        region."""
-        seen = set()
-        ints, reals = iter(self.int_tokens), iter(self.real_tokens)
-        for kind, sample, no, n_int, n_real in np.reshape(self.rows, (-1, 5)).tolist():
-            toks = [next(ints) for _ in range(n_int)]
-            values = [next(reals) for _ in range(n_real)]
-            if kind == TRUTH:
-                for r, tok in enumerate(toks):
-                    if not _INT64.min <= _int(tok, no, "true label") <= _INT64.max:
-                        raise ParseError(no, f"sample {self.heads[sample][0]}: true label "
-                                         f"{int(tok)} out of range for region {r}")
-                continue
-            what = "loss" if kind == LOSS else "feature"
-            k = -1 if kind == LOSS else _int(toks[0], no, "feature id")
-            if not (-1 if kind == LOSS else 0) <= k <= _INT64.max:
-                raise ParseError(no, f"feature id {k} out of range")
-            r = _int(toks[-1], no, "region id")
-            for tok in values:
-                _float(tok, no, f"{what} value")
-            if r not in region_rows or not _INT64.min <= r <= _INT64.max:
-                raise ParseError(no, f"{what} table references unknown region {r}")
-            if n_real != region_rows[r].label_count:
-                raise ParseError(no, f"{what} table for region {r}: expected "
-                                 f"{region_rows[r].label_count} values, got {n_real}")
-            key = (kind == LOSS, sample, k, r)
-            if key in seen:
-                raise ParseError(no, f"duplicate loss table for region {r}" if kind == LOSS
-                                 else f"duplicate feature table ({k}, {r})")
-            seen.add(key)
-        raise fault
+        return not (key[:, 1:] == key[:, :-1]).all(axis=0).any()
 
     def nonfinite(self) -> tuple[int, str] | None:
         """(line, kind) of the first table holding nan or inf."""
@@ -291,115 +380,141 @@ class _TableLines:
         return samples, int(columns.feature[columns.kind != LOSS].max(initial=-1)) + 1
 
 
-def parse_model(stream) -> ParsedModel:
-    """Parse and validate a model file; raises ParseError or ModelError.
 
-    REGIONS, EDGES and COUNTS lines are checked as they are read.  The table
-    lines (FEATURES, LOSS, FEAT, TRUTH) are recorded in the same pass and
-    then converted and checked in columns; the error names the first faulty
-    line, with the message that line would raise alone."""
-    lines = _lines(stream)
+def _raise_first_fault(text: str) -> None:
+    """The error path of ``parse_model``: check the lines one by one, as
+    read, and raise the first faulty line's fault; return if no line is at
+    fault by itself.  An int beyond 64 bits is at fault as a variable,
+    cardinality, feature id or true label, and names an unknown region in
+    a table."""
+    lines = _lines(text)
     no, toks = next(lines, (1, None))
     if toks != MODEL_MAGIC.split():
         raise ParseError(no, f"expected header {MODEL_MAGIC!r}")
     region_rows: dict[int, Region] = {}
     edges: set[tuple[int, int]] = set()
     counts: dict[int, tuple[float, int]] = {}
-    tables = _TableLines()
-    truth_seen = False
-    section = None
-    section_rank = -1
-    fault = None
-    try:
-        for no, toks in lines:
-            head = toks[0]
-            if head in _SECTIONS:
-                if len(toks) != 1:
-                    raise ParseError(no, f"unexpected tokens after section {head}")
-                rank = _SECTIONS.index(head)
-                if rank <= section_rank:
-                    raise ParseError(no, f"section {head} out of order")
-                section = head
-                section_rank = rank
-            elif section is None:
-                raise ParseError(no, f"unknown section start {head!r}")
-            elif section == "REGIONS":
-                if len(toks) < 2:
-                    raise ParseError(no, "region line needs: id nvars vars... cards...")
-                rid = _int(toks[0], no, "region id")
-                nv = _int(toks[1], no, "variable count")
-                if len(toks) != 2 + 2 * nv:
-                    raise ParseError(no, f"region {rid}: expected {2 * nv} trailing fields")
-                variables = tuple(_int(t, no, "variable") for t in toks[2 : 2 + nv])
-                cards = tuple(_int(t, no, "cardinality") for t in toks[2 + nv :])
-                if rid in region_rows:
-                    raise ParseError(no, f"duplicate region id {rid}")
-                try:
-                    region_rows[rid] = Region(rid, variables, cards)
-                except ModelError as exc:
-                    raise ParseError(no, str(exc)) from None
-            elif section == "EDGES":
-                if len(toks) != 2:
-                    raise ParseError(no, "edge line needs: parent child")
-                p, r = _int(toks[0], no, "parent"), _int(toks[1], no, "child")
-                if p not in region_rows or r not in region_rows:
-                    raise ParseError(no, f"edge ({p}, {r}) references a missing region")
-                if (p, r) in edges:
-                    raise ParseError(no, f"duplicate edge ({p}, {r})")
-                if not set(region_rows[r].variables) < set(region_rows[p].variables):
-                    raise ParseError(no, f"edge ({p}, {r}): containment violated")
-                edges.add((p, r))
-            elif section == "FEATURES":
-                if len(toks) < 3:
-                    raise ParseError(no, "feature line needs: feature region values...")
-                tables.add(SHARED, no, toks, 0, 2)
-            elif section == "COUNTS":
-                _count_line(no, toks, counts)
-            elif head == "SAMPLE":
-                if len(toks) != 2:
-                    raise ParseError(no, "sample line needs: SAMPLE id")
-                tables.heads.append((_int(toks[1], no, "sample id"), no))
-                truth_seen = False
-            elif not tables.heads:
-                raise ParseError(no, "sample data before any SAMPLE line")
-            elif head == "LOSS":
-                if len(toks) < 3:
-                    raise ParseError(no, "loss line needs: LOSS region values...")
-                tables.add(LOSS, no, toks, 1, 2)
-            elif head == "FEAT":
-                if len(toks) < 4:
-                    raise ParseError(no, "feat line needs: FEAT feature region values...")
-                tables.add(FEATURE, no, toks, 1, 3)
-            elif head == "TRUTH":
-                if truth_seen:
-                    raise ParseError(no, "duplicate TRUTH line")
-                truth_seen = True
-                tables.add(TRUTH, no, toks, 1, len(toks))
-            else:
-                raise ParseError(no, f"unknown sample line {head!r}")
-    except ParseError as exc:
-        fault = exc
-    tables.convert(region_rows, fault)
-    nonfinite = min(filter(None, (tables.nonfinite(), _nonfinite_count(counts))), default=None)
+    tables: set[tuple] = set()
+    section, section_rank, sample, truth_seen = None, -1, None, False
+
+    def table(no: int, kind: int, ints: list[str], values: list[str]) -> None:
+        what = "loss" if kind == LOSS else "feature"
+        k = -1 if kind == LOSS else _int(ints[0], no, "feature id")
+        if not (-1 if kind == LOSS else 0) <= k <= _INT64.max:
+            raise ParseError(no, f"feature id {k} out of range")
+        r = _int(ints[-1], no, "region id")
+        for tok in values:
+            _float(tok, no, f"{what} value")
+        if r not in region_rows or not _INT64.min <= r <= _INT64.max:
+            raise ParseError(no, f"{what} table references unknown region {r}")
+        if len(values) != region_rows[r].label_count:
+            raise ParseError(no, f"{what} table for region {r}: expected "
+                             f"{region_rows[r].label_count} values, got {len(values)}")
+        key = (kind == LOSS, sample, k, r)
+        if key in tables:
+            raise ParseError(no, f"duplicate loss table for region {r}" if kind == LOSS
+                             else f"duplicate feature table ({k}, {r})")
+        tables.add(key)
+
+    for no, toks in lines:
+        head = toks[0]
+        if head in _SECTIONS:
+            if len(toks) != 1:
+                raise ParseError(no, f"unexpected tokens after section {head}")
+            rank = _SECTIONS.index(head)
+            if rank <= section_rank:
+                raise ParseError(no, f"section {head} out of order")
+            section = head
+            section_rank = rank
+        elif section is None:
+            raise ParseError(no, f"unknown section start {head!r}")
+        elif section == "REGIONS":
+            if len(toks) < 2:
+                raise ParseError(no, "region line needs: id nvars vars... cards...")
+            rid = _int(toks[0], no, "region id")
+            nv = _int(toks[1], no, "variable count")
+            if len(toks) != 2 + 2 * nv:
+                raise ParseError(no, f"region {rid}: expected {2 * nv} trailing fields")
+            variables = tuple(_int(t, no, "variable") for t in toks[2 : 2 + nv])
+            cards = tuple(_int(t, no, "cardinality") for t in toks[2 + nv :])
+            if rid in region_rows:
+                raise ParseError(no, f"duplicate region id {rid}")
+            try:
+                region_rows[rid] = Region(rid, variables, cards)
+            except ModelError as exc:
+                raise ParseError(no, str(exc)) from None
+            for what, value in (("variable", variables[0]), ("variable", variables[-1]),
+                                ("cardinality", max(cards))):
+                if not _INT64.min <= value <= _INT64.max:
+                    raise ParseError(no, f"region {rid}: {what} {value} out of range")
+        elif section == "EDGES":
+            if len(toks) != 2:
+                raise ParseError(no, "edge line needs: parent child")
+            p, r = _int(toks[0], no, "parent"), _int(toks[1], no, "child")
+            if p not in region_rows or r not in region_rows:
+                raise ParseError(no, f"edge ({p}, {r}) references a missing region")
+            if (p, r) in edges:
+                raise ParseError(no, f"duplicate edge ({p}, {r})")
+            if not set(region_rows[r].variables) < set(region_rows[p].variables):
+                raise ParseError(no, f"edge ({p}, {r}): containment violated")
+            edges.add((p, r))
+        elif section == "FEATURES":
+            if len(toks) < 3:
+                raise ParseError(no, "feature line needs: feature region values...")
+            table(no, SHARED, toks[:2], toks[2:])
+        elif section == "COUNTS":
+            _count_line(no, toks, counts)
+        elif head == "SAMPLE":
+            if len(toks) != 2:
+                raise ParseError(no, "sample line needs: SAMPLE id")
+            sample = _int(toks[1], no, "sample id"), no
+            truth_seen = False
+        elif sample is None:
+            raise ParseError(no, "sample data before any SAMPLE line")
+        elif head == "LOSS":
+            if len(toks) < 3:
+                raise ParseError(no, "loss line needs: LOSS region values...")
+            table(no, LOSS, toks[1:2], toks[2:])
+        elif head == "FEAT":
+            if len(toks) < 4:
+                raise ParseError(no, "feat line needs: FEAT feature region values...")
+            table(no, FEATURE, toks[1:3], toks[3:])
+        elif head == "TRUTH":
+            if truth_seen:
+                raise ParseError(no, "duplicate TRUTH line")
+            truth_seen = True
+            for r, tok in enumerate(toks[1:]):
+                if not _INT64.min <= _int(tok, no, "true label") <= _INT64.max:
+                    raise ParseError(no, f"sample {sample[0]}: true label {int(tok)} "
+                                     f"out of range for region {r}")
+        else:
+            raise ParseError(no, f"unknown sample line {head!r}")
+
+
+def parse_model(stream) -> ParsedModel:
+    """Parse and validate a model file; raises ParseError or ModelError.
+
+    The lines are read into columns and checked as arrays
+    (``_ModelLines``); only if a check fails are they walked one by one
+    (``_raise_first_fault``), so that the error names the first faulty line,
+    with the message that line would raise alone.  The faults after the
+    lines' own are then checked in FORMAT.md's order."""
+    text = stream if isinstance(stream, str) else stream.read()
+    lines = _ModelLines(text)
+    if not lines.clean:
+        _raise_first_fault(text)
+    nonfinite = min(filter(None, (lines.nonfinite(), _nonfinite_count(lines.counts))),
+                    default=None)
     if nonfinite is not None:
         raise ParseError(nonfinite[0], f"{nonfinite[1]} values must be finite")
-    n_regions = len(region_rows)
-    if n_regions == 0:
-        raise ParseError(no, "model has no regions")
-    if sorted(region_rows) != list(range(n_regions)):
-        raise ParseError(no, "region ids must be dense 0-based indices")
-    regions = [region_rows[i] for i in range(n_regions)]
-    variable_count = max(reg.variables[-1] for reg in regions) + 1
-    try:
-        graph = RegionGraph(regions, list(edges), variable_count)
-    except ModelError as exc:
-        raise ParseError(no, str(exc)) from None
-    samples, num_features = tables.samples_on(graph)
+    if lines.graph_fault is not None:
+        raise ParseError(lines.last, lines.graph_fault)
+    samples, num_features = lines.samples_on(lines.graph)
     counting = None
-    if counts:
-        values = _count_values(counts, n_regions, no)
+    if lines.counts:
+        values = _count_values(lines.counts, lines.graph.region_count, lines.last)
         counting = CountingNumbers(values, "model")
-    return ParsedModel(graph, samples, counting, num_features)
+    return ParsedModel(lines.graph, samples, counting, num_features)
 
 
 def write_model(parsed: ParsedModel, stream) -> None:

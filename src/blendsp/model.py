@@ -71,61 +71,128 @@ class RegionGraph:
     every variable must lie in some region: the constructor raises
     ``ModelError`` otherwise.  Since the variable count strictly decreases
     along every edge the graph is automatically a DAG.
+
+    The regions are held as the columns of their (region, variable) pairs
+    (``_label_pairs``), over which the graph is checked once, when it is
+    built: from ``Region`` objects (the constructor) or from the columns
+    (``of_pairs``, whose ``regions`` are made on first access).
     """
 
     def __init__(self, regions: list[Region], edges: list[tuple[int, int]], variable_count: int):
         if variable_count < 1:
             raise ModelError("variable_count must be positive")
-        ids = [r.id for r in regions]
-        if ids != list(range(len(regions))):
+        if [r.id for r in regions] != list(range(len(regions))):
             raise ModelError("region ids must be dense 0-based indices in order")
+        sizes = np.array([len(r.variables) for r in regions], dtype=np.int64)
+        pairs = [(v, c) for r in regions for v, c in zip(r.variables, r.cardinalities)]
+        variables, cards = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        parent, child = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+        self._build(sizes, variables, cards, parent, child, variable_count)
         self.regions = list(regions)
+
+    @classmethod
+    def of_pairs(cls, sizes, variables, cardinalities, parent, child,
+                 variable_count: int) -> "RegionGraph":
+        """The graph whose region r has the ``sizes[r]`` variables and
+        cardinalities that follow those of the regions before it in
+        ``variables`` and ``cardinalities`` (each region valid as ``Region``
+        would have it), with the edges (parent[e], child[e]); checked as the
+        constructor checks its arguments."""
+        if variable_count < 1:
+            raise ModelError("variable_count must be positive")
+        graph = cls.__new__(cls)
+        graph._build(sizes, variables, cardinalities, parent, child, variable_count)
+        return graph
+
+    def _build(self, sizes, variables, cards, parent, child, variable_count):
+        """Check the regions' pairs and the edges, and keep their columns."""
+        n = sizes.size
         self.variable_count = variable_count
-        n_regions = len(regions)
-        seen = set()
-        for p, r in edges:
-            if not (0 <= p < n_regions and 0 <= r < n_regions):
-                raise ModelError(f"edge ({p}, {r}) references a missing region")
-            if (p, r) in seen:
-                raise ModelError(f"duplicate edge ({p}, {r})")
-            seen.add((p, r))
-        self.edges = sorted(seen)
-        self.parents = [[] for _ in range(n_regions)]
-        for p, r in self.edges:
-            self.parents[r].append(p)
-        # global per-variable cardinalities; conflicting duplicates are fatal
-        card = {}
-        for reg in self.regions:
-            for v, c in zip(reg.variables, reg.cardinalities):
-                if not (0 <= v < variable_count):
-                    raise ModelError(f"region {reg.id}: variable {v} out of range")
-                if card.setdefault(v, c) != c:
-                    raise ModelError(f"variable {v}: inconsistent cardinality across regions")
-        for p, r in self.edges:
-            if not set(self.regions[r].variables) < set(self.regions[p].variables):
-                raise ModelError(f"edge ({p}, {r}): containment violated")
-        missing = sorted(set(range(variable_count)) - card.keys())
-        if missing:
-            raise ModelError(f"variables not covered by any region: {missing}")
-        self.cardinalities = np.array(
-            [card[v] for v in range(variable_count)], dtype=np.int64
-        )
+        self._first = first = np.concatenate(([0], np.cumsum(sizes)))
+        region = np.repeat(np.arange(n), sizes)
+        # the first edge, as given, that names a missing region or repeats one
+        missing = (np.minimum(parent, child) < 0) | (np.maximum(parent, child) >= n)
+        order = np.lexsort((child, parent))  # stable: a repeat sorts after the first
+        repeat = np.zeros(order.size, dtype=bool)
+        repeat[order[1:]] = (np.diff(parent[order]) == 0) & (np.diff(child[order]) == 0)
+        if (missing | repeat).any():
+            e = (missing | repeat).argmax()
+            p, r = parent[e], child[e]
+            raise ModelError(f"edge ({p}, {r}) references a missing region" if missing[e]
+                             else f"duplicate edge ({p}, {r})")
+        parent, child = parent[order], child[order]
+        self.edges = list(zip(parent.tolist(), child.tolist()))
+        # the first pair whose variable is out of range or has another
+        # cardinality than the variable's first pair
+        unique, at, rank = np.unique(variables, return_index=True, return_inverse=True)
+        rank = rank.reshape(-1)
+        bad = (variables < 0) | (variables >= variable_count) | (cards != cards[at][rank])
+        if bad.any():
+            j = bad.argmax()
+            v = int(variables[j])
+            if 0 <= v < variable_count:
+                raise ModelError(f"variable {v}: inconsistent cardinality across regions")
+            raise ModelError(f"region {region[j]}: variable {v} out of range")
+        # each edge's child variables' places among its parent's, which sort
+        # by (region, variable) as the pairs do; an edge is contained if it
+        # finds them all and its parent has more
+        key = region * unique.size + rank
+        kids = _spans(first[child], sizes[child])
+        edge = np.repeat(np.arange(child.size), sizes[child])
+        want = parent[edge] * unique.size + rank[kids]
+        place = np.searchsorted(key, want)
+        found = key[np.minimum(place, key.size - 1)] == want
+        lost = np.bincount(edge[~found], minlength=child.size) > 0
+        lost |= sizes[child] >= sizes[parent]
+        if lost.any():
+            e = lost.argmax()
+            raise ModelError(f"edge ({parent[e]}, {child[e]}): containment violated")
+        self._edge_places = place - first[parent[edge]]
+        if unique.size < variable_count:
+            missing = np.setdiff1d(np.arange(variable_count), unique)
+            raise ModelError(f"variables not covered by any region: {missing.tolist()}")
+        # label counts: a product of more than 62 bits is checked exactly
+        counts = np.multiply.reduceat(cards, first[:-1])
+        for r in np.flatnonzero(np.multiply.reduceat(cards.astype(float), first[:-1]) > 2.0**62):
+            if math.prod(cards[first[r] : first[r + 1]].tolist()) > np.iinfo(np.int64).max:
+                raise ModelError(f"region {r}: label count beyond 64 bits")
+        counts.flags.writeable = False
+        self._label_counts = counts
+        # row-major: a pair's stride is the product of the cardinalities after it
+        pos = np.arange(variables.size) - first[region]
+        prefix = cards.copy()
+        for k in range(1, int(sizes.max(initial=0))):
+            at = np.flatnonzero(pos == k)
+            prefix[at] *= prefix[at - 1]
+        self._label_pairs = np.stack([region, variables, counts[region] // prefix, cards])
+        self.cardinalities = np.zeros(variable_count, dtype=np.int64)
+        self.cardinalities[variables] = cards
         self._projections: dict[tuple, np.ndarray] = {}  # by edge shape
         self._layout = None
 
+    @functools.cached_property
+    def regions(self) -> list[Region]:
+        """The regions, in id order."""
+        _, variables, _, cards = self._label_pairs.tolist()
+        first = self._first.tolist()
+        return [Region(r, tuple(variables[lo:hi]), tuple(cards[lo:hi]))
+                for r, (lo, hi) in enumerate(zip(first, first[1:]))]
+
+    @functools.cached_property
+    def parents(self) -> list[list[int]]:
+        """Each region's parents, in edge order."""
+        parents = [[] for _ in range(self.region_count)]
+        for p, r in self.edges:
+            parents[r].append(p)
+        return parents
+
     @property
     def region_count(self) -> int:
-        return len(self.regions)
+        return self._first.size - 1
 
     def label_counts(self) -> np.ndarray:
         """Each region's label count (read-only)."""
         return self._label_counts
-
-    @functools.cached_property
-    def _label_counts(self) -> np.ndarray:
-        counts = np.array([r.label_count for r in self.regions], dtype=np.int64)
-        counts.flags.writeable = False
-        return counts
 
     def label_digits(self, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The variable of every (region, variable) pair, regions in order,
@@ -134,26 +201,21 @@ class RegionGraph:
         region, variable, stride, card = self._label_pairs
         return variable, labels[:, region] // stride % card
 
-    @functools.cached_property
-    def _label_pairs(self) -> np.ndarray:
-        pairs = []
-        for reg in self.regions:
-            stride = reg.label_count
-            for v, c in zip(reg.variables, reg.cardinalities):
-                stride //= c  # row-major: the first variable varies slowest
-                pairs += (reg.id, v, stride, c)
-        return np.array(pairs, dtype=np.int64).reshape(-1, 4).T
+    def _scope(self, r: int) -> tuple[list[int], list[int]]:
+        """Region r's variables and cardinalities."""
+        _, variables, _, cards = self._label_pairs[:, self._first[r] : self._first[r + 1]].tolist()
+        return variables, cards
 
     def edge_shape(self, parent: int, child: int) -> tuple:
         """The shape of edge (parent, child), on which alone its projection
         depends: the parent's cardinalities and its child variables' places."""
-        p, r = self.regions[parent], self.regions[child]
-        return p.cardinalities, tuple(map(p.variables.index, r.variables))
+        variables, cards = self._scope(parent)
+        return tuple(cards), tuple(map(variables.index, self._scope(child)[0]))
 
     def projection(self, parent: int, child: int) -> np.ndarray:
         """Map each flat parent label to the flat child label it restricts to.
         The edges of one shape (``edge_shape``) share one read-only array."""
-        if not set(self.regions[child].variables) < set(self.regions[parent].variables):
+        if not set(self._scope(child)[0]) < set(self._scope(parent)[0]):
             raise ModelError(f"edge ({parent}, {child}): containment violated")
         shape = cards, at = self.edge_shape(parent, child)
         if shape not in self._projections:
@@ -192,10 +254,22 @@ class GraphLayout:
 
         # an edge's projection, and its grouping of parent labels by projected
         # child label (``perm``), are those of its shape (``RegionGraph.edge_shape``)
-        shapes: dict[tuple, tuple] = {}  # shape -> (its id, its first edge)
-        self.edge_shape = np.array([shapes.setdefault(graph.edge_shape(*e), (len(shapes), e))[0]
-                                    for e in edges], dtype=np.int64)
-        self.shape_proj = [graph.projection(*e) for _, e in shapes.values()]
+        # as a row of the parent's cardinalities, then the child variables'
+        # places (``RegionGraph._edge_places``), each padded with -1; the
+        # shapes are numbered in the order of their first edges
+        size = np.diff(graph._first)
+        parent_size, child_size = size[self.edge_parent], size[self.edge_child]
+        width = int(parent_size.max(initial=0))
+        rows = np.full((len(edges), 2 * width), -1, dtype=np.int64)
+        edge = np.arange(len(edges))
+        rows[edge.repeat(parent_size), _spans(0 * parent_size, parent_size)] = (
+            graph._label_pairs[3, _spans(graph._first[self.edge_parent], parent_size)])
+        rows[edge.repeat(child_size), width + _spans(0 * child_size, child_size)] = (
+            graph._edge_places)
+        _, first, shape = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        self.edge_shape = np.argsort(order)[shape.reshape(-1)]
+        self.shape_proj = [graph.projection(*edges[e]) for e in first[order].tolist()]
         self.shape_perm = [np.argsort(pr, kind="stable") for pr in self.shape_proj]
 
         # region r's child edges are child_first[r], ..., child_first[r + 1] - 1

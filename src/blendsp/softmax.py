@@ -214,7 +214,7 @@ class BlockReduce:
             if k <= LANES or lanes is None or lanes():
                 blocks_op(blocks, o)
             else:
-                copy = blocks.transpose(2, 1, 0).reshape(-1, s * k)
+                copy = np.ascontiguousarray(blocks.transpose(2, 1, 0)).reshape(-1, s * k)
                 o[...] = ufunc.reduceat(copy, np.arange(0, s * k, k), axis=-1).T
         return out
 
@@ -297,8 +297,11 @@ class SoftMax:
         self.zero = shaped(zero) if zero.any() else None
         self.min_col = shaped(use_min[segment])
         t_col = np.where(zero, 1.0, t[segment])
-        # x / 1.0 is x bit for bit, so unit temperatures skip the division
+        # x / 1.0 and x * 1.0 are x bit for bit, so unit temperatures skip the
+        # division and the log-partition's multiply
         self.t_col = None if (t_col == 1.0).all() else shaped(t_col)
+        self.t_lse = None if (t == 1.0).all() else self.t
+        self.t_zero = shaped(t == 0) if (t == 0).any() else None
 
     def __call__(self, v: np.ndarray) -> GibbsPass:
         reduce = self.segments
@@ -319,4 +322,10 @@ class SoftMax:
             np.copyto(e, tie, where=self.zero)
         z = reduce.sum(e)
         # z >= 1 at t = 0 (the extreme ties with itself), so the log is finite
-        return GibbsPass(e, z, np.where(self.t == 0, mx, m + self.t * np.log(z)))
+        lse = np.log(z)
+        if self.t_lse is not None:
+            lse *= self.t_lse
+        lse += m
+        if self.t_zero is not None:
+            lse = np.where(self.t_zero, mx, lse)
+        return GibbsPass(e, z, lse)

@@ -565,3 +565,85 @@ def test_parsed_stacks_are_bitwise_the_dict_built_ones(seed, kind):
             assert same_bits(a.true_slots, truth + graph.layout().starts)
             assert same_bits(a.true_slots, b.true_slots)
             assert same_bits(a.empirical(k), b.empirical(k))
+
+
+# every kind of line, with three regions of 2, 3 and 6 labels
+ONE_FAULT = """\
+BLENDSP 1
+REGIONS
+0 1 0 2
+1 1 1 3
+2 2 0 1 2 3
+EDGES
+2 0
+2 1
+FEATURES
+0 0 0.5 -0.5
+1 2 1 0 0 0 1 0
+COUNTS
+0 1.0
+1 0.5
+2 1.0
+SAMPLES
+SAMPLE 0
+FEAT 2 1 0.25 0.5 1
+LOSS 0 0 1
+TRUTH 0 1 1
+SAMPLE 1
+FEAT 2 0 1 2
+LOSS 1 1 0 1
+TRUTH 1 1 4
+"""
+ONE_FAULT_LINES = ONE_FAULT.splitlines()
+SECTIONS = ("REGIONS", "EDGES", "FEATURES", "COUNTS", "SAMPLES")
+
+
+def one_fault_kinds() -> dict[int, str]:
+    """Each data line's index and kind: its section, or in SAMPLES its
+    keyword."""
+    kinds, section = {}, None
+    for i, line in enumerate(ONE_FAULT_LINES[1:], start=1):
+        head = line.split()[0]
+        if head in SECTIONS:
+            section = head
+        else:
+            kinds[i] = head if section == "SAMPLES" else section
+    return kinds
+
+
+# the place of a region token on the lines that name one at their own line
+REGION_TOKENS = {"EDGES": [0, 1], "FEATURES": [1], "FEAT": [2], "LOSS": [1]}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_one_fault_is_named_at_its_line(data):
+    # a non-numeric token, a missing or extra token, a nan value, or a table
+    # region or edge endpoint that is no region, on one line of a valid model
+    assert parse_model(ONE_FAULT).graph.region_count == 3
+    kinds = one_fault_kinds()
+    fault = data.draw(st.sampled_from(["not a number", "missing", "extra", "nan", "unknown"]))
+    if fault == "nan":
+        lines = [i for i, k in kinds.items() if k in ("FEATURES", "COUNTS", "FEAT", "LOSS")]
+    elif fault == "unknown":
+        lines = [i for i, k in kinds.items() if k in REGION_TOKENS]
+    else:
+        lines = sorted(kinds)
+    line = data.draw(st.sampled_from(lines))
+    toks = ONE_FAULT_LINES[line].split()
+    if fault == "not a number":
+        toks[data.draw(st.integers(0, len(toks) - 1))] = data.draw(st.sampled_from(["x", "0x1"]))
+    elif fault == "missing":
+        del toks[data.draw(st.integers(0, len(toks) - 1))]
+    elif fault == "extra":
+        toks.insert(data.draw(st.integers(1, len(toks))), "0")
+    elif fault == "nan":
+        toks[-1] = "nan"
+    else:
+        at = data.draw(st.sampled_from(REGION_TOKENS[kinds[line]]))
+        toks[at] = data.draw(st.sampled_from(["3", "-1", "99999999999999999999"]))
+    lines = ONE_FAULT_LINES.copy()
+    lines[line] = " ".join(toks)
+    with pytest.raises(ParseError) as caught:
+        parse_model("\n".join(lines) + "\n")
+    assert caught.value.line_no == line + 1, str(caught.value)

@@ -19,7 +19,8 @@ from blendsp.learner import TrainerConfig, predict_all, train
 from blendsp.model import ThetaStack
 
 from test_deep_graphs import three_level_model
-from util import chain_graph, label_strides, loopy_graph, random_sample, theta_table, tree_graph
+from util import (chain_graph, graph_fault, label_strides, loopy_graph, random_sample,
+                  theta_table, tree_graph)
 
 
 def test_counting_scheme_resolver():
@@ -363,3 +364,57 @@ def test_stacked_tables_are_each_samples_stack_of_one(seed, kind):
     if len(truthful) < len(samples):
         with pytest.raises(ModelError, match="no true labels"):
             stack.empirical(4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_graph_checks_are_the_loops_in_order(seed):
+    # singletons and random regions over 1-5 variables, mostly contained
+    # edges, and now and then a missing, uncontained or repeated edge, a
+    # variable outside the count, a conflicting cardinality, an uncovered
+    # variable or a label count beyond 64 bits: the constructor raises the
+    # first fault of ``util.graph_fault``'s loops
+    rng = np.random.default_rng(seed)
+    n_vars = int(rng.integers(1, 6))
+    cards = rng.integers(1, 4, n_vars).tolist()
+    scopes = [[v] for v in range(n_vars)]
+    scopes += [sorted(rng.choice(n_vars, int(rng.integers(1, min(n_vars, 4) + 1)),
+                                 replace=False).tolist()) for _ in range(int(rng.integers(0, 5)))]
+    regions = []
+    for i, scope in enumerate(scopes):
+        if rng.random() < 0.03:
+            shift = int(rng.choice([-1, 1]))
+            scope = [v + shift for v in scope]
+        sizes = [cards[v] if 0 <= v < n_vars else 2 for v in scope]
+        if rng.random() < 0.03:
+            sizes[0] += 1
+        if rng.random() < 0.02:
+            sizes = [2**40] * len(sizes)
+        regions.append(Region(i, tuple(scope), tuple(sizes)))
+    n = len(regions)
+    contained = [(p, r) for p in range(n) for r in range(n)
+                 if set(regions[r].variables) < set(regions[p].variables)]
+    edges = [e for e in contained if rng.random() < 0.6]
+    for _ in range(int(rng.choice([0] * 6 + [1, 2]))):  # any pair, contained or not
+        edges.append(tuple(rng.integers(0, n, 2).tolist()))
+    if rng.random() < 0.05:
+        edges.append(tuple(rng.integers(-1, n + 1, 2).tolist()))
+    if edges and rng.random() < 0.05:
+        edges.append(edges[int(rng.integers(len(edges)))])
+    edges = [edges[i] for i in rng.permutation(len(edges))]
+    variable_count = n_vars + int(rng.choice([0] * 17 + [-1, 1, -n_vars]))
+    want = graph_fault(regions, edges, variable_count)
+    if want is not None:
+        with pytest.raises(ModelError) as caught:
+            RegionGraph(regions, edges, variable_count)
+        assert str(caught.value) == want
+        return
+    graph = RegionGraph(regions, edges, variable_count)
+    assert graph.edges == sorted(set(edges))
+    assert graph.parents == [[p for p, c in sorted(set(edges)) if c == r] for r in range(n)]
+    card = {v: c for reg in regions for v, c in zip(reg.variables, reg.cardinalities)}
+    assert graph.cardinalities.tolist() == [card[v] for v in range(variable_count)]
+    assert graph.label_counts().tolist() == [reg.label_count for reg in regions]
+    _, variable, stride, _ = graph._label_pairs
+    assert variable.tolist() == [v for reg in regions for v in reg.variables]
+    assert stride.tolist() == [int(s) for reg in regions for s in label_strides(reg)]

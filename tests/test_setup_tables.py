@@ -5,6 +5,7 @@ and the colouring and the denominators read from the layout's CSR arrays
 against the same loops over per-region edge lists (``util.colour_levels``,
 ``util.denominators``)."""
 
+import io
 import itertools
 import logging
 
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blendsp import MessageState, Region, RegionGraph
+from blendsp.fileio import ParsedModel, parse_model, write_model
 from blendsp.inference import _Level, _edge_index, conflict_levels, sweep_plan
 
 from test_deep_graphs import three_level_model
@@ -120,6 +122,11 @@ def assert_level_equal(level: _Level, want: dict):
 def test_layout_and_plan_match_the_per_edge_builders(kind, seed):
     graph = any_graph(kind, seed)
     layout, want = graph.layout(), EdgeLayout(graph)
+    # shape ids number the edges' ``edge_shape``s in order of first occurrence
+    shapes: dict[tuple, int] = {}
+    assert layout.edge_shape.dtype == np.int64
+    assert layout.edge_shape.tolist() == [shapes.setdefault(graph.edge_shape(*e), len(shapes))
+                                          for e in graph.edges]
     for e in range(len(graph.edges)):
         proj = layout.shape_proj[layout.edge_shape[e]]
         np.testing.assert_array_equal(proj, want.proj[e])
@@ -237,3 +244,42 @@ def test_edge_index_finds_every_edge_and_names_a_missing_one(seed):
         if (p, r) not in present:
             with pytest.raises(ValueError, match=rf"^no edge \({p}, {r}\) in the region graph$"):
                 _edge_index(graph, p, r)
+
+
+def assert_layouts_equal(got, want):
+    assert sorted(vars(got)) == sorted(vars(want))
+    for name, value in vars(want).items():
+        mine = getattr(got, name)
+        if isinstance(value, list):
+            assert len(mine) == len(value), name
+            for a, b in zip(mine, value):
+                assert a.dtype == b.dtype, name
+                np.testing.assert_array_equal(a, b, err_msg=name)
+        elif isinstance(value, np.ndarray):
+            assert mine.dtype == value.dtype, name
+            np.testing.assert_array_equal(mine, value, err_msg=name)
+        else:
+            assert mine == value, name
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["tree", "loopy", "three-level", "mixed", "many-parents"]),
+       st.integers(0, 2**32 - 1))
+def test_written_and_parsed_graphs_are_the_built_ones(kind, seed):
+    # a graph read back from its model file (``RegionGraph.of_pairs``) has the
+    # constructor-built graph's edges, pairs and every layout array
+    graph = any_graph(kind, seed)
+    text = io.StringIO()
+    write_model(ParsedModel(graph, [], None, 0), text)
+    parsed = parse_model(text.getvalue()).graph
+    assert parsed.edges == graph.edges
+    assert parsed.parents == graph.parents
+    assert parsed.regions == graph.regions
+    assert parsed.variable_count == graph.variable_count
+    for name in ("cardinalities", "_label_pairs", "_edge_places"):
+        mine, want = getattr(parsed, name), getattr(graph, name)
+        assert mine.dtype == want.dtype == np.int64, name
+        np.testing.assert_array_equal(mine, want, err_msg=name)
+    assert parsed.label_counts().dtype == np.int64
+    np.testing.assert_array_equal(parsed.label_counts(), graph.label_counts())
+    assert_layouts_equal(parsed.layout(), graph.layout())

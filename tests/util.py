@@ -480,6 +480,40 @@ def zero_count_beliefs(layout, lam, theta, eps, cvals, b):
 # index arrays that the engine builds per edge shape, element for element
 
 
+def graph_fault(regions: list[Region], edges, variable_count: int) -> str | None:
+    """The ``ModelError`` message ``RegionGraph(regions, edges,
+    variable_count)`` gives, by loops over the regions and edges in the
+    constructor's order of checks, or None for a valid graph."""
+    if variable_count < 1:
+        return "variable_count must be positive"
+    if [r.id for r in regions] != list(range(len(regions))):
+        return "region ids must be dense 0-based indices in order"
+    seen = set()
+    for p, r in edges:
+        if not (0 <= p < len(regions) and 0 <= r < len(regions)):
+            return f"edge ({p}, {r}) references a missing region"
+        if (p, r) in seen:
+            return f"duplicate edge ({p}, {r})"
+        seen.add((p, r))
+    card = {}
+    for reg in regions:
+        for v, c in zip(reg.variables, reg.cardinalities):
+            if not 0 <= v < variable_count:
+                return f"region {reg.id}: variable {v} out of range"
+            if card.setdefault(v, c) != c:
+                return f"variable {v}: inconsistent cardinality across regions"
+    for p, r in sorted(seen):
+        if not set(regions[r].variables) < set(regions[p].variables):
+            return f"edge ({p}, {r}): containment violated"
+    missing = sorted(set(range(variable_count)) - card.keys())
+    if missing:
+        return f"variables not covered by any region: {missing}"
+    for reg in regions:
+        if reg.label_count > np.iinfo(np.int64).max:
+            return f"region {reg.id}: label count beyond 64 bits"
+    return None
+
+
 def edge_projection(graph: RegionGraph, parent: int, child: int) -> np.ndarray:
     """The flat child label of every flat parent label, digit by digit."""
     p, r = graph.regions[parent], graph.regions[child]
